@@ -2,17 +2,25 @@
 
 A bilinear product is stored as a rank-3 table gamma[i][j][k]: the e_k
 coefficient of e_i·e_j. A Lie algebra stores its bracket the same way and
-validates antisymmetry and Jacobi at construction. Defect tensors (Jacobi,
-associator, left-symmetry anomaly) are exact; "zero" means every entry is
-the zero rational.
+validates antisymmetry and Jacobi at construction.
+
+The dense table is the public form; every tensor computation reads the
+table's nonzeros instead (`SparseTable`, derived once per algebra). Defect
+tensors (Jacobi, associator, left-symmetry anomaly) and the Killing form are
+contractions over pairs of nonzeros, so their cost follows the number of
+nonzero coefficients rather than a power of the dimension. They are exact;
+a defect tensor stores only its nonzero entries, and "zero" means it has
+none.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from math import lcm
 
 from koszul import linalg
 from koszul.errors import JacobiViolation, ValidationError
@@ -32,35 +40,81 @@ def zero_table3(m: int) -> Table3:
                  for _ in range(m))
 
 
-def _walk(entries, prefix):
-    if isinstance(entries, Fraction):
-        yield prefix, entries
-        return
-    for i, sub in enumerate(entries):
-        yield from _walk(sub, prefix + (i,))
+class SparseTable:
+    """Nonzero coefficients of a rank-3 table, as integers over one denominator.
+
+    `nonzeros` lists (i, j, k, n) meaning t[i][j][k] = n / den, and
+    `by_first` groups them as i -> [(j, k, n)]. A contraction multiplies and
+    adds these integers and divides by the product of the denominators once
+    at the end, which gives the same rationals as `Fraction` arithmetic.
+    """
+
+    __slots__ = ("den", "nonzeros", "by_first")
+
+    def __init__(self, nonzeros):
+        entries = [(i, j, k, frac(v)) for i, j, k, v in nonzeros if v]
+        self.den = d = lcm(*(v.denominator for *_, v in entries))
+        self.nonzeros = tuple((i, j, k, v.numerator * (d // v.denominator))
+                              for i, j, k, v in entries)
+        self.by_first: dict[int, list[tuple[int, int, int]]] = {}
+        for i, j, k, n in self.nonzeros:
+            self.by_first.setdefault(i, []).append((j, k, n))
+
+    @classmethod
+    def of(cls, table) -> SparseTable:
+        return cls((i, j, k, v) for i, plane in enumerate(table)
+                   for j, row in enumerate(plane)
+                   for k, v in enumerate(row) if v)
+
+
+def rationals(acc: dict, den: int) -> dict:
+    """Integer accumulators over `den` as nonzero rationals."""
+    return {idx: Fraction(n, den) for idx, n in acc.items() if n}
 
 
 @dataclass(frozen=True)
 class DefectTensor:
-    """Nested rational coefficient table (rank 3 or 4) measuring a failure."""
+    """Rational tensor (rank 3 or 4) measuring a failure, kept by its nonzeros.
 
-    entries: tuple
+    `nonzeros` maps multi-indices to values; construction drops zero values
+    and orders the keys lexicographically, so the queries below cost
+    O(nonzeros) and see entries in index order.
+    """
+
+    shape: tuple[int, ...]
+    nonzeros: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "nonzeros", {
+            idx: v for idx, v in sorted(self.nonzeros.items()) if v})
 
     def items(self):
-        yield from _walk(self.entries, ())
+        """Every (multi_index, value), zeros included, in index order."""
+        zero = Fraction(0)
+        for idx in iproduct(*map(range, self.shape)):
+            yield idx, self.nonzeros.get(idx, zero)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Dense nested-tuple view, built on first use."""
+        zero, rank = Fraction(0), len(self.shape)
+
+        def block(prefix):
+            if len(prefix) == rank:
+                return self.nonzeros.get(prefix, zero)
+            return tuple(block(prefix + (i,))
+                         for i in range(self.shape[len(prefix)]))
+        return block(())
 
     def max_abs(self) -> Fraction:
-        return max((abs(v) for _, v in self.items()), default=Fraction(0))
+        return max(map(abs, self.nonzeros.values()), default=Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for _, v in self.items())
+        return not self.nonzeros
 
     def first_nonzero(self):
         """(multi_index, value) of the first nonzero entry, or None."""
-        for idx, v in self.items():
-            if v != 0:
-                return idx, v
-        return None
+        return next(iter(self.nonzeros.items()), None)
 
 
 @dataclass(frozen=True)
@@ -75,6 +129,10 @@ class BilinearProduct:
         if len(self.gamma) != m or any(
                 len(p) != m or any(len(r) != m for r in p) for p in self.gamma):
             raise ValidationError("product table shape does not match dim")
+
+    @cached_property
+    def sparse(self) -> SparseTable:
+        return SparseTable.of(self.gamma)
 
     def mult(self, u, v) -> Vec:
         m = self.dim
@@ -135,18 +193,25 @@ class LieAlgebra:
         if len(self.c) != m or any(
                 len(p) != m or any(len(r) != m for r in p) for p in self.c):
             raise ValidationError("bracket table shape does not match dim")
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise ValidationError(
-                            f"bracket not antisymmetric at ({i},{j},{k})")
-        defect = jacobi_defect(self.c)
-        hit = defect.first_nonzero()
+        # c[i][j][k] != -c[j][i][k] needs a nonzero on one side, and the
+        # relation is symmetric, so the failures are the nonzeros that fail
+        # together with their mirrors.
+        c = self.c
+        bad = min((idx for i, j, k, _ in self.sparse.nonzeros
+                   if c[i][j][k] != -c[j][i][k]
+                   for idx in ((i, j, k), (j, i, k))), default=None)
+        if bad is not None:
+            raise ValidationError(
+                "bracket not antisymmetric at ({},{},{})".format(*bad))
+        hit = jacobi_defect(self.c).first_nonzero()
         if hit is not None:
             idx, _ = hit
             raise JacobiViolation(
                 f"Jacobi identity fails on basis triple {idx[:3]}")
+
+    @cached_property
+    def sparse(self) -> SparseTable:
+        return SparseTable.of(self.c)
 
     def bracket(self, u, v) -> Vec:
         return self.as_product().mult(u, v)
@@ -163,60 +228,86 @@ class LieAlgebra:
         return self.as_product().left_matrix(x)
 
 
+def operator_defect(p: BilinearProduct, q: SparseTable,
+                    bracket: bool = False) -> dict:
+    """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a.
+
+    L_i is left multiplication by e_i under p. Key (i, j, k, l) holds the
+    e_l coefficient of the operator for (i, j) applied to e_k. With
+    q = p's own table this is minus the associator; with bracket=True and
+    q a Lie bracket it is the curvature of the connection p.
+    """
+    g = p.sparse
+    d = lcm(g.den, q.den)
+    fp, fq = d // g.den, d // q.den
+    # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
+    by_second: dict[int, list[tuple[int, int, int]]] = {}
+    for i, a, l, n in g.nonzeros:
+        by_second.setdefault(a, []).append((i, l, n * fp))
+    acc: dict = defaultdict(int)
+    for j, k, a, v in g.nonzeros:
+        for i, l, w in by_second.get(a, ()):
+            x = v * w
+            acc[i, j, k, l] += x
+            if bracket:
+                acc[j, i, k, l] -= x
+    for i, j, a, v in q.nonzeros:
+        v *= fq
+        for k, l, w in g.by_first.get(a, ()):
+            acc[i, j, k, l] -= v * w
+    return rationals(acc, g.den * d)
+
+
+def operator_matrix(entries: dict, i: int, j: int, m: int) -> Mat:
+    """Dense matrix (row l, column k) of the (i, j) operator in `entries`."""
+    zero = Fraction(0)
+    return tuple(tuple(entries.get((i, j, k, l), zero) for k in range(m))
+                 for l in range(m))
+
+
 def jacobi_defect(c: Table3) -> DefectTensor:
-    """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor."""
+    """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor.
+
+    T(p,q,r) = [[e_p,e_q],e_r] = sum_a c[p][q][a] c[a][r][.] is summed over
+    pairs of nonzeros, then enters the cyclic sums at (p,q,r), (q,r,p) and
+    (r,p,q).
+    """
     m = len(c)
-    p = BilinearProduct(m, table3(c)) if m else BilinearProduct(0, ())
-    basis = linalg.identity(m)
-
-    def bk(u, v):
-        return p.mult(u, v)
-
-    out = []
-    for i in range(m):
-        plane = []
-        for j in range(m):
-            row = []
-            for k in range(m):
-                x, y, z = basis[i], basis[j], basis[k]
-                val = linalg.vec_add(
-                    linalg.vec_add(bk(bk(x, y), z), bk(bk(y, z), x)),
-                    bk(bk(z, x), y))
-                row.append(tuple(val))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return DefectTensor(tuple(out))
-
-
-def _associator(p: BilinearProduct, x, y, z) -> Vec:
-    return linalg.vec_sub(p.mult(p.mult(x, y), z), p.mult(x, p.mult(y, z)))
+    s = BilinearProduct(m, c).sparse
+    nested: dict = defaultdict(int)
+    for p, q, a, v in s.nonzeros:
+        for r, l, w in s.by_first.get(a, ()):
+            nested[p, q, r, l] += v * w
+    acc: dict = defaultdict(int)
+    for (p, q, r, l), x in nested.items():
+        acc[p, q, r, l] += x
+        acc[q, r, p, l] += x
+        acc[r, p, q, l] += x
+    return DefectTensor((m,) * 4, rationals(acc, s.den * s.den))
 
 
 def associator_defect(p: BilinearProduct) -> DefectTensor:
     """(e_i·e_j)·e_k − e_i·(e_j·e_k) over all basis triples; zero iff associative."""
-    m = p.dim
-    basis = linalg.identity(m)
-    out = tuple(
-        tuple(
-            tuple(_associator(p, basis[i], basis[j], basis[k])
-                  for k in range(m)) for j in range(m)) for i in range(m))
-    return DefectTensor(out)
+    d = operator_defect(p, p.sparse)
+    return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
 
 
 def kv_anomaly(p: BilinearProduct) -> DefectTensor:
     """Asymmetry of the associator in its first two slots.
 
     Zero iff the product is left-symmetric (Koszul-Vinberg). For the product
-    of a torsion-free connection this tensor equals minus its curvature.
+    of a torsion-free connection this tensor equals minus its curvature, and
+    it is computed that way: as minus the curvature of p over its own
+    commutator bracket.
     """
-    m = p.dim
-    basis = linalg.identity(m)
-    out = tuple(
-        tuple(
-            tuple(linalg.vec_sub(_associator(p, basis[i], basis[j], basis[k]),
-                                 _associator(p, basis[j], basis[i], basis[k]))
-                  for k in range(m)) for j in range(m)) for i in range(m))
-    return DefectTensor(out)
+    g = p.gamma
+    comm = {}
+    for i, j, k, _ in p.sparse.nonzeros:
+        comm[i, j, k] = g[i][j][k] - g[j][i][k]
+        comm[j, i, k] = -comm[i, j, k]
+    q = SparseTable((i, j, k, v) for (i, j, k), v in comm.items())
+    d = operator_defect(p, q, bracket=True)
+    return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
 
 
 def commutator_bracket(p: BilinearProduct) -> LieAlgebra:
@@ -230,18 +321,25 @@ def commutator_bracket(p: BilinearProduct) -> LieAlgebra:
 
 
 def killing_form(L: LieAlgebra):
-    """K(x,y) = trace(ad_x ad_y); symmetric, ad-invariant."""
+    """K(x,y) = trace(ad_x ad_y); symmetric, ad-invariant.
+
+    K(e_i,e_j) = sum_{a,b} c[i][a][b] c[j][b][a], summed over pairs of
+    nonzeros that share the (a, b) / (b, a) slots.
+    """
     from koszul.forms import BilinearForm
     m = L.dim
-    ads = L.ad_matrices
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = linalg.mat_mul(ads[i], ads[j])
-            row.append(sum(prod[a][a] for a in range(m)))
-        entries.append(tuple(row))
-    return BilinearForm(m, tuple(entries), "symmetric")
+    s = L.sparse
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, a, b, n in s.nonzeros:
+        by_pair.setdefault((a, b), []).append((i, n))
+    acc = [[0] * m for _ in range(m)]
+    for (a, b), left in by_pair.items():
+        for j, w in by_pair.get((b, a), ()):
+            for i, v in left:
+                acc[i][j] += v * w
+    den = s.den * s.den
+    entries = tuple(tuple(Fraction(x, den) for x in row) for row in acc)
+    return BilinearForm(m, entries, "symmetric")
 
 
 def abelian(m: int) -> LieAlgebra:

@@ -65,7 +65,7 @@ def _mat_doc(mat):
 
 
 def _defect_doc(t) -> dict:
-    entries = [[*idx, kio.fraction_str(v)] for idx, v in t.items() if v]
+    entries = [[*idx, kio.fraction_str(v)] for idx, v in t.nonzeros.items()]
     return {"zero": t.is_zero(), "max_abs": kio.fraction_str(t.max_abs()),
             "entries": entries}
 
@@ -425,7 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dump", action="store_true",
                         help="echo parsed inputs back as JSON documents")
     common.add_argument("--timing", action="store_true",
-                        help="attach wall-clock timing to the report")
+                        help="attach the handler's wall-clock time to the "
+                             "report as timing_ms (argument parsing and "
+                             "JSON encoding are not included)")
 
     src = argparse.ArgumentParser(add_help=False)
     src.add_argument("--algebra", help="algebra JSON file")

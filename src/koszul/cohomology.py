@@ -25,7 +25,8 @@ from itertools import combinations, product as iproduct
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            kv_anomaly, table3)
+                            kv_anomaly, operator_defect, operator_matrix,
+                            table3)
 from koszul.errors import NotAssociative, NotKV, ValidationError
 from koszul.linalg import Vec
 
@@ -89,16 +90,9 @@ def zero_cochain(degree: int, m: int, module: str) -> Cochain:
 def kv_degree_zero_space(p: BilinearProduct):
     """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains."""
     m = p.dim
-    mats = p.left_matrices
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            d = linalg.mat_mul(mats[i], mats[j])
-            for k in range(m):
-                if p.gamma[i][j][k]:
-                    d = linalg.mat_sub(d, linalg.mat_scale(p.gamma[i][j][k],
-                                                           mats[k]))
-            rows.extend(d)
+    d = operator_defect(p, p.sparse)
+    rows = [row for i in range(m) for j in range(m)
+            for row in operator_matrix(d, i, j, m)]
     return linalg.nullspace(rows, ncols=m)
 
 
@@ -445,11 +439,9 @@ def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
     def bb(u, v):
         return bprod.mult(u, v)
 
-    out = []
+    out = {}
     for i in range(m):
-        plane = []
         for j in range(m):
-            row = []
             for k in range(m):
                 x, y, z = basis[i], basis[j], basis[k]
                 db = [Fraction(0)] * m
@@ -463,7 +455,6 @@ def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
                              bb(y, bb(z, x)),
                              bb(z, bb(x, y))):
                     db = [a + t for a, t in zip(db, term)]
-                row.append(tuple(db))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return DefectTensor(tuple(out))
+                for l, v in enumerate(db):
+                    out[i, j, k, l] = v
+    return DefectTensor((m,) * 4, out)

@@ -7,12 +7,14 @@ curvature. Everything is exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
+                            operator_defect, operator_matrix, rationals,
                             zero_table3)
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import SYMMETRIC, BilinearForm
@@ -60,13 +62,14 @@ def cartan_connection(L: LieAlgebra, kind: str) -> InvariantConnection:
 
 def torsion(conn: InvariantConnection) -> DefectTensor:
     """T(e_i,e_j) = nabla_i e_j − nabla_j e_i − [e_i,e_j], rank-3 tensor."""
-    m = conn.dim
-    g, c = conn.gamma.gamma, conn.base.c
-    out = tuple(
-        tuple(
-            tuple(g[i][j][k] - g[j][i][k] - c[i][j][k] for k in range(m))
-            for j in range(m)) for i in range(m))
-    return DefectTensor(out)
+    g, c = conn.gamma.sparse, conn.base.sparse
+    acc: dict = defaultdict(int)
+    for i, j, k, n in g.nonzeros:
+        acc[i, j, k] += n * c.den
+        acc[j, i, k] -= n * c.den
+    for i, j, k, n in c.nonzeros:
+        acc[i, j, k] -= n * g.den
+    return DefectTensor((conn.dim,) * 3, rationals(acc, g.den * c.den))
 
 
 def is_torsion_free(conn: InvariantConnection) -> bool:
@@ -75,42 +78,17 @@ def is_torsion_free(conn: InvariantConnection) -> bool:
 
 def curvature(conn: InvariantConnection) -> DefectTensor:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k − nabla_j nabla_i e_k − nabla_{[e_i,e_j]} e_k."""
-    m = conn.dim
-    mats = conn.matrices
-    c = conn.base.c
-    out = []
-    for i in range(m):
-        plane = []
-        for j in range(m):
-            rij = linalg.commutator(mats[i], mats[j])
-            for l in range(m):
-                if c[i][j][l]:
-                    rij = linalg.mat_sub(rij, linalg.mat_scale(c[i][j][l],
-                                                               mats[l]))
-            # column k of rij is R(e_i,e_j)e_k
-            plane.append(tuple(tuple(rij[a][k] for a in range(m))
-                               for k in range(m)))
-        out.append(tuple(plane))
-    return DefectTensor(tuple(out))
+    return DefectTensor((conn.dim,) * 4,
+                        operator_defect(conn.gamma, conn.base.sparse,
+                                        bracket=True))
 
 
 def curvature_operators(conn: InvariantConnection) -> tuple[tuple[Mat, ...], ...]:
     """R_ij = [Gamma_i, Gamma_j] − sum_k c^k_{ij} Gamma_k as matrices."""
     m = conn.dim
-    mats = conn.matrices
-    c = conn.base.c
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            rij = linalg.commutator(mats[i], mats[j])
-            for l in range(m):
-                if c[i][j][l]:
-                    rij = linalg.mat_sub(rij, linalg.mat_scale(c[i][j][l],
-                                                               mats[l]))
-            row.append(rij)
-        out.append(tuple(row))
-    return tuple(out)
+    r = operator_defect(conn.gamma, conn.base.sparse, bracket=True)
+    return tuple(tuple(operator_matrix(r, i, j, m) for j in range(m))
+                 for i in range(m))
 
 
 def is_locally_flat(conn: InvariantConnection) -> tuple[bool, str | None]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from koszul import linalg, spaces
+from koszul.algebra import operator_defect, operator_matrix
 from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
@@ -230,17 +231,9 @@ def g_nabla_subalgebra(conn: InvariantConnection
     not hold (no closure claim is made then).
     """
     m = conn.dim
-    mats = conn.matrices
-    gam = conn.gamma.gamma
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            d = linalg.mat_mul(mats[i], mats[j])
-            for k in range(m):
-                if gam[i][j][k]:
-                    d = linalg.mat_sub(d, linalg.mat_scale(gam[i][j][k],
-                                                           mats[k]))
-            rows.extend(d)
+    d = operator_defect(conn.gamma, conn.gamma.sparse)
+    rows = [row for i in range(m) for j in range(m)
+            for row in operator_matrix(d, i, j, m)]
     space = spaces.from_conditions(rows, m)
     if not conn.gamma.is_kv:
         return space, None

@@ -61,14 +61,34 @@ def mat_scale(c, a) -> Mat:
 
 
 def mat_mul(a, b) -> Mat:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a @ b, skipping zero entries of a and walking only b's row nonzeros."""
+    ncols = len(b[0]) if b else 0
+    brows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        acc = [zero] * ncols
+        for x, brow in zip(row, brows):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a, v) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    """a @ v over the nonzero entries of v, skipping zero entries of a."""
+    nz = [(j, y) for j, y in enumerate(v) if y]
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        s = zero
+        for j, y in nz:
+            x = row[j]
+            if x:
+                s += x * y
+        out.append(s)
+    return tuple(out)
 
 
 def vec_add(u, v) -> Vec:

@@ -1,15 +1,21 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written naively and separately from src/koszul: plain
-Gaussian elimination over Fraction, direct index-chasing tensor formulas,
-and closed forms from textbooks. Slower is fine; agreeing by construction
-is the point.
+Everything here is written naively and separately from the library's
+tensor and elimination code: plain Gaussian elimination over Fraction,
+direct index-chasing tensor formulas, the library's former dense tensor
+routines (built on its vector helpers and `BilinearProduct.mult` only), and
+closed forms from textbooks. Slower is fine; agreeing by construction is
+the point.
 """
 
 from fractions import Fraction
 from math import comb
 
 import sympy
+
+from koszul import linalg
+from koszul.algebra import BilinearProduct, table3
+from koszul.errors import JacobiViolation, ValidationError
 
 
 def F(x):
@@ -156,3 +162,154 @@ def full_symbol_cartan_total(m, w):
     """Sum over a quasi-regular flag for a = Hom(V,W): dim a_j = w(m-j),
     so the total is w * m(m+1)/2."""
     return w * m * (m + 1) // 2
+
+
+# ---------------------------------------------------------------- dense tensors
+#
+# The library computes these tensors as contractions over nonzeros. The dense
+# formulas below are the ones it used before, kept as differential oracles:
+# each walks every basis triple and returns the full nested tuple
+# (zeros included) that the library's `DefectTensor.entries` must equal.
+
+def dense_mat_mul(a, b):
+    bt = linalg.transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def dense_mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def dense_commutator(a, b):
+    return linalg.mat_sub(dense_mat_mul(a, b), dense_mat_mul(b, a))
+
+
+def dense_lie_check(m, c):
+    """The dense constructor checks of a Lie bracket table, same messages."""
+    if len(c) != m or any(
+            len(p) != m or any(len(r) != m for r in p) for p in c):
+        raise ValidationError("bracket table shape does not match dim")
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if c[i][j][k] != -c[j][i][k]:
+                    raise ValidationError(
+                        f"bracket not antisymmetric at ({i},{j},{k})")
+    for idx, v in walk(dense_jacobi_defect(c)):
+        if v != 0:
+            raise JacobiViolation(
+                f"Jacobi identity fails on basis triple {idx[:3]}")
+
+
+def walk(entries, prefix=()):
+    """(multi_index, value) of every entry of a nested tuple, in index order."""
+    if isinstance(entries, Fraction):
+        yield prefix, entries
+        return
+    for i, sub in enumerate(entries):
+        yield from walk(sub, prefix + (i,))
+
+
+def dense_jacobi_defect(c):
+    """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor."""
+    m = len(c)
+    p = BilinearProduct(m, table3(c)) if m else BilinearProduct(0, ())
+    basis = linalg.identity(m)
+
+    def bk(u, v):
+        return p.mult(u, v)
+
+    out = []
+    for i in range(m):
+        plane = []
+        for j in range(m):
+            row = []
+            for k in range(m):
+                x, y, z = basis[i], basis[j], basis[k]
+                val = linalg.vec_add(
+                    linalg.vec_add(bk(bk(x, y), z), bk(bk(y, z), x)),
+                    bk(bk(z, x), y))
+                row.append(tuple(val))
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def _associator(p, x, y, z):
+    return linalg.vec_sub(p.mult(p.mult(x, y), z), p.mult(x, p.mult(y, z)))
+
+
+def dense_associator_defect(p):
+    """(e_i·e_j)·e_k − e_i·(e_j·e_k) over all basis triples."""
+    m = p.dim
+    basis = linalg.identity(m)
+    return tuple(
+        tuple(
+            tuple(_associator(p, basis[i], basis[j], basis[k])
+                  for k in range(m)) for j in range(m)) for i in range(m))
+
+
+def dense_kv_anomaly(p):
+    """Asymmetry of the associator in its first two slots."""
+    m = p.dim
+    basis = linalg.identity(m)
+    return tuple(
+        tuple(
+            tuple(linalg.vec_sub(_associator(p, basis[i], basis[j], basis[k]),
+                                 _associator(p, basis[j], basis[i], basis[k]))
+                  for k in range(m)) for j in range(m)) for i in range(m))
+
+
+def dense_killing_form(L):
+    """K(x,y) = trace(ad_x ad_y) as a matrix."""
+    m = L.dim
+    ads = L.ad_matrices
+    entries = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            prod = dense_mat_mul(ads[i], ads[j])
+            row.append(sum(prod[a][a] for a in range(m)))
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+def dense_torsion(conn):
+    """T(e_i,e_j) = nabla_i e_j − nabla_j e_i − [e_i,e_j], rank-3 tensor."""
+    m = conn.dim
+    g, c = conn.gamma.gamma, conn.base.c
+    return tuple(
+        tuple(
+            tuple(g[i][j][k] - g[j][i][k] - c[i][j][k] for k in range(m))
+            for j in range(m)) for i in range(m))
+
+
+def dense_curvature_operators(conn):
+    """R_ij = [Gamma_i, Gamma_j] − sum_k c^k_{ij} Gamma_k as matrices."""
+    m = conn.dim
+    mats = conn.matrices
+    c = conn.base.c
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            rij = dense_commutator(mats[i], mats[j])
+            for l in range(m):
+                if c[i][j][l]:
+                    rij = linalg.mat_sub(rij, linalg.mat_scale(c[i][j][l],
+                                                               mats[l]))
+            row.append(rij)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_curvature(conn):
+    """R(e_i,e_j)e_k along e_l; column k of R_ij is R(e_i,e_j)e_k."""
+    m = conn.dim
+    ops = dense_curvature_operators(conn)
+    return tuple(
+        tuple(
+            tuple(tuple(ops[i][j][a][k] for a in range(m)) for k in range(m))
+            for j in range(m)) for i in range(m))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -97,10 +98,9 @@ def test_associator_and_kv_anomaly_match_oracles(rng):
         p = BilinearProduct(m, random_table(rng, m))
         da = dict(associator_defect(p).items())
         dk = dict(kv_anomaly(p).items())
-        for idx in da:
-            i, j, k, l = idx
-            assert da[idx] == associator_entry(p.gamma, i, j, k, l)
-            assert dk[idx] == kv_anomaly_entry(p.gamma, i, j, k, l)
+        for idx in product(range(m), repeat=4):
+            assert da[idx] == associator_entry(p.gamma, *idx)
+            assert dk[idx] == kv_anomaly_entry(p.gamma, *idx)
 
 
 def test_admissible_pools():

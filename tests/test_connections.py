@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,9 +34,8 @@ def test_torsion_matches_oracle(rng):
             for _ in range(m))
         conn = InvariantConnection(L, conftest.BilinearProduct(m, table))
         d = dict(torsion(conn).items())
-        for idx, v in d.items():
-            i, j, k = idx
-            assert v == torsion_entry(table, L.c, i, j, k)
+        for idx in product(range(m), repeat=3):
+            assert d[idx] == torsion_entry(table, L.c, *idx)
 
 
 def test_curvature_matches_oracle(rng):
@@ -44,9 +44,8 @@ def test_curvature_matches_oracle(rng):
         conn = random_torsion_free(L, rng)
         gam = conn.gamma.gamma
         d = dict(curvature(conn).items())
-        for idx, v in d.items():
-            i, j, k, l = idx
-            assert v == curvature_entry(gam, L.c, i, j, k, l)
+        for idx in product(range(L.dim), repeat=4):
+            assert d[idx] == curvature_entry(gam, L.c, *idx)
 
 
 def test_cartan_connection_torsions():
