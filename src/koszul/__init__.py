@@ -7,12 +7,10 @@ verdicts, KV/Chevalley-Eilenberg/Hochschild cohomology, symbol
 prolongation and involutivity, closed-form flat models, and a small
 floating-point information-geometry bench.
 
-Row reduction runs on a compiled fraction-free kernel when the extension
-built, with a pure-Python fallback selected at import time; see
-koszul.kernel_backend().
+Pure Python: row reduction runs on a fraction-free integer kernel that
+works on nonzero entries only (koszul._kernel.echelon).
 """
 
-from koszul._kernel import kernel_backend
 from koszul.algebra import (
     BilinearProduct,
     DefectTensor,

@@ -7,6 +7,10 @@ Three complexes share the rank-nullity plumbing:
 * the Chevalley-Eilenberg complex of a Lie algebra (trivial or adjoint);
 * the Hochschild complex of an associative algebra in low degree.
 
+Each coboundary matrix is assembled directly from the nonzeros of the
+structure-constant table, by one helper, rather than by applying the
+coboundary to every basis cochain.
+
 Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
 with (x·y)·xi = x·(y·xi) for all x, y: on that subspace (and only there)
@@ -213,15 +217,116 @@ def _dims_from_deltas(name, coefficients, m, c_dims, deltas,
     return CohomologyReport(name, coefficients, m, tuple(out), notes)
 
 
-def _delta_matrix_columns(basis_inputs, apply_delta):
-    """Column-per-basis-cochain matrix, returned as rows for rank work."""
-    cols = []
-    for b in basis_inputs:
-        image = apply_delta(b)
-        cols.append(tuple(x for v in image.table for x in v))
-    if not cols:
+def _assemble(nrows: int, ncols: int, den: int, entries) -> list[list]:
+    """Dense Fraction rows of a coboundary matrix from its contributions.
+
+    `entries` yields (row, col, n): n / den is added to that cell. Every
+    coboundary matrix below is built this way from the nonzeros of a
+    structure-constant table (`SparseTable`, integers over `den`), so only
+    cells that receive a contribution are touched.
+    """
+    if not nrows or not ncols:
         return []
-    return [list(row) for row in zip(*cols)]
+    acc: dict[tuple[int, int], int] = {}
+    for r, col, n in entries:
+        acc[r, col] = acc.get((r, col), 0) + n
+    zero = Fraction(0)
+    rows = [[zero] * ncols for _ in range(nrows)]
+    for (r, col), n in acc.items():
+        if n:
+            rows[r][col] = Fraction(n, den)
+    return rows
+
+
+def _by_second(sp) -> dict[int, list[tuple[int, int, int]]]:
+    """j -> [(i, k, n)] for the nonzeros t[i][j][k] = n / den of a table."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for i, j, k, n in sp.nonzeros:
+        out.setdefault(j, []).append((i, k, n))
+    return out
+
+
+def _by_pair(sp) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """(i, j) -> [(k, n)] for the nonzeros t[i][j][k] = n / den of a table."""
+    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, k, n in sp.nonzeros:
+        out.setdefault((i, j), []).append((k, n))
+    return out
+
+
+def _kv_entries(sp, m: int, q: int, adjoint: bool):
+    """Contributions to delta_q (q >= 1) of the KV complex; see kv_coboundary.
+
+    Row flat(X_1..X_{q+1}) * width + k, column flat(f's arguments) * width +
+    a, where width is m for algebra coefficients and 1 for scalars.
+    """
+    by_first, by_second, by_pair = sp.by_first, _by_second(sp), _by_pair(sp)
+    width = m if adjoint else 1
+    for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
+        row0 = out * width
+        last = idx[q]
+        for i in range(1, q + 1):
+            x = idx[i - 1]
+            rest = idx[:i - 1] + idx[i:]
+            sign = -1 if i % 2 else 1
+            if adjoint:
+                # X_i·f(∂_i xi)
+                col0 = _flat_index(rest, m) * m
+                for a, k, n in by_first.get(x, ()):
+                    yield row0 + k, col0 + a, sign * n
+                # f(∂²_{i,q+1} xi ⊗ X_i)·X_{q+1}
+                col0 = _flat_index(idx[:i - 1] + idx[i:q] + (x,), m) * m
+                for a, k, n in by_second.get(last, ()):
+                    yield row0 + k, col0 + a, sign * n
+            # -f(X_i·∂_i xi): X_i acts on each slot of rest
+            for t, held in enumerate(rest):
+                for a, n in by_pair.get((x, held), ()):
+                    col0 = _flat_index(rest[:t] + (a,) + rest[t + 1:],
+                                       m) * width
+                    for k in range(width):
+                        yield row0 + k, col0 + k, -sign * n
+
+
+def _kv_degree_zero_entries(sp, m: int, zero_basis):
+    """Contributions to delta_0 with algebra coefficients: xi·X - X·xi."""
+    by_first, by_second = sp.by_first, _by_second(sp)
+    for col, xi in enumerate(zero_basis):
+        for a, v in enumerate(xi):
+            if v:
+                for x, k, n in by_first.get(a, ()):
+                    yield x * m + k, col, v * n
+                for x, k, n in by_second.get(a, ()):
+                    yield x * m + k, col, -v * n
+
+
+def kv_coboundary_matrix(algebra: BilinearProduct, coefficients: str, q: int):
+    """Matrix rows of delta: C^q -> C^{q+1} for the KV complex.
+
+    Column j is the image of the j-th basis cochain: for q >= 1 the unit
+    cochain at flat position j of the cochain table, for q = 0 with algebra
+    coefficients the j-th vector of `kv_degree_zero_space`, and for scalars
+    the constant 1. Returns (rows, ncols, nrows), as `ce_coboundary_matrix`.
+    """
+    if coefficients not in (ADJOINT, SCALAR):
+        raise ValidationError("coefficients must be adjoint or scalar")
+    if not algebra.is_kv:
+        raise NotKV("product is not left-symmetric")
+    m = algebra.dim
+    sp = algebra.sparse
+    adjoint = coefficients == ADJOINT
+    width = m if adjoint else 1
+    nrows = m ** (q + 1) * width
+    if q > 0:
+        ncols = m ** q * width
+        entries = _kv_entries(sp, m, q, adjoint)
+    elif adjoint:
+        zero_basis = kv_degree_zero_space(algebra)
+        ncols = len(zero_basis)
+        entries = _kv_degree_zero_entries(sp, m, zero_basis)
+    else:
+        # the degree-0 scalar coboundary is taken as zero
+        ncols, entries = 1, ()
+    return _assemble(nrows, ncols, sp.den, entries), ncols, nrows
 
 
 def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
@@ -231,40 +336,18 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
         raise ValidationError("coefficients must be adjoint or scalar")
     if max_degree > 3:
         raise ValidationError("degrees capped at 3")
-    if not algebra.is_kv:
-        raise NotKV("product is not left-symmetric")
-    m = algebra.dim
-    width = m if coefficients == ADJOINT else 1
-
-    zero_basis = kv_degree_zero_space(algebra) if coefficients == ADJOINT \
-        else ((Fraction(1),),)
-    c_dims = [len(zero_basis)]
-    for q in range(1, max_degree + 1):
-        c_dims.append((m ** q) * width)
-
+    c_dims = []
     deltas = []
-    for q in range(0, max_degree + 1):
-        if q == 0:
-            inputs = [Cochain(0, m, coefficients, (tuple(v),))
-                      for v in zero_basis]
-        else:
-            inputs = []
-            size = (m ** q) * width
-            for pos in range(size):
-                table = []
-                for row in range(m ** q):
-                    vals = [Fraction(0)] * width
-                    if row * width <= pos < row * width + width:
-                        vals[pos - row * width] = Fraction(1)
-                    table.append(tuple(vals))
-                inputs.append(Cochain(q, m, coefficients, tuple(table)))
-        deltas.append(_delta_matrix_columns(
-            inputs, lambda b: kv_coboundary(b, algebra)))
+    for q in range(max_degree + 1):
+        rows, ncols, _ = kv_coboundary_matrix(algebra, coefficients, q)
+        c_dims.append(ncols)
+        deltas.append(rows)
     notes = ("degree-0 cochains restricted to the second-order-parallel "
              "elements" if coefficients == ADJOINT else
              "degree-0 scalar coboundary taken as zero; the source's "
              "degree-0 rule is not a map into 1-cochains")
-    return _dims_from_deltas("kv", coefficients, m, c_dims, deltas, notes)
+    return _dims_from_deltas("kv", coefficients, algebra.dim, c_dims, deltas,
+                             notes)
 
 
 def _sort_alternating(idx):
@@ -282,51 +365,47 @@ def _sort_alternating(idx):
     return sidx, sign
 
 
+def _ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
+    """Contributions to delta_p of the Chevalley-Eilenberg complex.
+
+    Row cod-position * width + k, column dom-position * width + a, over
+    increasing index tuples; width is m for the adjoint module, else 1.
+    """
+    by_pair = _by_pair(sp)
+    width = m if adjoint else 1
+    for out, tup in enumerate(cod):
+        row0 = out * width
+        for i in range(p + 1):
+            x = tup[i]
+            sign = -1 if i % 2 else 1
+            if adjoint:
+                col0 = dom_pos[tup[:i] + tup[i + 1:]] * width
+                for a, k, n in sp.by_first.get(x, ()):
+                    yield row0 + k, col0 + a, sign * n
+            for j in range(i + 1, p + 1):
+                rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+                s2 = -1 if (i + j) % 2 else 1
+                for l, n in by_pair.get((x, tup[j]), ()):
+                    sidx, psign = _sort_alternating((l,) + rest)
+                    if sidx is not None:
+                        col0 = dom_pos[sidx] * width
+                        for w in range(width):
+                            yield row0 + w, col0 + w, s2 * psign * n
+
+
 def ce_coboundary_matrix(L: LieAlgebra, coefficients: str, p: int):
     """Matrix rows of delta: C^p -> C^{p+1} for the Lie algebra complex."""
     m = L.dim
     width = m if coefficients == ADJOINT else 1
     dom = list(combinations(range(m), p))
     cod = list(combinations(range(m), p + 1))
+    ncols, nrows = len(dom) * width, len(cod) * width
     if not dom or not cod:
-        return [], len(dom) * width, len(cod) * width
+        return [], ncols, nrows
     dom_pos = {t: i for i, t in enumerate(dom)}
-    cod_pos = {t: i for i, t in enumerate(cod)}
-    ncols = len(dom) * width
-    rows = [[Fraction(0)] * ncols for _ in range(len(cod) * width)]
-
-    def add(out_tuple, out_coord, in_tuple, in_coord, val):
-        if val == 0:
-            return
-        r = cod_pos[out_tuple] * width + out_coord
-        col = dom_pos[in_tuple] * width + in_coord
-        rows[r][col] += val
-
-    for tup in cod:
-        for i in range(p + 1):
-            rest = tup[:i] + tup[i + 1:]
-            sign = (-1) ** i
-            if coefficients == ADJOINT:
-                x = tup[i]
-                for a in range(m):
-                    for k in range(m):
-                        add(tup, k, rest, a, sign * L.c[x][a][k])
-            for j in range(i + 1, p + 1):
-                y = tup[j]
-                x = tup[i]
-                rr = tuple(t for t_i, t in enumerate(tup)
-                           if t_i != i and t_i != j)
-                s2 = (-1) ** (i + j)
-                for l in range(m):
-                    cval = L.c[x][y][l]
-                    if cval == 0:
-                        continue
-                    sidx, psign = _sort_alternating((l,) + rr)
-                    if sidx is None:
-                        continue
-                    for w in range(width):
-                        add(tup, w, sidx, w, s2 * psign * cval)
-    return rows, ncols, len(cod) * width
+    entries = _ce_entries(L.sparse, m, p, coefficients == ADJOINT, dom_pos,
+                          cod)
+    return _assemble(nrows, ncols, L.sparse.den, entries), ncols, nrows
 
 
 def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
@@ -386,32 +465,57 @@ def hochschild_coboundary(c: Cochain, algebra: BilinearProduct) -> Cochain:
     return Cochain(q + 1, m, ADJOINT, tuple(out))
 
 
-def hochschild_dims(algebra: BilinearProduct,
-                    max_degree: int = 2) -> CohomologyReport:
-    """Hochschild dims with coefficients in the algebra, degree <= 2."""
-    if max_degree > 2:
-        raise ValidationError("degrees capped at 2")
+def _hochschild_entries(sp, m: int, q: int):
+    """Contributions to delta_q of the Hochschild complex; see
+    hochschild_coboundary. Row flat(x_0..x_q) * m + k, column flat(f's
+    arguments) * m + a."""
+    by_first, by_second, by_pair = sp.by_first, _by_second(sp), _by_pair(sp)
+    last_sign = -1 if q % 2 == 0 else 1
+    for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
+        row0 = out * m
+        col0 = _flat_index(idx[1:], m) * m
+        for a, k, n in by_first.get(idx[0], ()):
+            yield row0 + k, col0 + a, n
+        for i in range(1, q + 1):
+            sign = -1 if i % 2 else 1
+            for a, n in by_pair.get((idx[i - 1], idx[i]), ()):
+                col0 = _flat_index(idx[:i - 1] + (a,) + idx[i + 1:], m) * m
+                for k in range(m):
+                    yield row0 + k, col0 + k, sign * n
+        col0 = _flat_index(idx[:q], m) * m
+        for a, k, n in by_second.get(idx[q], ()):
+            yield row0 + k, col0 + a, last_sign * n
+
+
+def hochschild_coboundary_matrix(algebra: BilinearProduct, q: int):
+    """Matrix rows of delta: C^q -> C^{q+1} for the Hochschild complex.
+
+    Column j is the image of the unit cochain at flat position j of the
+    cochain table. Returns (rows, ncols, nrows), as `ce_coboundary_matrix`.
+    """
     if not algebra.is_associative:
         from koszul.algebra import associator_defect
         hit = associator_defect(algebra).first_nonzero()
         raise NotAssociative(f"associator nonzero (witness {hit[0][:3]})")
     m = algebra.dim
-    c_dims = [m * (m ** q) for q in range(max_degree + 1)]
+    ncols, nrows = m ** (q + 1), m ** (q + 2)
+    entries = _hochschild_entries(algebra.sparse, m, q)
+    return _assemble(nrows, ncols, algebra.sparse.den, entries), ncols, nrows
+
+
+def hochschild_dims(algebra: BilinearProduct,
+                    max_degree: int = 2) -> CohomologyReport:
+    """Hochschild dims with coefficients in the algebra, degree <= 2."""
+    if max_degree > 2:
+        raise ValidationError("degrees capped at 2")
+    c_dims = []
     deltas = []
     for q in range(max_degree + 1):
-        inputs = []
-        size = m ** q * m
-        for pos in range(size):
-            table = []
-            for row in range(m ** q):
-                vals = [Fraction(0)] * m
-                if row * m <= pos < row * m + m:
-                    vals[pos - row * m] = Fraction(1)
-                table.append(tuple(vals))
-            inputs.append(Cochain(q, m, ADJOINT, tuple(table)))
-        deltas.append(_delta_matrix_columns(
-            inputs, lambda b: hochschild_coboundary(b, algebra)))
-    return _dims_from_deltas("hochschild", ADJOINT, m, c_dims, deltas)
+        rows, ncols, _ = hochschild_coboundary_matrix(algebra, q)
+        c_dims.append(ncols)
+        deltas.append(rows)
+    return _dims_from_deltas("hochschild", ADJOINT, algebra.dim, c_dims,
+                             deltas)
 
 
 def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:

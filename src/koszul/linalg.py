@@ -1,15 +1,19 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra.
 
-Matrices are sequences of rows of `fractions.Fraction`. Rank, echelon and
-nullspace computations scale each row to integers (preserving row space and
-kernel) and run the fraction-free integer kernel; only the final
-back-substitution happens in rational arithmetic.
+Matrices are sequences of rows of `fractions.Fraction`. Rank, determinant,
+echelon and nullspace computations scale each row to integers (which keeps
+its row space and kernel) and run the fraction-free integer kernel
+(`koszul._kernel.echelon`); `rref` continues fraction-free upward to a
+reduced form with one integer pivot per row, so the only rational step is
+one division by the pivot per output entry. All of these work on the
+nonzero entries only: a zero cell costs nothing to scale, eliminate or
+back-substitute.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from koszul._kernel import echelon
 
@@ -117,9 +121,12 @@ def _to_int_rows(rows) -> tuple[list[list[int]], list[int]]:
     out: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
-        fr = [frac(x) for x in row]
-        m = lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * m) for f in fr])
+        nz = [(j, frac(x)) for j, x in enumerate(row) if x]
+        m = lcm(*(f.denominator for _, f in nz)) if nz else 1
+        ints = [0] * len(row)
+        for j, f in nz:
+            ints[j] = f.numerator * (m // f.denominator)
+        out.append(ints)
         scales.append(m)
     return out, scales
 
@@ -152,24 +159,50 @@ def det(a) -> Fraction:
 
 
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row-echelon form with unit pivots; returns (rref, pivot_cols)."""
+    """Reduced row-echelon form with unit pivots; returns (rref, pivot_cols).
+
+    Back-substitution stays in integers: clearing pivot column c from a row
+    above combines it with the pivot row, visiting only rows that hold c
+    and only their nonzero columns, then divides out the row's content.
+    Each entry of the result is then one quotient by its row's pivot.
+    """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return (), ()
+    ncols = len(rows[0])
     int_rows, _ = _to_int_rows(rows)
     ech, pivots, _ = echelon(int_rows)
-    nred = len(pivots)
-    work = [[Fraction(x) for x in ech[i]] for i in range(nred)]
-    for i in range(nred):
-        piv = work[i][pivots[i]]
-        work[i] = [x / piv for x in work[i]]
-    for i in range(nred - 1, -1, -1):
+    red = ech[:len(pivots)]
+    support = [[j for j, x in enumerate(row) if x] for row in red]
+    for i in range(len(pivots) - 1, 0, -1):
         c = pivots[i]
-        for k in range(i):
-            f = work[k][c]
-            if f:
-                work[k] = [x - f * y for x, y in zip(work[k], work[i])]
-    return tuple(tuple(r) for r in work), tuple(pivots)
+        row_i = red[i]
+        piv = row_i[c]
+        for t in range(i):
+            row_t = red[t]
+            f = row_t[c]
+            if not f:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            cols = set(support[t]).union(support[i])
+            for j in cols:
+                row_t[j] = a * row_t[j] - b * row_i[j]
+            nz = [j for j in cols if row_t[j]]
+            content = gcd(*(row_t[j] for j in nz))
+            if content > 1:
+                for j in nz:
+                    row_t[j] //= content
+            support[t] = nz
+    zero = Fraction(0)
+    out = []
+    for row, c, cols in zip(red, pivots, support):
+        piv = row[c]
+        vals = [zero] * ncols
+        for j in cols:
+            vals[j] = Fraction(row[j], piv)
+        out.append(tuple(vals))
+    return tuple(out), tuple(pivots)
 
 
 def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:

@@ -72,11 +72,11 @@ def from_conditions(rows, ambient_dim: int,
     The re-verification closes the loop on the integer-scaled elimination: every
     returned vector is substituted back into the original rational conditions.
     """
-    basis = linalg.nullspace(rows, ncols=ambient_dim) if rows else \
-        linalg.nullspace([], ncols=ambient_dim)
+    basis = linalg.nullspace(rows, ncols=ambient_dim)
+    conditions = [[(j, linalg.frac(a)) for j, a in enumerate(row) if a]
+                  for row in rows]
     for v in basis:
-        for row in rows:
-            s = sum(linalg.frac(a) * x for a, x in zip(row, v))
-            if s != 0:
+        for cond in conditions:
+            if sum(a * v[j] for j, a in cond) != 0:
                 raise KoszulError("solver produced a vector violating its conditions")
     return LinearSolutionSpace(ambient_dim=ambient_dim, basis=basis, shape=shape)

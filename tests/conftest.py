@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from koszul import linalg
 from koszul.algebra import (
@@ -117,6 +118,57 @@ def random_kv(rng):
 def random_associative(rng):
     base = rng.choice(assoc_pool())
     return conjugate_product(base, rand_invertible(base.dim, rng))
+
+
+# ---------------------------------------------------------------- matrices
+
+DENSITIES = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def int_matrices(draw, max_rows=12, max_cols=12, square=False):
+    """Integer matrices of shape 0-12 x 0-12 at densities 0.05-1.0, entries
+    small or up to 2**40, with duplicated, scaled, summed and zero rows and
+    columns spliced in, so elimination meets exact cancellation."""
+    nr = draw(st.integers(0, max_rows))
+    nc = nr if square else draw(st.integers(0, max_cols))
+    density = draw(st.sampled_from(DENSITIES))
+    big = draw(st.sampled_from((9, 2 ** 40)))
+    cells = draw(st.lists(st.tuples(st.floats(0, 1), st.integers(-big, big)),
+                          min_size=nr * nc, max_size=nr * nc))
+    a = [[v if u < density else 0 for u, v in cells[r * nc:(r + 1) * nc]]
+         for r in range(nr)]
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(("dup", "scale", "sum", "zero")),
+        st.booleans(), st.integers(0, 11), st.integers(0, 11),
+        st.integers(-3, 3)), max_size=4))
+    for kind, on_cols, s, t, k in edits:
+        if on_cols:
+            a = [list(col) for col in zip(*a)] if a and nc else a
+        n = len(a)
+        if n:
+            s, t = s % n, t % n
+            if kind == "dup":
+                a[t] = list(a[s])
+            elif kind == "scale":
+                a[t] = [k * x for x in a[s]]
+            elif kind == "sum":
+                a[t] = [x + y for x, y in zip(a[s], a[t])]
+            else:
+                a[t] = [0] * len(a[t])
+        if on_cols:
+            a = [list(row) for row in zip(*a)] if a and nc else a
+    return a
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """int_matrices over denominators 1, 2, 3 and 7, as Fractions."""
+    a = draw(int_matrices(square=square))
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3, 7)),
+                         min_size=sum(map(len, a)), max_size=sum(map(len, a))))
+    it = iter(dens)
+    return [[Fraction(x, next(it)) for x in row] for row in a]
 
 
 @pytest.fixture

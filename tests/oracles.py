@@ -3,18 +3,24 @@
 Everything here is written naively and separately from the library's
 tensor and elimination code: plain Gaussian elimination over Fraction,
 direct index-chasing tensor formulas, the library's former dense tensor
-routines (built on its vector helpers and `BilinearProduct.mult` only), and
-closed forms from textbooks. Slower is fine; agreeing by construction is
-the point.
+routines (built on its vector helpers and `BilinearProduct.mult` only), its
+former dense Bareiss kernel, its former coboundary-matrix constructions
+(one coboundary application per basis cochain, and the dense
+Chevalley-Eilenberg loop), and closed forms from textbooks. Slower is
+fine; agreeing by construction is the point.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import sympy
 
 from koszul import linalg
 from koszul.algebra import BilinearProduct, table3
+from koszul.cohomology import (ADJOINT, Cochain, _sort_alternating,
+                               hochschild_coboundary, kv_coboundary,
+                               kv_degree_zero_space)
 from koszul.errors import JacobiViolation, ValidationError
 
 
@@ -70,6 +76,39 @@ def gauss_nullspace(rows, ncols):
             v[pc] = -ech[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def dense_bareiss(rows):
+    """The library's former row-echelon kernel: one-step Bareiss over every
+    cell. Returns (echelon_rows, pivot_columns, swap_sign)."""
+    a = [list(r) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        piv = a[r][c]
+        for i in range(r + 1, nr):
+            aic = a[i][c]
+            row_i = a[i]
+            row_r = a[r]
+            for j in range(c + 1, nc):
+                row_i[j] = (piv * row_i[j] - aic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return a, pivots, sign
 
 
 def sympy_rank(rows):
@@ -313,3 +352,101 @@ def dense_curvature(conn):
         tuple(
             tuple(tuple(ops[i][j][a][k] for a in range(m)) for k in range(m))
             for j in range(m)) for i in range(m))
+
+
+# ---------------------------------------------------------------- coboundary matrices
+
+def delta_matrix_columns(basis_inputs, apply_delta):
+    """Column-per-basis-cochain matrix, returned as rows for rank work."""
+    cols = []
+    for b in basis_inputs:
+        image = apply_delta(b)
+        cols.append(tuple(x for v in image.table for x in v))
+    if not cols:
+        return []
+    return [list(row) for row in zip(*cols)]
+
+
+def unit_cochains(q, m, module):
+    """Every cochain of degree q with a single 1 in its flat value table."""
+    width = m if module == ADJOINT else 1
+    inputs = []
+    size = (m ** q) * width
+    for pos in range(size):
+        table = []
+        for row in range(m ** q):
+            vals = [Fraction(0)] * width
+            if row * width <= pos < row * width + width:
+                vals[pos - row * width] = Fraction(1)
+            table.append(tuple(vals))
+        inputs.append(Cochain(q, m, module, tuple(table)))
+    return inputs
+
+
+def kv_delta_by_cochains(algebra, coefficients, q):
+    """delta_q of the KV complex by applying kv_coboundary to each basis
+    cochain (the legal 0-cochains, or the scalar 1, in degree 0)."""
+    m = algebra.dim
+    if q == 0:
+        zero_basis = kv_degree_zero_space(algebra) \
+            if coefficients == ADJOINT else ((Fraction(1),),)
+        inputs = [Cochain(0, m, coefficients, (tuple(v),))
+                  for v in zero_basis]
+    else:
+        inputs = unit_cochains(q, m, coefficients)
+    return delta_matrix_columns(inputs, lambda b: kv_coboundary(b, algebra))
+
+
+def hochschild_delta_by_cochains(algebra, q):
+    """delta_q of the Hochschild complex, one unit cochain at a time."""
+    return delta_matrix_columns(
+        unit_cochains(q, algebra.dim, ADJOINT),
+        lambda b: hochschild_coboundary(b, algebra))
+
+
+def dense_ce_coboundary_matrix(L, coefficients, p):
+    """The library's former Chevalley-Eilenberg assembly over every cell of
+    the bracket table; returns (rows, ncols, nrows)."""
+    m = L.dim
+    width = m if coefficients == ADJOINT else 1
+    dom = list(combinations(range(m), p))
+    cod = list(combinations(range(m), p + 1))
+    if not dom or not cod:
+        return [], len(dom) * width, len(cod) * width
+    dom_pos = {t: i for i, t in enumerate(dom)}
+    cod_pos = {t: i for i, t in enumerate(cod)}
+    ncols = len(dom) * width
+    rows = [[Fraction(0)] * ncols for _ in range(len(cod) * width)]
+
+    def add(out_tuple, out_coord, in_tuple, in_coord, val):
+        if val == 0:
+            return
+        r = cod_pos[out_tuple] * width + out_coord
+        col = dom_pos[in_tuple] * width + in_coord
+        rows[r][col] += val
+
+    for tup in cod:
+        for i in range(p + 1):
+            rest = tup[:i] + tup[i + 1:]
+            sign = (-1) ** i
+            if coefficients == ADJOINT:
+                x = tup[i]
+                for a in range(m):
+                    for k in range(m):
+                        add(tup, k, rest, a, sign * L.c[x][a][k])
+            for j in range(i + 1, p + 1):
+                y = tup[j]
+                x = tup[i]
+                rr = tuple(t for t_i, t in enumerate(tup)
+                           if t_i != i and t_i != j)
+                s2 = (-1) ** (i + j)
+                for l in range(m):
+                    cval = L.c[x][y][l]
+                    if cval == 0:
+                        continue
+                    sidx, psign = _sort_alternating((l,) + rr)
+                    if sidx is None:
+                        continue
+                    for w in range(width):
+                        add(tup, w, sidx, w, s2 * psign * cval)
+    return rows, ncols, len(cod) * width

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from koszul import linalg
-from koszul.algebra import abelian, product_from_sparse, zero_product
+from koszul.algebra import (abelian, conjugate_lie, conjugate_product,
+                            product_from_sparse, zero_product)
 from koszul.catalog import heisenberg, heisenberg_kv, sl2, so3
 from koszul.cohomology import (
     ADJOINT,
@@ -13,8 +14,10 @@ from koszul.cohomology import (
     ce_coboundary_matrix,
     ce_cohomology_dims,
     hochschild_coboundary,
+    hochschild_coboundary_matrix,
     hochschild_dims,
     kv_coboundary,
+    kv_coboundary_matrix,
     kv_cohomology_dims,
     kv_degree_zero_space,
     maurer_cartan_defect,
@@ -24,8 +27,10 @@ from koszul.errors import NotAssociative, NotKV, ValidationError
 from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
-from conftest import rand_fraction, random_lie, truncated_poly
-from oracles import abelian_betti
+from conftest import (rand_fraction, rand_invertible, random_lie,
+                      truncated_poly)
+from oracles import (abelian_betti, dense_ce_coboundary_matrix,
+                     hochschild_delta_by_cochains, kv_delta_by_cochains)
 
 
 def random_cochain(q, m, module, rng):
@@ -167,3 +172,38 @@ def test_maurer_cartan_detects_broken_perturbations():
     with pytest.raises(ValidationError):
         maurer_cartan_defect(mu, tuple(
             tuple((Fraction(1),) * 3 for _ in range(3)) for _ in range(3)))
+
+
+def _with_dense_copies(pool, conjugate, rng):
+    """Each algebra of the pool and a copy under a dense basis change."""
+    return [x for a in pool
+            for x in (a, conjugate(a, rand_invertible(a.dim, rng)))]
+
+
+def test_kv_matrices_match_unit_cochain_oracle(rng):
+    for p in _with_dense_copies(conftest.kv_pool(), conjugate_product, rng):
+        for module in (ADJOINT, SCALAR):
+            for q in range(4):
+                rows, ncols, nrows = kv_coboundary_matrix(p, module, q)
+                assert rows == kv_delta_by_cochains(p, module, q)
+                assert all(len(r) == ncols for r in rows)
+                assert len(rows) in (0, nrows)
+
+
+def test_hochschild_matrices_match_unit_cochain_oracle(rng):
+    for p in _with_dense_copies(conftest.assoc_pool(), conjugate_product,
+                                rng):
+        for q in range(3):
+            rows, ncols, nrows = hochschild_coboundary_matrix(p, q)
+            assert rows == hochschild_delta_by_cochains(p, q)
+            assert all(len(r) == ncols for r in rows)
+            assert len(rows) in (0, nrows)
+
+
+def test_ce_matrices_match_dense_oracle(rng):
+    for L in _with_dense_copies(conftest.lie_pool(max_dim=4), conjugate_lie,
+                                rng):
+        for coeffs in (TRIVIAL, ADJOINT):
+            for p in range(4):
+                assert ce_coboundary_matrix(L, coeffs, p) == \
+                    dense_ce_coboundary_matrix(L, coeffs, p)

@@ -1,11 +1,19 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
 
 from koszul import linalg
 
-from conftest import rand_fraction, rand_invertible
-from oracles import gauss_nullspace, gauss_rank, sympy_det, sympy_rank
+from conftest import rand_fraction, rand_invertible, rational_matrices
+from oracles import (gauss_eliminate, gauss_nullspace, gauss_rank, sympy_det,
+                     sympy_rank)
+
+CHECKS = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=60,
+                  suppress_health_check=[HealthCheck.too_slow,
+                                         HealthCheck.data_too_large])
 
 
 def random_matrix(rng, nr, nc):
@@ -135,3 +143,62 @@ def test_frac_conversions():
     assert linalg.frac("3/4") == Fraction(3, 4)
     assert linalg.frac(2) == Fraction(2)
     assert linalg.frac(Fraction(1, 3)) == Fraction(1, 3)
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in r] for r in rows])
+
+
+def _fractions(m):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in m.row(r))
+                 for r in range(m.rows))
+
+
+@CHECKS
+@given(rational_matrices())
+def test_rref_and_nullspace_match_gauss_and_sympy(a):
+    ncols = len(a[0]) if a else 0
+    red, pivots = linalg.rref(a)
+    if not ncols:
+        assert (red, pivots) == ((), ())
+        return
+    ech, gauss_pivots = gauss_eliminate(a)
+    assert red == tuple(tuple(r) for r in ech)
+    assert pivots == tuple(gauss_pivots)
+    sred, spivots = _sympy(a).rref()
+    assert pivots == spivots
+    assert red == _fractions(sred)[:len(pivots)]
+    ns = linalg.nullspace(a, ncols=ncols)
+    assert ns == tuple(gauss_nullspace(a, ncols))
+    assert len(ns) == len(_sympy(a).nullspace())
+
+
+@CHECKS
+@given(rational_matrices(square=True))
+def test_det_inverse_solve_match_gauss_and_sympy(a):
+    n = len(a)
+    s = _sympy(a)
+    assert linalg.det(a) == (sympy_det(a) if n else 1)
+    if not n:
+        return
+    if gauss_rank(a) == n:
+        assert linalg.inverse(a) == _fractions(s.inv())
+    else:
+        with pytest.raises(ValueError):
+            linalg.inverse(a)
+    # b = the first column plus half the last: always consistent
+    b = [row[0] + row[-1] / 2 for row in a]
+    aug = [list(row) + [bx] for row, bx in zip(a, b)]
+    ech, pivots = gauss_eliminate(aug)
+    want = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        want[pc] = ech[r][n]
+    assert linalg.solve(a, b) == tuple(want)
+    # b = e_0 is inconsistent exactly when it leaves the column space
+    e0 = [Fraction(int(i == 0)) for i in range(n)]
+    x = linalg.solve(a, e0)
+    consistent = s.rank() == s.row_join(_sympy([[v] for v in e0])).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert linalg.mat_vec(a, x) == tuple(e0)
