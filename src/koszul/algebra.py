@@ -228,16 +228,17 @@ class LieAlgebra:
         return self.as_product().left_matrix(x)
 
 
-def operator_defect(p: BilinearProduct, q: SparseTable,
+def operator_defect(g: SparseTable, q: SparseTable,
                     bracket: bool = False) -> dict:
     """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a.
 
-    L_i is left multiplication by e_i under p. Key (i, j, k, l) holds the
-    e_l coefficient of the operator for (i, j) applied to e_k. With
-    q = p's own table this is minus the associator; with bracket=True and
-    q a Lie bracket it is the curvature of the connection p.
+    L_i sends e_k to sum_l g[i][k][l] e_l: left multiplication by e_i when
+    g is a product's table, though the operators may act on a space of any
+    dimension. Key (i, j, k, l) holds the e_l coefficient of the operator
+    for (i, j) applied to e_k. With g = q a product's table this is minus
+    the associator; with bracket=True and q a Lie bracket it is the
+    curvature of the connection g.
     """
-    g = p.sparse
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
     # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
@@ -288,7 +289,7 @@ def jacobi_defect(c: Table3) -> DefectTensor:
 
 def associator_defect(p: BilinearProduct) -> DefectTensor:
     """(e_i·e_j)·e_k − e_i·(e_j·e_k) over all basis triples; zero iff associative."""
-    d = operator_defect(p, p.sparse)
+    d = operator_defect(p.sparse, p.sparse)
     return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
 
 
@@ -306,7 +307,7 @@ def kv_anomaly(p: BilinearProduct) -> DefectTensor:
         comm[i, j, k] = g[i][j][k] - g[j][i][k]
         comm[j, i, k] = -comm[i, j, k]
     q = SparseTable((i, j, k, v) for (i, j, k), v in comm.items())
-    d = operator_defect(p, q, bracket=True)
+    d = operator_defect(p.sparse, q, bracket=True)
     return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
 
 

@@ -94,7 +94,7 @@ def zero_cochain(degree: int, m: int, module: str) -> Cochain:
 def kv_degree_zero_space(p: BilinearProduct):
     """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains."""
     m = p.dim
-    d = operator_defect(p, p.sparse)
+    d = operator_defect(p.sparse, p.sparse)
     rows = [row for i in range(m) for j in range(m)
             for row in operator_matrix(d, i, j, m)]
     return linalg.nullspace(rows, ncols=m)
@@ -202,12 +202,7 @@ class CohomologyReport:
 def _dims_from_deltas(name, coefficients, m, c_dims, deltas,
                       notes="") -> CohomologyReport:
     """deltas[q]: matrix of delta_q as list of rows (maps C^q -> C^{q+1})."""
-    ranks = []
-    for q, mat in enumerate(deltas):
-        if c_dims[q] == 0 or not mat:
-            ranks.append(0)
-        else:
-            ranks.append(linalg.rank(mat))
+    ranks = [linalg.rank(mat) for mat in deltas]
     out = []
     for q in range(len(c_dims)):
         rank_out = ranks[q] if q < len(deltas) else 0

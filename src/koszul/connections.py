@@ -79,14 +79,14 @@ def is_torsion_free(conn: InvariantConnection) -> bool:
 def curvature(conn: InvariantConnection) -> DefectTensor:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k − nabla_j nabla_i e_k − nabla_{[e_i,e_j]} e_k."""
     return DefectTensor((conn.dim,) * 4,
-                        operator_defect(conn.gamma, conn.base.sparse,
+                        operator_defect(conn.gamma.sparse, conn.base.sparse,
                                         bracket=True))
 
 
 def curvature_operators(conn: InvariantConnection) -> tuple[tuple[Mat, ...], ...]:
     """R_ij = [Gamma_i, Gamma_j] − sum_k c^k_{ij} Gamma_k as matrices."""
     m = conn.dim
-    r = operator_defect(conn.gamma, conn.base.sparse, bracket=True)
+    r = operator_defect(conn.gamma.sparse, conn.base.sparse, bracket=True)
     return tuple(tuple(operator_matrix(r, i, j, m) for j in range(m))
                  for i in range(m))
 

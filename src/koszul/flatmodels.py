@@ -30,6 +30,7 @@ from koszul.errors import (
     ValidationError,
 )
 from koszul.linalg import Mat, Vec
+from koszul.spaces import LinearSolutionSpace
 
 TOWER_LEVEL_CAP = 64
 
@@ -144,7 +145,7 @@ def _jointly_nilpotent(ops: tuple[Mat, ...], n: int) -> bool:
             return True
         images = [linalg.mat_vec(op, v) for op in ops for v in space]
         images = [v for v in images if any(v)]
-        nxt = linalg.row_space_basis(images) if images else ()
+        nxt = linalg.row_space_basis(images)
         if len(nxt) >= len(space):
             return False
         space = nxt
@@ -358,19 +359,12 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
     for v in basis:
         if len(v) != n:
             raise ValidationError("ideal vector has wrong length")
-    basis = linalg.row_space_basis(basis) if basis else ()
+    basis = linalg.row_space_basis(basis)
     units = linalg.identity(n)
-
-    def in_span(span, v):
-        if not any(v):
-            return True
-        if not span:
-            return False
-        return linalg.rank(span + (v,)) == len(span)
-
+    span = LinearSolutionSpace(ambient_dim=n, basis=basis)
     for s, x in enumerate(basis):
         for j, e in enumerate(units):
-            if not in_span(basis, p.mult(x, e)):
+            if not span.contains(p.mult(x, e)):
                 raise NotRightIdeal(
                     f"basis element {s} times e_{j} leaves the span")
 
@@ -380,13 +374,12 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
         if not ann:
             break
         d = len(core)
-        rows = []
-        for lam in ann:
-            for e in units:
-                rows.append([sum(lam[t] * p.mult(e, bvec)[t]
-                                 for t in range(n)) for bvec in core])
-                rows.append([sum(lam[t] * p.mult(bvec, e)[t]
-                                 for t in range(n)) for bvec in core])
+        # e·b and b·e for each unit e, computed once for every lam
+        sides = [side for e in units for side in (
+            [p.mult(e, bvec) for bvec in core],
+            [p.mult(bvec, e) for bvec in core])]
+        rows = [[sum(lam[t] * y[t] for t in range(n)) for y in side]
+                for lam in ann for side in sides]
         coords = linalg.nullspace(rows, ncols=d)
         nxt = tuple(
             tuple(sum(t[s] * core[s][u] for s in range(d)) for u in range(n))

@@ -18,11 +18,12 @@ such a system for s = (values of X, frame derivatives of X).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from koszul import linalg, spaces
-from koszul.algebra import operator_defect, operator_matrix
+from koszul.algebra import SparseTable, operator_defect, operator_matrix
 from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
@@ -137,25 +138,42 @@ class FeStarSolutions:
             raise KoszulError("solution space dimensions are inconsistent")
 
 
-def _fe_star_operators(conn: InvariantConnection) -> list[Mat]:
+def _fe_star_operators(conn: InvariantConnection) -> SparseTable:
+    """The operators M_i of the prolonged system on s = (f, A), as one table.
+
+    Entry (i, a, l, v) is the e_l coefficient of M_i e_a, over the
+    n = m + m^2 coordinates of s. The diagonal derivative-slot cell of M_i
+    collects gamma[i][b][b] and −gamma[i][a][a], so the entries are summed
+    before the table is built.
+    """
     m = conn.dim
-    n = m + m * m
-    mats = conn.matrices
-    ops = []
+    g = conn.gamma.sparse
+    acc: dict = defaultdict(int)
     for i in range(m):
-        rows = [[Fraction(0)] * n for _ in range(n)]
         for a in range(m):
-            rows[a][m + a * m + i] += 1
-            for b in range(m):
-                rows[a][b] -= mats[i][a][b]
+            acc[i, m + a * m + i, a] += g.den
+    for i, b, c, v in g.nonzeros:
+        acc[i, b, c] -= v
         for a in range(m):
-            for b in range(m):
-                r = m + a * m + b
-                for c in range(m):
-                    rows[r][m + a * m + c] += mats[i][c][b]
-                    rows[r][m + c * m + b] -= mats[i][a][c]
-        ops.append(tuple(tuple(r) for r in rows))
-    return ops
+            acc[i, m + a * m + c, m + a * m + b] += v
+            acc[i, m + b * m + a, m + c * m + a] -= v
+    return SparseTable((i, a, l, Fraction(v, g.den))
+                       for (i, a, l), v in acc.items())
+
+
+def _fe_star_compatibility(conn: InvariantConnection,
+                           ops: SparseTable) -> list:
+    """Rows of F_ij = [M_i, M_j] + sum_k c^k_ij M_k for i < j, in (i, j) order.
+
+    operator_defect subtracts sum_k q^k_ij M_k, so q is the negated bracket.
+    """
+    m = conn.dim
+    c = conn.base.sparse
+    neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
+                        for i, j, k, v in c.nonzeros)
+    d = operator_defect(ops, neg_c, bracket=True)
+    return [row for i in range(m) for j in range(i + 1, m)
+            for row in operator_matrix(d, i, j, m + m * m)]
 
 
 def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
@@ -163,28 +181,26 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     m = conn.dim
     n = m + m * m
     ops = _fe_star_operators(conn)
-    c = conn.base.c
+    entries = [(k, a, l, Fraction(v, ops.den)) for k, a, l, v in ops.nonzeros]
 
-    compat = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            f = linalg.commutator(ops[i], ops[j])
-            for k in range(m):
-                if c[i][j][k]:
-                    f = linalg.mat_add(f, linalg.mat_scale(c[i][j][k], ops[k]))
-            compat.append(f)
+    def images(vec, transposed=False) -> list:
+        """M_k vec (or M_k^T vec) for k = 0..m-1, over the table's nonzeros."""
+        out = [[Fraction(0)] * n for _ in range(m)]
+        for k, a, l, v in entries:
+            if transposed:
+                a, l = l, a
+            if vec[a]:
+                out[k][l] += v * vec[a]
+        return out
 
-    rows = [row for f in compat for row in f]
+    rows = _fe_star_compatibility(conn, ops)
     basis = linalg.nullspace(rows, ncols=n)
     steps = 0
     while basis:
         ann = linalg.nullspace(basis, ncols=n)
-        new_rows = list(ann)
-        for op in ops:
-            for a in ann:
-                new_rows.append(linalg.mat_vec(linalg.transpose(op),
-                                               tuple(a)))
         # a^T (M w) = (M^T a)^T w: invariance of W is linear in w
+        pulled = [images(a, transposed=True) for a in ann]
+        new_rows = list(ann) + [p[k] for k in range(m) for p in pulled]
         new_basis = linalg.nullspace(new_rows, ncols=n)
         steps += 1
         if len(new_basis) == len(basis):
@@ -196,15 +212,13 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
 
     space = LinearSolutionSpace(ambient_dim=n, basis=tuple(basis))
     for w in space.basis:
-        for f in compat:
-            if any(x != 0 for x in linalg.mat_vec(f, w)):
-                raise KoszulError("stabilized vector violates compatibility")
-        for op in ops:
-            if not space.contains(linalg.mat_vec(op, w)):
-                raise KoszulError("stabilized space is not invariant")
+        if any(linalg.mat_vec(rows, w)):
+            raise KoszulError("stabilized vector violates compatibility")
+    moved = [x for w in space.basis for x in images(w)]
+    if linalg.rank(list(space.basis) + moved) != space.dim:
+        raise KoszulError("stabilized space is not invariant")
 
-    proj = [w[:m] for w in space.basis]
-    r_b = linalg.rank(proj) if proj else 0
+    r_b = linalg.rank([w[:m] for w in space.basis])
     return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)
 
 
@@ -231,17 +245,16 @@ def g_nabla_subalgebra(conn: InvariantConnection
     not hold (no closure claim is made then).
     """
     m = conn.dim
-    d = operator_defect(conn.gamma, conn.gamma.sparse)
+    d = operator_defect(conn.gamma.sparse, conn.gamma.sparse)
     rows = [row for i in range(m) for j in range(m)
             for row in operator_matrix(d, i, j, m)]
     space = spaces.from_conditions(rows, m)
     if not conn.gamma.is_kv:
         return space, None
-    for a in space.basis:
-        for b in space.basis:
-            if not space.contains(conn.gamma.mult(a, b)):
-                raise ConformanceMismatch(
-                    "solution space not closed under a left-symmetric product")
+    products = [conn.gamma.mult(a, b) for a in space.basis for b in space.basis]
+    if linalg.rank(list(space.basis) + products) != space.dim:
+        raise ConformanceMismatch(
+            "solution space not closed under a left-symmetric product")
     return space, True
 
 

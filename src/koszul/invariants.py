@@ -142,9 +142,6 @@ def generic_rank(space: LinearSolutionSpace) -> int:
 
 def common_kernel(space: LinearSolutionSpace) -> tuple:
     """Basis of vectors annihilated by every element of the span."""
-    if space.dim == 0:
-        nr, nc = space.shape
-        return linalg.nullspace([], ncols=nc)
     rows = [row for b in space.matrices() for row in b]
     return linalg.nullspace(rows, ncols=space.shape[1])
 
@@ -186,7 +183,7 @@ def _no_or_unknown(space, m, value, notes=""):
 
 def _space_from_matrices(mats, m: int) -> LinearSolutionSpace:
     flat = [linalg.flatten(b) for b in mats]
-    basis = linalg.row_space_basis(flat) if flat else ()
+    basis = linalg.row_space_basis(flat)
     return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))
 
 

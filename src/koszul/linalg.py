@@ -214,11 +214,6 @@ def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:
         ncols = len(rows[0])
     if ncols == 0:
         return ()
-    if not rows:
-        return tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(ncols))
-            for i in range(ncols)
-        )
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]

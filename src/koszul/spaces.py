@@ -45,8 +45,10 @@ class LinearSolutionSpace:
         out = [Fraction(0)] * self.ambient_dim
         for c, v in zip(coeffs, self.basis):
             c = linalg.frac(c)
-            for i, x in enumerate(v):
-                out[i] += c * x
+            if c:
+                for i, x in enumerate(v):
+                    if x:
+                        out[i] += c * x
         return tuple(out)
 
     def matrices(self) -> tuple[Mat, ...]:

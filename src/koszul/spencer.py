@@ -71,9 +71,7 @@ class SymbolSpace:
 
 def symbol_space(v: int, w: int, rows) -> SymbolSpace:
     basis = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
-    if basis:
-        basis = linalg.row_space_basis(basis)
-    return SymbolSpace(v, w, basis, 1)
+    return SymbolSpace(v, w, linalg.row_space_basis(basis), 1)
 
 
 def full_hom(m: int, w: int) -> SymbolSpace:
@@ -91,8 +89,7 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
     """Symbols one order up whose slices in every direction lie in `a`."""
     m, w, s = a.v_dim, a.w_dim, a.order
     amb = symbol_coord_dim(m, w, s)
-    ann = linalg.nullspace(a.basis, ncols=amb) if a.basis else \
-        linalg.nullspace([], ncols=amb)
+    ann = linalg.nullspace(a.basis, ncols=amb)
     up = monomials(m, s + 1)
     nup = len(up)
     pos_up = _mono_pos(m, s + 1)
@@ -110,8 +107,7 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
                             += coeff
             if any(row):
                 rows.append(row)
-    basis = linalg.nullspace(rows, ncols=w * nup) if rows else \
-        linalg.nullspace([], ncols=w * nup)
+    basis = linalg.nullspace(rows, ncols=w * nup)
     return SymbolSpace(m, w, basis, s + 1)
 
 
@@ -126,7 +122,7 @@ def _aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
         for k in range(w):
             rows.append([sum(mats[s][k][i] * bt[i] for i in range(m))
                          for s in range(d)])
-        dims.append(len(linalg.nullspace(rows, ncols=d)) if d else 0)
+        dims.append(len(linalg.nullspace(rows, ncols=d)))
     return dims
 
 
@@ -280,8 +276,7 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
                     img2 = _apply_d(m, w, p + 1, q, img)
                     if any(v != 0 for v in img2.values()):
                         d2_ok = False
-            rank_out = linalg.rank([v for v in images if any(v)]) \
-                if any(any(v) for v in images) else 0
+            rank_out = linalg.rank([v for v in images if any(v)])
             kernel = len(dom) - rank_out
             rank_in = 0
             if p >= 1:
@@ -290,8 +285,7 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
                 for coeffs in incoming:
                     img = _apply_d(m, w, p - 1, q + 2, coeffs)
                     in_images.append(_cochain_vec(m, w, p, q + 1, img))
-                nz = [v for v in in_images if any(v)]
-                rank_in = linalg.rank(nz) if nz else 0
+                rank_in = linalg.rank([v for v in in_images if any(v)])
             h_dims[p][q] = kernel - rank_in
             if h_dims[p][q] < 0:
                 raise ConformanceMismatch("negative cohomology dimension")

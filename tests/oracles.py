@@ -6,8 +6,8 @@ direct index-chasing tensor formulas, the library's former dense tensor
 routines (built on its vector helpers and `BilinearProduct.mult` only), its
 former dense Bareiss kernel, its former coboundary-matrix constructions
 (one coboundary application per basis cochain, and the dense
-Chevalley-Eilenberg loop), and closed forms from textbooks. Slower is
-fine; agreeing by construction is the point.
+Chevalley-Eilenberg loop), its former dense FE* solver, and closed forms
+from textbooks. Slower is fine; agreeing by construction is the point.
 """
 
 from fractions import Fraction
@@ -21,7 +21,9 @@ from koszul.algebra import BilinearProduct, table3
 from koszul.cohomology import (ADJOINT, Cochain, _sort_alternating,
                                hochschild_coboundary, kv_coboundary,
                                kv_degree_zero_space)
-from koszul.errors import JacobiViolation, ValidationError
+from koszul.errors import JacobiViolation, KoszulError, ValidationError
+from koszul.gauge import FeStarSolutions
+from koszul.spaces import LinearSolutionSpace
 
 
 def F(x):
@@ -450,3 +452,86 @@ def dense_ce_coboundary_matrix(L, coefficients, p):
                     for w in range(width):
                         add(tup, w, sidx, w, s2 * psign * cval)
     return rows, ncols, len(cod) * width
+
+
+# ---------------------------------------------------------------- FE* system
+#
+# The library builds the FE* operators as one sparse table and takes the
+# compatibility operators from `algebra.operator_defect`. Below are the dense
+# n x n operators, the commutator loop and the solver it used before.
+
+def dense_fe_star_operators(conn):
+    m = conn.dim
+    n = m + m * m
+    mats = conn.matrices
+    ops = []
+    for i in range(m):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for a in range(m):
+            rows[a][m + a * m + i] += 1
+            for b in range(m):
+                rows[a][b] -= mats[i][a][b]
+        for a in range(m):
+            for b in range(m):
+                r = m + a * m + b
+                for c in range(m):
+                    rows[r][m + a * m + c] += mats[i][c][b]
+                    rows[r][m + c * m + b] -= mats[i][a][c]
+        ops.append(tuple(tuple(r) for r in rows))
+    return ops
+
+
+def dense_fe_star_compat(conn, ops):
+    """F_ij = [M_i, M_j] + sum_k c^k_ij M_k for i < j, in (i, j) order."""
+    m = conn.dim
+    c = conn.base.c
+    compat = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            f = linalg.commutator(ops[i], ops[j])
+            for k in range(m):
+                if c[i][j][k]:
+                    f = linalg.mat_add(f, linalg.mat_scale(c[i][j][k], ops[k]))
+            compat.append(f)
+    return compat
+
+
+def dense_solve_fe_star(conn):
+    """Largest invariant subspace of compatible Cauchy data for nabla^2 X = 0."""
+    m = conn.dim
+    n = m + m * m
+    ops = dense_fe_star_operators(conn)
+    compat = dense_fe_star_compat(conn, ops)
+
+    rows = [row for f in compat for row in f]
+    basis = linalg.nullspace(rows, ncols=n)
+    steps = 0
+    while basis:
+        ann = linalg.nullspace(basis, ncols=n)
+        new_rows = list(ann)
+        for op in ops:
+            for a in ann:
+                new_rows.append(linalg.mat_vec(linalg.transpose(op),
+                                               tuple(a)))
+        # a^T (M w) = (M^T a)^T w: invariance of W is linear in w
+        new_basis = linalg.nullspace(new_rows, ncols=n)
+        steps += 1
+        if len(new_basis) == len(basis):
+            basis = new_basis
+            break
+        basis = new_basis
+        if steps > n:
+            raise KoszulError("stabilization failed to terminate")
+
+    space = LinearSolutionSpace(ambient_dim=n, basis=tuple(basis))
+    for w in space.basis:
+        for f in compat:
+            if any(x != 0 for x in linalg.mat_vec(f, w)):
+                raise KoszulError("stabilized vector violates compatibility")
+        for op in ops:
+            if not space.contains(linalg.mat_vec(op, w)):
+                raise KoszulError("stabilized space is not invariant")
+
+    proj = [w[:m] for w in space.basis]
+    r_b = linalg.rank(proj) if proj else 0
+    return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)

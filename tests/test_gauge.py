@@ -1,22 +1,36 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from koszul import linalg
-from koszul.algebra import abelian, commutator_bracket
+from koszul import linalg, spaces
+from koszul.algebra import (
+    BilinearProduct,
+    LieAlgebra,
+    abelian,
+    commutator_bracket,
+    conjugate_lie,
+    conjugate_product,
+)
 from koszul.catalog import aff1_symplectic_connection, heisenberg_kv, so3
 from koszul.connections import (
+    InvariantConnection,
     amari_dual,
     cartan_connection,
     connection_from_product,
 )
 from koszul.errors import (
+    ConformanceMismatch,
+    KoszulError,
     NotSelfOrSkewAdjoint,
     UnsupportedOperation,
     ValidationError,
 )
 from koszul.forms import BilinearForm, identity_form
 from koszul.gauge import (
+    _fe_star_compatibility,
+    _fe_star_operators,
     g_nabla_subalgebra,
     kernel_image_split,
     parallel_forms,
@@ -25,12 +39,20 @@ from koszul.gauge import (
     solve_fe_star,
     solve_gauge_equation,
 )
+from koszul.spaces import LinearSolutionSpace
 
 from conftest import (
+    lie_pool,
     rand_fraction,
+    rand_invertible,
     random_lie,
     random_metric,
     random_torsion_free,
+)
+from oracles import (
+    dense_fe_star_compat,
+    dense_fe_star_operators,
+    dense_solve_fe_star,
 )
 
 
@@ -112,23 +134,101 @@ def test_fe_star_space_is_invariant_and_compatible(rng):
     # re-verify the defining properties from outside the solver
     for conn in (heisenberg_kv_connection(),
                  random_torsion_free(random_lie(rng, max_dim=3), rng)):
-        from koszul.gauge import _fe_star_operators
         fs = solve_fe_star(conn)
-        ops = _fe_star_operators(conn)
-        c = conn.base.c
+        ops = dense_fe_star_operators(conn)
+        compat = dense_fe_star_compat(conn, ops)
         m = conn.dim
         for w in fs.space.basis:
-            for i in range(m):
-                assert fs.space.contains(linalg.mat_vec(ops[i], w))
-                for j in range(i + 1, m):
-                    f = linalg.commutator(ops[i], ops[j])
-                    for k in range(m):
-                        if c[i][j][k]:
-                            f = linalg.mat_add(
-                                f, linalg.mat_scale(c[i][j][k], ops[k]))
-                    assert all(x == 0 for x in linalg.mat_vec(f, w))
+            for op in ops:
+                assert fs.space.contains(linalg.mat_vec(op, w))
+            for f in compat:
+                assert all(x == 0 for x in linalg.mat_vec(f, w))
         proj = [w[:m] for w in fs.space.basis]
         assert fs.r_b == (linalg.rank(proj) if proj else 0)
+
+
+@st.composite
+def fe_connections(draw):
+    """Torsion-free connections of dims 0-4: half a pool bracket plus a few
+    symmetric cells (sparse form), or that connection after a dense change
+    of basis (dense-conjugated form)."""
+    L = draw(st.sampled_from([LieAlgebra(0, ())] + lie_pool(4)))
+    m = L.dim
+    s = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    if m:
+        idx = st.integers(0, m - 1)
+        value = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+        for i, j, k, v in draw(st.lists(st.tuples(idx, idx, idx, value),
+                                        max_size=m)):
+            s[i][j][k] = s[j][i][k] = v
+    gamma = BilinearProduct(m, tuple(
+        tuple(tuple(L.c[i][j][k] / 2 + s[i][j][k] for k in range(m))
+              for j in range(m)) for i in range(m)))
+    if m and draw(st.booleans()):
+        p = rand_invertible(m, draw(st.randoms(use_true_random=False)))
+        return InvariantConnection(conjugate_lie(L, p),
+                                   conjugate_product(gamma, p))
+    return InvariantConnection(L, gamma)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fe_connections())
+def test_fe_star_matches_dense_solver(conn):
+    m = conn.dim
+    n = m + m * m
+    dense_ops = dense_fe_star_operators(conn)
+    ops = _fe_star_operators(conn)
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(m)]
+    for i, a, l, v in ops.nonzeros:
+        table[i][l][a] = Fraction(v, ops.den)
+    assert [tuple(map(tuple, op)) for op in table] == dense_ops
+    assert _fe_star_compatibility(conn, ops) == [
+        row for f in dense_fe_star_compat(conn, dense_ops) for row in f]
+    fs, ref = solve_fe_star(conn), dense_solve_fe_star(conn)
+    assert (fs.space.basis, fs.r_b, fs.shrink_steps) == \
+        (ref.space.basis, ref.r_b, ref.shrink_steps)
+
+
+def _nullspace_answering(monkeypatch, answer):
+    """Make the k-th nullspace call return answer(k, calls), where calls
+    holds the true results of calls 1..k."""
+    real = linalg.nullspace
+    calls = []
+
+    def patched(rows, ncols=None):
+        calls.append(real(rows, ncols=ncols))
+        return answer(len(calls), calls)
+    monkeypatch.setattr(linalg, "nullspace", patched)
+
+
+def test_fe_star_rejects_a_space_violating_compatibility(monkeypatch):
+    # the first kernel ignores the compatibility rows: all of R^n
+    conn = cartan_connection(so3(), "zero")
+    _nullspace_answering(monkeypatch, lambda k, calls: linalg.identity(12)
+                         if k == 1 else calls[-1])
+    with pytest.raises(KoszulError, match="violates compatibility"):
+        solve_fe_star(conn)
+
+
+def test_fe_star_rejects_a_space_that_is_not_invariant(monkeypatch):
+    # stabilization stops at the compatible kernel, which so3's half-bracket
+    # connection does not leave invariant
+    conn = cartan_connection(so3(), "zero")
+    _nullspace_answering(monkeypatch, lambda k, calls: calls[0]
+                         if k == 3 else calls[-1])
+    with pytest.raises(KoszulError, match="not invariant"):
+        solve_fe_star(conn)
+
+
+def test_g_nabla_rejects_a_space_not_closed(monkeypatch):
+    # span(e0, e1) is not closed: e0·e1 = e2 in the Heisenberg KV product
+    conn = heisenberg_kv_connection()
+    e = linalg.identity(3)
+    monkeypatch.setattr(spaces, "from_conditions", lambda rows, m:
+                        LinearSolutionSpace(m, e[:2]))
+    with pytest.raises(ConformanceMismatch, match="not closed"):
+        g_nabla_subalgebra(conn)
 
 
 def test_fe_double_star_agrees_when_torsion_free(rng):
