@@ -44,12 +44,14 @@ class SparseTable:
     """Nonzero coefficients of a rank-3 table, as integers over one denominator.
 
     `nonzeros` lists (i, j, k, n) meaning t[i][j][k] = n / den, and
-    `by_first` groups them as i -> [(j, k, n)]. A contraction multiplies and
+    `by_first` groups them as i -> [(j, k, n)]. `by_second` (j -> [(i, k,
+    n)]) and `by_pair` ((i, j) -> [(k, n)]) group them too, built on first
+    use, since most tables never need them. A contraction multiplies and
     adds these integers and divides by the product of the denominators once
     at the end, which gives the same rationals as `Fraction` arithmetic.
     """
 
-    __slots__ = ("den", "nonzeros", "by_first")
+    __slots__ = ("den", "nonzeros", "by_first", "_by_second", "_by_pair")
 
     def __init__(self, nonzeros):
         entries = [(i, j, k, frac(v)) for i, j, k, v in nonzeros if v]
@@ -59,6 +61,23 @@ class SparseTable:
         self.by_first: dict[int, list[tuple[int, int, int]]] = {}
         for i, j, k, n in self.nonzeros:
             self.by_first.setdefault(i, []).append((j, k, n))
+        self._by_second = self._by_pair = None
+
+    @property
+    def by_second(self) -> dict[int, list[tuple[int, int, int]]]:
+        if self._by_second is None:
+            self._by_second = {}
+            for i, j, k, n in self.nonzeros:
+                self._by_second.setdefault(j, []).append((i, k, n))
+        return self._by_second
+
+    @property
+    def by_pair(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        if self._by_pair is None:
+            self._by_pair = {}
+            for i, j, k, n in self.nonzeros:
+                self._by_pair.setdefault((i, j), []).append((k, n))
+        return self._by_pair
 
     @classmethod
     def of(cls, table) -> SparseTable:
@@ -224,9 +243,6 @@ class LieAlgebra:
         """ad_i with column j = [e_i, e_j]."""
         return self.as_product().left_matrices
 
-    def ad(self, x) -> Mat:
-        return self.as_product().left_matrix(x)
-
 
 def operator_defect(g: SparseTable, q: SparseTable,
                     bracket: bool = False) -> dict:
@@ -242,11 +258,10 @@ def operator_defect(g: SparseTable, q: SparseTable,
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
     # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
-    by_second: dict[int, list[tuple[int, int, int]]] = {}
-    for i, a, l, n in g.nonzeros:
-        by_second.setdefault(a, []).append((i, l, n * fp))
+    by_second = g.by_second
     acc: dict = defaultdict(int)
     for j, k, a, v in g.nonzeros:
+        v *= fp
         for i, l, w in by_second.get(a, ()):
             x = v * w
             acc[i, j, k, l] += x

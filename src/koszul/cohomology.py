@@ -7,9 +7,12 @@ Three complexes share the rank-nullity plumbing:
 * the Chevalley-Eilenberg complex of a Lie algebra (trivial or adjoint);
 * the Hochschild complex of an associative algebra in low degree.
 
-Each coboundary matrix is assembled directly from the nonzeros of the
-structure-constant table, by one helper, rather than by applying the
-coboundary to every basis cochain.
+Each coboundary formula is written once, as a generator of matrix
+contributions over the nonzeros of the structure-constant table. One helper
+assembles a generator into the coboundary matrix; another applies the same
+generator to a single cochain, so `kv_coboundary` and
+`hochschild_coboundary` are the matrices' formulas, not second copies. The
+Maurer-Cartan defect is minus the Jacobi defect of the perturbed bracket.
 
 Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
@@ -29,8 +32,8 @@ from itertools import combinations, product as iproduct
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            kv_anomaly, operator_defect, operator_matrix,
-                            table3)
+                            jacobi_defect, kv_anomaly, operator_defect,
+                            operator_matrix, table3)
 from koszul.errors import NotAssociative, NotKV, ValidationError
 from koszul.linalg import Vec
 
@@ -79,12 +82,6 @@ class Cochain:
         return all(x == 0 for v in self.table for x in v)
 
 
-def cochain_from_function(degree: int, m: int, module: str, fn) -> Cochain:
-    table = tuple(tuple(frac for frac in fn(idx))
-                  for idx in iproduct(range(m), repeat=degree))
-    return Cochain(degree, m, module, table)
-
-
 def zero_cochain(degree: int, m: int, module: str) -> Cochain:
     width = m if module == ADJOINT else 1
     z = (Fraction(0),) * width
@@ -121,57 +118,16 @@ def kv_coboundary(c: Cochain, algebra: BilinearProduct,
         hit = kv_anomaly(algebra).first_nonzero()
         raise NotKV(f"product is not left-symmetric (witness {hit[0][:3]})")
     m = algebra.dim
-    q = c.degree
-    gam = algebra.gamma
-
-    if q == 0:
-        if c.module == SCALAR:
-            return zero_cochain(1, m, SCALAR)
-        xi = c.table[0]
-        basis = linalg.identity(m)
-        table = tuple(
-            tuple(linalg.vec_sub(algebra.mult(xi, basis[x]),
-                                 algebra.mult(basis[x], xi)))
-            for x in range(m))
-        return Cochain(1, m, ADJOINT, table)
-
-    width = c.module_dim
-    out = []
-    for idx in iproduct(range(m), repeat=q + 1):
-        acc = [Fraction(0)] * width
-        last = idx[q]
-        for i in range(1, q + 1):
-            xi_i = idx[i - 1]
-            rest = idx[:i - 1] + idx[i:]
-            sign = -1 if i % 2 else 1
-
-            if c.module == ADJOINT:
-                fv = c.value(rest)
-                lm = gam[xi_i]
-                for a in range(m):
-                    if fv[a]:
-                        for k in range(m):
-                            if lm[a][k]:
-                                acc[k] += sign * fv[a] * lm[a][k]
-                mid_args = idx[:i - 1] + idx[i:q] + (xi_i,)
-                fv2 = c.value(mid_args)
-                for a in range(m):
-                    if fv2[a]:
-                        for k in range(m):
-                            g = gam[a][last][k]
-                            if g:
-                                acc[k] += sign * fv2[a] * g
-            for t in range(q):
-                old = rest[t]
-                for a in range(m):
-                    g = gam[xi_i][old][a]
-                    if g:
-                        fv3 = c.value(rest[:t] + (a,) + rest[t + 1:])
-                        for k in range(width):
-                            if fv3[k]:
-                                acc[k] -= sign * g * fv3[k]
-        out.append(tuple(acc))
-    return Cochain(q + 1, m, c.module, tuple(out))
+    sp = algebra.sparse
+    if c.degree > 0:
+        entries = _kv_entries(sp, m, c.degree, c.module == ADJOINT)
+        x = [v for value in c.table for v in value]
+    elif c.module == SCALAR:
+        return zero_cochain(1, m, SCALAR)
+    else:
+        # delta_0 on the one-vector basis (xi,) of c's span
+        entries, x = _kv_degree_zero_entries(sp, m, c.table), (1,)
+    return _apply(c, sp.den, entries, x)
 
 
 @dataclass(frozen=True)
@@ -222,31 +178,35 @@ def _assemble(nrows: int, ncols: int, den: int, entries) -> list[list]:
     """
     if not nrows or not ncols:
         return []
-    acc: dict[tuple[int, int], int] = {}
-    for r, col, n in entries:
-        acc[r, col] = acc.get((r, col), 0) + n
     zero = Fraction(0)
     rows = [[zero] * ncols for _ in range(nrows)]
-    for (r, col), n in acc.items():
+    for (r, col), n in _accumulate(entries).items():
         if n:
             rows[r][col] = Fraction(n, den)
     return rows
 
 
-def _by_second(sp) -> dict[int, list[tuple[int, int, int]]]:
-    """j -> [(i, k, n)] for the nonzeros t[i][j][k] = n / den of a table."""
-    out: dict[int, list[tuple[int, int, int]]] = {}
-    for i, j, k, n in sp.nonzeros:
-        out.setdefault(j, []).append((i, k, n))
-    return out
+def _accumulate(entries) -> dict[tuple[int, int], int]:
+    """Sum of the contributions n per (row, col) cell, in integers."""
+    acc: dict[tuple[int, int], int] = {}
+    for r, col, n in entries:
+        acc[r, col] = acc.get((r, col), 0) + n
+    return acc
 
 
-def _by_pair(sp) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """(i, j) -> [(k, n)] for the nonzeros t[i][j][k] = n / den of a table."""
-    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j, k, n in sp.nonzeros:
-        out.setdefault((i, j), []).append((k, n))
-    return out
+def _apply(c: Cochain, den: int, entries, x) -> Cochain:
+    """The coboundary of c from the contributions `_assemble` turns into its
+    matrix: that matrix times x, the coordinates of c in the matrix's
+    columns, with one division by den per output cell."""
+    width = c.module_dim
+    out = [Fraction(0)] * (c.dim ** (c.degree + 1) * width)
+    for (r, col), n in _accumulate(entries).items():
+        if n and x[col]:
+            out[r] += n * x[col]
+    out = [v / den for v in out]
+    return Cochain(c.degree + 1, c.dim, c.module,
+                   tuple(tuple(out[i:i + width])
+                         for i in range(0, len(out), width)))
 
 
 def _kv_entries(sp, m: int, q: int, adjoint: bool):
@@ -255,7 +215,7 @@ def _kv_entries(sp, m: int, q: int, adjoint: bool):
     Row flat(X_1..X_{q+1}) * width + k, column flat(f's arguments) * width +
     a, where width is m for algebra coefficients and 1 for scalars.
     """
-    by_first, by_second, by_pair = sp.by_first, _by_second(sp), _by_pair(sp)
+    by_first, by_second, by_pair = sp.by_first, sp.by_second, sp.by_pair
     width = m if adjoint else 1
     for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
         row0 = out * width
@@ -284,7 +244,7 @@ def _kv_entries(sp, m: int, q: int, adjoint: bool):
 
 def _kv_degree_zero_entries(sp, m: int, zero_basis):
     """Contributions to delta_0 with algebra coefficients: xi·X - X·xi."""
-    by_first, by_second = sp.by_first, _by_second(sp)
+    by_first, by_second = sp.by_first, sp.by_second
     for col, xi in enumerate(zero_basis):
         for a, v in enumerate(xi):
             if v:
@@ -366,7 +326,7 @@ def _ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
     Row cod-position * width + k, column dom-position * width + a, over
     increasing index tuples; width is m for the adjoint module, else 1.
     """
-    by_pair = _by_pair(sp)
+    by_pair = sp.by_pair
     width = m if adjoint else 1
     for out, tup in enumerate(cod):
         row0 = out * width
@@ -426,45 +386,16 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
 def hochschild_coboundary(c: Cochain, algebra: BilinearProduct) -> Cochain:
     """(delta f)(x_0..x_q) = x_0 f(...) + sum (-1)^i f(..x_{i-1}x_i..)
     + (-1)^{q+1} f(...) x_q."""
-    m = algebra.dim
-    q = c.degree
-    out = []
-    for idx in iproduct(range(m), repeat=q + 1):
-        acc = [Fraction(0)] * m
-        fv = c.value(idx[1:])
-        for k in range(m):
-            for a in range(m):
-                g = algebra.gamma[idx[0]][a][k]
-                if g and fv[a]:
-                    acc[k] += g * fv[a]
-        for i in range(1, q + 1):
-            sign = (-1) ** i
-            pref = idx[:i - 1]
-            suff = idx[i + 1:]
-            for a in range(m):
-                g = algebra.gamma[idx[i - 1]][idx[i]][a]
-                if g:
-                    fv2 = c.value(pref + (a,) + suff)
-                    for k in range(m):
-                        if fv2[k]:
-                            acc[k] += sign * g * fv2[k]
-        fv3 = c.value(idx[:q])
-        sign = (-1) ** (q + 1)
-        for a in range(m):
-            if fv3[a]:
-                for k in range(m):
-                    g = algebra.gamma[a][idx[q]][k]
-                    if g:
-                        acc[k] += sign * fv3[a] * g
-        out.append(tuple(acc))
-    return Cochain(q + 1, m, ADJOINT, tuple(out))
+    sp = algebra.sparse
+    return _apply(c, sp.den, _hochschild_entries(sp, algebra.dim, c.degree),
+                  [v for value in c.table for v in value])
 
 
 def _hochschild_entries(sp, m: int, q: int):
     """Contributions to delta_q of the Hochschild complex; see
     hochschild_coboundary. Row flat(x_0..x_q) * m + k, column flat(f's
     arguments) * m + a."""
-    by_first, by_second, by_pair = sp.by_first, _by_second(sp), _by_pair(sp)
+    by_first, by_second, by_pair = sp.by_first, sp.by_second, sp.by_pair
     last_sign = -1 if q % 2 == 0 else 1
     for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
         row0 = out * m
@@ -518,42 +449,21 @@ def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
 
     dB is the adjoint Chevalley-Eilenberg coboundary of B against mu, and
     J_B(x,y,z) = sum_cyclic B(x, B(y,z)). Zero exactly when mu + B is again
-    a Lie bracket.
+    a Lie bracket. As mu satisfies Jacobi, dB + J_B = -Jac(mu + B)
+    (Nijenhuis-Richardson), which is how it is computed.
     """
     b_table = table3(b_table)
     m = mu.dim
-    if len(b_table) != m:
+    if len(b_table) != m or any(
+            len(p) != m or any(len(r) != m for r in p) for p in b_table):
         raise ValidationError("perturbation shape does not match the algebra")
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 if b_table[i][j][k] != -b_table[j][i][k]:
                     raise ValidationError("perturbation is not skew")
-    bprod = BilinearProduct(m, b_table)
-    basis = linalg.identity(m)
-
-    def br(u, v):
-        return mu.bracket(u, v)
-
-    def bb(u, v):
-        return bprod.mult(u, v)
-
-    out = {}
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                x, y, z = basis[i], basis[j], basis[k]
-                db = [Fraction(0)] * m
-                for term in (br(x, bb(y, z)),
-                             linalg.vec_scale(-1, br(y, bb(x, z))),
-                             br(z, bb(x, y)),
-                             linalg.vec_scale(-1, bb(br(x, y), z)),
-                             bb(br(x, z), y),
-                             linalg.vec_scale(-1, bb(br(y, z), x)),
-                             bb(x, bb(y, z)),
-                             bb(y, bb(z, x)),
-                             bb(z, bb(x, y))):
-                    db = [a + t for a, t in zip(db, term)]
-                for l, v in enumerate(db):
-                    out[i, j, k, l] = v
-    return DefectTensor((m,) * 4, out)
+    total = tuple(
+        tuple(tuple(x + y for x, y in zip(cr, br)) for cr, br in zip(cp, bp))
+        for cp, bp in zip(mu.c, b_table))
+    return DefectTensor((m,) * 4, {idx: -v for idx, v in
+                                   jacobi_defect(total).nonzeros.items()})

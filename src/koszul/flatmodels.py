@@ -351,7 +351,11 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
 
     The largest two-sided ideal of the algebra contained in I is the
     greatest fixed point of J -> {x in J : A*x and x*A lie in J}; I is
-    simple exactly when that core is zero.
+    simple exactly when that core is zero. Each iterate J is a right ideal
+    (J*A in J) when I is one and the product is associative: for x in the
+    next iterate, x*a lies in J, and so do e*(x*a) = (e*x)*a, as e*x lies
+    in J, and (x*a)*e = x*(a*e). So x*A in J always holds, and only the A*x
+    condition is imposed.
     """
     _require_associative(p)
     n = p.dim
@@ -374,10 +378,9 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
         if not ann:
             break
         d = len(core)
-        # e·b and b·e for each unit e, computed once for every lam
-        sides = [side for e in units for side in (
-            [p.mult(e, bvec) for bvec in core],
-            [p.mult(bvec, e) for bvec in core])]
+        # e·b for each unit e, computed once for every lam; the rows for
+        # b·e would be zero, as core·A lies in core (see above)
+        sides = [[p.mult(e, bvec) for bvec in core] for e in units]
         rows = [[sum(lam[t] * y[t] for t in range(n)) for y in side]
                 for lam in ann for side in sides]
         coords = linalg.nullspace(rows, ncols=d)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from koszul import linalg
@@ -98,3 +99,21 @@ def form_from_sparse(m: int, sym: str, entries) -> BilinearForm:
         if sym == SKEW and i == j and v != 0:
             raise ValidationError(f"nonzero diagonal in skew form at ({i},{i})")
     return BilinearForm(m, linalg.mat(rows), sym)
+
+
+def parity_rows(m: int, sym: str) -> list[list[Fraction]]:
+    """Conditions on a flat (row-major) m x m matrix for one parity.
+
+    e_ab - e_ba for symmetric forms and e_ab + e_ba (2 e_aa on the diagonal)
+    for skew ones, over a <= b; zero rows are left out.
+    """
+    sign = -1 if sym == SYMMETRIC else 1
+    rows = []
+    for a in range(m):
+        for b in range(a, m):
+            row = [Fraction(0)] * (m * m)
+            row[a * m + b] += 1
+            row[b * m + a] += sign
+            if any(row):
+                rows.append(row)
+    return rows

@@ -28,7 +28,7 @@ from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
                            UnsupportedOperation, ValidationError)
-from koszul.forms import SKEW, SYMMETRIC, BilinearForm
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace
 
@@ -109,14 +109,7 @@ def parallel_forms(conn: InvariantConnection, sym: str) -> LinearSolutionSpace:
                     row[a * m + k] += mats[i][a][j]
                     row[j * m + a] += mats[i][a][k]
                 rows.append(row)
-    sign = -1 if sym == SYMMETRIC else 1
-    for a in range(m):
-        for b in range(a, m):
-            row = [Fraction(0)] * (m * m)
-            row[a * m + b] += 1
-            row[b * m + a] += sign
-            if any(row):
-                rows.append(row)
+    rows += parity_rows(m, sym)
     return spaces.from_conditions(rows, m * m, shape=(m, m))
 
 

@@ -30,7 +30,7 @@ from koszul.connections import (InvariantConnection, amari_dual,
                                 is_torsion_free, torsion)
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
-from koszul.forms import SKEW, SYMMETRIC, BilinearForm
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
 from koszul.gauge import phi_split, solve_fe_star, solve_gauge_equation
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace
@@ -211,12 +211,7 @@ def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
                     row[i * m + l] += gam[j][k][l]
                 if any(row):
                     rows.append(row)
-    for a in range(m):
-        for b in range(a + 1, m):
-            row = [Fraction(0)] * (m * m)
-            row[a * m + b] += 1
-            row[b * m + a] -= 1
-            rows.append(row)
+    rows += parity_rows(m, SYMMETRIC)
     return spaces.from_conditions(rows, m * m, shape=(m, m))
 
 
@@ -456,13 +451,7 @@ def bi_invariant_metric(L: LieAlgebra, seed=None) -> ExistenceVerdict:
     cross-checked in tests and in the acceptance suite.
     """
     m = L.dim
-    rows = _ad_invariance_rows(L)
-    for a in range(m):
-        for b in range(a + 1, m):
-            row = [Fraction(0)] * (m * m)
-            row[a * m + b] += 1
-            row[b * m + a] -= 1
-            rows.append(row)
+    rows = _ad_invariance_rows(L) + parity_rows(m, SYMMETRIC)
     space = spaces.from_conditions(rows, m * m, shape=(m, m))
     rw = max_rank(space, constraint="positive_definite", seed=seed)
     gap = m - rw.max_rank
@@ -528,16 +517,7 @@ def left_symplectic_oracle(L: LieAlgebra, seed=None) -> ExistenceVerdict:
                     row[l * m + j] += L.c[k][i][l]
                 if any(row):
                     rows.append(row)
-    for a in range(m):
-        row = [Fraction(0)] * (m * m)
-        row[a * m + a] = Fraction(1)
-        rows.append(row)
-    for a in range(m):
-        for b in range(a + 1, m):
-            row = [Fraction(0)] * (m * m)
-            row[a * m + b] += 1
-            row[b * m + a] += 1
-            rows.append(row)
+    rows += parity_rows(m, SKEW)
     space = spaces.from_conditions(rows, m * m, shape=(m, m))
     if m % 2 == 1:
         return ExistenceVerdict(

@@ -313,27 +313,3 @@ def flatten(a) -> Vec:
 
 def unflatten(v, nr: int, nc: int) -> Mat:
     return tuple(tuple(v[i * nc + j] for j in range(nc)) for i in range(nr))
-
-
-def sym_coords(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
-
-
-def skew_coords(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-
-def sym_from_coords(v, m: int) -> Mat:
-    g = [[Fraction(0)] * m for _ in range(m)]
-    for (i, j), x in zip(sym_coords(m), v):
-        g[i][j] = x
-        g[j][i] = x
-    return tuple(tuple(row) for row in g)
-
-
-def skew_from_coords(v, m: int) -> Mat:
-    g = [[Fraction(0)] * m for _ in range(m)]
-    for (i, j), x in zip(skew_coords(m), v):
-        g[i][j] = x
-        g[j][i] = -x
-    return tuple(tuple(row) for row in g)

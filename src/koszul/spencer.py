@@ -174,7 +174,7 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     return None
 
 
-def _apply_d(m: int, w: int, p: int, order: int, coeffs: dict) -> dict:
+def _apply_d(m: int, order: int, coeffs: dict) -> dict:
     """Spencer coboundary on one cochain.
 
     coeffs: {(ptuple, flat symbol coord position): value} for symbols of the
@@ -236,8 +236,9 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     """Cohomology of Lambda^p V* (x) a^{(q)} in a finite window.
 
     H^{p,q} is taken at C^{p,q} inside
-    C^{p-1,q+1} -> C^{p,q} -> C^{p+1,q-1}; incoming images are computed in
-    ambient symbol coordinates so no membership solves are needed.
+    C^{p-1,q+1} -> C^{p,q} -> C^{p+1,q-1}; images are computed in ambient
+    symbol coordinates so no membership solves are needed, and the rank of
+    each d is computed once, serving both degrees it bounds.
     """
     if a.order != 1:
         raise ValidationError("spencer complex starts from order-1 symbols")
@@ -255,38 +256,33 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
         return out
 
     d2_ok = True
-    c_dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
-    h_dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
-    from math import comb
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            c_dims[p][q] = comb(m, p) * spaces[q].dim
+    ranks = {}
 
+    def rank_d(p, q):
+        """Rank of d: C^{p,q} -> C^{p+1,q-1}, computed once per (p, q); d² = 0
+        is checked on the way for 1 <= q <= q_max."""
+        nonlocal d2_ok
+        if (p, q) not in ranks:
+            images = []
+            for coeffs in basis_cochains(p, q):
+                img = _apply_d(m, q + 1, coeffs)
+                images.append(_cochain_vec(m, w, p + 1, q, img))
+                if 1 <= q <= q_max and any(
+                        v != 0 for v in _apply_d(m, q, img).values()):
+                    d2_ok = False
+            ranks[p, q] = linalg.rank([v for v in images if any(v)])
+        return ranks[p, q]
+
+    from math import comb
+    c_dims = [[comb(m, p) * spaces[q].dim for q in range(q_max + 1)]
+              for p in range(p_max + 1)]
+    h_dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
     for p in range(p_max + 1):
         for q in range(q_max + 1):
-            dom = basis_cochains(p, q)
-            if not dom:
-                h_dims[p][q] = 0
+            if not c_dims[p][q]:
                 continue
-            images = []
-            for coeffs in dom:
-                img = _apply_d(m, w, p, q + 1, coeffs)
-                images.append(_cochain_vec(m, w, p + 1, q, img))
-                if q >= 1:
-                    img2 = _apply_d(m, w, p + 1, q, img)
-                    if any(v != 0 for v in img2.values()):
-                        d2_ok = False
-            rank_out = linalg.rank([v for v in images if any(v)])
-            kernel = len(dom) - rank_out
-            rank_in = 0
-            if p >= 1:
-                incoming = basis_cochains(p - 1, q + 1)
-                in_images = []
-                for coeffs in incoming:
-                    img = _apply_d(m, w, p - 1, q + 2, coeffs)
-                    in_images.append(_cochain_vec(m, w, p, q + 1, img))
-                rank_in = linalg.rank([v for v in in_images if any(v)])
-            h_dims[p][q] = kernel - rank_in
+            rank_in = rank_d(p - 1, q + 1) if p >= 1 else 0
+            h_dims[p][q] = c_dims[p][q] - rank_d(p, q) - rank_in
             if h_dims[p][q] < 0:
                 raise ConformanceMismatch("negative cohomology dimension")
     return SpencerReport(

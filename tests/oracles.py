@@ -6,22 +6,27 @@ direct index-chasing tensor formulas, the library's former dense tensor
 routines (built on its vector helpers and `BilinearProduct.mult` only), its
 former dense Bareiss kernel, its former coboundary-matrix constructions
 (one coboundary application per basis cochain, and the dense
-Chevalley-Eilenberg loop), its former dense FE* solver, and closed forms
-from textbooks. Slower is fine; agreeing by construction is the point.
+Chevalley-Eilenberg loop), its former coboundaries of one cochain over the
+dense table (`dense_kv_coboundary`, `dense_hochschild_coboundary`) and its
+former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
+its former right-ideal core loop (`dense_right_ideal_core`), its former
+dense FE* solver, and closed forms from textbooks. Slower is fine; agreeing
+by construction is the point.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from math import comb
 
 import sympy
 
 from koszul import linalg
-from koszul.algebra import BilinearProduct, table3
-from koszul.cohomology import (ADJOINT, Cochain, _sort_alternating,
-                               hochschild_coboundary, kv_coboundary,
-                               kv_degree_zero_space)
-from koszul.errors import JacobiViolation, KoszulError, ValidationError
+from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
+                            kv_anomaly, table3)
+from koszul.cohomology import (ADJOINT, SCALAR, Cochain, _sort_alternating,
+                               kv_degree_zero_space, zero_cochain)
+from koszul.errors import (JacobiViolation, KoszulError, NotKV,
+                           ValidationError)
 from koszul.gauge import FeStarSolutions
 from koszul.spaces import LinearSolutionSpace
 
@@ -356,6 +361,171 @@ def dense_curvature(conn):
             for j in range(m)) for i in range(m))
 
 
+# ---------------------------------------------------------------- coboundaries
+#
+# The library applies each coboundary to a cochain through the same
+# generator of contributions that builds its matrix, and takes the
+# Maurer-Cartan defect from `jacobi_defect`. Below are the formulas it used
+# before: loops over the dense structure-constant table.
+
+def dense_kv_coboundary(c: Cochain, algebra: BilinearProduct,
+                        coefficients: str | None = None) -> Cochain:
+    """One step of the left-symmetric coboundary.
+
+    For f of degree q >= 1 and xi = X_1 ⊗ ... ⊗ X_{q+1}:
+    delta f(xi) = sum_{i=1..q} (-1)^i [ X_i·f(∂_i xi)
+                  + f(∂²_{i,q+1} xi ⊗ X_i)·X_{q+1}  (algebra coefficients only)
+                  - f(X_i·∂_i xi) ],
+    the action on a tensor spreading over every slot. Degree 0 with algebra
+    coefficients: (delta xi)(X) = -X·xi + xi·X; with scalars: zero.
+    """
+    if coefficients is not None and coefficients != c.module:
+        raise ValidationError("cochain module does not match coefficients")
+    if c.dim != algebra.dim:
+        raise ValidationError("cochain dimension does not match the algebra")
+    if c.degree > 4:
+        raise ValidationError("coboundary implemented for degree <= 4")
+    if not algebra.is_kv:
+        hit = kv_anomaly(algebra).first_nonzero()
+        raise NotKV(f"product is not left-symmetric (witness {hit[0][:3]})")
+    m = algebra.dim
+    q = c.degree
+    gam = algebra.gamma
+
+    if q == 0:
+        if c.module == SCALAR:
+            return zero_cochain(1, m, SCALAR)
+        xi = c.table[0]
+        basis = linalg.identity(m)
+        table = tuple(
+            tuple(linalg.vec_sub(algebra.mult(xi, basis[x]),
+                                 algebra.mult(basis[x], xi)))
+            for x in range(m))
+        return Cochain(1, m, ADJOINT, table)
+
+    width = c.module_dim
+    out = []
+    for idx in iproduct(range(m), repeat=q + 1):
+        acc = [Fraction(0)] * width
+        last = idx[q]
+        for i in range(1, q + 1):
+            xi_i = idx[i - 1]
+            rest = idx[:i - 1] + idx[i:]
+            sign = -1 if i % 2 else 1
+
+            if c.module == ADJOINT:
+                fv = c.value(rest)
+                lm = gam[xi_i]
+                for a in range(m):
+                    if fv[a]:
+                        for k in range(m):
+                            if lm[a][k]:
+                                acc[k] += sign * fv[a] * lm[a][k]
+                mid_args = idx[:i - 1] + idx[i:q] + (xi_i,)
+                fv2 = c.value(mid_args)
+                for a in range(m):
+                    if fv2[a]:
+                        for k in range(m):
+                            g = gam[a][last][k]
+                            if g:
+                                acc[k] += sign * fv2[a] * g
+            for t in range(q):
+                old = rest[t]
+                for a in range(m):
+                    g = gam[xi_i][old][a]
+                    if g:
+                        fv3 = c.value(rest[:t] + (a,) + rest[t + 1:])
+                        for k in range(width):
+                            if fv3[k]:
+                                acc[k] -= sign * g * fv3[k]
+        out.append(tuple(acc))
+    return Cochain(q + 1, m, c.module, tuple(out))
+
+
+def dense_hochschild_coboundary(c: Cochain,
+                                algebra: BilinearProduct) -> Cochain:
+    """(delta f)(x_0..x_q) = x_0 f(...) + sum (-1)^i f(..x_{i-1}x_i..)
+    + (-1)^{q+1} f(...) x_q."""
+    m = algebra.dim
+    q = c.degree
+    out = []
+    for idx in iproduct(range(m), repeat=q + 1):
+        acc = [Fraction(0)] * m
+        fv = c.value(idx[1:])
+        for k in range(m):
+            for a in range(m):
+                g = algebra.gamma[idx[0]][a][k]
+                if g and fv[a]:
+                    acc[k] += g * fv[a]
+        for i in range(1, q + 1):
+            sign = (-1) ** i
+            pref = idx[:i - 1]
+            suff = idx[i + 1:]
+            for a in range(m):
+                g = algebra.gamma[idx[i - 1]][idx[i]][a]
+                if g:
+                    fv2 = c.value(pref + (a,) + suff)
+                    for k in range(m):
+                        if fv2[k]:
+                            acc[k] += sign * g * fv2[k]
+        fv3 = c.value(idx[:q])
+        sign = (-1) ** (q + 1)
+        for a in range(m):
+            if fv3[a]:
+                for k in range(m):
+                    g = algebra.gamma[a][idx[q]][k]
+                    if g:
+                        acc[k] += sign * fv3[a] * g
+        out.append(tuple(acc))
+    return Cochain(q + 1, m, ADJOINT, tuple(out))
+
+
+def dense_maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
+    """dB + J_B for a skew bracket perturbation B.
+
+    dB is the adjoint Chevalley-Eilenberg coboundary of B against mu, and
+    J_B(x,y,z) = sum_cyclic B(x, B(y,z)). Zero exactly when mu + B is again
+    a Lie bracket.
+    """
+    b_table = table3(b_table)
+    m = mu.dim
+    if len(b_table) != m:
+        raise ValidationError("perturbation shape does not match the algebra")
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if b_table[i][j][k] != -b_table[j][i][k]:
+                    raise ValidationError("perturbation is not skew")
+    bprod = BilinearProduct(m, b_table)
+    basis = linalg.identity(m)
+
+    def br(u, v):
+        return mu.bracket(u, v)
+
+    def bb(u, v):
+        return bprod.mult(u, v)
+
+    out = {}
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                x, y, z = basis[i], basis[j], basis[k]
+                db = [Fraction(0)] * m
+                for term in (br(x, bb(y, z)),
+                             linalg.vec_scale(-1, br(y, bb(x, z))),
+                             br(z, bb(x, y)),
+                             linalg.vec_scale(-1, bb(br(x, y), z)),
+                             bb(br(x, z), y),
+                             linalg.vec_scale(-1, bb(br(y, z), x)),
+                             bb(x, bb(y, z)),
+                             bb(y, bb(z, x)),
+                             bb(z, bb(x, y))):
+                    db = [a + t for a, t in zip(db, term)]
+                for l, v in enumerate(db):
+                    out[i, j, k, l] = v
+    return DefectTensor((m,) * 4, out)
+
+
 # ---------------------------------------------------------------- coboundary matrices
 
 def delta_matrix_columns(basis_inputs, apply_delta):
@@ -386,8 +556,8 @@ def unit_cochains(q, m, module):
 
 
 def kv_delta_by_cochains(algebra, coefficients, q):
-    """delta_q of the KV complex by applying kv_coboundary to each basis
-    cochain (the legal 0-cochains, or the scalar 1, in degree 0)."""
+    """delta_q of the KV complex by applying dense_kv_coboundary to each
+    basis cochain (the legal 0-cochains, or the scalar 1, in degree 0)."""
     m = algebra.dim
     if q == 0:
         zero_basis = kv_degree_zero_space(algebra) \
@@ -396,14 +566,15 @@ def kv_delta_by_cochains(algebra, coefficients, q):
                   for v in zero_basis]
     else:
         inputs = unit_cochains(q, m, coefficients)
-    return delta_matrix_columns(inputs, lambda b: kv_coboundary(b, algebra))
+    return delta_matrix_columns(inputs,
+                                lambda b: dense_kv_coboundary(b, algebra))
 
 
 def hochschild_delta_by_cochains(algebra, q):
     """delta_q of the Hochschild complex, one unit cochain at a time."""
     return delta_matrix_columns(
         unit_cochains(q, algebra.dim, ADJOINT),
-        lambda b: hochschild_coboundary(b, algebra))
+        lambda b: dense_hochschild_coboundary(b, algebra))
 
 
 def dense_ce_coboundary_matrix(L, coefficients, p):
@@ -535,3 +706,33 @@ def dense_solve_fe_star(conn):
     proj = [w[:m] for w in space.basis]
     r_b = linalg.rank(proj) if proj else 0
     return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)
+
+
+# ---------------------------------------------------------------- right ideals
+
+def dense_right_ideal_core(p, basis):
+    """The library's former core loop of `simple_right_ideal_check`, which
+    imposed both e·b and b·e for every unit e: the largest two-sided ideal
+    inside the span of `basis` (a row-reduced basis of a right ideal)."""
+    n = p.dim
+    units = linalg.identity(n)
+    core = basis
+    while core:
+        ann = linalg.nullspace(core, ncols=n)
+        if not ann:
+            break
+        d = len(core)
+        # e·b and b·e for each unit e, computed once for every lam
+        sides = [side for e in units for side in (
+            [p.mult(e, bvec) for bvec in core],
+            [p.mult(bvec, e) for bvec in core])]
+        rows = [[sum(lam[t] * y[t] for t in range(n)) for y in side]
+                for lam in ann for side in sides]
+        coords = linalg.nullspace(rows, ncols=d)
+        nxt = tuple(
+            tuple(sum(t[s] * core[s][u] for s in range(d)) for u in range(n))
+            for t in coords)
+        if len(nxt) == len(core):
+            break
+        core = nxt
+    return core

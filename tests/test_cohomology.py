@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from koszul import linalg
 from koszul.algebra import (abelian, conjugate_lie, conjugate_product,
@@ -30,7 +33,16 @@ import conftest
 from conftest import (rand_fraction, rand_invertible, random_lie,
                       truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
-                     hochschild_delta_by_cochains, kv_delta_by_cochains)
+                     dense_hochschild_coboundary, dense_kv_coboundary,
+                     dense_maurer_cartan_defect, hochschild_delta_by_cochains,
+                     kv_delta_by_cochains)
+
+CHECKS = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=100,
+                  suppress_health_check=[HealthCheck.too_slow])
+KV_POOL = conftest.kv_pool()
+ASSOC_POOL = conftest.assoc_pool()
+LIE_POOL = conftest.lie_pool(4)
 
 
 def random_cochain(q, m, module, rng):
@@ -172,6 +184,8 @@ def test_maurer_cartan_detects_broken_perturbations():
     with pytest.raises(ValidationError):
         maurer_cartan_defect(mu, tuple(
             tuple((Fraction(1),) * 3 for _ in range(3)) for _ in range(3)))
+    with pytest.raises(ValidationError, match="shape"):
+        maurer_cartan_defect(mu, [[[0] * 4] * 3] * 3)
 
 
 def _with_dense_copies(pool, conjugate, rng):
@@ -207,3 +221,67 @@ def test_ce_matrices_match_dense_oracle(rng):
             for p in range(4):
                 assert ce_coboundary_matrix(L, coeffs, p) == \
                     dense_ce_coboundary_matrix(L, coeffs, p)
+
+
+# The coboundaries of single cochains against the dense loops they replaced.
+# A dense basis change gives tables with denominators, and the cochains are
+# arbitrary: in degree 0 with algebra coefficients xi need not be a legal
+# 0-cochain.
+
+def _pooled(pool, conjugate, base, dense, rng):
+    """pool[base], or a copy of it under a dense basis change."""
+    a = pool[base]
+    return conjugate(a, rand_invertible(a.dim, rng)) if dense else a
+
+
+@CHECKS
+@given(base=st.sampled_from(range(len(KV_POOL))), dense=st.booleans(),
+       module=st.sampled_from((ADJOINT, SCALAR)),
+       q=st.sampled_from(range(4)), seed=st.integers(0, 2 ** 16))
+def test_kv_coboundary_matches_dense_oracle(base, dense, module, q, seed):
+    rng = random.Random(seed)
+    p = _pooled(KV_POOL, conjugate_product, base, dense, rng)
+    c = random_cochain(q, p.dim, module, rng)
+    assert kv_coboundary(c, p) == dense_kv_coboundary(c, p)
+
+
+@CHECKS
+@given(base=st.sampled_from(range(len(ASSOC_POOL))), dense=st.booleans(),
+       q=st.sampled_from(range(3)), seed=st.integers(0, 2 ** 16))
+def test_hochschild_coboundary_matches_dense_oracle(base, dense, q, seed):
+    rng = random.Random(seed)
+    p = _pooled(ASSOC_POOL, conjugate_product, base, dense, rng)
+    c = random_cochain(q, p.dim, ADJOINT, rng)
+    assert hochschild_coboundary(c, p) == dense_hochschild_coboundary(c, p)
+
+
+@CHECKS
+@given(base=st.sampled_from(range(len(LIE_POOL))), dense=st.booleans(),
+       seed=st.integers(0, 2 ** 16),
+       entries=st.lists(st.tuples(
+           st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from((-2, -1, Fraction(1, 2), 1, 3))), max_size=8),
+       skew=st.booleans())
+# abelian(3) and so3 perturbed by a skew table that fails Jacobi: nonzero
+# defects
+@example(base=2, dense=False, seed=0,
+         entries=[(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 0, 1)], skew=True)
+@example(base=5, dense=True, seed=0,
+         entries=[(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 0, 1)], skew=True)
+def test_maurer_cartan_defect_matches_dense_oracle(base, dense, seed,
+                                                   entries, skew):
+    mu = _pooled(LIE_POOL, conjugate_lie, base, dense, random.Random(seed))
+    m = mu.dim
+    b = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, j, k, v in entries:
+        i, j, k = i % m, j % m, k % m
+        if i != j:
+            b[i][j][k] += v
+            b[j][i][k] -= v
+    if not skew:
+        b[0][0][0] += 1
+        for defect in (maurer_cartan_defect, dense_maurer_cartan_defect):
+            with pytest.raises(ValidationError, match="not skew"):
+                defect(mu, b)
+        return
+    assert maurer_cartan_defect(mu, b) == dense_maurer_cartan_defect(mu, b)

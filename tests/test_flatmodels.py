@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszul import linalg
-from koszul.algebra import BilinearProduct, product_from_sparse, zero_product
+from koszul.algebra import (BilinearProduct, conjugate_product,
+                            product_from_sparse, zero_product)
 from koszul.catalog import heisenberg_kv
 from koszul.errors import NotAssociative, NotRightIdeal, ValidationError
 from koszul.flatmodels import (
@@ -15,7 +19,9 @@ from koszul.flatmodels import (
     tower_dims,
 )
 
-from conftest import rand_fraction
+import conftest
+from conftest import rand_fraction, rand_invertible
+from oracles import dense_right_ideal_core
 
 
 def as_affine_vec(alg, a_mat, a_vec):
@@ -144,6 +150,37 @@ def test_simple_right_ideal_in_matrix_algebra():
     # the whole algebra is a right ideal but contains itself two-sidedly
     rep = simple_right_ideal_check(p, linalg.identity(4))
     assert rep.ideal_dim == 4 and not rep.simple and rep.core_dim == 4
+
+
+IDEAL_POOL = [matrix_algebra(2), affine_algebra(1).product] + \
+    conftest.assoc_pool()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(base=st.integers(0, len(IDEAL_POOL) - 1),
+       change=st.none() | st.integers(0, 2 ** 16),
+       gens=st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)),
+                              min_size=4, max_size=4), max_size=3))
+# nonzero cores: the unit of M_2 generates it all, and span(e_1) in aff(1)
+# is a two-sided ideal
+@example(base=0, change=None, gens=[[1, 0, 0, 1]])
+@example(base=0, change=5, gens=[[1, 0, 0, 1]])
+@example(base=1, change=None, gens=[[0, 1]])
+@example(base=1, change=1, gens=[[0, 1]])
+def test_right_ideal_core_matches_dense_oracle(base, change, gens):
+    p = IDEAL_POOL[base]
+    n = p.dim
+    gens = [tuple(Fraction(x) for x in g[:n]) for g in gens]
+    if change is not None:
+        pm = rand_invertible(n, random.Random(change))
+        p = conjugate_product(p, pm)
+        gens = [linalg.mat_vec(linalg.inverse(pm), g) for g in gens]
+    # the right ideal generated by gens: their span plus gens·A
+    rows = gens + [p.mult(g, e) for g in gens for e in linalg.identity(n)]
+    rep = simple_right_ideal_check(p, rows)
+    core = dense_right_ideal_core(p, linalg.row_space_basis(rows))
+    assert (rep.core_basis, rep.core_dim, rep.simple) == \
+        (core, len(core), not core)
 
 
 def test_non_ideal_is_rejected():

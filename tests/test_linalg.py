@@ -125,20 +125,6 @@ def test_flatten_unflatten_roundtrip(rng):
     assert linalg.unflatten(v, 3, 4) == tuple(tuple(r) for r in a)
 
 
-def test_sym_skew_coordinates(rng):
-    m = 3
-    sc = linalg.sym_coords(m)
-    kc = linalg.skew_coords(m)
-    assert len(sc) == m * (m + 1) // 2
-    assert len(kc) == m * (m - 1) // 2
-    v = [rand_fraction(rng) for _ in sc]
-    s = linalg.sym_from_coords(v, m)
-    assert s == linalg.transpose(s)
-    w = [rand_fraction(rng) for _ in kc]
-    k = linalg.skew_from_coords(w, m)
-    assert k == linalg.mat_scale(-1, linalg.transpose(k))
-
-
 def test_frac_conversions():
     assert linalg.frac("3/4") == Fraction(3, 4)
     assert linalg.frac(2) == Fraction(2)
