@@ -1,4 +1,4 @@
-"""Fraction-free integer row reduction (one-step Bareiss) over nonzeros.
+"""Integer row reduction over nonzeros: exact (Bareiss) and modulo a prime.
 
 All exact rank / nullspace / determinant work in the package funnels through
 `echelon`. One-step Bareiss keeps every intermediate entry an integer minor
@@ -11,9 +11,18 @@ its own columns and the pivot row's, and rescales any other row below the
 pivot only over its own; every other cell is zero before and after the step.
 The arithmetic on the cells it visits is the textbook update, so the result
 is the same integers the dense loop produces.
+
+`rank_mod_p` is the cheap half of a certified rank. Reducing an integer
+matrix modulo a prime can only lose rank (every minor that vanishes over
+the integers vanishes mod P), so its result is a lower bound; the caller
+proves the bound exact from an upper bound of its own, or falls back to
+`echelon` (see `koszul.cohomology`). Entries are taken mod P = 2**31 - 1,
+one fixed prime, so no intermediate grows the way Bareiss minors do.
 """
 
 from __future__ import annotations
+
+P = 2 ** 31 - 1
 
 
 def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -66,4 +75,54 @@ def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     return a, pivots, sign
 
 
-__all__ = ["echelon"]
+def rank_mod_p(rows, bound: int) -> int:
+    """Rank modulo P of sparse integer rows, counted no higher than `bound`.
+
+    `rows` yields dicts {column: integer}. A matrix with more columns than
+    rows is read by columns instead, which keeps the reduced rows short. The
+    rows found independent so far are kept reduced: each is 1 at its own
+    pivot column and 0 at every other pivot column, so a new row is reduced
+    by one subtraction per pivot column it holds, and what is left, if
+    anything, is the next pivot row. Entries are reduced mod P where they
+    are read rather than after every update; they stay a few words long.
+    Stops as soon as the count reaches `bound`, so the result is min(bound,
+    rank mod P), a lower bound for the rank over the rationals.
+    """
+    if bound <= 0:
+        return 0
+    rows = list(rows)
+    columns: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    if len(columns) > len(rows):
+        rows = list(columns.values())
+    basis: dict[int, dict[int, int]] = {}   # pivot column -> rest of its row
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, x in row.items():
+            b = basis.get(c)
+            if b is None:
+                acc[c] = acc.get(c, 0) + x
+            else:
+                x %= P
+                for j, v in b.items():
+                    acc[j] = acc.get(j, 0) - x * v
+        r = {j: x % P for j, x in acc.items() if x % P}
+        if not r:
+            continue
+        c, x = r.popitem()
+        inv = pow(x, -1, P)
+        new = {j: x * inv % P for j, x in r.items()}
+        for b in basis.values():
+            f = b.pop(c, 0) % P
+            if f:
+                for j, v in new.items():
+                    b[j] = b.get(j, 0) - f * v
+        basis[c] = new
+        if len(basis) == bound:
+            break
+    return len(basis)
+
+
+__all__ = ["P", "echelon", "rank_mod_p"]

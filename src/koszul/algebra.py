@@ -178,12 +178,6 @@ class BilinearProduct:
             tuple(tuple(self.gamma[i][j][k] for j in range(m)) for k in range(m))
             for i in range(m))
 
-    def left_matrix(self, x) -> Mat:
-        m = self.dim
-        return tuple(
-            tuple(sum(frac(x[i]) * self.gamma[i][j][k] for i in range(m))
-                  for j in range(m)) for k in range(m))
-
     def right_matrix(self, x) -> Mat:
         """Matrix of y -> y·x."""
         m = self.dim

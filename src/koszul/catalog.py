@@ -144,7 +144,3 @@ def resolve(kind: str, name: str):
         return builder(arg)
     except ValueError as exc:
         raise ValidationError(f"bad catalog argument {arg!r}: {exc}") from exc
-
-
-def list_entries() -> dict:
-    return {kind: sorted(table) for kind, table in _KINDS.items()}

@@ -14,6 +14,17 @@ generator to a single cochain, so `kv_coboundary` and
 `hochschild_coboundary` are the matrices' formulas, not second copies. The
 Maurer-Cartan defect is minus the Jacobi defect of the perturbed bracket.
 
+The dimensions need only the ranks r_q of the coboundaries delta_q: C^q ->
+C^{q+1}, and `_dims_from_deltas` certifies them without exact elimination
+where it can. The contributions are integers over the table's denominator,
+so the integer matrix has the rank of delta_q, and its rank mod a prime,
+l_q, is a lower bound. As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q =
+0, r_q <= u_q = min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q =
+u_q, r_q = l_q; the square that bound relies on is then checked exactly as a
+sparse integer product (a nonzero one raises ConformanceMismatch). Where
+l_q < u_q the integer rows are eliminated exactly, and that rank replaces
+l_q in its neighbours' bounds. Acyclic degrees meet the bound.
+
 Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
 with (x·y)·xi = x·(y·xi) for all x, y: on that subspace (and only there)
@@ -29,12 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from math import gcd, lcm
 
 from koszul import linalg
+from koszul._kernel import echelon, rank_mod_p
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             jacobi_defect, kv_anomaly, operator_defect,
                             operator_matrix, table3)
-from koszul.errors import NotAssociative, NotKV, ValidationError
+from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
+                           ValidationError)
 from koszul.linalg import Vec
 
 ADJOINT = "adjoint"
@@ -74,12 +88,6 @@ class Cochain:
     @property
     def module_dim(self) -> int:
         return self.dim if self.module == ADJOINT else 1
-
-    def value(self, idx) -> Vec:
-        return self.table[_flat_index(idx, self.dim)]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for v in self.table for x in v)
 
 
 def zero_cochain(degree: int, m: int, module: str) -> Cochain:
@@ -155,21 +163,78 @@ class CohomologyReport:
         return tuple(d.h for d in self.degrees)
 
 
-def _dims_from_deltas(name, coefficients, m, c_dims, deltas,
+def _dims_from_deltas(name, coefficients, m, deltas,
                       notes="") -> CohomologyReport:
-    """deltas[q]: matrix of delta_q as list of rows (maps C^q -> C^{q+1})."""
-    ranks = [linalg.rank(mat) for mat in deltas]
+    """deltas[q] = (entries, ncols, nrows) of delta_q: C^q -> C^{q+1}, its
+    integer contributions over one denominator; ncols = dim C^q."""
+    ranks = _certified_ranks([(_accumulate(entries), ncols, nrows)
+                              for entries, ncols, nrows in deltas])
     out = []
-    for q in range(len(c_dims)):
-        rank_out = ranks[q] if q < len(deltas) else 0
-        z = c_dims[q] - rank_out
+    for q, (_, c, _) in enumerate(deltas):
+        z = c - ranks[q]
         b = ranks[q - 1] if q >= 1 else 0
-        out.append(DegreeDims(q, c_dims[q], z, b, z - b))
+        out.append(DegreeDims(q, c, z, b, z - b))
     return CohomologyReport(name, coefficients, m, tuple(out), notes)
 
 
-def _assemble(nrows: int, ncols: int, den: int, entries) -> list[list]:
-    """Dense Fraction rows of a coboundary matrix from its contributions.
+def _certified_ranks(deltas) -> list[int]:
+    """Ranks of consecutive coboundaries, each given as (row -> {col: n},
+    ncols, nrows), certified by delta² = 0 as the module docstring says.
+
+    A rank is at most the number of rows listed, which makes a matrix with
+    no contributions rank 0 without elimination.
+    """
+    n = len(deltas)
+    low: list[int] = []
+    for q, (rows, ncols, _) in enumerate(deltas):
+        low.append(rank_mod_p(rows.values(),
+                              min(len(rows), ncols - (low[-1] if q else 0))))
+    exact = [False] * n
+
+    def square(q):
+        """q' when low[q] is proved by delta_{q'+1} delta_{q'} = 0, () when
+        it needs no square, None when it is not proved."""
+        rows, ncols, nrows = deltas[q]
+        if exact[q] or low[q] == min(len(rows), ncols):
+            return ()
+        if q and low[q] == ncols - low[q - 1]:
+            return q - 1
+        if q + 1 < n and low[q] == nrows - low[q + 1]:
+            return q
+        return None
+
+    while True:
+        q = next((q for q in range(n) if square(q) is None), None)
+        if q is None:
+            break
+        rows, ncols, _ = deltas[q]
+        dense = []
+        for row in rows.values():
+            g = gcd(*row.values()) or 1
+            dense.append([row.get(j, 0) // g for j in range(ncols)])
+        low[q] = len(echelon(dense)[1])
+        exact[q] = True
+    for q in sorted({square(q) for q in range(n)} - {()}):
+        _check_square(deltas[q + 1][0], deltas[q][0], q)
+    return low
+
+
+def _check_square(after: dict, first: dict, q: int) -> None:
+    """Raise unless delta_{q+1} delta_q = 0, in integers over the rows'
+    nonzeros."""
+    for row in after.values():
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for col, y in first.get(k, {}).items():
+                acc[col] = acc.get(col, 0) + x * y
+        if any(acc.values()):
+            raise ConformanceMismatch(
+                f"coboundary squares to nonzero from degree {q}")
+
+
+def _assemble(den: int, entries, ncols: int, nrows: int):
+    """(dense Fraction rows, ncols, nrows) of a coboundary matrix from its
+    contributions.
 
     `entries` yields (row, col, n): n / den is added to that cell. Every
     coboundary matrix below is built this way from the nonzeros of a
@@ -177,20 +242,25 @@ def _assemble(nrows: int, ncols: int, den: int, entries) -> list[list]:
     cells that receive a contribution are touched.
     """
     if not nrows or not ncols:
-        return []
+        return [], ncols, nrows
     zero = Fraction(0)
     rows = [[zero] * ncols for _ in range(nrows)]
-    for (r, col), n in _accumulate(entries).items():
-        if n:
-            rows[r][col] = Fraction(n, den)
-    return rows
+    for r, row in _accumulate(entries).items():
+        for col, n in row.items():
+            if n:
+                rows[r][col] = Fraction(n, den)
+    return rows, ncols, nrows
 
 
-def _accumulate(entries) -> dict[tuple[int, int], int]:
-    """Sum of the contributions n per (row, col) cell, in integers."""
-    acc: dict[tuple[int, int], int] = {}
+def _accumulate(entries) -> dict[int, dict[int, int]]:
+    """Sum of the contributions n per cell, in integers: row -> {col: n}."""
+    acc: dict[int, dict[int, int]] = {}
     for r, col, n in entries:
-        acc[r, col] = acc.get((r, col), 0) + n
+        row = acc.get(r)
+        if row is None:
+            acc[r] = {col: n}
+        else:
+            row[col] = row.get(col, 0) + n
     return acc
 
 
@@ -200,9 +270,10 @@ def _apply(c: Cochain, den: int, entries, x) -> Cochain:
     columns, with one division by den per output cell."""
     width = c.module_dim
     out = [Fraction(0)] * (c.dim ** (c.degree + 1) * width)
-    for (r, col), n in _accumulate(entries).items():
-        if n and x[col]:
-            out[r] += n * x[col]
+    for r, row in _accumulate(entries).items():
+        for col, n in row.items():
+            if n and x[col]:
+                out[r] += n * x[col]
     out = [v / den for v in out]
     return Cochain(c.degree + 1, c.dim, c.module,
                    tuple(tuple(out[i:i + width])
@@ -262,26 +333,44 @@ def kv_coboundary_matrix(algebra: BilinearProduct, coefficients: str, q: int):
     coefficients the j-th vector of `kv_degree_zero_space`, and for scalars
     the constant 1. Returns (rows, ncols, nrows), as `ce_coboundary_matrix`.
     """
+    _check_kv(algebra, coefficients)
+    zero_basis = (kv_degree_zero_space(algebra)
+                  if q == 0 and coefficients == ADJOINT else ())
+    return _assemble(algebra.sparse.den,
+                     *_kv_delta(algebra, coefficients, q, zero_basis))
+
+
+def _check_kv(algebra: BilinearProduct, coefficients: str) -> None:
     if coefficients not in (ADJOINT, SCALAR):
         raise ValidationError("coefficients must be adjoint or scalar")
     if not algebra.is_kv:
         raise NotKV("product is not left-symmetric")
+
+
+def _kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
+              zero_basis):
+    """(entries, ncols, nrows) of the KV delta_q; zero_basis spans the
+    degree-0 cochains with algebra coefficients."""
     m = algebra.dim
     sp = algebra.sparse
     adjoint = coefficients == ADJOINT
     width = m if adjoint else 1
     nrows = m ** (q + 1) * width
     if q > 0:
-        ncols = m ** q * width
-        entries = _kv_entries(sp, m, q, adjoint)
-    elif adjoint:
-        zero_basis = kv_degree_zero_space(algebra)
-        ncols = len(zero_basis)
-        entries = _kv_degree_zero_entries(sp, m, zero_basis)
-    else:
-        # the degree-0 scalar coboundary is taken as zero
-        ncols, entries = 1, ()
-    return _assemble(nrows, ncols, sp.den, entries), ncols, nrows
+        return _kv_entries(sp, m, q, adjoint), m ** q * width, nrows
+    if adjoint:
+        return (_kv_degree_zero_entries(sp, m, zero_basis), len(zero_basis),
+                nrows)
+    # the degree-0 scalar coboundary is taken as zero
+    return (), 1, nrows
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """The primitive integer vector on the line of a rational vector."""
+    scale = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
@@ -291,18 +380,18 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
         raise ValidationError("coefficients must be adjoint or scalar")
     if max_degree > 3:
         raise ValidationError("degrees capped at 3")
-    c_dims = []
-    deltas = []
-    for q in range(max_degree + 1):
-        rows, ncols, _ = kv_coboundary_matrix(algebra, coefficients, q)
-        c_dims.append(ncols)
-        deltas.append(rows)
+    _check_kv(algebra, coefficients)
+    # integer degree-0 columns; rescaling a column keeps every rank and
+    # delta_1 delta_0 = 0
+    zero_basis = ([_primitive(v) for v in kv_degree_zero_space(algebra)]
+                  if coefficients == ADJOINT else ())
+    deltas = [_kv_delta(algebra, coefficients, q, zero_basis)
+              for q in range(max_degree + 1)]
     notes = ("degree-0 cochains restricted to the second-order-parallel "
              "elements" if coefficients == ADJOINT else
              "degree-0 scalar coboundary taken as zero; the source's "
              "degree-0 rule is not a map into 1-cochains")
-    return _dims_from_deltas("kv", coefficients, algebra.dim, c_dims, deltas,
-                             notes)
+    return _dims_from_deltas("kv", coefficients, algebra.dim, deltas, notes)
 
 
 def _sort_alternating(idx):
@@ -350,17 +439,19 @@ def _ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
 
 def ce_coboundary_matrix(L: LieAlgebra, coefficients: str, p: int):
     """Matrix rows of delta: C^p -> C^{p+1} for the Lie algebra complex."""
+    return _assemble(L.sparse.den, *_ce_delta(L, coefficients, p))
+
+
+def _ce_delta(L: LieAlgebra, coefficients: str, p: int):
+    """(entries, ncols, nrows) of the Chevalley-Eilenberg delta_p."""
     m = L.dim
     width = m if coefficients == ADJOINT else 1
     dom = list(combinations(range(m), p))
     cod = list(combinations(range(m), p + 1))
-    ncols, nrows = len(dom) * width, len(cod) * width
-    if not dom or not cod:
-        return [], ncols, nrows
     dom_pos = {t: i for i, t in enumerate(dom)}
     entries = _ce_entries(L.sparse, m, p, coefficients == ADJOINT, dom_pos,
                           cod)
-    return _assemble(nrows, ncols, L.sparse.den, entries), ncols, nrows
+    return entries, len(dom) * width, len(cod) * width
 
 
 def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
@@ -370,22 +461,21 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
         raise ValidationError("coefficients must be trivial or adjoint")
     if max_degree > 3:
         raise ValidationError("degrees capped at 3")
-    m = L.dim
-    width = m if coefficients == ADJOINT else 1
-    c_dims = []
-    deltas = []
-    from math import comb
-    for p in range(max_degree + 1):
-        c_dims.append(comb(m, p) * width)
-        rows, _, _ = ce_coboundary_matrix(L, coefficients, p)
-        deltas.append(rows)
-    return _dims_from_deltas("chevalley-eilenberg", coefficients, m,
-                             c_dims, deltas)
+    deltas = [_ce_delta(L, coefficients, p) for p in range(max_degree + 1)]
+    return _dims_from_deltas("chevalley-eilenberg", coefficients, L.dim,
+                             deltas)
 
 
 def hochschild_coboundary(c: Cochain, algebra: BilinearProduct) -> Cochain:
     """(delta f)(x_0..x_q) = x_0 f(...) + sum (-1)^i f(..x_{i-1}x_i..)
-    + (-1)^{q+1} f(...) x_q."""
+    + (-1)^{q+1} f(...) x_q.
+
+    Coefficients are in the algebra: a cochain of another module or
+    dimension raises ValidationError."""
+    if c.module != ADJOINT:
+        raise ValidationError("cochain module does not match coefficients")
+    if c.dim != algebra.dim:
+        raise ValidationError("cochain dimension does not match the algebra")
     sp = algebra.sparse
     return _apply(c, sp.den, _hochschild_entries(sp, algebra.dim, c.degree),
                   [v for value in c.table for v in value])
@@ -419,14 +509,22 @@ def hochschild_coboundary_matrix(algebra: BilinearProduct, q: int):
     Column j is the image of the unit cochain at flat position j of the
     cochain table. Returns (rows, ncols, nrows), as `ce_coboundary_matrix`.
     """
+    _check_associative(algebra)
+    return _assemble(algebra.sparse.den, *_hochschild_delta(algebra, q))
+
+
+def _check_associative(algebra: BilinearProduct) -> None:
     if not algebra.is_associative:
         from koszul.algebra import associator_defect
         hit = associator_defect(algebra).first_nonzero()
         raise NotAssociative(f"associator nonzero (witness {hit[0][:3]})")
+
+
+def _hochschild_delta(algebra: BilinearProduct, q: int):
+    """(entries, ncols, nrows) of the Hochschild delta_q."""
     m = algebra.dim
-    ncols, nrows = m ** (q + 1), m ** (q + 2)
-    entries = _hochschild_entries(algebra.sparse, m, q)
-    return _assemble(nrows, ncols, algebra.sparse.den, entries), ncols, nrows
+    return (_hochschild_entries(algebra.sparse, m, q), m ** (q + 1),
+            m ** (q + 2))
 
 
 def hochschild_dims(algebra: BilinearProduct,
@@ -434,14 +532,9 @@ def hochschild_dims(algebra: BilinearProduct,
     """Hochschild dims with coefficients in the algebra, degree <= 2."""
     if max_degree > 2:
         raise ValidationError("degrees capped at 2")
-    c_dims = []
-    deltas = []
-    for q in range(max_degree + 1):
-        rows, ncols, _ = hochschild_coboundary_matrix(algebra, q)
-        c_dims.append(ncols)
-        deltas.append(rows)
-    return _dims_from_deltas("hochschild", ADJOINT, algebra.dim, c_dims,
-                             deltas)
+    _check_associative(algebra)
+    deltas = [_hochschild_delta(algebra, q) for q in range(max_degree + 1)]
+    return _dims_from_deltas("hochschild", ADJOINT, algebra.dim, deltas)
 
 
 def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:

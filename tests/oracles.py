@@ -10,8 +10,11 @@ Chevalley-Eilenberg loop), its former coboundaries of one cochain over the
 dense table (`dense_kv_coboundary`, `dense_hochschild_coboundary`) and its
 former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
 its former right-ideal core loop (`dense_right_ideal_core`), its former
-dense FE* solver, and closed forms from textbooks. Slower is fine; agreeing
-by construction is the point.
+dense FE* solver, its former cohomology dimensions (exact rank of every
+dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
+elimination modulo a prime (`dense_rank_mod`), public helpers the library
+no longer needs (`cochain_value`, `left_matrix`), and closed forms from
+textbooks. Slower is fine; agreeing by construction is the point.
 """
 
 from fractions import Fraction
@@ -23,8 +26,12 @@ import sympy
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             kv_anomaly, table3)
-from koszul.cohomology import (ADJOINT, SCALAR, Cochain, _sort_alternating,
-                               kv_degree_zero_space, zero_cochain)
+from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
+                               DegreeDims, _flat_index, _sort_alternating,
+                               ce_coboundary_matrix,
+                               hochschild_coboundary_matrix,
+                               kv_coboundary_matrix, kv_degree_zero_space,
+                               zero_cochain)
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
                            ValidationError)
 from koszul.gauge import FeStarSolutions
@@ -116,6 +123,26 @@ def dense_bareiss(rows):
         pivots.append(c)
         r += 1
     return a, pivots, sign
+
+
+def dense_rank_mod(rows, p):
+    """Rank of an integer matrix over the integers mod a prime p, by plain
+    Gaussian elimination over every cell."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[rank], a[pr] = a[pr], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def sympy_rank(rows):
@@ -368,6 +395,12 @@ def dense_curvature(conn):
 # Maurer-Cartan defect from `jacobi_defect`. Below are the formulas it used
 # before: loops over the dense structure-constant table.
 
+def cochain_value(c: Cochain, idx):
+    """The module value of c on the basis tuple idx (the library's former
+    `Cochain.value`)."""
+    return c.table[_flat_index(idx, c.dim)]
+
+
 def dense_kv_coboundary(c: Cochain, algebra: BilinearProduct,
                         coefficients: str | None = None) -> Cochain:
     """One step of the left-symmetric coboundary.
@@ -414,7 +447,7 @@ def dense_kv_coboundary(c: Cochain, algebra: BilinearProduct,
             sign = -1 if i % 2 else 1
 
             if c.module == ADJOINT:
-                fv = c.value(rest)
+                fv = cochain_value(c, rest)
                 lm = gam[xi_i]
                 for a in range(m):
                     if fv[a]:
@@ -422,7 +455,7 @@ def dense_kv_coboundary(c: Cochain, algebra: BilinearProduct,
                             if lm[a][k]:
                                 acc[k] += sign * fv[a] * lm[a][k]
                 mid_args = idx[:i - 1] + idx[i:q] + (xi_i,)
-                fv2 = c.value(mid_args)
+                fv2 = cochain_value(c, mid_args)
                 for a in range(m):
                     if fv2[a]:
                         for k in range(m):
@@ -434,7 +467,7 @@ def dense_kv_coboundary(c: Cochain, algebra: BilinearProduct,
                 for a in range(m):
                     g = gam[xi_i][old][a]
                     if g:
-                        fv3 = c.value(rest[:t] + (a,) + rest[t + 1:])
+                        fv3 = cochain_value(c, rest[:t] + (a,) + rest[t + 1:])
                         for k in range(width):
                             if fv3[k]:
                                 acc[k] -= sign * g * fv3[k]
@@ -451,7 +484,7 @@ def dense_hochschild_coboundary(c: Cochain,
     out = []
     for idx in iproduct(range(m), repeat=q + 1):
         acc = [Fraction(0)] * m
-        fv = c.value(idx[1:])
+        fv = cochain_value(c, idx[1:])
         for k in range(m):
             for a in range(m):
                 g = algebra.gamma[idx[0]][a][k]
@@ -464,11 +497,11 @@ def dense_hochschild_coboundary(c: Cochain,
             for a in range(m):
                 g = algebra.gamma[idx[i - 1]][idx[i]][a]
                 if g:
-                    fv2 = c.value(pref + (a,) + suff)
+                    fv2 = cochain_value(c, pref + (a,) + suff)
                     for k in range(m):
                         if fv2[k]:
                             acc[k] += sign * g * fv2[k]
-        fv3 = c.value(idx[:q])
+        fv3 = cochain_value(c, idx[:q])
         sign = (-1) ** (q + 1)
         for a in range(m):
             if fv3[a]:
@@ -736,3 +769,69 @@ def dense_right_ideal_core(p, basis):
             break
         core = nxt
     return core
+
+
+def left_matrix(p: BilinearProduct, x):
+    """Matrix of y -> x·y (the library's former `BilinearProduct.left_matrix`)."""
+    m = p.dim
+    return tuple(
+        tuple(sum(linalg.frac(x[i]) * p.gamma[i][j][k] for i in range(m))
+              for j in range(m)) for k in range(m))
+
+
+# ---------------------------------------------------------------- cohomology dims
+#
+# The library certifies each coboundary rank from a rank modulo a prime and
+# delta² = 0, eliminating exactly only where that bound is not met. Below is
+# its former route: exact `linalg.rank` of every dense coboundary matrix.
+
+def dense_dims_from_deltas(name, coefficients, m, c_dims, deltas,
+                           notes="") -> CohomologyReport:
+    """deltas[q]: matrix of delta_q as list of rows (maps C^q -> C^{q+1})."""
+    ranks = [linalg.rank(mat) for mat in deltas]
+    out = []
+    for q in range(len(c_dims)):
+        rank_out = ranks[q] if q < len(deltas) else 0
+        z = c_dims[q] - rank_out
+        b = ranks[q - 1] if q >= 1 else 0
+        out.append(DegreeDims(q, c_dims[q], z, b, z - b))
+    return CohomologyReport(name, coefficients, m, tuple(out), notes)
+
+
+def dense_kv_cohomology_dims(algebra, coefficients, max_degree=3):
+    c_dims = []
+    deltas = []
+    for q in range(max_degree + 1):
+        rows, ncols, _ = kv_coboundary_matrix(algebra, coefficients, q)
+        c_dims.append(ncols)
+        deltas.append(rows)
+    notes = ("degree-0 cochains restricted to the second-order-parallel "
+             "elements" if coefficients == ADJOINT else
+             "degree-0 scalar coboundary taken as zero; the source's "
+             "degree-0 rule is not a map into 1-cochains")
+    return dense_dims_from_deltas("kv", coefficients, algebra.dim, c_dims,
+                                  deltas, notes)
+
+
+def dense_ce_cohomology_dims(L, coefficients, max_degree=3):
+    m = L.dim
+    width = m if coefficients == ADJOINT else 1
+    c_dims = []
+    deltas = []
+    for p in range(max_degree + 1):
+        c_dims.append(comb(m, p) * width)
+        rows, _, _ = ce_coboundary_matrix(L, coefficients, p)
+        deltas.append(rows)
+    return dense_dims_from_deltas("chevalley-eilenberg", coefficients, m,
+                                  c_dims, deltas)
+
+
+def dense_hochschild_dims(algebra, max_degree=2):
+    c_dims = []
+    deltas = []
+    for q in range(max_degree + 1):
+        rows, ncols, _ = hochschild_coboundary_matrix(algebra, q)
+        c_dims.append(ncols)
+        deltas.append(rows)
+    return dense_dims_from_deltas("hochschild", ADJOINT, algebra.dim, c_dims,
+                                  deltas)

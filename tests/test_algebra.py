@@ -31,6 +31,7 @@ from oracles import (
     jacobi_entry,
     killing_entry,
     kv_anomaly_entry,
+    left_matrix,
 )
 
 
@@ -128,7 +129,7 @@ def test_left_right_matrices(rng):
     p = heisenberg_kv()
     e = linalg.identity(3)
     for i in range(3):
-        assert p.left_matrices[i] == p.left_matrix(e[i])
+        assert p.left_matrices[i] == left_matrix(p, e[i])
         for j in range(3):
             col_l = tuple(p.left_matrices[i][k][j] for k in range(3))
             assert col_l == p.mult(e[i], e[j])

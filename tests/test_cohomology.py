@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import linalg
+from koszul import cohomology, linalg
+from koszul._kernel import P
 from koszul.algebra import (abelian, conjugate_lie, conjugate_product,
-                            product_from_sparse, zero_product)
+                            lie_from_sparse, product_from_sparse,
+                            zero_product)
 from koszul.catalog import heisenberg, heisenberg_kv, sl2, so3
 from koszul.cohomology import (
     ADJOINT,
@@ -26,16 +29,18 @@ from koszul.cohomology import (
     maurer_cartan_defect,
     zero_cochain,
 )
-from koszul.errors import NotAssociative, NotKV, ValidationError
+from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
+                           ValidationError)
 from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
 from conftest import (rand_fraction, rand_invertible, random_lie,
                       truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
-                     dense_hochschild_coboundary, dense_kv_coboundary,
-                     dense_maurer_cartan_defect, hochschild_delta_by_cochains,
-                     kv_delta_by_cochains)
+                     dense_ce_cohomology_dims, dense_hochschild_coboundary,
+                     dense_hochschild_dims, dense_kv_coboundary,
+                     dense_kv_cohomology_dims, dense_maurer_cartan_defect,
+                     hochschild_delta_by_cochains, kv_delta_by_cochains)
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
                   max_examples=100,
@@ -152,6 +157,14 @@ def test_hochschild_guards():
         hochschild_dims(pre_lie_only)
     with pytest.raises(ValidationError):
         hochschild_dims(matrix_algebra(2), max_degree=3)
+
+
+def test_hochschild_coboundary_rejects_foreign_cochains():
+    a = matrix_algebra(2)
+    with pytest.raises(ValidationError, match="module does not match"):
+        hochschild_coboundary(zero_cochain(1, 4, SCALAR), a)
+    with pytest.raises(ValidationError, match="dimension does not match"):
+        hochschild_coboundary(zero_cochain(1, 2, ADJOINT), a)
 
 
 def test_maurer_cartan_identity_on_bracket_pairs(rng):
@@ -285,3 +298,155 @@ def test_maurer_cartan_defect_matches_dense_oracle(base, dense, seed,
                 defect(mu, b)
         return
     assert maurer_cartan_defect(mu, b) == dense_maurer_cartan_defect(mu, b)
+
+
+# Cohomology dimensions against the former route: exact `linalg.rank` of each
+# dense coboundary matrix. The library certifies ranks mod a prime by
+# delta² = 0 and eliminates exactly only where that bound is not met.
+
+@CHECKS
+@given(base=st.sampled_from(range(len(KV_POOL))), dense=st.booleans(),
+       module=st.sampled_from((ADJOINT, SCALAR)),
+       max_degree=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+# heisenberg_kv under a dense basis change: cohomology in every degree
+@example(base=6, dense=True, module=ADJOINT, max_degree=3, seed=0)
+def test_kv_cohomology_dims_match_exact_ranks(base, dense, module,
+                                              max_degree, seed):
+    p = _pooled(KV_POOL, conjugate_product, base, dense, random.Random(seed))
+    assert kv_cohomology_dims(p, module, max_degree) == \
+        dense_kv_cohomology_dims(p, module, max_degree)
+
+
+@CHECKS
+@given(base=st.sampled_from(range(len(LIE_POOL))), dense=st.booleans(),
+       coeffs=st.sampled_from((TRIVIAL, ADJOINT)),
+       max_degree=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+# so3 + abelian(1) and aff1 + aff1, densely conjugated
+@example(base=8, dense=True, coeffs=ADJOINT, max_degree=3, seed=0)
+@example(base=9, dense=True, coeffs=TRIVIAL, max_degree=3, seed=0)
+def test_ce_cohomology_dims_match_exact_ranks(base, dense, coeffs,
+                                              max_degree, seed):
+    L = _pooled(LIE_POOL, conjugate_lie, base, dense, random.Random(seed))
+    assert ce_cohomology_dims(L, coeffs, max_degree) == \
+        dense_ce_cohomology_dims(L, coeffs, max_degree)
+
+
+@CHECKS
+@given(base=st.sampled_from(range(len(ASSOC_POOL))), dense=st.booleans(),
+       max_degree=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+# k[t]/t^3, densely conjugated
+@example(base=4, dense=True, max_degree=2, seed=0)
+def test_hochschild_dims_match_exact_ranks(base, dense, max_degree, seed):
+    p = _pooled(ASSOC_POOL, conjugate_product, base, dense,
+                random.Random(seed))
+    assert hochschild_dims(p, max_degree) == \
+        dense_hochschild_dims(p, max_degree)
+
+
+def _scaled(entries, s):
+    return [(i, j, k, s * v) for i, j, k, v in entries]
+
+
+AFF1 = [(0, 1, 1, 1)]
+# e1·e0 = e0 is left-symmetric; k[t]/t^2 is associative; any multiple of
+# either is again
+KV2 = [(1, 0, 0, 1)]
+DUAL = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("scale", [P, 2 * P, Fraction(1, P)])
+def test_ranks_that_drop_mod_p_are_eliminated_exactly(scale):
+    # With every structure constant a multiple of P the integer coboundaries
+    # vanish mod P, so each nonzero rank must come from exact elimination;
+    # with 1/P the common denominator is P and the integers are units. A
+    # multiple of a bracket or product is isomorphic to it (x -> x / scale),
+    # so the dimensions are those of the unscaled table.
+    for entries, build, dims, oracle, options in (
+            (AFF1, lie_from_sparse, ce_cohomology_dims,
+             dense_ce_cohomology_dims, (TRIVIAL, ADJOINT)),
+            (KV2, product_from_sparse, kv_cohomology_dims,
+             dense_kv_cohomology_dims, (ADJOINT, SCALAR)),
+            (DUAL, product_from_sparse, lambda a, _: hochschild_dims(a),
+             lambda a, _: dense_hochschild_dims(a), (ADJOINT,))):
+        a = build(2, _scaled(entries, scale))
+        for option in options:
+            rep = dims(a, option)
+            assert rep == oracle(a, option)
+            assert rep == dims(build(2, entries), option)
+
+
+def test_denominator_divisible_by_p():
+    # aff1 + aff1 with the second bracket divided by P: the common
+    # denominator is P and the first bracket's integers vanish mod P
+    L = lie_from_sparse(4, AFF1 + [(2, 3, 3, Fraction(1, P))])
+    assert L.sparse.den == P
+    unscaled = lie_from_sparse(4, AFF1 + [(2, 3, 3, 1)])
+    for coeffs in (TRIVIAL, ADJOINT):
+        rep = ce_cohomology_dims(L, coeffs)
+        assert rep == dense_ce_cohomology_dims(L, coeffs)
+        assert rep == ce_cohomology_dims(unscaled, coeffs)
+
+
+def test_a_coboundary_that_does_not_square_to_zero_is_refused(monkeypatch):
+    # delta_1 replaced by the identity on C^1: its rank mod P meets the bound
+    # dim C^1 - rank delta_0, which holds only if delta_1 delta_0 = 0
+    entries = cohomology._ce_entries
+
+    def broken(sp, m, p, adjoint, dom_pos, cod):
+        if p != 1:
+            return entries(sp, m, p, adjoint, dom_pos, cod)
+        width = m if adjoint else 1
+        return ((i, i, 1) for i in range(len(dom_pos) * width))
+
+    monkeypatch.setattr(cohomology, "_ce_entries", broken)
+    with pytest.raises(ConformanceMismatch, match="squares to nonzero"):
+        ce_cohomology_dims(so3(), ADJOINT)
+
+
+def _sparse(a, nrows_cols):
+    """A dense integer matrix as the (rows, ncols, nrows) that
+    `_certified_ranks` takes."""
+    ncols, nrows = nrows_cols
+    return ({i: {j: x for j, x in enumerate(row) if x}
+             for i, row in enumerate(a)}, ncols, nrows)
+
+
+def _exact_ranks(mats):
+    return [len(linalg.rref(a)[1]) if a else 0 for a in mats]
+
+
+# C^0 -> C^1 -> C^2 with one rank that vanishes mod P: where the rank
+# drops, the bound from the other map is one more than l_q
+@pytest.mark.parametrize("mats, dims", [
+    ([[[1], [0]], [[0, P]]], (1, 2, 1)),
+    ([[[P], [0]], [[0, 1]]], (1, 2, 1)),
+    ([[[1, 0], [0, P], [0, 0]], [[0, 0, 1]]], (2, 3, 1)),
+])
+def test_certified_ranks_of_complexes_that_drop_mod_p(mats, dims):
+    deltas = [_sparse(a, dims[q:q + 2]) for q, a in enumerate(mats)]
+    assert cohomology._certified_ranks(deltas) == _exact_ranks(mats)
+
+
+@CHECKS
+@given(a=conftest.int_matrices(max_rows=6, max_cols=6),
+       mix=st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+                    max_size=6),
+       lift_rows=st.sets(st.integers(0, 5)),
+       lift_cols=st.sets(st.integers(0, 5)))
+def test_certified_ranks_match_exact_ranks(a, mix, lift_rows, lift_cols):
+    # A two-map complex A, B with B A = 0: B's rows are combinations of a
+    # basis of A's left kernel. Lifting columns of A and rows of B by P
+    # keeps B A = 0 and lowers their ranks mod P.
+    if not a or not a[0]:
+        return
+    left = [[int(x * lcm(*(y.denominator for y in v))) for x in v]
+            for v in linalg.nullspace(linalg.transpose(a), ncols=len(a))]
+    b = [[sum(k * v[j] for k, v in zip(ks, left)) for j in range(len(a))]
+         for ks in mix]
+    a = [[x * P if j in lift_cols else x for j, x in enumerate(row)]
+         for row in a]
+    b = [[x * P for x in row] if i in lift_rows else row
+         for i, row in enumerate(b)]
+    dims = (len(a[0]), len(a), len(b))
+    deltas = [_sparse(a, dims[0:2]), _sparse(b, dims[1:3])]
+    assert cohomology._certified_ranks(deltas) == _exact_ranks([a, b])

@@ -1,9 +1,11 @@
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from koszul._kernel import echelon
+from koszul._kernel import P, echelon, rank_mod_p
 
 from conftest import int_matrices
-from oracles import dense_bareiss, gauss_rank, sympy_det, sympy_rank
+from oracles import (dense_bareiss, dense_rank_mod, gauss_rank, sympy_det,
+                     sympy_rank)
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
                   max_examples=300,
@@ -52,3 +54,17 @@ def test_empty_and_zero_matrices():
 def test_echelon_matches_dense_bareiss(a):
     # the whole triple, integer for integer: rows, pivot columns, swap sign
     assert echelon(a) == dense_bareiss(a)
+
+
+@CHECKS
+@given(int_matrices(), st.sampled_from(("none", "even columns", "all")),
+       st.integers(0, 13))
+def test_rank_mod_p_matches_dense_elimination(a, lift, bound):
+    # entries lifted by P vanish mod P, so the rank there drops below the
+    # rank over the integers, which it never exceeds
+    a = [[x * P if lift == "all" or (lift != "none" and j % 2 == 0) else x
+          for j, x in enumerate(row)] for row in a]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    full = dense_rank_mod(a, P)
+    assert rank_mod_p(rows, bound) == min(bound, full)
+    assert rank_mod_p(iter(rows), 13) == full <= len(echelon(a)[1])
