@@ -78,25 +78,17 @@ def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 def rank_mod_p(rows, bound: int) -> int:
     """Rank modulo P of sparse integer rows, counted no higher than `bound`.
 
-    `rows` yields dicts {column: integer}. A matrix with more columns than
-    rows is read by columns instead, which keeps the reduced rows short. The
-    rows found independent so far are kept reduced: each is 1 at its own
-    pivot column and 0 at every other pivot column, so a new row is reduced
-    by one subtraction per pivot column it holds, and what is left, if
-    anything, is the next pivot row. Entries are reduced mod P where they
-    are read rather than after every update; they stay a few words long.
-    Stops as soon as the count reaches `bound`, so the result is min(bound,
-    rank mod P), a lower bound for the rank over the rationals.
+    `rows` yields dicts {column: integer}. The rows found independent so
+    far are kept reduced: each is 1 at its own pivot column and 0 at every
+    other pivot column, so a new row is reduced by one subtraction per pivot
+    column it holds, and what is left, if anything, is the next pivot row.
+    Entries are reduced mod P where they are read rather than after every
+    update; they stay a few words long. Stops as soon as the count reaches
+    `bound`, so the result is min(bound, rank mod P), a lower bound for the
+    rank over the rationals.
     """
     if bound <= 0:
         return 0
-    rows = list(rows)
-    columns: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns.setdefault(j, {})[i] = x
-    if len(columns) > len(rows):
-        rows = list(columns.values())
     basis: dict[int, dict[int, int]] = {}   # pivot column -> rest of its row
     for row in rows:
         acc: dict[int, int] = {}

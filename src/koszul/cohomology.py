@@ -340,9 +340,12 @@ def kv_coboundary_matrix(algebra: BilinearProduct, coefficients: str, q: int):
                      *_kv_delta(algebra, coefficients, q, zero_basis))
 
 
-def _check_kv(algebra: BilinearProduct, coefficients: str) -> None:
+def _check_kv(algebra: BilinearProduct, coefficients: str,
+              max_degree: int = 0) -> None:
     if coefficients not in (ADJOINT, SCALAR):
         raise ValidationError("coefficients must be adjoint or scalar")
+    if max_degree > 3:
+        raise ValidationError("degrees capped at 3")
     if not algebra.is_kv:
         raise NotKV("product is not left-symmetric")
 
@@ -376,11 +379,7 @@ def _primitive(v) -> tuple[int, ...]:
 def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
                        max_degree: int = 3) -> CohomologyReport:
     """Exact dims of the left-symmetric complex up to max_degree <= 3."""
-    if coefficients not in (ADJOINT, SCALAR):
-        raise ValidationError("coefficients must be adjoint or scalar")
-    if max_degree > 3:
-        raise ValidationError("degrees capped at 3")
-    _check_kv(algebra, coefficients)
+    _check_kv(algebra, coefficients, max_degree)
     # integer degree-0 columns; rescaling a column keeps every rank and
     # delta_1 delta_0 = 0
     zero_basis = ([_primitive(v) for v in kv_degree_zero_space(algebra)]

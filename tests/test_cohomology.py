@@ -85,6 +85,17 @@ def test_kv_rejects_non_left_symmetric_products():
         kv_coboundary(c, bad)
 
 
+def test_kv_cohomology_dims_guards():
+    # coefficients are checked first, then the degree cap, then the product
+    bad = product_from_sparse(2, [(0, 0, 1, 1), (1, 0, 1, -1)])
+    with pytest.raises(ValidationError, match="adjoint or scalar"):
+        kv_cohomology_dims(bad, TRIVIAL, max_degree=4)
+    with pytest.raises(ValidationError, match="capped at 3"):
+        kv_cohomology_dims(bad, ADJOINT, max_degree=4)
+    with pytest.raises(NotKV):
+        kv_cohomology_dims(bad, SCALAR)
+
+
 def test_kv_reference_betti_numbers():
     assert kv_cohomology_dims(heisenberg_kv(), SCALAR).betti() == (1, 2, 5, 13)
     assert kv_cohomology_dims(heisenberg_kv(), ADJOINT).betti() == (1, 2, 11, 29)
