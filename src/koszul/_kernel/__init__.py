@@ -12,15 +12,28 @@ pivot only over its own; every other cell is zero before and after the step.
 The arithmetic on the cells it visits is the textbook update, so the result
 is the same integers the dense loop produces.
 
-`rank_mod_p` is the cheap half of a certified rank. Reducing an integer
-matrix modulo a prime can only lose rank (every minor that vanishes over
-the integers vanishes mod P), so its result is a lower bound; the caller
-proves the bound exact from an upper bound of its own, or falls back to
-`echelon` (see `koszul.cohomology`). Entries are taken mod P = 2**31 - 1,
-one fixed prime, so no intermediate grows the way Bareiss minors do.
+`independent_rows_mod_p` is the cheap half of two certificates. Reducing
+an integer matrix modulo a prime can only lose rank (every minor that
+vanishes over the integers vanishes mod P), so rows that are independent
+mod P are independent over the rationals, and their count is a lower bound
+for the rank. Entries are taken mod P = 2**31 - 1, one fixed prime, so no
+intermediate grows the way Bareiss minors do.
+
+`row_space` turns those rows into the exact row space. It eliminates the
+rows kept mod P alone, continues to the reduced form, and checks in
+integers that every dropped row lies in the span of the result: with
+reduced rows red_k, pivot columns p_k, pivots piv_k and L = lcm(piv_k), a
+row x lies in their span exactly when L * x[j] = sum_k x[p_k] * (L / piv_k)
+* red_k[j] on every non-pivot column j. When every dropped row passes, the
+two row spaces are equal, so the reduced rows are those of the whole
+system. When one fails, P divides a minor the rank needs, and every row is
+eliminated instead. `koszul.cohomology` pairs the lower bound with an upper
+bound from delta² = 0 and calls `row_space` only where the two differ.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 P = 2 ** 31 - 1
 
@@ -75,22 +88,61 @@ def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     return a, pivots, sign
 
 
-def rank_mod_p(rows, bound: int) -> int:
-    """Rank modulo P of sparse integer rows, counted no higher than `bound`.
+def reduced_echelon(rows: list[list[int]]
+                    ) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Reduced row-echelon form of an integer matrix, fraction-free.
 
-    `rows` yields dicts {column: integer}. The rows found independent so
-    far are kept reduced: each is 1 at its own pivot column and 0 at every
-    other pivot column, so a new row is reduced by one subtraction per pivot
+    Returns (rows, pivot_columns, supports): one row per pivot, nonzero at
+    its own pivot column and zero at every other, and the columns where it
+    is nonzero. `echelon` runs first; back-substitution then stays in
+    integers: clearing pivot column c from a row above combines it with the
+    pivot row, visiting only rows that hold c and only their nonzero
+    columns, then divides out the row's content.
+    """
+    ech, pivots, _ = echelon(rows)
+    red = ech[:len(pivots)]
+    support = [[j for j, x in enumerate(row) if x] for row in red]
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        row_i = red[i]
+        piv = row_i[c]
+        for t in range(i):
+            row_t = red[t]
+            f = row_t[c]
+            if not f:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            cols = set(support[t]).union(support[i])
+            for j in cols:
+                row_t[j] = a * row_t[j] - b * row_i[j]
+            nz = [j for j in cols if row_t[j]]
+            content = gcd(*(row_t[j] for j in nz))
+            if content > 1:
+                for j in nz:
+                    row_t[j] //= content
+            support[t] = nz
+    return red, pivots, support
+
+
+def independent_rows_mod_p(rows, bound: int) -> list[int]:
+    """Positions of sparse integer rows independent modulo P, at most `bound`.
+
+    `rows` yields dicts {column: integer}, read in order; a row is kept when
+    it is independent mod P of the rows kept before it. The kept rows are
+    held reduced: each is 1 at its own pivot column and 0 at every other
+    pivot column, so a new row is reduced by one subtraction per pivot
     column it holds, and what is left, if anything, is the next pivot row.
     Entries are reduced mod P where they are read rather than after every
-    update; they stay a few words long. Stops as soon as the count reaches
-    `bound`, so the result is min(bound, rank mod P), a lower bound for the
+    update; they stay a few words long. Stops as soon as `bound` rows are
+    kept, so their count is min(bound, rank mod P), a lower bound for the
     rank over the rationals.
     """
+    kept: list[int] = []
     if bound <= 0:
-        return 0
+        return kept
     basis: dict[int, dict[int, int]] = {}   # pivot column -> rest of its row
-    for row in rows:
+    for pos, row in enumerate(rows):
         acc: dict[int, int] = {}
         for c, x in row.items():
             b = basis.get(c)
@@ -112,9 +164,55 @@ def rank_mod_p(rows, bound: int) -> int:
                 for j, v in new.items():
                     b[j] = b.get(j, 0) - f * v
         basis[c] = new
-        if len(basis) == bound:
+        kept.append(pos)
+        if len(kept) == bound:
             break
-    return len(basis)
+    return kept
 
 
-__all__ = ["P", "echelon", "rank_mod_p"]
+def row_space(rows: list[dict[int, int]], ncols: int, kept
+              ) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """`reduced_echelon` of the sparse integer rows (dicts {column:
+    integer}, columns below ncols), from the rows at positions `kept` alone
+    when every other row lies in their span, else from every row.
+
+    `kept` comes from `independent_rows_mod_p`; the span check is the one in
+    the module docstring.
+    """
+    def reduce(chosen):
+        return reduced_echelon([[row.get(j, 0) for j in range(ncols)]
+                                for row in chosen])
+
+    keep = set(kept)
+    red, pivots, support = reduce(rows[i] for i in kept)
+    dropped = (row for i, row in enumerate(rows) if i not in keep)
+    if not _spans(red, pivots, support, dropped):
+        # P divides a minor: the rank mod P fell short of the rank
+        red, pivots, support = reduce(rows)
+    return red, pivots, support
+
+
+def _spans(red, pivots, support, rows) -> bool:
+    """True when every sparse integer row lies in the row space of the
+    reduced rows `red`, checked in integers over the rows' nonzeros."""
+    scale = lcm(*(row[c] for row, c in zip(red, pivots)))
+    at = {c: (scale // row[c], row, [j for j in cols if j != c])
+          for row, c, cols in zip(red, pivots, support)}
+    for row in rows:
+        acc: dict[int, int] = {}
+        for j, x in row.items():
+            hit = at.get(j)
+            if hit is None:
+                acc[j] = acc.get(j, 0) - scale * x
+                continue
+            f, red_k, cols = hit
+            f *= x
+            for t in cols:
+                acc[t] = acc.get(t, 0) + f * red_k[t]
+        if any(acc.values()):
+            return False
+    return True
+
+
+__all__ = ["P", "echelon", "independent_rows_mod_p", "reduced_echelon",
+           "row_space"]

@@ -22,8 +22,10 @@ l_q, is a lower bound. As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q =
 0, r_q <= u_q = min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q =
 u_q, r_q = l_q; the square that bound relies on is then checked exactly as a
 sparse integer product (a nonzero one raises ConformanceMismatch). Where
-l_q < u_q the integer rows are eliminated exactly, and that rank replaces
-l_q in its neighbours' bounds. Acyclic degrees meet the bound.
+l_q < u_q the rows independent mod the prime are eliminated exactly and
+every other row is checked to lie in their span (`koszul._kernel.row_space`;
+all rows are eliminated when a check fails), and that rank replaces l_q in
+its neighbours' bounds. Acyclic degrees meet the bound.
 
 Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
@@ -43,7 +45,7 @@ from itertools import combinations, product as iproduct
 from math import gcd, lcm
 
 from koszul import linalg
-from koszul._kernel import echelon, rank_mod_p
+from koszul._kernel import independent_rows_mod_p, row_space
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             jacobi_defect, kv_anomaly, operator_defect,
                             operator_matrix, table3)
@@ -185,10 +187,11 @@ def _certified_ranks(deltas) -> list[int]:
     no contributions rank 0 without elimination.
     """
     n = len(deltas)
-    low: list[int] = []
+    kept: list[list[int]] = []
     for q, (rows, ncols, _) in enumerate(deltas):
-        low.append(rank_mod_p(rows.values(),
-                              min(len(rows), ncols - (low[-1] if q else 0))))
+        bound = min(len(rows), ncols - (len(kept[-1]) if q else 0))
+        kept.append(independent_rows_mod_p(rows.values(), bound))
+    low = [len(k) for k in kept]
     exact = [False] * n
 
     def square(q):
@@ -208,11 +211,11 @@ def _certified_ranks(deltas) -> list[int]:
         if q is None:
             break
         rows, ncols, _ = deltas[q]
-        dense = []
+        primitive = []
         for row in rows.values():
             g = gcd(*row.values()) or 1
-            dense.append([row.get(j, 0) // g for j in range(ncols)])
-        low[q] = len(echelon(dense)[1])
+            primitive.append({j: x // g for j, x in row.items()})
+        low[q] = len(row_space(primitive, ncols, kept[q])[1])
         exact[q] = True
     for q in sorted({square(q) for q in range(n)} - {()}):
         _check_square(deltas[q + 1][0], deltas[q][0], q)

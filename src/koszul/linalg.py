@@ -3,19 +3,29 @@
 Matrices are sequences of rows of `fractions.Fraction`. Rank, determinant,
 echelon and nullspace computations scale each row to integers (which keeps
 its row space and kernel) and run the fraction-free integer kernel
-(`koszul._kernel.echelon`); `rref` continues fraction-free upward to a
-reduced form with one integer pivot per row, so the only rational step is
-one division by the pivot per output entry. All of these work on the
-nonzero entries only: a zero cell costs nothing to scale, eliminate or
-back-substitute.
+(`koszul._kernel`); `rref` continues fraction-free upward to a reduced form
+with one integer pivot per row, so the only rational step is one division
+by the pivot per output entry. All of these work on the nonzero entries
+only: a zero cell costs nothing to scale, eliminate or back-substitute.
+
+A system with more rows than columns (m^3 gauge conditions on m^2
+unknowns, say) is reduced from a certificate rather than from every row:
+the rows independent modulo a prime are independent over the rationals,
+so `rref` eliminates those alone and checks in integers that every other
+row lies in the span of the result (`koszul._kernel.row_space`). The
+reduced row-echelon form is a function of the row space, so it is the same
+as eliminating every row; when a check fails, every row is eliminated.
+`rank`, `det` and systems with no more rows than columns eliminate every
+row directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from koszul._kernel import echelon
+from koszul._kernel import (echelon, independent_rows_mod_p, reduced_echelon,
+                            row_space)
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -116,7 +126,7 @@ def commutator(a, b) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def _to_int_rows(rows) -> tuple[list[list[int]], list[int]]:
+def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the LCM of its denominators; returns (rows, scales)."""
     out: list[list[int]] = []
     scales: list[int] = []
@@ -135,7 +145,7 @@ def rank(rows) -> int:
     rows = [r for r in rows]
     if not rows or not rows[0]:
         return 0
-    int_rows, _ = _to_int_rows(rows)
+    int_rows, _ = integer_rows(rows)
     _, pivots, _ = echelon(int_rows)
     return len(pivots)
 
@@ -145,7 +155,7 @@ def det(a) -> Fraction:
     n = len(a)
     if n == 0:
         return Fraction(1)
-    int_rows, scales = _to_int_rows(a)
+    int_rows, scales = integer_rows(a)
     ech, pivots, sign = echelon(int_rows)
     if len(pivots) < n:
         return Fraction(0)
@@ -158,42 +168,26 @@ def det(a) -> Fraction:
     return d
 
 
+def _reduce(int_rows: list[list[int]], ncols: int):
+    """Integer reduced echelon (rows, pivots, supports) of a system, from
+    the rows independent mod P when it has more rows than columns."""
+    if len(int_rows) <= ncols:
+        return reduced_echelon(int_rows)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in int_rows]
+    return row_space(sparse, ncols, independent_rows_mod_p(sparse, ncols))
+
+
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row-echelon form with unit pivots; returns (rref, pivot_cols).
 
-    Back-substitution stays in integers: clearing pivot column c from a row
-    above combines it with the pivot row, visiting only rows that hold c
-    and only their nonzero columns, then divides out the row's content.
-    Each entry of the result is then one quotient by its row's pivot.
+    Each entry of the result is one quotient of the integer reduced form
+    (`koszul._kernel.reduced_echelon`) by its row's pivot.
     """
-    rows = [list(r) for r in rows]
+    rows = [r for r in rows]
     if not rows or not rows[0]:
         return (), ()
     ncols = len(rows[0])
-    int_rows, _ = _to_int_rows(rows)
-    ech, pivots, _ = echelon(int_rows)
-    red = ech[:len(pivots)]
-    support = [[j for j, x in enumerate(row) if x] for row in red]
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        row_i = red[i]
-        piv = row_i[c]
-        for t in range(i):
-            row_t = red[t]
-            f = row_t[c]
-            if not f:
-                continue
-            g = gcd(piv, f)
-            a, b = piv // g, f // g
-            cols = set(support[t]).union(support[i])
-            for j in cols:
-                row_t[j] = a * row_t[j] - b * row_i[j]
-            nz = [j for j in cols if row_t[j]]
-            content = gcd(*(row_t[j] for j in nz))
-            if content > 1:
-                for j in nz:
-                    row_t[j] //= content
-            support[t] = nz
+    red, pivots, support = _reduce(integer_rows(rows)[0], ncols)
     zero = Fraction(0)
     out = []
     for row, c, cols in zip(red, pivots, support):
@@ -212,17 +206,25 @@ def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
+    return integer_nullspace(integer_rows(rows)[0], ncols)
+
+
+def integer_nullspace(int_rows: list[list[int]],
+                      ncols: int) -> tuple[Vec, ...]:
+    """`nullspace` of rows given as `integer_rows` gives them."""
     if ncols == 0:
         return ()
-    red, pivots = rref(rows)
+    red, pivots, _ = _reduce(int_rows, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
+    zero = Fraction(0)
     basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * ncols
+        v = [zero] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(red, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return tuple(basis)
 

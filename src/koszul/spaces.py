@@ -7,8 +7,9 @@ immutable basis plus convenience views (matrix reshaping, membership tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from koszul import linalg
 from koszul.errors import KoszulError
@@ -71,14 +72,19 @@ def from_conditions(rows, ambient_dim: int,
                     shape: tuple[int, ...] | None = None) -> LinearSolutionSpace:
     """Solve rows @ x = 0 and wrap the kernel, re-verifying each basis vector.
 
-    The re-verification closes the loop on the integer-scaled elimination: every
-    returned vector is substituted back into the original rational conditions.
+    The re-verification closes the loop on the integer-scaled elimination:
+    every returned vector, scaled to integers, is substituted back into the
+    conditions, scaled to integers once for both the solve and the check.
     """
-    basis = linalg.nullspace(rows, ncols=ambient_dim)
-    conditions = [[(j, linalg.frac(a)) for j, a in enumerate(row) if a]
-                  for row in rows]
+    int_rows, _ = linalg.integer_rows(rows)
+    basis = linalg.integer_nullspace(int_rows, ambient_dim)
+    scaled = []
     for v in basis:
-        for cond in conditions:
-            if sum(a * v[j] for j, a in cond) != 0:
+        m = lcm(*(x.denominator for x in v))
+        scaled.append([x.numerator * (m // x.denominator) for x in v])
+    for row in int_rows:
+        nz = [(j, a) for j, a in enumerate(row) if a]
+        for w in scaled:
+            if sum(a * w[j] for j, a in nz):
                 raise KoszulError("solver produced a vector violating its conditions")
     return LinearSolutionSpace(ambient_dim=ambient_dim, basis=basis, shape=shape)

@@ -1,10 +1,12 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from koszul import linalg
+from koszul import _kernel, linalg
 from koszul.algebra import (
     BilinearProduct,
     LieAlgebra,
@@ -169,6 +171,24 @@ def rational_matrices(draw, square=False):
                          min_size=sum(map(len, a)), max_size=sum(map(len, a))))
     it = iter(dens)
     return [[Fraction(x, next(it)) for x in row] for row in a]
+
+
+@contextmanager
+def eliminations():
+    """Yields a list that collects the row count of every exact reduction
+    (`_kernel.reduced_echelon`) made inside the block: one per system when
+    the rows kept mod P pass the span check, two when every row is then
+    eliminated."""
+    seen = []
+    real = _kernel.reduced_echelon
+
+    def spy(rows):
+        seen.append(len(rows))
+        return real(rows)
+
+    with mock.patch.object(_kernel, "reduced_echelon", spy), \
+            mock.patch.object(linalg, "reduced_echelon", spy):
+        yield seen
 
 
 @pytest.fixture

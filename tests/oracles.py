@@ -12,18 +12,20 @@ former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
 its former right-ideal core loop (`dense_right_ideal_core`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
-elimination modulo a prime (`dense_rank_mod`), public helpers the library
+elimination modulo a prime (`dense_rank_mod`), its former reduced
+row-echelon form over every row (`full_rref`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), and closed forms from
 textbooks. Slower is fine; agreeing by construction is the point.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb
+from math import comb, gcd, lcm
 
 import sympy
 
 from koszul import linalg
+from koszul._kernel import echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             kv_anomaly, table3)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
@@ -35,6 +37,7 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
                            ValidationError)
 from koszul.gauge import FeStarSolutions
+from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
 
 
@@ -143,6 +146,69 @@ def dense_rank_mod(rows, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def _to_int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Scale each row by the LCM of its denominators; returns (rows, scales)."""
+    out: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        nz = [(j, frac(x)) for j, x in enumerate(row) if x]
+        m = lcm(*(f.denominator for _, f in nz)) if nz else 1
+        ints = [0] * len(row)
+        for j, f in nz:
+            ints[j] = f.numerator * (m // f.denominator)
+        out.append(ints)
+        scales.append(m)
+    return out, scales
+
+
+def full_rref(rows) -> tuple[Mat, tuple[int, ...]]:
+    """The library's former `linalg.rref`: every row eliminated. Reduced
+    row-echelon form with unit pivots; returns (rref, pivot_cols).
+
+    Back-substitution stays in integers: clearing pivot column c from a row
+    above combines it with the pivot row, visiting only rows that hold c
+    and only their nonzero columns, then divides out the row's content.
+    Each entry of the result is then one quotient by its row's pivot.
+    """
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return (), ()
+    ncols = len(rows[0])
+    int_rows, _ = _to_int_rows(rows)
+    ech, pivots, _ = echelon(int_rows)
+    red = ech[:len(pivots)]
+    support = [[j for j, x in enumerate(row) if x] for row in red]
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        row_i = red[i]
+        piv = row_i[c]
+        for t in range(i):
+            row_t = red[t]
+            f = row_t[c]
+            if not f:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            cols = set(support[t]).union(support[i])
+            for j in cols:
+                row_t[j] = a * row_t[j] - b * row_i[j]
+            nz = [j for j in cols if row_t[j]]
+            content = gcd(*(row_t[j] for j in nz))
+            if content > 1:
+                for j in nz:
+                    row_t[j] //= content
+            support[t] = nz
+    zero = Fraction(0)
+    out = []
+    for row, c, cols in zip(red, pivots, support):
+        piv = row[c]
+        vals = [zero] * ncols
+        for j in cols:
+            vals[j] = Fraction(row[j], piv)
+        out.append(tuple(vals))
+    return tuple(out), tuple(pivots)
 
 
 def sympy_rank(rows):

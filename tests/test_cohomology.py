@@ -34,10 +34,11 @@ from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
 from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
-from conftest import (rand_fraction, rand_invertible, random_lie,
-                      truncated_poly)
+from conftest import (eliminations, rand_fraction, rand_invertible,
+                      random_lie, truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
-                     dense_ce_cohomology_dims, dense_hochschild_coboundary,
+                     dense_ce_cohomology_dims, dense_dims_from_deltas,
+                     dense_hochschild_coboundary,
                      dense_hochschild_dims, dense_kv_coboundary,
                      dense_kv_cohomology_dims, dense_maurer_cartan_defect,
                      hochschild_delta_by_cochains, kv_delta_by_cochains)
@@ -396,6 +397,34 @@ def test_denominator_divisible_by_p():
         rep = ce_cohomology_dims(L, coeffs)
         assert rep == dense_ce_cohomology_dims(L, coeffs)
         assert rep == ce_cohomology_dims(unscaled, coeffs)
+
+
+def test_kept_rows_that_fail_the_span_check_are_eliminated_in_full():
+    # C^0 -> C^1 -> C^2 with delta_1 of rank 2 and rank 1 mod P: its rows
+    # (0, 1, 0) and (0, 2, 0) are dependent and (0, 0, P) vanishes mod P,
+    # so the bound 2 = dim C^1 - rank delta_0 is not met. Of the rows
+    # dropped mod P the first lies in the span of the kept one and the
+    # second does not, so every row of delta_1 is eliminated.
+    a = [[1], [0], [0]]
+    b = [[0, 1, 0], [0, 2, 0], [0, 0, P]]
+    deltas = [([(i, j, x) for i, row in enumerate(m) for j, x in
+                enumerate(row) if x], len(m[0]), len(m)) for m in (a, b)]
+    with eliminations() as seen:
+        rep = cohomology._dims_from_deltas("test", TRIVIAL, 1, deltas)
+    assert seen == [1, 3]
+    dense = [[[Fraction(x) for x in row] for row in m] for m in (a, b)]
+    assert rep == dense_dims_from_deltas("test", TRIVIAL, 1, (1, 3), dense)
+    assert [d.coboundaries for d in rep.degrees] == [0, 1]
+    # aff1 + aff1 with the second bracket times P: the kept rows come from
+    # the first summand and miss the second one's rows
+    L = lie_from_sparse(4, AFF1 + [(2, 3, 3, P)])
+    for coeffs in (TRIVIAL, ADJOINT):
+        with eliminations() as seen:
+            rep = ce_cohomology_dims(L, coeffs)
+        assert any(0 < k < n for k, n in zip(seen, seen[1:]))
+        assert rep == dense_ce_cohomology_dims(L, coeffs)
+        assert rep == ce_cohomology_dims(
+            lie_from_sparse(4, AFF1 + [(2, 3, 3, 1)]), coeffs)
 
 
 def test_a_coboundary_that_does_not_square_to_zero_is_refused(monkeypatch):

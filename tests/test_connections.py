@@ -1,11 +1,10 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from koszul import linalg
 from koszul.algebra import abelian, zero_product
-from koszul.catalog import aff1, aff1_symplectic_connection, heisenberg, so3
+from koszul.catalog import aff1_symplectic_connection, so3
 from koszul.connections import (
     InvariantConnection,
     alpha_connection,
@@ -18,7 +17,7 @@ from koszul.connections import (
     torsion,
 )
 from koszul.errors import SingularMetric, ValidationError
-from koszul.forms import BilinearForm, identity_form
+from koszul.forms import BilinearForm
 
 import conftest
 from conftest import rand_fraction, random_lie, random_metric, random_torsion_free

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszul import linalg
-from koszul.algebra import (BilinearProduct, conjugate_product,
-                            product_from_sparse, zero_product)
+from koszul.algebra import conjugate_product, product_from_sparse, zero_product
 from koszul.catalog import heisenberg_kv
 from koszul.errors import NotAssociative, NotRightIdeal, ValidationError
 from koszul.flatmodels import (

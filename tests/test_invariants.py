@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -38,7 +37,7 @@ from koszul.invariants import (
 )
 from koszul.spaces import LinearSolutionSpace
 
-from conftest import random_lie, random_metric, random_torsion_free
+from conftest import random_metric
 
 
 def kv_connection(p):

@@ -1,7 +1,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from koszul._kernel import P, echelon, rank_mod_p
+from koszul._kernel import P, echelon, independent_rows_mod_p
 
 from conftest import int_matrices
 from oracles import (dense_bareiss, dense_rank_mod, gauss_rank, sympy_det,
@@ -66,5 +66,9 @@ def test_rank_mod_p_matches_dense_elimination(a, lift, bound):
           for j, x in enumerate(row)] for row in a]
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
     full = dense_rank_mod(a, P)
-    assert rank_mod_p(rows, bound) == min(bound, full)
-    assert rank_mod_p(iter(rows), 13) == full <= len(echelon(a)[1])
+    assert len(independent_rows_mod_p(rows, bound)) == min(bound, full)
+    kept = independent_rows_mod_p(iter(rows), 13)
+    assert len(kept) == full <= len(echelon(a)[1])
+    # rows independent mod P are independent over the integers
+    assert kept == sorted(set(kept))
+    assert len(echelon([a[i] for i in kept])[1]) == len(kept)

@@ -1,14 +1,20 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from koszul import linalg
+from koszul._kernel import P
 
-from conftest import rand_fraction, rand_invertible, rational_matrices
-from oracles import (gauss_eliminate, gauss_nullspace, gauss_rank, sympy_det,
-                     sympy_rank)
+from conftest import (eliminations, int_matrices, rand_fraction,
+                      rand_invertible, rational_matrices)
+from oracles import (dense_rank_mod, full_rref, gauss_eliminate,
+                     gauss_nullspace, gauss_rank, sympy_det, sympy_rank)
+
+F = Fraction
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
                   max_examples=60,
@@ -188,3 +194,84 @@ def test_det_inverse_solve_match_gauss_and_sympy(a):
     assert (x is not None) == consistent
     if x is not None:
         assert linalg.mat_vec(a, x) == tuple(e0)
+
+
+@st.composite
+def tall_rational_matrices(draw):
+    """Rational matrices with more rows than columns. Appended rows are
+    P times a row, a row plus P times another (equal to the first mod P),
+    or a small combination of two rows; then the rows are shuffled. So rows
+    independent over the rationals are often dependent mod P."""
+    a = draw(int_matrices(max_rows=10, max_cols=6))
+    assume(a and a[0])
+    extra = draw(st.lists(st.tuples(
+        st.sampled_from(("times P", "plus P times", "combination")),
+        st.integers(0, 9), st.integers(0, 9), st.integers(-2, 2)),
+        min_size=max(0, len(a[0]) + 1 - len(a)), max_size=8))
+    for kind, s, t, k in extra:
+        u, v = a[s % len(a)], a[t % len(a)]
+        if kind == "times P":
+            a.append([P * x for x in u])
+        elif kind == "plus P times":
+            a.append([x + P * y for x, y in zip(u, v)])
+        else:
+            a.append([k * x + y for x, y in zip(u, v)])
+    a = [a[i] for i in draw(st.permutations(range(len(a))))]
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3, 7)),
+                         min_size=sum(map(len, a)), max_size=sum(map(len, a))))
+    it = iter(dens)
+    return [[Fraction(x, next(it)) for x in row] for row in a]
+
+
+def _kernel_from_rref(red, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+@settings(CHECKS, max_examples=300)
+@given(tall_rational_matrices())
+# the first dropped row lies in the span of the kept one, the second not
+@example([[F(1), F(0)], [F(2), F(0)], [F(0), F(P)]])
+# no row is kept mod P
+@example([[F(P), F(0)], [F(0), F(P)], [F(P), F(P)]])
+def test_tall_rref_and_nullspace_match_full_elimination(a):
+    nr, nc = len(a), len(a[0])
+    with eliminations() as seen:
+        red, pivots = linalg.rref(a)
+    assert (red, pivots) == full_rref(a)
+    # The rows kept mod P span the row space unless the rank mod P of the
+    # integer rows falls below the rank; then every row is eliminated.
+    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+            for row in a]
+    kept = min(nc, dense_rank_mod(ints, P))
+    full = kept < len(pivots)
+    assert seen == ([kept, nr] if full else [kept])
+    ns = linalg.nullspace(a, ncols=nc)
+    assert ns == _kernel_from_rref(red, pivots, nc)
+    assert ns == tuple(gauss_nullspace(a, nc))
+
+
+def test_rows_dependent_only_mod_p_take_the_full_elimination():
+    # (0, P) vanishes mod P and (1, 1 + P) is (1, 1) mod P: one row is kept
+    # of rank 2, and the column space, solve and nullspace see both ranks
+    a = [[F(1), F(1)], [F(0), F(P)], [F(2), F(2)], [F(1), F(1 + P)]]
+    with eliminations() as seen:
+        red, pivots = linalg.rref(a)
+    assert seen == [1, 4]
+    assert (red, pivots) == full_rref(a) == (((1, 0), (0, 1)), (0, 1))
+    with eliminations() as seen:
+        assert linalg.nullspace(a) == ()
+        assert len(linalg.column_space_basis(a)) == 2
+        assert linalg.solve(a, [F(1), F(0), F(2), F(1)]) == (1, 0)
+    assert seen == [1, 4] * 3
+    # where the kept rows do span, the other rows are never eliminated
+    b = [[F(1), F(1)], [F(2), F(2)], [F(3), F(3)]]
+    with eliminations() as seen:
+        assert linalg.nullspace(b) == ((-1, 1),)
+    assert seen == [1]

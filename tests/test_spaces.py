@@ -20,10 +20,10 @@ def test_from_conditions_rejects_a_vector_violating_its_conditions(
         monkeypatch):
     # a solver that answers with a wrong vector must not get past the
     # substitution check, including on a condition with one nonzero entry
-    def wrong(rows, ncols=None):
+    def wrong(int_rows, ncols):
         return ((F(1), F(0), F(1)), (F(0), F(1), F(0)))
 
-    monkeypatch.setattr(linalg, "nullspace", wrong)
+    monkeypatch.setattr(linalg, "integer_nullspace", wrong)
     rows = [[F(1), F(0), F(-1)], [F(0), F(2), F(0)]]
     with pytest.raises(KoszulError, match="violating its conditions"):
         spaces.from_conditions(rows, 3)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from koszul import linalg
-from koszul.errors import ConformanceMismatch, ValidationError
+from koszul.errors import ValidationError
 from koszul.spencer import (
     SymbolSpace,
     cartan_test,
