@@ -1,16 +1,22 @@
 """Finite-dimensional algebras over the rationals and their defect tensors.
 
-A bilinear product is stored as a rank-3 table gamma[i][j][k]: the e_k
-coefficient of e_i·e_j. A Lie algebra stores its bracket the same way and
-validates antisymmetry and Jacobi at construction.
+A bilinear product is a rank-3 table gamma[i][j][k]: the e_k coefficient of
+e_i·e_j. A Lie algebra has its bracket table c[i][j][k] and validates
+antisymmetry and Jacobi at construction.
 
-The dense table is the public form; every tensor computation reads the
-table's nonzeros instead (`SparseTable`, derived once per algebra). Defect
-tensors (Jacobi, associator, left-symmetry anomaly) and the Killing form are
-contractions over pairs of nonzeros, so their cost follows the number of
-nonzero coefficients rather than a power of the dimension. They are exact;
-a defect tensor stores only its nonzero entries, and "zero" means it has
-none.
+Both store only the table's nonzeros (`SparseTable`), and every builder
+writes those nonzeros directly. Defect tensors (Jacobi, associator,
+left-symmetry anomaly) and the Killing form are contractions over pairs of
+nonzeros, so their cost follows the number of nonzero coefficients rather
+than a power of the dimension. They are exact; a defect tensor stores only
+its nonzero entries, and "zero" means it has none. The nested tuples
+`gamma` and `c` are dense views, built on first use for callers that index
+the whole table.
+
+Work whose size is a power of the dimension or a count of pairs of
+nonzeros is first estimated from the nonzeros and refused above a fixed
+bound (`envelope`), so an input too large for memory fails with a
+`ValidationError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import lcm
 
 from koszul import linalg
@@ -28,33 +34,49 @@ from koszul.linalg import Mat, Vec, frac
 
 Table3 = tuple[tuple[Vec, ...], ...]
 
+# Both bounds sit far above every input of the tests and the benchmark
+# (at most 1,728 dense cells and 25,088 pairs). A dense view at the bound
+# is dim 100; a contraction at the bound keeps at most three integer
+# accumulators per pair, a few hundred MB: check-lie on affine:20 (669k
+# pairs) peaks near 240 MB, and affine:25 (1.6M pairs) is refused.
+DENSE_CELL_BOUND = 10 ** 6
+PAIR_BOUND = 10 ** 6
 
-def table3(entries) -> Table3:
-    return tuple(tuple(tuple(frac(x) for x in row) for row in plane)
-                 for plane in entries)
+
+def envelope(work: str, estimate: int, bound: int) -> None:
+    """Refuse `work` when its size estimate, taken before any allocation,
+    exceeds `bound`."""
+    if estimate > bound:
+        raise ValidationError(
+            f"refused: {work} estimated at {estimate}, above the bound of "
+            f"{bound}")
 
 
-def zero_table3(m: int) -> Table3:
-    z = Fraction(0)
-    return tuple(tuple(tuple(z for _ in range(m)) for _ in range(m))
-                 for _ in range(m))
+def _pairs_visited(keys, partners: dict) -> int:
+    """Pairs a contraction visits: the partner-list length summed over the
+    keys of the nonzeros, in O(nonzeros)."""
+    return sum(len(partners.get(a, ())) for a in keys)
 
 
 class SparseTable:
     """Nonzero coefficients of a rank-3 table, as integers over one denominator.
 
-    `nonzeros` lists (i, j, k, n) meaning t[i][j][k] = n / den, and
-    `by_first` groups them as i -> [(j, k, n)]. `by_second` (j -> [(i, k,
-    n)]) and `by_pair` ((i, j) -> [(k, n)]) group them too, built on first
-    use, since most tables never need them. A contraction multiplies and
-    adds these integers and divides by the product of the denominators once
-    at the end, which gives the same rationals as `Fraction` arithmetic.
+    Built from (i, j, k, value) entries with distinct indices; zero values
+    are dropped. `nonzeros` lists (i, j, k, n) in index order, meaning
+    t[i][j][k] = n / den with den the least common denominator of the
+    values, so two tables compare and hash equal exactly when their values
+    agree. `by_first` groups the nonzeros as i -> [(j, k, n)]. `by_second`
+    (j -> [(i, k, n)]) and `by_pair` ((i, j) -> [(k, n)]) group them too,
+    built on first use, since most tables never need them. A contraction
+    multiplies and adds these integers and divides by the product of the
+    denominators once at the end, which gives the same rationals as
+    `Fraction` arithmetic.
     """
 
     __slots__ = ("den", "nonzeros", "by_first", "_by_second", "_by_pair")
 
-    def __init__(self, nonzeros):
-        entries = [(i, j, k, frac(v)) for i, j, k, v in nonzeros if v]
+    def __init__(self, entries=()):
+        entries = sorted((i, j, k, frac(v)) for i, j, k, v in entries if v)
         self.den = d = lcm(*(v.denominator for *_, v in entries))
         self.nonzeros = tuple((i, j, k, v.numerator * (d // v.denominator))
                               for i, j, k, v in entries)
@@ -62,6 +84,29 @@ class SparseTable:
         for i, j, k, n in self.nonzeros:
             self.by_first.setdefault(i, []).append((j, k, n))
         self._by_second = self._by_pair = None
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseTable):
+            return NotImplemented
+        return self.den == other.den and self.nonzeros == other.nonzeros
+
+    def __hash__(self):
+        return hash((self.den, self.nonzeros))
+
+    def items(self):
+        """(i, j, k, value) for every nonzero, in index order."""
+        d = self.den
+        for i, j, k, n in self.nonzeros:
+            yield i, j, k, Fraction(n, d)
+
+    def dense(self, m: int) -> Table3:
+        """The m x m x m nested tuples of `Fraction`s."""
+        envelope("dense table cells", m ** 3, DENSE_CELL_BOUND)
+        zero = Fraction(0)
+        t = [[[zero] * m for _ in range(m)] for _ in range(m)]
+        for i, j, k, v in self.items():
+            t[i][j][k] = v
+        return tuple(tuple(map(tuple, plane)) for plane in t)
 
     @property
     def by_second(self) -> dict[int, list[tuple[int, int, int]]]:
@@ -79,11 +124,10 @@ class SparseTable:
                 self._by_pair.setdefault((i, j), []).append((k, n))
         return self._by_pair
 
-    @classmethod
-    def of(cls, table) -> SparseTable:
-        return cls((i, j, k, v) for i, plane in enumerate(table)
-                   for j, row in enumerate(plane)
-                   for k, v in enumerate(row) if v)
+
+def _check_entry(m: int, i, j, k) -> None:
+    if not all(0 <= t < m for t in (i, j, k)):
+        raise ValidationError(f"index out of range in entry ({i},{j},{k})")
 
 
 def rationals(acc: dict, den: int) -> dict:
@@ -141,49 +185,50 @@ class BilinearProduct:
     """General bilinear product e_i·e_j = sum_k gamma[i][j][k] e_k."""
 
     dim: int
-    gamma: Table3
+    sparse: SparseTable
 
     def __post_init__(self):
-        m = self.dim
-        if len(self.gamma) != m or any(
-                len(p) != m or any(len(r) != m for r in p) for p in self.gamma):
-            raise ValidationError("product table shape does not match dim")
+        for i, j, k, _ in self.sparse.nonzeros:
+            _check_entry(self.dim, i, j, k)
 
     @cached_property
-    def sparse(self) -> SparseTable:
-        return SparseTable.of(self.gamma)
+    def gamma(self) -> Table3:
+        """Dense view of the table, built on first use."""
+        return self.sparse.dense(self.dim)
 
     def mult(self, u, v) -> Vec:
-        m = self.dim
-        out = [Fraction(0)] * m
-        for i in range(m):
+        s = self.sparse
+        v = [frac(x) for x in v]
+        out = [Fraction(0)] * self.dim
+        for i in range(self.dim):
             ui = frac(u[i])
-            if ui == 0:
-                continue
-            for j in range(m):
-                vj = frac(v[j])
-                if vj == 0:
-                    continue
-                for k in range(m):
-                    g = self.gamma[i][j][k]
-                    if g:
-                        out[k] += ui * vj * g
-        return tuple(out)
+            if ui:
+                for j, k, n in s.by_first.get(i, ()):
+                    if v[j]:
+                        out[k] += ui * v[j] * n
+        return tuple(x / s.den for x in out)
 
     @cached_property
     def left_matrices(self) -> tuple[Mat, ...]:
         """L_i with column j = e_i·e_j (matrix of left multiplication by e_i)."""
         m = self.dim
-        return tuple(
-            tuple(tuple(self.gamma[i][j][k] for j in range(m)) for k in range(m))
-            for i in range(m))
+        envelope("left multiplication matrix cells", m ** 3, DENSE_CELL_BOUND)
+        zero = Fraction(0)
+        mats = [[[zero] * m for _ in range(m)] for _ in range(m)]
+        for i, j, k, v in self.sparse.items():
+            mats[i][k][j] = v
+        return tuple(tuple(map(tuple, a)) for a in mats)
 
     def right_matrix(self, x) -> Mat:
         """Matrix of y -> y·x."""
-        m = self.dim
-        return tuple(
-            tuple(sum(self.gamma[j][i][k] * frac(x[i]) for i in range(m))
-                  for j in range(m)) for k in range(m))
+        m, s = self.dim, self.sparse
+        out = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            xi = frac(x[i])
+            if xi:
+                for j, k, n in s.by_second.get(i, ()):
+                    out[k][j] += xi * n
+        return tuple(tuple(v / s.den for v in row) for row in out)
 
     @cached_property
     def is_associative(self) -> bool:
@@ -199,38 +244,38 @@ class LieAlgebra:
     """dim plus bracket table c[i][j][k]; antisymmetry and Jacobi enforced."""
 
     dim: int
-    c: Table3
+    sparse: SparseTable
 
     def __post_init__(self):
-        m = self.dim
-        if len(self.c) != m or any(
-                len(p) != m or any(len(r) != m for r in p) for p in self.c):
-            raise ValidationError("bracket table shape does not match dim")
+        for i, j, k, _ in self.sparse.nonzeros:
+            _check_entry(self.dim, i, j, k)
         # c[i][j][k] != -c[j][i][k] needs a nonzero on one side, and the
         # relation is symmetric, so the failures are the nonzeros that fail
         # together with their mirrors.
-        c = self.c
-        bad = min((idx for i, j, k, _ in self.sparse.nonzeros
-                   if c[i][j][k] != -c[j][i][k]
-                   for idx in ((i, j, k), (j, i, k))), default=None)
-        if bad is not None:
+        pairs, bad = self.sparse.by_pair, []
+        for (i, j), row in pairs.items():
+            mirror = dict(pairs.get((j, i), ()))
+            bad += [idx for k, n in row if mirror.get(k, 0) != -n
+                    for idx in ((i, j, k), (j, i, k))]
+        if bad:
             raise ValidationError(
-                "bracket not antisymmetric at ({},{},{})".format(*bad))
-        hit = jacobi_defect(self.c).first_nonzero()
+                "bracket not antisymmetric at ({},{},{})".format(*min(bad)))
+        hit = jacobi_defect(self.dim, self.sparse).first_nonzero()
         if hit is not None:
             idx, _ = hit
             raise JacobiViolation(
                 f"Jacobi identity fails on basis triple {idx[:3]}")
 
     @cached_property
-    def sparse(self) -> SparseTable:
-        return SparseTable.of(self.c)
+    def c(self) -> Table3:
+        """Dense view of the bracket table, built on first use."""
+        return self.sparse.dense(self.dim)
 
     def bracket(self, u, v) -> Vec:
         return self.as_product().mult(u, v)
 
     def as_product(self) -> BilinearProduct:
-        return BilinearProduct(self.dim, self.c)
+        return BilinearProduct(self.dim, self.sparse)
 
     @cached_property
     def ad_matrices(self) -> tuple[Mat, ...]:
@@ -249,10 +294,14 @@ def operator_defect(g: SparseTable, q: SparseTable,
     the associator; with bracket=True and q a Lie bracket it is the
     curvature of the connection g.
     """
+    by_second = g.by_second
+    envelope("operator defect pairs",
+             _pairs_visited((a for *_, a, _ in g.nonzeros), by_second)
+             + _pairs_visited((a for *_, a, _ in q.nonzeros), g.by_first),
+             PAIR_BOUND)
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
     # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
-    by_second = g.by_second
     acc: dict = defaultdict(int)
     for j, k, a, v in g.nonzeros:
         v *= fp
@@ -275,31 +324,41 @@ def operator_matrix(entries: dict, i: int, j: int, m: int) -> Mat:
                  for l in range(m))
 
 
-def jacobi_defect(c: Table3) -> DefectTensor:
+def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor.
 
     T(p,q,r) = [[e_p,e_q],e_r] = sum_a c[p][q][a] c[a][r][.] is summed over
     pairs of nonzeros, then enters the cyclic sums at (p,q,r), (q,r,p) and
     (r,p,q).
     """
-    m = len(c)
-    s = BilinearProduct(m, c).sparse
+    envelope("Jacobi defect pairs",
+             _pairs_visited((a for *_, a, _ in c.nonzeros), c.by_first),
+             PAIR_BOUND)
     nested: dict = defaultdict(int)
-    for p, q, a, v in s.nonzeros:
-        for r, l, w in s.by_first.get(a, ()):
+    for p, q, a, v in c.nonzeros:
+        for r, l, w in c.by_first.get(a, ()):
             nested[p, q, r, l] += v * w
     acc: dict = defaultdict(int)
     for (p, q, r, l), x in nested.items():
         acc[p, q, r, l] += x
         acc[q, r, p, l] += x
         acc[r, p, q, l] += x
-    return DefectTensor((m,) * 4, rationals(acc, s.den * s.den))
+    return DefectTensor((m,) * 4, rationals(acc, c.den * c.den))
 
 
 def associator_defect(p: BilinearProduct) -> DefectTensor:
     """(e_i·e_j)·e_k − e_i·(e_j·e_k) over all basis triples; zero iff associative."""
     d = operator_defect(p.sparse, p.sparse)
     return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
+
+
+def _commutator(s: SparseTable) -> SparseTable:
+    """Table of x·y − y·x."""
+    acc: dict = defaultdict(int)
+    for i, j, k, n in s.nonzeros:
+        acc[i, j, k] += n
+        acc[j, i, k] -= n
+    return SparseTable((*idx, Fraction(n, s.den)) for idx, n in acc.items())
 
 
 def kv_anomaly(p: BilinearProduct) -> DefectTensor:
@@ -310,24 +369,13 @@ def kv_anomaly(p: BilinearProduct) -> DefectTensor:
     it is computed that way: as minus the curvature of p over its own
     commutator bracket.
     """
-    g = p.gamma
-    comm = {}
-    for i, j, k, _ in p.sparse.nonzeros:
-        comm[i, j, k] = g[i][j][k] - g[j][i][k]
-        comm[j, i, k] = -comm[i, j, k]
-    q = SparseTable((i, j, k, v) for (i, j, k), v in comm.items())
-    d = operator_defect(p.sparse, q, bracket=True)
+    d = operator_defect(p.sparse, _commutator(p.sparse), bracket=True)
     return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
 
 
 def commutator_bracket(p: BilinearProduct) -> LieAlgebra:
     """Lie algebra with bracket x·y − y·x; raises JacobiViolation if not Lie."""
-    m = p.dim
-    c = tuple(
-        tuple(
-            tuple(p.gamma[i][j][k] - p.gamma[j][i][k] for k in range(m))
-            for j in range(m)) for i in range(m))
-    return LieAlgebra(m, c)
+    return LieAlgebra(p.dim, _commutator(p.sparse))
 
 
 def killing_form(L: LieAlgebra):
@@ -342,6 +390,9 @@ def killing_form(L: LieAlgebra):
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, a, b, n in s.nonzeros:
         by_pair.setdefault((a, b), []).append((i, n))
+    envelope("Killing form pairs",
+             sum(len(left) * len(by_pair.get((b, a), ()))
+                 for (a, b), left in by_pair.items()), PAIR_BOUND)
     acc = [[0] * m for _ in range(m)]
     for (a, b), left in by_pair.items():
         for j, w in by_pair.get((b, a), ()):
@@ -353,21 +404,22 @@ def killing_form(L: LieAlgebra):
 
 
 def abelian(m: int) -> LieAlgebra:
-    return LieAlgebra(m, zero_table3(m))
+    return LieAlgebra(m, SparseTable())
 
 
 def zero_product(m: int) -> BilinearProduct:
-    return BilinearProduct(m, zero_table3(m))
+    return BilinearProduct(m, SparseTable())
 
 
 def product_from_sparse(m: int, entries) -> BilinearProduct:
-    """entries: iterable of (i, j, k, value)."""
-    g = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    """entries: iterable of (i, j, k, value); a later entry for the same
+    index replaces an earlier one."""
+    table = {}
     for i, j, k, v in entries:
-        if not all(0 <= t < m for t in (i, j, k)):
-            raise ValidationError(f"index out of range in entry ({i},{j},{k})")
-        g[i][j][k] = frac(v)
-    return BilinearProduct(m, table3(g))
+        _check_entry(m, i, j, k)
+        table[i, j, k] = frac(v)
+    return BilinearProduct(
+        m, SparseTable((*idx, v) for idx, v in table.items()))
 
 
 def lie_from_sparse(m: int, entries) -> LieAlgebra:
@@ -376,11 +428,10 @@ def lie_from_sparse(m: int, entries) -> LieAlgebra:
     Supplying both (i,j,k,v) and (j,i,k,w) with w != -v is an error, as is a
     nonzero diagonal entry.
     """
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    c = {}
     seen = {}
     for i, j, k, v in entries:
-        if not all(0 <= t < m for t in (i, j, k)):
-            raise ValidationError(f"index out of range in entry ({i},{j},{k})")
+        _check_entry(m, i, j, k)
         v = frac(v)
         if i == j:
             if v != 0:
@@ -392,9 +443,9 @@ def lie_from_sparse(m: int, entries) -> LieAlgebra:
             raise ValidationError(
                 f"entries ({i},{j},{k}) and ({j},{i},{k}) are not opposite")
         seen[(i, j, k)] = v
-        c[i][j][k] = v
-        c[j][i][k] = -v
-    return LieAlgebra(m, table3(c))
+        c[i, j, k] = v
+        c[j, i, k] = -v
+    return LieAlgebra(m, SparseTable((*idx, v) for idx, v in c.items()))
 
 
 def conjugate_product(p: BilinearProduct, pmat: Mat) -> BilinearProduct:
@@ -402,26 +453,23 @@ def conjugate_product(p: BilinearProduct, pmat: Mat) -> BilinearProduct:
     m = p.dim
     pinv = linalg.inverse(pmat)
     cols = linalg.transpose(pmat)
-    g = []
+    entries = []
     for i in range(m):
-        plane = []
         for j in range(m):
-            plane.append(tuple(linalg.mat_vec(pinv, p.mult(cols[i], cols[j]))))
-        g.append(tuple(plane))
-    return BilinearProduct(m, tuple(g))
+            w = p.mult(cols[i], cols[j])
+            if any(w):
+                entries += [(i, j, k, v) for k, v in
+                            enumerate(linalg.mat_vec(pinv, w)) if v]
+    return BilinearProduct(m, SparseTable(entries))
 
 
 def conjugate_lie(L: LieAlgebra, pmat: Mat) -> LieAlgebra:
     q = conjugate_product(L.as_product(), pmat)
-    return LieAlgebra(L.dim, q.gamma)
+    return LieAlgebra(L.dim, q.sparse)
 
 
 def direct_sum_products(a: BilinearProduct, b: BilinearProduct) -> BilinearProduct:
-    m, n = a.dim, b.dim
-    d = m + n
-    g = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i, j, k in iproduct(range(m), repeat=3):
-        g[i][j][k] = a.gamma[i][j][k]
-    for i, j, k in iproduct(range(n), repeat=3):
-        g[m + i][m + j][m + k] = b.gamma[i][j][k]
-    return BilinearProduct(d, table3(g))
+    m = a.dim
+    shifted = ((m + i, m + j, m + k, v) for i, j, k, v in b.sparse.items())
+    return BilinearProduct(m + b.dim,
+                           SparseTable(chain(a.sparse.items(), shifted)))

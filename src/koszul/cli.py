@@ -299,7 +299,7 @@ def _cmd_kv_cohomology(args, inputs):
             inputs.add_file("algebra", args.algebra)
             declared = kio.load_algebra(args.algebra)
             derived = algebra_mod.commutator_bracket(p)
-            if declared.c != derived.c:
+            if declared != derived:
                 raise ValidationError(
                     "the supplied algebra is not the commutator of the "
                     "supplied product")
@@ -398,7 +398,8 @@ def _cmd_statmodel(args, inputs):
         return {"family": model.name, "alpha": args.alpha,
                 "max_abs": mx, "tensor": kio.jsonable(tensor)}
     grid = _probe_grid(model, theta)
-    rep = statmodel.exponential_defect_probe(model, grid, tol=args.tol)
+    tol = statmodel.PROBE_TOL if args.tol is None else args.tol
+    rep = statmodel.exponential_defect_probe(model, grid, tol=tol)
     return kio.jsonable(rep)
 
 
@@ -526,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("fisher", "alpha", "curvature", "defect"))
     p.add_argument("--theta", help="comma-separated parameter values")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_statmodel)
 
     return parser

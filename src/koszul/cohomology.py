@@ -39,6 +39,7 @@ recorded in the report notes, and squares are verified from degree 1 up.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -47,11 +48,11 @@ from math import gcd, lcm
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            jacobi_defect, kv_anomaly, operator_defect,
-                            operator_matrix, table3)
+                            SparseTable, jacobi_defect, kv_anomaly,
+                            operator_defect, operator_matrix)
 from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
                            ValidationError)
-from koszul.linalg import Vec
+from koszul.linalg import Vec, frac
 
 ADJOINT = "adjoint"
 SCALAR = "scalar"
@@ -547,18 +548,21 @@ def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
     a Lie bracket. As mu satisfies Jacobi, dB + J_B = -Jac(mu + B)
     (Nijenhuis-Richardson), which is how it is computed.
     """
-    b_table = table3(b_table)
     m = mu.dim
     if len(b_table) != m or any(
             len(p) != m or any(len(r) != m for r in p) for p in b_table):
         raise ValidationError("perturbation shape does not match the algebra")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if b_table[i][j][k] != -b_table[j][i][k]:
+    total: dict = defaultdict(Fraction)
+    for i, j, k, v in mu.sparse.items():
+        total[i, j, k] += v
+    for i, plane in enumerate(b_table):
+        for j, row in enumerate(plane):
+            for k, v in enumerate(row):
+                v = frac(v)
+                if v != -frac(b_table[j][i][k]):
                     raise ValidationError("perturbation is not skew")
-    total = tuple(
-        tuple(tuple(x + y for x, y in zip(cr, br)) for cr, br in zip(cp, bp))
-        for cp, bp in zip(mu.c, b_table))
+                if v:
+                    total[i, j, k] += v
+    s = SparseTable((*idx, v) for idx, v in total.items())
     return DefectTensor((m,) * 4, {idx: -v for idx, v in
-                                   jacobi_defect(total).nonzeros.items()})
+                                   jacobi_defect(m, s).nonzeros.items()})

@@ -14,8 +14,8 @@ from functools import cached_property
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            operator_defect, operator_matrix, rationals,
-                            zero_table3)
+                            SparseTable, operator_defect, operator_matrix,
+                            rationals)
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import SYMMETRIC, BilinearForm
 from koszul.linalg import Mat, frac
@@ -49,15 +49,9 @@ def cartan_connection(L: LieAlgebra, kind: str) -> InvariantConnection:
     """The canonical connections 0, half the bracket, or the bracket."""
     if kind not in CARTAN_KINDS:
         raise ValidationError(f"kind must be one of {CARTAN_KINDS}")
-    m = L.dim
-    if kind == "minus":
-        table = zero_table3(m)
-    else:
-        s = Fraction(1, 2) if kind == "zero" else Fraction(1)
-        table = tuple(
-            tuple(tuple(s * L.c[i][j][k] for k in range(m)) for j in range(m))
-            for i in range(m))
-    return InvariantConnection(L, BilinearProduct(m, table))
+    s = {"minus": 0, "zero": Fraction(1, 2), "plus": 1}[kind]
+    table = SparseTable((i, j, k, s * v) for i, j, k, v in L.sparse.items())
+    return InvariantConnection(L, BilinearProduct(L.dim, table))
 
 
 def torsion(conn: InvariantConnection) -> DefectTensor:
@@ -122,9 +116,8 @@ def amari_dual(conn: InvariantConnection, g: BilinearForm) -> InvariantConnectio
     duals = [linalg.mat_scale(-1, linalg.mat_mul(
         ginv, linalg.mat_mul(linalg.transpose(gi), gm)))
         for gi in conn.matrices]
-    table = tuple(
-        tuple(tuple(duals[i][k][j] for k in range(m)) for j in range(m))
-        for i in range(m))
+    table = SparseTable((i, j, k, duals[i][k][j]) for i in range(m)
+                        for j in range(m) for k in range(m))
     return InvariantConnection(conn.base, BilinearProduct(m, table))
 
 
@@ -135,12 +128,12 @@ def alpha_connection(conn: InvariantConnection, dual: InvariantConnection,
         raise ValidationError("connection dimensions differ")
     a = frac(alpha)
     s, t = (1 + a) / 2, (1 - a) / 2
-    m = conn.dim
-    table = tuple(
-        tuple(
-            tuple(s * conn.gamma.gamma[i][j][k] + t * dual.gamma.gamma[i][j][k]
-                  for k in range(m)) for j in range(m)) for i in range(m))
-    return InvariantConnection(conn.base, BilinearProduct(m, table))
+    acc: dict = defaultdict(Fraction)
+    for scale, table in ((s, conn.gamma.sparse), (t, dual.gamma.sparse)):
+        for i, j, k, v in table.items():
+            acc[i, j, k] += scale * v
+    return InvariantConnection(conn.base, BilinearProduct(
+        conn.dim, SparseTable((*idx, v) for idx, v in acc.items())))
 
 
 def connection_from_product(L: LieAlgebra, p: BilinearProduct) -> InvariantConnection:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import random
 
 from koszul import linalg
-from koszul.algebra import BilinearProduct, associator_defect, table3
+from koszul.algebra import BilinearProduct, SparseTable, associator_defect
 from koszul.errors import (
     NotAssociative,
     NotRightIdeal,
@@ -57,31 +57,24 @@ def affine_algebra(m: int) -> AffineAlgebra:
     if m < 0:
         raise ValidationError("model dimension must be >= 0")
     n = m * m + m
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     # (E_pq, 0)*(E_rs, 0) = (E_rs E_pq, 0) = [s == p] (E_rq, 0)
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                gamma[p * m + q][r * m + p][r * m + q] += 1
+    units = [(p * m + q, r * m + p, r * m + q, 1)
+             for p in range(m) for q in range(m) for r in range(m)]
     # (0, e_t)*(E_rs, 0) = (0, E_rs e_t) = [s == t] (0, e_r)
-    for t in range(m):
-        for r in range(m):
-            gamma[m * m + t][r * m + t][m * m + r] += 1
+    translations = [(m * m + t, r * m + t, m * m + r, 1)
+                    for t in range(m) for r in range(m)]
     # (A, a)*(0, b) = (0, 0): nothing to add
-    return AffineAlgebra(m, BilinearProduct(n, table3(gamma)))
+    return AffineAlgebra(m, BilinearProduct(
+        n, SparseTable(units + translations)))
 
 
 def matrix_algebra(k: int) -> BilinearProduct:
     """Full k x k matrix algebra on units E_pq, row-major indexing."""
     if k < 0:
         raise ValidationError("matrix size must be >= 0")
-    n = k * k
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for p in range(k):
-        for q in range(k):
-            for s in range(k):
-                gamma[p * k + q][q * k + s][p * k + s] += 1
-    return BilinearProduct(n, table3(gamma))
+    return BilinearProduct(k * k, SparseTable(
+        (p * k + q, q * k + s, p * k + s, 1)
+        for p in range(k) for q in range(k) for s in range(k)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from koszul import linalg, spaces
-from koszul.algebra import LieAlgebra
+from koszul.algebra import BilinearProduct, LieAlgebra, SparseTable
 from koszul.connections import (InvariantConnection, amari_dual,
                                 cartan_connection, is_locally_flat,
                                 is_torsion_free, torsion)
@@ -104,10 +104,16 @@ def max_rank(space: LinearSolutionSpace, constraint: str = "none",
         r = linalg.rank(el)
         if r > best_rank:
             best_rank, best_coeffs, best_el = r, coeffs, el
-        if (constraint == "positive_definite" and pd_el is None
-                and nr == nc and el == linalg.transpose(el)
+        definite_pending = (constraint == "positive_definite"
+                            and pd_el is None and nr == nc)
+        if (definite_pending and el == linalg.transpose(el)
                 and linalg.is_positive_definite(el)):
             pd_coeffs, pd_el = coeffs, el
+            definite_pending = False
+        # both results keep their first-found element, so once the rank
+        # is full and no definite element is sought, neither can change
+        if best_rank == min(nr, nc) and not definite_pending:
+            break
     note = ("" if method == "exhaustive" else
             "rank from seeded samples; generic rank is attained off a "
             "measure-zero set")
@@ -198,21 +204,27 @@ def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
     if not flat:
         raise NotFlat(why)
     m = conn.dim
-    c = conn.base.c
-    gam = conn.gamma.gamma
+    rows = _hessian_rows(conn) + parity_rows(m, SYMMETRIC)
+    return spaces.from_conditions(rows, m * m, shape=(m, m))
+
+
+def _hessian_rows(conn: InvariantConnection):
+    m = conn.dim
+    c, gam = conn.base.sparse, conn.gamma.sparse
     rows = []
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(m):
                 row = [Fraction(0)] * (m * m)
-                for l in range(m):
-                    row[l * m + k] -= c[i][j][l]
-                    row[j * m + l] -= gam[i][k][l]
-                    row[i * m + l] += gam[j][k][l]
+                for l, n in c.by_pair.get((i, j), ()):
+                    row[l * m + k] -= Fraction(n, c.den)
+                for l, n in gam.by_pair.get((i, k), ()):
+                    row[j * m + l] -= Fraction(n, gam.den)
+                for l, n in gam.by_pair.get((j, k), ()):
+                    row[i * m + l] += Fraction(n, gam.den)
                 if any(row):
                     rows.append(row)
-    rows += parity_rows(m, SYMMETRIC)
-    return spaces.from_conditions(rows, m * m, shape=(m, m))
+    return rows
 
 
 def _check_rows(rows, flatvec) -> bool:
@@ -279,31 +291,29 @@ def flat_existence(L: LieAlgebra, candidates, budget: int = 64,
 
 
 def _random_torsion_free_table(L: LieAlgebra, rng: random.Random):
-    from koszul.algebra import BilinearProduct
     m = L.dim
-    sym = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    table = {}
     for i in range(m):
         for j in range(i, m):
             for k in range(m):
                 v = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                sym[i][j][k] = v
-                sym[j][i][k] = v
-    table = tuple(
-        tuple(tuple(Fraction(L.c[i][j][k], 2) + sym[i][j][k]
-                    for k in range(m)) for j in range(m)) for i in range(m))
-    return BilinearProduct(m, table)
+                table[i, j, k] = table[j, i, k] = v
+    for i, j, k, v in L.sparse.items():
+        table[i, j, k] += v / 2
+    return BilinearProduct(
+        m, SparseTable((*idx, v) for idx, v in table.items()))
 
 
 def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
     """Exact decision for dim <= 2 via a polynomial system on the symbols."""
     import sympy
-    from koszul.algebra import BilinearProduct
 
     m = L.dim
     if m == 0:
         from koszul.algebra import zero_product
         return ExistenceVerdict("yes", invariant_value=0,
                                 witness=InvariantConnection(L, zero_product(0)))
+    c = {(i, j, k): v for i, j, k, v in L.sparse.items()}
     syms = {}
     for i in range(m):
         for j in range(i, m):
@@ -311,7 +321,7 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
                 syms[(i, j, k)] = sympy.Symbol(f"s_{i}_{j}_{k}")
 
     def gamma(i, j, k):
-        half = sympy.Rational(L.c[i][j][k], 1) / 2
+        half = sympy.Rational(c.get((i, j, k), 0), 1) / 2
         key = (i, j, k) if i <= j else (j, i, k)
         return half + syms[key]
 
@@ -325,7 +335,8 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
                     for a in range(m):
                         expr += gamma(j, k, a) * gamma(i, a, l)
                         expr -= gamma(i, k, a) * gamma(j, a, l)
-                        expr -= sympy.Rational(L.c[i][j][a], 1) * gamma(a, k, l)
+                        expr -= (sympy.Rational(c.get((i, j, a), 0), 1)
+                                 * gamma(a, k, l))
                     eqs.append(sympy.expand(expr))
     eqs = [e for e in eqs if e != 0]
     variables = list(syms.values())
@@ -359,11 +370,10 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
                 break
         if sol is None:
             return None
-    table = tuple(
-        tuple(
-            tuple(Fraction(L.c[i][j][k], 2)
-                  + Fraction(str(sol[syms[(min(i, j), max(i, j), k)]]))
-                  for k in range(m)) for j in range(m)) for i in range(m))
+    table = SparseTable(
+        (i, j, k, Fraction(c.get((i, j, k), 0), 2)
+         + Fraction(str(sol[syms[(min(i, j), max(i, j), k)]])))
+        for i in range(m) for j in range(m) for k in range(m))
     conn = InvariantConnection(L, BilinearProduct(m, table))
     flat, _ = is_locally_flat(conn)
     if not flat:
@@ -426,13 +436,31 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False,
 def _ad_invariance_rows(L: LieAlgebra):
     m = L.dim
     rows = []
+    c = L.sparse
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 row = [Fraction(0)] * (m * m)
-                for l in range(m):
-                    row[l * m + k] += L.c[i][j][l]
-                    row[j * m + l] += L.c[i][k][l]
+                for l, n in c.by_pair.get((i, j), ()):
+                    row[l * m + k] += Fraction(n, c.den)
+                for l, n in c.by_pair.get((i, k), ()):
+                    row[j * m + l] += Fraction(n, c.den)
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def _skew_cocycle_rows(L: LieAlgebra):
+    m = L.dim
+    c = L.sparse
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                row = [Fraction(0)] * (m * m)
+                for a, b, col in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, n in c.by_pair.get((a, b), ()):
+                        row[l * m + col] += Fraction(n, c.den)
                 if any(row):
                     rows.append(row)
     return rows
@@ -506,18 +534,7 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
 def left_symplectic_oracle(L: LieAlgebra, seed=None) -> ExistenceVerdict:
     """Independent route: nondegenerate skew 2-cocycles of the bracket."""
     m = L.dim
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                row = [Fraction(0)] * (m * m)
-                for l in range(m):
-                    row[l * m + k] += L.c[i][j][l]
-                    row[l * m + i] += L.c[j][k][l]
-                    row[l * m + j] += L.c[k][i][l]
-                if any(row):
-                    rows.append(row)
-    rows += parity_rows(m, SKEW)
+    rows = _skew_cocycle_rows(L) + parity_rows(m, SKEW)
     space = spaces.from_conditions(rows, m * m, shape=(m, m))
     if m % 2 == 1:
         return ExistenceVerdict(

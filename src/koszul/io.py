@@ -114,13 +114,8 @@ def load_algebra(path) -> LieAlgebra:
 
 
 def dump_algebra(algebra: LieAlgebra) -> dict:
-    entries = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            for k in range(algebra.dim):
-                v = algebra.c[i][j][k]
-                if v:
-                    entries.append([i, j, k, fraction_str(v)])
+    entries = [[i, j, k, fraction_str(v)]
+               for i, j, k, v in algebra.sparse.items() if i < j]
     return {"dim": algebra.dim, "bracket": entries}
 
 
@@ -131,13 +126,7 @@ def load_product(path) -> BilinearProduct:
 
 
 def dump_product(p: BilinearProduct) -> dict:
-    entries = []
-    for i in range(p.dim):
-        for j in range(p.dim):
-            for k in range(p.dim):
-                v = p.gamma[i][j][k]
-                if v:
-                    entries.append([i, j, k, fraction_str(v)])
+    entries = [[i, j, k, fraction_str(v)] for i, j, k, v in p.sparse.items()]
     return {"dim": p.dim, "gamma": entries}
 
 

@@ -33,6 +33,15 @@ GRAD_STEP = 1e-4
 CURV_STEP = 1e-3
 NORM_TOL = 1e-12
 DOMAIN_MARGIN = 0.01
+# An exactly flat connection leaves in `alpha_curvature` only the
+# truncation error of its central differences: h^2 (h = CURV_STEP) times
+# the third derivatives of the symbols. A curved family has curvature of
+# order one. The probe's tolerance is h, the geometric mean of the scales
+# h^2 and 1: a flat family passes while that derivative factor stays below
+# 1/h (about 330 on categorical-natural:3 over [-0.8, 0.8]^2 and its
+# +-0.3 probe grid, a residue of 3.3e-4), and a curved family fails while
+# its curvature stays above h (curved4 reads 0.2 to 1.4 near the origin).
+PROBE_TOL = CURV_STEP
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,9 @@ class FiniteStatModel:
 
     log_density(theta, x) must be smooth in theta and normalized:
     sum_x exp(log_density(theta, x)) = 1 within 1e-12 wherever evaluated.
+    The domain is the box `domain`, intersected with the simplex
+    sum(theta) <= 1 when `simplex` is set (mean coordinates, where the last
+    probability is 1 - sum(theta)).
     """
 
     name: str
@@ -48,6 +60,7 @@ class FiniteStatModel:
     n_params: int
     log_density: Callable[[np.ndarray, int], float]
     domain: tuple[tuple[float, float], ...]
+    simplex: bool = False
 
     def check_domain(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -59,6 +72,10 @@ class FiniteStatModel:
                 raise DomainViolation(
                     f"theta component {t} outside "
                     f"[{lo + DOMAIN_MARGIN}, {hi - DOMAIN_MARGIN}]")
+        if self.simplex and not 1.0 - float(np.sum(theta)) >= DOMAIN_MARGIN:
+            raise DomainViolation(
+                f"theta components sum to {float(np.sum(theta))}, above "
+                f"{1.0 - DOMAIN_MARGIN}")
         return theta
 
     def probs(self, theta) -> np.ndarray:
@@ -240,7 +257,7 @@ class ProbeReport:
 
 
 def exponential_defect_probe(model: FiniteStatModel, grid,
-                             tol: float = 1e-4) -> ProbeReport:
+                             tol: float = PROBE_TOL) -> ProbeReport:
     """Flag a model exponential-like when some end of the alpha family is
     numerically flat on the grid.
 
@@ -296,7 +313,8 @@ def categorical_mean(n: int) -> FiniteStatModel:
         return float(np.log(1.0 - float(np.sum(theta))))
 
     box = tuple(((0.0, 1.0),) * (n - 1))
-    return FiniteStatModel(f"categorical:{n}", n, n - 1, logp, box)
+    return FiniteStatModel(f"categorical:{n}", n, n - 1, logp, box,
+                           simplex=True)
 
 
 def categorical_natural(n: int) -> FiniteStatModel:

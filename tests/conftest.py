@@ -20,6 +20,7 @@ from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.connections import InvariantConnection
 from koszul.flatmodels import affine_algebra
 from koszul.forms import BilinearForm
+from oracles import dense_lie, dense_product
 
 
 def rand_fraction(rng, lo=-2, hi=2):
@@ -44,7 +45,7 @@ def direct_sum_lie(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
         for j in range(n):
             for k in range(n):
                 c[m + i][m + j][m + k] = b.c[i][j][k]
-    return LieAlgebra(m + n, tuple(tuple(tuple(r) for r in pl) for pl in c))
+    return dense_lie(m + n, c)
 
 
 def lie_pool(max_dim=4):
@@ -75,7 +76,7 @@ def random_torsion_free(L: LieAlgebra, rng) -> InvariantConnection:
     table = tuple(
         tuple(tuple(half * L.c[i][j][k] + s[i][j][k] for k in range(m))
               for j in range(m)) for i in range(m))
-    return InvariantConnection(L, BilinearProduct(m, table))
+    return InvariantConnection(L, dense_product(m, table))
 
 
 def random_metric(m, rng) -> BilinearForm:

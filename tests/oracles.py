@@ -13,11 +13,17 @@ its former right-ideal core loop (`dense_right_ideal_core`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
 elimination modulo a prime (`dense_rank_mod`), its former reduced
-row-echelon form over every row (`full_rref`), public helpers the library
-no longer needs (`cochain_value`, `left_matrix`), and closed forms from
+row-echelon form over every row (`full_rref`), its former rank search over
+the whole pool (`full_pool_max_rank`), its former condition rows over the
+dense tables (`dense_hessian_rows`, ...), public helpers the library
+no longer needs (`cochain_value`, `left_matrix`), its former dense
+structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
+dense builders and readers that used them (`dense_*_algebra`,
+`dense_conjugate_product`, `dense_mult`, ...), and closed forms from
 textbooks. Slower is fine; agreeing by construction is the point.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, gcd, lcm
@@ -27,7 +33,7 @@ import sympy
 from koszul import linalg
 from koszul._kernel import echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            kv_anomaly, table3)
+                            SparseTable, kv_anomaly)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                DegreeDims, _flat_index, _sort_alternating,
                                ce_coboundary_matrix,
@@ -37,6 +43,8 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
                            ValidationError)
 from koszul.gauge import FeStarSolutions
+from koszul.invariants import (GRID_LIMIT, SAMPLE_COUNT, RankWitness,
+                               _combine, _random_coeff, resolve_seed)
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
 
@@ -222,6 +230,191 @@ def sympy_det(rows):
     return Fraction(str(m.det()))
 
 
+# ---------------------------------------------------------------- dense tables
+#
+# The library stores a rank-3 table by its nonzeros and builds each one
+# directly. Below are its former dense table helpers, its former builders
+# (each returns the dense nested tuple that the new builder's `.gamma` or
+# `.c` view must equal) and its former dense readers of the table.
+
+def table3(entries):
+    return tuple(tuple(tuple(frac(x) for x in row) for row in plane)
+                 for plane in entries)
+
+
+def zero_table3(m: int):
+    z = Fraction(0)
+    return tuple(tuple(tuple(z for _ in range(m)) for _ in range(m))
+                 for _ in range(m))
+
+
+def sparse_of(table) -> SparseTable:
+    """The nonzeros of a dense table (the library's former `SparseTable.of`)."""
+    return SparseTable((i, j, k, v) for i, plane in enumerate(table)
+                       for j, row in enumerate(plane)
+                       for k, v in enumerate(row) if v)
+
+
+def dense_product(m, table) -> BilinearProduct:
+    return BilinearProduct(m, sparse_of(table))
+
+
+def dense_lie(m, table) -> LieAlgebra:
+    return LieAlgebra(m, sparse_of(table))
+
+
+def dense_mult(gamma, u, v):
+    """u·v over a dense table (the library's former `BilinearProduct.mult`)."""
+    m = len(gamma)
+    out = [Fraction(0)] * m
+    for i in range(m):
+        ui = frac(u[i])
+        if ui == 0:
+            continue
+        for j in range(m):
+            vj = frac(v[j])
+            if vj == 0:
+                continue
+            for k in range(m):
+                g = gamma[i][j][k]
+                if g:
+                    out[k] += ui * vj * g
+    return tuple(out)
+
+
+def dense_left_matrices(gamma):
+    m = len(gamma)
+    return tuple(
+        tuple(tuple(gamma[i][j][k] for j in range(m)) for k in range(m))
+        for i in range(m))
+
+
+def dense_right_matrix(gamma, x):
+    m = len(gamma)
+    return tuple(
+        tuple(sum(gamma[j][i][k] * frac(x[i]) for i in range(m))
+              for j in range(m)) for k in range(m))
+
+
+def dense_product_from_sparse(m: int, entries):
+    g = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, j, k, v in entries:
+        if not all(0 <= t < m for t in (i, j, k)):
+            raise ValidationError(f"index out of range in entry ({i},{j},{k})")
+        g[i][j][k] = frac(v)
+    return table3(g)
+
+
+def dense_lie_from_sparse(m: int, entries):
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    seen = {}
+    for i, j, k, v in entries:
+        if not all(0 <= t < m for t in (i, j, k)):
+            raise ValidationError(f"index out of range in entry ({i},{j},{k})")
+        v = frac(v)
+        if i == j:
+            if v != 0:
+                raise ValidationError(f"nonzero diagonal bracket ({i},{i},{k})")
+            continue
+        if (i, j, k) in seen and seen[(i, j, k)] != v:
+            raise ValidationError(f"conflicting entries for ({i},{j},{k})")
+        if (j, i, k) in seen and seen[(j, i, k)] != -v:
+            raise ValidationError(
+                f"entries ({i},{j},{k}) and ({j},{i},{k}) are not opposite")
+        seen[(i, j, k)] = v
+        c[i][j][k] = v
+        c[j][i][k] = -v
+    return table3(c)
+
+
+def dense_commutator_bracket(p: BilinearProduct):
+    m = p.dim
+    return tuple(
+        tuple(
+            tuple(p.gamma[i][j][k] - p.gamma[j][i][k] for k in range(m))
+            for j in range(m)) for i in range(m))
+
+
+def dense_conjugate_product(p: BilinearProduct, pmat):
+    m = p.dim
+    pinv = linalg.inverse(pmat)
+    cols = linalg.transpose(pmat)
+    g = []
+    for i in range(m):
+        plane = []
+        for j in range(m):
+            plane.append(tuple(dense_mat_vec(
+                pinv, dense_mult(p.gamma, cols[i], cols[j]))))
+        g.append(tuple(plane))
+    return tuple(g)
+
+
+def dense_direct_sum_products(a: BilinearProduct, b: BilinearProduct):
+    m, n = a.dim, b.dim
+    d = m + n
+    g = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k in iproduct(range(m), repeat=3):
+        g[i][j][k] = a.gamma[i][j][k]
+    for i, j, k in iproduct(range(n), repeat=3):
+        g[m + i][m + j][m + k] = b.gamma[i][j][k]
+    return table3(g)
+
+
+def dense_affine_algebra(m: int):
+    n = m * m + m
+    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for p in range(m):
+        for q in range(m):
+            for r in range(m):
+                gamma[p * m + q][r * m + p][r * m + q] += 1
+    for t in range(m):
+        for r in range(m):
+            gamma[m * m + t][r * m + t][m * m + r] += 1
+    return table3(gamma)
+
+
+def dense_matrix_algebra(k: int):
+    n = k * k
+    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for p in range(k):
+        for q in range(k):
+            for s in range(k):
+                gamma[p * k + q][q * k + s][p * k + s] += 1
+    return table3(gamma)
+
+
+def dense_cartan_connection(L: LieAlgebra, kind: str):
+    m = L.dim
+    if kind == "minus":
+        return zero_table3(m)
+    s = Fraction(1, 2) if kind == "zero" else Fraction(1)
+    return tuple(
+        tuple(tuple(s * L.c[i][j][k] for k in range(m)) for j in range(m))
+        for i in range(m))
+
+
+def dense_amari_dual(conn, g):
+    m = conn.dim
+    gm = g.matrix
+    ginv = linalg.inverse(gm)
+    duals = [linalg.mat_scale(-1, dense_mat_mul(
+        ginv, dense_mat_mul(linalg.transpose(gi), gm)))
+        for gi in dense_left_matrices(conn.gamma.gamma)]
+    return tuple(
+        tuple(tuple(duals[i][k][j] for k in range(m)) for j in range(m))
+        for i in range(m))
+
+
+def dense_alpha_connection(conn, dual, alpha):
+    a = frac(alpha)
+    s, t = (1 + a) / 2, (1 - a) / 2
+    m = conn.dim
+    return tuple(
+        tuple(
+            tuple(s * conn.gamma.gamma[i][j][k] + t * dual.gamma.gamma[i][j][k]
+                  for k in range(m)) for j in range(m)) for i in range(m))
+
+
 # ---------------------------------------------------------------- tensor formulas
 
 def jacobi_entry(c, i, j, k, l):
@@ -354,11 +547,10 @@ def walk(entries, prefix=()):
 def dense_jacobi_defect(c):
     """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor."""
     m = len(c)
-    p = BilinearProduct(m, table3(c)) if m else BilinearProduct(0, ())
     basis = linalg.identity(m)
 
     def bk(u, v):
-        return p.mult(u, v)
+        return dense_mult(c, u, v)
 
     out = []
     for i in range(m):
@@ -595,14 +787,13 @@ def dense_maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
             for k in range(m):
                 if b_table[i][j][k] != -b_table[j][i][k]:
                     raise ValidationError("perturbation is not skew")
-    bprod = BilinearProduct(m, b_table)
     basis = linalg.identity(m)
 
     def br(u, v):
-        return mu.bracket(u, v)
+        return dense_mult(mu.c, u, v)
 
     def bb(u, v):
-        return bprod.mult(u, v)
+        return dense_mult(b_table, u, v)
 
     out = {}
     for i in range(m):
@@ -901,3 +1092,105 @@ def dense_hochschild_dims(algebra, max_degree=2):
         deltas.append(rows)
     return dense_dims_from_deltas("hochschild", ADJOINT, algebra.dim, c_dims,
                                   deltas)
+
+
+# ---------------------------------------------------------------- rank search
+
+def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
+                       seed=None) -> RankWitness:
+    """The library's former `invariants.max_rank`: it walks the whole pool
+    even after the result can no longer change."""
+    if space.shape is None or len(space.shape) != 2:
+        raise ValidationError("max_rank needs matrix-shaped elements")
+    d = space.dim
+    nr, nc = space.shape
+    if d == 0:
+        z = linalg.zeros(nr, nc)
+        pd = False if constraint == "positive_definite" else None
+        return RankWitness(0, (), z, "exhaustive", positive_definite=pd)
+
+    if d <= GRID_LIMIT:
+        pool = [tuple(Fraction(x) for x in pt)
+                for pt in iproduct((-2, -1, 0, 1, 2), repeat=d)]
+        method = "exhaustive"
+    else:
+        rng = random.Random(resolve_seed(seed))
+        pool = [tuple(_random_coeff(rng) for _ in range(d))
+                for _ in range(SAMPLE_COUNT)]
+        method = f"randomized({SAMPLE_COUNT})"
+
+    best_rank, best_coeffs, best_el = -1, None, None
+    pd_coeffs, pd_el = None, None
+    for coeffs in pool:
+        el = _combine(space, coeffs)
+        r = linalg.rank(el)
+        if r > best_rank:
+            best_rank, best_coeffs, best_el = r, coeffs, el
+        if (constraint == "positive_definite" and pd_el is None
+                and nr == nc and el == linalg.transpose(el)
+                and linalg.is_positive_definite(el)):
+            pd_coeffs, pd_el = coeffs, el
+    note = ("" if method == "exhaustive" else
+            "rank from seeded samples; generic rank is attained off a "
+            "measure-zero set")
+    if constraint == "positive_definite":
+        if pd_el is not None:
+            return RankWitness(linalg.rank(pd_el), pd_coeffs, pd_el, method,
+                               positive_definite=True, note=note)
+        return RankWitness(best_rank, best_coeffs, best_el, method,
+                           positive_definite=None, note=note)
+    return RankWitness(best_rank, best_coeffs, best_el, method, note=note)
+
+
+# ---------------------------------------------------------------- condition rows
+#
+# The library's former condition rows of `invariants`, read from the dense
+# structure-constant tables.
+
+def dense_hessian_rows(conn):
+    m = conn.dim
+    c = conn.base.c
+    gam = conn.gamma.gamma
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(m):
+                row = [Fraction(0)] * (m * m)
+                for l in range(m):
+                    row[l * m + k] -= c[i][j][l]
+                    row[j * m + l] -= gam[i][k][l]
+                    row[i * m + l] += gam[j][k][l]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def dense_ad_invariance_rows(L):
+    m = L.dim
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                row = [Fraction(0)] * (m * m)
+                for l in range(m):
+                    row[l * m + k] += L.c[i][j][l]
+                    row[j * m + l] += L.c[i][k][l]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def dense_skew_cocycle_rows(L):
+    m = L.dim
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                row = [Fraction(0)] * (m * m)
+                for l in range(m):
+                    row[l * m + k] += L.c[i][j][l]
+                    row[l * m + i] += L.c[j][k][l]
+                    row[l * m + j] += L.c[k][i][l]
+                if any(row):
+                    rows.append(row)
+    return rows

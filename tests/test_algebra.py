@@ -1,12 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from koszul import linalg
 from koszul.algebra import (
-    BilinearProduct,
     LieAlgebra,
+    SparseTable,
     abelian,
     associator_defect,
     commutator_bracket,
@@ -19,7 +25,6 @@ from koszul.algebra import (
     lie_from_sparse,
     product_from_sparse,
     zero_product,
-    zero_table3,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.errors import JacobiViolation, ValidationError
@@ -28,10 +33,13 @@ import conftest
 from conftest import rand_fraction, rand_invertible
 from oracles import (
     associator_entry,
+    dense_lie,
+    dense_product,
     jacobi_entry,
     killing_entry,
     kv_anomaly_entry,
     left_matrix,
+    sparse_of,
 )
 
 
@@ -56,7 +64,7 @@ def test_jacobi_defect_matches_oracle(rng):
     for _ in range(20):
         m = rng.randint(1, 3)
         c = random_skew_table(rng, m)
-        d = dict(jacobi_defect(c).items())
+        d = dict(jacobi_defect(m, sparse_of(c)).items())
         for i in range(m):
             for j in range(m):
                 for k in range(m):
@@ -66,17 +74,17 @@ def test_jacobi_defect_matches_oracle(rng):
 
 def test_lie_constructor_enforces_axioms():
     with pytest.raises(ValidationError):
-        LieAlgebra(2, (((Fraction(1), Fraction(0)),) * 2,) * 2)
+        dense_lie(2, (((Fraction(1), Fraction(0)),) * 2,) * 2)
     # skew but failing Jacobi: [[e2,e0],e1] = [e0,e1] = e2 survives the cyclic sum
     with pytest.raises(JacobiViolation):
         lie_from_sparse(3, [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 0, 1)])
     with pytest.raises(ValidationError):
-        LieAlgebra(2, zero_table3(3))
+        LieAlgebra(2, SparseTable([(0, 1, 2, 1), (1, 0, 2, -1)]))
 
 
 def test_catalog_algebras_satisfy_jacobi():
     for L in (abelian(3), heisenberg(), so3(), sl2(), aff1()):
-        assert jacobi_defect(L.c).is_zero()
+        assert jacobi_defect(L.dim, L.sparse).is_zero()
 
 
 def test_bracket_bilinearity_and_skewness(rng):
@@ -96,7 +104,7 @@ def test_bracket_bilinearity_and_skewness(rng):
 def test_associator_and_kv_anomaly_match_oracles(rng):
     for _ in range(15):
         m = rng.randint(1, 3)
-        p = BilinearProduct(m, random_table(rng, m))
+        p = dense_product(m, random_table(rng, m))
         da = dict(associator_defect(p).items())
         dk = dict(kv_anomaly(p).items())
         for idx in product(range(m), repeat=4):
@@ -177,7 +185,7 @@ def test_conjugation_preserves_lie_structure(rng):
     for _ in range(8):
         L = conftest.random_lie(rng, max_dim=3)
         q = conjugate_lie(L, rand_invertible(L.dim, rng))
-        assert jacobi_defect(q.c).is_zero()
+        assert jacobi_defect(q.dim, q.sparse).is_zero()
 
 
 def test_direct_sum_blocks_do_not_interact():
@@ -194,3 +202,81 @@ def test_direct_sum_blocks_do_not_interact():
 def test_product_from_sparse_rejects_bad_indices():
     with pytest.raises(ValidationError):
         product_from_sparse(2, [(0, 0, 2, 1)])
+
+
+# Large sparse inputs. Each check runs in a fresh interpreter whose address
+# space is capped at 1 GiB, so work that is not refused up front ends in a
+# MemoryError there instead of exhausting the machine's memory.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_capped(code: str, *args) -> subprocess.CompletedProcess:
+    prelude = ("import resource\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(code), *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=300)
+
+
+def test_large_sparse_lie_algebra_validates_and_round_trips(tmp_path):
+    # dim 2000 with three brackets: a dense table would hold 8e9 cells
+    result = run_capped("""
+        import json, sys
+        from koszul import io as kio
+        from koszul.algebra import jacobi_defect, lie_from_sparse
+        from koszul.errors import JacobiViolation, ValidationError
+
+        m = 2000
+        L = lie_from_sparse(m, [(0, 1, 1999, 1), (2, 3, 1999, "1/2"),
+                                (10, 11, 11, -3)])
+        assert jacobi_defect(m, L.sparse).is_zero()
+        doc = kio.dump_algebra(L)
+        assert doc == {"dim": m, "bracket": [[0, 1, 1999, "1"],
+                                             [2, 3, 1999, "1/2"],
+                                             [10, 11, 11, "-3"]]}
+        with open(sys.argv[1], "w") as fh:
+            json.dump(doc, fh)
+        assert kio.load_algebra(sys.argv[1]) == L
+        try:
+            lie_from_sparse(m, [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 0, 1)])
+        except JacobiViolation as exc:
+            print(exc)
+        for view in ("c", "ad_matrices"):
+            try:
+                getattr(L, view)
+            except ValidationError as exc:
+                print(exc)
+    """, tmp_path / "large.json")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "Jacobi identity fails on basis triple (0, 1, 2)",
+        "refused: dense table cells estimated at 8000000000, above the "
+        "bound of 1000000",
+        "refused: left multiplication matrix cells estimated at 8000000000, "
+        "above the bound of 1000000"]
+
+
+def test_contraction_over_the_pair_bound_is_refused_with_exit_2():
+    # affine:25 is dim 650; its Jacobi check would visit 1,620,050 pairs
+    result = run_capped("""
+        import sys
+        from koszul import cli
+        sys.exit(cli.main(["check-lie", "--catalog", "affine:25"]))
+    """)
+    assert result.returncode == 2, result.stderr
+    error = json.loads(result.stdout)["error"]
+    assert error == {"type": "ValidationError", "message": (
+        "refused: Jacobi defect pairs estimated at 1620050, above the "
+        "bound of 1000000")}
+
+
+def test_sparse_tables_compare_by_value():
+    a = SparseTable([(1, 0, 0, Fraction(2, 4)), (0, 1, 1, 3), (0, 0, 0, 0)])
+    b = SparseTable([(0, 1, 1, Fraction(6, 2)), (1, 0, 0, Fraction(1, 2))])
+    assert a == b and hash(a) == hash(b)
+    assert a.nonzeros == ((0, 1, 1, 6), (1, 0, 0, 1)) and a.den == 2
+    assert a != SparseTable([(0, 1, 1, 3)])
+    assert product_from_sparse(2, [(1, 0, 0, "1/2"), (0, 1, 1, 3)]) == \
+        dense_product(2, a.dense(2))

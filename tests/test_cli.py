@@ -127,6 +127,17 @@ def test_statmodel_command():
     assert res["theta"] == [0.5]
 
 
+@pytest.mark.parametrize("op, theta", [("fisher", "0.6,0.5"),
+                                       ("defect", "0.45,0.4")])
+def test_categorical_theta_outside_the_simplex_exits_2(capsys, op, theta):
+    # the fisher point sums past 1; the defect point is inside, but its
+    # +-0.3 probe grid is not
+    code, out = run_main(capsys, ["statmodel", "--family", "categorical:3",
+                                  "--op", op, "--theta=" + theta])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DomainViolation"
+
+
 def test_text_format(capsys):
     code, out = run_main(capsys, ["flat-models", "tower", "--m", "1",
                                   "--steps", "3", "--format", "text"])

@@ -19,9 +19,8 @@ from koszul.connections import (
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import BilinearForm
 
-import conftest
 from conftest import rand_fraction, random_lie, random_metric, random_torsion_free
-from oracles import curvature_entry, torsion_entry
+from oracles import curvature_entry, dense_product, torsion_entry
 
 
 def test_torsion_matches_oracle(rng):
@@ -31,7 +30,7 @@ def test_torsion_matches_oracle(rng):
         table = tuple(
             tuple(tuple(rand_fraction(rng) for _ in range(m)) for _ in range(m))
             for _ in range(m))
-        conn = InvariantConnection(L, conftest.BilinearProduct(m, table))
+        conn = InvariantConnection(L, dense_product(m, table))
         d = dict(torsion(conn).items())
         for idx in product(range(m), repeat=3):
             assert d[idx] == torsion_entry(table, L.c, *idx)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from koszul import linalg, spaces
 from koszul.algebra import (
-    BilinearProduct,
-    LieAlgebra,
     abelian,
     commutator_bracket,
     conjugate_lie,
@@ -52,6 +50,7 @@ from conftest import (
 from oracles import (
     dense_fe_star_compat,
     dense_fe_star_operators,
+    dense_product,
     dense_solve_fe_star,
 )
 
@@ -152,7 +151,7 @@ def fe_connections(draw):
     """Torsion-free connections of dims 0-4: half a pool bracket plus a few
     symmetric cells (sparse form), or that connection after a dense change
     of basis (dense-conjugated form)."""
-    L = draw(st.sampled_from([LieAlgebra(0, ())] + lie_pool(4)))
+    L = draw(st.sampled_from([abelian(0)] + lie_pool(4)))
     m = L.dim
     s = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
     if m:
@@ -161,7 +160,7 @@ def fe_connections(draw):
         for i, j, k, v in draw(st.lists(st.tuples(idx, idx, idx, value),
                                         max_size=m)):
             s[i][j][k] = s[j][i][k] = v
-    gamma = BilinearProduct(m, tuple(
+    gamma = dense_product(m, tuple(
         tuple(tuple(L.c[i][j][k] / 2 + s[i][j][k] for k in range(m))
               for j in range(m)) for i in range(m)))
     if m and draw(st.booleans()):

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from koszul import linalg
+from koszul import invariants, linalg
 from koszul.algebra import abelian, commutator_bracket
 from koszul.catalog import (
     aff1,
@@ -38,6 +41,7 @@ from koszul.invariants import (
 from koszul.spaces import LinearSolutionSpace
 
 from conftest import random_metric
+from oracles import full_pool_max_rank
 
 
 def kv_connection(p):
@@ -208,3 +212,42 @@ def test_determinism_fixed_seed():
     b = max_rank(hessian_cocycle_space(
         cartan_connection(abelian(3), "zero")), seed=3)
     assert a.element == b.element and a.max_rank == b.max_rank
+
+
+@st.composite
+def matrix_spaces(draw):
+    """Spans of 0-5 small matrices of shape up to 3 x 3; square ones are
+    symmetrized, and given the identity, often enough to hold definite
+    elements."""
+    nr = draw(st.integers(1, 3))
+    nc = nr if draw(st.booleans()) else draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+    mats = [[[draw(entry) for _ in range(nc)] for _ in range(nr)]
+            for _ in range(draw(st.integers(0, 5)))]
+    if nr == nc and draw(st.booleans()):
+        mats = [linalg.mat_add(a, linalg.transpose(a)) for a in mats]
+        if draw(st.booleans()):
+            mats.append(linalg.identity(nr))
+    flat = [linalg.flatten(a) for a in mats]
+    basis = tuple(linalg.row_space_basis(flat)) if flat else ()
+    return LinearSolutionSpace(nr * nc, basis, shape=(nr, nc))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(matrix_spaces(), st.sampled_from(("none", "positive_definite")),
+       st.integers(0, 3))
+def test_max_rank_matches_the_full_pool_walk(space, constraint, seed):
+    assert max_rank(space, constraint, seed) == \
+        full_pool_max_rank(space, constraint, seed)
+
+
+def test_max_rank_stops_once_the_result_is_final():
+    # pool -2I, -I, 0, I, 2I: full rank at once, a definite element at I
+    space = LinearSolutionSpace(4, (linalg.flatten(linalg.identity(2)),),
+                                shape=(2, 2))
+    for constraint, tried in (("none", 1), ("positive_definite", 4)):
+        with mock.patch.object(invariants, "_combine",
+                               wraps=invariants._combine) as combine:
+            max_rank(space, constraint)
+        assert combine.call_count == tried

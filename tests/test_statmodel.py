@@ -117,6 +117,17 @@ def test_curved_subfamily_is_flagged():
     assert "no flat member" in rep.notes
 
 
+@pytest.mark.parametrize("center", [(0.8, 0.8), (-0.8, 0.8), (0.8, -0.8),
+                                    (-0.8, -0.8), (0.1, 0.2)])
+def test_default_tolerance_separates_flat_from_curved(center):
+    # the probe's finite-difference residue on the flat natural chart
+    # reaches 3.3e-4 here; curved4 stays curved at the same points
+    grid = [np.add(center, t) for t in grid9()]
+    assert exponential_defect_probe(categorical_natural(3), grid) \
+        .exponential_like
+    assert not exponential_defect_probe(curved4(), grid).exponential_like
+
+
 def test_one_parameter_curvature_is_exactly_zero():
     tensor, mx = alpha_curvature(bernoulli(), [0.4], 0.5)
     assert tensor.shape == (1, 1, 1, 1) and mx == 0.0

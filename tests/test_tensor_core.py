@@ -3,7 +3,9 @@
 Every tensor the library computes from the nonzeros of a structure-constant
 table, and each zero-skipping matrix product, is compared, entry by entry
 and zeros included, with the dense formula it replaced (kept in
-oracles.py). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
+oracles.py). So is every builder of a table, through its dense view, and
+every reader of one (`mult`, `left_matrices`, `right_matrix` and the
+condition rows of `invariants`). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
 a textbook algebra under a monomial basis change) and dense ones, and
 tables that are not antisymmetric or fail Jacobi, for which the
 constructor's error must be the dense one verbatim.
@@ -15,39 +17,69 @@ from itertools import product
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import linalg
+from koszul import invariants, linalg
 from koszul.algebra import (
-    BilinearProduct,
-    LieAlgebra,
     abelian,
     associator_defect,
+    commutator_bracket,
     conjugate_lie,
+    conjugate_product,
+    direct_sum_products,
     jacobi_defect,
     killing_form,
     kv_anomaly,
+    lie_from_sparse,
+    product_from_sparse,
+    zero_product,
 )
-from koszul.catalog import aff1, heisenberg, sl2, so3
+from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.connections import (
+    CARTAN_KINDS,
     InvariantConnection,
+    alpha_connection,
+    amari_dual,
+    cartan_connection,
     curvature,
     curvature_operators,
     torsion,
 )
 from koszul.errors import KoszulError
+from koszul.flatmodels import affine_algebra, matrix_algebra
+from koszul.forms import BilinearForm
 
-from conftest import direct_sum_lie
+from conftest import assoc_pool, direct_sum_lie, kv_pool
 from oracles import (
+    dense_ad_invariance_rows,
+    dense_affine_algebra,
+    dense_alpha_connection,
+    dense_amari_dual,
     dense_associator_defect,
+    dense_cartan_connection,
+    dense_commutator_bracket,
+    dense_conjugate_product,
     dense_curvature,
     dense_curvature_operators,
+    dense_direct_sum_products,
+    dense_hessian_rows,
     dense_jacobi_defect,
     dense_killing_form,
     dense_kv_anomaly,
+    dense_left_matrices,
+    dense_lie,
     dense_lie_check,
+    dense_lie_from_sparse,
     dense_mat_mul,
     dense_mat_vec,
+    dense_matrix_algebra,
+    dense_mult,
+    dense_product,
+    dense_product_from_sparse,
+    dense_right_matrix,
+    dense_skew_cocycle_rows,
     dense_torsion,
+    sparse_of,
     walk,
+    zero_table3,
 )
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
@@ -97,7 +129,7 @@ def _pool():
             direct_sum_lie(heisenberg(), aff1()),
             direct_sum_lie(so3(), sl2()),
             direct_sum_lie(heisenberg(), so3())]
-    return [LieAlgebra(0, ())] + base + sums
+    return [abelian(0)] + base + sums
 
 
 POOL = _pool()
@@ -132,7 +164,7 @@ def lie_algebras(draw):
 def connections(draw):
     L = draw(lie_algebras())
     _, gam = draw(tables(dim=L.dim))
-    return InvariantConnection(L, BilinearProduct(L.dim, gam))
+    return InvariantConnection(L, dense_product(L.dim, gam))
 
 
 def assert_tensor(t, dense):
@@ -159,7 +191,7 @@ def _error(fn, *args):
 @given(tables(skew=True))
 def test_jacobi_defect_matches_dense(mt):
     m, c = mt
-    assert_tensor(jacobi_defect(c), dense_jacobi_defect(c))
+    assert_tensor(jacobi_defect(m, sparse_of(c)), dense_jacobi_defect(c))
 
 
 @CHECKS
@@ -168,7 +200,7 @@ def test_jacobi_defect_matches_dense(mt):
 @example((2, _nested([[[0, 0], [0, 0]], [[Fraction(1), 0], [0, 0]]])))
 def test_antisymmetry_errors_match_dense(mt):
     m, c = mt
-    assert _error(LieAlgebra, m, c) == _error(dense_lie_check, m, c)
+    assert _error(dense_lie, m, c) == _error(dense_lie_check, m, c)
 
 
 @CHECKS
@@ -176,14 +208,14 @@ def test_antisymmetry_errors_match_dense(mt):
                  lie_algebras().map(lambda L: (L.dim, L.c))))
 def test_jacobi_errors_match_dense(mt):
     m, c = mt
-    assert _error(LieAlgebra, m, c) == _error(dense_lie_check, m, c)
+    assert _error(dense_lie, m, c) == _error(dense_lie_check, m, c)
 
 
 @CHECKS
 @given(tables())
 def test_associator_and_kv_anomaly_match_dense(mt):
     m, g = mt
-    p = BilinearProduct(m, g)
+    p = dense_product(m, g)
     assert_tensor(associator_defect(p), dense_associator_defect(p))
     assert_tensor(kv_anomaly(p), dense_kv_anomaly(p))
 
@@ -220,3 +252,114 @@ def test_mat_mul_and_mat_vec_match_dense(ab):
     assert linalg.mat_mul(a, b) == dense_mat_mul(a, b)
     for col in linalg.transpose(b):
         assert linalg.mat_vec(a, col) == dense_mat_vec(a, col)
+
+
+# Builders write nonzeros directly; each dense view must equal the table
+# the former dense builder returned, and each reader the former dense one.
+
+PRODUCT_POOL = (kv_pool() + assoc_pool()
+                + [zero_product(0), heisenberg_kv(), matrix_algebra(2),
+                   affine_algebra(2).product])
+
+
+@st.composite
+def products(draw):
+    """A pool or catalog product, as is or under a basis change, or a table."""
+    if draw(st.booleans()):
+        _, g = draw(tables())
+        return dense_product(len(g), g)
+    base = draw(st.sampled_from(PRODUCT_POOL))
+    if base.dim == 0 or draw(st.booleans()):
+        return base
+    return conjugate_product(base, draw(basis_changes(base.dim)))
+
+
+@CHECKS
+@given(st.integers(0, 4), st.lists(st.tuples(
+    st.integers(-1, 4), st.integers(0, 4), st.integers(0, 4), rationals),
+    max_size=8))
+def test_from_sparse_builders_match_dense(m, entries):
+    old = _error(dense_product_from_sparse, m, entries)
+    assert _error(product_from_sparse, m, entries) == old
+    if old is None:
+        assert product_from_sparse(m, entries).gamma == \
+            dense_product_from_sparse(m, entries)
+    old = _error(dense_lie_from_sparse, m, entries)
+    if old is None:
+        old = _error(dense_lie, m, dense_lie_from_sparse(m, entries))
+    assert _error(lie_from_sparse, m, entries) == old
+    if old is None:
+        assert lie_from_sparse(m, entries).c == \
+            dense_lie_from_sparse(m, entries)
+
+
+@CHECKS
+@given(products(), products())
+def test_product_builders_match_dense(p, q):
+    old = dense_commutator_bracket(p)
+    assert _error(commutator_bracket, p) == _error(dense_lie, p.dim, old)
+    if _error(commutator_bracket, p) is None:
+        assert commutator_bracket(p).c == old
+    assert direct_sum_products(p, q).gamma == dense_direct_sum_products(p, q)
+
+
+@CHECKS
+@given(products(), st.data())
+def test_conjugate_product_matches_dense(p, data):
+    m = p.dim
+    pm = data.draw(basis_changes(m)) if m else ()
+    assert conjugate_product(p, pm).gamma == dense_conjugate_product(p, pm)
+
+
+@CHECKS
+@given(lie_algebras(), st.data())
+def test_lie_builders_match_dense(L, data):
+    m = L.dim
+    pm = data.draw(basis_changes(m)) if m else ()
+    assert conjugate_lie(L, pm).c == \
+        dense_conjugate_product(L.as_product(), pm)
+    for kind in CARTAN_KINDS:
+        assert cartan_connection(L, kind).gamma.gamma == \
+            dense_cartan_connection(L, kind)
+
+
+@CHECKS
+@given(connections(), st.data())
+def test_dual_and_alpha_connections_match_dense(conn, data):
+    m = conn.dim
+    p = data.draw(basis_changes(m)) if m else ()
+    g = BilinearForm(m, dense_mat_mul(linalg.transpose(p), p) if m else (),
+                     "symmetric")
+    dual = amari_dual(conn, g)
+    assert dual.gamma.gamma == dense_amari_dual(conn, g)
+    alpha = data.draw(rationals)
+    assert alpha_connection(conn, dual, alpha).gamma.gamma == \
+        dense_alpha_connection(conn, dual, alpha)
+
+
+def test_closed_form_builders_match_dense():
+    for m in range(4):
+        assert abelian(m).c == zero_table3(m)
+        assert zero_product(m).gamma == zero_table3(m)
+        assert affine_algebra(m).product.gamma == dense_affine_algebra(m)
+        assert matrix_algebra(m).gamma == dense_matrix_algebra(m)
+
+
+@CHECKS
+@given(products(), st.data())
+def test_product_readers_match_dense(p, data):
+    m, g = p.dim, p.gamma
+    vec = st.lists(rationals, min_size=m, max_size=m)
+    u, v = data.draw(vec), data.draw(vec)
+    assert p.mult(u, v) == dense_mult(g, u, v)
+    assert p.left_matrices == dense_left_matrices(g)
+    assert p.right_matrix(u) == dense_right_matrix(g, u)
+
+
+@CHECKS
+@given(connections())
+def test_condition_rows_match_dense(conn):
+    L = conn.base
+    assert invariants._hessian_rows(conn) == dense_hessian_rows(conn)
+    assert invariants._ad_invariance_rows(L) == dense_ad_invariance_rows(L)
+    assert invariants._skew_cocycle_rows(L) == dense_skew_cocycle_rows(L)
