@@ -35,12 +35,14 @@ from koszul.linalg import Mat, Vec, frac
 Table3 = tuple[tuple[Vec, ...], ...]
 
 # Both bounds sit far above every input of the tests and the benchmark
-# (at most 1,728 dense cells and 25,088 pairs). A dense view at the bound
-# is dim 100; a contraction at the bound keeps at most three integer
-# accumulators per pair, a few hundred MB: check-lie on affine:20 (669k
-# pairs) peaks near 240 MB, and affine:25 (1.6M pairs) is refused.
+# (at most 1,728 dense cells and 25,088 pairs of nonzeros). A dense view at
+# DENSE_CELL_BOUND is dim 100. A contraction's accumulator holds at most one
+# integer per pair of nonzeros it visits and at most one per output index,
+# and its estimate is the smaller count: any table of dim up to 31 passes,
+# check-lie on affine:20 (669k pairs, about 240 MB) passes and affine:25
+# (1.6M pairs) is refused.
 DENSE_CELL_BOUND = 10 ** 6
-PAIR_BOUND = 10 ** 6
+ENTRY_BOUND = 10 ** 6
 
 
 def envelope(work: str, estimate: int, bound: int) -> None:
@@ -130,6 +132,19 @@ def _check_entry(m: int, i, j, k) -> None:
         raise ValidationError(f"index out of range in entry ({i},{j},{k})")
 
 
+def _check_table(m: int, s: SparseTable) -> None:
+    if m < 0:
+        raise ValidationError(f"dimension must be >= 0, got {m}")
+    for i, j, k, _ in s.nonzeros:
+        _check_entry(m, i, j, k)
+
+
+def _index_range(*tables: SparseTable) -> int:
+    """One more than the largest index in the tables' nonzeros."""
+    return 1 + max((max(idx) for t in tables for *idx, _ in t.nonzeros),
+                   default=-1)
+
+
 def rationals(acc: dict, den: int) -> dict:
     """Integer accumulators over `den` as nonzero rationals."""
     return {idx: Fraction(n, den) for idx, n in acc.items() if n}
@@ -188,8 +203,7 @@ class BilinearProduct:
     sparse: SparseTable
 
     def __post_init__(self):
-        for i, j, k, _ in self.sparse.nonzeros:
-            _check_entry(self.dim, i, j, k)
+        _check_table(self.dim, self.sparse)
 
     @cached_property
     def gamma(self) -> Table3:
@@ -211,13 +225,8 @@ class BilinearProduct:
     @cached_property
     def left_matrices(self) -> tuple[Mat, ...]:
         """L_i with column j = e_i·e_j (matrix of left multiplication by e_i)."""
-        m = self.dim
-        envelope("left multiplication matrix cells", m ** 3, DENSE_CELL_BOUND)
-        zero = Fraction(0)
-        mats = [[[zero] * m for _ in range(m)] for _ in range(m)]
-        for i, j, k, v in self.sparse.items():
-            mats[i][k][j] = v
-        return tuple(tuple(map(tuple, a)) for a in mats)
+        return tuple(linalg.transpose(plane)
+                     for plane in self.sparse.dense(self.dim))
 
     def right_matrix(self, x) -> Mat:
         """Matrix of y -> y·x."""
@@ -247,8 +256,7 @@ class LieAlgebra:
     sparse: SparseTable
 
     def __post_init__(self):
-        for i, j, k, _ in self.sparse.nonzeros:
-            _check_entry(self.dim, i, j, k)
+        _check_table(self.dim, self.sparse)
         # c[i][j][k] != -c[j][i][k] needs a nonzero on one side, and the
         # relation is symmetric, so the failures are the nonzeros that fail
         # together with their mirrors.
@@ -294,11 +302,11 @@ def operator_defect(g: SparseTable, q: SparseTable,
     the associator; with bracket=True and q a Lie bracket it is the
     curvature of the connection g.
     """
-    by_second = g.by_second
-    envelope("operator defect pairs",
-             _pairs_visited((a for *_, a, _ in g.nonzeros), by_second)
-             + _pairs_visited((a for *_, a, _ in q.nonzeros), g.by_first),
-             PAIR_BOUND)
+    by_second, r = g.by_second, _index_range(g, q)
+    envelope("operator defect accumulator entries",
+             min(_pairs_visited((a for *_, a, _ in g.nonzeros), by_second)
+                 + _pairs_visited((a for *_, a, _ in q.nonzeros), g.by_first),
+                 r ** 4), ENTRY_BOUND)
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
     # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
@@ -331,9 +339,9 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     pairs of nonzeros, then enters the cyclic sums at (p,q,r), (q,r,p) and
     (r,p,q).
     """
-    envelope("Jacobi defect pairs",
-             _pairs_visited((a for *_, a, _ in c.nonzeros), c.by_first),
-             PAIR_BOUND)
+    envelope("Jacobi defect accumulator entries",
+             min(_pairs_visited((a for *_, a, _ in c.nonzeros), c.by_first),
+                 m ** 4), ENTRY_BOUND)
     nested: dict = defaultdict(int)
     for p, q, a, v in c.nonzeros:
         for r, l, w in c.by_first.get(a, ()):
@@ -382,17 +390,16 @@ def killing_form(L: LieAlgebra):
     """K(x,y) = trace(ad_x ad_y); symmetric, ad-invariant.
 
     K(e_i,e_j) = sum_{a,b} c[i][a][b] c[j][b][a], summed over pairs of
-    nonzeros that share the (a, b) / (b, a) slots.
+    nonzeros that share the (a, b) / (b, a) slots into a dense m x m
+    accumulator, which is what the envelope bounds.
     """
     from koszul.forms import BilinearForm
     m = L.dim
     s = L.sparse
+    envelope("Killing form cells", m * m, DENSE_CELL_BOUND)
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, a, b, n in s.nonzeros:
         by_pair.setdefault((a, b), []).append((i, n))
-    envelope("Killing form pairs",
-             sum(len(left) * len(by_pair.get((b, a), ()))
-                 for (a, b), left in by_pair.items()), PAIR_BOUND)
     acc = [[0] * m for _ in range(m)]
     for (a, b), left in by_pair.items():
         for j, w in by_pair.get((b, a), ()):

@@ -27,6 +27,7 @@ from koszul.algebra import (
     zero_product,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
+from koszul.connections import cartan_connection, curvature
 from koszul.errors import JacobiViolation, ValidationError
 
 import conftest
@@ -251,11 +252,9 @@ def test_large_sparse_lie_algebra_validates_and_round_trips(tmp_path):
     """, tmp_path / "large.json")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        "Jacobi identity fails on basis triple (0, 1, 2)",
+        "Jacobi identity fails on basis triple (0, 1, 2)"] + [
         "refused: dense table cells estimated at 8000000000, above the "
-        "bound of 1000000",
-        "refused: left multiplication matrix cells estimated at 8000000000, "
-        "above the bound of 1000000"]
+        "bound of 1000000"] * 2
 
 
 def test_contraction_over_the_pair_bound_is_refused_with_exit_2():
@@ -268,8 +267,29 @@ def test_contraction_over_the_pair_bound_is_refused_with_exit_2():
     assert result.returncode == 2, result.stderr
     error = json.loads(result.stdout)["error"]
     assert error == {"type": "ValidationError", "message": (
-        "refused: Jacobi defect pairs estimated at 1620050, above the "
-        "bound of 1000000")}
+        "refused: Jacobi defect accumulator entries estimated at 1620050, "
+        "above the bound of 1000000")}
+
+
+def test_dense_lie_algebra_of_dim_17_is_not_refused():
+    # so3^5 + R^2 in a dense integer basis: its Jacobi check and the
+    # curvature of its Cartan zero connection visit over 10^6 pairs of
+    # nonzeros, into at most 17^4 = 83,521 accumulator entries
+    m = 17
+    L = lie_from_sparse(m, [(3 * s + i, 3 * s + j, 3 * s + k, 1)
+                            for s in range(5)
+                            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])
+    pmat = linalg.mat([[(3 * i + 5 * j) % 7 - 3 + 9 * (i == j)
+                        for j in range(m)] for i in range(m)])
+    dense = conjugate_lie(L, pmat)
+    assert len(dense.sparse.nonzeros) == 4624
+    assert not curvature(cartan_connection(dense, "zero")).is_zero()
+
+
+@pytest.mark.parametrize("build", [abelian, zero_product])
+def test_negative_dimension_is_refused(build):
+    with pytest.raises(ValidationError, match="dimension must be >= 0"):
+        build(-1)
 
 
 def test_sparse_tables_compare_by_value():

@@ -164,6 +164,17 @@ def test_validation_failures_exit_2(capsys, tmp_path):
     assert "cannot read" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-lie", "--catalog", "abelian:-1"],
+    ["flat-models", "completeness", "--catalog", "zero:-1"]])
+def test_negative_catalog_dimension_exits_2(capsys, argv):
+    code, out = run_main(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError",
+        "message": "dimension must be >= 0, got -1"}
+
+
 def test_jacobi_violation_exit_2_with_witness(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
