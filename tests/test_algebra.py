@@ -286,12 +286,6 @@ def test_dense_lie_algebra_of_dim_17_is_not_refused():
     assert not curvature(cartan_connection(dense, "zero")).is_zero()
 
 
-@pytest.mark.parametrize("build", [abelian, zero_product])
-def test_negative_dimension_is_refused(build):
-    with pytest.raises(ValidationError, match="dimension must be >= 0"):
-        build(-1)
-
-
 def test_sparse_tables_compare_by_value():
     a = SparseTable([(1, 0, 0, Fraction(2, 4)), (0, 1, 1, 3), (0, 0, 0, 0)])
     b = SparseTable([(0, 1, 1, Fraction(6, 2)), (1, 0, 0, Fraction(1, 2))])
