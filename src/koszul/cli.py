@@ -406,7 +406,8 @@ def _cmd_statmodel(args, inputs):
 def _probe_grid(model, center):
     import itertools
 
-    offsets = (-0.3, 0.0, 0.3)
+    s = model.probe_offset(center)
+    offsets = (-s, 0.0, s)
     pts = []
     for combo in itertools.product(offsets, repeat=model.n_params):
         pts.append([c + o for c, o in zip(center, combo)])

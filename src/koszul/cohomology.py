@@ -348,10 +348,16 @@ def _check_kv(algebra: BilinearProduct, coefficients: str,
               max_degree: int = 0) -> None:
     if coefficients not in (ADJOINT, SCALAR):
         raise ValidationError("coefficients must be adjoint or scalar")
-    if max_degree > 3:
-        raise ValidationError("degrees capped at 3")
+    _check_max_degree(max_degree, 3)
     if not algebra.is_kv:
         raise NotKV("product is not left-symmetric")
+
+
+def _check_max_degree(max_degree: int, cap: int) -> None:
+    if max_degree > cap:
+        raise ValidationError(f"degrees capped at {cap}")
+    if max_degree < 0:
+        raise ValidationError(f"max_degree {max_degree} is negative")
 
 
 def _kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
@@ -462,8 +468,7 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
     """Chevalley-Eilenberg dims; trivial or adjoint coefficients, p <= 3."""
     if coefficients not in (TRIVIAL, ADJOINT):
         raise ValidationError("coefficients must be trivial or adjoint")
-    if max_degree > 3:
-        raise ValidationError("degrees capped at 3")
+    _check_max_degree(max_degree, 3)
     deltas = [_ce_delta(L, coefficients, p) for p in range(max_degree + 1)]
     return _dims_from_deltas("chevalley-eilenberg", coefficients, L.dim,
                              deltas)
@@ -533,8 +538,7 @@ def _hochschild_delta(algebra: BilinearProduct, q: int):
 def hochschild_dims(algebra: BilinearProduct,
                     max_degree: int = 2) -> CohomologyReport:
     """Hochschild dims with coefficients in the algebra, degree <= 2."""
-    if max_degree > 2:
-        raise ValidationError("degrees capped at 2")
+    _check_max_degree(max_degree, 2)
     _check_associative(algebra)
     deltas = [_hochschild_delta(algebra, q) for q in range(max_degree + 1)]
     return _dims_from_deltas("hochschild", ADJOINT, algebra.dim, deltas)

@@ -10,9 +10,11 @@ Rank maximization follows a fixed recipe: exhaustive small-coefficient grids
 for spaces of dimension at most 3, otherwise 64 seeded rational samples
 (generic rank is attained off a measure-zero set, so samples almost surely
 realize it). Where a `no` verdict is emitted, it is backed by an exact
-certificate: either a common kernel vector of the whole space or the rank of
-the space over the rational function field (a symbolic computation that bounds
-every real specialization).
+certificate: either a common kernel vector of the whole space or its generic
+rank, the rank over the rational function field, which bounds every real
+specialization. `generic_rank` proves that rank with exact rational ranks on
+an integer grid sized by the matrix shape (see its docstring); a grid above
+`GENERIC_RANK_POINTS` is not evaluated, and the verdict is `unknown`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ from koszul.spaces import LinearSolutionSpace
 DEFAULT_SEED = 7
 GRID_LIMIT = 3
 SAMPLE_COUNT = 64
+# Bound on the grid `generic_rank` evaluates, (min(shape) + 1)^(dim - 1)
+# points. The largest grids in use have 16 points in the tests (dim 3 on
+# 3 x 3) and 4 in the benchmark (dim 2 on 3 x 3). One grid point of a 3 x 3
+# to 6 x 6 pencil (an integer combination and one exact rank) takes about
+# 25-100 us on a shared 2-vCPU host, so a grid at the bound finishes in
+# under half a second (a 7 x 7 pencil in 0.5-0.9 s).
+GENERIC_RANK_POINTS = 4096
 
 
 def resolve_seed(seed=None) -> int:
@@ -126,24 +135,47 @@ def max_rank(space: LinearSolutionSpace, constraint: str = "none",
     return RankWitness(best_rank, best_coeffs, best_el, method, note=note)
 
 
-def generic_rank(space: LinearSolutionSpace) -> int:
-    """Rank of sum_s t_s B_s over the rational function field Q(t).
+def generic_rank(space: LinearSolutionSpace) -> int | None:
+    """Rank of sum_s t_s B_s over the rational function field Q(t), or None
+    when its certifying grid has more than GENERIC_RANK_POINTS points.
 
-    Equals the maximum rank over all real (or rational) coefficient choices,
-    so `generic_rank < full` certifies that every element of the span is
-    singular.
+    The rank equals the maximum rank over all real (or rational) coefficient
+    choices, so `generic_rank < full` certifies that every element of the
+    span is singular.
+
+    Proof of the computation. Let k = dim and d = min(shape). Every minor of
+    sum_s t_s B_s is homogeneous in t, so it vanishes identically exactly when
+    its value at t_1 = 1 does: the rank over Q(t) is the rank over Q(u) of
+    B_1 + sum_{s>=2} u_s B_s. Let r* be the largest exact rank of that pencil
+    over the grid {0, ..., d}^(k-1). No specialization exceeds the generic
+    rank, so r* <= generic rank. If r* < d, every (r*+1)-minor has degree at
+    most r*+1 <= d in each u_s and vanishes on a grid with d+1 points per
+    axis, so it is the zero polynomial (Alon, Combinatorial Nullstellensatz,
+    1999, Lemma 2.1); hence r* is the generic rank. The walk stops at the
+    first point of rank d. The basis is scaled to integers first: scaling
+    B_s by c != 0 is the substitution t_s -> c t_s, which keeps the rank.
     """
-    import sympy
-
-    if space.dim == 0:
+    k = space.dim
+    if k == 0:
         return 0
+    if _grid_points(space) > GENERIC_RANK_POINTS:
+        return None
     nr, nc = space.shape
-    ts = sympy.symbols(f"t0:{space.dim}")
-    mats = space.matrices()
-    m = sympy.zeros(nr, nc)
-    for t, b in zip(ts, mats):
-        m += t * sympy.Matrix(nr, nc, lambda i, j: sympy.Rational(b[i][j]))
-    return m.rank(simplify=True)
+    d = min(nr, nc)
+    cells = tuple(zip(*linalg.integer_rows(space.basis)[0]))
+    best = 0
+    for u in iproduct(range(d + 1), repeat=k - 1):
+        coeffs = (1, *u)
+        flat = [sum(c * x for c, x in zip(coeffs, cell)) for cell in cells]
+        best = max(best, linalg.rank(linalg.unflatten(flat, nr, nc)))
+        if best == d:
+            break
+    return best
+
+
+def _grid_points(space: LinearSolutionSpace) -> int:
+    """Points of the grid `generic_rank` evaluates on a space of dim >= 1."""
+    return (min(space.shape) + 1) ** (space.dim - 1)
 
 
 def common_kernel(space: LinearSolutionSpace) -> tuple:
@@ -179,7 +211,14 @@ def _no_or_unknown(space, m, value, notes=""):
             "no", invariant_value=value, certificate=(
                 f"every element of the solution space annihilates "
                 f"the vector {vec}"), notes=notes)
-    if generic_rank(space) < m:
+    r = generic_rank(space)
+    if r is None:
+        bound = (f"generic rank not certified: its grid has "
+                 f"{_grid_points(space)} points, above the bound of "
+                 f"{GENERIC_RANK_POINTS}")
+        return ExistenceVerdict("unknown", invariant_value=value,
+                                notes="; ".join(filter(None, (notes, bound))))
+    if r < m:
         return ExistenceVerdict(
             "no", invariant_value=value,
             certificate="solution space has generic rank below the dimension",

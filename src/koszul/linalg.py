@@ -150,9 +150,17 @@ def rank(rows) -> int:
     return len(pivots)
 
 
+def _check_square(a) -> int:
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix is not square: shape "
+                         f"{n}x{len(a[0])}")
+    return n
+
+
 def det(a) -> Fraction:
     """Determinant of a square matrix."""
-    n = len(a)
+    n = _check_square(a)
     if n == 0:
         return Fraction(1)
     int_rows, scales = integer_rows(a)
@@ -255,7 +263,7 @@ def solve(a, b) -> Vec | None:
 
 
 def inverse(a) -> Mat:
-    n = len(a)
+    n = _check_square(a)
     aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
            for i, row in enumerate(a)]
     red, pivots = rref(aug)

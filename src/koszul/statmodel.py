@@ -42,6 +42,9 @@ DOMAIN_MARGIN = 0.01
 # +-0.3 probe grid, a residue of 3.3e-4), and a curved family fails while
 # its curvature stays above h (curved4 reads 0.2 to 1.4 near the origin).
 PROBE_TOL = CURV_STEP
+# Half-width of the probe grid center + {-s, 0, s}^n where the domain has
+# room for it (`FiniteStatModel.probe_offset`).
+PROBE_OFFSET = 0.3
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,29 @@ class FiniteStatModel:
                 f"theta components sum to {float(np.sum(theta))}, above "
                 f"{1.0 - DOMAIN_MARGIN}")
         return theta
+
+    def probe_offset(self, center) -> float:
+        """Largest s <= PROBE_OFFSET such that every point of the grid
+        center + {-s, 0, s}^n, and the +-CURV_STEP stencil on which
+        `alpha_curvature` differentiates at it, passes `check_domain`.
+
+        Each coordinate needs s <= room to its box ends less
+        DOMAIN_MARGIN + CURV_STEP; on the simplex the corner sum(center)
+        + n s + CURV_STEP must stay 1 - DOMAIN_MARGIN or below.
+        """
+        theta = self.check_domain(center)
+        reach = DOMAIN_MARGIN + CURV_STEP
+        room = [min(t - lo, hi - t) - reach
+                for t, (lo, hi) in zip(theta, self.domain)]
+        if self.simplex:
+            room.append((1.0 - reach - float(np.sum(theta))) / self.n_params)
+        # the slack keeps rounding in center + s off the domain margin
+        tight = min(room) - 1e-9
+        if tight < 0.0:
+            raise DomainViolation(
+                f"theta {theta.tolist()} is within {reach} of the domain "
+                f"boundary; no probe grid fits around it")
+        return float(min(PROBE_OFFSET, tight))
 
     def probs(self, theta) -> np.ndarray:
         p = np.array([np.exp(self.log_density(theta, x))

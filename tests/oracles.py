@@ -14,7 +14,8 @@ dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
 elimination modulo a prime (`dense_rank_mod`), its former reduced
 row-echelon form over every row (`full_rref`), its former rank search over
-the whole pool (`full_pool_max_rank`), its former condition rows over the
+the whole pool (`full_pool_max_rank`), its former generic rank over the
+rational function field by sympy (`symbolic_generic_rank`), its former condition rows over the
 dense tables (`dense_hessian_rows`, ...), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
@@ -1140,6 +1141,20 @@ def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
         return RankWitness(best_rank, best_coeffs, best_el, method,
                            positive_definite=None, note=note)
     return RankWitness(best_rank, best_coeffs, best_el, method, note=note)
+
+
+def symbolic_generic_rank(space: LinearSolutionSpace) -> int:
+    """The library's former `invariants.generic_rank`: the rank of
+    sum_s t_s B_s over Q(t), computed by sympy."""
+    if space.dim == 0:
+        return 0
+    nr, nc = space.shape
+    ts = sympy.symbols(f"t0:{space.dim}")
+    mats = space.matrices()
+    m = sympy.zeros(nr, nc)
+    for t, b in zip(ts, mats):
+        m += t * sympy.Matrix(nr, nc, lambda i, j: sympy.Rational(b[i][j]))
+    return m.rank(simplify=True)
 
 
 # ---------------------------------------------------------------- condition rows

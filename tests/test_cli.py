@@ -108,6 +108,16 @@ def test_kv_cohomology_command():
     assert res["betti"] == [1, 2, 5, 13]
 
 
+@pytest.mark.parametrize("complex_, catalog", [
+    ("kv", "heisenberg-kv"), ("ce", "so3"), ("hochschild", "matrix:2")])
+def test_negative_max_degree_exits_2(capsys, complex_, catalog):
+    code, out = run_main(capsys, ["kv-cohomology", "--complex", complex_,
+                                  "--catalog", catalog, "--max-degree", "-1"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": "max_degree -1 is negative", "type": "ValidationError"}
+
+
 def test_spencer_command(tmp_path):
     path = tmp_path / "so3-symbol.json"
     path.write_text(json.dumps(
@@ -128,14 +138,25 @@ def test_statmodel_command():
 
 
 @pytest.mark.parametrize("op, theta", [("fisher", "0.6,0.5"),
-                                       ("defect", "0.45,0.4")])
+                                       ("defect", "0.5,0.4895")])
 def test_categorical_theta_outside_the_simplex_exits_2(capsys, op, theta):
-    # the fisher point sums past 1; the defect point is inside, but its
-    # +-0.3 probe grid is not
+    # the fisher point sums past 1; the defect point is inside, but too
+    # close to the simplex for any probe grid and its difference stencil
     code, out = run_main(capsys, ["statmodel", "--family", "categorical:3",
                                   "--op", op, "--theta=" + theta])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "DomainViolation"
+
+
+@pytest.mark.parametrize("theta", [None, "0.45,0.4"])
+def test_categorical_defect_probe_shrinks_its_grid(theta):
+    # +-0.3 leaves the simplex at both points; a smaller grid fits, and
+    # the mean chart is flat at alpha = +1
+    argv = ["statmodel", "--family", "categorical:3", "--op", "defect"]
+    res = cli.run(argv + ([] if theta is None else ["--theta=" + theta]))
+    res = res["result"]
+    assert res["grid_size"] == 9 and res["exponential_like"] is True
+    assert res["best_alpha"] == 1.0
 
 
 def test_text_format(capsys):

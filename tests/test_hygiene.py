@@ -61,3 +61,71 @@ def test_the_scan_sees_unused_and_used_imports():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def sympy_importers(source: str) -> tuple[list[str], list[str]]:
+    """(functions whose body imports sympy, top-level sympy imports).
+
+    A function is named by its dotted path inside the module; an import is
+    top level when no function encloses it.
+    """
+    functions: set[str] = set()
+    top: list[str] = []
+
+    def imports_sympy(node) -> bool:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            return False
+        return any(n.partition(".")[0] == "sympy" for n in names)
+
+    def visit(node, path, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                is_function = not isinstance(child, ast.ClassDef)
+                visit(child, path + (child.name,), in_function or is_function)
+            elif imports_sympy(child):
+                if in_function:
+                    functions.add(".".join(path))
+                else:
+                    top.append(f"line {child.lineno}")
+            else:
+                visit(child, path, in_function)
+
+    visit(ast.parse(source), (), False)
+    return sorted(functions), top
+
+
+def test_the_scan_sees_sympy_imports():
+    source = ("import sympy.abc\n"
+              "def f():\n"
+              "    from sympy import Matrix\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        if True:\n"
+              "            import sympy\n"
+              "def h():\n"
+              "    import os\n")
+    assert sympy_importers(source) == (["C.g", "f"], ["line 1"])
+
+
+# The verdict routes that still run on sympy; each leaves this list once
+# an exact linear-algebra certificate replaces it.
+SYMPY_FUNCTIONS = [
+    "flatmodels._det_poly", "flatmodels._exact_small_dim",
+    "flatmodels._rational_roots", "flatmodels._rational_zero_search",
+    "invariants._flat_existence_exact_small",
+]
+
+
+def test_sympy_is_imported_only_by_the_listed_functions():
+    found, top = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        functions, imports = sympy_importers(path.read_text())
+        found += [f"{path.stem}.{f}" for f in functions]
+        top += [f"{path.relative_to(ROOT)} {line}" for line in imports]
+    assert sorted(found) == SYMPY_FUNCTIONS
+    assert top == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import invariants, linalg
@@ -41,7 +41,7 @@ from koszul.invariants import (
 from koszul.spaces import LinearSolutionSpace
 
 from conftest import random_metric
-from oracles import full_pool_max_rank
+from oracles import full_pool_max_rank, symbolic_generic_rank
 
 
 def kv_connection(p):
@@ -251,3 +251,68 @@ def test_max_rank_stops_once_the_result_is_final():
                                wraps=invariants._combine) as combine:
             max_rank(space, constraint)
         assert combine.call_count == tried
+
+
+def _extremal_pencil(d):
+    """diag(0, -1, ..., -(d-1)) + u I: singular at u = 0, ..., d-1 and
+    nonsingular at u = d, so a grid one point short misses its rank."""
+    b1 = [[Fraction(-i if i == j else 0) for j in range(d)] for i in range(d)]
+    return LinearSolutionSpace(
+        d * d, (linalg.flatten(b1), linalg.flatten(linalg.identity(d))),
+        shape=(d, d))
+
+
+@st.composite
+def pencils(draw):
+    """Spans of 1-3 matrices of shape up to 4 x 4: dense ones, 3 x 3
+    skew ones (rank at most 2) and compression
+    spaces, which share a zero block of p rows and q columns and so have
+    rank at most nr + nc - p - q."""
+    kind = draw(st.sampled_from(("dense", "skew", "compression")))
+    nr, nc = (3, 3) if kind == "skew" else (draw(st.integers(1, 4)),
+                                           draw(st.integers(1, 4)))
+    p = draw(st.integers(1, nr)) if kind == "compression" else 0
+    q = draw(st.integers(1, nc)) if kind == "compression" else 0
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = [[Fraction(0) if i >= nr - p and j >= nc - q else draw(entry)
+              for j in range(nc)] for i in range(nr)]
+        mats.append(linalg.mat_sub(a, linalg.transpose(a))
+                    if kind == "skew" else a)
+    basis = linalg.row_space_basis([linalg.flatten(a) for a in mats])
+    return LinearSolutionSpace(nr * nc, basis, shape=(nr, nc))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pencils())
+# zero block rows 1-2 x columns 1-2: generic rank 2, no common kernel
+@example(LinearSolutionSpace(9, (
+    linalg.flatten(linalg.mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])),
+    linalg.flatten(linalg.mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))),
+    shape=(3, 3)))
+@example(_extremal_pencil(2))
+@example(_extremal_pencil(3))
+@example(_extremal_pencil(4))
+def test_generic_rank_matches_the_symbolic_rank(space):
+    assert generic_rank(space) == symbolic_generic_rank(space)
+
+
+def test_generic_rank_above_the_bound_answers_unknown():
+    # rows 0 and 1 of a 4 x 4 matrix: rank 2 with no common kernel, and a
+    # grid of 5^7 points
+    basis = []
+    for i in range(2):
+        for j in range(4):
+            e = [[0] * 4 for _ in range(4)]
+            e[i][j] = 1
+            basis.append(linalg.flatten(linalg.mat(e)))
+    space = LinearSolutionSpace(16, tuple(basis), shape=(4, 4))
+    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
+        assert generic_rank(space) is None
+        verdict = invariants._no_or_unknown(space, 4, 2)
+    assert rank.call_count == 0
+    assert verdict.exists == "unknown" and verdict.invariant_value == 2
+    assert verdict.notes == ("generic rank not certified: its grid has 78125 "
+                             "points, above the bound of 4096")

@@ -108,6 +108,14 @@ def test_inverse_roundtrip_and_singular_rejection(rng):
         linalg.inverse([[1, 2], [2, 4]])
 
 
+@pytest.mark.parametrize("a, shape", [
+    ([[1, 2, 3], [4, 5, 6]], "2x3"), ([[1, 2], [3, 4], [5, 6]], "3x2")])
+@pytest.mark.parametrize("op", [linalg.det, linalg.inverse])
+def test_det_and_inverse_refuse_non_square_matrices(op, a, shape):
+    with pytest.raises(ValueError, match=f"not square: shape {shape}"):
+        op(linalg.mat(a))
+
+
 def test_signature_and_definiteness(rng):
     assert linalg.symmetric_signature(linalg.identity(3)) == (3, 0, 0)
     assert linalg.symmetric_signature([[0, 1], [1, 0]]) == (1, 1, 0)

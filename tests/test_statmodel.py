@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from koszul.errors import (
     ValidationError,
 )
 from koszul.statmodel import (
+    CURV_STEP,
+    PROBE_OFFSET,
     FiniteStatModel,
     alpha_christoffels,
     alpha_curvature,
@@ -150,6 +154,41 @@ def test_domain_and_shape_guards():
         fisher_information(b, [0.3, 0.4])
     with pytest.raises(ValidationError):
         exponential_defect_probe(b, [])
+
+
+def _grid_fits(model, center, s):
+    """Every point of center + {-s, 0, s}^n and its +-CURV_STEP stencil
+    passes check_domain."""
+    n = model.n_params
+    steps = [np.zeros(n)] + [sign * CURV_STEP * np.eye(n)[i]
+                             for i in range(n) for sign in (-1, 1)]
+    try:
+        for combo in product((-s, 0.0, s), repeat=n):
+            for step in steps:
+                model.check_domain(np.asarray(center) + combo + step)
+    except DomainViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("model, center, room", [
+    (curved4(), [0.0, 0.0], True),
+    (categorical_natural(3), [0.0, 0.0], True),
+    (bernoulli(), [0.5], True),
+    (bernoulli(), [0.2], False),
+    (categorical_mean(3), [1 / 3, 1 / 3], False),
+    (categorical_mean(3), [0.45, 0.4], False),
+])
+def test_probe_offset_is_the_largest_grid_that_fits(model, center, room):
+    s = model.probe_offset(center)
+    assert (s == PROBE_OFFSET) is room
+    assert _grid_fits(model, center, s)
+    assert room or not _grid_fits(model, center, s + 1e-6)
+
+
+def test_probe_offset_refuses_a_point_with_no_room():
+    with pytest.raises(DomainViolation):
+        categorical_mean(3).probe_offset([0.5, 0.4895])
 
 
 def test_non_normalized_model_is_rejected():
