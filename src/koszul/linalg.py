@@ -126,16 +126,25 @@ def commutator(a, b) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact entry, without building a
+    Fraction for an int."""
+    if isinstance(x, int):
+        return x, 1
+    f = x if isinstance(x, Fraction) else frac(x)
+    return f.numerator, f.denominator
+
+
 def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the LCM of its denominators; returns (rows, scales)."""
     out: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
-        nz = [(j, frac(x)) for j, x in enumerate(row) if x]
-        m = lcm(*(f.denominator for _, f in nz)) if nz else 1
+        nz = [(j, _ratio(x)) for j, x in enumerate(row) if x]
+        m = lcm(*(q for _, (_, q) in nz)) if nz else 1
         ints = [0] * len(row)
-        for j, f in nz:
-            ints[j] = f.numerator * (m // f.denominator)
+        for j, (a, q) in nz:
+            ints[j] = a * (m // q)
         out.append(ints)
         scales.append(m)
     return out, scales

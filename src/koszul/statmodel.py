@@ -13,11 +13,14 @@ the Levi-Civita connection of the Fisher metric either way.
 Derivatives are central differences with one Richardson refinement
 (h = 1e-4); curvature differentiates the raised symbols at h = 1e-3
 without refinement. The integral over outcomes uses counting measure.
+Each log density is evaluated once per point and shared: one jet per
+point, which the probe reuses for both alpha ends and the torsion check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -105,81 +108,78 @@ class FiniteStatModel:
         return float(min(PROBE_OFFSET, tight))
 
     def probs(self, theta) -> np.ndarray:
-        p = np.array([np.exp(self.log_density(theta, x))
-                      for x in range(self.n_outcomes)])
-        if abs(float(p.sum()) - 1.0) > NORM_TOL:
-            raise NonNormalized(
-                f"probabilities sum to {p.sum()!r} at theta={theta}")
-        return p
+        return _normalized([self.log_density(theta, x)
+                            for x in range(self.n_outcomes)], theta)
+
+
+def _normalized(logs, theta) -> np.ndarray:
+    p = np.array([np.exp(v) for v in logs])
+    if abs(float(p.sum()) - 1.0) > NORM_TOL:
+        raise NonNormalized(
+            f"probabilities sum to {p.sum()!r} at theta={theta}")
+    return p
 
 
 def _richardson(f, h):
     return (4.0 * f(h / 2) - f(h)) / 3.0
 
 
-def _grad_log(model, theta, x, h=GRAD_STEP):
-    d = model.n_params
-    out = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
+def _jet(model: FiniteStatModel, theta, hessians: bool = True):
+    """(p, scores, Hessians or None, Fisher) at theta, of shapes (n,),
+    (n, d), (n, d, d), (d, d), elementwise over the outcomes."""
+    theta = model.check_domain(theta)
+    n, d = model.n_outcomes, model.n_params
+    memo = {}
 
-        def diff(step):
-            return (model.log_density(theta + step * e, x)
-                    - model.log_density(theta - step * e, x)) / (2 * step)
+    def logp(t):
+        key = t.tobytes()
+        if key not in memo:
+            memo[key] = np.array([model.log_density(t, x) for x in range(n)])
+        return memo[key]
 
-        out[i] = _richardson(diff, h)
-    return out
+    p = _normalized(logp(theta).tolist(), theta)
+    eye = np.eye(d)
+    scores = np.zeros((n, d))
+    hess = np.zeros((n, d, d)) if hessians else None
+    for i, ei in enumerate(eye):
 
+        def diff(s):
+            return (logp(theta + s * ei) - logp(theta - s * ei)) / (2 * s)
 
-def _hess_log(model, theta, x, h=GRAD_STEP):
-    d = model.n_params
-    out = np.zeros((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = 1.0
+        def diag(s):
+            return (logp(theta + s * ei) - 2.0 * logp(theta)
+                    + logp(theta - s * ei)) / s ** 2
 
-        def diag(step):
-            return (model.log_density(theta + step * ei, x)
-                    - 2.0 * model.log_density(theta, x)
-                    + model.log_density(theta - step * ei, x)) / step ** 2
+        scores[:, i] = _richardson(diff, GRAD_STEP)
+        if hess is None:
+            continue
+        hess[:, i, i] = _richardson(diag, GRAD_STEP)
+        for j, ej in enumerate(eye[i + 1:], i + 1):
 
-        out[i, i] = _richardson(diag, h)
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = 1.0
+            def mixed(s):
+                return (logp(theta + s * (ei + ej))
+                        - logp(theta + s * (ei - ej))
+                        - logp(theta - s * (ei - ej))
+                        + logp(theta - s * (ei + ej))) / (4 * s ** 2)
 
-            def mixed(step):
-                return (model.log_density(theta + step * (ei + ej), x)
-                        - model.log_density(theta + step * (ei - ej), x)
-                        - model.log_density(theta - step * (ei - ej), x)
-                        + model.log_density(theta - step * (ei + ej), x)
-                        ) / (4 * step ** 2)
-
-            out[i, j] = out[j, i] = _richardson(mixed, h)
-    return out
+            hess[:, i, j] = hess[:, j, i] = _richardson(mixed, GRAD_STEP)
+    g = np.zeros((d, d))
+    for px, s in zip(p, scores):
+        g += px * np.outer(s, s)
+    return p, scores, hess, 0.5 * (g + g.T)
 
 
 def fisher_information(model: FiniteStatModel, theta) -> np.ndarray:
     """Fisher matrix sum_x p (grad log p)(grad log p)^T."""
-    theta = model.check_domain(theta)
-    p = model.probs(theta)
-    d = model.n_params
-    g = np.zeros((d, d))
-    for x in range(model.n_outcomes):
-        s = _grad_log(model, theta, x)
-        g += p[x] * np.outer(s, s)
-    return 0.5 * (g + g.T)
+    return _jet(model, theta, hessians=False)[3]
 
 
 def fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
     """Independent route -sum_x p hess(log p); agrees within tolerance."""
-    theta = model.check_domain(theta)
-    p = model.probs(theta)
-    d = model.n_params
-    g = np.zeros((d, d))
-    for x in range(model.n_outcomes):
-        g -= p[x] * _hess_log(model, theta, x)
+    p, _, hessians, _ = _jet(model, theta)
+    g = np.zeros((model.n_params, model.n_params))
+    for px, hess in zip(p, hessians):
+        g -= px * hess
     return 0.5 * (g + g.T)
 
 
@@ -190,27 +190,20 @@ def alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
     With raised=True the last index is raised by the inverse Fisher
     matrix, giving Gamma^k_ij stored as [i][j][k].
     """
-    theta = model.check_domain(theta)
-    p = model.probs(theta)
-    d = model.n_params
-    low = np.zeros((d, d, d))
+    return _symbols(_jet(model, theta), alpha, raised)
+
+
+def _symbols(jet, alpha: float, raised: bool) -> np.ndarray:
+    p, scores, hessians, g = jet
+    low = np.zeros((len(g),) * 3)
     w = (1.0 + alpha) / 2.0
-    for x in range(model.n_outcomes):
-        s = _grad_log(model, theta, x)
-        hess = _hess_log(model, theta, x)
-        core = hess + w * np.outer(s, s)
-        low += p[x] * np.einsum("ij,k->ijk", core, s)
+    for px, s, hess in zip(p, scores, hessians):
+        low += px * np.einsum("ij,k->ijk", hess + w * np.outer(s, s), s)
     if not raised:
         return low
-    g = fisher_information(model, theta)
-    return _raise_last(low, g)
-
-
-def _raise_last(low: np.ndarray, g: np.ndarray) -> np.ndarray:
     if np.linalg.cond(g) > 1e10:
         raise SingularFisher("fisher matrix is numerically singular")
-    ginv = np.linalg.inv(g)
-    return np.einsum("ijl,lk->ijk", low, ginv)
+    return np.einsum("ijl,lk->ijk", low, np.linalg.inv(g))
 
 
 def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
@@ -249,18 +242,18 @@ def alpha_curvature(model: FiniteStatModel, theta,
                  + sum_m (G[i,m,l] G[j,k,m] - G[j,m,l] G[i,k,m])
     with G[i,j,k] the raised symbols; returns the tensor and its max-abs.
     """
-    theta = model.check_domain(theta)
-    d = model.n_params
-    h = CURV_STEP
+    return _curvature(partial(_jet, model), model.check_domain(theta), alpha)
 
+
+def _curvature(jet_at, theta, alpha):
     def symbols(t):
-        return alpha_christoffels(model, t, alpha, raised=True)
+        return _symbols(jet_at(t), alpha, raised=True)
 
     base = symbols(theta)
+    d = len(base)
+    h = CURV_STEP
     grad = np.zeros((d, d, d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
+    for i, e in enumerate(np.eye(d)):
         grad[i] = (symbols(theta + h * e) - symbols(theta - h * e)) / (2 * h)
     r = np.zeros((d, d, d, d))
     for i in range(d):
@@ -294,14 +287,22 @@ def exponential_defect_probe(model: FiniteStatModel, grid,
     grid = [np.asarray(t, dtype=float) for t in grid]
     if not grid:
         raise ValidationError("probe grid is empty")
+    jets = {}
+
+    def jet_at(t):
+        key = t.tobytes()
+        if key not in jets:
+            jets[key] = _jet(model, t)
+        return jets[key]
+
     norms = {}
     torsion = 0.0
     for alpha in (-1.0, 1.0):
         worst = 0.0
         for t in grid:
-            _, mx = alpha_curvature(model, t, alpha)
+            _, mx = _curvature(jet_at, t, alpha)
             worst = max(worst, mx)
-            low = alpha_christoffels(model, t, alpha)
+            low = _symbols(jet_at(t), alpha, raised=False)
             torsion = max(torsion, float(
                 np.max(np.abs(low - np.swapaxes(low, 0, 1)))))
         norms[alpha] = worst

@@ -16,7 +16,9 @@ elimination modulo a prime (`dense_rank_mod`), its former reduced
 row-echelon form over every row (`full_rref`), its former rank search over
 the whole pool (`full_pool_max_rank`), its former generic rank over the
 rational function field by sympy (`symbolic_generic_rank`), its former condition rows over the
-dense tables (`dense_hessian_rows`, ...), public helpers the library
+dense tables (`dense_hessian_rows`, ...), its former per-outcome
+information-geometry routes (`scalar_fisher_information`, ...,
+`scalar_exponential_defect_probe`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
 dense builders and readers that used them (`dense_*_algebra`,
@@ -29,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, gcd, lcm
 
+import numpy as np
 import sympy
 
 from koszul import linalg
@@ -42,12 +45,14 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                kv_coboundary_matrix, kv_degree_zero_space,
                                zero_cochain)
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
-                           ValidationError)
+                           SingularFisher, ValidationError)
 from koszul.gauge import FeStarSolutions
 from koszul.invariants import (GRID_LIMIT, SAMPLE_COUNT, RankWitness,
                                _combine, _random_coeff, resolve_seed)
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
+from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
+                              FiniteStatModel, ProbeReport, _richardson)
 
 
 def F(x):
@@ -1209,3 +1214,171 @@ def dense_skew_cocycle_rows(L):
                 if any(row):
                     rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------- statmodel
+#
+# The library's former per-outcome routes of `statmodel`: every gradient and
+# Hessian of a log density is taken outcome by outcome, and every call
+# evaluates its own log densities again.
+
+def scalar_grad_log(model, theta, x, h=GRAD_STEP):
+    d = model.n_params
+    out = np.zeros(d)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = 1.0
+
+        def diff(step):
+            return (model.log_density(theta + step * e, x)
+                    - model.log_density(theta - step * e, x)) / (2 * step)
+
+        out[i] = _richardson(diff, h)
+    return out
+
+
+def scalar_hess_log(model, theta, x, h=GRAD_STEP):
+    d = model.n_params
+    out = np.zeros((d, d))
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = 1.0
+
+        def diag(step):
+            return (model.log_density(theta + step * ei, x)
+                    - 2.0 * model.log_density(theta, x)
+                    + model.log_density(theta - step * ei, x)) / step ** 2
+
+        out[i, i] = _richardson(diag, h)
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = 1.0
+
+            def mixed(step):
+                return (model.log_density(theta + step * (ei + ej), x)
+                        - model.log_density(theta + step * (ei - ej), x)
+                        - model.log_density(theta - step * (ei - ej), x)
+                        + model.log_density(theta - step * (ei + ej), x)
+                        ) / (4 * step ** 2)
+
+            out[i, j] = out[j, i] = _richardson(mixed, h)
+    return out
+
+
+def scalar_fisher_information(model: FiniteStatModel, theta) -> np.ndarray:
+    """Fisher matrix sum_x p (grad log p)(grad log p)^T."""
+    theta = model.check_domain(theta)
+    p = model.probs(theta)
+    d = model.n_params
+    g = np.zeros((d, d))
+    for x in range(model.n_outcomes):
+        s = scalar_grad_log(model, theta, x)
+        g += p[x] * np.outer(s, s)
+    return 0.5 * (g + g.T)
+
+
+def scalar_fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
+    """Independent route -sum_x p hess(log p); agrees within tolerance."""
+    theta = model.check_domain(theta)
+    p = model.probs(theta)
+    d = model.n_params
+    g = np.zeros((d, d))
+    for x in range(model.n_outcomes):
+        g -= p[x] * scalar_hess_log(model, theta, x)
+    return 0.5 * (g + g.T)
+
+
+def scalar_alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
+                              raised: bool = False) -> np.ndarray:
+    """Lowered symbols sum_x p [hess_ij + (1+a)/2 s_i s_j] s_k.
+
+    With raised=True the last index is raised by the inverse Fisher
+    matrix, giving Gamma^k_ij stored as [i][j][k].
+    """
+    theta = model.check_domain(theta)
+    p = model.probs(theta)
+    d = model.n_params
+    low = np.zeros((d, d, d))
+    w = (1.0 + alpha) / 2.0
+    for x in range(model.n_outcomes):
+        s = scalar_grad_log(model, theta, x)
+        hess = scalar_hess_log(model, theta, x)
+        core = hess + w * np.outer(s, s)
+        low += p[x] * np.einsum("ij,k->ijk", core, s)
+    if not raised:
+        return low
+    g = scalar_fisher_information(model, theta)
+    return scalar_raise_last(low, g)
+
+
+def scalar_raise_last(low: np.ndarray, g: np.ndarray) -> np.ndarray:
+    if np.linalg.cond(g) > 1e10:
+        raise SingularFisher("fisher matrix is numerically singular")
+    ginv = np.linalg.inv(g)
+    return np.einsum("ijl,lk->ijk", low, ginv)
+
+
+def scalar_alpha_curvature(model: FiniteStatModel, theta,
+                           alpha: float) -> tuple[np.ndarray, float]:
+    """Curvature of the raised alpha symbols by central differences.
+
+    R[i,j,k,l] = d_i G[j,k,l] - d_j G[i,k,l]
+                 + sum_m (G[i,m,l] G[j,k,m] - G[j,m,l] G[i,k,m])
+    with G[i,j,k] the raised symbols; returns the tensor and its max-abs.
+    """
+    theta = model.check_domain(theta)
+    d = model.n_params
+    h = CURV_STEP
+
+    def symbols(t):
+        return scalar_alpha_christoffels(model, t, alpha, raised=True)
+
+    base = symbols(theta)
+    grad = np.zeros((d, d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = 1.0
+        grad[i] = (symbols(theta + h * e) - symbols(theta - h * e)) / (2 * h)
+    r = np.zeros((d, d, d, d))
+    for i in range(d):
+        for j in range(d):
+            r[i, j] = grad[i][j] - grad[j][i] \
+                + np.einsum("ml,km->kl", base[i], base[j]) \
+                - np.einsum("ml,km->kl", base[j], base[i])
+    return r, float(np.max(np.abs(r))) if d else 0.0
+
+
+def scalar_exponential_defect_probe(model: FiniteStatModel, grid,
+                                    tol: float = PROBE_TOL) -> ProbeReport:
+    """Flag a model exponential-like when some end of the alpha family is
+    numerically flat on the grid.
+
+    Checks max |R(alpha)| for alpha in {-1, +1} and the symmetry defect of
+    the symbols; a numeric surrogate for the flatness characterization,
+    not a proof.
+    """
+    grid = [np.asarray(t, dtype=float) for t in grid]
+    if not grid:
+        raise ValidationError("probe grid is empty")
+    norms = {}
+    torsion = 0.0
+    for alpha in (-1.0, 1.0):
+        worst = 0.0
+        for t in grid:
+            _, mx = scalar_alpha_curvature(model, t, alpha)
+            worst = max(worst, mx)
+            low = scalar_alpha_christoffels(model, t, alpha)
+            torsion = max(torsion, float(
+                np.max(np.abs(low - np.swapaxes(low, 0, 1)))))
+        norms[alpha] = worst
+    best = min(norms, key=lambda a: norms[a])
+    verdict = min(norms.values()) < tol and torsion < tol
+    return ProbeReport(
+        exponential_like=verdict,
+        best_alpha=best,
+        curvature_norms=norms,
+        torsion_max=torsion,
+        tol=tol,
+        grid_size=len(grid),
+        notes="flat within tolerance at alpha = %+g" % best if verdict
+        else "no flat member found at alpha = -1 or +1")

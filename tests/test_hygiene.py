@@ -63,8 +63,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def sympy_importers(source: str) -> tuple[list[str], list[str]]:
-    """(functions whose body imports sympy, top-level sympy imports).
+def importers(source: str, package: str) -> tuple[list[str], list[str]]:
+    """(functions whose body imports `package`, its top-level imports).
 
     A function is named by its dotted path inside the module; an import is
     top level when no function encloses it.
@@ -72,14 +72,14 @@ def sympy_importers(source: str) -> tuple[list[str], list[str]]:
     functions: set[str] = set()
     top: list[str] = []
 
-    def imports_sympy(node) -> bool:
+    def imports_package(node) -> bool:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names = [node.module or ""]
         else:
             return False
-        return any(n.partition(".")[0] == "sympy" for n in names)
+        return any(n.partition(".")[0] == package for n in names)
 
     def visit(node, path, in_function):
         for child in ast.iter_child_nodes(node):
@@ -87,7 +87,7 @@ def sympy_importers(source: str) -> tuple[list[str], list[str]]:
                                   ast.ClassDef)):
                 is_function = not isinstance(child, ast.ClassDef)
                 visit(child, path + (child.name,), in_function or is_function)
-            elif imports_sympy(child):
+            elif imports_package(child):
                 if in_function:
                     functions.add(".".join(path))
                 else:
@@ -109,7 +109,7 @@ def test_the_scan_sees_sympy_imports():
               "            import sympy\n"
               "def h():\n"
               "    import os\n")
-    assert sympy_importers(source) == (["C.g", "f"], ["line 1"])
+    assert importers(source, "sympy") == (["C.g", "f"], ["line 1"])
 
 
 # The verdict routes that still run on sympy; each leaves this list once
@@ -124,8 +124,33 @@ SYMPY_FUNCTIONS = [
 def test_sympy_is_imported_only_by_the_listed_functions():
     found, top = [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
-        functions, imports = sympy_importers(path.read_text())
+        functions, imports = importers(path.read_text(), "sympy")
         found += [f"{path.stem}.{f}" for f in functions]
         top += [f"{path.relative_to(ROOT)} {line}" for line in imports]
     assert sorted(found) == SYMPY_FUNCTIONS
     assert top == []
+
+
+def test_the_scan_sees_numpy_imports():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import inv\n"
+              "def f():\n"
+              "    try:\n"
+              "        import numpy\n"
+              "    except ImportError:\n"
+              "        pass\n"
+              "def g():\n"
+              "    import numpyro, sympy\n")
+    assert importers(source, "numpy") == (["f"], ["line 1", "line 2"])
+
+
+def test_numpy_is_imported_only_by_statmodel_and_jsonable():
+    # exact Fractions everywhere but the floating-point statmodel;
+    # io.jsonable imports numpy only to convert the arrays statmodel returns
+    found, top = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        functions, imports = importers(path.read_text(), "numpy")
+        found += [f"{path.stem}.{f}" for f in functions]
+        top += [str(path.relative_to(ROOT / "src")) for _ in imports]
+    assert found == ["io.jsonable"]
+    assert top == ["koszul/statmodel.py"]

@@ -11,8 +11,9 @@ from koszul._kernel import P
 
 from conftest import (eliminations, int_matrices, rand_fraction,
                       rand_invertible, rational_matrices)
-from oracles import (dense_rank_mod, full_rref, gauss_eliminate,
-                     gauss_nullspace, gauss_rank, sympy_det, sympy_rank)
+from oracles import (_to_int_rows, dense_rank_mod, full_rref,
+                     gauss_eliminate, gauss_nullspace, gauss_rank, sympy_det,
+                     sympy_rank)
 
 F = Fraction
 
@@ -283,3 +284,21 @@ def test_rows_dependent_only_mod_p_take_the_full_elimination():
     with eliminations() as seen:
         assert linalg.nullspace(b) == ((-1, 1),)
     assert seen == [1]
+
+
+@CHECKS
+@given(int_matrices(), rational_matrices())
+def test_integer_rows_match_the_fraction_route(ints, fracs):
+    mixed = [[int(x) if x.denominator == 1 else x for x in row]
+             for row in fracs]
+    for rows in (ints, fracs, mixed):
+        got = linalg.integer_rows(rows)
+        assert got == _to_int_rows(rows)
+        assert all(type(v) is int for row in got[0] for v in row)
+
+
+def test_integer_rows_refuse_inexact_entries():
+    assert linalg.integer_rows([["1/2", 1, 0]]) == ([[1, 2, 0]], [2])
+    for row in ([1, 0.5], [F(1, 2), 0.25], [1, 1j]):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            linalg.integer_rows([row])

@@ -1,10 +1,15 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from koszul import cli
 from koszul.errors import (
     DomainViolation,
+    KoszulError,
     NonNormalized,
     SingularFisher,
     ValidationError,
@@ -28,7 +33,10 @@ from koszul.statmodel import (
     levi_civita_symbols,
 )
 
-from oracles import fisher_bernoulli, fisher_categorical_mean
+from oracles import (fisher_bernoulli, fisher_categorical_mean,
+                     scalar_alpha_christoffels, scalar_alpha_curvature,
+                     scalar_exponential_defect_probe,
+                     scalar_fisher_information, scalar_fisher_via_hessian)
 
 
 def grid9(off=0.3):
@@ -219,3 +227,127 @@ def test_default_theta_values():
     assert np.allclose(default_theta(categorical_natural(3)), [0.0, 0.0])
     assert np.allclose(default_theta(curved4()), [0.0, 0.0])
     assert np.allclose(default_theta(constant_family()), [0.0])
+
+
+# Each family with a strategy for its points: the box less the domain
+# margin and, on the simplex, points up to its edge, where the curvature
+# stencil leaves the domain.
+DIFFERENTIAL_FAMILIES = {
+    "bernoulli": (bernoulli(), st.tuples(st.floats(0.01, 0.99))),
+    "categorical:3": (categorical_mean(3), st.floats(0.01, 0.98).flatmap(
+        lambda a: st.tuples(st.just(a), st.floats(0.01, 0.99 - a)))),
+    "categorical-natural:3": (categorical_natural(3),
+                              st.tuples(*[st.floats(-3.9, 3.9)] * 2)),
+    "curved4": (curved4(), st.tuples(*[st.floats(-2.9, 2.9)] * 2)),
+}
+
+
+def _outcome(route, *args):
+    """The route's value, or the type and message of the error it raised."""
+    try:
+        return route(*args)
+    except KoszulError as exc:
+        return type(exc), str(exc)
+
+
+def _bitwise_equal(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple) and len(a) == len(b):
+        return all(_bitwise_equal(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+ROUTES = [
+    (fisher_information, scalar_fisher_information, ()),
+    (fisher_via_hessian, scalar_fisher_via_hessian, ()),
+    (alpha_christoffels, scalar_alpha_christoffels, (False,)),
+    (alpha_christoffels, scalar_alpha_christoffels, (True,)),
+    (alpha_curvature, scalar_alpha_curvature, ()),
+]
+
+
+def _route_outcomes(model, theta, alpha):
+    """(route, oracle) outcome pairs of every pointwise route at theta."""
+    for route, oracle, extra in ROUTES:
+        args = (model, theta) if route in (fisher_information,
+                                           fisher_via_hessian) \
+            else (model, theta, alpha, *extra)
+        yield route.__name__, _outcome(route, *args), _outcome(oracle, *args)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data(), name=st.sampled_from(sorted(DIFFERENTIAL_FAMILIES)),
+       alpha=st.sampled_from((-1.0, 0.3, 1.0)))
+def test_jet_routes_match_the_per_outcome_oracles(data, name, alpha):
+    model, points = DIFFERENTIAL_FAMILIES[name]
+    theta = list(data.draw(points))
+    for route, got, want in _route_outcomes(model, theta, alpha):
+        assert _bitwise_equal(got, want), route
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(data=st.data(), name=st.sampled_from(sorted(DIFFERENTIAL_FAMILIES)))
+def test_probe_matches_the_per_outcome_oracle(data, name):
+    model, points = DIFFERENTIAL_FAMILIES[name]
+    center = data.draw(st.just(default_theta(model)) | points)
+    try:
+        grid = cli._probe_grid(model, center)
+    except DomainViolation:
+        grid = [center]
+    assert _bitwise_equal(
+        _outcome(exponential_defect_probe, model, grid),
+        _outcome(scalar_exponential_defect_probe, model, grid))
+
+
+def _unnormalized():
+    return FiniteStatModel("bad", 2, 1, lambda theta, x: float(np.log(0.6)),
+                           ((-1.0, 1.0),))
+
+
+@pytest.mark.parametrize("model, theta, error", [
+    (constant_family(), [0.0], SingularFisher),
+    (_unnormalized(), [0.0], NonNormalized),
+    # inside the domain, but its +-CURV_STEP stencil is not
+    (bernoulli(), [0.0105], DomainViolation),
+    (categorical_mean(3), [0.5, 0.4895], DomainViolation),
+])
+def test_jet_routes_raise_what_the_oracles_raise(model, theta, error):
+    outcomes = list(_route_outcomes(model, theta, 0.3))
+    outcomes.append(("probe", _outcome(exponential_defect_probe, model,
+                                       [theta]),
+                     _outcome(scalar_exponential_defect_probe, model,
+                              [theta])))
+    for route, got, want in outcomes:
+        assert _bitwise_equal(got, want), route
+    # the curvature and the probe reach the faulty point in every case
+    assert [got[0] for _, got, _ in outcomes[-2:]] == [error, error]
+
+
+def _counted(model):
+    """model whose log density records each (point, outcome) it is
+    evaluated at."""
+    calls = []
+
+    def log_density(theta, x):
+        calls.append((theta.tobytes(), x))
+        return model.log_density(theta, x)
+
+    return replace(model, log_density=log_density), calls
+
+
+def test_each_point_and_outcome_is_evaluated_once():
+    model, calls = _counted(curved4())
+    grid = cli._probe_grid(model, default_theta(model))
+    exponential_defect_probe(model, grid)
+    # 9 grid points x 5 curvature stencil points x 17 difference points
+    # x 4 outcomes, against 15,768 evaluations by the per-outcome routes
+    assert len(calls) == len(set(calls)) == 9 * 5 * 17 * 4
+    model, oracle_calls = _counted(curved4())
+    scalar_exponential_defect_probe(model, grid)
+    assert len(oracle_calls) == 15768 and set(oracle_calls) == set(calls)
+
+    model, calls = _counted(bernoulli())
+    alpha_curvature(model, [0.4], 0.5)
+    # 3 stencil points x 5 difference points x 2 outcomes (96 before)
+    assert len(calls) == len(set(calls)) == 3 * 5 * 2
