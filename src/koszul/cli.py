@@ -241,7 +241,6 @@ def _bimetric_witness(lie, verdict):
 
 def _cmd_invariants(args, inputs):
     lie = _load_lie(args, inputs)
-    seed = args.seed
     which = args.which
     if which == "rb":
         conn = _load_connection(args, lie, inputs)
@@ -251,20 +250,20 @@ def _cmd_invariants(args, inputs):
     if which in ("sb", "sb+"):
         g = _load_metric(args, lie.dim, inputs)
         value, verdict = invariants.s_b(
-            lie, g, positive=(which == "sb+"), seed=seed)
+            lie, g, positive=(which == "sb+"))
         doc = _verdict_doc(verdict)
         doc["s_b"] = value
         return doc
     if which == "s*b":
         conn = _load_connection(args, lie, inputs)
         g = _load_metric(args, lie.dim, inputs)
-        value, verdict = invariants.s_star_b(conn, g, seed=seed)
+        value, verdict = invariants.s_star_b(conn, g)
         doc = _verdict_doc(verdict)
         doc["s_star_b"] = value
         return doc
     if which == "hessian":
         conn = _load_connection(args, lie, inputs)
-        value, verdict = invariants.hessian_defect(conn, seed=seed)
+        value, verdict = invariants.hessian_defect(conn)
         doc = _verdict_doc(verdict)
         doc["defect"] = value
         return doc
@@ -273,14 +272,14 @@ def _cmd_invariants(args, inputs):
         cands = [conn] if conn is not None else \
             [connections.cartan_connection(lie, "zero")]
         verdict = invariants.flat_existence(
-            lie, cands, budget=args.budget or 64, seed=seed)
+            lie, cands, budget=args.budget or 64, seed=args.seed)
         return _verdict_doc(verdict)
     if which == "bimetric":
-        verdict = invariants.bi_invariant_metric(lie, seed=seed)
+        verdict = invariants.bi_invariant_metric(lie)
         doc = _verdict_doc(verdict)
         doc["witness"] = _bimetric_witness(lie, verdict)
         return doc
-    verdict = invariants.left_symplectic_oracle(lie, seed=seed)
+    verdict = invariants.left_symplectic_oracle(lie)
     return _verdict_doc(verdict)
 
 
@@ -420,7 +419,9 @@ def _probe_grid(model, center):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: KOSZUL_SEED env or 7)")
+                        help="RNG seed, read by invariants --which flat, "
+                             "spencer --op involutive and flat-models "
+                             "completeness (default: KOSZUL_SEED env or 7)")
     common.add_argument("--budget", type=int, default=None,
                         help="search budget for randomized existence checks")
     common.add_argument("--format", choices=("json", "text"), default="json")

@@ -6,15 +6,15 @@ maximization over an exactly computed basis), while searches over connections
 or metrics are budgeted and can only return upper bounds with an `unknown`
 verdict.
 
-Rank maximization follows a fixed recipe: exhaustive small-coefficient grids
-for spaces of dimension at most 3, otherwise 64 seeded rational samples
-(generic rank is attained off a measure-zero set, so samples almost surely
-realize it). Where a `no` verdict is emitted, it is backed by an exact
-certificate: either a common kernel vector of the whole space or its generic
-rank, the rank over the rational function field, which bounds every real
-specialization. `generic_rank` proves that rank with exact rational ranks on
-an integer grid sized by the matrix shape (see its docstring); a grid above
-`GENERIC_RANK_POINTS` is not evaluated, and the verdict is `unknown`.
+Rank maximization is one walk, with no seed: `max_rank` takes exact
+rational ranks on an integer grid sized by the matrix shape (see its
+docstring). Its first full-rank point is the witness; if no point has full
+rank, the largest rank seen is the generic rank, the rank over the rational
+function field, which bounds every real specialization. Where a `no` verdict
+is emitted, it is backed by an exact certificate: either a common kernel
+vector of the whole space or that generic rank. The walk visits at most
+`GENERIC_RANK_POINTS` points; above that a rank below full is not certified,
+and the verdict is `unknown`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 from koszul import linalg, spaces
 from koszul.algebra import BilinearProduct, LieAlgebra, SparseTable
@@ -38,13 +38,14 @@ from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace
 
 DEFAULT_SEED = 7
-GRID_LIMIT = 3
-SAMPLE_COUNT = 64
-# Bound on the grid `generic_rank` evaluates, (min(shape) + 1)^(dim - 1)
-# points. The largest grids in use have 16 points in the tests (dim 3 on
-# 3 x 3) and 4 in the benchmark (dim 2 on 3 x 3). One grid point of a 3 x 3
-# to 6 x 6 pencil (an integer combination and one exact rank) takes about
-# 25-100 us on a shared 2-vCPU host, so a grid at the bound finishes in
+# Bound on the points `max_rank` walks of its (min(shape) + 1)^(dim - 1)
+# point grid. A walk stops at its first full-rank point, so only a
+# rank-deficient span, or a definite search that finds nothing, walks its
+# whole grid. The longest walks in use, besides the test of this bound,
+# have 3,125 points in the tests (a rank-deficient span of dim 6 on 4 x 4)
+# and 25 in the benchmark (dim 3 on 4 x 4). One grid point of a 3 x 3 to
+# 6 x 6 pencil (an integer combination and one exact rank) takes about
+# 25-100 us on a shared 2-vCPU host, so a walk at the bound finishes in
 # under half a second (a 7 x 7 pencil in 0.5-0.9 s).
 GENERIC_RANK_POINTS = 4096
 
@@ -55,95 +56,32 @@ def resolve_seed(seed=None) -> int:
     return int(os.environ.get("KOSZUL_SEED", DEFAULT_SEED))
 
 
-def _random_coeff(rng: random.Random) -> Fraction:
-    q = rng.randint(1, 16)
-    return Fraction(rng.randint(-10 * q, 10 * q), q)
-
-
 @dataclass(frozen=True)
 class RankWitness:
+    """The largest rank `max_rank` found, at element = sum_s coefficients_s
+    B_s over the space's basis; `certified` when it is the generic rank."""
     max_rank: int
     coefficients: tuple
     element: Mat
-    method: str
+    certified: bool
     positive_definite: bool | None = None
-    note: str = ""
 
     def __post_init__(self):
         if linalg.rank(self.element) != self.max_rank:
             raise ValidationError("witness element does not realize max_rank")
 
 
-def _combine(space: LinearSolutionSpace, coeffs) -> Mat:
-    nr, nc = space.shape
-    return linalg.unflatten(space.element(coeffs), nr, nc)
+def max_rank(space: LinearSolutionSpace,
+             constraint: str = "none") -> RankWitness:
+    """Largest rank over the span, from one walk of an integer grid; with
+    constraint "positive_definite", also a search for a definite element.
 
+    The generic rank is the rank of sum_s t_s B_s over the rational function
+    field Q(t). It equals the maximum rank over all real (or rational)
+    coefficient choices, so a certified rank below full certifies that every
+    element of the span is singular.
 
-def max_rank(space: LinearSolutionSpace, constraint: str = "none",
-             seed=None) -> RankWitness:
-    """Generic rank over the span; optionally search for a definite element.
-
-    constraint "positive_definite": positive_definite is True when a grid or
-    sample point passes the exact Sylvester test, None when none was found
-    (absence is not certified by search).
-    """
-    if space.shape is None or len(space.shape) != 2:
-        raise ValidationError("max_rank needs matrix-shaped elements")
-    d = space.dim
-    nr, nc = space.shape
-    if d == 0:
-        z = linalg.zeros(nr, nc)
-        pd = False if constraint == "positive_definite" else None
-        return RankWitness(0, (), z, "exhaustive", positive_definite=pd)
-
-    if d <= GRID_LIMIT:
-        pool = [tuple(Fraction(x) for x in pt)
-                for pt in iproduct((-2, -1, 0, 1, 2), repeat=d)]
-        method = "exhaustive"
-    else:
-        rng = random.Random(resolve_seed(seed))
-        pool = [tuple(_random_coeff(rng) for _ in range(d))
-                for _ in range(SAMPLE_COUNT)]
-        method = f"randomized({SAMPLE_COUNT})"
-
-    best_rank, best_coeffs, best_el = -1, None, None
-    pd_coeffs, pd_el = None, None
-    for coeffs in pool:
-        el = _combine(space, coeffs)
-        r = linalg.rank(el)
-        if r > best_rank:
-            best_rank, best_coeffs, best_el = r, coeffs, el
-        definite_pending = (constraint == "positive_definite"
-                            and pd_el is None and nr == nc)
-        if (definite_pending and el == linalg.transpose(el)
-                and linalg.is_positive_definite(el)):
-            pd_coeffs, pd_el = coeffs, el
-            definite_pending = False
-        # both results keep their first-found element, so once the rank
-        # is full and no definite element is sought, neither can change
-        if best_rank == min(nr, nc) and not definite_pending:
-            break
-    note = ("" if method == "exhaustive" else
-            "rank from seeded samples; generic rank is attained off a "
-            "measure-zero set")
-    if constraint == "positive_definite":
-        if pd_el is not None:
-            return RankWitness(linalg.rank(pd_el), pd_coeffs, pd_el, method,
-                               positive_definite=True, note=note)
-        return RankWitness(best_rank, best_coeffs, best_el, method,
-                           positive_definite=None, note=note)
-    return RankWitness(best_rank, best_coeffs, best_el, method, note=note)
-
-
-def generic_rank(space: LinearSolutionSpace) -> int | None:
-    """Rank of sum_s t_s B_s over the rational function field Q(t), or None
-    when its certifying grid has more than GENERIC_RANK_POINTS points.
-
-    The rank equals the maximum rank over all real (or rational) coefficient
-    choices, so `generic_rank < full` certifies that every element of the
-    span is singular.
-
-    Proof of the computation. Let k = dim and d = min(shape). Every minor of
+    Proof of the walk. Let k = dim and d = min(shape). Every minor of
     sum_s t_s B_s is homogeneous in t, so it vanishes identically exactly when
     its value at t_1 = 1 does: the rank over Q(t) is the rank over Q(u) of
     B_1 + sum_{s>=2} u_s B_s. Let r* be the largest exact rank of that pencil
@@ -151,30 +89,74 @@ def generic_rank(space: LinearSolutionSpace) -> int | None:
     rank, so r* <= generic rank. If r* < d, every (r*+1)-minor has degree at
     most r*+1 <= d in each u_s and vanishes on a grid with d+1 points per
     axis, so it is the zero polynomial (Alon, Combinatorial Nullstellensatz,
-    1999, Lemma 2.1); hence r* is the generic rank. The walk stops at the
-    first point of rank d. The basis is scaled to integers first: scaling
-    B_s by c != 0 is the substitution t_s -> c t_s, which keeps the rank.
+    1999, Lemma 2.1); hence r* is the generic rank. A point of rank d proves
+    rank d on any grid. The basis is scaled to integers first: scaling B_s by
+    c != 0 is the substitution t_s -> c t_s, which keeps the rank.
+
+    The walk (`_grid`) stops at the first point of rank d, or at the first
+    definite one when that is sought, and visits at most GENERIC_RANK_POINTS
+    points: `certified` holds when a point reached rank d or the whole grid
+    was walked. Each symmetric point of rank d is tested as el and as -el
+    (the t_1 = -1 side) by the exact Sylvester test; positive_definite is
+    True when one passes, None when none did (absence is not certified).
     """
+    if constraint not in ("none", "positive_definite"):
+        raise ValidationError(f"unknown max_rank constraint {constraint!r}")
+    if space.shape is None or len(space.shape) != 2:
+        raise ValidationError("max_rank needs matrix-shaped elements")
     k = space.dim
-    if k == 0:
-        return 0
-    if _grid_points(space) > GENERIC_RANK_POINTS:
-        return None
     nr, nc = space.shape
+    if k == 0:
+        z = linalg.zeros(nr, nc)
+        pd = False if constraint == "positive_definite" else None
+        return RankWitness(0, (), z, True, positive_definite=pd)
+
     d = min(nr, nc)
-    cells = tuple(zip(*linalg.integer_rows(space.basis)[0]))
-    best = 0
-    for u in iproduct(range(d + 1), repeat=k - 1):
-        coeffs = (1, *u)
+    seek = constraint == "positive_definite" and nr == nc
+    int_basis, scales = linalg.integer_rows(space.basis)
+    cells = tuple(zip(*int_basis))
+    best, best_coeffs, sign = -1, None, None
+    for coeffs in islice(_grid(k, d), GENERIC_RANK_POINTS):
         flat = [sum(c * x for c, x in zip(coeffs, cell)) for cell in cells]
-        best = max(best, linalg.rank(linalg.unflatten(flat, nr, nc)))
-        if best == d:
+        el = linalg.unflatten(flat, nr, nc)
+        r = linalg.rank(el)
+        if r > best:
+            best, best_coeffs = r, coeffs
+        if seek and r == d and el == linalg.transpose(el):
+            sign = next((s for s in (1, -1) if linalg.is_positive_definite(
+                [[s * x for x in row] for row in el])), None)
+            if sign is not None:
+                best_coeffs = tuple(sign * c for c in coeffs)
+                break
+        if best == d and not seek:
             break
-    return best
+    coefficients = tuple(c * q for c, q in zip(best_coeffs, scales))
+    element = linalg.unflatten(space.element(coefficients), nr, nc)
+    return RankWitness(
+        best, coefficients, element,
+        best == d or _grid_points(space) <= GENERIC_RANK_POINTS,
+        positive_definite=True if sign else None)
+
+
+def generic_rank(space: LinearSolutionSpace) -> int | None:
+    """The generic rank `max_rank` certifies, or None where it does not.
+    The benchmark's tracer (koszulbench/tracer.py) wraps this name."""
+    rw = max_rank(space)
+    return rw.max_rank if rw.certified else None
+
+
+def _grid(k: int, d: int):
+    """Points (1, *u), u in {0, ..., d}^(k-1), in shells: entries <= 1 first,
+    then <= 2, and so on, in `iproduct` order within a shell. Sparse
+    combinations come first."""
+    for s in range(min(d, 1), d + 1):
+        for u in iproduct(range(s + 1), repeat=k - 1):
+            if s <= 1 or s in u:
+                yield (1, *u)
 
 
 def _grid_points(space: LinearSolutionSpace) -> int:
-    """Points of the grid `generic_rank` evaluates on a space of dim >= 1."""
+    """Points of the grid `max_rank` walks on a space of dim >= 1."""
     return (min(space.shape) + 1) ** (space.dim - 1)
 
 
@@ -202,8 +184,10 @@ def r_b_defect(conn: InvariantConnection) -> int:
     return conn.dim - solve_fe_star(conn).r_b
 
 
-def _no_or_unknown(space, m, value, notes=""):
-    """Shared ending for rank-based verdicts: certify no, or admit unknown."""
+def _no_or_unknown(space, m, rw: RankWitness, notes=""):
+    """Shared ending for rank-based verdicts: certify no, or admit unknown,
+    from the space's `max_rank` walk `rw`; nothing is walked again."""
+    value = m - rw.max_rank
     ck = common_kernel(space)
     if ck:
         vec = "[" + ", ".join(str(x) for x in ck[0]) + "]"
@@ -211,14 +195,13 @@ def _no_or_unknown(space, m, value, notes=""):
             "no", invariant_value=value, certificate=(
                 f"every element of the solution space annihilates "
                 f"the vector {vec}"), notes=notes)
-    r = generic_rank(space)
-    if r is None:
+    if not rw.certified:
         bound = (f"generic rank not certified: its grid has "
                  f"{_grid_points(space)} points, above the bound of "
                  f"{GENERIC_RANK_POINTS}")
         return ExistenceVerdict("unknown", invariant_value=value,
                                 notes="; ".join(filter(None, (notes, bound))))
-    if r < m:
+    if rw.max_rank < m:
         return ExistenceVerdict(
             "no", invariant_value=value,
             certificate="solution space has generic rank below the dimension",
@@ -270,12 +253,11 @@ def _check_rows(rows, flatvec) -> bool:
     return all(sum(a * x for a, x in zip(row, flatvec)) == 0 for row in rows)
 
 
-def hessian_defect(conn: InvariantConnection, seed=None
-                   ) -> tuple[int, ExistenceVerdict]:
+def hessian_defect(conn: InvariantConnection) -> tuple[int, ExistenceVerdict]:
     """dim minus the maximal rank over the cocycle space of a flat connection."""
     space = hessian_cocycle_space(conn)
     m = conn.dim
-    rw = max_rank(space, seed=seed)
+    rw = max_rank(space)
     defect = m - rw.max_rank
     if defect == 0:
         # re-validate: the witness is symmetric, nondegenerate, and lies in
@@ -284,7 +266,7 @@ def hessian_defect(conn: InvariantConnection, seed=None
             raise ValidationError("hessian witness escaped its space")
         witness = BilinearForm(m, rw.element, SYMMETRIC)
         return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return defect, _no_or_unknown(space, m, defect)
+    return defect, _no_or_unknown(space, m, rw)
 
 
 def flat_existence(L: LieAlgebra, candidates, budget: int = 64,
@@ -431,8 +413,8 @@ def _phi_parts_space(conn: InvariantConnection, g: BilinearForm,
     return _space_from_matrices(parts, conn.dim)
 
 
-def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False,
-        seed=None) -> tuple[int, ExistenceVerdict]:
+def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
+        ) -> tuple[int, ExistenceVerdict]:
     """Metric gap: dim minus the best rank of symmetric gauge parts.
 
     Built from the pair (plus-connection, its metric dual); the resulting
@@ -447,7 +429,7 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False,
     plus = cartan_connection(L, "plus")
     space = _phi_parts_space(plus, g, "sym")
     constraint = "positive_definite" if positive else "none"
-    rw = max_rank(space, constraint=constraint, seed=seed)
+    rw = max_rank(space, constraint=constraint)
     gap = m - rw.max_rank
 
     gm = g.matrix
@@ -460,7 +442,7 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False,
                 raise ValidationError("positive witness failed revalidation")
             return gap, ExistenceVerdict("yes", invariant_value=gap,
                                          witness=witness)
-        return gap, _no_or_unknown(space, m, gap,
+        return gap, _no_or_unknown(space, m, rw,
                                    notes="no positive definite sample found")
     if gap == 0:
         bw = linalg.mat_mul(gm, rw.element)
@@ -469,7 +451,7 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False,
         if not witness.is_nondegenerate:
             raise ValidationError("witness form failed revalidation")
         return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return gap, _no_or_unknown(space, m, gap)
+    return gap, _no_or_unknown(space, m, rw)
 
 
 def _ad_invariance_rows(L: LieAlgebra):
@@ -511,7 +493,7 @@ def _validate_ad_invariant(L: LieAlgebra, b: BilinearForm):
         raise ValidationError("witness form is not ad-invariant")
 
 
-def bi_invariant_metric(L: LieAlgebra, seed=None) -> ExistenceVerdict:
+def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     """Direct route: nondegenerate ad-invariant symmetric forms.
 
     Independent of the gauge-equation route used by s_b; the two are
@@ -520,7 +502,7 @@ def bi_invariant_metric(L: LieAlgebra, seed=None) -> ExistenceVerdict:
     m = L.dim
     rows = _ad_invariance_rows(L) + parity_rows(m, SYMMETRIC)
     space = spaces.from_conditions(rows, m * m, shape=(m, m))
-    rw = max_rank(space, constraint="positive_definite", seed=seed)
+    rw = max_rank(space, constraint="positive_definite")
     gap = m - rw.max_rank
     if rw.max_rank == m:
         witness = BilinearForm(m, rw.element, SYMMETRIC)
@@ -530,11 +512,11 @@ def bi_invariant_metric(L: LieAlgebra, seed=None) -> ExistenceVerdict:
                  "witness is nondegenerate; definiteness not certified")
         return ExistenceVerdict("yes", invariant_value=0, witness=witness,
                                 notes=notes)
-    return _no_or_unknown(space, m, gap)
+    return _no_or_unknown(space, m, rw)
 
 
 def s_star_b(conn: InvariantConnection, g: BilinearForm,
-             require_torsion_free: bool = True, seed=None
+             require_torsion_free: bool = True
              ) -> tuple[int, ExistenceVerdict]:
     """Symplectic gap: dim minus the best rank of skew gauge parts.
 
@@ -553,7 +535,7 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
         raise NotTorsionFree(f"torsion does not vanish (witness {hit[0][:3]})")
     m = conn.dim
     space = _phi_parts_space(conn, g, "skew")
-    rw = max_rank(space, seed=seed)
+    rw = max_rank(space)
     gap = m - rw.max_rank
     if gap == 0:
         omega = linalg.mat_mul(g.matrix, rw.element)
@@ -567,22 +549,22 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
         if not witness.is_nondegenerate:
             raise ValidationError("symplectic witness is degenerate")
         return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return gap, _no_or_unknown(space, m, gap)
+    return gap, _no_or_unknown(space, m, rw)
 
 
-def left_symplectic_oracle(L: LieAlgebra, seed=None) -> ExistenceVerdict:
+def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
     """Independent route: nondegenerate skew 2-cocycles of the bracket."""
     m = L.dim
     rows = _skew_cocycle_rows(L) + parity_rows(m, SKEW)
     space = spaces.from_conditions(rows, m * m, shape=(m, m))
     if m % 2 == 1:
         return ExistenceVerdict(
-            "no", invariant_value=m - max_rank(space, seed=seed).max_rank,
+            "no", invariant_value=m - max_rank(space).max_rank,
             certificate="skew forms in odd dimension are singular")
-    rw = max_rank(space, seed=seed)
+    rw = max_rank(space)
     if rw.max_rank == m:
         witness = BilinearForm(m, rw.element, SKEW)
         if not _check_rows(rows, linalg.flatten(rw.element)):
             raise ValidationError("symplectic cocycle witness failed recheck")
         return ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return _no_or_unknown(space, m, m - rw.max_rank)
+    return _no_or_unknown(space, m, rw)

@@ -135,11 +135,21 @@ def _ratio(x) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+# Entry types whose falsy values are zeros; `integer_rows` refuses a falsy
+# entry of any other type, such as None or "".
+_ZERO_TYPES = frozenset((int, bool, Fraction))
+
+
 def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the LCM of its denominators; returns (rows, scales)."""
     out: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
+        # one type scan in C per row keeps zeros off the Python-level path
+        if not _ZERO_TYPES.issuperset(map(type, row)):
+            for x in row:
+                if not x and type(x) not in _ZERO_TYPES:
+                    raise TypeError(f"not an exact rational: {x!r}")
         nz = [(j, _ratio(x)) for j, x in enumerate(row) if x]
         m = lcm(*(q for _, (_, q) in nz)) if nz else 1
         ints = [0] * len(row)

@@ -13,10 +13,11 @@ its former right-ideal core loop (`dense_right_ideal_core`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
 elimination modulo a prime (`dense_rank_mod`), its former reduced
-row-echelon form over every row (`full_rref`), its former rank search over
-the whole pool (`full_pool_max_rank`), its former generic rank over the
-rational function field by sympy (`symbolic_generic_rank`), its former condition rows over the
-dense tables (`dense_hessian_rows`, ...), its former per-outcome
+row-echelon form over every row (`full_rref`), its former seeded rank
+search, walking its whole pool (`full_pool_max_rank`), its former generic
+rank over the rational function field by sympy (`symbolic_generic_rank`),
+its former condition rows over the dense tables (`dense_hessian_rows`,
+...), its former per-outcome
 information-geometry routes (`scalar_fisher_information`, ...,
 `scalar_exponential_defect_probe`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former dense
@@ -47,8 +48,7 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
                            SingularFisher, ValidationError)
 from koszul.gauge import FeStarSolutions
-from koszul.invariants import (GRID_LIMIT, SAMPLE_COUNT, RankWitness,
-                               _combine, _random_coeff, resolve_seed)
+from koszul.invariants import RankWitness, resolve_seed
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
@@ -1102,10 +1102,20 @@ def dense_hochschild_dims(algebra, max_degree=2):
 
 # ---------------------------------------------------------------- rank search
 
+GRID_LIMIT = 3
+SAMPLE_COUNT = 64
+
+
+def _random_coeff(rng: random.Random) -> Fraction:
+    q = rng.randint(1, 16)
+    return Fraction(rng.randint(-10 * q, 10 * q), q)
+
+
 def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
                        seed=None) -> RankWitness:
-    """The library's former `invariants.max_rank`: it walks the whole pool
-    even after the result can no longer change."""
+    """The library's former `invariants.max_rank`, walking its whole pool:
+    {-2, ..., 2}^dim up to dim GRID_LIMIT, otherwise SAMPLE_COUNT seeded
+    rational samples. A full rank is the only rank it certifies."""
     if space.shape is None or len(space.shape) != 2:
         raise ValidationError("max_rank needs matrix-shaped elements")
     d = space.dim
@@ -1113,22 +1123,20 @@ def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
     if d == 0:
         z = linalg.zeros(nr, nc)
         pd = False if constraint == "positive_definite" else None
-        return RankWitness(0, (), z, "exhaustive", positive_definite=pd)
+        return RankWitness(0, (), z, True, positive_definite=pd)
 
     if d <= GRID_LIMIT:
         pool = [tuple(Fraction(x) for x in pt)
                 for pt in iproduct((-2, -1, 0, 1, 2), repeat=d)]
-        method = "exhaustive"
     else:
         rng = random.Random(resolve_seed(seed))
         pool = [tuple(_random_coeff(rng) for _ in range(d))
                 for _ in range(SAMPLE_COUNT)]
-        method = f"randomized({SAMPLE_COUNT})"
 
     best_rank, best_coeffs, best_el = -1, None, None
     pd_coeffs, pd_el = None, None
     for coeffs in pool:
-        el = _combine(space, coeffs)
+        el = linalg.unflatten(space.element(coeffs), nr, nc)
         r = linalg.rank(el)
         if r > best_rank:
             best_rank, best_coeffs, best_el = r, coeffs, el
@@ -1136,16 +1144,14 @@ def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
                 and nr == nc and el == linalg.transpose(el)
                 and linalg.is_positive_definite(el)):
             pd_coeffs, pd_el = coeffs, el
-    note = ("" if method == "exhaustive" else
-            "rank from seeded samples; generic rank is attained off a "
-            "measure-zero set")
+    full = best_rank == min(nr, nc)
     if constraint == "positive_definite":
         if pd_el is not None:
-            return RankWitness(linalg.rank(pd_el), pd_coeffs, pd_el, method,
-                               positive_definite=True, note=note)
-        return RankWitness(best_rank, best_coeffs, best_el, method,
-                           positive_definite=None, note=note)
-    return RankWitness(best_rank, best_coeffs, best_el, method, note=note)
+            return RankWitness(linalg.rank(pd_el), pd_coeffs, pd_el, True,
+                               positive_definite=True)
+        return RankWitness(best_rank, best_coeffs, best_el, full,
+                           positive_definite=None)
+    return RankWitness(best_rank, best_coeffs, best_el, full)
 
 
 def symbolic_generic_rank(space: LinearSolutionSpace) -> int:

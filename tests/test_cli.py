@@ -59,6 +59,31 @@ def test_sampling_commands_deterministic(capsys):
     assert res["verdict"] == "incomplete" and res["witness"] is not None
 
 
+@pytest.mark.parametrize("which, catalog, cartan", [
+    ("sb", "sl2", None),
+    ("sb", "abelian:3", None),
+    ("sb+", "so3", None),
+    ("sb+", "abelian:4", None),
+    ("s*b", "abelian:4", "zero"),
+    ("s*b", "heisenberg", "zero"),
+    ("hessian", "abelian:3", "zero"),
+    ("bimetric", "so3", None),
+    ("bimetric", "heisenberg", None),
+    ("symplectic", "abelian:4", None),
+    ("symplectic", "affine:2", None),
+])
+def test_rank_verdicts_do_not_read_the_seed(capsys, which, catalog, cartan):
+    argv = ["invariants", "--catalog", catalog, "--which", which]
+    argv += ["--cartan", cartan] if cartan else []
+    docs = []
+    for seed in ("1", "2"):
+        code, out = run_main(capsys, argv + ["--seed", seed])
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [d["seed"] for d in docs] == [1, 2]
+    assert json.dumps(docs[0]["result"]) == json.dumps(docs[1]["result"])
+
+
 def test_timing_and_dump_are_optional():
     argv = ["check-lie", "--catalog", "heisenberg"]
     assert "timing_ms" not in cli.run(argv)

@@ -21,10 +21,12 @@ from koszul.errors import (
     NotTorsionFree,
     SingularMetric,
     TorsionMismatch,
+    ValidationError,
 )
 from koszul.forms import BilinearForm, identity_form
 from koszul.invariants import (
     DEFAULT_SEED,
+    GENERIC_RANK_POINTS,
     bi_invariant_metric,
     common_kernel,
     flat_existence,
@@ -208,9 +210,9 @@ def test_symplectic_routes_agree_on_catalog(rng):
 
 def test_determinism_fixed_seed():
     a = max_rank(hessian_cocycle_space(
-        cartan_connection(abelian(3), "zero")), seed=3)
+        cartan_connection(abelian(3), "zero")))
     b = max_rank(hessian_cocycle_space(
-        cartan_connection(abelian(3), "zero")), seed=3)
+        cartan_connection(abelian(3), "zero")))
     assert a.element == b.element and a.max_rank == b.max_rank
 
 
@@ -233,24 +235,30 @@ def matrix_spaces(draw):
     return LinearSolutionSpace(nr * nc, basis, shape=(nr, nc))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(matrix_spaces(), st.sampled_from(("none", "positive_definite")),
-       st.integers(0, 3))
-def test_max_rank_matches_the_full_pool_walk(space, constraint, seed):
-    assert max_rank(space, constraint, seed) == \
-        full_pool_max_rank(space, constraint, seed)
-
-
 def test_max_rank_stops_once_the_result_is_final():
-    # pool -2I, -I, 0, I, 2I: full rank at once, a definite element at I
+    # grid points B1, B1 + E00, B1 + 2 E00 with B1 = +-I: full rank and
+    # definite at the first, -I on the t_1 = -1 side; rank calls are that
+    # one point and the witness's own re-check
+    e00 = linalg.flatten([[1, 0], [0, 0]])
+    for sign in (1, -1):
+        b1 = linalg.mat_scale(sign, linalg.identity(2))
+        space = LinearSolutionSpace(4, (linalg.flatten(b1), e00),
+                                    shape=(2, 2))
+        for constraint, coeffs, element in (
+                ("none", (1, 0), b1),
+                ("positive_definite", (sign, 0), linalg.identity(2))):
+            with mock.patch.object(linalg, "rank",
+                                   wraps=linalg.rank) as rank:
+                rw = max_rank(space, constraint)
+            assert rank.call_count == 2 and rw.certified
+            assert (rw.coefficients, rw.element) == (coeffs, element)
+
+
+def test_max_rank_rejects_an_unknown_constraint():
     space = LinearSolutionSpace(4, (linalg.flatten(linalg.identity(2)),),
                                 shape=(2, 2))
-    for constraint, tried in (("none", 1), ("positive_definite", 4)):
-        with mock.patch.object(invariants, "_combine",
-                               wraps=invariants._combine) as combine:
-            max_rank(space, constraint)
-        assert combine.call_count == tried
+    with pytest.raises(ValidationError, match="unknown max_rank constraint"):
+        max_rank(space, "symmetric")
 
 
 def _extremal_pencil(d):
@@ -284,24 +292,51 @@ def pencils(draw):
     return LinearSolutionSpace(nr * nc, basis, shape=(nr, nc))
 
 
+# zero block rows 1-2 x columns 1-2: generic rank 2, no common kernel
+ZERO_BLOCK = LinearSolutionSpace(9, (
+    linalg.flatten(linalg.mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])),
+    linalg.flatten(linalg.mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))),
+    shape=(3, 3))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.too_slow])
 @given(pencils())
-# zero block rows 1-2 x columns 1-2: generic rank 2, no common kernel
-@example(LinearSolutionSpace(9, (
-    linalg.flatten(linalg.mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])),
-    linalg.flatten(linalg.mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))),
-    shape=(3, 3)))
+@example(ZERO_BLOCK)
 @example(_extremal_pencil(2))
 @example(_extremal_pencil(3))
 @example(_extremal_pencil(4))
 def test_generic_rank_matches_the_symbolic_rank(space):
-    assert generic_rank(space) == symbolic_generic_rank(space)
+    rw = max_rank(space)
+    assert rw.certified and rw.max_rank == symbolic_generic_rank(space)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(pencils(), matrix_spaces()),
+       st.sampled_from(("none", "positive_definite")), st.integers(0, 3))
+@example(ZERO_BLOCK, "none", 0)
+@example(_extremal_pencil(2), "positive_definite", 0)
+@example(_extremal_pencil(3), "none", 0)
+@example(_extremal_pencil(4), "positive_definite", 1)
+def test_max_rank_certifies_the_rank_the_full_pool_only_bounds(
+        space, constraint, seed):
+    rw = max_rank(space, constraint)
+    # a full-rank witness (its rank re-checked by RankWitness) proves the
+    # generic rank; sympy is asked where the walk certified a lower one
+    assert rw.certified and rw.max_rank <= min(space.shape)
+    if rw.max_rank < min(space.shape):
+        assert rw.max_rank == symbolic_generic_rank(space)
+    assert rw.max_rank >= full_pool_max_rank(space, constraint, seed).max_rank
+    if rw.positive_definite:
+        assert rw.element == linalg.transpose(rw.element)
+        assert linalg.is_positive_definite(rw.element)
+        assert space.contains(linalg.flatten(rw.element))
 
 
 def test_generic_rank_above_the_bound_answers_unknown():
     # rows 0 and 1 of a 4 x 4 matrix: rank 2 with no common kernel, and a
-    # grid of 5^7 points
+    # grid of 5^7 points, of which the walk visits GENERIC_RANK_POINTS
     basis = []
     for i in range(2):
         for j in range(4):
@@ -310,8 +345,12 @@ def test_generic_rank_above_the_bound_answers_unknown():
             basis.append(linalg.flatten(linalg.mat(e)))
     space = LinearSolutionSpace(16, tuple(basis), shape=(4, 4))
     with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
-        assert generic_rank(space) is None
-        verdict = invariants._no_or_unknown(space, 4, 2)
+        rw = max_rank(space)
+    # each point walked, and the witness's own re-check
+    assert rank.call_count == GENERIC_RANK_POINTS + 1
+    assert rw.max_rank == 2 and not rw.certified
+    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
+        verdict = invariants._no_or_unknown(space, 4, rw)
     assert rank.call_count == 0
     assert verdict.exists == "unknown" and verdict.invariant_value == 2
     assert verdict.notes == ("generic rank not certified: its grid has 78125 "

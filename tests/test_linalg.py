@@ -299,6 +299,7 @@ def test_integer_rows_match_the_fraction_route(ints, fracs):
 
 def test_integer_rows_refuse_inexact_entries():
     assert linalg.integer_rows([["1/2", 1, 0]]) == ([[1, 2, 0]], [2])
-    for row in ([1, 0.5], [F(1, 2), 0.25], [1, 1j]):
+    for row in ([1, 0.5], [F(1, 2), 0.25], [1, 1j], [1, None], [0, ""],
+                ["1/2", 0.0]):
         with pytest.raises(TypeError, match="not an exact rational"):
             linalg.integer_rows([row])
