@@ -239,6 +239,13 @@ def _bimetric_witness(lie, verdict):
     return _witness_doc(w)
 
 
+def _budget(args, default: int) -> int:
+    """--budget, or `default` when the option is absent."""
+    if args.budget is not None and args.budget < 0:
+        raise ValidationError(f"--budget must be >= 0, got {args.budget}")
+    return default if args.budget is None else args.budget
+
+
 def _cmd_invariants(args, inputs):
     lie = _load_lie(args, inputs)
     which = args.which
@@ -269,10 +276,9 @@ def _cmd_invariants(args, inputs):
         return doc
     if which == "flat":
         conn = _load_connection(args, lie, inputs, required=False)
-        cands = [conn] if conn is not None else \
-            [connections.cartan_connection(lie, "zero")]
         verdict = invariants.flat_existence(
-            lie, cands, budget=args.budget or 64, seed=args.seed)
+            lie, () if conn is None else (conn,),
+            budget=_budget(args, 64), seed=args.seed)
         return _verdict_doc(verdict)
     if which == "bimetric":
         verdict = invariants.bi_invariant_metric(lie)
@@ -350,7 +356,7 @@ def _cmd_flat_models(args, inputs):
     p = _load_product(args, inputs)
     if args.fm_op == "completeness":
         rep = flatmodels.geometric_completeness(
-            p, budget=args.budget or 256, seed=args.seed)
+            p, budget=_budget(args, 256), seed=args.seed)
         return {"verdict": rep.verdict,
                 "witness": None if rep.witness is None
                 else _frac_list(rep.witness),

@@ -110,15 +110,20 @@ def amari_dual(conn: InvariantConnection, g: BilinearForm) -> InvariantConnectio
         raise ValidationError("metric dimension mismatch")
     if not g.is_nondegenerate:
         raise SingularMetric(f"metric has rank {g.rank} < {g.dim}")
-    m = conn.dim
-    gm = g.matrix
+    return form_dual(conn.base, conn.matrices, g.matrix)
+
+
+def form_dual(base: LieAlgebra, mats, gm: Mat) -> InvariantConnection:
+    """The connection with b(nabla_{e_i} y, z) = −b(y, A_i z) for the
+    nondegenerate form b of matrix gm and operators mats = (A_i):
+    Gamma_i = −G^{-1} A_i^T G."""
+    m = base.dim
     ginv = linalg.inverse(gm)
     duals = [linalg.mat_scale(-1, linalg.mat_mul(
-        ginv, linalg.mat_mul(linalg.transpose(gi), gm)))
-        for gi in conn.matrices]
+        ginv, linalg.mat_mul(linalg.transpose(a), gm))) for a in mats]
     table = SparseTable((i, j, k, duals[i][k][j]) for i in range(m)
                         for j in range(m) for k in range(m))
-    return InvariantConnection(conn.base, BilinearProduct(m, table))
+    return InvariantConnection(base, BilinearProduct(m, table))
 
 
 def alpha_connection(conn: InvariantConnection, dual: InvariantConnection,

@@ -23,13 +23,13 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import chain, islice, product as iproduct
 
 from koszul import linalg, spaces
 from koszul.algebra import BilinearProduct, LieAlgebra, SparseTable
 from koszul.connections import (InvariantConnection, amari_dual,
-                                cartan_connection, is_locally_flat,
-                                is_torsion_free, torsion)
+                                cartan_connection, form_dual,
+                                is_locally_flat, is_torsion_free, torsion)
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
@@ -271,44 +271,64 @@ def hessian_defect(conn: InvariantConnection) -> tuple[int, ExistenceVerdict]:
 
 def flat_existence(L: LieAlgebra, candidates, budget: int = 64,
                    seed=None) -> ExistenceVerdict:
-    """Search for a flat torsion-free connection on L.
+    """Decide whether L carries a flat torsion-free left-invariant connection.
 
-    Candidates are checked exactly; a certified `no` is attempted only for
-    dim <= 2 (parametric polynomial solve); otherwise the verdict is `unknown`
-    with the best defect found as an upper-bound note.
+    Routes, in order: the caller's candidates, checked exactly (one with
+    torsion raises `TorsionMismatch`); "no" when L is perfect, [L, L] = L,
+    since no perfect Lie algebra is left-symmetric (Helmstetter 1979); the
+    zero Cartan connection and `budget` random torsion-free probes drawn
+    from `seed`, tested with `is_locally_flat` alone; for dim <= 2, "no"
+    when the flatness equations generate the unit ideal (Groebner basis);
+    in even dim, "yes" from a symplectic 2-cocycle omega, whose product
+    omega(x·y, z) = −omega(y, [x, z]) is flat and torsion-free (Chu 1974),
+    re-verified. Every algebra of dim <= 2 is decided by then; otherwise
+    the verdict is "unknown", noting the smallest r_b defect over the
+    candidates and probes.
     """
     m = L.dim
-    best = None
+    tried = []
     for cand in candidates:
         conn = InvariantConnection(L, cand.gamma) \
             if isinstance(cand, InvariantConnection) else InvariantConnection(L, cand)
         if not torsion(conn).is_zero():
             raise TorsionMismatch(
                 "candidate's commutator does not match the bracket")
-        flat, _ = is_locally_flat(conn)
-        if flat:
+        if is_locally_flat(conn)[0]:
             return ExistenceVerdict("yes", invariant_value=0, witness=conn)
-        d = r_b_defect(conn)
-        best = d if best is None else min(best, d)
+        tried.append(conn)
+
+    brackets = [[dict(row).get(k, 0) for k in range(m)]
+                for (i, j), row in L.sparse.by_pair.items() if i < j]
+    if m and linalg.rank(brackets) == m:
+        return ExistenceVerdict(
+            "no", certificate="the algebra is perfect ([g, g] = g), and no "
+            "perfect Lie algebra carries a flat torsion-free connection")
 
     rng = random.Random(resolve_seed(seed))
-    half = cartan_connection(L, "zero")  # canonical torsion-free probe
-    probes = [half.gamma] + [_random_torsion_free_table(L, rng)
-                             for _ in range(max(0, budget))]
-    for gam in probes:
-        conn = InvariantConnection(L, gam)
-        flat, _ = is_locally_flat(conn)
-        if flat:
+    probes = chain([cartan_connection(L, "zero")], (
+        InvariantConnection(L, _random_torsion_free_table(L, rng))
+        for _ in range(budget)))
+    for conn in probes:
+        if is_locally_flat(conn)[0]:
             return ExistenceVerdict("yes", invariant_value=0, witness=conn)
-        d = r_b_defect(conn)
-        best = d if best is None else min(best, d)
+        tried.append(conn)
 
     if m <= 2:
         verdict = _flat_existence_exact_small(L)
         if verdict is not None:
             return verdict
-    note = "" if best is None else f"best defect over tried connections: {best}"
-    return ExistenceVerdict("unknown", invariant_value=best, notes=note)
+    if m % 2 == 0:
+        symplectic = left_symplectic_oracle(L)
+        if symplectic.exists == "yes":
+            conn = form_dual(L, L.ad_matrices, symplectic.witness.matrix)
+            flat, why = is_locally_flat(conn)
+            if not flat:
+                raise ValidationError(
+                    f"connection of the symplectic form failed recheck: {why}")
+            return ExistenceVerdict("yes", invariant_value=0, witness=conn)
+    best = min(r_b_defect(conn) for conn in tried)
+    return ExistenceVerdict("unknown", invariant_value=best,
+                            notes=f"best defect over tried connections: {best}")
 
 
 def _random_torsion_free_table(L: LieAlgebra, rng: random.Random):
@@ -326,14 +346,11 @@ def _random_torsion_free_table(L: LieAlgebra, rng: random.Random):
 
 
 def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
-    """Exact decision for dim <= 2 via a polynomial system on the symbols."""
+    """"no" for dim <= 2 when the flatness equations on the symbols of a
+    torsion-free connection generate the unit ideal; None otherwise."""
     import sympy
 
     m = L.dim
-    if m == 0:
-        from koszul.algebra import zero_product
-        return ExistenceVerdict("yes", invariant_value=0,
-                                witness=InvariantConnection(L, zero_product(0)))
     c = {(i, j, k): v for i, j, k, v in L.sparse.items()}
     syms = {}
     for i in range(m):
@@ -360,46 +377,12 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
                                  * gamma(a, k, l))
                     eqs.append(sympy.expand(expr))
     eqs = [e for e in eqs if e != 0]
-    variables = list(syms.values())
-    if not eqs:
-        sol = {v: sympy.Integer(0) for v in variables}
-    else:
-        gb = sympy.groebner(eqs, *variables, order="grevlex")
-        if list(gb.exprs) == [sympy.Integer(1)]:
-            return ExistenceVerdict(
-                "no", certificate="flatness equations are unsolvable "
-                "(Groebner basis is the unit ideal)")
-        sols = sympy.solve(eqs, variables, dict=True)
-        sol = None
-        pins = [sympy.Integer(0), sympy.Integer(1), sympy.Integer(-1),
-                sympy.Rational(1, 2)]
-        for cand in sols:
-            full = {v: cand.get(v, v) for v in variables}
-            free = sorted({s for val in full.values()
-                           for s in val.free_symbols}, key=str)
-            # parametric branch: pin leftover parameters on a small grid
-            for pin in ([{}] if not free else
-                        [dict(zip(free, combo)) for combo in
-                         iproduct(pins, repeat=len(free))]):
-                trial = {v: val.subs(pin) for v, val in full.items()}
-                if all(val.free_symbols == set() and val.is_rational
-                       for val in trial.values()):
-                    if all(e.subs(trial) == 0 for e in eqs):
-                        sol = trial
-                        break
-            if sol is not None:
-                break
-        if sol is None:
-            return None
-    table = SparseTable(
-        (i, j, k, Fraction(c.get((i, j, k), 0), 2)
-         + Fraction(str(sol[syms[(min(i, j), max(i, j), k)]])))
-        for i in range(m) for j in range(m) for k in range(m))
-    conn = InvariantConnection(L, BilinearProduct(m, table))
-    flat, _ = is_locally_flat(conn)
-    if not flat:
-        return None
-    return ExistenceVerdict("yes", invariant_value=0, witness=conn)
+    gb = sympy.groebner(eqs, *syms.values(), order="grevlex")
+    if list(gb.exprs) == [sympy.Integer(1)]:
+        return ExistenceVerdict(
+            "no", certificate="flatness equations are unsolvable "
+            "(Groebner basis is the unit ideal)")
+    return None
 
 
 def _phi_parts_space(conn: InvariantConnection, g: BilinearForm,

@@ -16,6 +16,9 @@ elimination modulo a prime (`dense_rank_mod`), its former reduced
 row-echelon form over every row (`full_rref`), its former seeded rank
 search, walking its whole pool (`full_pool_max_rank`), its former generic
 rank over the rational function field by sympy (`symbolic_generic_rank`),
+its former flat-existence search, with an FE* solve per probe and sympy's
+`solve` for dim <= 2 (`eager_flat_existence`,
+`sympy_flat_existence_small`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
 ...), its former per-outcome
 information-geometry routes (`scalar_fisher_information`, ...,
@@ -38,17 +41,21 @@ import sympy
 from koszul import linalg
 from koszul._kernel import echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, kv_anomaly)
+                            SparseTable, kv_anomaly, zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                DegreeDims, _flat_index, _sort_alternating,
                                ce_coboundary_matrix,
                                hochschild_coboundary_matrix,
                                kv_coboundary_matrix, kv_degree_zero_space,
                                zero_cochain)
+from koszul.connections import (InvariantConnection, cartan_connection,
+                                is_locally_flat, torsion)
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
-                           SingularFisher, ValidationError)
+                           SingularFisher, TorsionMismatch, ValidationError)
 from koszul.gauge import FeStarSolutions
-from koszul.invariants import RankWitness, resolve_seed
+from koszul.invariants import (ExistenceVerdict, RankWitness,
+                               _random_torsion_free_table, r_b_defect,
+                               resolve_seed)
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
@@ -1166,6 +1173,122 @@ def symbolic_generic_rank(space: LinearSolutionSpace) -> int:
     for t, b in zip(ts, mats):
         m += t * sympy.Matrix(nr, nc, lambda i, j: sympy.Rational(b[i][j]))
     return m.rank(simplify=True)
+
+
+# ---------------------------------------------------------------- flat existence
+#
+# The library's former `invariants.flat_existence`: every probe pays a full
+# FE* solve, and dim <= 2 is decided by sympy (a Groebner unit-ideal test,
+# then `sympy.solve` with leftover parameters pinned on a small grid).
+
+def eager_flat_existence(L: LieAlgebra, candidates, budget: int = 64,
+                         seed=None) -> ExistenceVerdict:
+    m = L.dim
+    best = None
+    for cand in candidates:
+        conn = InvariantConnection(L, cand.gamma) \
+            if isinstance(cand, InvariantConnection) else InvariantConnection(L, cand)
+        if not torsion(conn).is_zero():
+            raise TorsionMismatch(
+                "candidate's commutator does not match the bracket")
+        flat, _ = is_locally_flat(conn)
+        if flat:
+            return ExistenceVerdict("yes", invariant_value=0, witness=conn)
+        d = r_b_defect(conn)
+        best = d if best is None else min(best, d)
+
+    rng = random.Random(resolve_seed(seed))
+    half = cartan_connection(L, "zero")
+    probes = [half.gamma] + [_random_torsion_free_table(L, rng)
+                             for _ in range(max(0, budget))]
+    for gam in probes:
+        conn = InvariantConnection(L, gam)
+        flat, _ = is_locally_flat(conn)
+        if flat:
+            return ExistenceVerdict("yes", invariant_value=0, witness=conn)
+        d = r_b_defect(conn)
+        best = d if best is None else min(best, d)
+
+    if m <= 2:
+        verdict = sympy_flat_existence_small(L)
+        if verdict is not None:
+            return verdict
+    note = "" if best is None else f"best defect over tried connections: {best}"
+    return ExistenceVerdict("unknown", invariant_value=best, notes=note)
+
+
+def sympy_flat_existence_small(L: LieAlgebra) -> ExistenceVerdict | None:
+    """Exact decision for dim <= 2 via a polynomial system on the symbols."""
+    m = L.dim
+    if m == 0:
+        return ExistenceVerdict("yes", invariant_value=0,
+                                witness=InvariantConnection(L, zero_product(0)))
+    c = {(i, j, k): v for i, j, k, v in L.sparse.items()}
+    syms = {}
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(m):
+                syms[(i, j, k)] = sympy.Symbol(f"s_{i}_{j}_{k}")
+
+    def gamma(i, j, k):
+        half = sympy.Rational(c.get((i, j, k), 0), 1) / 2
+        key = (i, j, k) if i <= j else (j, i, k)
+        return half + syms[key]
+
+    eqs = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    # R(e_i,e_j)e_k, coefficient of e_l
+                    expr = sympy.Integer(0)
+                    for a in range(m):
+                        expr += gamma(j, k, a) * gamma(i, a, l)
+                        expr -= gamma(i, k, a) * gamma(j, a, l)
+                        expr -= (sympy.Rational(c.get((i, j, a), 0), 1)
+                                 * gamma(a, k, l))
+                    eqs.append(sympy.expand(expr))
+    eqs = [e for e in eqs if e != 0]
+    variables = list(syms.values())
+    if not eqs:
+        sol = {v: sympy.Integer(0) for v in variables}
+    else:
+        gb = sympy.groebner(eqs, *variables, order="grevlex")
+        if list(gb.exprs) == [sympy.Integer(1)]:
+            return ExistenceVerdict(
+                "no", certificate="flatness equations are unsolvable "
+                "(Groebner basis is the unit ideal)")
+        sols = sympy.solve(eqs, variables, dict=True)
+        sol = None
+        pins = [sympy.Integer(0), sympy.Integer(1), sympy.Integer(-1),
+                sympy.Rational(1, 2)]
+        for cand in sols:
+            full = {v: cand.get(v, v) for v in variables}
+            free = sorted({s for val in full.values()
+                           for s in val.free_symbols}, key=str)
+            # parametric branch: pin leftover parameters on a small grid
+            for pin in ([{}] if not free else
+                        [dict(zip(free, combo)) for combo in
+                         iproduct(pins, repeat=len(free))]):
+                trial = {v: val.subs(pin) for v, val in full.items()}
+                if all(val.free_symbols == set() and val.is_rational
+                       for val in trial.values()):
+                    if all(e.subs(trial) == 0 for e in eqs):
+                        sol = trial
+                        break
+            if sol is not None:
+                break
+        if sol is None:
+            return None
+    table = SparseTable(
+        (i, j, k, Fraction(c.get((i, j, k), 0), 2)
+         + Fraction(str(sol[syms[(min(i, j), max(i, j), k)]])))
+        for i in range(m) for j in range(m) for k in range(m))
+    conn = InvariantConnection(L, BilinearProduct(m, table))
+    flat, _ = is_locally_flat(conn)
+    if not flat:
+        return None
+    return ExistenceVerdict("yes", invariant_value=0, witness=conn)
 
 
 # ---------------------------------------------------------------- condition rows

@@ -1,8 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
-from koszul import cli
+from koszul import cli, flatmodels, invariants
 from koszul.errors import ConformanceMismatch
 
 SO3_ROWS = [
@@ -219,6 +220,26 @@ def test_negative_catalog_dimension_exits_2(capsys, argv):
     assert json.loads(out)["error"] == {
         "type": "ValidationError",
         "message": "dimension must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("argv, module, name, default", [
+    (["invariants", "--which", "flat", "--catalog", "abelian:2"],
+     invariants, "flat_existence", 64),
+    (["flat-models", "completeness", "--catalog", "zero:2"],
+     flatmodels, "geometric_completeness", 256)])
+def test_budget_is_passed_as_given_and_refused_below_zero(
+        capsys, argv, module, name, default):
+    for extra, budget in (([], default), (["--budget", "0"], 0),
+                          (["--budget", "3"], 3)):
+        with mock.patch.object(module, name,
+                               wraps=getattr(module, name)) as search:
+            code, _ = run_main(capsys, argv + extra)
+        assert code == 0 and search.call_args.kwargs["budget"] == budget
+    with mock.patch.object(module, name) as search:
+        code, out = run_main(capsys, argv + ["--budget", "-1"])
+    assert code == 2 and not search.called
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError", "message": "--budget must be >= 0, got -1"}
 
 
 def test_jacobi_violation_exit_2_with_witness(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -5,17 +6,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import invariants, linalg
-from koszul.algebra import abelian, commutator_bracket
+from koszul import cli, invariants, linalg
+from koszul.algebra import abelian, commutator_bracket, conjugate_lie
 from koszul.catalog import (
     aff1,
     heisenberg,
     heisenberg_kv,
+    resolve,
     sl2,
     so3,
     so3_killing,
 )
-from koszul.connections import cartan_connection, connection_from_product
+from koszul.connections import (cartan_connection, connection_from_product,
+                                form_dual)
 from koszul.errors import (
     NotFlat,
     NotTorsionFree,
@@ -42,8 +45,10 @@ from koszul.invariants import (
 )
 from koszul.spaces import LinearSolutionSpace
 
-from conftest import random_metric
-from oracles import full_pool_max_rank, symbolic_generic_rank
+from conftest import (direct_sum_lie, rand_invertible, random_metric,
+                      random_torsion_free)
+from oracles import (dense_curvature, dense_torsion, eager_flat_existence,
+                     full_pool_max_rank, symbolic_generic_rank)
 
 
 def kv_connection(p):
@@ -118,14 +123,19 @@ def test_hessian_defect_requires_flatness():
 
 
 def test_flat_existence_verdicts(rng):
-    assert flat_existence(abelian(3), ()).exists == "yes"
+    for m in (0, 1, 3):
+        assert flat_existence(abelian(m), ()).exists == "yes"
     v = flat_existence(heisenberg(), ())
     assert v.exists == "yes"
     assert v.witness is not None
     v = flat_existence(aff1(), (), budget=4)
     assert v.exists == "yes"
-    # no certificate attempted beyond dim 2; semisimple stays open here
-    assert flat_existence(so3(), (), budget=4).exists == "unknown"
+    # perfect algebras carry no flat torsion-free connection
+    so3_sl2 = conjugate_lie(direct_sum_lie(so3(), sl2()),
+                            rand_invertible(6, rng))
+    for L in (so3(), sl2(), so3_sl2):
+        v = flat_existence(L, (), budget=4)
+        assert v.exists == "no" and "perfect" in v.certificate
     # a candidate whose commutator disagrees with the bracket is refused
     with pytest.raises(TorsionMismatch):
         flat_existence(so3(), (cartan_connection(abelian(3), "zero"),))
@@ -133,6 +143,87 @@ def test_flat_existence_verdicts(rng):
     v = flat_existence(commutator_bracket(heisenberg_kv()),
                        (kv_connection(heisenberg_kv()),))
     assert v.exists == "yes" and v.invariant_value == 0
+
+
+def _is_flat_torsion_free(conn):
+    """Torsion and curvature vanish, by the dense oracle formulas."""
+    return not any(x for a in dense_torsion(conn) for b in a for x in b) \
+        and not any(x for a in dense_curvature(conn) for b in a for c in b
+                    for x in c)
+
+
+def _monomial(m, rng):
+    """A permutation matrix with nonzero rational scales."""
+    perm = rng.sample(range(m), m)
+    return linalg.mat([[Fraction(rng.choice((-2, -1, 1, 2)),
+                                 rng.choice((1, 2))) if perm[i] == j else 0
+                        for j in range(m)] for i in range(m)])
+
+
+def test_flat_existence_on_aff1_matches_the_sympy_search(rng):
+    for L in (aff1(), conjugate_lie(aff1(), _monomial(2, rng)),
+              conjugate_lie(aff1(), _monomial(2, rng))):
+        old, new = eager_flat_existence(L, ()), flat_existence(L, ())
+        assert old.exists == new.exists == "yes"
+        assert _is_flat_torsion_free(old.witness)
+        assert _is_flat_torsion_free(new.witness)
+
+
+SYMPLECTIC = {
+    "aff1": aff1(),
+    "aff1+aff1": direct_sum_lie(aff1(), aff1()),
+    "heisenberg+abelian:1": direct_sum_lie(heisenberg(), abelian(1)),
+    "affine:2": resolve("lie", "affine:2"),
+    "abelian:4": abelian(4),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(SYMPLECTIC)), st.integers(0, 2 ** 32))
+def test_flat_existence_from_a_symplectic_form(name, seed):
+    L = SYMPLECTIC[name]
+    L = conjugate_lie(L, rand_invertible(L.dim, random.Random(seed)))
+    v = flat_existence(L, (), budget=0)
+    assert v.exists == "yes" and v.invariant_value == 0
+    assert _is_flat_torsion_free(v.witness)
+    # the product of omega(x·y, z) = -omega(y, [x, z]) itself, whichever
+    # route answered above
+    omega = left_symplectic_oracle(L).witness.matrix
+    assert _is_flat_torsion_free(form_dual(L, L.ad_matrices, omega))
+
+
+def test_flat_existence_unknown_matches_the_eager_search(rng):
+    L = direct_sum_lie(so3(), abelian(1))
+    cands = (random_torsion_free(L, rng),)
+    old = eager_flat_existence(L, cands, budget=8, seed=5)
+    with mock.patch.object(invariants, "r_b_defect",
+                           wraps=invariants.r_b_defect) as defect:
+        new = flat_existence(L, cands, budget=8, seed=5)
+    # the candidate, the zero Cartan probe and the 8 random ones
+    assert defect.call_count == 10
+    assert new.exists == old.exists == "unknown"
+    assert (new.notes, new.invariant_value) == (old.notes, old.invariant_value)
+
+
+def test_flat_existence_on_aff1_solves_no_fe_star_and_calls_sympy_once():
+    import sympy
+
+    with mock.patch.object(invariants, "solve_fe_star") as fe_star, \
+            mock.patch.object(sympy, "solve") as solve, \
+            mock.patch.object(sympy, "groebner",
+                              wraps=sympy.groebner) as groebner:
+        rep = cli.run(["invariants", "--which", "flat", "--catalog", "aff1"])
+    assert rep["result"]["exists"] == "yes"
+    assert (fe_star.call_count, solve.call_count,
+            groebner.call_count) == (0, 0, 1)
+
+
+def test_flat_existence_refuses_a_symplectic_product_that_is_not_flat():
+    with mock.patch.object(invariants, "form_dual",
+                           return_value=cartan_connection(aff1(), "zero")):
+        with pytest.raises(ValidationError, match="failed recheck"):
+            flat_existence(aff1(), ())
 
 
 def test_s_b_reference_values(rng):
@@ -308,7 +399,12 @@ ZERO_BLOCK = LinearSolutionSpace(9, (
 @example(_extremal_pencil(4))
 def test_generic_rank_matches_the_symbolic_rank(space):
     rw = max_rank(space)
-    assert rw.certified and rw.max_rank == symbolic_generic_rank(space)
+    assert rw.certified
+    if rw.max_rank == min(space.shape):
+        # a full-rank element of the span proves the generic rank
+        assert linalg.rank(rw.element) == rw.max_rank
+    else:
+        assert rw.max_rank == symbolic_generic_rank(space)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80,
