@@ -17,7 +17,12 @@ an integer matrix modulo a prime can only lose rank (every minor that
 vanishes over the integers vanishes mod P), so rows that are independent
 mod P are independent over the rationals, and their count is a lower bound
 for the rank. Entries are taken mod P = 2**31 - 1, one fixed prime, so no
-intermediate grows the way Bareiss minors do.
+intermediate grows the way Bareiss minors do. The kept rows are held
+reduced, and beside them an index from each column to the kept rows that
+hold it, so a new pivot is cleared from those rows only (the bookkeeping of
+structured Gaussian elimination, LaMacchia and Odlyzko 1990). A row is kept
+when it is independent of the rows kept before it, whatever the reduction,
+so the positions are those of a scan over every kept row.
 
 `row_space` turns those rows into the exact row space. It eliminates the
 rows kept mod P alone, continues to the reduced form, and checks in
@@ -133,15 +138,17 @@ def independent_rows_mod_p(rows, bound: int) -> list[int]:
     held reduced: each is 1 at its own pivot column and 0 at every other
     pivot column, so a new row is reduced by one subtraction per pivot
     column it holds, and what is left, if anything, is the next pivot row.
-    Entries are reduced mod P where they are read rather than after every
-    update; they stay a few words long. Stops as soon as `bound` rows are
-    kept, so their count is min(bound, rank mod P), a lower bound for the
-    rank over the rationals.
+    `holders` maps each column to the kept rows holding it, so the new
+    pivot column is cleared from those alone. Entries are reduced mod P
+    where they are read rather than after every update; they stay a few
+    words long. Stops as soon as `bound` rows are kept, so their count is
+    min(bound, rank mod P), a lower bound for the rank over the rationals.
     """
     kept: list[int] = []
     if bound <= 0:
         return kept
     basis: dict[int, dict[int, int]] = {}   # pivot column -> rest of its row
+    holders: dict[int, list[dict[int, int]]] = {}   # column -> rests with it
     for pos, row in enumerate(rows):
         acc: dict[int, int] = {}
         for c, x in row.items():
@@ -158,11 +165,17 @@ def independent_rows_mod_p(rows, bound: int) -> list[int]:
         c, x = r.popitem()
         inv = pow(x, -1, P)
         new = {j: x * inv % P for j, x in r.items()}
-        for b in basis.values():
-            f = b.pop(c, 0) % P
+        for b in holders.pop(c, ()):
+            f = b.pop(c) % P
             if f:
                 for j, v in new.items():
-                    b[j] = b.get(j, 0) - f * v
+                    if j in b:
+                        b[j] -= f * v
+                    else:
+                        b[j] = -f * v
+                        holders.setdefault(j, []).append(b)
+        for j in new:
+            holders.setdefault(j, []).append(new)
         basis[c] = new
         kept.append(pos)
         if len(kept) == bound:

@@ -290,14 +290,17 @@ def _cmd_invariants(args, inputs):
 
 
 def _cmd_kv_cohomology(args, inputs):
+    # an absent --max-degree takes the complex's own cap
+    degree = ({} if args.max_degree is None
+              else {"max_degree": args.max_degree})
     if args.complex == "ce":
         lie = _load_lie(args, inputs)
-        report = cohomology.ce_cohomology_dims(
-            lie, args.coeffs, max_degree=args.max_degree)
+        report = cohomology.ce_cohomology_dims(lie, args.coeffs, **degree)
     elif args.complex == "hochschild":
+        if args.coeffs != cohomology.ADJOINT:
+            raise ValidationError("hochschild coefficients must be adjoint")
         p = _load_product(args, inputs)
-        report = cohomology.hochschild_dims(
-            p, max_degree=min(args.max_degree, 2))
+        report = cohomology.hochschild_dims(p, **degree)
     else:
         p = _load_product(args, inputs)
         if getattr(args, "algebra", None):
@@ -308,8 +311,7 @@ def _cmd_kv_cohomology(args, inputs):
                 raise ValidationError(
                     "the supplied algebra is not the commutator of the "
                     "supplied product")
-        report = cohomology.kv_cohomology_dims(
-            p, args.coeffs, max_degree=args.max_degree)
+        report = cohomology.kv_cohomology_dims(p, args.coeffs, **degree)
     return {
         "complex": report.complex,
         "coefficients": report.coefficients,
@@ -494,7 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", help="product JSON file")
     p.add_argument("--coeffs", default="adjoint",
                    choices=("adjoint", "scalar", "trivial"))
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=int,
+                   help="highest degree (default: 3, or 2 for hochschild)")
     p.add_argument("--complex", default="kv",
                    choices=("kv", "ce", "hochschild"))
     p.set_defaults(handler=_cmd_kv_cohomology)

@@ -18,14 +18,31 @@ The dimensions need only the ranks r_q of the coboundaries delta_q: C^q ->
 C^{q+1}, and `_dims_from_deltas` certifies them without exact elimination
 where it can. The contributions are integers over the table's denominator,
 so the integer matrix has the rank of delta_q, and its rank mod a prime,
-l_q, is a lower bound. As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q =
-0, r_q <= u_q = min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q =
-u_q, r_q = l_q; the square that bound relies on is then checked exactly as a
-sparse integer product (a nonzero one raises ConformanceMismatch). Where
-l_q < u_q the rows independent mod the prime are eliminated exactly and
-every other row is checked to lie in their span (`koszul._kernel.row_space`;
-all rows are eliminated when a check fails), and that rank replaces l_q in
-its neighbours' bounds. Acyclic degrees meet the bound.
+l_q, is a lower bound.
+
+l_q is read on part of the columns. Let T be the C^q coordinates of the
+rows of delta_{q-1} kept mod the prime; delta_q is read only on the columns
+outside T, at most c_q - l_{q-1} of them. Dropping columns can only lower a
+rank, so l_q is a lower bound whatever delta² is. Where delta² = 0 it is
+still the whole rank mod the prime, by induction on q (delta_0 is read on
+every column): the T rows are independent mod the prime and, l_{q-1} being
+the rank of delta_{q-1} there, as many as that rank. So projecting im
+delta_{q-1} onto the T coordinates is injective, and the unit vectors
+outside T span a complement of that image. delta_q kills the image, so its
+rank is its rank on that complement, which is l_q.
+
+As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q = 0, r_q <= u_q =
+min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q = u_q, r_q = l_q;
+the square that bound relies on is then checked exactly as a sparse integer
+product (a nonzero one raises ConformanceMismatch). Where l_q < u_q the
+rows independent mod the prime are eliminated exactly and every other row
+is checked to lie in their span (`koszul._kernel.row_space`; all rows are
+eliminated when a check fails), and that rank replaces l_q in its
+neighbours' bounds. Acyclic degrees meet the bound.
+
+Before any contribution is generated, their number is counted from the
+table's list lengths, and a complex with more than `ENTRY_BOUND` of them is
+refused with ValidationError rather than accumulated past the memory.
 
 Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
@@ -43,13 +60,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
-from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, jacobi_defect, kv_anomaly,
-                            operator_defect, operator_matrix)
+from koszul.algebra import (ENTRY_BOUND, BilinearProduct, DefectTensor,
+                            LieAlgebra, SparseTable, envelope, jacobi_defect,
+                            kv_anomaly, operator_defect, operator_matrix)
 from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
                            ValidationError)
 from koszul.linalg import Vec, frac
@@ -189,9 +206,14 @@ def _certified_ranks(deltas) -> list[int]:
     """
     n = len(deltas)
     kept: list[list[int]] = []
-    for q, (rows, ncols, _) in enumerate(deltas):
-        bound = min(len(rows), ncols - (len(kept[-1]) if q else 0))
-        kept.append(independent_rows_mod_p(rows.values(), bound))
+    image: set[int] = set()   # C^q coordinates of delta_{q-1}'s kept rows
+    for rows, ncols, _ in deltas:
+        bound = min(len(rows), ncols - len(image))
+        kept.append(independent_rows_mod_p(
+            ({j: x for j, x in row.items() if j not in image}
+             for row in rows.values()), bound))
+        keys = list(rows)
+        image = {keys[i] for i in kept[-1]}
     low = [len(k) for k in kept]
     exact = [False] * n
 
@@ -378,6 +400,19 @@ def _kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
     return (), 1, nrows
 
 
+def _kv_contributions(n: int, m: int, q: int, adjoint: bool) -> int:
+    """How many contributions `_kv_delta` yields for a table of n nonzeros,
+    counted without generating any: each nonzero lies in one list of
+    `by_first`, of `by_second` and of `by_pair`, and each of those lists is
+    read once per choice of the other indices. In degree 0 this is a bound:
+    each of at most m vectors spanning the 0-cochains reads `by_first` and
+    `by_second` at most once per nonzero."""
+    if q:
+        return (q * m ** q * n * (2 + q) if adjoint
+                else q * q * m ** (q - 1) * n)
+    return 2 * m * n if adjoint else 0
+
+
 def _primitive(v) -> tuple[int, ...]:
     """The primitive integer vector on the line of a rational vector."""
     scale = lcm(*(x.denominator for x in v))
@@ -390,6 +425,10 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
                        max_degree: int = 3) -> CohomologyReport:
     """Exact dims of the left-symmetric complex up to max_degree <= 3."""
     _check_kv(algebra, coefficients, max_degree)
+    envelope("coboundary contributions",
+             sum(_kv_contributions(len(algebra.sparse.nonzeros), algebra.dim,
+                                   q, coefficients == ADJOINT)
+                 for q in range(max_degree + 1)), ENTRY_BOUND)
     # integer degree-0 columns; rescaling a column keeps every rank and
     # delta_1 delta_0 = 0
     zero_basis = ([_primitive(v) for v in kv_degree_zero_space(algebra)]
@@ -463,12 +502,28 @@ def _ce_delta(L: LieAlgebra, coefficients: str, p: int):
     return entries, len(dom) * width, len(cod) * width
 
 
+def _ce_contributions(sp, m: int, p: int, adjoint: bool) -> int:
+    """At least as many as the contributions `_ce_delta` yields, counted
+    without generating any: each index lies in comb(m - 1, p) of the
+    (p+1)-tuples, each pair of indices in comb(m - 2, p - 1), and a bracket
+    that repeats an index contributes nothing."""
+    if not sp.nonzeros:
+        return 0
+    pairs = sum(len(v) for (x, y), v in sp.by_pair.items() if x < y)
+    return ((comb(m - 1, p) * len(sp.nonzeros) if adjoint else 0)
+            + (comb(m - 2, p - 1) * pairs * (m if adjoint else 1)
+               if p else 0))
+
+
 def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
                        max_degree: int = 3) -> CohomologyReport:
     """Chevalley-Eilenberg dims; trivial or adjoint coefficients, p <= 3."""
     if coefficients not in (TRIVIAL, ADJOINT):
         raise ValidationError("coefficients must be trivial or adjoint")
     _check_max_degree(max_degree, 3)
+    envelope("coboundary contributions",
+             sum(_ce_contributions(L.sparse, L.dim, p, coefficients == ADJOINT)
+                 for p in range(max_degree + 1)), ENTRY_BOUND)
     deltas = [_ce_delta(L, coefficients, p) for p in range(max_degree + 1)]
     return _dims_from_deltas("chevalley-eilenberg", coefficients, L.dim,
                              deltas)
@@ -535,11 +590,23 @@ def _hochschild_delta(algebra: BilinearProduct, q: int):
             m ** (q + 2))
 
 
+def _hochschild_contributions(n: int, m: int, q: int) -> int:
+    """How many contributions `_hochschild_delta` yields for a table of n
+    nonzeros, counted without generating any: each nonzero is read m ** q
+    times from `by_first`, from `by_second` and from `by_pair` at each of q
+    slots."""
+    return m ** q * n * (q + 2)
+
+
 def hochschild_dims(algebra: BilinearProduct,
                     max_degree: int = 2) -> CohomologyReport:
     """Hochschild dims with coefficients in the algebra, degree <= 2."""
     _check_max_degree(max_degree, 2)
     _check_associative(algebra)
+    envelope("coboundary contributions",
+             sum(_hochschild_contributions(len(algebra.sparse.nonzeros),
+                                           algebra.dim, q)
+                 for q in range(max_degree + 1)), ENTRY_BOUND)
     deltas = [_hochschild_delta(algebra, q) for q in range(max_degree + 1)]
     return _dims_from_deltas("hochschild", ADJOINT, algebra.dim, deltas)
 

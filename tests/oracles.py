@@ -12,7 +12,11 @@ former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
 its former right-ideal core loop (`dense_right_ideal_core`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
-elimination modulo a prime (`dense_rank_mod`), its former reduced
+elimination modulo a prime (`dense_rank_mod`), its former pass over rows
+modulo P, which cleared each new pivot from every kept row
+(`full_scan_independent_rows_mod_p`), its former lower bounds for the
+coboundary ranks, each read over all of its columns
+(`full_width_lower_bounds`), its former reduced
 row-echelon form over every row (`full_rref`), its former seeded rank
 search, walking its whole pool (`full_pool_max_rank`), its former generic
 rank over the rational function field by sympy (`symbolic_generic_rank`),
@@ -39,7 +43,7 @@ import numpy as np
 import sympy
 
 from koszul import linalg
-from koszul._kernel import echelon
+from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
@@ -167,6 +171,53 @@ def dense_rank_mod(rows, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def full_scan_independent_rows_mod_p(rows, bound: int) -> list[int]:
+    """The former `_kernel.independent_rows_mod_p`: the same reading order
+    and reduced pivot rows, but each new pivot column is cleared by scanning
+    every kept row."""
+    kept: list[int] = []
+    if bound <= 0:
+        return kept
+    basis: dict[int, dict[int, int]] = {}   # pivot column -> rest of its row
+    for pos, row in enumerate(rows):
+        acc: dict[int, int] = {}
+        for c, x in row.items():
+            b = basis.get(c)
+            if b is None:
+                acc[c] = acc.get(c, 0) + x
+            else:
+                x %= P
+                for j, v in b.items():
+                    acc[j] = acc.get(j, 0) - x * v
+        r = {j: x % P for j, x in acc.items() if x % P}
+        if not r:
+            continue
+        c, x = r.popitem()
+        inv = pow(x, -1, P)
+        new = {j: x * inv % P for j, x in r.items()}
+        for b in basis.values():
+            f = b.pop(c, 0) % P
+            if f:
+                for j, v in new.items():
+                    b[j] = b.get(j, 0) - f * v
+        basis[c] = new
+        kept.append(pos)
+        if len(kept) == bound:
+            break
+    return kept
+
+
+def full_width_lower_bounds(deltas) -> list[list[int]]:
+    """The former first loop of `cohomology._certified_ranks`: the kept
+    positions of each delta_q (row -> {col: n}, ncols, nrows) read mod P
+    over all of its columns, at most ncols minus the count before it."""
+    kept: list[list[int]] = []
+    for q, (rows, ncols, _) in enumerate(deltas):
+        bound = min(len(rows), ncols - (len(kept[-1]) if q else 0))
+        kept.append(full_scan_independent_rows_mod_p(rows.values(), bound))
+    return kept
 
 
 def _to_int_rows(rows) -> tuple[list[list[int]], list[int]]:

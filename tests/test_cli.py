@@ -144,6 +144,30 @@ def test_negative_max_degree_exits_2(capsys, complex_, catalog):
         "message": "max_degree -1 is negative", "type": "ValidationError"}
 
 
+@pytest.mark.parametrize("complex_, catalog, cap", [
+    ("kv", "heisenberg-kv", 3), ("ce", "so3", 3), ("hochschild", "matrix:2", 2)])
+def test_max_degree_defaults_to_the_cap_and_refuses_above_it(
+        capsys, complex_, catalog, cap):
+    argv = ["kv-cohomology", "--complex", complex_, "--catalog", catalog]
+    res = cli.run(argv)["result"]
+    assert len(res["betti"]) == cap + 1
+    assert cli.run(argv + ["--max-degree", str(cap)])["result"] == res
+    code, out = run_main(capsys, argv + ["--max-degree", str(cap + 1)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": f"degrees capped at {cap}", "type": "ValidationError"}
+
+
+@pytest.mark.parametrize("coeffs", ["scalar", "trivial"])
+def test_hochschild_refuses_coefficients_other_than_adjoint(capsys, coeffs):
+    code, out = run_main(capsys, ["kv-cohomology", "--complex", "hochschild",
+                                  "--catalog", "matrix:2", "--coeffs", coeffs])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": "hochschild coefficients must be adjoint",
+        "type": "ValidationError"}
+
+
 def test_spencer_command(tmp_path):
     path = tmp_path / "so3-symbol.json"
     path.write_text(json.dumps(

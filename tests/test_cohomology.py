@@ -1,6 +1,8 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -34,14 +36,15 @@ from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
 from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
-from conftest import (eliminations, rand_fraction, rand_invertible,
-                      random_lie, truncated_poly)
+from conftest import (direct_sum_lie, eliminations, rand_fraction,
+                      rand_invertible, random_lie, truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_ce_cohomology_dims, dense_dims_from_deltas,
                      dense_hochschild_coboundary,
                      dense_hochschild_dims, dense_kv_coboundary,
                      dense_kv_cohomology_dims, dense_maurer_cartan_defect,
-                     hochschild_delta_by_cochains, kv_delta_by_cochains)
+                     full_width_lower_bounds, hochschild_delta_by_cochains,
+                     kv_delta_by_cochains)
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
                   max_examples=100,
@@ -427,6 +430,56 @@ def test_kept_rows_that_fail_the_span_check_are_eliminated_in_full():
             lie_from_sparse(4, AFF1 + [(2, 3, 3, 1)]), coeffs)
 
 
+def test_contribution_counts_match_the_generators(rng):
+    # exact for KV from degree 1 and for Hochschild; bounds for the KV
+    # degree 0 and for CE, which counts brackets that repeat an index
+    for p in _with_dense_copies(conftest.kv_pool(), conjugate_product, rng):
+        for module in (ADJOINT, SCALAR):
+            zero_basis = ([cohomology._primitive(v)
+                           for v in kv_degree_zero_space(p)]
+                          if module == ADJOINT else ())
+            for q in range(4):
+                entries = cohomology._kv_delta(p, module, q, zero_basis)[0]
+                count = cohomology._kv_contributions(
+                    len(p.sparse.nonzeros), p.dim, q, module == ADJOINT)
+                generated = sum(1 for _ in entries)
+                assert generated == count if q else generated <= count
+    for p in _with_dense_copies(conftest.assoc_pool(), conjugate_product,
+                                rng):
+        for q in range(3):
+            entries = cohomology._hochschild_delta(p, q)[0]
+            assert sum(1 for _ in entries) == \
+                cohomology._hochschild_contributions(
+                    len(p.sparse.nonzeros), p.dim, q)
+    for L in _with_dense_copies(conftest.lie_pool(max_dim=4), conjugate_lie,
+                                rng):
+        for coeffs in (TRIVIAL, ADJOINT):
+            for q in range(4):
+                entries = cohomology._ce_delta(L, coeffs, q)[0]
+                assert sum(1 for _ in entries) <= cohomology._ce_contributions(
+                    L.sparse, L.dim, q, coeffs == ADJOINT)
+
+
+def test_cohomology_too_large_for_memory_is_refused_before_generation():
+    # KV adjoint to degree 3: affine:3 (dim 12) yields 975,960
+    # contributions (976,752 with the degree-0 bound), under the bound;
+    # affine:4 (dim 20) yields 9,860,960 (9,864,000) and is refused before
+    # its 0-cochains are solved for
+    small = affine_algebra(3).product
+    zero_basis = [cohomology._primitive(v)
+                  for v in kv_degree_zero_space(small)]
+    assert sum(sum(1 for _ in cohomology._kv_delta(small, ADJOINT, q,
+                                                   zero_basis)[0])
+               for q in range(4)) == 975960
+    with mock.patch.object(cohomology, "_dims_from_deltas",
+                           lambda *args: "ranked"):
+        assert kv_cohomology_dims(small, ADJOINT, 3) == "ranked"
+    with mock.patch.object(cohomology, "kv_degree_zero_space") as zero, \
+            pytest.raises(ValidationError, match="estimated at 9864000"):
+        kv_cohomology_dims(affine_algebra(4).product, ADJOINT, 3)
+    zero.assert_not_called()
+
+
 def test_a_coboundary_that_does_not_square_to_zero_is_refused(monkeypatch):
     # delta_1 replaced by the identity on C^1: its rank mod P meets the bound
     # dim C^1 - rank delta_0, which holds only if delta_1 delta_0 = 0
@@ -455,6 +508,96 @@ def _exact_ranks(mats):
     return [len(linalg.rref(a)[1]) if a else 0 for a in mats]
 
 
+# Each delta_q is read mod P only on the columns outside T, the coordinates
+# of the rows of delta_{q-1} that the pass kept. Against the former pass over
+# every column (`full_width_lower_bounds`) the counts are equal wherever
+# delta² = 0.
+
+@contextmanager
+def rank_passes():
+    """Yields a list with one (deltas, kept, columns) per `_certified_ranks`
+    call made inside the block: the coboundaries it took and, for each
+    delta_q, the positions the mod-P pass kept and the columns it was
+    handed."""
+    seen = []
+    certified = cohomology._certified_ranks
+    independent = cohomology.independent_rows_mod_p
+
+    def spy_ranks(deltas):
+        seen.append((deltas, [], []))
+        return certified(deltas)
+
+    def spy_pass(rows, bound):
+        rows = list(rows)
+        _, kept, columns = seen[-1]
+        kept.append(independent(rows, bound))
+        columns.append({j for row in rows for j in row})
+        return kept[-1]
+
+    with mock.patch.object(cohomology, "_certified_ranks", spy_ranks), \
+            mock.patch.object(cohomology, "independent_rows_mod_p", spy_pass):
+        yield seen
+
+
+def _certified_with_full_width_counts(deltas):
+    """`_certified_ranks(deltas)`, checking on the way that the mod-P pass
+    keeps as many rows of each delta_q as the full-width oracle."""
+    with rank_passes() as seen:
+        ranks = cohomology._certified_ranks(deltas)
+    (_, kept, _), = seen
+    assert [len(k) for k in kept] == \
+        [len(k) for k in full_width_lower_bounds(deltas)]
+    return ranks
+
+
+def _dense(delta):
+    rows, ncols, _ = delta
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows.values()]
+
+
+def test_counts_mod_p_match_the_full_width_oracle(rng):
+    # the catalog complexes, dense copies of them, and tables whose
+    # integers vanish mod P in whole or in one summand
+    cases = (
+        [(kv_cohomology_dims, p, module) for p in _with_dense_copies(
+            conftest.kv_pool(), conjugate_product, rng)
+         for module in (ADJOINT, SCALAR)]
+        + [(ce_cohomology_dims, L, coeffs) for L in _with_dense_copies(
+            conftest.lie_pool(max_dim=4), conjugate_lie, rng)
+           for coeffs in (TRIVIAL, ADJOINT)]
+        + [(hochschild_dims, p, 2) for p in _with_dense_copies(
+            conftest.assoc_pool(), conjugate_product, rng)]
+        + [(dims, build(2, _scaled(entries, scale)), option)
+           for scale in (P, 2 * P, Fraction(1, P))
+           for entries, build, dims, options in (
+               (AFF1, lie_from_sparse, ce_cohomology_dims,
+                (TRIVIAL, ADJOINT)),
+               (KV2, product_from_sparse, kv_cohomology_dims,
+                (ADJOINT, SCALAR)),
+               (DUAL, product_from_sparse, hochschild_dims, (2,)))
+           for option in options]
+        + [(ce_cohomology_dims, lie_from_sparse(4, AFF1 + [(2, 3, 3, s)]),
+            coeffs) for s in (P, Fraction(1, P))
+           for coeffs in (TRIVIAL, ADJOINT)])
+    for dims, a, option in cases:
+        with rank_passes() as seen:
+            dims(a, option)
+        (deltas, _, _), = seen
+        assert _certified_with_full_width_counts(deltas) == \
+            _exact_ranks([_dense(d) for d in deltas])
+
+
+def test_each_coboundary_is_read_on_a_complement_of_the_previous_image():
+    with rank_passes() as seen:
+        ce_cohomology_dims(direct_sum_lie(so3(), sl2()), ADJOINT)
+    (deltas, kept, columns), = seen
+    for q in range(1, len(deltas)):
+        keys = list(deltas[q - 1][0])
+        image = {keys[i] for i in kept[q - 1]}
+        assert image and not columns[q] & image
+        assert len(columns[q]) <= deltas[q][1] - len(image)
+
+
 # C^0 -> C^1 -> C^2 with one rank that vanishes mod P: where the rank
 # drops, the bound from the other map is one more than l_q
 @pytest.mark.parametrize("mats, dims", [
@@ -464,7 +607,7 @@ def _exact_ranks(mats):
 ])
 def test_certified_ranks_of_complexes_that_drop_mod_p(mats, dims):
     deltas = [_sparse(a, dims[q:q + 2]) for q, a in enumerate(mats)]
-    assert cohomology._certified_ranks(deltas) == _exact_ranks(mats)
+    assert _certified_with_full_width_counts(deltas) == _exact_ranks(mats)
 
 
 @CHECKS
@@ -489,4 +632,4 @@ def test_certified_ranks_match_exact_ranks(a, mix, lift_rows, lift_cols):
          for i, row in enumerate(b)]
     dims = (len(a[0]), len(a), len(b))
     deltas = [_sparse(a, dims[0:2]), _sparse(b, dims[1:3])]
-    assert cohomology._certified_ranks(deltas) == _exact_ranks([a, b])
+    assert _certified_with_full_width_counts(deltas) == _exact_ranks([a, b])

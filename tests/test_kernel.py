@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 from koszul._kernel import P, echelon, independent_rows_mod_p
 
 from conftest import int_matrices
-from oracles import (dense_bareiss, dense_rank_mod, gauss_rank, sympy_det,
+from oracles import (dense_bareiss, dense_rank_mod,
+                     full_scan_independent_rows_mod_p, gauss_rank, sympy_det,
                      sympy_rank)
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
@@ -72,3 +73,50 @@ def test_rank_mod_p_matches_dense_elimination(a, lift, bound):
     # rows independent mod P are independent over the integers
     assert kept == sorted(set(kept))
     assert len(echelon([a[i] for i in kept])[1]) == len(kept)
+
+
+@st.composite
+def lifted_sparse_rows(draw):
+    """int_matrices as sparse rows, some entries lifted by multiples of P:
+    times P, so they vanish mod P, or plus k P, so they keep their
+    residue."""
+    a = draw(int_matrices())
+    lifts = draw(st.lists(st.sampled_from((0, 0, 0, "times", -2, 1)),
+                          min_size=sum(map(len, a)),
+                          max_size=sum(map(len, a))))
+    it = iter(lifts)
+    rows = []
+    for row in a:
+        out = {}
+        for j, x in enumerate(row):
+            k = next(it)
+            if x or k:
+                out[j] = x * P if k == "times" else x + k * P
+        rows.append(out)
+    return a, rows
+
+
+@CHECKS
+@given(lifted_sparse_rows())
+def test_kept_positions_match_the_full_scan(a_rows):
+    # a row is kept when it is independent of the rows kept before it, so
+    # clearing a new pivot only from the rows that hold it keeps the same
+    # positions as scanning every kept row, at every bound
+    _, rows = a_rows
+    for bound in range(len(rows) + 2):
+        assert independent_rows_mod_p(rows, bound) == \
+            full_scan_independent_rows_mod_p(rows, bound)
+
+
+@CHECKS
+@given(lifted_sparse_rows())
+def test_every_row_lies_in_the_span_of_the_kept_rows_mod_p(a_rows):
+    a, rows = a_rows
+    if not a or not a[0]:
+        return
+    kept = independent_rows_mod_p(rows, len(rows))
+    dense = [[row.get(j, 0) for j in range(len(a[0]))] for row in rows]
+    basis = [dense[i] for i in kept]
+    assert dense_rank_mod(basis, P) == len(kept) == dense_rank_mod(dense, P)
+    for row in dense:
+        assert dense_rank_mod(basis + [row], P) == len(kept)
