@@ -277,8 +277,7 @@ def _cmd_invariants(args, inputs):
     if which == "flat":
         conn = _load_connection(args, lie, inputs, required=False)
         verdict = invariants.flat_existence(
-            lie, () if conn is None else (conn,),
-            budget=_budget(args, 64), seed=args.seed)
+            lie, () if conn is None else (conn,))
         return _verdict_doc(verdict)
     if which == "bimetric":
         verdict = invariants.bi_invariant_metric(lie)
@@ -427,11 +426,11 @@ def _probe_grid(model, center):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed, read by invariants --which flat, "
-                             "spencer --op involutive and flat-models "
-                             "completeness (default: KOSZUL_SEED env or 7)")
+                        help="RNG seed, read by spencer --op involutive "
+                             "and flat-models completeness; every report "
+                             "prints it (default: KOSZUL_SEED env or 7)")
     common.add_argument("--budget", type=int, default=None,
-                        help="search budget for randomized existence checks")
+                        help="probe budget of flat-models completeness")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--dump", action="store_true",
                         help="echo parsed inputs back as JSON documents")

@@ -90,6 +90,31 @@ def phi_split(phi: Mat, g: BilinearForm) -> GaugePair:
     return GaugePair(sym, skew, g)
 
 
+def parallel_rows(conn: InvariantConnection) -> list:
+    """Rows of b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0 over the m x m
+    entries of b (row-major), in (i, j, k) order, nonzero rows only.
+
+    For the bracket ("plus") connection these are the ad-invariance rows
+    b([x, y], z) + b(y, [x, z]) = 0.
+    """
+    m = conn.dim
+    g = conn.gamma.sparse
+    cols = {key: [(a, Fraction(n, g.den)) for a, n in row]
+            for key, row in g.by_pair.items()}
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                row = [Fraction(0)] * (m * m)
+                for a, v in cols.get((i, j), ()):
+                    row[a * m + k] += v
+                for a, v in cols.get((i, k), ()):
+                    row[j * m + a] += v
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
 def parallel_forms(conn: InvariantConnection, sym: str) -> LinearSolutionSpace:
     """Forms with b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0, of one parity.
 
@@ -99,17 +124,7 @@ def parallel_forms(conn: InvariantConnection, sym: str) -> LinearSolutionSpace:
     if sym not in (SYMMETRIC, SKEW):
         raise ValidationError("parity must be symmetric or skew")
     m = conn.dim
-    mats = conn.matrices
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                row = [Fraction(0)] * (m * m)
-                for a in range(m):
-                    row[a * m + k] += mats[i][a][j]
-                    row[j * m + a] += mats[i][a][k]
-                rows.append(row)
-    rows += parity_rows(m, sym)
+    rows = parallel_rows(conn) + parity_rows(m, sym)
     return spaces.from_conditions(rows, m * m, shape=(m, m))
 
 

@@ -2,9 +2,11 @@
 
 The paper-level minima over infinite families split into two parts here: the
 direction ranging over a finite-dimensional solution space is exact (rank
-maximization over an exactly computed basis), while searches over connections
-or metrics are budgeted and can only return upper bounds with an `unknown`
-verdict.
+maximization over an exactly computed basis), while a minimum over
+connections or metrics is read only on the ones at hand (the caller's and
+the canonical ones) and can only return an upper bound with an `unknown`
+verdict. Nothing here draws a random number; the seed the CLI resolves
+(`resolve_seed`) feeds the searches of `flatmodels` and `spencer`.
 
 Rank maximization is one walk, with no seed: `max_rank` takes exact
 rational ranks on an integer grid sized by the matrix shape (see its
@@ -20,20 +22,20 @@ and the verdict is `unknown`.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product as iproduct
+from itertools import islice, product as iproduct
 
 from koszul import linalg, spaces
-from koszul.algebra import BilinearProduct, LieAlgebra, SparseTable
+from koszul.algebra import LieAlgebra
 from koszul.connections import (InvariantConnection, amari_dual,
                                 cartan_connection, form_dual,
                                 is_locally_flat, is_torsion_free, torsion)
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
-from koszul.gauge import phi_split, solve_fe_star, solve_gauge_equation
+from koszul.gauge import (parallel_rows, phi_split, solve_fe_star,
+                          solve_gauge_equation)
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace
 
@@ -96,9 +98,10 @@ def max_rank(space: LinearSolutionSpace,
     The walk (`_grid`) stops at the first point of rank d, or at the first
     definite one when that is sought, and visits at most GENERIC_RANK_POINTS
     points: `certified` holds when a point reached rank d or the whole grid
-    was walked. Each symmetric point of rank d is tested as el and as -el
-    (the t_1 = -1 side) by the exact Sylvester test; positive_definite is
-    True when one passes, None when none did (absence is not certified).
+    was walked. Each symmetric point of rank d gets one exact signature: all
+    positive makes el definite, all negative makes -el (the t_1 = -1 side)
+    definite; positive_definite is True when either holds, None when no
+    point passed (absence is not certified).
     """
     if constraint not in ("none", "positive_definite"):
         raise ValidationError(f"unknown max_rank constraint {constraint!r}")
@@ -123,8 +126,8 @@ def max_rank(space: LinearSolutionSpace,
         if r > best:
             best, best_coeffs = r, coeffs
         if seek and r == d and el == linalg.transpose(el):
-            sign = next((s for s in (1, -1) if linalg.is_positive_definite(
-                [[s * x for x in row] for row in el])), None)
+            pos, neg, _ = linalg.symmetric_signature(el)
+            sign = 1 if pos == d else -1 if neg == d else None
             if sign is not None:
                 best_coeffs = tuple(sign * c for c in coeffs)
                 break
@@ -269,21 +272,20 @@ def hessian_defect(conn: InvariantConnection) -> tuple[int, ExistenceVerdict]:
     return defect, _no_or_unknown(space, m, rw)
 
 
-def flat_existence(L: LieAlgebra, candidates, budget: int = 64,
-                   seed=None) -> ExistenceVerdict:
+def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
     """Decide whether L carries a flat torsion-free left-invariant connection.
 
     Routes, in order: the caller's candidates, checked exactly (one with
     torsion raises `TorsionMismatch`); "no" when L is perfect, [L, L] = L,
     since no perfect Lie algebra is left-symmetric (Helmstetter 1979); the
-    zero Cartan connection and `budget` random torsion-free probes drawn
-    from `seed`, tested with `is_locally_flat` alone; for dim <= 2, "no"
-    when the flatness equations generate the unit ideal (Groebner basis);
-    in even dim, "yes" from a symplectic 2-cocycle omega, whose product
-    omega(x·y, z) = −omega(y, [x, z]) is flat and torsion-free (Chu 1974),
-    re-verified. Every algebra of dim <= 2 is decided by then; otherwise
-    the verdict is "unknown", noting the smallest r_b defect over the
-    candidates and probes.
+    zero Cartan connection, tested with `is_locally_flat`; for dim <= 2,
+    "no" when the flatness equations generate the unit ideal (Groebner
+    basis); in even dim, "yes" from a symplectic 2-cocycle omega, whose
+    product omega(x·y, z) = −omega(y, [x, z]) is flat and torsion-free
+    (Chu 1974), re-verified. Every algebra of dim <= 2 is decided by then;
+    otherwise the verdict is "unknown", noting the smallest r_b defect over
+    the candidates and the zero Cartan connection. No route draws a random
+    number.
     """
     m = L.dim
     tried = []
@@ -304,14 +306,10 @@ def flat_existence(L: LieAlgebra, candidates, budget: int = 64,
             "no", certificate="the algebra is perfect ([g, g] = g), and no "
             "perfect Lie algebra carries a flat torsion-free connection")
 
-    rng = random.Random(resolve_seed(seed))
-    probes = chain([cartan_connection(L, "zero")], (
-        InvariantConnection(L, _random_torsion_free_table(L, rng))
-        for _ in range(budget)))
-    for conn in probes:
-        if is_locally_flat(conn)[0]:
-            return ExistenceVerdict("yes", invariant_value=0, witness=conn)
-        tried.append(conn)
+    zero = cartan_connection(L, "zero")
+    if is_locally_flat(zero)[0]:
+        return ExistenceVerdict("yes", invariant_value=0, witness=zero)
+    tried.append(zero)
 
     if m <= 2:
         verdict = _flat_existence_exact_small(L)
@@ -329,20 +327,6 @@ def flat_existence(L: LieAlgebra, candidates, budget: int = 64,
     best = min(r_b_defect(conn) for conn in tried)
     return ExistenceVerdict("unknown", invariant_value=best,
                             notes=f"best defect over tried connections: {best}")
-
-
-def _random_torsion_free_table(L: LieAlgebra, rng: random.Random):
-    m = L.dim
-    table = {}
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(m):
-                v = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                table[i, j, k] = table[j, i, k] = v
-    for i, j, k, v in L.sparse.items():
-        table[i, j, k] += v / 2
-    return BilinearProduct(
-        m, SparseTable((*idx, v) for idx, v in table.items()))
 
 
 def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
@@ -437,23 +421,6 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
     return gap, _no_or_unknown(space, m, rw)
 
 
-def _ad_invariance_rows(L: LieAlgebra):
-    m = L.dim
-    rows = []
-    c = L.sparse
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                row = [Fraction(0)] * (m * m)
-                for l, n in c.by_pair.get((i, j), ()):
-                    row[l * m + k] += Fraction(n, c.den)
-                for l, n in c.by_pair.get((i, k), ()):
-                    row[j * m + l] += Fraction(n, c.den)
-                if any(row):
-                    rows.append(row)
-    return rows
-
-
 def _skew_cocycle_rows(L: LieAlgebra):
     m = L.dim
     c = L.sparse
@@ -472,7 +439,7 @@ def _skew_cocycle_rows(L: LieAlgebra):
 
 def _validate_ad_invariant(L: LieAlgebra, b: BilinearForm):
     flat = linalg.flatten(b.matrix)
-    if not _check_rows(_ad_invariance_rows(L), flat):
+    if not _check_rows(parallel_rows(cartan_connection(L, "plus")), flat):
         raise ValidationError("witness form is not ad-invariant")
 
 
@@ -483,7 +450,8 @@ def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     cross-checked in tests and in the acceptance suite.
     """
     m = L.dim
-    rows = _ad_invariance_rows(L) + parity_rows(m, SYMMETRIC)
+    plus = cartan_connection(L, "plus")
+    rows = parallel_rows(plus) + parity_rows(m, SYMMETRIC)
     space = spaces.from_conditions(rows, m * m, shape=(m, m))
     rw = max_rank(space, constraint="positive_definite")
     gap = m - rw.max_rank

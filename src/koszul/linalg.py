@@ -327,13 +327,9 @@ def symmetric_signature(g) -> tuple[int, int, int]:
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester's criterion on a symmetric matrix."""
-    n = len(g)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
-        if det(minor) <= 0:
-            return False
-    return True
+    """A symmetric matrix is positive definite when its signature is all
+    positive."""
+    return symmetric_signature(g)[0] == len(g)
 
 
 def flatten(a) -> Vec:

@@ -20,11 +20,14 @@ coboundary ranks, each read over all of its columns
 row-echelon form over every row (`full_rref`), its former seeded rank
 search, walking its whole pool (`full_pool_max_rank`), its former generic
 rank over the rational function field by sympy (`symbolic_generic_rank`),
-its former flat-existence search, with an FE* solve per probe and sympy's
+its former flat-existence search, with random torsion-free probes
+(`_random_torsion_free_table`), an FE* solve per probe and sympy's
 `solve` for dim <= 2 (`eager_flat_existence`,
-`sympy_flat_existence_small`),
+`sympy_flat_existence_small`), its former Sylvester definiteness test
+(`sylvester_positive_definite`) and a signature read from the
+characteristic polynomial (`charpoly_signature`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
-...), its former per-outcome
+`dense_parallel_rows`, ...), its former per-outcome
 information-geometry routes (`scalar_fisher_information`, ...,
 `scalar_exponential_defect_probe`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former dense
@@ -57,8 +60,7 @@ from koszul.connections import (InvariantConnection, cartan_connection,
 from koszul.errors import (JacobiViolation, KoszulError, NotKV,
                            SingularFisher, TorsionMismatch, ValidationError)
 from koszul.gauge import FeStarSolutions
-from koszul.invariants import (ExistenceVerdict, RankWitness,
-                               _random_torsion_free_table, r_b_defect,
+from koszul.invariants import (ExistenceVerdict, RankWitness, r_b_defect,
                                resolve_seed)
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
@@ -292,6 +294,36 @@ def sympy_rank(rows):
 def sympy_det(rows):
     m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
     return Fraction(str(m.det()))
+
+
+def sylvester_positive_definite(g) -> bool:
+    """The library's former `linalg.is_positive_definite`: Sylvester's
+    criterion, every leading principal minor positive."""
+    n = len(g)
+    for k in range(1, n + 1):
+        minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
+        if linalg.det(minor) <= 0:
+            return False
+    return True
+
+
+def charpoly_signature(g) -> tuple[int, int, int]:
+    """(n_pos, n_neg, n_zero) of a symmetric matrix from its characteristic
+    polynomial p: all its roots are real, so Descartes' rule of signs is
+    exact, and the sign changes of p(x) and p(-x) count the positive and
+    negative eigenvalues with multiplicity."""
+    n = len(g)
+    x = sympy.Symbol("x")
+    p = sympy.Matrix(n, n, lambda i, j: sympy.Rational(g[i][j])).charpoly(x)
+    coeffs = p.all_coeffs()
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    flipped = [c * (-1) ** (n - d) for d, c in enumerate(coeffs)]
+    pos, neg = changes(coeffs), changes(flipped)
+    return pos, neg, n - pos - neg
 
 
 # ---------------------------------------------------------------- dense tables
@@ -1200,7 +1232,7 @@ def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
             best_rank, best_coeffs, best_el = r, coeffs, el
         if (constraint == "positive_definite" and pd_el is None
                 and nr == nc and el == linalg.transpose(el)
-                and linalg.is_positive_definite(el)):
+                and sylvester_positive_definite(el)):
             pd_coeffs, pd_el = coeffs, el
     full = best_rank == min(nr, nc)
     if constraint == "positive_definite":
@@ -1231,6 +1263,20 @@ def symbolic_generic_rank(space: LinearSolutionSpace) -> int:
 # The library's former `invariants.flat_existence`: every probe pays a full
 # FE* solve, and dim <= 2 is decided by sympy (a Groebner unit-ideal test,
 # then `sympy.solve` with leftover parameters pinned on a small grid).
+
+def _random_torsion_free_table(L: LieAlgebra, rng: random.Random):
+    m = L.dim
+    table = {}
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(m):
+                v = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                table[i, j, k] = table[j, i, k] = v
+    for i, j, k, v in L.sparse.items():
+        table[i, j, k] += v / 2
+    return BilinearProduct(
+        m, SparseTable((*idx, v) for idx, v in table.items()))
+
 
 def eager_flat_existence(L: LieAlgebra, candidates, budget: int = 64,
                          seed=None) -> ExistenceVerdict:
@@ -1344,8 +1390,8 @@ def sympy_flat_existence_small(L: LieAlgebra) -> ExistenceVerdict | None:
 
 # ---------------------------------------------------------------- condition rows
 #
-# The library's former condition rows of `invariants`, read from the dense
-# structure-constant tables.
+# The library's former condition rows of `invariants` and `gauge`, read
+# from the dense structure-constant tables and connection matrices.
 
 def dense_hessian_rows(conn):
     m = conn.dim
@@ -1362,6 +1408,23 @@ def dense_hessian_rows(conn):
                     row[i * m + l] += gam[j][k][l]
                 if any(row):
                     rows.append(row)
+    return rows
+
+
+def dense_parallel_rows(conn):
+    """The library's former rows of `gauge.parallel_forms`, read from the
+    dense connection matrices, zero rows included."""
+    m = conn.dim
+    mats = conn.matrices
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                row = [Fraction(0)] * (m * m)
+                for a in range(m):
+                    row[a * m + k] += mats[i][a][j]
+                    row[j * m + a] += mats[i][a][k]
+                rows.append(row)
     return rows
 
 

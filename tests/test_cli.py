@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from koszul import cli, flatmodels, invariants
+from koszul import cli, flatmodels
 from koszul.errors import ConformanceMismatch
 
 SO3_ROWS = [
@@ -246,24 +246,28 @@ def test_negative_catalog_dimension_exits_2(capsys, argv):
         "message": "dimension must be >= 0, got -1"}
 
 
-@pytest.mark.parametrize("argv, module, name, default", [
-    (["invariants", "--which", "flat", "--catalog", "abelian:2"],
-     invariants, "flat_existence", 64),
-    (["flat-models", "completeness", "--catalog", "zero:2"],
-     flatmodels, "geometric_completeness", 256)])
-def test_budget_is_passed_as_given_and_refused_below_zero(
-        capsys, argv, module, name, default):
-    for extra, budget in (([], default), (["--budget", "0"], 0),
+def test_budget_is_passed_as_given_and_refused_below_zero(capsys):
+    argv = ["flat-models", "completeness", "--catalog", "zero:2"]
+    name = "geometric_completeness"
+    for extra, budget in (([], 256), (["--budget", "0"], 0),
                           (["--budget", "3"], 3)):
-        with mock.patch.object(module, name,
-                               wraps=getattr(module, name)) as search:
+        with mock.patch.object(flatmodels, name,
+                               wraps=flatmodels.geometric_completeness
+                               ) as search:
             code, _ = run_main(capsys, argv + extra)
         assert code == 0 and search.call_args.kwargs["budget"] == budget
-    with mock.patch.object(module, name) as search:
+    with mock.patch.object(flatmodels, name) as search:
         code, out = run_main(capsys, argv + ["--budget", "-1"])
     assert code == 2 and not search.called
     assert json.loads(out)["error"] == {
         "type": "ValidationError", "message": "--budget must be >= 0, got -1"}
+
+
+def test_flat_existence_is_the_same_for_every_seed():
+    argv = ["invariants", "--which", "flat", "--catalog", "aff1", "--seed"]
+    results = [cli.run(argv + [seed])["result"] for seed in ("2", "7", "12")]
+    assert results[0]["exists"] == "yes"
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_jacobi_violation_exit_2_with_witness(capsys, tmp_path):

@@ -154,3 +154,15 @@ def test_numpy_is_imported_only_by_statmodel_and_jsonable():
         top += [str(path.relative_to(ROOT / "src")) for _ in imports]
     assert found == ["io.jsonable"]
     assert top == ["koszul/statmodel.py"]
+
+
+def test_random_is_imported_only_by_the_seeded_searches():
+    # flat-models completeness and the involutivity basis search are the
+    # searches left that draw random numbers; every other verdict is
+    # seed-free
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        functions, imports = importers(path.read_text(), "random")
+        if functions or imports:
+            found.append(str(path.relative_to(ROOT / "src")))
+    assert found == ["koszul/flatmodels.py", "koszul/spencer.py"]

@@ -11,9 +11,9 @@ from koszul._kernel import P
 
 from conftest import (eliminations, int_matrices, rand_fraction,
                       rand_invertible, rational_matrices)
-from oracles import (_to_int_rows, dense_rank_mod, full_rref,
-                     gauss_eliminate, gauss_nullspace, gauss_rank, sympy_det,
-                     sympy_rank)
+from oracles import (_to_int_rows, charpoly_signature, dense_rank_mod,
+                     full_rref, gauss_eliminate, gauss_nullspace, gauss_rank,
+                     sylvester_positive_definite, sympy_det, sympy_rank)
 
 F = Fraction
 
@@ -132,6 +132,33 @@ def test_signature_and_definiteness(rng):
         pos, neg, zero = linalg.symmetric_signature(g)
         assert (pos, neg, zero) == (n, 0, 0)
         assert linalg.is_positive_definite(g)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 5 x 5: a + a^T (mostly indefinite),
+    ±a^T a (semidefinite, singular when a is) and a^T a + I (definite)."""
+    a = draw(int_matrices(max_rows=5, square=True))
+    at = linalg.transpose(a)
+    gram = linalg.mat_mul(at, a)
+    return draw(st.sampled_from((
+        linalg.mat_add(a, at), gram, linalg.mat_scale(-1, gram),
+        linalg.mat_add(gram, linalg.identity(len(a))))))
+
+
+@CHECKS
+@given(symmetric_matrices())
+@example(())
+@example(((0,),))
+@example(((1, 1), (1, 1)))
+@example(((0, 1), (1, 0)))
+@example(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+@example(((2, 1, 0), (1, 2, 0), (0, 0, -1)))
+def test_signature_and_definiteness_match_the_oracles(g):
+    sig = charpoly_signature(g)
+    assert linalg.symmetric_signature(g) == sig
+    assert linalg.is_positive_definite(g) == sylvester_positive_definite(g) \
+        == (sig[0] == len(g))
 
 
 def test_flatten_unflatten_roundtrip(rng):

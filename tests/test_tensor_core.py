@@ -5,7 +5,7 @@ table, and each zero-skipping matrix product, is compared, entry by entry
 and zeros included, with the dense formula it replaced (kept in
 oracles.py). So is every builder of a table, through its dense view, and
 every reader of one (`mult`, `left_matrices`, `right_matrix` and the
-condition rows of `invariants`). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
+condition rows of `invariants` and `gauge`). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
 a textbook algebra under a monomial basis change) and dense ones, and
 tables that are not antisymmetric or fail Jacobi, for which the
 constructor's error must be the dense one verbatim.
@@ -46,6 +46,7 @@ from koszul.connections import (
 from koszul.errors import KoszulError
 from koszul.flatmodels import affine_algebra, matrix_algebra
 from koszul.forms import BilinearForm
+from koszul.gauge import parallel_rows
 
 from conftest import assoc_pool, direct_sum_lie, kv_pool
 from oracles import (
@@ -61,6 +62,7 @@ from oracles import (
     dense_curvature_operators,
     dense_direct_sum_products,
     dense_hessian_rows,
+    dense_parallel_rows,
     dense_jacobi_defect,
     dense_killing_form,
     dense_kv_anomaly,
@@ -361,5 +363,8 @@ def test_product_readers_match_dense(p, data):
 def test_condition_rows_match_dense(conn):
     L = conn.base
     assert invariants._hessian_rows(conn) == dense_hessian_rows(conn)
-    assert invariants._ad_invariance_rows(L) == dense_ad_invariance_rows(L)
+    assert parallel_rows(conn) == [r for r in dense_parallel_rows(conn)
+                                   if any(r)]
+    assert parallel_rows(cartan_connection(L, "plus")) == \
+        dense_ad_invariance_rows(L)
     assert invariants._skew_cocycle_rows(L) == dense_skew_cocycle_rows(L)
