@@ -429,8 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="RNG seed, read by spencer --op involutive "
                              "and flat-models completeness; every report "
                              "prints it (default: KOSZUL_SEED env or 7)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="probe budget of flat-models completeness")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--dump", action="store_true",
                         help="echo parsed inputs back as JSON documents")
@@ -506,7 +504,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", required=True, help="symbol JSON file")
     p.add_argument("--op", required=True,
                    choices=("prolong", "cartan", "cohomology", "involutive"))
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200,
+                   help="candidate bases of the quasi-regular basis search, "
+                        "read by --op involutive; must be >= 1 "
+                        "(default: 200)")
     p.set_defaults(handler=_cmd_spencer)
 
     p = sub.add_parser("flat-models", parents=[common],
@@ -518,6 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = fm.add_parser("completeness", parents=[common])
     c.add_argument("--product", help="product JSON file")
     c.add_argument("--catalog", help="named catalog product")
+    c.add_argument("--budget", type=int, default=None,
+                   help="probe budget; must be >= 0 (default: 256)")
     i = fm.add_parser("ideal", parents=[common])
     i.add_argument("--product", help="product JSON file")
     i.add_argument("--catalog", help="named catalog product")

@@ -11,13 +11,18 @@ order-(s+1) symbols whose single-vector slices all lie in `a`; iterating
 from order 1 yields the classical higher prolongations. Spencer cochains are
 alternating p-forms on V with symbol values, and the coboundary contracts
 one symmetric slot into the alternating part.
+
+Each `SymbolSpace` computes its first prolongation once
+(`SymbolSpace.prolongation`): the Spencer window builds its chain of
+prolongations from it, and Cartan's test reads it in every trial of the
+basis search, so a trial pays only for its flag, one integer rank per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 import random
 
@@ -61,12 +66,10 @@ class SymbolSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrices(self):
-        """Order-1 symbols as w x m matrices."""
-        if self.order != 1:
-            raise ValidationError("matrix view requires order 1")
-        return tuple(linalg.unflatten(b, self.w_dim, self.v_dim)
-                     for b in self.basis)
+    @cached_property
+    def prolongation(self) -> SymbolSpace:
+        """The first prolongation, computed once per space by `prolong`."""
+        return prolong(self)
 
 
 def symbol_space(v: int, w: int, rows) -> SymbolSpace:
@@ -112,22 +115,33 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
 
 
 def _aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
-    """dim of {A in a : A b_t = 0 for t <= j}, for j = 0..m."""
+    """dim of {A in a : A b_t = 0 for t <= j}, for j = 0..m.
+
+    The rows (A_s b_t)_k are built in integers: each A_s and each b_t is
+    scaled by the LCM of its denominators, which scales a column or a block
+    of rows by a nonzero integer and so keeps every rank.
+    """
     m, w = a.v_dim, a.w_dim
-    mats = a.matrices()
+    mats, _ = linalg.integer_rows(a.basis)
+    bs, _ = linalg.integer_rows(basis_vectors)
     d = a.dim
     dims = [d]
     rows = []
-    for bt in basis_vectors:
+    for bt in bs:
         for k in range(w):
-            rows.append([sum(mats[s][k][i] * bt[i] for i in range(m))
-                         for s in range(d)])
-        dims.append(len(linalg.nullspace(rows, ncols=d)))
+            rows.append([sum(A[k * m + i] * bt[i] for i in range(m))
+                         for A in mats])
+        dims.append(d - linalg.rank(rows))
     return dims
 
 
 def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
-    """(dim of the prolongation, sum of the flag dims, equality flag)."""
+    """(dim of the prolongation, sum of the flag dims, equality flag).
+
+    The prolongation is computed once per symbol space
+    (`SymbolSpace.prolongation`), so repeated tests of one space, as in
+    the basis search, pay only for the flag of each basis.
+    """
     if a.order != 1:
         raise ValidationError("cartan test applies to order-1 symbols")
     m = a.v_dim
@@ -137,7 +151,7 @@ def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
         basis = tuple(tuple(linalg.frac(x) for x in v) for v in basis)
         if linalg.rank(basis) != m:
             raise ValidationError("test basis does not span V")
-    p1 = prolong(a).dim
+    p1 = a.prolongation.dim
     total = sum(_aj_dims(a, basis))
     if p1 > total:
         raise ConformanceMismatch(
@@ -152,6 +166,8 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     Tries the standard basis first, then seeded random rational bases with
     entries in [-5, 5]. A quasi-regular basis is generic when one exists, so
     small budgets suffice in practice; None is not a certificate of absence.
+    The prolongation is computed once per symbol space, so each trial costs
+    one integer rank per flag step.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -245,7 +261,7 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     m, w = a.v_dim, a.w_dim
     spaces = {0: a}
     for q in range(1, q_max + 2):
-        spaces[q] = prolong(spaces[q - 1])
+        spaces[q] = spaces[q - 1].prolongation
 
     def basis_cochains(p, q):
         out = []
@@ -312,6 +328,8 @@ def is_involutive(a: SymbolSpace, trials: int = 200,
     """
     if a.v_dim > 4 or a.w_dim > 4:
         raise ValidationError("involutivity check limited to v,w <= 4")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     report = spencer_cohomology(a)
     witness = None
     for p in range(1, report.p_max + 1):

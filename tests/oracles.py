@@ -23,7 +23,10 @@ rank over the rational function field by sympy (`symbolic_generic_rank`),
 its former flat-existence search, with random torsion-free probes
 (`_random_torsion_free_table`), an FE* solve per probe and sympy's
 `solve` for dim <= 2 (`eager_flat_existence`,
-`sympy_flat_existence_small`), its former Sylvester definiteness test
+`sympy_flat_existence_small`), its former Cartan test, with a
+prolongation per call and nullspace flag dimensions over `Fraction` rows
+(`nullspace_cartan_test`, `nullspace_quasi_regular_basis`), its former
+Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
@@ -57,13 +60,15 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                zero_cochain)
 from koszul.connections import (InvariantConnection, cartan_connection,
                                 is_locally_flat, torsion)
-from koszul.errors import (JacobiViolation, KoszulError, NotKV,
-                           SingularFisher, TorsionMismatch, ValidationError)
+from koszul.errors import (ConformanceMismatch, JacobiViolation,
+                           KoszulError, NotKV, SingularFisher,
+                           TorsionMismatch, ValidationError)
 from koszul.gauge import FeStarSolutions
 from koszul.invariants import (ExistenceVerdict, RankWitness, r_b_defect,
                                resolve_seed)
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
+from koszul.spencer import SymbolSpace, prolong
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
                               FiniteStatModel, ProbeReport, _richardson)
 
@@ -590,6 +595,66 @@ def full_symbol_cartan_total(m, w):
     """Sum over a quasi-regular flag for a = Hom(V,W): dim a_j = w(m-j),
     so the total is w * m(m+1)/2."""
     return w * m * (m + 1) // 2
+
+
+def _nullspace_aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
+    """The library's former `spencer._aj_dims`: each flag dimension as the
+    size of a nullspace of `Fraction` rows."""
+    m, w = a.v_dim, a.w_dim
+    mats = tuple(linalg.unflatten(b, w, m) for b in a.basis)
+    d = a.dim
+    dims = [d]
+    rows = []
+    for bt in basis_vectors:
+        for k in range(w):
+            rows.append([sum(mats[s][k][i] * bt[i] for i in range(m))
+                         for s in range(d)])
+        dims.append(len(linalg.nullspace(rows, ncols=d)))
+    return dims
+
+
+def nullspace_cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
+    """The library's former `spencer.cartan_test`: a fresh prolongation per
+    call and nullspace flag dimensions."""
+    if a.order != 1:
+        raise ValidationError("cartan test applies to order-1 symbols")
+    m = a.v_dim
+    if basis is None:
+        basis = linalg.identity(m)
+    else:
+        basis = tuple(tuple(linalg.frac(x) for x in v) for v in basis)
+        if linalg.rank(basis) != m:
+            raise ValidationError("test basis does not span V")
+    p1 = prolong(a).dim
+    total = sum(_nullspace_aj_dims(a, basis))
+    if p1 > total:
+        raise ConformanceMismatch(
+            "prolongation exceeded the Cartan bound; computation is wrong")
+    return p1, total, p1 == total
+
+
+def nullspace_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
+                                  seed=None) -> tuple | None:
+    """The library's `spencer.find_quasi_regular_basis` over
+    `nullspace_cartan_test`: the same candidates in the same order."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    m = a.v_dim
+    std = linalg.identity(m)
+    _, _, ok = nullspace_cartan_test(a, std)
+    if ok:
+        return std
+    rng = random.Random(resolve_seed(seed))
+    for _ in range(trials - 1):
+        cand = tuple(
+            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+                  for _ in range(m)) for _ in range(m))
+        if linalg.rank(cand) != m:
+            continue
+        _, _, ok = nullspace_cartan_test(a, cand)
+        if ok:
+            return cand
+    return None
 
 
 # ---------------------------------------------------------------- dense tensors

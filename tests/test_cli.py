@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from koszul import cli, flatmodels
+from koszul import cli, flatmodels, spencer
 from koszul.errors import ConformanceMismatch
 
 SO3_ROWS = [
@@ -261,6 +261,33 @@ def test_budget_is_passed_as_given_and_refused_below_zero(capsys):
     assert code == 2 and not search.called
     assert json.loads(out)["error"] == {
         "type": "ValidationError", "message": "--budget must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-lie", "--catalog", "so3", "--budget", "3"],
+    ["invariants", "--which", "flat", "--catalog", "abelian:2",
+     "--budget", "-1"],
+])
+def test_budget_is_refused_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+def test_trials_below_one_exit_2_before_the_spencer_window(capsys, tmp_path):
+    path = tmp_path / "full-4x4.json"
+    path.write_text(json.dumps({"v": 4, "w": 4, "basis": [
+        [int(i == j) for j in range(16)] for i in range(16)]}))
+    argv = ["spencer", "--symbol", str(path), "--op", "involutive",
+            "--trials", "0"]
+    with mock.patch.object(spencer, "spencer_cohomology") as window:
+        code, out = run_main(capsys, argv)
+    assert code == 2 and not window.called
+    assert json.loads(out) == {
+        "command": argv, "schema": cli.SCHEMA,
+        "error": {"type": "ValidationError",
+                  "message": "trials must be >= 1"}}
 
 
 def test_flat_existence_is_the_same_for_every_seed():

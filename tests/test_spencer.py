@@ -1,9 +1,12 @@
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from koszul import linalg
+from koszul import linalg, spencer
 from koszul.errors import ValidationError
 from koszul.spencer import (
     SymbolSpace,
@@ -19,7 +22,8 @@ from koszul.spencer import (
     zero_symbol,
 )
 
-from oracles import full_symbol_cartan_total
+from oracles import (full_symbol_cartan_total, nullspace_cartan_test,
+                     nullspace_quasi_regular_basis)
 
 
 SO3_ROWS = [
@@ -140,3 +144,78 @@ def test_spencer_determinism():
     v1 = is_involutive(a, seed=11)
     v2 = is_involutive(a, seed=11)
     assert v1.verdict == v2.verdict and v1.basis == v2.basis
+
+
+def test_involutivity_computes_each_prolongation_once():
+    # the window's a^(1), a^(2), a^(3), whatever the number of trials
+    with mock.patch.object(spencer, "prolong",
+                           wraps=spencer.prolong) as prolong_calls:
+        v = is_involutive(so3_symbol(), trials=40)
+    assert v.verdict == "no"
+    assert prolong_calls.call_count == v.report.q_max + 1 == 3
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trials_below_one_are_refused_before_the_window(trials):
+    with mock.patch.object(spencer, "spencer_cohomology") as window:
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            is_involutive(full_hom(4, 4), trials=trials)
+    assert not window.called
+
+
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-3, 3),
+                              st.integers(1, 4)))
+
+
+def _matrix(draw, nr, nc):
+    return [[draw(ENTRIES) for _ in range(nc)] for _ in range(nr)]
+
+
+@st.composite
+def cartan_cases(draw):
+    """An order-1 symbol space with v, w <= 3 (integer or rational rows,
+    optionally a dense conjugate Q A P^-1), a test basis, a seed, trials."""
+    v, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = _matrix(draw, draw(st.integers(1, v * w)), v * w)
+    if draw(st.booleans()):
+        p, q = _matrix(draw, v, v), _matrix(draw, w, w)
+        if linalg.rank(p) == v and linalg.rank(q) == w:
+            p_inv = linalg.inverse(p)
+            rows = [linalg.flatten(linalg.mat_mul(
+                linalg.mat_mul(q, linalg.unflatten(row, w, v)), p_inv))
+                for row in rows]
+    a = symbol_space(v, w, rows)
+    basis = _matrix(draw, v, v)
+    if a.basis and draw(st.booleans()):
+        # a first test vector killed by the first symbol: a flag that is not
+        # generic, whose dimensions only exact rows get right
+        ker = linalg.nullspace(linalg.unflatten(a.basis[0], w, v))
+        if ker:
+            c = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+            basis[0] = [c * x for x in ker[0]]
+    return a, basis, draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+@example((symbol_space(3, 3, SO3_ROWS), [[1, 2, 0], [0, 1, 3], [1, 0, 1]],
+          5, 6))
+@example((full_hom(3, 2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 11, 3))
+@example((zero_symbol(2, 3), [[1, 0], [0, 1]], 0, 1))
+@example((symbol_space(2, 1, [[0, 1]]), [[1, 1], [0, 1]], 9, 4))
+@example((symbol_space(2, 1, [[2, -1]]), [["1/2", 1], [0, 1]], 9, 4))
+@example((symbol_space(3, 2, [[0, 1, 0, 0, 0, 2], [0, 0, 1, 0, 1, 0]]),
+          [[1, 0, 0], [1, 1, 0], [1, 1, 1]], 9, 4))
+def test_cartan_test_and_basis_search_match_the_nullspace_oracle(case):
+    a, basis, seed, trials = case
+    assert cartan_test(a) == nullspace_cartan_test(a)
+    if linalg.rank(basis) == a.v_dim:
+        assert cartan_test(a, basis) == nullspace_cartan_test(a, basis)
+    else:
+        for test in (cartan_test, nullspace_cartan_test):
+            with pytest.raises(ValidationError):
+                test(a, basis)
+    assert find_quasi_regular_basis(a, trials, seed) == \
+        nullspace_quasi_regular_basis(a, trials, seed)
