@@ -189,8 +189,8 @@ def row_space(rows: list[dict[int, int]], ncols: int, kept
     integer}, columns below ncols), from the rows at positions `kept` alone
     when every other row lies in their span, else from every row.
 
-    `kept` comes from `independent_rows_mod_p`; the span check is the one in
-    the module docstring.
+    `kept` comes from `independent_rows_mod_p`, or lists every position; the
+    span check is the one in the module docstring.
     """
     def reduce(chosen):
         return reduced_echelon([[row.get(j, 0) for j in range(ncols)]
@@ -198,8 +198,8 @@ def row_space(rows: list[dict[int, int]], ncols: int, kept
 
     keep = set(kept)
     red, pivots, support = reduce(rows[i] for i in kept)
-    dropped = (row for i, row in enumerate(rows) if i not in keep)
-    if not _spans(red, pivots, support, dropped):
+    dropped = [row for i, row in enumerate(rows) if i not in keep]
+    if dropped and not _spans(red, pivots, support, dropped):
         # P divides a minor: the rank mod P fell short of the rank
         red, pivots, support = reduce(rows)
     return red, pivots, support

@@ -325,13 +325,6 @@ def operator_defect(g: SparseTable, q: SparseTable,
     return rationals(acc, g.den * d)
 
 
-def operator_matrix(entries: dict, i: int, j: int, m: int) -> Mat:
-    """Dense matrix (row l, column k) of the (i, j) operator in `entries`."""
-    zero = Fraction(0)
-    return tuple(tuple(entries.get((i, j, k, l), zero) for k in range(m))
-                 for l in range(m))
-
-
 def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor.
 

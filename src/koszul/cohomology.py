@@ -66,10 +66,11 @@ from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
 from koszul.algebra import (ENTRY_BOUND, BilinearProduct, DefectTensor,
                             LieAlgebra, SparseTable, envelope, jacobi_defect,
-                            kv_anomaly, operator_defect, operator_matrix)
+                            kv_anomaly, operator_defect)
 from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
                            ValidationError)
 from koszul.linalg import Vec, frac
+from koszul.spaces import accumulate, condition_rows
 
 ADJOINT = "adjoint"
 SCALAR = "scalar"
@@ -118,11 +119,9 @@ def zero_cochain(degree: int, m: int, module: str) -> Cochain:
 
 def kv_degree_zero_space(p: BilinearProduct):
     """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains."""
-    m = p.dim
     d = operator_defect(p.sparse, p.sparse)
-    rows = [row for i in range(m) for j in range(m)
-            for row in operator_matrix(d, i, j, m)]
-    return linalg.nullspace(rows, ncols=m)
+    return linalg.sparse_nullspace(condition_rows(
+        ((i, j, l), k, v) for (i, j, k, l), v in d.items()), p.dim)
 
 
 def kv_coboundary(c: Cochain, algebra: BilinearProduct,
@@ -187,7 +186,7 @@ def _dims_from_deltas(name, coefficients, m, deltas,
                       notes="") -> CohomologyReport:
     """deltas[q] = (entries, ncols, nrows) of delta_q: C^q -> C^{q+1}, its
     integer contributions over one denominator; ncols = dim C^q."""
-    ranks = _certified_ranks([(_accumulate(entries), ncols, nrows)
+    ranks = _certified_ranks([(accumulate(entries), ncols, nrows)
                               for entries, ncols, nrows in deltas])
     out = []
     for q, (_, c, _) in enumerate(deltas):
@@ -271,23 +270,11 @@ def _assemble(den: int, entries, ncols: int, nrows: int):
         return [], ncols, nrows
     zero = Fraction(0)
     rows = [[zero] * ncols for _ in range(nrows)]
-    for r, row in _accumulate(entries).items():
+    for r, row in accumulate(entries).items():
         for col, n in row.items():
             if n:
                 rows[r][col] = Fraction(n, den)
     return rows, ncols, nrows
-
-
-def _accumulate(entries) -> dict[int, dict[int, int]]:
-    """Sum of the contributions n per cell, in integers: row -> {col: n}."""
-    acc: dict[int, dict[int, int]] = {}
-    for r, col, n in entries:
-        row = acc.get(r)
-        if row is None:
-            acc[r] = {col: n}
-        else:
-            row[col] = row.get(col, 0) + n
-    return acc
 
 
 def _apply(c: Cochain, den: int, entries, x) -> Cochain:
@@ -296,7 +283,7 @@ def _apply(c: Cochain, den: int, entries, x) -> Cochain:
     columns, with one division by den per output cell."""
     width = c.module_dim
     out = [Fraction(0)] * (c.dim ** (c.degree + 1) * width)
-    for r, row in _accumulate(entries).items():
+    for r, row in accumulate(entries).items():
         for col, n in row.items():
             if n and x[col]:
                 out[r] += n * x[col]

@@ -14,8 +14,7 @@ from functools import cached_property
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, operator_defect, operator_matrix,
-                            rationals)
+                            SparseTable, operator_defect, rationals)
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import SYMMETRIC, BilinearForm
 from koszul.linalg import Mat, frac
@@ -78,11 +77,10 @@ def curvature(conn: InvariantConnection) -> DefectTensor:
 
 
 def curvature_operators(conn: InvariantConnection) -> tuple[tuple[Mat, ...], ...]:
-    """R_ij = [Gamma_i, Gamma_j] − sum_k c^k_{ij} Gamma_k as matrices."""
-    m = conn.dim
-    r = operator_defect(conn.gamma.sparse, conn.base.sparse, bracket=True)
-    return tuple(tuple(operator_matrix(r, i, j, m) for j in range(m))
-                 for i in range(m))
+    """R_ij = [Gamma_i, Gamma_j] − sum_k c^k_{ij} Gamma_k as matrices: row l,
+    column k of R_ij is the e_l part of R(e_i, e_j)e_k."""
+    return tuple(tuple(linalg.transpose(r) for r in plane)
+                 for plane in curvature(conn).entries)
 
 
 def is_locally_flat(conn: InvariantConnection) -> tuple[bool, str | None]:

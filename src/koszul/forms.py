@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from koszul import linalg
 from koszul.errors import ValidationError
 from koszul.linalg import Mat, frac
+from koszul.spaces import condition_rows
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -101,19 +101,13 @@ def form_from_sparse(m: int, sym: str, entries) -> BilinearForm:
     return BilinearForm(m, linalg.mat(rows), sym)
 
 
-def parity_rows(m: int, sym: str) -> list[list[Fraction]]:
+def parity_rows(m: int, sym: str) -> list[dict[int, int]]:
     """Conditions on a flat (row-major) m x m matrix for one parity.
 
     e_ab - e_ba for symmetric forms and e_ab + e_ba (2 e_aa on the diagonal)
     for skew ones, over a <= b; zero rows are left out.
     """
     sign = -1 if sym == SYMMETRIC else 1
-    rows = []
-    for a in range(m):
-        for b in range(a, m):
-            row = [Fraction(0)] * (m * m)
-            row[a * m + b] += 1
-            row[b * m + a] += sign
-            if any(row):
-                rows.append(row)
-    return rows
+    return condition_rows(
+        entry for a in range(m) for b in range(a, m)
+        for entry in (((a, b), a * m + b, 1), ((a, b), b * m + a, sign)))

@@ -21,16 +21,17 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from koszul import linalg, spaces
-from koszul.algebra import SparseTable, operator_defect, operator_matrix
+from koszul.algebra import SparseTable, operator_defect
 from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
                            UnsupportedOperation, ValidationError)
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
 from koszul.linalg import Mat
-from koszul.spaces import LinearSolutionSpace
+from koszul.spaces import LinearSolutionSpace, condition_rows
 
 
 def solve_gauge_equation(conn: InvariantConnection,
@@ -43,17 +44,13 @@ def solve_gauge_equation(conn: InvariantConnection,
     if conn.dim != dual.dim:
         raise ValidationError("connection dimensions differ")
     m = conn.dim
-    gl, gr = dual.matrices, conn.matrices
-    rows = []
-    for i in range(m):
-        for k in range(m):
-            for j in range(m):
-                row = [Fraction(0)] * (m * m)
-                for a in range(m):
-                    row[a * m + j] += gl[i][k][a]
-                for b in range(m):
-                    row[k * m + b] -= gr[i][b][j]
-                rows.append(row)
+    left, right = dual.gamma.sparse, conn.gamma.sparse
+    # row (i, k, j), both tables over the product of their denominators
+    rows = condition_rows(chain(
+        (((i, k, j), a * m + j, n * right.den)
+         for i, a, k, n in left.nonzeros for j in range(m)),
+        (((i, k, j), k * m + b, -n * left.den)
+         for i, j, b, n in right.nonzeros for k in range(m))))
     return spaces.from_conditions(rows, m * m, shape=(m, m))
 
 
@@ -90,7 +87,7 @@ def phi_split(phi: Mat, g: BilinearForm) -> GaugePair:
     return GaugePair(sym, skew, g)
 
 
-def parallel_rows(conn: InvariantConnection) -> list:
+def parallel_rows(conn: InvariantConnection) -> list[dict[int, int]]:
     """Rows of b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0 over the m x m
     entries of b (row-major), in (i, j, k) order, nonzero rows only.
 
@@ -98,21 +95,10 @@ def parallel_rows(conn: InvariantConnection) -> list:
     b([x, y], z) + b(y, [x, z]) = 0.
     """
     m = conn.dim
-    g = conn.gamma.sparse
-    cols = {key: [(a, Fraction(n, g.den)) for a, n in row]
-            for key, row in g.by_pair.items()}
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                row = [Fraction(0)] * (m * m)
-                for a, v in cols.get((i, j), ()):
-                    row[a * m + k] += v
-                for a, v in cols.get((i, k), ()):
-                    row[j * m + a] += v
-                if any(row):
-                    rows.append(row)
-    return rows
+    nz = conn.gamma.sparse.nonzeros
+    return condition_rows(chain(
+        (((i, j, k), a * m + k, n) for i, j, a, n in nz for k in range(m)),
+        (((i, j, k), j * m + a, n) for i, k, a, n in nz for j in range(m))))
 
 
 def parallel_forms(conn: InvariantConnection, sym: str) -> LinearSolutionSpace:
@@ -170,18 +156,17 @@ def _fe_star_operators(conn: InvariantConnection) -> SparseTable:
 
 
 def _fe_star_compatibility(conn: InvariantConnection,
-                           ops: SparseTable) -> list:
-    """Rows of F_ij = [M_i, M_j] + sum_k c^k_ij M_k for i < j, in (i, j) order.
+                           ops: SparseTable) -> list[dict[int, int]]:
+    """Rows (i, j, l), i < j, of F_ij = [M_i, M_j] + sum_k c^k_ij M_k.
 
     operator_defect subtracts sum_k q^k_ij M_k, so q is the negated bracket.
     """
-    m = conn.dim
     c = conn.base.sparse
     neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
                         for i, j, k, v in c.nonzeros)
     d = operator_defect(ops, neg_c, bracket=True)
-    return [row for i in range(m) for j in range(i + 1, m)
-            for row in operator_matrix(d, i, j, m + m * m)]
+    return condition_rows(((i, j, l), a, v)
+                          for (i, j, a, l), v in d.items() if i < j)
 
 
 def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
@@ -189,27 +174,29 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     m = conn.dim
     n = m + m * m
     ops = _fe_star_operators(conn)
-    entries = [(k, a, l, Fraction(v, ops.den)) for k, a, l, v in ops.nonzeros]
+    # l -> {(k, a): n}: M_k e_a holds n e_l
+    into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
 
-    def images(vec, transposed=False) -> list:
-        """M_k vec (or M_k^T vec) for k = 0..m-1, over the table's nonzeros."""
+    def images(vec) -> list:
+        """ops.den M_k vec for k = 0..m-1, over the table's nonzeros."""
         out = [[Fraction(0)] * n for _ in range(m)]
-        for k, a, l, v in entries:
-            if transposed:
-                a, l = l, a
+        for k, a, l, v in ops.nonzeros:
             if vec[a]:
                 out[k][l] += v * vec[a]
         return out
 
     rows = _fe_star_compatibility(conn, ops)
-    basis = linalg.nullspace(rows, ncols=n)
+    basis = linalg.sparse_nullspace(rows, n)
     steps = 0
     while basis:
-        ann = linalg.nullspace(basis, ncols=n)
-        # a^T (M w) = (M^T a)^T w: invariance of W is linear in w
-        pulled = [images(a, transposed=True) for a in ann]
-        new_rows = list(ann) + [p[k] for k in range(m) for p in pulled]
-        new_basis = linalg.nullspace(new_rows, ncols=n)
+        ann = tuple(enumerate(linalg.nullspace(basis, ncols=n)))
+        # a^T (M_k w) = (M_k^T a)^T w: invariance of W is linear in w; the
+        # rows of M_k^T a are scaled by the table's denominator
+        new_rows = condition_rows(chain(
+            (((-1, t), l, x) for t, a in ann for l, x in enumerate(a) if x),
+            (((k, t), c, v * x) for t, a in ann for l, x in enumerate(a) if x
+             for (k, c), v in into.get(l, {}).items())))
+        new_basis = linalg.sparse_nullspace(new_rows, n)
         steps += 1
         if len(new_basis) == len(basis):
             basis = new_basis
@@ -219,9 +206,8 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
             raise KoszulError("stabilization failed to terminate")
 
     space = LinearSolutionSpace(ambient_dim=n, basis=tuple(basis))
-    for w in space.basis:
-        if any(linalg.mat_vec(rows, w)):
-            raise KoszulError("stabilized vector violates compatibility")
+    if not all(spaces.satisfies(rows, w) for w in space.basis):
+        raise KoszulError("stabilized vector violates compatibility")
     moved = [x for w in space.basis for x in images(w)]
     if linalg.rank(list(space.basis) + moved) != space.dim:
         raise KoszulError("stabilized space is not invariant")
@@ -254,8 +240,7 @@ def g_nabla_subalgebra(conn: InvariantConnection
     """
     m = conn.dim
     d = operator_defect(conn.gamma.sparse, conn.gamma.sparse)
-    rows = [row for i in range(m) for j in range(m)
-            for row in operator_matrix(d, i, j, m)]
+    rows = condition_rows(((i, j, l), k, v) for (i, j, k, l), v in d.items())
     space = spaces.from_conditions(rows, m)
     if not conn.gamma.is_kv:
         return space, None

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import chain, count, islice, product as iproduct
+from math import isqrt
 
 from koszul import linalg, spaces
 from koszul.algebra import LieAlgebra
@@ -37,7 +37,7 @@ from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
 from koszul.gauge import (parallel_rows, phi_split, solve_fe_star,
                           solve_gauge_equation)
 from koszul.linalg import Mat
-from koszul.spaces import LinearSolutionSpace
+from koszul.spaces import LinearSolutionSpace, condition_rows
 
 DEFAULT_SEED = 7
 # Bound on the points `max_rank` walks of its (min(shape) + 1)^(dim - 1)
@@ -50,6 +50,8 @@ DEFAULT_SEED = 7
 # 25-100 us on a shared 2-vCPU host, so a walk at the bound finishes in
 # under half a second (a 7 x 7 pencil in 0.5-0.9 s).
 GENERIC_RANK_POINTS = 4096
+# Dense points tried after a walk that ends uncertified (`_prime_points`).
+PRIME_POINTS = 3
 
 
 def resolve_seed(seed=None) -> int:
@@ -97,11 +99,12 @@ def max_rank(space: LinearSolutionSpace,
 
     The walk (`_grid`) stops at the first point of rank d, or at the first
     definite one when that is sought, and visits at most GENERIC_RANK_POINTS
-    points: `certified` holds when a point reached rank d or the whole grid
-    was walked. Each symmetric point of rank d gets one exact signature: all
-    positive makes el definite, all negative makes -el (the t_1 = -1 side)
-    definite; positive_definite is True when either holds, None when no
-    point passed (absence is not certified).
+    points; one that ends below rank d short of the whole grid then tries
+    `_prime_points`. `certified` holds when a point reached rank d or the
+    whole grid was walked. Each symmetric point of rank d gets one exact
+    signature: all positive makes el definite, all negative makes -el (the
+    t_1 = -1 side) definite; positive_definite is True when either holds,
+    None when no point passed (absence is not certified).
     """
     if constraint not in ("none", "positive_definite"):
         raise ValidationError(f"unknown max_rank constraint {constraint!r}")
@@ -117,10 +120,21 @@ def max_rank(space: LinearSolutionSpace,
     d = min(nr, nc)
     seek = constraint == "positive_definite" and nr == nc
     int_basis, scales = linalg.integer_rows(space.basis)
-    cells = tuple(zip(*int_basis))
+    # cell -> {s: x}, over the cells nonzero in some basis element
+    cells = spaces.accumulate((j, s, x) for s, row in enumerate(int_basis)
+                              for j, x in enumerate(row) if x)
+    walked_all = _grid_points(space) <= GENERIC_RANK_POINTS
+
+    def points():
+        yield from islice(_grid(k, d), GENERIC_RANK_POINTS)
+        if best < d and not walked_all:
+            yield from _prime_points(k)
+
     best, best_coeffs, sign = -1, None, None
-    for coeffs in islice(_grid(k, d), GENERIC_RANK_POINTS):
-        flat = [sum(c * x for c, x in zip(coeffs, cell)) for cell in cells]
+    for coeffs in points():
+        flat = [0] * (nr * nc)
+        for j, terms in cells.items():
+            flat[j] = sum(coeffs[s] * x for s, x in terms.items())
         el = linalg.unflatten(flat, nr, nc)
         r = linalg.rank(el)
         if r > best:
@@ -136,8 +150,7 @@ def max_rank(space: LinearSolutionSpace,
     coefficients = tuple(c * q for c, q in zip(best_coeffs, scales))
     element = linalg.unflatten(space.element(coefficients), nr, nc)
     return RankWitness(
-        best, coefficients, element,
-        best == d or _grid_points(space) <= GENERIC_RANK_POINTS,
+        best, coefficients, element, best == d or walked_all,
         positive_definite=True if sign else None)
 
 
@@ -156,6 +169,17 @@ def _grid(k: int, d: int):
         for u in iproduct(range(s + 1), repeat=k - 1):
             if s <= 1 or s in u:
                 yield (1, *u)
+
+
+def _prime_points(k: int):
+    """PRIME_POINTS points (1, *u), u_s consecutive primes from the j-th
+    prime on for the j-th point: dense, where the grid's first points leave
+    all but the last 12 coordinates at 0."""
+    primes = list(islice((p for p in count(2)
+                          if all(p % q for q in range(2, isqrt(p) + 1))),
+                         k - 1 + PRIME_POINTS))
+    for j in range(PRIME_POINTS):
+        yield (1, *primes[j:j + k - 1])
 
 
 def _grid_points(space: LinearSolutionSpace) -> int:
@@ -233,27 +257,17 @@ def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
     return spaces.from_conditions(rows, m * m, shape=(m, m))
 
 
-def _hessian_rows(conn: InvariantConnection):
+def _hessian_rows(conn: InvariantConnection) -> list[dict[int, int]]:
+    # row (i, j, k), i < j; both tables over c.den * gam.den
     m = conn.dim
     c, gam = conn.base.sparse, conn.gamma.sparse
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                row = [Fraction(0)] * (m * m)
-                for l, n in c.by_pair.get((i, j), ()):
-                    row[l * m + k] -= Fraction(n, c.den)
-                for l, n in gam.by_pair.get((i, k), ()):
-                    row[j * m + l] -= Fraction(n, gam.den)
-                for l, n in gam.by_pair.get((j, k), ()):
-                    row[i * m + l] += Fraction(n, gam.den)
-                if any(row):
-                    rows.append(row)
-    return rows
-
-
-def _check_rows(rows, flatvec) -> bool:
-    return all(sum(a * x for a, x in zip(row, flatvec)) == 0 for row in rows)
+    return condition_rows(chain(
+        (((i, j, k), l * m + k, -n * gam.den)
+         for i, j, l, n in c.nonzeros if i < j for k in range(m)),
+        (((i, j, k), j * m + l, -n * c.den)
+         for i, k, l, n in gam.nonzeros for j in range(i + 1, m)),
+        (((i, j, k), i * m + l, n * c.den)
+         for j, k, l, n in gam.nonzeros for i in range(j))))
 
 
 def hessian_defect(conn: InvariantConnection) -> tuple[int, ExistenceVerdict]:
@@ -421,25 +435,19 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
     return gap, _no_or_unknown(space, m, rw)
 
 
-def _skew_cocycle_rows(L: LieAlgebra):
+def _skew_cocycle_rows(L: LieAlgebra) -> list[dict[int, int]]:
+    # omega([e_a, e_b], e_k) enters row (i, j, k), i < j < k, when (a, b, k)
+    # is a cyclic shift of (i, j, k)
     m = L.dim
-    c = L.sparse
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                row = [Fraction(0)] * (m * m)
-                for a, b, col in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, n in c.by_pair.get((a, b), ()):
-                        row[l * m + col] += Fraction(n, c.den)
-                if any(row):
-                    rows.append(row)
-    return rows
+    return condition_rows(
+        (tuple(sorted((a, b, k))), l * m + k, n)
+        for a, b, l, n in L.sparse.nonzeros for k in range(m)
+        if a < b < k or b < k < a or k < a < b)
 
 
 def _validate_ad_invariant(L: LieAlgebra, b: BilinearForm):
-    flat = linalg.flatten(b.matrix)
-    if not _check_rows(parallel_rows(cartan_connection(L, "plus")), flat):
+    rows = parallel_rows(cartan_connection(L, "plus"))
+    if not spaces.satisfies(rows, linalg.flatten(b.matrix)):
         raise ValidationError("witness form is not ad-invariant")
 
 
@@ -515,7 +523,7 @@ def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
     rw = max_rank(space)
     if rw.max_rank == m:
         witness = BilinearForm(m, rw.element, SKEW)
-        if not _check_rows(rows, linalg.flatten(rw.element)):
+        if not spaces.satisfies(rows, linalg.flatten(rw.element)):
             raise ValidationError("symplectic cocycle witness failed recheck")
         return ExistenceVerdict("yes", invariant_value=0, witness=witness)
     return _no_or_unknown(space, m, rw)

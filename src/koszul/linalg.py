@@ -3,16 +3,19 @@
 Matrices are sequences of rows of `fractions.Fraction`. Rank, determinant,
 echelon and nullspace computations scale each row to integers (which keeps
 its row space and kernel) and run the fraction-free integer kernel
-(`koszul._kernel`); `rref` continues fraction-free upward to a reduced form
-with one integer pivot per row, so the only rational step is one division
-by the pivot per output entry. All of these work on the nonzero entries
-only: a zero cell costs nothing to scale, eliminate or back-substitute.
+(`koszul._kernel`). A linear condition is a sparse integer row {column:
+integer} (`koszul.spaces`), solved by `sparse_nullspace`; `nullspace` gives
+the same canonical basis for dense rows. `rref` continues fraction-free
+upward to a reduced form with one integer pivot per row, so the only
+rational step is one division by the pivot per output entry. All of these
+work on the nonzero entries only: a zero cell costs nothing to scale,
+eliminate or back-substitute.
 
 A system with more rows than columns (m^3 gauge conditions on m^2
 unknowns, say) is reduced from a certificate rather than from every row:
 the rows independent modulo a prime are independent over the rationals,
-so `rref` eliminates those alone and checks in integers that every other
-row lies in the span of the result (`koszul._kernel.row_space`). The
+so they alone are eliminated, and every other row is checked in integers
+to lie in the span of the result (`koszul._kernel.row_space`). The
 reduced row-echelon form is a function of the row space, so it is the same
 as eliminating every row; when a check fails, every row is eliminated.
 `rank`, `det` and systems with no more rows than columns eliminate every
@@ -195,13 +198,19 @@ def det(a) -> Fraction:
     return d
 
 
-def _reduce(int_rows: list[list[int]], ncols: int):
-    """Integer reduced echelon (rows, pivots, supports) of a system, from
-    the rows independent mod P when it has more rows than columns."""
-    if len(int_rows) <= ncols:
-        return reduced_echelon(int_rows)
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in int_rows]
-    return row_space(sparse, ncols, independent_rows_mod_p(sparse, ncols))
+def _reduce(rows: list[dict[int, int]], ncols: int):
+    """Integer reduced echelon (rows, pivots, supports) of sparse integer
+    rows, from the rows independent mod P when there are more rows than
+    columns, else from every row."""
+    return row_space(rows, ncols, range(len(rows)) if len(rows) <= ncols
+                     else independent_rows_mod_p(rows, ncols))
+
+
+def _reduce_dense(rows, ncols: int):
+    """`_reduce` of dense rows, a short system by `reduced_echelon`."""
+    ints = integer_rows(rows)[0]
+    return reduced_echelon(ints) if len(ints) <= ncols else _reduce(
+        [{j: x for j, x in enumerate(r) if x} for r in ints], ncols)
 
 
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:
@@ -214,7 +223,7 @@ def rref(rows) -> tuple[Mat, tuple[int, ...]]:
     if not rows or not rows[0]:
         return (), ()
     ncols = len(rows[0])
-    red, pivots, support = _reduce(integer_rows(rows)[0], ncols)
+    red, pivots, support = _reduce_dense(rows, ncols)
     zero = Fraction(0)
     out = []
     for row, c, cols in zip(red, pivots, support):
@@ -233,20 +242,22 @@ def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
-    return integer_nullspace(integer_rows(rows)[0], ncols)
+    return _kernel_basis(_reduce_dense(rows, ncols), ncols) if ncols else ()
 
 
-def integer_nullspace(int_rows: list[list[int]],
-                      ncols: int) -> tuple[Vec, ...]:
-    """`nullspace` of rows given as `integer_rows` gives them."""
-    if ncols == 0:
-        return ()
-    red, pivots, _ = _reduce(int_rows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    zero = Fraction(0)
-    basis = []
-    for fc in free_cols:
+def sparse_nullspace(rows: list[dict[int, int]],
+                     ncols: int) -> tuple[Vec, ...]:
+    """The canonical `nullspace` of sparse integer rows {column: integer}
+    over columns below ncols: the solver of every linear condition."""
+    return _kernel_basis(_reduce(rows, ncols), ncols) if ncols else ()
+
+
+def _kernel_basis(reduced, ncols: int) -> tuple[Vec, ...]:
+    """The canonical kernel basis of an integer reduced echelon form: one
+    free variable set to 1 in each vector, a function of the row space."""
+    red, pivots, _ = reduced
+    zero, basis = Fraction(0), []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         v = [zero] * ncols
         v[fc] = Fraction(1)
         for row, pc in zip(red, pivots):

@@ -1,15 +1,19 @@
-"""Container for solution spaces of linear systems.
+"""Linear conditions and the solution spaces they cut out.
 
-Solvers in this package reduce to "all x with E @ x = 0" for some exact
-rational matrix E. The result is wrapped here so callers get a verified,
-immutable basis plus convenience views (matrix reshaping, membership tests).
+A linear condition is a sparse integer row over a fixed column count, a
+dict {column: integer} of its nonzeros. Builders list contributions (row
+key, column, value) from the nonzeros of a structure-constant table, and
+`condition_rows` turns them into rows. `from_conditions` solves rows @ x =
+0, re-verifies the kernel over the rows' nonzeros (`satisfies`) and wraps
+it in a `LinearSolutionSpace`: an immutable basis plus convenience views
+(matrix reshaping, membership tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from koszul import linalg
 from koszul.errors import KoszulError
@@ -68,23 +72,45 @@ class LinearSolutionSpace:
         return linalg.rank(stacked) == self.dim
 
 
+def accumulate(entries) -> dict:
+    """Contributions (row key, column, value) summed per cell, by row."""
+    acc: dict = {}
+    for r, col, n in entries:
+        row = acc.get(r)
+        if row is None:
+            acc[r] = {col: n}
+        else:
+            row[col] = row.get(col, 0) + n
+    return acc
+
+
+def condition_rows(entries) -> list[dict[int, int]]:
+    """Rows from rational contributions (row key, column, value): summed per
+    cell, each scaled to a primitive integer row (which keeps its
+    solutions), in row-key order, rows that sum to zero left out."""
+    out = []
+    for _, row in sorted(accumulate(entries).items()):
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            m = lcm(*(x.denominator for x in row.values()))
+            g = gcd(*(x.numerator for x in row.values()))
+            out.append({j: x.numerator * (m // x.denominator) // g
+                        for j, x in row.items()})
+    return out
+
+
+def satisfies(rows, vec) -> bool:
+    """True when vec solves every sparse integer row, checked in integers
+    over the rows' nonzeros (vec scaled as `linalg.integer_rows` does)."""
+    w = linalg.integer_rows([vec])[0][0]
+    return not any(sum(a * w[j] for j, a in row.items()) for row in rows)
+
+
 def from_conditions(rows, ambient_dim: int,
                     shape: tuple[int, ...] | None = None) -> LinearSolutionSpace:
-    """Solve rows @ x = 0 and wrap the kernel, re-verifying each basis vector.
-
-    The re-verification closes the loop on the integer-scaled elimination:
-    every returned vector, scaled to integers, is substituted back into the
-    conditions, scaled to integers once for both the solve and the check.
-    """
-    int_rows, _ = linalg.integer_rows(rows)
-    basis = linalg.integer_nullspace(int_rows, ambient_dim)
-    scaled = []
-    for v in basis:
-        m = lcm(*(x.denominator for x in v))
-        scaled.append([x.numerator * (m // x.denominator) for x in v])
-    for row in int_rows:
-        nz = [(j, a) for j, a in enumerate(row) if a]
-        for w in scaled:
-            if sum(a * w[j] for j, a in nz):
-                raise KoszulError("solver produced a vector violating its conditions")
+    """Solve rows @ x = 0 for sparse integer rows and wrap the kernel,
+    each basis vector substituted back into the rows (`satisfies`)."""
+    basis = linalg.sparse_nullspace(rows, ambient_dim)
+    if not all(satisfies(rows, v) for v in basis):
+        raise KoszulError("solver produced a vector violating its conditions")
     return LinearSolutionSpace(ambient_dim=ambient_dim, basis=basis, shape=shape)

@@ -29,6 +29,7 @@ import random
 from koszul import linalg
 from koszul.errors import ConformanceMismatch, ValidationError
 from koszul.linalg import Vec
+from koszul.spaces import condition_rows
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +72,10 @@ class SymbolSpace:
         """The first prolongation, computed once per space by `prolong`."""
         return prolong(self)
 
+    @cached_property
+    def _integer_basis(self) -> list[list[int]]:
+        return linalg.integer_rows(self.basis)[0]
+
 
 def symbol_space(v: int, w: int, rows) -> SymbolSpace:
     basis = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
@@ -91,26 +96,18 @@ def zero_symbol(m: int, w: int) -> SymbolSpace:
 def prolong(a: SymbolSpace) -> SymbolSpace:
     """Symbols one order up whose slices in every direction lie in `a`."""
     m, w, s = a.v_dim, a.w_dim, a.order
-    amb = symbol_coord_dim(m, w, s)
-    ann = linalg.nullspace(a.basis, ncols=amb)
-    up = monomials(m, s + 1)
-    nup = len(up)
+    ann = linalg.nullspace(a.basis, ncols=symbol_coord_dim(m, w, s))
+    nup = len(monomials(m, s + 1))
     pos_up = _mono_pos(m, s + 1)
     lower = monomials(m, s)
     nl = len(lower)
-    rows = []
-    for j in range(m):
-        for lam in ann:
-            row = [Fraction(0)] * (w * nup)
-            for k in range(w):
-                for p, mono in enumerate(lower):
-                    coeff = lam[k * nl + p]
-                    if coeff:
-                        row[k * nup + pos_up[tuple(sorted(mono + (j,)))]] \
-                            += coeff
-            if any(row):
-                rows.append(row)
-    basis = linalg.nullspace(rows, ncols=w * nup)
+    # row (j, t): the t-th annihilator of `a` on the slice in direction e_j
+    rows = condition_rows(
+        ((j, t), i // nl * nup + pos_up[tuple(sorted(lower[i % nl] + (j,)))],
+         coeff)
+        for t, lam in enumerate(ann) for i, coeff in enumerate(lam) if coeff
+        for j in range(m))
+    basis = linalg.sparse_nullspace(rows, w * nup)
     return SymbolSpace(m, w, basis, s + 1)
 
 
@@ -122,7 +119,7 @@ def _aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
     of rows by a nonzero integer and so keeps every rank.
     """
     m, w = a.v_dim, a.w_dim
-    mats, _ = linalg.integer_rows(a.basis)
+    mats = a._integer_basis
     bs, _ = linalg.integer_rows(basis_vectors)
     d = a.dim
     dims = [d]

@@ -174,6 +174,29 @@ def rational_matrices(draw, square=False):
     return [[Fraction(x, next(it)) for x in row] for row in a]
 
 
+def densify(rows, ncols: int) -> list[list[Fraction]]:
+    """Sparse integer condition rows as dense `Fraction` rows."""
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
+def assert_same_row_space(sparse, dense, ncols: int) -> None:
+    """Equal reduced row-echelon forms: equal row spaces."""
+    assert linalg.rref(densify(sparse, ncols)) == linalg.rref(dense)
+
+
+def assert_rows_match(sparse, dense, ncols: int) -> None:
+    """Row by row, each sparse row is a nonzero rational multiple of the
+    dense oracle's row (the oracle's zero rows left out), and the two row
+    spaces are equal."""
+    ref = [row for row in dense if any(row)]
+    assert len(sparse) == len(ref)
+    for row, r in zip(densify(sparse, ncols), ref):
+        j = next(j for j, x in enumerate(r) if x)
+        c = row[j] / r[j]
+        assert c and row == [c * x for x in r]
+    assert_same_row_space(sparse, ref, ncols)
+
+
 @contextmanager
 def eliminations():
     """Yields a list that collects the row count of every exact reduction

@@ -30,7 +30,10 @@ Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
-`dense_parallel_rows`, ...), its former per-outcome
+`dense_parallel_rows`, ...) and its former dense `Fraction` condition rows
+with the dense witness check they fed (`operator_matrix`,
+`dense_gauge_equation_rows`, ..., `dense_prolong`, `check_rows`), its
+former per-outcome
 information-geometry routes (`scalar_fisher_information`, ...,
 `scalar_exponential_defect_probe`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former dense
@@ -51,7 +54,8 @@ import sympy
 from koszul import linalg
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, kv_anomaly, zero_product)
+                            SparseTable, kv_anomaly, operator_defect,
+                            zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                DegreeDims, _flat_index, _sort_alternating,
                                ce_coboundary_matrix,
@@ -68,7 +72,7 @@ from koszul.invariants import (ExistenceVerdict, RankWitness, r_b_defect,
                                resolve_seed)
 from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace
-from koszul.spencer import SymbolSpace, prolong
+from koszul.spencer import SymbolSpace, monomials, prolong, symbol_coord_dim
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
                               FiniteStatModel, ProbeReport, _richardson)
 
@@ -1522,6 +1526,98 @@ def dense_skew_cocycle_rows(L):
                 if any(row):
                     rows.append(row)
     return rows
+
+
+# The library's former dense condition rows of `gauge`, `cohomology`,
+# `forms` and `spencer`, one `Fraction` list per row, zero rows included
+# where they were, and its former dense witness check (`check_rows`).
+
+def operator_matrix(entries: dict, i: int, j: int, m: int) -> Mat:
+    """Dense matrix (row l, column k) of the (i, j) operator in `entries`."""
+    zero = Fraction(0)
+    return tuple(tuple(entries.get((i, j, k, l), zero) for k in range(m))
+                 for l in range(m))
+
+
+def dense_gauge_equation_rows(conn, dual):
+    """Rows of Gamma*_i phi - phi Gamma_i = 0, in (i, k, j) order."""
+    m = conn.dim
+    gl, gr = dual.matrices, conn.matrices
+    rows = []
+    for i in range(m):
+        for k in range(m):
+            for j in range(m):
+                row = [Fraction(0)] * (m * m)
+                for a in range(m):
+                    row[a * m + j] += gl[i][k][a]
+                for b in range(m):
+                    row[k * m + b] -= gr[i][b][j]
+                rows.append(row)
+    return rows
+
+
+def dense_fe_star_compatibility_rows(conn, ops):
+    """Rows of the FE* compatibility operators F_ij, i < j, by
+    `operator_matrix`."""
+    m = conn.dim
+    c = conn.base.sparse
+    neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
+                        for i, j, k, v in c.nonzeros)
+    d = operator_defect(ops, neg_c, bracket=True)
+    return [row for i in range(m) for j in range(i + 1, m)
+            for row in operator_matrix(d, i, j, m + m * m)]
+
+
+def dense_associator_rows(table: SparseTable, m: int):
+    """Rows of (x·y)·xi = x·(y·xi), the conditions of
+    `gauge.g_nabla_subalgebra` (table: the connection's) and of
+    `cohomology.kv_degree_zero_space` (table: the product's)."""
+    d = operator_defect(table, table)
+    return [row for i in range(m) for j in range(m)
+            for row in operator_matrix(d, i, j, m)]
+
+
+def dense_parity_rows(m: int, sym: str):
+    sign = -1 if sym == "symmetric" else 1
+    rows = []
+    for a in range(m):
+        for b in range(a, m):
+            row = [Fraction(0)] * (m * m)
+            row[a * m + b] += 1
+            row[b * m + a] += sign
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def dense_prolong(a: SymbolSpace) -> SymbolSpace:
+    """`spencer.prolong` over dense rows."""
+    m, w, s = a.v_dim, a.w_dim, a.order
+    amb = symbol_coord_dim(m, w, s)
+    ann = linalg.nullspace(a.basis, ncols=amb)
+    up = monomials(m, s + 1)
+    nup = len(up)
+    pos_up = {mono: i for i, mono in enumerate(up)}
+    lower = monomials(m, s)
+    nl = len(lower)
+    rows = []
+    for j in range(m):
+        for lam in ann:
+            row = [Fraction(0)] * (w * nup)
+            for k in range(w):
+                for p, mono in enumerate(lower):
+                    coeff = lam[k * nl + p]
+                    if coeff:
+                        row[k * nup + pos_up[tuple(sorted(mono + (j,)))]] \
+                            += coeff
+            if any(row):
+                rows.append(row)
+    basis = linalg.nullspace(rows, ncols=w * nup)
+    return SymbolSpace(m, w, basis, s + 1)
+
+
+def check_rows(rows, flatvec) -> bool:
+    return all(sum(a * x for a, x in zip(row, flatvec)) == 0 for row in rows)
 
 
 # ---------------------------------------------------------------- statmodel

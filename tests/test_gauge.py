@@ -40,6 +40,7 @@ from koszul.gauge import (
 from koszul.spaces import LinearSolutionSpace
 
 from conftest import (
+    assert_rows_match,
     lie_pool,
     rand_fraction,
     rand_invertible,
@@ -182,23 +183,25 @@ def test_fe_star_matches_dense_solver(conn):
     for i, a, l, v in ops.nonzeros:
         table[i][l][a] = Fraction(v, ops.den)
     assert [tuple(map(tuple, op)) for op in table] == dense_ops
-    assert _fe_star_compatibility(conn, ops) == [
-        row for f in dense_fe_star_compat(conn, dense_ops) for row in f]
+    assert_rows_match(_fe_star_compatibility(conn, ops), [
+        row for f in dense_fe_star_compat(conn, dense_ops) for row in f], n)
     fs, ref = solve_fe_star(conn), dense_solve_fe_star(conn)
     assert (fs.space.basis, fs.r_b, fs.shrink_steps) == \
         (ref.space.basis, ref.r_b, ref.shrink_steps)
 
 
 def _nullspace_answering(monkeypatch, answer):
-    """Make the k-th nullspace call return answer(k, calls), where calls
-    holds the true results of calls 1..k."""
-    real = linalg.nullspace
+    """Make the k-th nullspace call, of dense or of sparse rows, return
+    answer(k, calls), where calls holds the true results of calls 1..k."""
     calls = []
 
-    def patched(rows, ncols=None):
-        calls.append(real(rows, ncols=ncols))
-        return answer(len(calls), calls)
-    monkeypatch.setattr(linalg, "nullspace", patched)
+    def answering(real):
+        def patched(rows, ncols=None):
+            calls.append(real(rows, ncols))
+            return answer(len(calls), calls)
+        return patched
+    for name in ("nullspace", "sparse_nullspace"):
+        monkeypatch.setattr(linalg, name, answering(getattr(linalg, name)))
 
 
 def test_fe_star_rejects_a_space_violating_compatibility(monkeypatch):

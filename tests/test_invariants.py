@@ -30,6 +30,7 @@ from koszul.forms import BilinearForm, identity_form
 from koszul.invariants import (
     DEFAULT_SEED,
     GENERIC_RANK_POINTS,
+    PRIME_POINTS,
     bi_invariant_metric,
     common_kernel,
     flat_existence,
@@ -430,6 +431,48 @@ def test_max_rank_certifies_the_rank_the_full_pool_only_bounds(
         assert space.contains(linalg.flatten(rw.element))
 
 
+def _unit_span(n, cells):
+    """The span of the n x n matrices c E_ij over cells (i, j, c)."""
+    basis = []
+    for i, j, c in cells:
+        e = [[0] * n for _ in range(n)]
+        e[i][j] = c
+        basis.append(linalg.flatten(linalg.mat(e)))
+    return LinearSolutionSpace(n * n, tuple(basis), shape=(n, n))
+
+
+def test_max_rank_reaches_full_rank_past_the_walk():
+    # the walk's first GENERIC_RANK_POINTS points leave all but the last 12
+    # coefficients at 0; the identity lies in the span
+    rw = max_rank(_unit_span(14, [(i, i, 1) for i in range(14)]))
+    assert rw.max_rank == 14 and rw.certified
+
+
+@st.composite
+def wide_spans(draw):
+    """Spans of k > 13 scaled unit matrices of size 14: a permutation
+    pattern, or one whose last row moved into row 0 (rank 13), and a few
+    more cells off that row."""
+    n = 14
+    perm = draw(st.permutations(range(n)))
+    last = draw(st.sampled_from((0, n - 1)))
+    cells = {(i, perm[i]) for i in range(n - 1)} | {(last, perm[n - 1])}
+    cells |= set(draw(st.lists(st.tuples(st.integers(0, n - 2),
+                                         st.integers(0, n - 1)), max_size=3)))
+    scale = st.sampled_from((-2, -1, 1, 3))
+    return _unit_span(n, [(i, j, draw(scale)) for i, j in sorted(cells)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wide_spans())
+def test_max_rank_matches_the_full_pool_on_wide_spans(space):
+    assert space.dim > 13
+    rw = max_rank(space)
+    assert rw.max_rank == full_pool_max_rank(space).max_rank
+    assert rw.certified == (rw.max_rank == 14)
+
+
 def test_generic_rank_above_the_bound_answers_unknown():
     # rows 0 and 1 of a 4 x 4 matrix: rank 2 with no common kernel, and a
     # grid of 5^7 points, of which the walk visits GENERIC_RANK_POINTS
@@ -442,8 +485,9 @@ def test_generic_rank_above_the_bound_answers_unknown():
     space = LinearSolutionSpace(16, tuple(basis), shape=(4, 4))
     with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
         rw = max_rank(space)
-    # each point walked, and the witness's own re-check
-    assert rank.call_count == GENERIC_RANK_POINTS + 1
+    # each point walked, the dense points after it, and the witness's own
+    # re-check
+    assert rank.call_count == GENERIC_RANK_POINTS + PRIME_POINTS + 1
     assert rw.max_rank == 2 and not rw.certified
     with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
         verdict = invariants._no_or_unknown(space, 4, rw)

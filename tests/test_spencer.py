@@ -22,8 +22,8 @@ from koszul.spencer import (
     zero_symbol,
 )
 
-from oracles import (full_symbol_cartan_total, nullspace_cartan_test,
-                     nullspace_quasi_regular_basis)
+from oracles import (dense_prolong, full_symbol_cartan_total,
+                     nullspace_cartan_test, nullspace_quasi_regular_basis)
 
 
 SO3_ROWS = [
@@ -219,3 +219,12 @@ def test_cartan_test_and_basis_search_match_the_nullspace_oracle(case):
                 test(a, basis)
     assert find_quasi_regular_basis(a, trials, seed) == \
         nullspace_quasi_regular_basis(a, trials, seed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+def test_prolongation_matches_the_dense_rows(case):
+    a = case[0]
+    assert prolong(a) == dense_prolong(a)
+    assert prolong(a.prolongation) == dense_prolong(a.prolongation)

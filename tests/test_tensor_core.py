@@ -5,7 +5,9 @@ table, and each zero-skipping matrix product, is compared, entry by entry
 and zeros included, with the dense formula it replaced (kept in
 oracles.py). So is every builder of a table, through its dense view, and
 every reader of one (`mult`, `left_matrices`, `right_matrix` and the
-condition rows of `invariants` and `gauge`). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
+condition rows of `invariants`, `gauge`, `forms` and `cohomology`, each
+row a nonzero multiple of the dense oracle's, or the same canonical
+kernel). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
 a textbook algebra under a monomial basis change) and dense ones, and
 tables that are not antisymmetric or fail Jacobi, for which the
 constructor's error must be the dense one verbatim.
@@ -17,7 +19,7 @@ from itertools import product
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import invariants, linalg
+from koszul import invariants, linalg, spaces
 from koszul.algebra import (
     abelian,
     associator_defect,
@@ -33,6 +35,7 @@ from koszul.algebra import (
     zero_product,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
+from koszul.cohomology import kv_degree_zero_space
 from koszul.connections import (
     CARTAN_KINDS,
     InvariantConnection,
@@ -45,22 +48,30 @@ from koszul.connections import (
 )
 from koszul.errors import KoszulError
 from koszul.flatmodels import affine_algebra, matrix_algebra
-from koszul.forms import BilinearForm
-from koszul.gauge import parallel_rows
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
+from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
+                          g_nabla_subalgebra, parallel_rows,
+                          solve_gauge_equation)
 
-from conftest import assoc_pool, direct_sum_lie, kv_pool
+from conftest import assert_rows_match, assoc_pool, direct_sum_lie, kv_pool
 from oracles import (
+    check_rows,
     dense_ad_invariance_rows,
     dense_affine_algebra,
     dense_alpha_connection,
     dense_amari_dual,
     dense_associator_defect,
+    dense_associator_rows,
     dense_cartan_connection,
     dense_commutator_bracket,
     dense_conjugate_product,
     dense_curvature,
     dense_curvature_operators,
     dense_direct_sum_products,
+    dense_fe_star_compat,
+    dense_fe_star_compatibility_rows,
+    dense_fe_star_operators,
+    dense_gauge_equation_rows,
     dense_hessian_rows,
     dense_parallel_rows,
     dense_jacobi_defect,
@@ -74,6 +85,7 @@ from oracles import (
     dense_mat_vec,
     dense_matrix_algebra,
     dense_mult,
+    dense_parity_rows,
     dense_product,
     dense_product_from_sparse,
     dense_right_matrix,
@@ -359,12 +371,47 @@ def test_product_readers_match_dense(p, data):
 
 
 @CHECKS
-@given(connections())
-def test_condition_rows_match_dense(conn):
-    L = conn.base
-    assert invariants._hessian_rows(conn) == dense_hessian_rows(conn)
-    assert parallel_rows(conn) == [r for r in dense_parallel_rows(conn)
-                                   if any(r)]
-    assert parallel_rows(cartan_connection(L, "plus")) == \
-        dense_ad_invariance_rows(L)
-    assert invariants._skew_cocycle_rows(L) == dense_skew_cocycle_rows(L)
+@given(connections(), st.data())
+def test_condition_rows_match_dense(conn, data):
+    L, m = conn.base, conn.dim
+    n = m * m
+    pairs = [(invariants._hessian_rows(conn), dense_hessian_rows(conn)),
+             (parallel_rows(conn), dense_parallel_rows(conn)),
+             (parallel_rows(cartan_connection(L, "plus")),
+              dense_ad_invariance_rows(L)),
+             (invariants._skew_cocycle_rows(L), dense_skew_cocycle_rows(L))]
+    pairs += [(parity_rows(m, sym), dense_parity_rows(m, sym))
+              for sym in (SYMMETRIC, SKEW)]
+    vec = data.draw(st.lists(st.sampled_from((0, 1, Fraction(-1, 2))),
+                             min_size=n, max_size=n))
+    for rows, dense in pairs:
+        assert_rows_match(rows, dense, n)
+        # the witness check over the nonzeros is the dense one
+        for w in [vec, *linalg.nullspace(dense, ncols=n)[:1]]:
+            assert spaces.satisfies(rows, w) == check_rows(dense, w)
+
+
+@CHECKS
+@given(connections(), st.data())
+def test_solver_rows_span_the_dense_rows(conn, data):
+    # equal canonical kernels are equal row spaces
+    L, m = conn.base, conn.dim
+    ops = _fe_star_operators(conn)
+    rows = _fe_star_compatibility(conn, ops)
+    assert_rows_match(rows, dense_fe_star_compatibility_rows(conn, ops),
+                      m + m * m)
+    assert_rows_match(rows, [row for f in dense_fe_star_compat(
+        conn, dense_fe_star_operators(conn)) for row in f], m + m * m)
+    _, gam = data.draw(tables(dim=m))
+    dual = InvariantConnection(L, dense_product(m, gam))
+    assert solve_gauge_equation(conn, dual).basis == linalg.nullspace(
+        dense_gauge_equation_rows(conn, dual), ncols=m * m)
+    assert g_nabla_subalgebra(conn)[0].basis == linalg.nullspace(
+        dense_associator_rows(conn.gamma.sparse, m), ncols=m)
+
+
+@CHECKS
+@given(products())
+def test_kv_degree_zero_rows_span_the_dense_rows(p):
+    assert kv_degree_zero_space(p) == linalg.nullspace(
+        dense_associator_rows(p.sparse, p.dim), ncols=p.dim)
