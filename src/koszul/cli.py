@@ -239,13 +239,6 @@ def _bimetric_witness(lie, verdict):
     return _witness_doc(w)
 
 
-def _budget(args, default: int) -> int:
-    """--budget, or `default` when the option is absent."""
-    if args.budget is not None and args.budget < 0:
-        raise ValidationError(f"--budget must be >= 0, got {args.budget}")
-    return default if args.budget is None else args.budget
-
-
 def _cmd_invariants(args, inputs):
     lie = _load_lie(args, inputs)
     which = args.which
@@ -356,8 +349,7 @@ def _cmd_flat_models(args, inputs):
                                         for lvl in report.levels]}
     p = _load_product(args, inputs)
     if args.fm_op == "completeness":
-        rep = flatmodels.geometric_completeness(
-            p, budget=_budget(args, 256), seed=args.seed)
+        rep = flatmodels.geometric_completeness(p)
         return {"verdict": rep.verdict,
                 "witness": None if rep.witness is None
                 else _frac_list(rep.witness),
@@ -427,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed, read by spencer --op involutive "
-                             "and flat-models completeness; every report "
-                             "prints it (default: KOSZUL_SEED env or 7)")
+                             "only; every report prints it (default: "
+                             "KOSZUL_SEED env or 7)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--dump", action="store_true",
                         help="echo parsed inputs back as JSON documents")
@@ -519,8 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = fm.add_parser("completeness", parents=[common])
     c.add_argument("--product", help="product JSON file")
     c.add_argument("--catalog", help="named catalog product")
-    c.add_argument("--budget", type=int, default=None,
-                   help="probe budget; must be >= 0 (default: 256)")
     i = fm.add_parser("ideal", parents=[common])
     i.add_argument("--product", help="product JSON file")
     i.add_argument("--catalog", help="named catalog product")
@@ -595,7 +585,7 @@ def run(argv) -> dict:
     report = {
         "schema": SCHEMA,
         "command": list(argv),
-        "seed": invariants.resolve_seed(args.seed),
+        "seed": spencer.resolve_seed(args.seed),
         "inputs": {"sha256": inputs.digest()},
         "result": payload,
     }

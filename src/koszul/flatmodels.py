@@ -10,17 +10,18 @@ m*m + t).
 
 Geometric completeness asks whether every map a -> a*a_star + a is
 injective, i.e. whether det(R + I) is zero-free over all right
-multiplications R. That is a real root-freeness question, so the verdict
-ladder is: exact joint-nilpotency certificate, exact root analysis in
-ambient dimension <= 2, witness sampling (which can only certify
-incompleteness), and finally unknown.
+multiplications R. Segal's criterion decides it in every dimension: the
+algebra is complete exactly when every right multiplication R_{e_i} has
+trace zero. An incomplete algebra gets a rational witness a_star with
+det(R_{a_star} + I) = 0: from exact root analysis in ambient dimension
+<= 2, else from a nonzero idempotent e, where a_star = -e. No verdict is
+unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import random
 
 from koszul import linalg
 from koszul.algebra import BilinearProduct, SparseTable, associator_defect
@@ -29,7 +30,7 @@ from koszul.errors import (
     NotRightIdeal,
     ValidationError,
 )
-from koszul.linalg import Mat, Vec
+from koszul.linalg import Vec
 from koszul.spaces import LinearSolutionSpace
 
 TOWER_LEVEL_CAP = 64
@@ -126,23 +127,37 @@ def _require_associative(p: BilinearProduct):
             f"product is not associative; first defect at {d.first_nonzero()}")
 
 
-def _jointly_nilpotent(ops: tuple[Mat, ...], n: int) -> bool:
-    """Flag chain U <- sum_i R_i(U) reaches 0.
+def _right_traces(p: BilinearProduct) -> list[int]:
+    """tr R_{e_j} for each j, over the table's common denominator.
 
-    Joint nilpotency makes every linear combination of the operators
-    nilpotent, hence det(R + I) = 1 identically.
+    R_{e_j} sends e_i to e_i·e_j, so its diagonal holds the entries
+    (e_i·e_j)_i.
     """
-    space: tuple[Vec, ...] = linalg.identity(n)
-    for _ in range(n + 1):
-        if not space:
-            return True
-        images = [linalg.mat_vec(op, v) for op in ops for v in space]
-        images = [v for v in images if any(v)]
-        nxt = linalg.row_space_basis(images)
-        if len(nxt) >= len(space):
-            return False
-        space = nxt
-    return not space
+    traces = [0] * p.dim
+    for i, j, k, c in p.sparse.nonzeros:
+        if i == k:
+            traces[j] += c
+    return traces
+
+
+def _idempotent_witness(p: BilinearProduct, x: Vec) -> Vec:
+    """a_star = -e for a nonzero idempotent e built from a non-nilpotent x.
+
+    The algebra x generates has dimension at most n, so by Fitting's lemma
+    multiplication by x is invertible on its part spanned by x^{n+1}, ...,
+    x^{2n}, which is nonzero as x is not nilpotent. That part is a unital
+    algebra, and its unit e is the solution of e·y = y there, with
+    y = x^{n+1}. Then e + e·(-e) = 0, so det(R_{-e} + I) = 0.
+    """
+    n = p.dim
+    powers = [x]  # powers[k - 1] = x^k
+    while len(powers) < 3 * n + 1:
+        powers.append(p.mult(powers[-1], x))
+    span, images = powers[n:2 * n], powers[2 * n + 1:]
+    # e = sum_k c_k x^{n+k}, so e·y = sum_k c_k x^{2n+1+k}
+    c = linalg.solve(linalg.transpose(images), powers[n])
+    return tuple(-sum(ck * v[t] for ck, v in zip(c, span))
+                 for t in range(n))
 
 
 def _psi_det(p: BilinearProduct, a_star: Vec) -> Fraction:
@@ -282,52 +297,38 @@ def _exact_small_dim(p: BilinearProduct):
         "single isolated discriminant zero with nonvanishing constant term"
 
 
-def geometric_completeness(p: BilinearProduct, budget: int = 256,
-                           seed=None) -> CompletenessReport:
-    """Decide whether all maps a -> a*a_star + a are injective."""
+def geometric_completeness(p: BilinearProduct) -> CompletenessReport:
+    """Decide whether all maps a -> a*a_star + a are injective.
+
+    In an associative algebra R_x^k = R_{x^k}, so traces zero on a basis
+    make every power of every R_x traceless, hence every R_x nilpotent and
+    det(R + I) = 1 (Segal's criterion). Otherwise some e_i is not
+    nilpotent and yields the idempotent witness.
+    """
     _require_associative(p)
     n = p.dim
     if n == 0:
         return CompletenessReport("complete", None, "empty", "zero algebra")
-    rights = tuple(p.right_matrix(
-        tuple(Fraction(1 if t == i else 0) for t in range(n)))
-        for i in range(n))
-    if _jointly_nilpotent(rights, n):
+    traces = _right_traces(p)
+    if not any(traces):
         return CompletenessReport(
             "complete", None, "nilpotent",
             "right multiplications are jointly nilpotent, det(R+I) = 1")
 
     if n <= 2:
-        verdict, witness, note = _exact_small_dim(p)
-        if verdict == "incomplete" and witness is not None:
+        _, witness, note = _exact_small_dim(p)
+        if witness is not None:
             if _psi_det(p, witness) != 0:
                 raise ValidationError("exact route produced a bad witness")
-        return CompletenessReport(verdict, witness, "exact-roots", note)
+            return CompletenessReport("incomplete", witness, "exact-roots",
+                                      note)
 
-    from koszul.invariants import resolve_seed
-    probes = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        probes.append(tuple(e))
-        probes.append(tuple(-x for x in e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [Fraction(0)] * n
-            e[i] = e[j] = Fraction(1)
-            probes.append(tuple(e))
-            probes.append(tuple(-x for x in e))
-    rng = random.Random(resolve_seed(seed))
-    for _ in range(max(0, budget - len(probes))):
-        probes.append(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                            for _ in range(n)))
-    for a_star in probes:
-        if _psi_det(p, a_star) == 0:
-            return CompletenessReport("incomplete", a_star, "sampling", "")
-    return CompletenessReport(
-        "unknown", None, "sampling",
-        f"no determinant zero among {len(probes)} samples; "
-        "completeness not certified")
+    i = next(i for i, t in enumerate(traces) if t)
+    x = tuple(Fraction(1 if t == i else 0) for t in range(n))
+    a_star = _idempotent_witness(p, x)
+    if _psi_det(p, a_star) != 0:
+        raise ValidationError("idempotent route produced a bad witness")
+    return CompletenessReport("incomplete", a_star, "idempotent")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ direction ranging over a finite-dimensional solution space is exact (rank
 maximization over an exactly computed basis), while a minimum over
 connections or metrics is read only on the ones at hand (the caller's and
 the canonical ones) and can only return an upper bound with an `unknown`
-verdict. Nothing here draws a random number; the seed the CLI resolves
-(`resolve_seed`) feeds the searches of `flatmodels` and `spencer`.
+verdict. Nothing here draws a random number.
 
 Rank maximization is one walk, with no seed: `max_rank` takes exact
 rational ranks on an integer grid sized by the matrix shape (see its
@@ -21,7 +20,6 @@ and the verdict is `unknown`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain, count, islice, product as iproduct
 from math import isqrt
@@ -39,7 +37,6 @@ from koszul.gauge import (parallel_rows, phi_split, solve_fe_star,
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace, condition_rows
 
-DEFAULT_SEED = 7
 # Bound on the points `max_rank` walks of its (min(shape) + 1)^(dim - 1)
 # point grid. A walk stops at its first full-rank point, so only a
 # rank-deficient span, or a definite search that finds nothing, walks its
@@ -52,12 +49,6 @@ DEFAULT_SEED = 7
 GENERIC_RANK_POINTS = 4096
 # Dense points tried after a walk that ends uncertified (`_prime_points`).
 PRIME_POINTS = 3
-
-
-def resolve_seed(seed=None) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get("KOSZUL_SEED", DEFAULT_SEED))
 
 
 @dataclass(frozen=True)

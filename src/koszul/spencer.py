@@ -24,12 +24,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
+import os
 import random
 
 from koszul import linalg
 from koszul.errors import ConformanceMismatch, ValidationError
 from koszul.linalg import Vec
 from koszul.spaces import condition_rows
+
+DEFAULT_SEED = 7
+
+
+def resolve_seed(seed=None) -> int:
+    """The basis search's seed: `seed`, else KOSZUL_SEED, else DEFAULT_SEED."""
+    if seed is not None:
+        return int(seed)
+    return int(os.environ.get("KOSZUL_SEED", DEFAULT_SEED))
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +178,6 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    from koszul.invariants import resolve_seed
     m = a.v_dim
     std = linalg.identity(m)
     _, _, ok = cartan_test(a, std)

@@ -10,6 +10,8 @@ Chevalley-Eilenberg loop), its former coboundaries of one cochain over the
 dense table (`dense_kv_coboundary`, `dense_hochschild_coboundary`) and its
 former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
 its former right-ideal core loop (`dense_right_ideal_core`), its former
+completeness rungs, the flag-chain nilpotency test and the seeded
+determinant sampling (`jointly_nilpotent`, `sampling_completeness`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
 elimination modulo a prime (`dense_rank_mod`), its former pass over rows
@@ -67,12 +69,13 @@ from koszul.connections import (InvariantConnection, cartan_connection,
 from koszul.errors import (ConformanceMismatch, JacobiViolation,
                            KoszulError, NotKV, SingularFisher,
                            TorsionMismatch, ValidationError)
+from koszul.flatmodels import CompletenessReport, _psi_det
 from koszul.gauge import FeStarSolutions
-from koszul.invariants import (ExistenceVerdict, RankWitness, r_b_defect,
-                               resolve_seed)
-from koszul.linalg import Mat, frac
+from koszul.invariants import ExistenceVerdict, RankWitness, r_b_defect
+from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace
-from koszul.spencer import SymbolSpace, monomials, prolong, symbol_coord_dim
+from koszul.spencer import (SymbolSpace, monomials, prolong, resolve_seed,
+                            symbol_coord_dim)
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
                               FiniteStatModel, ProbeReport, _richardson)
 
@@ -1191,6 +1194,59 @@ def dense_right_ideal_core(p, basis):
             break
         core = nxt
     return core
+
+
+# ---------------------------------------------------------------- completeness
+
+def jointly_nilpotent(ops: tuple[Mat, ...], n: int) -> bool:
+    """Flag chain U <- sum_i R_i(U) reaches 0.
+
+    Joint nilpotency makes every linear combination of the operators
+    nilpotent, hence det(R + I) = 1 identically.
+    """
+    space: tuple[Vec, ...] = linalg.identity(n)
+    for _ in range(n + 1):
+        if not space:
+            return True
+        images = [linalg.mat_vec(op, v) for op in ops for v in space]
+        images = [v for v in images if any(v)]
+        nxt = linalg.row_space_basis(images)
+        if len(nxt) >= len(space):
+            return False
+        space = nxt
+    return not space
+
+
+def sampling_completeness(p: BilinearProduct, budget: int = 256,
+                          seed=None) -> CompletenessReport:
+    """The former last rung of `geometric_completeness`: the unit vectors,
+    the sums of two, their negatives, then seeded random probes, up to
+    `budget` in all; "incomplete" at the first zero of det(R + I), else
+    "unknown"."""
+    n = p.dim
+    probes = []
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        probes.append(tuple(e))
+        probes.append(tuple(-x for x in e))
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = [Fraction(0)] * n
+            e[i] = e[j] = Fraction(1)
+            probes.append(tuple(e))
+            probes.append(tuple(-x for x in e))
+    rng = random.Random(resolve_seed(seed))
+    for _ in range(max(0, budget - len(probes))):
+        probes.append(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                            for _ in range(n)))
+    for a_star in probes:
+        if _psi_det(p, a_star) == 0:
+            return CompletenessReport("incomplete", a_star, "sampling", "")
+    return CompletenessReport(
+        "unknown", None, "sampling",
+        f"no determinant zero among {len(probes)} samples; "
+        "completeness not certified")
 
 
 def left_matrix(p: BilinearProduct, x):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from koszul import cli, flatmodels, spencer
+from koszul import cli, spencer
 from koszul.errors import ConformanceMismatch
 
 SO3_ROWS = [
@@ -246,27 +246,11 @@ def test_negative_catalog_dimension_exits_2(capsys, argv):
         "message": "dimension must be >= 0, got -1"}
 
 
-def test_budget_is_passed_as_given_and_refused_below_zero(capsys):
-    argv = ["flat-models", "completeness", "--catalog", "zero:2"]
-    name = "geometric_completeness"
-    for extra, budget in (([], 256), (["--budget", "0"], 0),
-                          (["--budget", "3"], 3)):
-        with mock.patch.object(flatmodels, name,
-                               wraps=flatmodels.geometric_completeness
-                               ) as search:
-            code, _ = run_main(capsys, argv + extra)
-        assert code == 0 and search.call_args.kwargs["budget"] == budget
-    with mock.patch.object(flatmodels, name) as search:
-        code, out = run_main(capsys, argv + ["--budget", "-1"])
-    assert code == 2 and not search.called
-    assert json.loads(out)["error"] == {
-        "type": "ValidationError", "message": "--budget must be >= 0, got -1"}
-
-
 @pytest.mark.parametrize("argv", [
     ["check-lie", "--catalog", "so3", "--budget", "3"],
     ["invariants", "--which", "flat", "--catalog", "abelian:2",
      "--budget", "-1"],
+    ["flat-models", "completeness", "--catalog", "matrix:2", "--budget", "3"],
 ])
 def test_budget_is_refused_where_nothing_reads_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import linalg
-from koszul.algebra import conjugate_product, product_from_sparse, zero_product
+from koszul.algebra import (conjugate_product, direct_sum_products,
+                            product_from_sparse, zero_product)
 from koszul.catalog import heisenberg_kv
 from koszul.errors import NotAssociative, NotRightIdeal, ValidationError
 from koszul.flatmodels import (
     TOWER_LEVEL_CAP,
+    _exact_small_dim,
     affine_algebra,
     geometric_completeness,
     matrix_algebra,
@@ -20,7 +22,8 @@ from koszul.flatmodels import (
 
 import conftest
 from conftest import rand_fraction, rand_invertible
-from oracles import dense_right_ideal_core
+from oracles import (dense_right_ideal_core, dense_right_matrix, gauss_rank,
+                     jointly_nilpotent, sampling_completeness)
 
 
 def as_affine_vec(alg, a_mat, a_vec):
@@ -120,8 +123,25 @@ def test_affine1_is_incomplete_with_exact_witness():
 def test_unital_algebras_are_incomplete():
     # a_star = -1 kills det(R + I) for any algebra with identity
     rep = geometric_completeness(matrix_algebra(2))
-    assert rep.verdict == "incomplete"
+    assert rep.verdict == "incomplete" and rep.method == "idempotent"
     assert _psi_zero(matrix_algebra(2), rep.witness)
+
+
+# the complex numbers in the basis (1 + 3i, 2 + i): -1 = (1/5)e_0 - (3/5)e_1
+COMPLEX_CONJUGATED = [(0, 0, 0, 4), (0, 0, 1, -6), (0, 1, 0, 3),
+                      (0, 1, 1, -2), (1, 0, 0, 3), (1, 0, 1, -2),
+                      (1, 1, 0, 1), (1, 1, 1, 1)]
+
+
+def test_irrational_root_analysis_still_gets_a_rational_witness():
+    # the root analysis finds no rational zero of det(R + I) here, though
+    # a_star = -1 is one
+    p = product_from_sparse(2, COMPLEX_CONJUGATED)
+    rep = geometric_completeness(p)
+    assert (rep.verdict, rep.method, rep.note) == \
+        ("incomplete", "idempotent", "")
+    assert rep.witness == (Fraction(1, 5), Fraction(-3, 5))
+    assert _psi_zero(p, rep.witness)
 
 
 def _psi_zero(p, w):
@@ -135,9 +155,72 @@ def test_completeness_requires_associativity():
 
 
 def test_completeness_determinism():
-    a = geometric_completeness(matrix_algebra(2), seed=3)
-    b = geometric_completeness(matrix_algebra(2), seed=3)
+    a = geometric_completeness(matrix_algebra(2))
+    b = geometric_completeness(matrix_algebra(2))
     assert a == b
+
+
+def _upper(k, strict):
+    """(Strictly) upper triangular k x k matrices on their units E_pq."""
+    units = [(p, q) for p in range(k) for q in range(k)
+             if p < q or (p == q and not strict)]
+    index = {u: i for i, u in enumerate(units)}
+    return product_from_sparse(len(units), [
+        (index[(p, q)], index[(q, s)], index[(p, s)], 1)
+        for p, q in units for r, s in units if q == r])
+
+
+def _augmentation_ideal(n):
+    """t·k[t]/t^n in the basis t, ..., t^(n-1)."""
+    return product_from_sparse(n - 1, [
+        (a, b, a + b + 1, 1) for a in range(n - 1) for b in range(n - 1)
+        if a + b + 1 < n - 1])
+
+
+COMPLETENESS_POOL = conftest.assoc_pool() + [
+    matrix_algebra(2), affine_algebra(2).product, _upper(3, strict=False),
+    _upper(3, strict=True),
+    product_from_sparse(2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                            (1, 1, 0, -1)]),
+    _augmentation_ideal(3), _augmentation_ideal(4)]
+
+
+def _singular_at(p, w) -> bool:
+    """det(R_w + I) = 0, from the dense table and plain elimination."""
+    r = dense_right_matrix(p.gamma, w)
+    n = p.dim
+    return gauss_rank([[r[i][j] + (i == j) for j in range(n)]
+                       for i in range(n)]) < n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(bases=st.lists(st.integers(0, len(COMPLETENESS_POOL) - 1),
+                      min_size=1, max_size=2),
+       change=st.none() | st.integers(0, 2 ** 16))
+@example(bases=[7], change=1)  # M_2, dense: the sampling finds no zero
+@example(bases=[11], change=0)  # C, dense: no zero on the root grid
+@example(bases=[6, 13], change=7)  # aff(1) + t·k[t]/t^4, dense
+def test_completeness_matches_the_former_routes(bases, change):
+    p = COMPLETENESS_POOL[bases[0]]
+    for b in bases[1:]:
+        p = direct_sum_products(p, COMPLETENESS_POOL[b])
+    assume(p.dim <= 8)
+    n = p.dim
+    if change is not None:
+        p = conjugate_product(p, rand_invertible(n, random.Random(change)))
+    rep = geometric_completeness(p)
+    rights = tuple(dense_right_matrix(p.gamma, e)
+                   for e in linalg.identity(n))
+    if rep.verdict == "complete":
+        assert jointly_nilpotent(rights, n)
+    else:
+        assert rep.verdict == "incomplete" and not jointly_nilpotent(rights, n)
+        assert _singular_at(p, rep.witness)
+    if n <= 2:
+        assert rep.verdict == _exact_small_dim(p)[0]
+    sampled = sampling_completeness(p)
+    if sampled.verdict != "unknown":
+        assert rep.verdict == sampled.verdict
 
 
 def test_simple_right_ideal_in_matrix_algebra():

@@ -157,12 +157,11 @@ def test_numpy_is_imported_only_by_statmodel_and_jsonable():
 
 
 def test_random_is_imported_only_by_the_seeded_searches():
-    # flat-models completeness and the involutivity basis search are the
-    # searches left that draw random numbers; every other verdict is
-    # seed-free
+    # the involutivity basis search is the one search left that draws
+    # random numbers; every other verdict is seed-free
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         functions, imports = importers(path.read_text(), "random")
         if functions or imports:
             found.append(str(path.relative_to(ROOT / "src")))
-    assert found == ["koszul/flatmodels.py", "koszul/spencer.py"]
+    assert found == ["koszul/spencer.py"]

@@ -28,7 +28,6 @@ from koszul.errors import (
 )
 from koszul.forms import BilinearForm, identity_form
 from koszul.invariants import (
-    DEFAULT_SEED,
     GENERIC_RANK_POINTS,
     PRIME_POINTS,
     bi_invariant_metric,
@@ -40,7 +39,6 @@ from koszul.invariants import (
     left_symplectic_oracle,
     max_rank,
     r_b_defect,
-    resolve_seed,
     s_b,
     s_star_b,
 )
@@ -54,15 +52,6 @@ from oracles import (dense_curvature, dense_torsion, eager_flat_existence,
 
 def kv_connection(p):
     return connection_from_product(commutator_bracket(p), p)
-
-
-def test_resolve_seed_priority(monkeypatch):
-    monkeypatch.delenv("KOSZUL_SEED", raising=False)
-    assert resolve_seed(None) == DEFAULT_SEED
-    assert resolve_seed(99) == 99
-    monkeypatch.setenv("KOSZUL_SEED", "123")
-    assert resolve_seed(None) == 123
-    assert resolve_seed(5) == 5
 
 
 def test_max_rank_on_simple_pencils():
