@@ -13,9 +13,9 @@ injective, i.e. whether det(R + I) is zero-free over all right
 multiplications R. Segal's criterion decides it in every dimension: the
 algebra is complete exactly when every right multiplication R_{e_i} has
 trace zero. An incomplete algebra gets a rational witness a_star with
-det(R_{a_star} + I) = 0: from exact root analysis in ambient dimension
-<= 2, else from a nonzero idempotent e, where a_star = -e. No verdict is
-unknown.
+det(R_{a_star} + I) = 0: in ambient dimension <= 2 the first rational zero
+on a coordinate axis or grid line, where one lies there; else a_star = -e
+for a nonzero idempotent e. No verdict is unknown.
 """
 
 from __future__ import annotations
@@ -181,120 +181,30 @@ def _det_poly(p: BilinearProduct):
     return sympy.expand(sympy.Matrix(entries).det()), syms
 
 
-def _rational_roots(poly) -> list:
-    import sympy
+def _rational_zero(p: BilinearProduct) -> Vec | None:
+    """First rational zero of q(s) = det(R_s + I) on a line, else None.
 
-    if poly.is_zero or poly.degree() <= 0:
-        return []
-    return sorted(r for r in sympy.roots(poly).keys() if r.is_Rational)
-
-
-def _rational_zero_search(q, syms) -> Vec | None:
-    """Small exact search for a rational zero of q; None if not found."""
-    import sympy
-
-    candidates = []
-    for i, s in enumerate(syms):
-        restricted = q.subs({t: 0 for j, t in enumerate(syms) if j != i})
-        poly = sympy.Poly(restricted, s)
-        if poly.is_zero:
-            candidates.append(tuple(
-                Fraction(1) if j == i else Fraction(0)
-                for j in range(len(syms))))
-            continue
-        for root in _rational_roots(poly):
-            candidates.append(tuple(
-                Fraction(root.p, root.q) if j == i else Fraction(0)
-                for j in range(len(syms))))
-    grid = [Fraction(k, 2) for k in range(-8, 9)]
-    if len(syms) == 2:
-        s0, s1 = syms
-        for x in grid:
-            restricted = sympy.Poly(q.subs(s0, sympy.Rational(x)), s1)
-            if restricted.is_zero:
-                candidates.append((Fraction(x), Fraction(0)))
-                continue
-            for root in _rational_roots(restricted):
-                candidates.append((Fraction(x), Fraction(root.p, root.q)))
-    for cand in candidates:
-        if q.subs({s: sympy.Rational(c) for s, c in zip(syms, cand)}) == 0:
-            return cand
-    return None
-
-
-def _exact_small_dim(p: BilinearProduct):
-    """Exact completeness decision for ambient dimension <= 2.
-
-    Returns (verdict, witness, note). The determinant of psi is a
-    polynomial q with q(0) = 1, so incompleteness is exactly the existence
-    of a real zero of q.
+    The lines are the coordinate axes, then for n = 2 the lines s0 = k/2,
+    k = -8..8; the smallest rational root on the first line that has one is
+    taken. No restriction is the zero polynomial: q(0) = 1, and a grid line
+    is reached only when the s0 axis holds no rational zero.
     """
     import sympy
 
-    n = p.dim
     q, syms = _det_poly(p)
-    if n == 1:
-        poly = sympy.Poly(q, syms[0])
-        if poly.degree() <= 0:
-            return "complete", None, "determinant is constant 1"
-        root = _rational_roots(poly)
-        if root:
-            r = root[0]
-            return "incomplete", (Fraction(r.p, r.q),), ""
-        if sympy.real_roots(poly):
-            return "incomplete", None, "real but irrational determinant zero"
-        return "complete", None, "determinant has no real zeros"
-
-    s0, s1 = syms
-    poly1 = sympy.Poly(q, s1)
-    coeffs = {d: c for (d,), c in poly1.terms()}
-    a = sympy.expand(coeffs.get(2, sympy.Integer(0)))
-    b = sympy.expand(coeffs.get(1, sympy.Integer(0)))
-    c = sympy.expand(coeffs.get(0, sympy.Integer(0)))
-
-    def wrap(verdict, witness=None, note=""):
-        if witness is None and verdict == "incomplete":
-            witness = _rational_zero_search(q, syms)
-            if witness is None:
-                note = (note + "; " if note else "") + \
-                    "zero exists but is irrational"
-        return verdict, witness, note
-
-    if a == 0 and b == 0:
-        polyc = sympy.Poly(c, s0)
-        if polyc.degree() <= 0:
-            return "complete", None, "determinant is constant 1"
-        if sympy.real_roots(polyc):
-            return wrap("incomplete")
-        return "complete", None, "determinant has no real zeros"
-    if a == 0:
-        # linear in s1 with nonconstant slope somewhere: pick s0 off the
-        # root set of b and solve
-        return wrap("incomplete")
-    disc = sympy.expand(b * b - 4 * a * c)
-    polyd = sympy.Poly(disc, s0)
-    if polyd.is_zero:
-        return wrap("incomplete", note="discriminant vanishes identically")
-    droots = sympy.real_roots(polyd)
-    if not droots and polyd.eval(0) < 0:
-        # disc < 0 on all of R; any real root of a would force
-        # disc = b^2 >= 0 there, so a is also zero-free and q never vanishes
-        return "complete", None, "negative discriminant for every s0"
-    lead = polyd.LC()
-    if polyd.degree() % 2 == 1 or lead > 0:
-        return wrap("incomplete")
-    distinct = sorted(set(droots))
-    if len(distinct) >= 2:
-        return wrap("incomplete")
-    rho = distinct[0]
-    polya = sympy.Poly(a, s0)
-    if polya.eval(rho) != 0:
-        return wrap("incomplete")
-    # a(rho) = 0 forces b(rho) = 0 via disc(rho) = 0; constant slice c decides
-    if sympy.Poly(c, s0).eval(rho) == 0:
-        return wrap("incomplete")
-    return "complete", None, \
-        "single isolated discriminant zero with nonvanishing constant term"
+    n = len(syms)
+    lines = [(i, [Fraction(0)] * n) for i in range(n)]
+    if n == 2:
+        lines += [(1, [Fraction(k, 2), Fraction(0)]) for k in range(-8, 9)]
+    for i, point in lines:
+        restricted = q.subs({s: sympy.Rational(c) for j, (s, c)
+                             in enumerate(zip(syms, point)) if j != i})
+        roots = sorted(r for r in sympy.roots(sympy.Poly(restricted, syms[i]))
+                       if r.is_Rational)
+        if roots:
+            point[i] = Fraction(roots[0].p, roots[0].q)
+            return tuple(point)
+    return None
 
 
 def geometric_completeness(p: BilinearProduct) -> CompletenessReport:
@@ -302,8 +212,10 @@ def geometric_completeness(p: BilinearProduct) -> CompletenessReport:
 
     In an associative algebra R_x^k = R_{x^k}, so traces zero on a basis
     make every power of every R_x traceless, hence every R_x nilpotent and
-    det(R + I) = 1 (Segal's criterion). Otherwise some e_i is not
-    nilpotent and yields the idempotent witness.
+    det(R + I) = 1 (Segal's criterion). Otherwise the witness for n <= 2
+    is the first rational zero of det(R_s + I) on an axis or grid line
+    (`_rational_zero`); where there is none, and for n >= 3, some e_i is
+    not nilpotent and yields the idempotent witness.
     """
     _require_associative(p)
     n = p.dim
@@ -316,12 +228,11 @@ def geometric_completeness(p: BilinearProduct) -> CompletenessReport:
             "right multiplications are jointly nilpotent, det(R+I) = 1")
 
     if n <= 2:
-        _, witness, note = _exact_small_dim(p)
+        witness = _rational_zero(p)
         if witness is not None:
             if _psi_det(p, witness) != 0:
                 raise ValidationError("exact route produced a bad witness")
-            return CompletenessReport("incomplete", witness, "exact-roots",
-                                      note)
+            return CompletenessReport("incomplete", witness, "exact-roots")
 
     i = next(i for i, t in enumerate(traces) if t)
     x = tuple(Fraction(1 if t == i else 0) for t in range(n))

@@ -12,6 +12,7 @@ former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
 its former right-ideal core loop (`dense_right_ideal_core`), its former
 completeness rungs, the flag-chain nilpotency test and the seeded
 determinant sampling (`jointly_nilpotent`, `sampling_completeness`), its former
+sympy root analysis for dimension <= 2 (`root_analysis_completeness`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
 dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
 elimination modulo a prime (`dense_rank_mod`), its former pass over rows
@@ -69,7 +70,7 @@ from koszul.connections import (InvariantConnection, cartan_connection,
 from koszul.errors import (ConformanceMismatch, JacobiViolation,
                            KoszulError, NotKV, SingularFisher,
                            TorsionMismatch, ValidationError)
-from koszul.flatmodels import CompletenessReport, _psi_det
+from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
 from koszul.gauge import FeStarSolutions
 from koszul.invariants import ExistenceVerdict, RankWitness, r_b_defect
 from koszul.linalg import Mat, Vec, frac
@@ -1247,6 +1248,117 @@ def sampling_completeness(p: BilinearProduct, budget: int = 256,
         "unknown", None, "sampling",
         f"no determinant zero among {len(probes)} samples; "
         "completeness not certified")
+
+
+def _rational_roots(poly) -> list:
+    if poly.is_zero or poly.degree() <= 0:
+        return []
+    return sorted(r for r in sympy.roots(poly).keys() if r.is_Rational)
+
+
+def rational_zero_search(q, syms) -> Vec | None:
+    """Small exact search for a rational zero of q; None if not found."""
+    candidates = []
+    for i, s in enumerate(syms):
+        restricted = q.subs({t: 0 for j, t in enumerate(syms) if j != i})
+        poly = sympy.Poly(restricted, s)
+        if poly.is_zero:
+            candidates.append(tuple(
+                Fraction(1) if j == i else Fraction(0)
+                for j in range(len(syms))))
+            continue
+        for root in _rational_roots(poly):
+            candidates.append(tuple(
+                Fraction(root.p, root.q) if j == i else Fraction(0)
+                for j in range(len(syms))))
+    grid = [Fraction(k, 2) for k in range(-8, 9)]
+    if len(syms) == 2:
+        s0, s1 = syms
+        for x in grid:
+            restricted = sympy.Poly(q.subs(s0, sympy.Rational(x)), s1)
+            if restricted.is_zero:
+                candidates.append((Fraction(x), Fraction(0)))
+                continue
+            for root in _rational_roots(restricted):
+                candidates.append((Fraction(x), Fraction(root.p, root.q)))
+    for cand in candidates:
+        if q.subs({s: sympy.Rational(c) for s, c in zip(syms, cand)}) == 0:
+            return cand
+    return None
+
+
+def root_analysis_completeness(p: BilinearProduct):
+    """The library's former exact completeness decision for ambient
+    dimension <= 2, by sympy root analysis of det(R_s + I).
+
+    Returns (verdict, witness, note). The determinant of psi is a
+    polynomial q with q(0) = 1, so incompleteness is exactly the existence
+    of a real zero of q.
+    """
+    n = p.dim
+    q, syms = _det_poly(p)
+    if n == 1:
+        poly = sympy.Poly(q, syms[0])
+        if poly.degree() <= 0:
+            return "complete", None, "determinant is constant 1"
+        root = _rational_roots(poly)
+        if root:
+            r = root[0]
+            return "incomplete", (Fraction(r.p, r.q),), ""
+        if sympy.real_roots(poly):
+            return "incomplete", None, "real but irrational determinant zero"
+        return "complete", None, "determinant has no real zeros"
+
+    s0, s1 = syms
+    poly1 = sympy.Poly(q, s1)
+    coeffs = {d: c for (d,), c in poly1.terms()}
+    a = sympy.expand(coeffs.get(2, sympy.Integer(0)))
+    b = sympy.expand(coeffs.get(1, sympy.Integer(0)))
+    c = sympy.expand(coeffs.get(0, sympy.Integer(0)))
+
+    def wrap(verdict, witness=None, note=""):
+        if witness is None and verdict == "incomplete":
+            witness = rational_zero_search(q, syms)
+            if witness is None:
+                note = (note + "; " if note else "") + \
+                    "zero exists but is irrational"
+        return verdict, witness, note
+
+    if a == 0 and b == 0:
+        polyc = sympy.Poly(c, s0)
+        if polyc.degree() <= 0:
+            return "complete", None, "determinant is constant 1"
+        if sympy.real_roots(polyc):
+            return wrap("incomplete")
+        return "complete", None, "determinant has no real zeros"
+    if a == 0:
+        # linear in s1 with nonconstant slope somewhere: pick s0 off the
+        # root set of b and solve
+        return wrap("incomplete")
+    disc = sympy.expand(b * b - 4 * a * c)
+    polyd = sympy.Poly(disc, s0)
+    if polyd.is_zero:
+        return wrap("incomplete", note="discriminant vanishes identically")
+    droots = sympy.real_roots(polyd)
+    if not droots and polyd.eval(0) < 0:
+        # disc < 0 on all of R; any real root of a would force
+        # disc = b^2 >= 0 there, so a is also zero-free and q never vanishes
+        return "complete", None, "negative discriminant for every s0"
+    lead = polyd.LC()
+    if polyd.degree() % 2 == 1 or lead > 0:
+        return wrap("incomplete")
+    distinct = sorted(set(droots))
+    if len(distinct) >= 2:
+        return wrap("incomplete")
+    rho = distinct[0]
+    polya = sympy.Poly(a, s0)
+    if polya.eval(rho) != 0:
+        return wrap("incomplete")
+    # a(rho) = 0 forces b(rho) = 0 via disc(rho) = 0; constant slice c decides
+    if sympy.Poly(c, s0).eval(rho) == 0:
+        return wrap("incomplete")
+    return "complete", None, \
+        "single isolated discriminant zero with nonvanishing constant term"
 
 
 def left_matrix(p: BilinearProduct, x):

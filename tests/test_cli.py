@@ -60,6 +60,20 @@ def test_sampling_commands_deterministic(capsys):
     assert res["verdict"] == "incomplete" and res["witness"] is not None
 
 
+def test_affine1_conjugate_completeness_has_an_empty_note(capsys, tmp_path):
+    # aff(1) in the basis (e + 3f, 2e + f): the former root analysis noted
+    # "discriminant vanishes identically" here
+    path = tmp_path / "aff1-conjugate.json"
+    path.write_text(json.dumps({"dim": 2, "gamma": [
+        [0, 0, 0, "1"], [0, 1, 0, "2"], [1, 0, 1, "1"], [1, 1, 1, "2"]]}))
+    code, out = run_main(capsys, ["flat-models", "completeness",
+                                  "--product", str(path)])
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "verdict": "incomplete", "witness": ["-1", "0"],
+        "method": "exact-roots", "note": ""}
+
+
 @pytest.mark.parametrize("which, catalog, cartan", [
     ("sb", "sl2", None),
     ("sb", "abelian:3", None),

@@ -12,7 +12,6 @@ from koszul.catalog import heisenberg_kv
 from koszul.errors import NotAssociative, NotRightIdeal, ValidationError
 from koszul.flatmodels import (
     TOWER_LEVEL_CAP,
-    _exact_small_dim,
     affine_algebra,
     geometric_completeness,
     matrix_algebra,
@@ -23,7 +22,8 @@ from koszul.flatmodels import (
 import conftest
 from conftest import rand_fraction, rand_invertible
 from oracles import (dense_right_ideal_core, dense_right_matrix, gauss_rank,
-                     jointly_nilpotent, sampling_completeness)
+                     jointly_nilpotent, root_analysis_completeness,
+                     sampling_completeness)
 
 
 def as_affine_vec(alg, a_mat, a_vec):
@@ -134,8 +134,8 @@ COMPLEX_CONJUGATED = [(0, 0, 0, 4), (0, 0, 1, -6), (0, 1, 0, 3),
 
 
 def test_irrational_root_analysis_still_gets_a_rational_witness():
-    # the root analysis finds no rational zero of det(R + I) here, though
-    # a_star = -1 is one
+    # no line of the rational-zero search holds a zero of det(R + I) here,
+    # though a_star = -1 is one
     p = product_from_sparse(2, COMPLEX_CONJUGATED)
     rep = geometric_completeness(p)
     assert (rep.verdict, rep.method, rep.note) == \
@@ -217,10 +217,60 @@ def test_completeness_matches_the_former_routes(bases, change):
         assert rep.verdict == "incomplete" and not jointly_nilpotent(rights, n)
         assert _singular_at(p, rep.witness)
     if n <= 2:
-        assert rep.verdict == _exact_small_dim(p)[0]
+        assert rep.verdict == root_analysis_completeness(p)[0]
     sampled = sampling_completeness(p)
     if sampled.verdict != "unknown":
         assert rep.verdict == sampled.verdict
+
+
+def _quadratic(d):
+    """Q(sqrt d) in the basis 1, t with t·t = d."""
+    return product_from_sparse(2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                                   (1, 1, 0, d)])
+
+
+# the associative types of dim <= 2, the quadratic algebras Q(sqrt d) at a
+# few split and non-split d; index 9 is the right-unit algebra aff(1)
+SMALL_TYPES = [
+    product_from_sparse(1, [(0, 0, 0, 1)]),  # Q
+    product_from_sparse(2, [(0, 0, 0, 1), (1, 1, 1, 1)]),  # Q x Q
+    conftest.truncated_poly(2),  # dual numbers
+    *(_quadratic(d) for d in (2, 3, -1, 5, 4, Fraction(1, 4))),
+    product_from_sparse(2, [(0, 0, 0, 1), (0, 1, 1, 1)]),  # left unit
+    affine_algebra(1).product,  # right unit
+    product_from_sparse(2, [(0, 0, 0, 1)]),  # Q + 0
+    product_from_sparse(2, [(0, 0, 1, 1)]),  # e·e = f
+    zero_product(1), zero_product(2)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(base=st.integers(0, len(SMALL_TYPES) - 1),
+       scale=st.fractions(-4, 4, max_denominator=3).filter(bool),
+       change=st.none() | st.integers(0, 2 ** 16))
+@example(base=9, scale=Fraction(1), change=0)  # discriminant vanishes
+@example(base=5, scale=Fraction(1), change=0)  # C, dense: no zero found
+@example(base=5, scale=Fraction(1), change=4)  # C, dense: on line s0 = 1/2
+def test_small_dim_witness_matches_the_root_analysis(base, scale, change):
+    p = SMALL_TYPES[base]
+    p = product_from_sparse(p.dim, [(i, j, k, scale * c)
+                                    for i, j, k, c in p.sparse.items()])
+    n = p.dim
+    if change is not None:
+        p = conjugate_product(p, rand_invertible(n, random.Random(change)))
+    verdict, witness, _ = root_analysis_completeness(p)
+    traces = [sum(dense_right_matrix(p.gamma, e)[i][i] for i in range(n))
+              for e in linalg.identity(n)]
+    if any(traces):
+        assert verdict == "incomplete"
+    rep = geometric_completeness(p)
+    assert rep.verdict == verdict
+    if verdict == "complete":
+        assert rep.method == "nilpotent"
+    elif witness is not None:
+        assert (rep.witness, rep.method, rep.note) == \
+            (witness, "exact-roots", "")
+    else:
+        assert (rep.method, rep.note) == ("idempotent", "")
 
 
 def test_simple_right_ideal_in_matrix_algebra():

@@ -10,6 +10,24 @@ FILES = (sorted((ROOT / "src").rglob("*.py"))
          + sorted((ROOT / "tests").glob("*.py")))
 
 
+# the oldest Python that pyproject.toml's requires-python admits
+OLDEST_PYTHON = (3, 10)
+
+
+@pytest.mark.parametrize(
+    "path", FILES + sorted((ROOT / "koszulbench").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_file_parses_on_the_oldest_supported_python(path):
+    ast.parse(path.read_text(), filename=str(path),
+              feature_version=OLDEST_PYTHON)
+
+
+def test_the_parse_check_sees_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=OLDEST_PYTHON)
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import and never read, nor listed in `__all__`.
 
@@ -115,8 +133,7 @@ def test_the_scan_sees_sympy_imports():
 # The verdict routes that still run on sympy; each leaves this list once
 # an exact linear-algebra certificate replaces it.
 SYMPY_FUNCTIONS = [
-    "flatmodels._det_poly", "flatmodels._exact_small_dim",
-    "flatmodels._rational_roots", "flatmodels._rational_zero_search",
+    "flatmodels._det_poly", "flatmodels._rational_zero",
     "invariants._flat_existence_exact_small",
 ]
 
