@@ -9,7 +9,18 @@ writes those nonzeros directly. Defect tensors (Jacobi, associator,
 left-symmetry anomaly) and the Killing form are contractions over pairs of
 nonzeros, so their cost follows the number of nonzero coefficients rather
 than a power of the dimension. They are exact; a defect tensor stores only
-its nonzero entries, and "zero" means it has none. The nested tuples
+its nonzero entries, and "zero" means it has none.
+
+Two of these tensors are alternating, and only their independent half is
+accumulated. The Jacobiator of a skew bracket is alternating in its three
+lower indices: `jacobi_defect` visits the nonzeros c[p][q][a] with p < q
+only, adds each product into one accumulator keyed by the sorted triple,
+and expands its nonzero entries into their six signed permutations at the
+end. Skewness is that formula's precondition, so `jacobi_defect` checks it
+and refuses a table that is not skew. The curvature of a connection over a
+skew bracket (and so the left-symmetry anomaly) is antisymmetric in its
+first two indices: `operator_defect` in bracket mode accumulates only the
+keys with i < j, and `skew_pairs` mirrors them. The nested tuples
 `gamma` and `c` are dense views, built on first use for callers that index
 the whole table.
 
@@ -39,8 +50,9 @@ Table3 = tuple[tuple[Vec, ...], ...]
 # DENSE_CELL_BOUND is dim 100. A contraction's accumulator holds at most one
 # integer per pair of nonzeros it visits and at most one per output index,
 # and its estimate is the smaller count: any table of dim up to 31 passes,
-# check-lie on affine:20 (669k pairs, about 240 MB) passes and affine:25
-# (1.6M pairs) is refused.
+# check-lie on affine:20 (669k pairs, about 48 MB) passes and affine:25
+# (1.6M pairs) is refused. The Jacobi estimate counts every pair, though
+# `jacobi_defect` visits only those with p < q.
 DENSE_CELL_BOUND = 10 ** 6
 ENTRY_BOUND = 10 ** 6
 
@@ -257,17 +269,7 @@ class LieAlgebra:
 
     def __post_init__(self):
         _check_table(self.dim, self.sparse)
-        # c[i][j][k] != -c[j][i][k] needs a nonzero on one side, and the
-        # relation is symmetric, so the failures are the nonzeros that fail
-        # together with their mirrors.
-        pairs, bad = self.sparse.by_pair, []
-        for (i, j), row in pairs.items():
-            mirror = dict(pairs.get((j, i), ()))
-            bad += [idx for k, n in row if mirror.get(k, 0) != -n
-                    for idx in ((i, j, k), (j, i, k))]
-        if bad:
-            raise ValidationError(
-                "bracket not antisymmetric at ({},{},{})".format(*min(bad)))
+        # jacobi_defect refuses a table that is not skew
         hit = jacobi_defect(self.dim, self.sparse).first_nonzero()
         if hit is not None:
             idx, _ = hit
@@ -291,6 +293,23 @@ class LieAlgebra:
         return self.as_product().left_matrices
 
 
+def _check_skew(c: SparseTable) -> None:
+    """Refuse a table with c[i][j][k] != -c[j][i][k] at some index.
+
+    A failure needs a nonzero on one side, and the relation is symmetric, so
+    the failures are the nonzeros that fail together with their mirrors; the
+    smallest one is named.
+    """
+    pairs, bad = c.by_pair, []
+    for (i, j), row in pairs.items():
+        mirror = dict(pairs.get((j, i), ()))
+        bad += [idx for k, n in row if mirror.get(k, 0) != -n
+                for idx in ((i, j, k), (j, i, k))]
+    if bad:
+        raise ValidationError(
+            "bracket not antisymmetric at ({},{},{})".format(*min(bad)))
+
+
 def operator_defect(g: SparseTable, q: SparseTable,
                     bracket: bool = False) -> dict:
     """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a.
@@ -299,8 +318,15 @@ def operator_defect(g: SparseTable, q: SparseTable,
     g is a product's table, though the operators may act on a space of any
     dimension. Key (i, j, k, l) holds the e_l coefficient of the operator
     for (i, j) applied to e_k. With g = q a product's table this is minus
-    the associator; with bracket=True and q a Lie bracket it is the
-    curvature of the connection g.
+    the associator.
+
+    With bracket=True, q must be skew (a Lie bracket, say), and the result
+    is then the curvature of the connection g: a tensor antisymmetric in
+    (i, j). Only its independent half, the keys with i < j, is accumulated
+    and returned: a product g[j][k][a] g[i][a][l] adds at (i, j, k, l) when
+    i < j, subtracts at (j, i, k, l) when i > j and is skipped when i = j,
+    and only the nonzeros of q with i < j are read. `skew_pairs` restores
+    the whole tensor.
     """
     by_second, r = g.by_second, _index_range(g, q)
     envelope("operator defect accumulator entries",
@@ -314,37 +340,66 @@ def operator_defect(g: SparseTable, q: SparseTable,
     for j, k, a, v in g.nonzeros:
         v *= fp
         for i, l, w in by_second.get(a, ()):
-            x = v * w
-            acc[i, j, k, l] += x
-            if bracket:
-                acc[j, i, k, l] -= x
+            if not bracket:
+                acc[i, j, k, l] += v * w
+            elif i < j:
+                acc[i, j, k, l] += v * w
+            elif i > j:
+                acc[j, i, k, l] -= v * w
     for i, j, a, v in q.nonzeros:
+        if bracket and i >= j:
+            continue
         v *= fq
         for k, l, w in g.by_first.get(a, ()):
             acc[i, j, k, l] -= v * w
     return rationals(acc, g.den * d)
 
 
+def skew_pairs(half: dict) -> dict:
+    """The tensor antisymmetric in its first two indices whose entries with
+    i < j are `half` (as `operator_defect` returns in bracket mode)."""
+    full = dict(half)
+    full.update(((j, i, *rest), -v) for (i, j, *rest), v in half.items())
+    return full
+
+
 def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     """Coefficients of sum_cyclic [[e_i,e_j],e_k] as a rank-4 tensor.
 
-    T(p,q,r) = [[e_p,e_q],e_r] = sum_a c[p][q][a] c[a][r][.] is summed over
-    pairs of nonzeros, then enters the cyclic sums at (p,q,r), (q,r,p) and
-    (r,p,q).
+    The table must be skew; a table that is not is refused with a
+    `ValidationError` naming its first failing index. For a skew bracket
+    the Jacobiator J(p,q,r) = T(p,q,r) + T(q,r,p) + T(r,p,q), with
+    T(p,q,r) = [[e_p,e_q],e_r] = sum_a c[p][q][a] c[a][r][.], is
+    alternating in (p, q, r), so only its entries at sorted triples are
+    accumulated. Each pair of nonzeros c[p][q][a] c[a][r][l] with p < q is
+    visited once and adds to one sorted key: + at (p,q,r,l) when r > q,
+    + at (r,p,q,l) when r < p, − at (p,r,q,l) when p < r < q; r in {p, q}
+    contributes to entries that vanish. Each nonzero sorted entry is then
+    expanded into its six signed permutations. The smallest key of an
+    alternating tensor is a sorted one, so `first_nonzero` names the
+    first failing sorted triple.
     """
+    _check_skew(c)
     envelope("Jacobi defect accumulator entries",
              min(_pairs_visited((a for *_, a, _ in c.nonzeros), c.by_first),
                  m ** 4), ENTRY_BOUND)
-    nested: dict = defaultdict(int)
-    for p, q, a, v in c.nonzeros:
-        for r, l, w in c.by_first.get(a, ()):
-            nested[p, q, r, l] += v * w
     acc: dict = defaultdict(int)
-    for (p, q, r, l), x in nested.items():
-        acc[p, q, r, l] += x
-        acc[q, r, p, l] += x
-        acc[r, p, q, l] += x
-    return DefectTensor((m,) * 4, rationals(acc, c.den * c.den))
+    for p, q, a, v in c.nonzeros:
+        if p >= q:
+            continue
+        for r, l, w in c.by_first.get(a, ()):
+            if r > q:
+                acc[p, q, r, l] += v * w
+            elif r < p:
+                acc[r, p, q, l] += v * w
+            elif p < r < q:
+                acc[p, r, q, l] -= v * w
+    full: dict = {}
+    for (p, q, r, l), x in acc.items():
+        if x:
+            full.update({(p, q, r, l): x, (q, r, p, l): x, (r, p, q, l): x,
+                         (q, p, r, l): -x, (p, r, q, l): -x, (r, q, p, l): -x})
+    return DefectTensor((m,) * 4, rationals(full, c.den * c.den))
 
 
 def associator_defect(p: BilinearProduct) -> DefectTensor:
@@ -371,7 +426,8 @@ def kv_anomaly(p: BilinearProduct) -> DefectTensor:
     commutator bracket.
     """
     d = operator_defect(p.sparse, _commutator(p.sparse), bracket=True)
-    return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
+    return DefectTensor((p.dim,) * 4,
+                        skew_pairs({idx: -v for idx, v in d.items()}))
 
 
 def commutator_bracket(p: BilinearProduct) -> LieAlgebra:

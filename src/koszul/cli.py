@@ -36,11 +36,12 @@ SCHEMA = "koszul-report/1"
 
 
 class _Inputs:
-    """Collects raw input material for the digest and optional dump."""
+    """Collects raw input material for the digest and, under --dump, the
+    parsed inputs as documents."""
 
-    def __init__(self):
+    def __init__(self, dump: bool):
         self.material = {}
-        self.dump = {}
+        self.dump = {} if dump else None
 
     def add_file(self, role: str, path):
         try:
@@ -50,6 +51,11 @@ class _Inputs:
 
     def add_value(self, role: str, value):
         self.material[role] = repr(value)
+
+    def add_dump(self, role: str, build, value):
+        """Record build(value) under role; built only when --dump is given."""
+        if self.dump is not None:
+            self.dump[role] = build(value)
 
     def digest(self) -> str:
         blob = json.dumps(self.material, sort_keys=True).encode()
@@ -104,7 +110,7 @@ def _load_lie(args, inputs: _Inputs):
         lie = catalog.resolve("lie", args.catalog)
     else:
         raise ValidationError("provide --algebra FILE or --catalog NAME")
-    inputs.dump["algebra"] = kio.dump_algebra(lie)
+    inputs.add_dump("algebra", kio.dump_algebra, lie)
     return lie
 
 
@@ -117,7 +123,7 @@ def _load_product(args, inputs: _Inputs):
         p = catalog.resolve("product", args.catalog)
     else:
         raise ValidationError("provide --product FILE or --catalog NAME")
-    inputs.dump["product"] = kio.dump_product(p)
+    inputs.add_dump("product", kio.dump_product, p)
     return p
 
 
@@ -133,7 +139,7 @@ def _load_connection(args, base, inputs: _Inputs, required=True):
             "provide --connection FILE or --cartan minus|zero|plus")
     else:
         return None
-    inputs.dump["connection"] = kio.dump_connection(conn)
+    inputs.add_dump("connection", kio.dump_connection, conn)
     return conn
 
 
@@ -143,7 +149,7 @@ def _load_metric(args, dim: int, inputs: _Inputs, default_identity=True):
         role = "metric" if getattr(args, "metric", None) else "form"
         inputs.add_file(role, path)
         form = kio.load_form(path)
-        inputs.dump[role] = kio.dump_form(form)
+        inputs.add_dump(role, kio.dump_form, form)
         return form
     if default_identity:
         return identity_form(dim)
@@ -202,7 +208,7 @@ def _cmd_gauge(args, inputs):
         if args.dual:
             inputs.add_file("dual", args.dual)
             dual = kio.load_connection(args.dual, lie)
-            inputs.dump["dual"] = kio.dump_connection(dual)
+            inputs.add_dump("dual", kio.dump_connection, dual)
         else:
             dual = connections.amari_dual(
                 conn, _load_metric(args, lie.dim, inputs))
@@ -317,7 +323,7 @@ def _cmd_kv_cohomology(args, inputs):
 def _cmd_spencer(args, inputs):
     inputs.add_file("symbol", args.symbol)
     a = kio.load_symbol(args.symbol)
-    inputs.dump["symbol"] = kio.dump_symbol(a)
+    inputs.add_dump("symbol", kio.dump_symbol, a)
     if args.op == "prolong":
         up = spencer.prolong(a)
         return {"order": up.order, "dim": up.dim,
@@ -362,8 +368,8 @@ def _cmd_flat_models(args, inputs):
             f"ideal dim {dim} does not match product dim {p.dim}")
     rows = doc.get("basis", [])
     basis = [[kio.parse_fraction(x) for x in row] for row in rows]
-    inputs.dump["ideal"] = {"dim": dim,
-                            "basis": [_frac_list(r) for r in basis]}
+    inputs.add_dump("ideal", lambda rows: {
+        "dim": dim, "basis": [_frac_list(r) for r in rows]}, basis)
     rep = flatmodels.simple_right_ideal_check(p, basis)
     return {"right_ideal": True, "simple": rep.simple,
             "ideal_dim": rep.ideal_dim, "core_dim": rep.core_dim,
@@ -415,19 +421,36 @@ def _probe_grid(model, center):
 # ------------------------------------------------------------- dispatcher
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_flags(nested: bool) -> argparse.ArgumentParser:
+    """The flags every command takes.
+
+    argparse copies every attribute a nested command's parser sets over
+    those of the enclosing one, so for a nested command (the operations of
+    flat-models) the defaults are suppressed: a flag given before the
+    operation's name is kept, and one given after it wins.
+    """
+    def default(value):
+        return argparse.SUPPRESS if nested else value
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=default(None),
                         help="RNG seed, read by spencer --op involutive "
                              "only; every report prints it (default: "
                              "KOSZUL_SEED env or 7)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--dump", action="store_true",
+    common.add_argument("--format", choices=("json", "text"),
+                        default=default("json"))
+    common.add_argument("--dump", action="store_true", default=default(False),
                         help="echo parsed inputs back as JSON documents")
     common.add_argument("--timing", action="store_true",
+                        default=default(False),
                         help="attach the handler's wall-clock time to the "
                              "report as timing_ms (argument parsing and "
                              "JSON encoding are not included)")
+    return common
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common, nested = _common_flags(False), _common_flags(True)
 
     src = argparse.ArgumentParser(add_help=False)
     src.add_argument("--algebra", help="algebra JSON file")
@@ -505,13 +528,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flat-models", parents=[common],
                        help="affine tower, completeness, right ideals")
     fm = p.add_subparsers(dest="fm_op", required=True)
-    t = fm.add_parser("tower", parents=[common])
+    t = fm.add_parser("tower", parents=[nested])
     t.add_argument("--m", type=int, required=True)
     t.add_argument("--steps", type=int, required=True)
-    c = fm.add_parser("completeness", parents=[common])
+    c = fm.add_parser("completeness", parents=[nested])
     c.add_argument("--product", help="product JSON file")
     c.add_argument("--catalog", help="named catalog product")
-    i = fm.add_parser("ideal", parents=[common])
+    i = fm.add_parser("ideal", parents=[nested])
     i.add_argument("--product", help="product JSON file")
     i.add_argument("--catalog", help="named catalog product")
     i.add_argument("--ideal", required=True,
@@ -576,9 +599,11 @@ def _inline(v) -> str:
 
 def run(argv) -> dict:
     """Parse argv, dispatch, and return the report object (no printing)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    inputs = _Inputs()
+    return _report(argv, _build_parser().parse_args(argv))
+
+
+def _report(argv, args) -> dict:
+    inputs = _Inputs(args.dump)
     start = time.monotonic()
     payload = args.handler(args, inputs)
     elapsed_ms = (time.monotonic() - start) * 1000.0
@@ -598,18 +623,16 @@ def run(argv) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--format", choices=("json", "text"), default="json")
-    fmt = probe.parse_known_args(argv)[0].format
+    args = _build_parser().parse_args(argv)
     try:
-        report = run(argv)
+        report = _report(argv, args)
     except ConformanceMismatch as exc:
         _emit_error(argv, exc)
         return 3
     except KoszulError as exc:
         _emit_error(argv, exc)
         return 2
-    if fmt == "text":
+    if args.format == "text":
         print("\n".join(_render_text(report["result"])))
     else:
         print(json.dumps(report, sort_keys=True, indent=2))

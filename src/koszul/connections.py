@@ -14,7 +14,8 @@ from functools import cached_property
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, operator_defect, rationals)
+                            SparseTable, operator_defect, rationals,
+                            skew_pairs)
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import SYMMETRIC, BilinearForm
 from koszul.linalg import Mat, frac
@@ -70,10 +71,13 @@ def is_torsion_free(conn: InvariantConnection) -> bool:
 
 
 def curvature(conn: InvariantConnection) -> DefectTensor:
-    """R(e_i,e_j)e_k = nabla_i nabla_j e_k − nabla_j nabla_i e_k − nabla_{[e_i,e_j]} e_k."""
-    return DefectTensor((conn.dim,) * 4,
-                        operator_defect(conn.gamma.sparse, conn.base.sparse,
-                                        bracket=True))
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k − nabla_j nabla_i e_k − nabla_{[e_i,e_j]} e_k.
+
+    R is antisymmetric in (i, j): its entries with i < j are accumulated
+    and mirrored.
+    """
+    return DefectTensor((conn.dim,) * 4, skew_pairs(
+        operator_defect(conn.gamma.sparse, conn.base.sparse, bracket=True)))
 
 
 def curvature_operators(conn: InvariantConnection) -> tuple[tuple[Mat, ...], ...]:

@@ -159,14 +159,14 @@ def _fe_star_compatibility(conn: InvariantConnection,
                            ops: SparseTable) -> list[dict[int, int]]:
     """Rows (i, j, l), i < j, of F_ij = [M_i, M_j] + sum_k c^k_ij M_k.
 
-    operator_defect subtracts sum_k q^k_ij M_k, so q is the negated bracket.
+    operator_defect subtracts sum_k q^k_ij M_k, so q is the negated bracket;
+    in bracket mode it returns exactly the keys with i < j.
     """
     c = conn.base.sparse
     neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
                         for i, j, k, v in c.nonzeros)
     d = operator_defect(ops, neg_c, bracket=True)
-    return condition_rows(((i, j, l), a, v)
-                          for (i, j, a, l), v in d.items() if i < j)
+    return condition_rows(((i, j, l), a, v) for (i, j, a, l), v in d.items())
 
 
 def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:

@@ -158,6 +158,12 @@ def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
         basis = tuple(tuple(linalg.frac(x) for x in v) for v in basis)
         if linalg.rank(basis) != m:
             raise ValidationError("test basis does not span V")
+    return _flag_test(a, basis)
+
+
+def _flag_test(a: SymbolSpace, basis) -> tuple[int, int, bool]:
+    """`cartan_test` on a basis of `Fraction` vectors already known to
+    span V."""
     p1 = a.prolongation.dim
     total = sum(_aj_dims(a, basis))
     if p1 > total:
@@ -174,15 +180,16 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     entries in [-5, 5]. A quasi-regular basis is generic when one exists, so
     small budgets suffice in practice; None is not a certificate of absence.
     The prolongation is computed once per symbol space, so each trial costs
-    one integer rank per flag step.
+    one integer rank per flag step. The standard basis goes through the
+    public `cartan_test`, which checks the order of `a`; each candidate is
+    ranked here, so its flag is taken without a second check.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     m = a.v_dim
-    std = linalg.identity(m)
-    _, _, ok = cartan_test(a, std)
+    _, _, ok = cartan_test(a)
     if ok:
-        return std
+        return linalg.identity(m)
     rng = random.Random(resolve_seed(seed))
     for _ in range(trials - 1):
         cand = tuple(
@@ -190,7 +197,7 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
                   for _ in range(m)) for _ in range(m))
         if linalg.rank(cand) != m:
             continue
-        _, _, ok = cartan_test(a, cand)
+        _, _, ok = _flag_test(a, cand)
         if ok:
             return cand
     return None

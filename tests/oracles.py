@@ -9,6 +9,8 @@ former dense Bareiss kernel, its former coboundary-matrix constructions
 Chevalley-Eilenberg loop), its former coboundaries of one cochain over the
 dense table (`dense_kv_coboundary`, `dense_hochschild_coboundary`) and its
 former expansion of the Maurer-Cartan defect (`dense_maurer_cartan_defect`),
+its former sums of the two alternating contractions over every index
+(`nested_jacobi_defect`, `two_sided_operator_defect`),
 its former right-ideal core loop (`dense_right_ideal_core`), its former
 completeness rungs, the flag-chain nilpotency test and the seeded
 determinant sampling (`jointly_nilpotent`, `sampling_completeness`), its former
@@ -47,6 +49,7 @@ textbooks. Slower is fine; agreeing by construction is the point.
 """
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, gcd, lcm
@@ -58,7 +61,7 @@ from koszul import linalg
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
-                            zero_product)
+                            rationals, zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                DegreeDims, _flat_index, _sort_alternating,
                                ce_coboundary_matrix,
@@ -813,6 +816,50 @@ def dense_curvature(conn):
         tuple(
             tuple(tuple(ops[i][j][a][k] for a in range(m)) for k in range(m))
             for j in range(m)) for i in range(m))
+
+
+# ---------------------------------------------------------------- two-sided sums
+#
+# The library accumulates only the independent half of its two alternating
+# contractions: the Jacobiator at sorted triples, the bracket-mode operator
+# defect at i < j. Below are the formulas it used before, over every index
+# (without their size envelopes): the Jacobiator through a nested dict of
+# T(p,q,r) = [[e_p,e_q],e_r] and its three cyclic copies, and the operator
+# defect adding each product at both (i, j) and (j, i).
+
+def nested_jacobi_defect(m: int, c: SparseTable) -> dict:
+    """Nonzero entries of sum_cyclic [[e_i,e_j],e_k] over every index."""
+    nested: dict = defaultdict(int)
+    for p, q, a, v in c.nonzeros:
+        for r, l, w in c.by_first.get(a, ()):
+            nested[p, q, r, l] += v * w
+    acc: dict = defaultdict(int)
+    for (p, q, r, l), x in nested.items():
+        acc[p, q, r, l] += x
+        acc[q, r, p, l] += x
+        acc[r, p, q, l] += x
+    return rationals(acc, c.den * c.den)
+
+
+def two_sided_operator_defect(g: SparseTable, q: SparseTable,
+                              bracket: bool = False) -> dict:
+    """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a over
+    every (i, j)."""
+    d = lcm(g.den, q.den)
+    fp, fq = d // g.den, d // q.den
+    acc: dict = defaultdict(int)
+    for j, k, a, v in g.nonzeros:
+        v *= fp
+        for i, l, w in g.by_second.get(a, ()):
+            x = v * w
+            acc[i, j, k, l] += x
+            if bracket:
+                acc[j, i, k, l] -= x
+    for i, j, a, v in q.nonzeros:
+        v *= fq
+        for k, l, w in g.by_first.get(a, ()):
+            acc[i, j, k, l] -= v * w
+    return rationals(acc, g.den * d)
 
 
 # ---------------------------------------------------------------- coboundaries
@@ -1731,7 +1778,7 @@ def dense_fe_star_compatibility_rows(conn, ops):
     c = conn.base.sparse
     neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
                         for i, j, k, v in c.nonzeros)
-    d = operator_defect(ops, neg_c, bracket=True)
+    d = two_sided_operator_defect(ops, neg_c, bracket=True)
     return [row for i in range(m) for j in range(i + 1, m)
             for row in operator_matrix(d, i, j, m + m * m)]
 

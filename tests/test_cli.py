@@ -322,3 +322,83 @@ def test_conformance_mismatch_exits_3(capsys, monkeypatch):
 def test_unknown_command_is_an_argparse_error():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_a_bad_format_prints_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-lie", "--catalog", "so3", "--format", "yaml"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: koszul check-lie ")
+    assert "invalid choice: 'yaml'" in err
+
+
+def test_flat_models_flags_before_the_operation_are_kept(capsys):
+    argv = ["flat-models", "--format", "text", "tower", "--m", "1",
+            "--steps", "1"]
+    assert run_main(capsys, argv) == (0, "dims: [1, 2]\n"
+                                         "levels_materialized: [true]\n")
+    argv = ["flat-models", "--seed", "3", "tower", "--m", "1", "--steps", "1"]
+    assert cli.run(argv)["seed"] == 3
+    assert cli.run(argv + ["--seed", "4"])["seed"] == 4
+
+
+DUMP_FILES = {
+    "metric": {"dim": 2, "sym": "symmetric",
+               "entries": [[0, 0, "2"], [0, 1, "1/2"], [1, 1, "1"]]},
+    "dual": {"dim": 2, "gamma": [[0, 1, 1, "-1/3"], [1, 1, 0, "2"]]},
+    "symbol": {"v": 2, "w": 1, "basis": [["1", "-1/2"]]},
+    "ideal": {"dim": 2, "basis": [["0", "1"]]},
+}
+AFF1 = {"dim": 2, "bracket": [[0, 1, 1, "1"]]}
+AFF1_ZERO = {"dim": 2, "gamma": [[0, 1, 1, "1/2"], [1, 0, 1, "-1/2"]]}
+# argv (a "@name" stands for the file DUMP_FILES[name]) and its dump
+DUMP_CASES = [
+    (["check-lie", "--catalog", "aff1"], {"algebra": AFF1}),
+    (["algebra", "--op", "associator", "--catalog", "heisenberg-kv"],
+     {"product": {"dim": 3, "gamma": [[0, 1, 2, "1"]]}}),
+    (["gauge", "--catalog", "aff1", "--cartan", "zero", "--op", "fe",
+      "--metric", "@metric"],
+     {"algebra": AFF1, "connection": AFF1_ZERO,
+      "metric": DUMP_FILES["metric"]}),
+    (["gauge", "--catalog", "aff1", "--cartan", "plus", "--op", "fe",
+      "--dual", "@dual"],
+     {"algebra": AFF1,
+      "connection": {"dim": 2, "gamma": [[0, 1, 1, "1"], [1, 0, 1, "-1"]]},
+      "dual": DUMP_FILES["dual"]}),
+    (["spencer", "--symbol", "@symbol", "--op", "cartan"],
+     {"symbol": DUMP_FILES["symbol"]}),
+    (["flat-models", "ideal", "--catalog", "zero:2", "--ideal", "@ideal"],
+     {"ideal": DUMP_FILES["ideal"], "product": {"dim": 2, "gamma": []}}),
+]
+
+
+def _with_files(argv, tmp_path):
+    out = []
+    for a in argv:
+        if a.startswith("@"):
+            path = tmp_path / f"{a[1:]}.json"
+            path.write_text(json.dumps(DUMP_FILES[a[1:]]))
+            a = str(path)
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("argv, dump", DUMP_CASES)
+def test_dump_documents_are_pinned(capsys, tmp_path, argv, dump):
+    code, out = run_main(capsys, _with_files(argv, tmp_path) + ["--dump"])
+    assert code == 0
+    assert json.loads(out)["dump"] == dump
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in DUMP_CASES])
+def test_dump_documents_are_built_only_under_dump(capsys, tmp_path,
+                                                  monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("dump document built without --dump")
+    for name in ("dump_algebra", "dump_product", "dump_connection",
+                 "dump_form", "dump_symbol"):
+        monkeypatch.setattr(cli.kio, name, refuse)
+    code, out = run_main(capsys, _with_files(argv, tmp_path))
+    assert code == 0
+    assert "dump" not in json.loads(out)

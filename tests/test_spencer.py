@@ -239,3 +239,17 @@ def test_prolongation_matches_the_dense_rows(case):
     a = case[0]
     assert prolong(a) == dense_prolong(a)
     assert prolong(a.prolongation) == dense_prolong(a.prolongation)
+
+
+def test_the_basis_search_validates_the_space_once(monkeypatch):
+    # the public test (which checks the order) runs on the standard basis
+    # only; every random candidate is ranked once, in the search
+    calls = []
+    public = spencer.cartan_test
+    monkeypatch.setattr(spencer, "cartan_test",
+                        lambda *args: calls.append(args) or public(*args))
+    a = symbol_space(3, 3, SO3_ROWS)
+    assert find_quasi_regular_basis(a, trials=6, seed=5) is None
+    assert calls == [(a,)]
+    with pytest.raises(ValidationError, match="order-1"):
+        find_quasi_regular_basis(a.prolongation)

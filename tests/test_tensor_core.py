@@ -10,17 +10,24 @@ row a nonzero multiple of the dense oracle's, or the same canonical
 kernel). Inputs cover dimensions 0-6, sparse tables (few nonzeros, or
 a textbook algebra under a monomial basis change) and dense ones, and
 tables that are not antisymmetric or fail Jacobi, for which the
-constructor's error must be the dense one verbatim.
+constructor's error must be the dense one verbatim. The two alternating
+contractions, which accumulate half a tensor (the Jacobiator at sorted
+triples, the bracket-mode operator defect at i < j), are also compared with
+the two-sided sums they replaced, on skew tables that may fail Jacobi and
+on their dense conjugates.
 """
 
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import invariants, linalg, spaces
 from koszul.algebra import (
+    DefectTensor,
+    SparseTable,
     abelian,
     associator_defect,
     commutator_bracket,
@@ -31,7 +38,9 @@ from koszul.algebra import (
     killing_form,
     kv_anomaly,
     lie_from_sparse,
+    operator_defect,
     product_from_sparse,
+    skew_pairs,
     zero_product,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
@@ -46,7 +55,7 @@ from koszul.connections import (
     curvature_operators,
     torsion,
 )
-from koszul.errors import KoszulError
+from koszul.errors import KoszulError, ValidationError
 from koszul.flatmodels import affine_algebra, matrix_algebra
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
 from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
@@ -91,7 +100,9 @@ from oracles import (
     dense_right_matrix,
     dense_skew_cocycle_rows,
     dense_torsion,
+    nested_jacobi_defect,
     sparse_of,
+    two_sided_operator_defect,
     walk,
     zero_table3,
 )
@@ -415,3 +426,85 @@ def test_solver_rows_span_the_dense_rows(conn, data):
 def test_kv_degree_zero_rows_span_the_dense_rows(p):
     assert kv_degree_zero_space(p) == linalg.nullspace(
         dense_associator_rows(p.sparse, p.dim), ncols=p.dim)
+
+
+# The alternating contractions accumulate half a tensor; each must equal
+# the former two-sided sums (tests/oracles.py) on skew tables, Jacobi-failing
+# ones and dense conjugates included.
+
+@st.composite
+def skew_tables(draw):
+    """A skew table as drawn by `tables`, or under a basis change."""
+    m, c = draw(tables(skew=True))
+    if m and draw(st.booleans()):
+        q = conjugate_product(dense_product(m, c), draw(basis_changes(m)))
+        return m, q.sparse
+    return m, sparse_of(c)
+
+
+@CHECKS
+@given(skew_tables())
+def test_jacobi_defect_matches_the_nested_sums(ms):
+    m, c = ms
+    assert jacobi_defect(m, c) == DefectTensor((m,) * 4,
+                                               nested_jacobi_defect(m, c))
+
+
+@CHECKS
+@given(skew_tables(), st.data())
+def test_bracket_operator_defect_is_half_the_two_sided_sums(ms, data):
+    m, q = ms
+    _, g = data.draw(tables(dim=m))
+    g = sparse_of(g)
+    full = two_sided_operator_defect(g, q, bracket=True)
+    half = operator_defect(g, q, bracket=True)
+    assert half == {idx: v for idx, v in full.items() if idx[0] < idx[1]}
+    assert skew_pairs(half) == full
+
+
+@CHECKS
+@given(connections(), products())
+def test_curvature_and_kv_anomaly_match_the_two_sided_sums(conn, p):
+    full = two_sided_operator_defect(conn.gamma.sparse, conn.base.sparse,
+                                     bracket=True)
+    assert curvature(conn) == DefectTensor((conn.dim,) * 4, full)
+    full = two_sided_operator_defect(
+        p.sparse, sparse_of(dense_commutator_bracket(p)), bracket=True)
+    assert kv_anomaly(p) == DefectTensor(
+        (p.dim,) * 4, {idx: -v for idx, v in full.items()})
+
+
+@CHECKS
+@given(connections())
+def test_fe_star_rows_match_the_two_sided_sums(conn):
+    ops = _fe_star_operators(conn)
+    neg_c = SparseTable((i, j, k, -v)
+                        for i, j, k, v in conn.base.sparse.items())
+    d = two_sided_operator_defect(ops, neg_c, bracket=True)
+    assert _fe_star_compatibility(conn, ops) == spaces.condition_rows(
+        ((i, j, l), a, v) for (i, j, a, l), v in d.items() if i < j)
+
+
+@CHECKS
+@given(st.one_of(tables(), tables(skew=True)))
+@example((2, _nested([[[0, 0], [0, 0]], [[Fraction(1), 0], [0, 0]]])))
+def test_jacobi_defect_refuses_as_the_dense_check_does(mt):
+    # jacobi_defect checks skewness itself; on a skew table its first
+    # nonzero entry names the triple the dense check reports
+    m, c = mt
+    try:
+        hit = jacobi_defect(m, sparse_of(c)).first_nonzero()
+    except ValidationError as exc:
+        got = ("ValidationError", str(exc))
+    else:
+        got = hit and ("JacobiViolation",
+                       f"Jacobi identity fails on basis triple {hit[0][:3]}")
+    assert got == _error(dense_lie_check, m, c)
+
+
+def test_jacobi_defect_refuses_a_table_that_is_not_skew():
+    # [e0, e1] = e2 without its mirror [e1, e0] = -e2
+    c = SparseTable([(0, 1, 2, 1)])
+    with pytest.raises(ValidationError,
+                       match=r"^bracket not antisymmetric at \(0,1,2\)$"):
+        jacobi_defect(3, c)
