@@ -49,10 +49,11 @@ Table3 = tuple[tuple[Vec, ...], ...]
 # (at most 1,728 dense cells and 25,088 pairs of nonzeros). A dense view at
 # DENSE_CELL_BOUND is dim 100. A contraction's accumulator holds at most one
 # integer per pair of nonzeros it visits and at most one per output index,
-# and its estimate is the smaller count: any table of dim up to 31 passes,
-# check-lie on affine:20 (669k pairs, about 48 MB) passes and affine:25
-# (1.6M pairs) is refused. The Jacobi estimate counts every pair, though
-# `jacobi_defect` visits only those with p < q.
+# and its estimate is the smaller count: any table of dim up to 31 passes.
+# Each estimate counts only the pairs its contraction visits: the Jacobi
+# check those with p < q, the bracket-mode q-term those with i < j. So
+# check-lie passes on affine:25 (810k pairs, about 1.2 s and 97 MB) and is
+# refused on affine:27 (1.1M pairs).
 DENSE_CELL_BOUND = 10 ** 6
 ENTRY_BOUND = 10 ** 6
 
@@ -331,7 +332,8 @@ def operator_defect(g: SparseTable, q: SparseTable,
     by_second, r = g.by_second, _index_range(g, q)
     envelope("operator defect accumulator entries",
              min(_pairs_visited((a for *_, a, _ in g.nonzeros), by_second)
-                 + _pairs_visited((a for *_, a, _ in q.nonzeros), g.by_first),
+                 + _pairs_visited((a for i, j, a, _ in q.nonzeros
+                                   if not bracket or i < j), g.by_first),
                  r ** 4), ENTRY_BOUND)
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
@@ -381,8 +383,8 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     """
     _check_skew(c)
     envelope("Jacobi defect accumulator entries",
-             min(_pairs_visited((a for *_, a, _ in c.nonzeros), c.by_first),
-                 m ** 4), ENTRY_BOUND)
+             min(_pairs_visited((a for p, q, a, _ in c.nonzeros if p < q),
+                                c.by_first), m ** 4), ENTRY_BOUND)
     acc: dict = defaultdict(int)
     for p, q, a, v in c.nonzeros:
         if p >= q:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from koszul import (
@@ -30,7 +29,6 @@ from koszul import (
 )
 from koszul.errors import ConformanceMismatch, KoszulError, ValidationError
 from koszul.forms import BilinearForm, identity_form
-from koszul.spaces import LinearSolutionSpace
 
 SCHEMA = "koszul-report/1"
 
@@ -62,14 +60,6 @@ class _Inputs:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _frac_list(vec):
-    return [kio.fraction_str(x) for x in vec]
-
-
-def _mat_doc(mat):
-    return [_frac_list(row) for row in mat]
-
-
 def _defect_doc(t) -> dict:
     entries = [[*idx, kio.fraction_str(v)] for idx, v in t.nonzeros.items()]
     return {"zero": t.is_zero(), "max_abs": kio.fraction_str(t.max_abs()),
@@ -77,18 +67,11 @@ def _defect_doc(t) -> dict:
 
 
 def _witness_doc(w):
-    if w is None or isinstance(w, (str, int)):
-        return w
+    """A verdict witness: a form, a connection, or None."""
     if isinstance(w, BilinearForm):
         return kio.dump_form(w)
     if isinstance(w, connections.InvariantConnection):
         return kio.dump_connection(w)
-    if isinstance(w, algebra_mod.BilinearProduct):
-        return kio.dump_product(w)
-    if isinstance(w, tuple) and w and isinstance(w[0], tuple):
-        return _mat_doc(w)
-    if isinstance(w, tuple) and all(isinstance(x, Fraction) for x in w):
-        return _frac_list(w)
     return kio.jsonable(w)
 
 
@@ -156,10 +139,6 @@ def _load_metric(args, dim: int, inputs: _Inputs, default_identity=True):
     return None
 
 
-def _space_doc(space: LinearSolutionSpace, r_b=None) -> dict:
-    return kio.dump_space(space, r_b=r_b)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -213,17 +192,17 @@ def _cmd_gauge(args, inputs):
             dual = connections.amari_dual(
                 conn, _load_metric(args, lie.dim, inputs))
         space = gauge.solve_gauge_equation(conn, dual)
-        return _space_doc(space)
+        return kio.dump_space(space)
     if args.op == "festar":
         sols = gauge.solve_fe_star(conn)
-        doc = _space_doc(sols.space, r_b=sols.r_b)
+        doc = kio.dump_space(sols.space, r_b=sols.r_b)
         doc["shrink_steps"] = sols.shrink_steps
         return doc
     if args.op == "parallel":
         space = gauge.parallel_forms(conn, args.sym)
-        return _space_doc(space)
+        return kio.dump_space(space)
     space, closed = gauge.g_nabla_subalgebra(conn)
-    doc = _space_doc(space)
+    doc = kio.dump_space(space)
     doc["closed_under_product"] = closed
     return doc
 
@@ -327,7 +306,7 @@ def _cmd_spencer(args, inputs):
     if args.op == "prolong":
         up = spencer.prolong(a)
         return {"order": up.order, "dim": up.dim,
-                "basis": [_frac_list(b) for b in up.basis]}
+                "basis": kio.jsonable(up.basis)}
     if args.op == "cartan":
         p1, total, ok = spencer.cartan_test(a)
         return {"prolongation_dim": p1, "flag_sum": total,
@@ -341,7 +320,7 @@ def _cmd_spencer(args, inputs):
     verdict = spencer.is_involutive(a, trials=args.trials, seed=args.seed)
     return {
         "verdict": verdict.verdict,
-        "basis": None if verdict.basis is None else _mat_doc(verdict.basis),
+        "basis": kio.jsonable(verdict.basis),
         "cohomology_witness": verdict.cohomology_witness,
         "h": [list(r) for r in verdict.report.h_dims],
     }
@@ -357,8 +336,7 @@ def _cmd_flat_models(args, inputs):
     if args.fm_op == "completeness":
         rep = flatmodels.geometric_completeness(p)
         return {"verdict": rep.verdict,
-                "witness": None if rep.witness is None
-                else _frac_list(rep.witness),
+                "witness": kio.jsonable(rep.witness),
                 "method": rep.method, "note": rep.note}
     inputs.add_file("ideal", args.ideal)
     doc = kio.read_document(args.ideal)
@@ -369,11 +347,11 @@ def _cmd_flat_models(args, inputs):
     rows = doc.get("basis", [])
     basis = [[kio.parse_fraction(x) for x in row] for row in rows]
     inputs.add_dump("ideal", lambda rows: {
-        "dim": dim, "basis": [_frac_list(r) for r in rows]}, basis)
+        "dim": dim, "basis": kio.jsonable(rows)}, basis)
     rep = flatmodels.simple_right_ideal_check(p, basis)
     return {"right_ideal": True, "simple": rep.simple,
             "ideal_dim": rep.ideal_dim, "core_dim": rep.core_dim,
-            "core_basis": [_frac_list(b) for b in rep.core_basis]}
+            "core_basis": kio.jsonable(rep.core_basis)}
 
 
 def _cmd_statmodel(args, inputs):

@@ -4,12 +4,12 @@ Matrices are sequences of rows of `fractions.Fraction`. Rank, determinant,
 echelon and nullspace computations scale each row to integers (which keeps
 its row space and kernel) and run the fraction-free integer kernel
 (`koszul._kernel`). A linear condition is a sparse integer row {column:
-integer} (`koszul.spaces`), solved by `sparse_nullspace`; `nullspace` gives
-the same canonical basis for dense rows. `rref` continues fraction-free
-upward to a reduced form with one integer pivot per row, so the only
-rational step is one division by the pivot per output entry. All of these
-work on the nonzero entries only: a zero cell costs nothing to scale,
-eliminate or back-substitute.
+integer} (`koszul.spaces`), solved by `sparse_nullspace` and ranked by
+`sparse_rank`; `nullspace` gives the same canonical basis for dense rows.
+`rref` continues fraction-free upward to a reduced form with one integer
+pivot per row, so the only rational step is one division by the pivot per
+output entry. All of these work on the nonzero entries only: a zero cell
+costs nothing to scale, eliminate or back-substitute.
 
 A system with more rows than columns (m^3 gauge conditions on m^2
 unknowns, say) is reduced from a certificate rather than from every row:
@@ -250,6 +250,12 @@ def sparse_nullspace(rows: list[dict[int, int]],
     """The canonical `nullspace` of sparse integer rows {column: integer}
     over columns below ncols: the solver of every linear condition."""
     return _kernel_basis(_reduce(rows, ncols), ncols) if ncols else ()
+
+
+def sparse_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank of sparse integer rows {column: integer} over columns below
+    ncols: the pivot count of their reduced echelon form."""
+    return len(_reduce(rows, ncols)[1])
 
 
 def _kernel_basis(reduced, ncols: int) -> tuple[Vec, ...]:

@@ -12,6 +12,13 @@ from order 1 yields the classical higher prolongations. Spencer cochains are
 alternating p-forms on V with symbol values, and the coboundary contracts
 one symmetric slot into the alternating part.
 
+The coboundary is written once, as contributions (row key, column, value)
+of sparse rows (`_d`, read by `spaces.condition_rows`): the image of each
+basis cochain of C^{p,q} is one integer row over the columns of
+C^{p+1,q-1}, and feeding those rows back through `_d` checks d² = 0. Each
+rank is taken by `linalg.sparse_rank`, the elimination path of every other
+condition system, so no dense vector of a cochain space is built.
+
 Each `SymbolSpace` computes its first prolongation once
 (`SymbolSpace.prolongation`): the Spencer window builds its chain of
 prolongations from it, and Cartan's test reads it in every trial of the
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 import os
 import random
 
@@ -203,46 +211,33 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     return None
 
 
-def _apply_d(m: int, order: int, coeffs: dict) -> dict:
-    """Spencer coboundary on one cochain.
+def _d(m: int, w: int, p: int, s: int, cochains):
+    """The Spencer coboundary C^p(order s) -> C^(p+1)(order s-1), as
+    contributions (row key, column, value) for `condition_rows`.
 
-    coeffs: {(ptuple, flat symbol coord position): value} for symbols of the
-    given order; returns the same encoding with p+1 and order-1.
+    `cochains` yields contributions (row key, column, value) of cochains
+    of p-forms with order-s symbol values, at column p-tuple position *
+    w * n_s + k * n_s + monomial position (n_s the order-s monomial
+    count). Each one's image is contributed under its row key, at the same
+    positions one degree up and one order down: d contracts the symmetric
+    slot with e_u for every u outside the p-tuple, with the sign of u's
+    place in the sorted (p+1)-tuple.
     """
-    out: dict = {}
-    lower_n = len(monomials(m, order - 1))
-    for (ptuple, flat), val in coeffs.items():
-        if val == 0:
-            continue
-        k, mono_pos_idx = divmod(flat, len(monomials(m, order)))
-        for u in range(m):
-            if u in ptuple:
-                continue
-            newp = tuple(sorted(ptuple + (u,)))
-            t = newp.index(u)
-            sign = (-1) ** t
-            mono = monomials(m, order)[mono_pos_idx]
-            # slice the symbol slot by e_u: pick entries whose monomial
-            # contains u; as a basis action, the slice of a coordinate
-            # function is a coordinate function one degree down
-            down = list(mono)
-            if u not in down:
-                continue
-            down.remove(u)
-            pos = _mono_pos(m, order - 1)[tuple(down)]
-            key = (newp, k * lower_n + pos)
-            out[key] = out.get(key, Fraction(0)) + sign * val
-    return out
-
-
-def _cochain_vec(m: int, w: int, p: int, order: int, coeffs: dict) -> Vec:
+    monos = monomials(m, s)
+    ns, nl = len(monos), len(monomials(m, s - 1))
     ptuples = list(combinations(range(m), p))
-    nsym = symbol_coord_dim(m, w, order)
-    vec = [Fraction(0)] * (len(ptuples) * nsym)
-    pos = {t: i for i, t in enumerate(ptuples)}
-    for (ptuple, flat), val in coeffs.items():
-        vec[pos[ptuple] * nsym + flat] += val
-    return tuple(vec)
+    up = {t: i for i, t in enumerate(combinations(range(m), p + 1))}
+    down = _mono_pos(m, s - 1)
+    for key, col, x in cochains:
+        t, rest = divmod(col, w * ns)
+        k, i = divmod(rest, ns)
+        ptuple, mono = ptuples[t], monos[i]
+        for u in sorted(set(mono).difference(ptuple)):
+            newp = tuple(sorted(ptuple + (u,)))
+            lower = list(mono)
+            lower.remove(u)
+            yield (key, (up[newp] * w + k) * nl + down[tuple(lower)],
+                   -x if newp.index(u) % 2 else x)
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,11 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     H^{p,q} is taken at C^{p,q} inside
     C^{p-1,q+1} -> C^{p,q} -> C^{p+1,q-1}; images are computed in ambient
     symbol coordinates so no membership solves are needed, and the rank of
-    each d is computed once, serving both degrees it bounds.
+    each d is computed once, serving both degrees it bounds. The images of
+    the basis cochains of C^{p,q} are the sparse integer rows
+    `condition_rows(_d(...))`, ranked by `linalg.sparse_rank`. For
+    1 <= q <= q_max the rows go through `_d` once more: any nonzero row
+    there means d² != 0, which is reported in `d_squared_zero`, not raised.
     """
     if a.order != 1:
         raise ValidationError("spencer complex starts from order-1 symbols")
@@ -275,14 +274,6 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     spaces = {0: a}
     for q in range(1, q_max + 2):
         spaces[q] = spaces[q - 1].prolongation
-
-    def basis_cochains(p, q):
-        out = []
-        for ptuple in combinations(range(m), p):
-            for b in spaces[q].basis:
-                coeffs = {(ptuple, i): x for i, x in enumerate(b) if x != 0}
-                out.append(coeffs)
-        return out
 
     d2_ok = True
     ranks = {}
@@ -292,17 +283,20 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
         is checked on the way for 1 <= q <= q_max."""
         nonlocal d2_ok
         if (p, q) not in ranks:
-            images = []
-            for coeffs in basis_cochains(p, q):
-                img = _apply_d(m, q + 1, coeffs)
-                images.append(_cochain_vec(m, w, p + 1, q, img))
-                if 1 <= q <= q_max and any(
-                        v != 0 for v in _apply_d(m, q, img).values()):
-                    d2_ok = False
-            ranks[p, q] = linalg.rank([v for v in images if any(v)])
+            n = spaces[q].dim
+            basis = ((t * n + i, t * len(b) + j, x)
+                     for t in range(comb(m, p))
+                     for i, b in enumerate(spaces[q].basis)
+                     for j, x in enumerate(b) if x)
+            rows = condition_rows(_d(m, w, p, q + 1, basis))
+            if 1 <= q <= q_max and condition_rows(_d(
+                    m, w, p + 1, q, ((r, j, x) for r, row in enumerate(rows)
+                                     for j, x in row.items()))):
+                d2_ok = False
+            ranks[p, q] = linalg.sparse_rank(
+                rows, comb(m, p + 1) * symbol_coord_dim(m, w, q))
         return ranks[p, q]
 
-    from math import comb
     c_dims = [[comb(m, p) * spaces[q].dim for q in range(q_max + 1)]
               for p in range(p_max + 1)]
     h_dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]

@@ -31,6 +31,8 @@ its former flat-existence search, with random torsion-free probes
 `sympy_flat_existence_small`), its former Cartan test, with a
 prolongation per call and nullspace flag dimensions over `Fraction` rows
 (`nullspace_cartan_test`, `nullspace_quasi_regular_basis`), its former
+Spencer window over dense `Fraction` cochain vectors
+(`dense_spencer_cohomology`), its former
 Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
@@ -78,8 +80,8 @@ from koszul.gauge import FeStarSolutions
 from koszul.invariants import ExistenceVerdict, RankWitness, r_b_defect
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace
-from koszul.spencer import (SymbolSpace, monomials, prolong, resolve_seed,
-                            symbol_coord_dim)
+from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
+                            prolong, resolve_seed, symbol_coord_dim)
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
                               FiniteStatModel, ProbeReport, _richardson)
 
@@ -666,6 +668,113 @@ def nullspace_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
         if ok:
             return cand
     return None
+
+
+def _apply_d(m: int, order: int, coeffs: dict) -> dict:
+    """Spencer coboundary on one cochain.
+
+    coeffs: {(ptuple, flat symbol coord position): value} for symbols of the
+    given order; returns the same encoding with p+1 and order-1.
+    """
+    out: dict = {}
+    lower_n = len(monomials(m, order - 1))
+    for (ptuple, flat), val in coeffs.items():
+        if val == 0:
+            continue
+        k, mono_pos_idx = divmod(flat, len(monomials(m, order)))
+        for u in range(m):
+            if u in ptuple:
+                continue
+            newp = tuple(sorted(ptuple + (u,)))
+            t = newp.index(u)
+            sign = (-1) ** t
+            mono = monomials(m, order)[mono_pos_idx]
+            # slice the symbol slot by e_u: pick entries whose monomial
+            # contains u; as a basis action, the slice of a coordinate
+            # function is a coordinate function one degree down
+            down = list(mono)
+            if u not in down:
+                continue
+            down.remove(u)
+            pos = _mono_pos(m, order - 1)[tuple(down)]
+            key = (newp, k * lower_n + pos)
+            out[key] = out.get(key, Fraction(0)) + sign * val
+    return out
+
+
+def _cochain_vec(m: int, w: int, p: int, order: int, coeffs: dict) -> Vec:
+    ptuples = list(combinations(range(m), p))
+    nsym = symbol_coord_dim(m, w, order)
+    vec = [Fraction(0)] * (len(ptuples) * nsym)
+    pos = {t: i for i, t in enumerate(ptuples)}
+    for (ptuple, flat), val in coeffs.items():
+        vec[pos[ptuple] * nsym + flat] += val
+    return tuple(vec)
+
+
+def dense_spencer_cohomology(a: SymbolSpace, p_max: int = 3,
+                             q_max: int = 2) -> SpencerReport:
+    """The library's former `spencer.spencer_cohomology`: each image a dense
+    `Fraction` vector of the whole cochain space, ranked by `linalg.rank`.
+
+    Cohomology of Lambda^p V* (x) a^{(q)} in a finite window.
+
+    H^{p,q} is taken at C^{p,q} inside
+    C^{p-1,q+1} -> C^{p,q} -> C^{p+1,q-1}; images are computed in ambient
+    symbol coordinates so no membership solves are needed, and the rank of
+    each d is computed once, serving both degrees it bounds.
+    """
+    if a.order != 1:
+        raise ValidationError("spencer complex starts from order-1 symbols")
+    m, w = a.v_dim, a.w_dim
+    spaces = {0: a}
+    for q in range(1, q_max + 2):
+        spaces[q] = spaces[q - 1].prolongation
+
+    def basis_cochains(p, q):
+        out = []
+        for ptuple in combinations(range(m), p):
+            for b in spaces[q].basis:
+                coeffs = {(ptuple, i): x for i, x in enumerate(b) if x != 0}
+                out.append(coeffs)
+        return out
+
+    d2_ok = True
+    ranks = {}
+
+    def rank_d(p, q):
+        """Rank of d: C^{p,q} -> C^{p+1,q-1}, computed once per (p, q); d² = 0
+        is checked on the way for 1 <= q <= q_max."""
+        nonlocal d2_ok
+        if (p, q) not in ranks:
+            images = []
+            for coeffs in basis_cochains(p, q):
+                img = _apply_d(m, q + 1, coeffs)
+                images.append(_cochain_vec(m, w, p + 1, q, img))
+                if 1 <= q <= q_max and any(
+                        v != 0 for v in _apply_d(m, q, img).values()):
+                    d2_ok = False
+            ranks[p, q] = linalg.rank([v for v in images if any(v)])
+        return ranks[p, q]
+
+    from math import comb
+    c_dims = [[comb(m, p) * spaces[q].dim for q in range(q_max + 1)]
+              for p in range(p_max + 1)]
+    h_dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
+    for p in range(p_max + 1):
+        for q in range(q_max + 1):
+            if not c_dims[p][q]:
+                continue
+            rank_in = rank_d(p - 1, q + 1) if p >= 1 else 0
+            h_dims[p][q] = c_dims[p][q] - rank_d(p, q) - rank_in
+            if h_dims[p][q] < 0:
+                raise ConformanceMismatch("negative cohomology dimension")
+    return SpencerReport(
+        v_dim=m, w_dim=w, p_max=p_max, q_max=q_max,
+        prolong_dims=tuple(spaces[q].dim for q in range(q_max + 2)),
+        c_dims=tuple(tuple(r) for r in c_dims),
+        h_dims=tuple(tuple(r) for r in h_dims),
+        d_squared_zero=d2_ok)
 
 
 # ---------------------------------------------------------------- dense tensors

@@ -258,16 +258,17 @@ def test_large_sparse_lie_algebra_validates_and_round_trips(tmp_path):
 
 
 def test_contraction_over_the_pair_bound_is_refused_with_exit_2():
-    # affine:25 is dim 650; its Jacobi check would visit 1,620,050 pairs
+    # affine:27 is dim 756; its Jacobi check would visit 1,099,359 pairs
+    # with p < q
     result = run_capped("""
         import sys
         from koszul import cli
-        sys.exit(cli.main(["check-lie", "--catalog", "affine:25"]))
+        sys.exit(cli.main(["check-lie", "--catalog", "affine:27"]))
     """)
     assert result.returncode == 2, result.stderr
     error = json.loads(result.stdout)["error"]
     assert error == {"type": "ValidationError", "message": (
-        "refused: Jacobi defect accumulator entries estimated at 1620050, "
+        "refused: Jacobi defect accumulator entries estimated at 1099359, "
         "above the bound of 1000000")}
 
 

@@ -288,6 +288,8 @@ def test_tall_rref_and_nullspace_match_full_elimination(a):
     kept = min(nc, dense_rank_mod(ints, P))
     full = kept < len(pivots)
     assert seen == ([kept, nr] if full else [kept])
+    rows = [{j: x for j, x in enumerate(row) if x} for row in ints]
+    assert linalg.sparse_rank(rows, nc) == len(pivots)
     ns = linalg.nullspace(a, ncols=nc)
     assert ns == _kernel_from_rref(red, pivots, nc)
     assert ns == tuple(gauss_nullspace(a, nc))

@@ -24,8 +24,9 @@ from koszul.spencer import (
     zero_symbol,
 )
 
-from oracles import (dense_prolong, full_symbol_cartan_total,
-                     nullspace_cartan_test, nullspace_quasi_regular_basis)
+from oracles import (dense_prolong, dense_spencer_cohomology,
+                     full_symbol_cartan_total, nullspace_cartan_test,
+                     nullspace_quasi_regular_basis)
 
 
 SO3_ROWS = [
@@ -239,6 +240,30 @@ def test_prolongation_matches_the_dense_rows(case):
     a = case[0]
     assert prolong(a) == dense_prolong(a)
     assert prolong(a.prolongation) == dense_prolong(a.prolongation)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+@example((symbol_space(3, 3, SO3_ROWS), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          0, 1))
+@example((full_hom(3, 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0, 1))
+@example((zero_symbol(2, 3), [[1, 0], [0, 1]], 0, 1))
+@example((full_hom(0, 2), [], 0, 1))
+@example((full_hom(2, 0), [[1, 0], [0, 1]], 0, 1))
+def test_spencer_window_matches_the_dense_cochain_vectors(case):
+    a = case[0]
+    assert spencer_cohomology(a) == dense_spencer_cohomology(a)
+
+
+def test_a_coboundary_without_signs_is_reported_as_d_squared_nonzero(
+        monkeypatch):
+    # the rows of d go through d once more; with the signs dropped the
+    # images of x0*x1 meet with equal signs in Lambda^2 and do not cancel
+    signed = spencer._d
+    monkeypatch.setattr(spencer, "_d", lambda *args: (
+        (key, col, abs(x)) for key, col, x in signed(*args)))
+    assert spencer_cohomology(full_hom(2, 1)).d_squared_zero is False
 
 
 def test_the_basis_search_validates_the_space_once(monkeypatch):
