@@ -10,8 +10,10 @@ surfaced by a built-in cross-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -355,6 +357,14 @@ def _cmd_flat_models(args, inputs):
 
 
 def _cmd_statmodel(args, inputs):
+    # a non-finite alpha prints NaN or Infinity, which is not JSON, and an
+    # infinite tol calls every model flat
+    if not math.isfinite(args.alpha):
+        raise ValidationError(f"--alpha must be finite, got {args.alpha}")
+    if args.tol is not None and not (math.isfinite(args.tol)
+                                     and args.tol >= 0):
+        raise ValidationError(
+            f"--tol must be finite and >= 0, got {args.tol}")
     from koszul import statmodel
 
     inputs.add_value("family", args.family)
@@ -373,16 +383,25 @@ def _cmd_statmodel(args, inputs):
                 "fisher": kio.jsonable(g)}
     if args.op == "alpha":
         low = statmodel.alpha_christoffels(model, theta, args.alpha)
+        _check_overflow(args.alpha, abs(low).max())
         return {"family": model.name, "alpha": args.alpha,
                 "lowered": kio.jsonable(low)}
     if args.op == "curvature":
         tensor, mx = statmodel.alpha_curvature(model, theta, args.alpha)
+        _check_overflow(args.alpha, mx)
         return {"family": model.name, "alpha": args.alpha,
                 "max_abs": mx, "tensor": kio.jsonable(tensor)}
     grid = _probe_grid(model, theta)
     tol = statmodel.PROBE_TOL if args.tol is None else args.tol
     rep = statmodel.exponential_defect_probe(model, grid, tol=tol)
     return kio.jsonable(rep)
+
+
+def _check_overflow(alpha, max_abs):
+    """Refuse a finite alpha so large that the floats it scales overflow."""
+    if not math.isfinite(max_abs):
+        raise ValidationError(
+            f"--alpha {alpha} is too large: the result overflows")
 
 
 def _probe_grid(model, center):
@@ -427,7 +446,15 @@ def _common_flags(nested: bool) -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process.
+
+    Sharing it is safe: `parse_args` returns a fresh Namespace and leaves
+    the parser unchanged, no default is mutable, the seed is resolved when
+    the report is made, and handlers reach the library through module
+    attributes, so a patched library function is still the one called.
+    """
     common, nested = _common_flags(False), _common_flags(True)
 
     src = argparse.ArgumentParser(add_help=False)

@@ -108,19 +108,6 @@ def mat_vec(a, v) -> Vec:
     return tuple(out)
 
 
-def vec_add(u, v) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v) -> Vec:
-    c = frac(c)
-    return tuple(c * x for x in v)
-
-
 def is_zero_matrix(a) -> bool:
     return all(x == 0 for row in a for x in row)
 

@@ -3,7 +3,8 @@
 Everything here is written naively and separately from the library's
 tensor and elimination code: plain Gaussian elimination over Fraction,
 direct index-chasing tensor formulas, the library's former dense tensor
-routines (built on its vector helpers and `BilinearProduct.mult` only), its
+routines (built on its former vector helpers `vec_add`, `vec_sub` and
+`vec_scale` and on `BilinearProduct.mult` only), its
 former dense Bareiss kernel, its former coboundary-matrix constructions
 (one coboundary application per basis cochain, and the dense
 Chevalley-Eilenberg loop), its former coboundaries of one cochain over the
@@ -43,7 +44,8 @@ with the dense witness check they fed (`operator_matrix`,
 former per-outcome
 information-geometry routes (`scalar_fisher_information`, ...,
 `scalar_exponential_defect_probe`), public helpers the library
-no longer needs (`cochain_value`, `left_matrix`), its former dense
+no longer needs (`cochain_value`, `left_matrix`), its former parse of
+every CLI call by a parser built anew (`fresh_parse`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
 dense builders and readers that used them (`dense_*_algebra`,
 `dense_conjugate_product`, `dense_mult`, ...), and closed forms from
@@ -59,7 +61,7 @@ from math import comb, gcd, lcm
 import numpy as np
 import sympy
 
-from koszul import linalg
+from koszul import cli, linalg
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
@@ -88,6 +90,19 @@ from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
 
 def F(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def vec_add(u, v) -> Vec:
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def vec_sub(u, v) -> Vec:
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def vec_scale(c, v) -> Vec:
+    c = frac(c)
+    return tuple(c * x for x in v)
 
 
 # ---------------------------------------------------------------- linear algebra
@@ -840,8 +855,8 @@ def dense_jacobi_defect(c):
             row = []
             for k in range(m):
                 x, y, z = basis[i], basis[j], basis[k]
-                val = linalg.vec_add(
-                    linalg.vec_add(bk(bk(x, y), z), bk(bk(y, z), x)),
+                val = vec_add(
+                    vec_add(bk(bk(x, y), z), bk(bk(y, z), x)),
                     bk(bk(z, x), y))
                 row.append(tuple(val))
             plane.append(tuple(row))
@@ -850,7 +865,7 @@ def dense_jacobi_defect(c):
 
 
 def _associator(p, x, y, z):
-    return linalg.vec_sub(p.mult(p.mult(x, y), z), p.mult(x, p.mult(y, z)))
+    return vec_sub(p.mult(p.mult(x, y), z), p.mult(x, p.mult(y, z)))
 
 
 def dense_associator_defect(p):
@@ -869,7 +884,7 @@ def dense_kv_anomaly(p):
     basis = linalg.identity(m)
     return tuple(
         tuple(
-            tuple(linalg.vec_sub(_associator(p, basis[i], basis[j], basis[k]),
+            tuple(vec_sub(_associator(p, basis[i], basis[j], basis[k]),
                                  _associator(p, basis[j], basis[i], basis[k]))
                   for k in range(m)) for j in range(m)) for i in range(m))
 
@@ -1014,7 +1029,7 @@ def dense_kv_coboundary(c: Cochain, algebra: BilinearProduct,
         xi = c.table[0]
         basis = linalg.identity(m)
         table = tuple(
-            tuple(linalg.vec_sub(algebra.mult(xi, basis[x]),
+            tuple(vec_sub(algebra.mult(xi, basis[x]),
                                  algebra.mult(basis[x], xi)))
             for x in range(m))
         return Cochain(1, m, ADJOINT, table)
@@ -1127,11 +1142,11 @@ def dense_maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
                 x, y, z = basis[i], basis[j], basis[k]
                 db = [Fraction(0)] * m
                 for term in (br(x, bb(y, z)),
-                             linalg.vec_scale(-1, br(y, bb(x, z))),
+                             vec_scale(-1, br(y, bb(x, z))),
                              br(z, bb(x, y)),
-                             linalg.vec_scale(-1, bb(br(x, y), z)),
+                             vec_scale(-1, bb(br(x, y), z)),
                              bb(br(x, z), y),
-                             linalg.vec_scale(-1, bb(br(y, z), x)),
+                             vec_scale(-1, bb(br(y, z), x)),
                              bb(x, bb(y, z)),
                              bb(y, bb(z, x)),
                              bb(z, bb(x, y))):
@@ -2110,3 +2125,10 @@ def scalar_exponential_defect_probe(model: FiniteStatModel, grid,
         grid_size=len(grid),
         notes="flat within tolerance at alpha = %+g" % best if verdict
         else "no flat member found at alpha = -1 or +1")
+
+
+# ---------------------------------------------------------------- command line
+
+def fresh_parse(argv):
+    """argv parsed by a CLI parser built for this call alone."""
+    return cli._build_parser.__wrapped__().parse_args(argv)

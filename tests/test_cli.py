@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 from unittest import mock
 
 import pytest
 
 from koszul import cli, spencer
 from koszul.errors import ConformanceMismatch
+from oracles import fresh_parse
 
 SO3_ROWS = [
     [0, 1, 0, -1, 0, 0, 0, 0, 0],
@@ -402,3 +405,193 @@ def test_dump_documents_are_built_only_under_dump(capsys, tmp_path,
     code, out = run_main(capsys, _with_files(argv, tmp_path))
     assert code == 0
     assert "dump" not in json.loads(out)
+
+
+# every subcommand; flat-models flags before and after the operation (their
+# defaults are suppressed there); the text format, --dump and --timing;
+# failures inside a handler
+CORPUS = [
+    ["check-lie", "--catalog", "so3"],
+    ["check-lie", "--catalog", "heisenberg", "--format", "text"],
+    ["check-lie", "--catalog", "heisenberg", "--dump", "--timing"],
+    ["check-lie", "--catalog", "nope"],
+    ["algebra", "--op", "killing", "--catalog", "sl2"],
+    ["algebra", "--op", "anomaly", "--catalog", "heisenberg-kv"],
+    ["connection", "--catalog", "aff1", "--cartan", "zero",
+     "--op", "curvature"],
+    ["connection", "--catalog", "aff1", "--cartan", "plus", "--op", "alpha",
+     "--alpha", "1/2", "--metric", "@metric"],
+    ["gauge", "--catalog", "abelian:2", "--cartan", "zero", "--op", "festar"],
+    ["gauge", "--catalog", "aff1", "--cartan", "zero", "--op", "parallel",
+     "--sym", "skew"],
+    ["invariants", "--catalog", "so3", "--which", "bimetric", "--seed", "2"],
+    ["invariants", "--catalog", "aff1", "--which", "flat"],
+    ["kv-cohomology", "--catalog", "heisenberg-kv", "--coeffs", "scalar",
+     "--max-degree", "2"],
+    ["spencer", "--symbol", "@symbol", "--op", "involutive", "--trials", "5",
+     "--seed", "3"],
+    ["spencer", "--symbol", "@symbol", "--op", "cohomology", "--format",
+     "text"],
+    ["flat-models", "tower", "--m", "1", "--steps", "2"],
+    ["flat-models", "--format", "text", "tower", "--m", "1", "--steps", "1"],
+    ["flat-models", "--seed", "3", "tower", "--m", "1", "--steps", "1",
+     "--seed", "4"],
+    ["flat-models", "--timing", "completeness", "--catalog", "matrix:2",
+     "--seed", "3"],
+    ["flat-models", "--dump", "ideal", "--catalog", "zero:2",
+     "--ideal", "@ideal"],
+    ["flat-models", "ideal", "--catalog", "zero:2", "--ideal", "@ideal",
+     "--dump", "--format", "text"],
+    ["statmodel", "--family", "bernoulli", "--op", "curvature",
+     "--alpha=-1"],
+    ["statmodel", "--family", "curved4", "--op", "defect"],
+    ["statmodel", "--family", "bernoulli", "--op", "alpha", "--alpha", "inf"],
+] + [argv for argv, _ in DUMP_CASES]
+# argv that argparse itself refuses
+PARSE_ERRORS = [
+    ["frobnicate"],
+    ["check-lie", "--catalog", "so3", "--format", "yaml"],
+    ["check-lie", "--catalog", "so3", "--budget", "3"],
+    ["flat-models", "tower", "--m", "one", "--steps", "1"],
+    ["flat-models", "--format", "yaml", "tower", "--m", "1", "--steps", "1"],
+    ["statmodel", "--family", "bernoulli", "--op", "alpha", "--alpha", "x"],
+]
+
+
+def _without_timing(out):
+    return re.sub(r'"timing_ms": [^,\n]+', '"timing_ms": null', out)
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _fresh_parser_main():
+    """cli.main as it ran with a parser built on every call."""
+    return mock.patch.object(cli, "_build_parser",
+                             cli._build_parser.__wrapped__)
+
+
+def test_the_corpus_covers_every_subcommand():
+    def commands(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    top = commands(cli._build_parser())
+    assert {argv[0] for argv in CORPUS} == set(top)
+    ops = set(commands(top["flat-models"]))
+    assert {a for argv in CORPUS if argv[0] == "flat-models"
+            for a in argv} >= ops == {"tower", "completeness", "ideal"}
+
+
+@pytest.mark.parametrize("argv", CORPUS + PARSE_ERRORS)
+def test_the_cached_parser_parses_as_a_fresh_one(capsys, argv):
+    cached = cli._build_parser()
+    try:
+        fresh = vars(fresh_parse(argv))
+    except SystemExit as exc:
+        fresh_err = (exc.code, capsys.readouterr().err)
+        with pytest.raises(SystemExit) as cached_exc:
+            cached.parse_args(argv)
+        assert (cached_exc.value.code, capsys.readouterr().err) == fresh_err
+        assert fresh_err[0] == 2
+    else:
+        assert vars(cached.parse_args(argv)) == fresh
+
+
+@pytest.mark.parametrize("argv", CORPUS)
+def test_main_prints_what_a_fresh_parser_main_prints(capsys, tmp_path, argv):
+    argv = _with_files(argv, tmp_path)
+    code, out = run_main(capsys, argv)
+    with _fresh_parser_main():
+        fresh_code, fresh_out = run_main(capsys, argv)
+    assert code == fresh_code
+    assert _without_timing(out) == _without_timing(fresh_out)
+
+
+@pytest.mark.parametrize("bad", PARSE_ERRORS)
+def test_an_argparse_failure_leaves_the_cached_parser_as_it_was(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(bad)
+    err = capsys.readouterr().err
+    with _fresh_parser_main(), pytest.raises(SystemExit) as fresh_exc:
+        cli.main(bad)
+    assert (exc.value.code, err) == (fresh_exc.value.code,
+                                     capsys.readouterr().err)
+    assert exc.value.code == 2 and err.startswith("usage: koszul")
+    for good in (["flat-models", "--seed", "3", "tower", "--m", "1",
+                  "--steps", "1"],
+                 ["check-lie", "--catalog", "so3", "--format", "text"]):
+        assert vars(cli._build_parser().parse_args(good)) == \
+            vars(fresh_parse(good))
+
+
+def test_twenty_calls_build_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for seed in range(20):
+        code, _ = run_main(capsys, ["check-lie", "--catalog", "so3",
+                                    "--seed", str(seed)])
+        assert code == 0
+    # one tree: the root, its 9 commands, the 3 flat-models operations and
+    # the 4 shared flag groups
+    assert len(built) == 17
+    assert built.count("koszul") == 1
+
+
+@pytest.mark.parametrize("argv", [argv for argv in CORPUS
+                                  if "text" not in argv])
+def test_every_report_is_strict_json(capsys, tmp_path, argv):
+    _, out = run_main(capsys, _with_files(argv, tmp_path))
+    assert isinstance(json.loads(out, parse_constant=_strict_constant), dict)
+
+
+@pytest.mark.parametrize("flag", [
+    ["--op", "alpha", "--alpha", "inf"],
+    ["--op", "alpha", "--alpha=-inf"],
+    ["--op", "curvature", "--alpha", "nan"],
+    ["--op", "defect", "--tol", "inf"],
+    ["--op", "defect", "--tol", "nan"],
+    ["--op", "defect", "--tol=-1"],
+])
+def test_non_finite_alpha_and_tol_exit_2_before_any_work(capsys, flag):
+    argv = ["statmodel", "--family", "curved4"] + flag
+    with mock.patch("koszul.statmodel.get_family") as family:
+        code, out = run_main(capsys, argv)
+    assert code == 2 and not family.called
+    err = json.loads(out, parse_constant=_strict_constant)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["message"].startswith(f"{flag[2].split('=')[0]} must be finite")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("op", ["alpha", "curvature"])
+@pytest.mark.parametrize("alpha", ["1e308", "-1e308"])
+def test_an_alpha_whose_result_overflows_exits_2(capsys, op, alpha):
+    code, out = run_main(capsys, ["statmodel", "--family", "bernoulli",
+                                  "--op", op, "--alpha=" + alpha])
+    assert code == 2
+    assert json.loads(out, parse_constant=_strict_constant)["error"] == {
+        "type": "ValidationError",
+        "message": f"--alpha {float(alpha)} is too large: the result "
+                   "overflows"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "bernoulli", "--op", "alpha", "--alpha=-1"],
+    ["--family", "bernoulli", "--op", "curvature", "--alpha", "0.5"],
+    ["--family", "curved4", "--op", "defect"],
+    ["--family", "curved4", "--op", "defect", "--tol", "0"],
+])
+def test_finite_alpha_and_tol_still_answer(capsys, argv):
+    code, out = run_main(capsys, ["statmodel"] + argv)
+    assert code == 0
+    assert "result" in json.loads(out, parse_constant=_strict_constant)
