@@ -603,7 +603,12 @@ def _inline(v) -> str:
 
 
 def run(argv) -> dict:
-    """Parse argv, dispatch, and return the report object (no printing)."""
+    """Parse argv, dispatch, and return the report object.
+
+    Prints nothing, except on an argv that argparse refuses: argparse then
+    prints the usage and the error to stderr and raises SystemExit(2). A
+    library error propagates as its `KoszulError`.
+    """
     return _report(argv, _build_parser().parse_args(argv))
 
 

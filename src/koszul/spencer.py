@@ -36,11 +36,18 @@ import os
 import random
 
 from koszul import linalg
+from koszul.algebra import envelope
 from koszul.errors import ConformanceMismatch, ValidationError
 from koszul.linalg import Vec
 from koszul.spaces import condition_rows
 
 DEFAULT_SEED = 7
+# The Spencer window is refused when its cochain spaces, each taken at its
+# largest (the prolongations of the full symbol), hold more coordinates in
+# all than this. On a 2-vCPU host full_hom(5, 5) has 16,250 and takes about
+# 3 s; full_hom(6, 3) has 26,334 (7 s, 156 MB) and full_hom(6, 6) 52,668
+# (26 s, 566 MB).
+WINDOW_COORD_BOUND = 20_000
 
 
 def resolve_seed(seed=None) -> int:
@@ -267,10 +274,17 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     `condition_rows(_d(...))`, ranked by `linalg.sparse_rank`. For
     1 <= q <= q_max the rows go through `_d` once more: any nonzero row
     there means d² != 0, which is reported in `d_squared_zero`, not raised.
+
+    Before any prolongation the window is estimated from v and w alone,
+    each a^{(q)} at its largest, and refused above `WINDOW_COORD_BOUND`.
     """
     if a.order != 1:
         raise ValidationError("spencer complex starts from order-1 symbols")
     m, w = a.v_dim, a.w_dim
+    envelope("Spencer window cochain coordinates",
+             sum(comb(m, p) * symbol_coord_dim(m, w, q + 1)
+                 for p in range(p_max + 1) for q in range(q_max + 2)),
+             WINDOW_COORD_BOUND)
     spaces = {0: a}
     for q in range(1, q_max + 2):
         spaces[q] = spaces[q - 1].prolongation

@@ -13,15 +13,18 @@ the Levi-Civita connection of the Fisher metric either way.
 Derivatives are central differences with one Richardson refinement
 (h = 1e-4); curvature differentiates the raised symbols at h = 1e-3
 without refinement. The integral over outcomes uses counting measure.
-Each log density is evaluated once per point and shared: one jet per
-point, which the probe reuses for both alpha ends and the torsion check.
+A model's log densities are one array expression over a stack of points
+(`FiniteStatModel.log_probs`), and each route evaluates them in one
+batched call: every point it takes a jet at, with that point's difference
+stencil (`_jets`). The probe takes its jets at every grid point and its
+curvature stencil at once and reads them for both alpha ends and the
+torsion check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,23 +51,26 @@ PROBE_TOL = CURV_STEP
 # Half-width of the probe grid center + {-s, 0, s}^n where the domain has
 # room for it (`FiniteStatModel.probe_offset`).
 PROBE_OFFSET = 0.3
+# The two steps of the Richardson-refined differences.
+_STEPS = (GRAD_STEP / 2, GRAD_STEP)
 
 
 @dataclass(frozen=True)
 class FiniteStatModel:
     """Positive probability model on finitely many outcomes.
 
-    log_density(theta, x) must be smooth in theta and normalized:
-    sum_x exp(log_density(theta, x)) = 1 within 1e-12 wherever evaluated.
-    The domain is the box `domain`, intersected with the simplex
-    sum(theta) <= 1 when `simplex` is set (mean coordinates, where the last
-    probability is 1 - sum(theta)).
+    log_probs maps points of shape (k, n_params) to their log
+    probabilities, of shape (k, n_outcomes). It must be smooth in theta
+    and normalized: each row of exp(log_probs(points)) sums to 1 within
+    1e-12 wherever evaluated. The domain is the box `domain`, intersected
+    with the simplex sum(theta) <= 1 when `simplex` is set (mean
+    coordinates, where the last probability is 1 - sum(theta)).
     """
 
     name: str
     n_outcomes: int
     n_params: int
-    log_density: Callable[[np.ndarray, int], float]
+    log_probs: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
     simplex: bool = False
 
@@ -107,78 +113,115 @@ class FiniteStatModel:
                 f"boundary; no probe grid fits around it")
         return float(min(PROBE_OFFSET, tight))
 
-    def probs(self, theta) -> np.ndarray:
-        return _normalized([self.log_density(theta, x)
-                            for x in range(self.n_outcomes)], theta)
-
-
-def _normalized(logs, theta) -> np.ndarray:
-    p = np.array([np.exp(v) for v in logs])
-    if abs(float(p.sum()) - 1.0) > NORM_TOL:
-        raise NonNormalized(
-            f"probabilities sum to {p.sum()!r} at theta={theta}")
-    return p
-
 
 def _richardson(f, h):
     return (4.0 * f(h / 2) - f(h)) / 3.0
 
 
-def _jet(model: FiniteStatModel, theta, hessians: bool = True):
-    """(p, scores, Hessians or None, Fisher) at theta, of shapes (n,),
-    (n, d), (n, d, d), (d, d), elementwise over the outcomes."""
-    theta = model.check_domain(theta)
+class _Jets(NamedTuple):
+    """Jets at k points, stacked: probabilities (k, n), scores (k, n, d),
+    Hessians of the log densities (k, n, d, d) or None, Fisher matrices
+    (k, d, d), and their inverses (k, d, d) or None."""
+
+    p: np.ndarray
+    scores: np.ndarray
+    hess: np.ndarray | None
+    g: np.ndarray
+    ginv: np.ndarray | None
+
+
+def _stencil(theta: np.ndarray, hessians: bool) -> dict:
+    """The points the differences at each row of `theta` (k, d) read, as
+    blocks of shape (k, m, d): the row itself ("mid"), then for each step
+    s the rows +- s e_i and, for Hessians, + s (e_i + e_j), + s (e_i - e_j),
+    - s (e_i - e_j) and - s (e_i + e_j) over the pairs i < j."""
+    at = theta[:, None, :]
+    eye = np.eye(theta.shape[1])
+    i, j = np.triu_indices(len(eye), 1)
+    both, skew = eye[i] + eye[j], eye[i] - eye[j]
+    blocks = {"mid": at}
+    for s in _STEPS:
+        blocks[s, "+"] = at + s * eye
+        blocks[s, "-"] = at - s * eye
+        if hessians:
+            blocks[s, "++"] = at + s * both
+            blocks[s, "+-"] = at + s * skew
+            blocks[s, "-+"] = at - s * skew
+            blocks[s, "--"] = at - s * both
+    return blocks
+
+
+def _jets(model: FiniteStatModel, centers, hessians: bool = True,
+          raised: bool = False) -> _Jets:
+    """Jets at each of `centers` (a nonempty iterable of points), from one
+    call of `model.log_probs` on every center and its `_stencil`.
+
+    The checks fail as if each jet were taken alone, in the order of the
+    centers: a center's domain, then its normalization and, with `raised`,
+    the condition of its Fisher matrix, which is then inverted once. The
+    domains are checked before anything is evaluated; the iteration stops
+    at the first center outside, so a lazy `centers` builds nothing past
+    it, and that error is raised once the centers before it pass.
+    """
+    checked, fault = [], None
+    for t in centers:
+        try:
+            checked.append(model.check_domain(t))
+        except (ValidationError, DomainViolation) as exc:
+            fault = exc
+            break
+    if not checked:
+        raise fault
     n, d = model.n_outcomes, model.n_params
-    memo = {}
-
-    def logp(t):
-        key = t.tobytes()
-        if key not in memo:
-            memo[key] = np.array([model.log_density(t, x) for x in range(n)])
-        return memo[key]
-
-    p = _normalized(logp(theta).tolist(), theta)
-    eye = np.eye(d)
-    scores = np.zeros((n, d))
-    hess = np.zeros((n, d, d)) if hessians else None
-    for i, ei in enumerate(eye):
-
-        def diff(s):
-            return (logp(theta + s * ei) - logp(theta - s * ei)) / (2 * s)
-
-        def diag(s):
-            return (logp(theta + s * ei) - 2.0 * logp(theta)
-                    + logp(theta - s * ei)) / s ** 2
-
-        scores[:, i] = _richardson(diff, GRAD_STEP)
-        if hess is None:
-            continue
-        hess[:, i, i] = _richardson(diag, GRAD_STEP)
-        for j, ej in enumerate(eye[i + 1:], i + 1):
-
-            def mixed(s):
-                return (logp(theta + s * (ei + ej))
-                        - logp(theta + s * (ei - ej))
-                        - logp(theta - s * (ei - ej))
-                        + logp(theta - s * (ei + ej))) / (4 * s ** 2)
-
-            hess[:, i, j] = hess[:, j, i] = _richardson(mixed, GRAD_STEP)
-    g = np.zeros((d, d))
-    for px, s in zip(p, scores):
-        g += px * np.outer(s, s)
-    return p, scores, hess, 0.5 * (g + g.T)
+    blocks = _stencil(np.array(checked), hessians)
+    widths = [b.shape[1] for b in blocks.values()]
+    points = np.concatenate(list(blocks.values()), axis=1)
+    k = len(points)
+    logp = model.log_probs(points.reshape(-1, d)).reshape(k, -1, n)
+    logp = dict(zip(blocks, np.split(logp.transpose(0, 2, 1),
+                                     np.cumsum(widths)[:-1], axis=2)))
+    mid = logp["mid"]
+    p = np.exp(mid[:, :, 0])
+    scores = _richardson(
+        lambda s: (logp[s, "+"] - logp[s, "-"]) / (2 * s), GRAD_STEP)
+    hess = None
+    if hessians:
+        hess = np.zeros((k, n, d, d))
+        diag = np.arange(d)
+        hess[..., diag, diag] = _richardson(
+            lambda s: (logp[s, "+"] - 2.0 * mid + logp[s, "-"]) / s ** 2,
+            GRAD_STEP)
+        i, j = np.triu_indices(d, 1)
+        hess[..., i, j] = hess[..., j, i] = _richardson(
+            lambda s: (logp[s, "++"] - logp[s, "+-"] - logp[s, "-+"]
+                       + logp[s, "--"]) / (4 * s ** 2), GRAD_STEP)
+    g = np.zeros((k, d, d))
+    for x in range(n):
+        s = scores[:, x]
+        g += p[:, x, None, None] * (s[:, :, None] * s[:, None, :])
+    g = 0.5 * (g + g.swapaxes(1, 2))
+    cond = np.linalg.cond(g) if raised else None
+    for a, t in enumerate(checked):
+        if abs(float(p[a].sum()) - 1.0) > NORM_TOL:
+            raise NonNormalized(
+                f"probabilities sum to {p[a].sum()!r} at theta={t}")
+        if raised and cond[a] > 1e10:
+            raise SingularFisher("fisher matrix is numerically singular")
+    if fault is not None:
+        raise fault
+    return _Jets(p, scores, hess, g, np.linalg.inv(g) if raised else None)
 
 
 def fisher_information(model: FiniteStatModel, theta) -> np.ndarray:
     """Fisher matrix sum_x p (grad log p)(grad log p)^T."""
-    return _jet(model, theta, hessians=False)[3]
+    return _jets(model, [theta], hessians=False).g[0]
 
 
 def fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
     """Independent route -sum_x p hess(log p); agrees within tolerance."""
-    p, _, hessians, _ = _jet(model, theta)
+    jets = _jets(model, [theta])
     g = np.zeros((model.n_params, model.n_params))
-    for px, hess in zip(p, hessians):
+    for px, hess in zip(jets.p[0], jets.hess[0]):
         g -= px * hess
     return 0.5 * (g + g.T)
 
@@ -190,20 +233,29 @@ def alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
     With raised=True the last index is raised by the inverse Fisher
     matrix, giving Gamma^k_ij stored as [i][j][k].
     """
-    return _symbols(_jet(model, theta), alpha, raised)
+    jets = _jets(model, [theta], raised=raised)
+    low = _lowered(jets, alpha)
+    return (_raise(low, jets.ginv) if raised else low)[0]
 
 
-def _symbols(jet, alpha: float, raised: bool) -> np.ndarray:
-    p, scores, hessians, g = jet
-    low = np.zeros((len(g),) * 3)
+def _lowered(jets: _Jets, alpha: float) -> np.ndarray:
+    """Lowered symbols at each jet, of shape (k, d, d, d)."""
+    k, n, d = jets.scores.shape
+    low = np.zeros((k, d, d, d))
     w = (1.0 + alpha) / 2.0
-    for px, s, hess in zip(p, scores, hessians):
-        low += px * np.einsum("ij,k->ijk", hess + w * np.outer(s, s), s)
-    if not raised:
-        return low
-    if np.linalg.cond(g) > 1e10:
-        raise SingularFisher("fisher matrix is numerically singular")
-    return np.einsum("ijl,lk->ijk", low, np.linalg.inv(g))
+    for x in range(n):
+        s = jets.scores[:, x]
+        core = jets.hess[:, x] + w * (s[:, :, None] * s[:, None, :])
+        low += jets.p[:, x, None, None, None] \
+            * (core[..., None] * s[:, None, None, :])
+    return low
+
+
+def _raise(low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """The last index of each jet's symbols raised by its inverse Fisher
+    matrix."""
+    return np.array([np.einsum("ijl,lk->ijk", sym, gi)
+                     for sym, gi in zip(low, ginv)])
 
 
 def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
@@ -212,26 +264,24 @@ def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
     theta = model.check_domain(theta)
     d = model.n_params
     h = CURV_STEP
+    steps = (h / 2, h)
+    centers = [c for e in np.eye(d) for step in steps
+               for c in (theta + step * e, theta - step * e)]
+    g = _jets(model, centers, hessians=False).g.reshape(d, 2, 2, d, d)
+    # step -> the metrics at theta + step e_i and theta - step e_i
+    at = dict(zip(steps, g.swapaxes(0, 1)))
+    dg = _richardson(
+        lambda step: (at[step][:, 0] - at[step][:, 1]) / (2 * step), h)
+    return 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
-    def g_at(t):
-        return fisher_information(model, t)
 
-    dg = np.zeros((d, d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-
-        def diff(step):
-            return (g_at(theta + step * e) - g_at(theta - step * e)) \
-                / (2 * step)
-
-        dg[i] = _richardson(diff, h)
-    low = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                low[i, j, k] = 0.5 * (dg[i][j, k] + dg[j][i, k] - dg[k][i, j])
-    return low
+def _curvature_stencil(theta, d: int):
+    """theta, then theta + CURV_STEP e_i and theta - CURV_STEP e_i for each
+    i: the points `_curvature` reads the raised symbols at, in order."""
+    yield theta
+    for e in np.eye(d):
+        yield theta + CURV_STEP * e
+        yield theta - CURV_STEP * e
 
 
 def alpha_curvature(model: FiniteStatModel, theta,
@@ -242,25 +292,24 @@ def alpha_curvature(model: FiniteStatModel, theta,
                  + sum_m (G[i,m,l] G[j,k,m] - G[j,m,l] G[i,k,m])
     with G[i,j,k] the raised symbols; returns the tensor and its max-abs.
     """
-    return _curvature(partial(_jet, model), model.check_domain(theta), alpha)
+    theta = model.check_domain(theta)
+    jets = _jets(model, _curvature_stencil(theta, model.n_params),
+                 raised=True)
+    return _curvature(_raise(_lowered(jets, alpha), jets.ginv))
 
 
-def _curvature(jet_at, theta, alpha):
-    def symbols(t):
-        return _symbols(jet_at(t), alpha, raised=True)
-
-    base = symbols(theta)
+def _curvature(symbols: np.ndarray) -> tuple[np.ndarray, float]:
+    """`alpha_curvature` from the raised symbols at the points of
+    `_curvature_stencil`, stacked in its order."""
+    base = symbols[0]
     d = len(base)
-    h = CURV_STEP
-    grad = np.zeros((d, d, d, d))
-    for i, e in enumerate(np.eye(d)):
-        grad[i] = (symbols(theta + h * e) - symbols(theta - h * e)) / (2 * h)
+    grad = (symbols[1::2] - symbols[2::2]) / (2 * CURV_STEP)
+    quad = [[np.einsum("ml,km->kl", base[i], base[j]) for j in range(d)]
+            for i in range(d)]
     r = np.zeros((d, d, d, d))
     for i in range(d):
         for j in range(d):
-            r[i, j] = grad[i][j] - grad[j][i] \
-                + np.einsum("ml,km->kl", base[i], base[j]) \
-                - np.einsum("ml,km->kl", base[j], base[i])
+            r[i, j] = grad[i][j] - grad[j][i] + quad[i][j] - quad[j][i]
     return r, float(np.max(np.abs(r))) if d else 0.0
 
 
@@ -287,24 +336,20 @@ def exponential_defect_probe(model: FiniteStatModel, grid,
     grid = [np.asarray(t, dtype=float) for t in grid]
     if not grid:
         raise ValidationError("probe grid is empty")
-    jets = {}
-
-    def jet_at(t):
-        key = t.tobytes()
-        if key not in jets:
-            jets[key] = _jet(model, t)
-        return jets[key]
-
+    d = model.n_params
+    jets = _jets(model, (u for t in grid for u in _curvature_stencil(t, d)),
+                 raised=True)
     norms = {}
     torsion = 0.0
     for alpha in (-1.0, 1.0):
+        low = _lowered(jets, alpha)
+        symbols = _raise(low, jets.ginv).reshape(len(grid), 2 * d + 1,
+                                                 d, d, d)
         worst = 0.0
-        for t in grid:
-            _, mx = _curvature(jet_at, t, alpha)
-            worst = max(worst, mx)
-            low = _symbols(jet_at(t), alpha, raised=False)
+        for at_t, low_t in zip(symbols, low[::2 * d + 1]):
+            worst = max(worst, _curvature(at_t)[1])
             torsion = max(torsion, float(
-                np.max(np.abs(low - np.swapaxes(low, 0, 1)))))
+                np.max(np.abs(low_t - np.swapaxes(low_t, 0, 1)))))
         norms[alpha] = worst
     best = min(norms, key=lambda a: norms[a])
     verdict = min(norms.values()) < tol and torsion < tol
@@ -322,11 +367,11 @@ def exponential_defect_probe(model: FiniteStatModel, grid,
 def bernoulli() -> FiniteStatModel:
     """Two outcomes, mean parameter theta = P(X = 1)."""
 
-    def logp(theta, x):
-        t = float(theta[0])
-        return float(np.log(t if x == 1 else 1.0 - t))
+    def log_probs(points):
+        t = points[:, 0]
+        return np.log(np.stack((1.0 - t, t), axis=1))
 
-    return FiniteStatModel("bernoulli", 2, 1, logp, ((0.0, 1.0),))
+    return FiniteStatModel("bernoulli", 2, 1, log_probs, ((0.0, 1.0),))
 
 
 def categorical_mean(n: int) -> FiniteStatModel:
@@ -334,13 +379,12 @@ def categorical_mean(n: int) -> FiniteStatModel:
     if n < 2:
         raise ValidationError("categorical model needs >= 2 outcomes")
 
-    def logp(theta, x):
-        if x < n - 1:
-            return float(np.log(theta[x]))
-        return float(np.log(1.0 - float(np.sum(theta))))
+    def log_probs(points):
+        last = 1.0 - points.sum(axis=1, keepdims=True)
+        return np.log(np.concatenate((points, last), axis=1))
 
     box = tuple(((0.0, 1.0),) * (n - 1))
-    return FiniteStatModel(f"categorical:{n}", n, n - 1, logp, box,
+    return FiniteStatModel(f"categorical:{n}", n, n - 1, log_probs, box,
                            simplex=True)
 
 
@@ -349,39 +393,42 @@ def categorical_natural(n: int) -> FiniteStatModel:
     if n < 2:
         raise ValidationError("categorical model needs >= 2 outcomes")
 
-    def logp(theta, x):
-        logits = np.append(np.asarray(theta, dtype=float), 0.0)
-        return float(logits[x] - _logsumexp(logits))
+    def log_probs(points):
+        return _log_softmax(np.concatenate(
+            (points, np.zeros((len(points), 1))), axis=1))
 
     box = tuple(((-4.0, 4.0),) * (n - 1))
-    return FiniteStatModel(f"categorical-natural:{n}", n, n - 1, logp, box)
+    return FiniteStatModel(f"categorical-natural:{n}", n, n - 1, log_probs,
+                           box)
 
 
 def curved4() -> FiniteStatModel:
     """Curved 2-parameter subfamily of the 4-outcome family: logits
     (t1, t2, t1*t2, 0). The nonlinear constraint breaks dual flatness."""
 
-    def logp(theta, x):
-        t1, t2 = float(theta[0]), float(theta[1])
-        logits = np.array([t1, t2, t1 * t2, 0.0])
-        return float(logits[x] - _logsumexp(logits))
+    def log_probs(points):
+        t1, t2 = points[:, 0], points[:, 1]
+        return _log_softmax(np.stack(
+            (t1, t2, t1 * t2, np.zeros(len(points))), axis=1))
 
-    return FiniteStatModel("curved4", 4, 2, logp,
+    return FiniteStatModel("curved4", 4, 2, log_probs,
                            ((-3.0, 3.0), (-3.0, 3.0)))
 
 
 def constant_family() -> FiniteStatModel:
     """Uniform on two outcomes regardless of theta; zero Fisher metric."""
 
-    def logp(theta, x):
-        return float(np.log(0.5))
+    def log_probs(points):
+        return np.full((len(points), 2), np.log(0.5))
 
-    return FiniteStatModel("constant", 2, 1, logp, ((-1.0, 1.0),))
+    return FiniteStatModel("constant", 2, 1, log_probs, ((-1.0, 1.0),))
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Each row of logits less its log-sum-exp, shifted by its maximum."""
+    m = logits.max(axis=1, keepdims=True)
+    return logits - (m + np.log(np.sum(np.exp(logits - m), axis=1,
+                                       keepdims=True)))
 
 
 _FAMILY_BUILDERS = {

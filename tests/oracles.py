@@ -43,7 +43,9 @@ with the dense witness check they fed (`operator_matrix`,
 `dense_gauge_equation_rows`, ..., `dense_prolong`, `check_rows`), its
 former per-outcome
 information-geometry routes (`scalar_fisher_information`, ...,
-`scalar_exponential_defect_probe`), public helpers the library
+`scalar_exponential_defect_probe`) and the per-outcome log densities of
+its families that they read (`scalar_bernoulli`, ...,
+`scalar_constant_family`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former parse of
 every CLI call by a parser built anew (`fresh_parse`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
@@ -54,6 +56,7 @@ textbooks. Slower is fine; agreeing by construction is the point.
 
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, gcd, lcm
@@ -75,7 +78,7 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
 from koszul.connections import (InvariantConnection, cartan_connection,
                                 is_locally_flat, torsion)
 from koszul.errors import (ConformanceMismatch, JacobiViolation,
-                           KoszulError, NotKV, SingularFisher,
+                           KoszulError, NonNormalized, NotKV, SingularFisher,
                            TorsionMismatch, ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
 from koszul.gauge import FeStarSolutions
@@ -84,7 +87,7 @@ from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace
 from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
                             prolong, resolve_seed, symbol_coord_dim)
-from koszul.statmodel import (CURV_STEP, GRAD_STEP, PROBE_TOL,
+from koszul.statmodel import (CURV_STEP, GRAD_STEP, NORM_TOL, PROBE_TOL,
                               FiniteStatModel, ProbeReport, _richardson)
 
 
@@ -1963,7 +1966,103 @@ def check_rows(rows, flatvec) -> bool:
 #
 # The library's former per-outcome routes of `statmodel`: every gradient and
 # Hessian of a log density is taken outcome by outcome, and every call
-# evaluates its own log densities again.
+# evaluates its own log densities again. They read the families' former
+# per-outcome log densities, `log_density(theta, x)`, one float per call.
+
+@dataclass(frozen=True)
+class PerOutcomeModel(FiniteStatModel):
+    """A model given by its log density at one point and one outcome,
+    `log_density(theta, x)`. The library's routes read it through
+    `log_probs`, which calls `log_density` once per point and outcome."""
+
+    log_density: object = None
+
+
+def per_outcome_model(name, n_outcomes, n_params, log_density, domain,
+                      simplex=False) -> PerOutcomeModel:
+    def log_probs(points):
+        return np.array([[log_density(t, x) for x in range(n_outcomes)]
+                         for t in points])
+
+    return PerOutcomeModel(name, n_outcomes, n_params, log_probs, domain,
+                           simplex, log_density)
+
+
+def _scalar_logsumexp(v: np.ndarray) -> float:
+    m = float(np.max(v))
+    return m + float(np.log(np.sum(np.exp(v - m))))
+
+
+def scalar_bernoulli() -> PerOutcomeModel:
+    """Two outcomes, mean parameter theta = P(X = 1)."""
+
+    def logp(theta, x):
+        t = float(theta[0])
+        return float(np.log(t if x == 1 else 1.0 - t))
+
+    return per_outcome_model("bernoulli", 2, 1, logp, ((0.0, 1.0),))
+
+
+def scalar_categorical_mean(n: int) -> PerOutcomeModel:
+    """n outcomes, mean coordinates theta_i = p_i for i < n-1."""
+    if n < 2:
+        raise ValidationError("categorical model needs >= 2 outcomes")
+
+    def logp(theta, x):
+        if x < n - 1:
+            return float(np.log(theta[x]))
+        return float(np.log(1.0 - float(np.sum(theta))))
+
+    box = tuple(((0.0, 1.0),) * (n - 1))
+    return per_outcome_model(f"categorical:{n}", n, n - 1, logp, box,
+                             simplex=True)
+
+
+def scalar_categorical_natural(n: int) -> PerOutcomeModel:
+    """n outcomes, natural (logit) coordinates: p = softmax(theta, 0)."""
+    if n < 2:
+        raise ValidationError("categorical model needs >= 2 outcomes")
+
+    def logp(theta, x):
+        logits = np.append(np.asarray(theta, dtype=float), 0.0)
+        return float(logits[x] - _scalar_logsumexp(logits))
+
+    box = tuple(((-4.0, 4.0),) * (n - 1))
+    return per_outcome_model(f"categorical-natural:{n}", n, n - 1, logp, box)
+
+
+def scalar_curved4() -> PerOutcomeModel:
+    """Curved 2-parameter subfamily of the 4-outcome family: logits
+    (t1, t2, t1*t2, 0)."""
+
+    def logp(theta, x):
+        t1, t2 = float(theta[0]), float(theta[1])
+        logits = np.array([t1, t2, t1 * t2, 0.0])
+        return float(logits[x] - _scalar_logsumexp(logits))
+
+    return per_outcome_model("curved4", 4, 2, logp,
+                             ((-3.0, 3.0), (-3.0, 3.0)))
+
+
+def scalar_constant_family() -> PerOutcomeModel:
+    """Uniform on two outcomes regardless of theta; zero Fisher metric."""
+
+    def logp(theta, x):
+        return float(np.log(0.5))
+
+    return per_outcome_model("constant", 2, 1, logp, ((-1.0, 1.0),))
+
+
+def scalar_probs(model: PerOutcomeModel, theta) -> np.ndarray:
+    """The probabilities at theta, one outcome at a time; refuses a point
+    where they do not sum to 1 within NORM_TOL."""
+    p = np.array([np.exp(model.log_density(theta, x))
+                  for x in range(model.n_outcomes)])
+    if abs(float(p.sum()) - 1.0) > NORM_TOL:
+        raise NonNormalized(
+            f"probabilities sum to {p.sum()!r} at theta={theta}")
+    return p
+
 
 def scalar_grad_log(model, theta, x, h=GRAD_STEP):
     d = model.n_params
@@ -2008,10 +2107,10 @@ def scalar_hess_log(model, theta, x, h=GRAD_STEP):
     return out
 
 
-def scalar_fisher_information(model: FiniteStatModel, theta) -> np.ndarray:
+def scalar_fisher_information(model: PerOutcomeModel, theta) -> np.ndarray:
     """Fisher matrix sum_x p (grad log p)(grad log p)^T."""
     theta = model.check_domain(theta)
-    p = model.probs(theta)
+    p = scalar_probs(model, theta)
     d = model.n_params
     g = np.zeros((d, d))
     for x in range(model.n_outcomes):
@@ -2020,10 +2119,10 @@ def scalar_fisher_information(model: FiniteStatModel, theta) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def scalar_fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
+def scalar_fisher_via_hessian(model: PerOutcomeModel, theta) -> np.ndarray:
     """Independent route -sum_x p hess(log p); agrees within tolerance."""
     theta = model.check_domain(theta)
-    p = model.probs(theta)
+    p = scalar_probs(model, theta)
     d = model.n_params
     g = np.zeros((d, d))
     for x in range(model.n_outcomes):
@@ -2031,7 +2130,7 @@ def scalar_fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def scalar_alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
+def scalar_alpha_christoffels(model: PerOutcomeModel, theta, alpha: float,
                               raised: bool = False) -> np.ndarray:
     """Lowered symbols sum_x p [hess_ij + (1+a)/2 s_i s_j] s_k.
 
@@ -2039,7 +2138,7 @@ def scalar_alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
     matrix, giving Gamma^k_ij stored as [i][j][k].
     """
     theta = model.check_domain(theta)
-    p = model.probs(theta)
+    p = scalar_probs(model, theta)
     d = model.n_params
     low = np.zeros((d, d, d))
     w = (1.0 + alpha) / 2.0
@@ -2061,7 +2160,7 @@ def scalar_raise_last(low: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("ijl,lk->ijk", low, ginv)
 
 
-def scalar_alpha_curvature(model: FiniteStatModel, theta,
+def scalar_alpha_curvature(model: PerOutcomeModel, theta,
                            alpha: float) -> tuple[np.ndarray, float]:
     """Curvature of the raised alpha symbols by central differences.
 
@@ -2091,7 +2190,7 @@ def scalar_alpha_curvature(model: FiniteStatModel, theta,
     return r, float(np.max(np.abs(r))) if d else 0.0
 
 
-def scalar_exponential_defect_probe(model: FiniteStatModel, grid,
+def scalar_exponential_defect_probe(model: PerOutcomeModel, grid,
                                     tol: float = PROBE_TOL) -> ProbeReport:
     """Flag a model exponential-like when some end of the alpha family is
     numerically flat on the grid.

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import linalg, spencer
+from koszul import cli, linalg, spencer
 from koszul.errors import ValidationError
 from koszul.spencer import (
     DEFAULT_SEED,
@@ -278,3 +279,44 @@ def test_the_basis_search_validates_the_space_once(monkeypatch):
     assert calls == [(a,)]
     with pytest.raises(ValidationError, match="order-1"):
         find_quasi_regular_basis(a.prolongation)
+
+
+def _window_coords(v, w):
+    return sum(comb(v, p) * symbol_coord_dim(v, w, q + 1)
+               for p in range(4) for q in range(4))
+
+
+def _run_cohomology(capsys, tmp_path, doc):
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["spencer", "--symbol", str(path), "--op", "cohomology"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("v, w, rows", [
+    # a zero symbol just above the bound: the estimate reads v and w only
+    (3, 74, []),
+    # the full symbol of Hom(R^6, R^6), 26 s and 566 MB without the bound
+    (6, 6, [[int(i == j) for j in range(36)] for i in range(36)]),
+])
+def test_spencer_window_over_the_coordinate_bound_is_refused_with_exit_2(
+        capsys, tmp_path, v, w, rows):
+    estimate = _window_coords(v, w)
+    assert estimate > spencer.WINDOW_COORD_BOUND
+    with mock.patch.object(spencer, "prolong") as prolongation:
+        code, doc = _run_cohomology(capsys, tmp_path,
+                                    {"v": v, "w": w, "basis": rows})
+    assert code == 2 and not prolongation.called
+    assert doc["error"] == {"type": "ValidationError", "message": (
+        f"refused: Spencer window cochain coordinates estimated at "
+        f"{estimate}, above the bound of {spencer.WINDOW_COORD_BOUND}")}
+
+
+def test_spencer_window_just_below_the_coordinate_bound_runs(capsys,
+                                                             tmp_path):
+    assert _window_coords(3, 73) <= spencer.WINDOW_COORD_BOUND \
+        < _window_coords(3, 74)
+    code, doc = _run_cohomology(capsys, tmp_path,
+                                {"v": 3, "w": 73, "basis": []})
+    assert code == 0
+    assert doc["result"]["prolong_dims"] == [0, 0, 0, 0]

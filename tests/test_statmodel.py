@@ -1,5 +1,8 @@
+import contextlib
+import io
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +37,10 @@ from koszul.statmodel import (
 )
 
 from oracles import (fisher_bernoulli, fisher_categorical_mean,
-                     scalar_alpha_christoffels, scalar_alpha_curvature,
+                     per_outcome_model, scalar_alpha_christoffels,
+                     scalar_alpha_curvature, scalar_bernoulli,
+                     scalar_categorical_mean, scalar_categorical_natural,
+                     scalar_constant_family, scalar_curved4,
                      scalar_exponential_defect_probe,
                      scalar_fisher_information, scalar_fisher_via_hessian)
 
@@ -201,7 +207,8 @@ def test_probe_offset_refuses_a_point_with_no_room():
 
 def test_non_normalized_model_is_rejected():
     bad = FiniteStatModel("bad", 2, 1,
-                          lambda theta, x: float(np.log(0.6)),
+                          lambda points: np.full((len(points), 2),
+                                                 np.log(0.6)),
                           ((-1.0, 1.0),))
     with pytest.raises(NonNormalized):
         fisher_information(bad, [0.0])
@@ -229,16 +236,31 @@ def test_default_theta_values():
     assert np.allclose(default_theta(constant_family()), [0.0])
 
 
-# Each family with a strategy for its points: the box less the domain
-# margin and, on the simplex, points up to its edge, where the curvature
-# stencil leaves the domain.
+# Each family, with its per-outcome oracle and a strategy for its points:
+# the box less the domain margin and, on the simplex, points up to its
+# edge, where the curvature stencil leaves the domain. The families with
+# three parameters take the mixed Hessian over more than one pair.
 DIFFERENTIAL_FAMILIES = {
-    "bernoulli": (bernoulli(), st.tuples(st.floats(0.01, 0.99))),
-    "categorical:3": (categorical_mean(3), st.floats(0.01, 0.98).flatmap(
-        lambda a: st.tuples(st.just(a), st.floats(0.01, 0.99 - a)))),
+    "bernoulli": (bernoulli(), scalar_bernoulli(),
+                  st.tuples(st.floats(0.01, 0.99))),
+    "categorical:3": (categorical_mean(3), scalar_categorical_mean(3),
+                      st.floats(0.01, 0.98).flatmap(
+                          lambda a: st.tuples(st.just(a),
+                                              st.floats(0.01, 0.99 - a)))),
+    "categorical:4": (categorical_mean(4), scalar_categorical_mean(4),
+                      st.floats(0.01, 0.97).flatmap(
+                          lambda a: st.floats(0.01, 0.98 - a).flatmap(
+                              lambda b: st.tuples(
+                                  st.just(a), st.just(b),
+                                  st.floats(0.01, 0.99 - a - b))))),
     "categorical-natural:3": (categorical_natural(3),
+                              scalar_categorical_natural(3),
                               st.tuples(*[st.floats(-3.9, 3.9)] * 2)),
-    "curved4": (curved4(), st.tuples(*[st.floats(-2.9, 2.9)] * 2)),
+    "categorical-natural:4": (categorical_natural(4),
+                              scalar_categorical_natural(4),
+                              st.tuples(*[st.floats(-3.9, 3.9)] * 3)),
+    "curved4": (curved4(), scalar_curved4(),
+                st.tuples(*[st.floats(-2.9, 2.9)] * 2)),
 }
 
 
@@ -267,29 +289,32 @@ ROUTES = [
 ]
 
 
-def _route_outcomes(model, theta, alpha):
-    """(route, oracle) outcome pairs of every pointwise route at theta."""
+def _route_outcomes(model, oracle_model, theta, alpha):
+    """(route, oracle) outcome pairs of every pointwise route at theta,
+    the route on `model` and the oracle on its per-outcome `oracle_model`."""
     for route, oracle, extra in ROUTES:
-        args = (model, theta) if route in (fisher_information,
-                                           fisher_via_hessian) \
-            else (model, theta, alpha, *extra)
-        yield route.__name__, _outcome(route, *args), _outcome(oracle, *args)
+        args = (theta,) if route in (fisher_information,
+                                     fisher_via_hessian) \
+            else (theta, alpha, *extra)
+        yield (route.__name__, _outcome(route, model, *args),
+               _outcome(oracle, oracle_model, *args))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(data=st.data(), name=st.sampled_from(sorted(DIFFERENTIAL_FAMILIES)),
        alpha=st.sampled_from((-1.0, 0.3, 1.0)))
 def test_jet_routes_match_the_per_outcome_oracles(data, name, alpha):
-    model, points = DIFFERENTIAL_FAMILIES[name]
+    model, oracle_model, points = DIFFERENTIAL_FAMILIES[name]
     theta = list(data.draw(points))
-    for route, got, want in _route_outcomes(model, theta, alpha):
+    for route, got, want in _route_outcomes(model, oracle_model, theta,
+                                            alpha):
         assert _bitwise_equal(got, want), route
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(data=st.data(), name=st.sampled_from(sorted(DIFFERENTIAL_FAMILIES)))
 def test_probe_matches_the_per_outcome_oracle(data, name):
-    model, points = DIFFERENTIAL_FAMILIES[name]
+    model, oracle_model, points = DIFFERENTIAL_FAMILIES[name]
     center = data.draw(st.just(default_theta(model)) | points)
     try:
         grid = cli._probe_grid(model, center)
@@ -297,26 +322,30 @@ def test_probe_matches_the_per_outcome_oracle(data, name):
         grid = [center]
     assert _bitwise_equal(
         _outcome(exponential_defect_probe, model, grid),
-        _outcome(scalar_exponential_defect_probe, model, grid))
+        _outcome(scalar_exponential_defect_probe, oracle_model, grid))
 
 
 def _unnormalized():
-    return FiniteStatModel("bad", 2, 1, lambda theta, x: float(np.log(0.6)),
-                           ((-1.0, 1.0),))
+    bad = per_outcome_model("bad", 2, 1, lambda theta, x: float(np.log(0.6)),
+                            ((-1.0, 1.0),))
+    return bad, bad
 
 
+# each model comes with its per-outcome oracle
 @pytest.mark.parametrize("model, theta, error", [
-    (constant_family(), [0.0], SingularFisher),
+    ((constant_family(), scalar_constant_family()), [0.0], SingularFisher),
     (_unnormalized(), [0.0], NonNormalized),
     # inside the domain, but its +-CURV_STEP stencil is not
-    (bernoulli(), [0.0105], DomainViolation),
-    (categorical_mean(3), [0.5, 0.4895], DomainViolation),
+    ((bernoulli(), scalar_bernoulli()), [0.0105], DomainViolation),
+    ((categorical_mean(3), scalar_categorical_mean(3)), [0.5, 0.4895],
+     DomainViolation),
 ])
 def test_jet_routes_raise_what_the_oracles_raise(model, theta, error):
-    outcomes = list(_route_outcomes(model, theta, 0.3))
+    model, oracle_model = model
+    outcomes = list(_route_outcomes(model, oracle_model, theta, 0.3))
     outcomes.append(("probe", _outcome(exponential_defect_probe, model,
                                        [theta]),
-                     _outcome(scalar_exponential_defect_probe, model,
+                     _outcome(scalar_exponential_defect_probe, oracle_model,
                               [theta])))
     for route, got, want in outcomes:
         assert _bitwise_equal(got, want), route
@@ -324,30 +353,134 @@ def test_jet_routes_raise_what_the_oracles_raise(model, theta, error):
     assert [got[0] for _, got, _ in outcomes[-2:]] == [error, error]
 
 
+def _three_regimes():
+    """A one-parameter model that is constant (a singular Fisher matrix)
+    for theta <= -0.5, a Bernoulli model for -0.5 < theta < 0.5 and not
+    normalized from 0.5 on."""
+
+    def log_density(theta, x):
+        t = float(theta[0])
+        if t <= -0.5:
+            return float(np.log(0.5))
+        if t < 0.5:
+            return float(np.log((1.0 + t) / 2 if x else (1.0 - t) / 2))
+        return float(np.log(0.6))
+
+    return per_outcome_model("regimes", 2, 1, log_density, ((-1.0, 1.0),))
+
+
+@pytest.mark.parametrize("grid, error", [
+    ([[0.0], [0.7], [-0.7]], NonNormalized),
+    ([[0.0], [-0.7], [0.7]], SingularFisher),
+    ([[0.0], [0.995], [0.7]], DomainViolation),
+    ([[0.0], [0.7], [0.995]], NonNormalized),
+    ([[0.0], [0.1, 0.2], [0.7]], ValidationError),
+    ([[0.2], [0.7], [0.1, 0.2]], NonNormalized),
+])
+def test_the_probe_raises_the_first_fault_of_its_grid(grid, error):
+    # the batched jets check their points in the order the per-point
+    # routes reached them: the first fault on the grid wins
+    model = _three_regimes()
+    got = _outcome(exponential_defect_probe, model, grid)
+    assert got[0] is error
+    assert _bitwise_equal(
+        got, _outcome(scalar_exponential_defect_probe, model, grid))
+
+
 def _counted(model):
-    """model whose log density records each (point, outcome) it is
+    """model whose log densities record each stack of points they are
     evaluated at."""
+    calls = []
+
+    def log_probs(points):
+        calls.append(points.copy())
+        return model.log_probs(points)
+
+    return replace(model, log_probs=log_probs), calls
+
+
+def _per_outcome_counted(model):
+    """per-outcome model whose log density records each (point, outcome)
+    it is evaluated at."""
     calls = []
 
     def log_density(theta, x):
         calls.append((theta.tobytes(), x))
         return model.log_density(theta, x)
 
-    return replace(model, log_density=log_density), calls
+    return per_outcome_model(model.name, model.n_outcomes, model.n_params,
+                             log_density, model.domain, model.simplex), calls
 
 
 def test_each_point_and_outcome_is_evaluated_once():
     model, calls = _counted(curved4())
     grid = cli._probe_grid(model, default_theta(model))
     exponential_defect_probe(model, grid)
-    # 9 grid points x 5 curvature stencil points x 17 difference points
-    # x 4 outcomes, against 15,768 evaluations by the per-outcome routes
-    assert len(calls) == len(set(calls)) == 9 * 5 * 17 * 4
-    model, oracle_calls = _counted(curved4())
-    scalar_exponential_defect_probe(model, grid)
-    assert len(oracle_calls) == 15768 and set(oracle_calls) == set(calls)
+    # one batched call: 9 grid points x 5 curvature stencil points x 17
+    # difference points, each once, against 15,768 (point, outcome)
+    # evaluations by the per-outcome routes
+    assert len(calls) == 1 and calls[0].shape == (9 * 5 * 17, 2)
+    points = {row.tobytes() for row in calls[0]}
+    assert len(points) == 9 * 5 * 17
+    oracle_model, oracle_calls = _per_outcome_counted(scalar_curved4())
+    scalar_exponential_defect_probe(oracle_model, grid)
+    assert len(oracle_calls) == 15768
+    assert {pt for pt, _ in oracle_calls} == points
 
     model, calls = _counted(bernoulli())
     alpha_curvature(model, [0.4], 0.5)
-    # 3 stencil points x 5 difference points x 2 outcomes (96 before)
-    assert len(calls) == len(set(calls)) == 3 * 5 * 2
+    # 3 stencil points x 5 difference points in one call (96 before)
+    assert len(calls) == 1 and calls[0].shape == (3 * 5, 1)
+    assert len({row.tobytes() for row in calls[0]}) == 3 * 5
+
+
+# The CLI byte test's corpus: every operation on every family at its
+# default point and off centre, and the refusals.
+OFF_CENTRE = {"bernoulli": "0.3", "categorical:3": "0.2,0.5",
+              "categorical-natural:3": "0.4,-0.7", "curved4": "0.5,-0.4",
+              "constant": "0.2"}
+CLI_CORPUS = [
+    ["statmodel", "--family", family, "--op", op, "--alpha", "0.3"] + theta
+    for family in OFF_CENTRE
+    for op in ("fisher", "alpha", "curvature", "defect")
+    for theta in ([], ["--theta=" + OFF_CENTRE[family]])
+] + [
+    ["statmodel", "--family", "categorical:3", "--op", "defect"],
+    ["statmodel", "--family", "categorical:3", "--op", "defect",
+     "--theta=0.5,0.4895"],
+    ["statmodel", "--family", "curved4", "--op", "alpha", "--alpha", "nan"],
+    ["statmodel", "--family", "bernoulli", "--op", "alpha", "--alpha=1e308"],
+    ["statmodel", "--family", "bernoulli", "--op", "curvature",
+     "--alpha=1e308"],
+]
+
+# the per-outcome routes and families, patched over the batched ones
+ORACLE_STATMODEL = {
+    "fisher_information": scalar_fisher_information,
+    "alpha_christoffels": scalar_alpha_christoffels,
+    "alpha_curvature": scalar_alpha_curvature,
+    "exponential_defect_probe": scalar_exponential_defect_probe,
+    "bernoulli": scalar_bernoulli,
+    "categorical_mean": scalar_categorical_mean,
+    "categorical_natural": scalar_categorical_natural,
+    "curved4": scalar_curved4,
+    "constant_family": scalar_constant_family,
+}
+
+
+def _main_bytes(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", CLI_CORPUS, ids=" ".join)
+def test_cli_bytes_match_the_per_outcome_oracles(argv):
+    got = _main_bytes(argv)
+    with mock.patch.multiple("koszul.statmodel", **ORACLE_STATMODEL):
+        want = _main_bytes(argv)
+    assert got == want
