@@ -128,17 +128,15 @@ def _load_connection(args, base, inputs: _Inputs, required=True):
     return conn
 
 
-def _load_metric(args, dim: int, inputs: _Inputs, default_identity=True):
+def _load_metric(args, dim: int, inputs: _Inputs):
     path = getattr(args, "metric", None) or getattr(args, "form", None)
-    if path:
-        role = "metric" if getattr(args, "metric", None) else "form"
-        inputs.add_file(role, path)
-        form = kio.load_form(path)
-        inputs.add_dump(role, kio.dump_form, form)
-        return form
-    if default_identity:
+    if not path:
         return identity_form(dim)
-    return None
+    role = "metric" if getattr(args, "metric", None) else "form"
+    inputs.add_file(role, path)
+    form = kio.load_form(path)
+    inputs.add_dump(role, kio.dump_form, form)
+    return form
 
 
 # ---------------------------------------------------------------- commands

@@ -14,8 +14,8 @@ multiplications R. Segal's criterion decides it in every dimension: the
 algebra is complete exactly when every right multiplication R_{e_i} has
 trace zero. An incomplete algebra gets a rational witness a_star with
 det(R_{a_star} + I) = 0: in ambient dimension <= 2 the first rational zero
-on a coordinate axis or grid line, where one lies there; else a_star = -e
-for a nonzero idempotent e. No verdict is unknown.
+on a coordinate axis, where one lies there; else a_star = -e for a nonzero
+idempotent e. No verdict is unknown.
 """
 
 from __future__ import annotations
@@ -182,28 +182,22 @@ def _det_poly(p: BilinearProduct):
 
 
 def _rational_zero(p: BilinearProduct) -> Vec | None:
-    """First rational zero of q(s) = det(R_s + I) on a line, else None.
+    """First rational zero of q(s) = det(R_s + I) on a coordinate axis,
+    else None.
 
-    The lines are the coordinate axes, then for n = 2 the lines s0 = k/2,
-    k = -8..8; the smallest rational root on the first line that has one is
-    taken. No restriction is the zero polynomial: q(0) = 1, and a grid line
-    is reached only when the s0 axis holds no rational zero.
+    The smallest rational root on the first axis that has one is taken. No
+    restriction is the zero polynomial, since q(0) = 1.
     """
     import sympy
 
     q, syms = _det_poly(p)
-    n = len(syms)
-    lines = [(i, [Fraction(0)] * n) for i in range(n)]
-    if n == 2:
-        lines += [(1, [Fraction(k, 2), Fraction(0)]) for k in range(-8, 9)]
-    for i, point in lines:
-        restricted = q.subs({s: sympy.Rational(c) for j, (s, c)
-                             in enumerate(zip(syms, point)) if j != i})
-        roots = sorted(r for r in sympy.roots(sympy.Poly(restricted, syms[i]))
+    for i, axis in enumerate(syms):
+        restricted = q.subs({s: 0 for s in syms if s != axis})
+        roots = sorted(r for r in sympy.roots(sympy.Poly(restricted, axis))
                        if r.is_Rational)
         if roots:
-            point[i] = Fraction(roots[0].p, roots[0].q)
-            return tuple(point)
+            return tuple(Fraction(roots[0].p, roots[0].q) if j == i
+                         else Fraction(0) for j in range(len(syms)))
     return None
 
 
@@ -213,7 +207,7 @@ def geometric_completeness(p: BilinearProduct) -> CompletenessReport:
     In an associative algebra R_x^k = R_{x^k}, so traces zero on a basis
     make every power of every R_x traceless, hence every R_x nilpotent and
     det(R + I) = 1 (Segal's criterion). Otherwise the witness for n <= 2
-    is the first rational zero of det(R_s + I) on an axis or grid line
+    is the first rational zero of det(R_s + I) on an axis
     (`_rational_zero`); where there is none, and for n >= 3, some e_i is
     not nilpotent and yields the idempotent witness.
     """

@@ -32,8 +32,7 @@ from koszul.connections import (InvariantConnection, amari_dual,
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
-from koszul.gauge import (parallel_rows, phi_split, solve_fe_star,
-                          solve_gauge_equation)
+from koszul.gauge import parallel_rows, solve_fe_star, solve_gauge_equation
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace, condition_rows
 
@@ -376,22 +375,29 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
 
 def _phi_parts_space(conn: InvariantConnection, g: BilinearForm,
                      part: str) -> LinearSolutionSpace:
+    """The forms b = g(Phi·,·) (part "sym") or g(Phi*·,·) (part "skew") of
+    the FE(nabla, nabla*) solutions phi, read through the bridge: G Phi is
+    the symmetric half of G phi and G Phi* its skew half."""
     dual = amari_dual(conn, g)
     sols = solve_gauge_equation(conn, dual)
-    parts = []
+    m, sign = conn.dim, 1 if part == "sym" else -1
+    forms = []
     for phi in sols.matrices():
-        pair = phi_split(phi, g)
-        parts.append(pair.phi_sym if part == "sym" else pair.phi_skew)
-    return _space_from_matrices(parts, conn.dim)
+        b = linalg.mat_mul(g.matrix, phi)
+        forms.append([[(b[i][j] + sign * b[j][i]) / 2 for j in range(m)]
+                      for i in range(m)])
+    return _space_from_matrices(forms, m)
 
 
 def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
         ) -> tuple[int, ExistenceVerdict]:
     """Metric gap: dim minus the best rank of symmetric gauge parts.
 
-    Built from the pair (plus-connection, its metric dual); the resulting
-    forms g(Phi·,·) are exactly the ad-invariant symmetric forms, so the value
-    is independent of the auxiliary metric g.
+    Built from the pair (plus-connection, its metric dual). The forms
+    g(Phi·,·) are taken through the bridge, as symmetric halves of g(phi·,·),
+    and they are exactly the ad-invariant symmetric forms: the space walked,
+    and so the value, the verdict and the witness form, do not depend on the
+    auxiliary metric g.
     """
     if g.sym != SYMMETRIC:
         raise SingularMetric("auxiliary metric must be symmetric")
@@ -403,27 +409,16 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
     constraint = "positive_definite" if positive else "none"
     rw = max_rank(space, constraint=constraint)
     gap = m - rw.max_rank
-
-    gm = g.matrix
-    if positive:
-        if rw.positive_definite:
-            bw = linalg.mat_mul(gm, rw.element)
-            witness = BilinearForm(m, bw, SYMMETRIC)
-            _validate_ad_invariant(L, witness)
-            if not witness.is_positive_definite():
-                raise ValidationError("positive witness failed revalidation")
-            return gap, ExistenceVerdict("yes", invariant_value=gap,
-                                         witness=witness)
-        return gap, _no_or_unknown(space, m, rw,
-                                   notes="no positive definite sample found")
-    if gap == 0:
-        bw = linalg.mat_mul(gm, rw.element)
-        witness = BilinearForm(m, bw, SYMMETRIC)
-        _validate_ad_invariant(L, witness)
-        if not witness.is_nondegenerate:
+    if rw.positive_definite if positive else gap == 0:
+        witness = BilinearForm(m, rw.element, SYMMETRIC)
+        _validate_parallel(plus, witness)
+        if not (witness.is_positive_definite() if positive
+                else witness.is_nondegenerate):
             raise ValidationError("witness form failed revalidation")
-        return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return gap, _no_or_unknown(space, m, rw)
+        return gap, ExistenceVerdict("yes", invariant_value=gap,
+                                     witness=witness)
+    notes = "no positive definite sample found" if positive else ""
+    return gap, _no_or_unknown(space, m, rw, notes=notes)
 
 
 def _skew_cocycle_rows(L: LieAlgebra) -> list[dict[int, int]]:
@@ -436,10 +431,11 @@ def _skew_cocycle_rows(L: LieAlgebra) -> list[dict[int, int]]:
         if a < b < k or b < k < a or k < a < b)
 
 
-def _validate_ad_invariant(L: LieAlgebra, b: BilinearForm):
-    rows = parallel_rows(cartan_connection(L, "plus"))
-    if not spaces.satisfies(rows, linalg.flatten(b.matrix)):
-        raise ValidationError("witness form is not ad-invariant")
+def _validate_parallel(conn: InvariantConnection, b: BilinearForm):
+    """Re-check a witness form on the defining rows of nabla-parallel forms
+    (for the plus connection, the ad-invariant ones)."""
+    if not spaces.satisfies(parallel_rows(conn), linalg.flatten(b.matrix)):
+        raise ValidationError("witness form is not parallel")
 
 
 def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
@@ -456,7 +452,7 @@ def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     gap = m - rw.max_rank
     if rw.max_rank == m:
         witness = BilinearForm(m, rw.element, SYMMETRIC)
-        _validate_ad_invariant(L, witness)
+        _validate_parallel(plus, witness)
         notes = ("witness is positive definite"
                  if rw.positive_definite else
                  "witness is nondegenerate; definiteness not certified")
@@ -470,11 +466,14 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
              ) -> tuple[int, ExistenceVerdict]:
     """Symplectic gap: dim minus the best rank of skew gauge parts.
 
-    By the bridge b = g(phi·,·), the skew parts sweep exactly the
-    nabla-parallel skew forms. The torsion-free precondition can be waived
-    (require_torsion_free=False) to probe connections with torsion, e.g. the
-    bracket connection on a semisimple algebra; the geometric symplectic
-    interpretation is only backed by the torsion-free case.
+    The forms g(Phi*·,·) are taken through the bridge b = g(phi·,·), as
+    skew halves of b, and they sweep exactly the nabla-parallel skew forms:
+    the space walked, and so the value, the verdict and the witness form, do
+    not depend on the auxiliary metric g. The torsion-free precondition can
+    be waived (require_torsion_free=False) to probe connections with
+    torsion, e.g. the bracket connection on a semisimple algebra; the
+    geometric symplectic interpretation is only backed by the torsion-free
+    case.
     """
     if g.sym != SYMMETRIC:
         raise SingularMetric("auxiliary metric must be symmetric")
@@ -488,14 +487,8 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
     rw = max_rank(space)
     gap = m - rw.max_rank
     if gap == 0:
-        omega = linalg.mat_mul(g.matrix, rw.element)
-        witness = BilinearForm(m, omega, SKEW)
-        for gi in conn.matrices:
-            lhs = linalg.mat_add(
-                linalg.mat_mul(linalg.transpose(gi), omega),
-                linalg.mat_mul(omega, gi))
-            if not linalg.is_zero_matrix(lhs):
-                raise ValidationError("symplectic witness is not parallel")
+        witness = BilinearForm(m, rw.element, SKEW)
+        _validate_parallel(conn, witness)
         if not witness.is_nondegenerate:
             raise ValidationError("symplectic witness is degenerate")
         return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)

@@ -234,8 +234,10 @@ def alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
     matrix, giving Gamma^k_ij stored as [i][j][k].
     """
     jets = _jets(model, [theta], raised=raised)
-    low = _lowered(jets, alpha)
-    return (_raise(low, jets.ginv) if raised else low)[0]
+    # a huge alpha overflows to inf or nan, which the caller checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = _lowered(jets, alpha)
+        return (_raise(low, jets.ginv) if raised else low)[0]
 
 
 def _lowered(jets: _Jets, alpha: float) -> np.ndarray:
@@ -295,7 +297,8 @@ def alpha_curvature(model: FiniteStatModel, theta,
     theta = model.check_domain(theta)
     jets = _jets(model, _curvature_stencil(theta, model.n_params),
                  raised=True)
-    return _curvature(_raise(_lowered(jets, alpha), jets.ginv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _curvature(_raise(_lowered(jets, alpha), jets.ginv))
 
 
 def _curvature(symbols: np.ndarray) -> tuple[np.ndarray, float]:

@@ -29,11 +29,14 @@ rank over the rational function field by sympy (`symbolic_generic_rank`),
 its former flat-existence search, with random torsion-free probes
 (`_random_torsion_free_table`), an FE* solve per probe and sympy's
 `solve` for dim <= 2 (`eager_flat_existence`,
-`sympy_flat_existence_small`), its former Cartan test, with a
-prolongation per call and nullspace flag dimensions over `Fraction` rows
-(`nullspace_cartan_test`, `nullspace_quasi_regular_basis`), its former
-Spencer window over dense `Fraction` cochain vectors
-(`dense_spencer_cohomology`), its former
+`sympy_flat_existence_small`), its former s^b and s^{*b} on the span of
+the `phi_split` parts with the witness form G times the walked element
+(`phi_split_parts_space`, `phi_split_s_b`, `phi_split_s_star_b`) and their
+dense recheck of a parallel form (`dense_is_parallel`), its former
+Cartan test, with a prolongation per call and nullspace flag dimensions
+over `Fraction` rows (`nullspace_cartan_test`,
+`nullspace_quasi_regular_basis`), its former Spencer window over dense
+`Fraction` cochain vectors (`dense_spencer_cohomology`), its former
 Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
@@ -75,14 +78,17 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                hochschild_coboundary_matrix,
                                kv_coboundary_matrix, kv_degree_zero_space,
                                zero_cochain)
-from koszul.connections import (InvariantConnection, cartan_connection,
-                                is_locally_flat, torsion)
+from koszul.connections import (InvariantConnection, amari_dual,
+                                cartan_connection, is_locally_flat, torsion)
 from koszul.errors import (ConformanceMismatch, JacobiViolation,
                            KoszulError, NonNormalized, NotKV, SingularFisher,
                            TorsionMismatch, ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
-from koszul.gauge import FeStarSolutions
-from koszul.invariants import ExistenceVerdict, RankWitness, r_b_defect
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm
+from koszul.gauge import FeStarSolutions, phi_split, solve_gauge_equation
+from koszul.invariants import (ExistenceVerdict, RankWitness,
+                               _no_or_unknown, _space_from_matrices,
+                               max_rank, r_b_defect)
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace
 from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
@@ -1797,6 +1803,75 @@ def sympy_flat_existence_small(L: LieAlgebra) -> ExistenceVerdict | None:
     if not flat:
         return None
     return ExistenceVerdict("yes", invariant_value=0, witness=conn)
+
+
+# ---------------------------------------------------------------- gauge parts
+#
+# The library's former s^b and s^{*b}: every FE(nabla, nabla*) solution
+# split by `gauge.phi_split`, the endomorphisms Phi or Phi* walked by
+# `max_rank`, and the witness form taken as G times the walked element, the
+# skew one re-checked on the dense connection matrices.
+
+def phi_split_parts_space(conn: InvariantConnection, g: BilinearForm,
+                          part: str) -> LinearSolutionSpace:
+    """The library's former `invariants._phi_parts_space`: the span of the
+    g-symmetric parts Phi (part "sym") or g-skew parts Phi* (part "skew")."""
+    dual = amari_dual(conn, g)
+    sols = solve_gauge_equation(conn, dual)
+    parts = []
+    for phi in sols.matrices():
+        pair = phi_split(phi, g)
+        parts.append(pair.phi_sym if part == "sym" else pair.phi_skew)
+    return _space_from_matrices(parts, conn.dim)
+
+
+def dense_is_parallel(conn: InvariantConnection, b: Mat) -> bool:
+    """The library's former recheck of a symplectic witness:
+    Gamma_i^T b + b Gamma_i = 0 for every connection matrix Gamma_i."""
+    return all(linalg.is_zero_matrix(linalg.mat_add(
+        linalg.mat_mul(linalg.transpose(gi), b), linalg.mat_mul(b, gi)))
+        for gi in conn.matrices)
+
+
+def phi_split_s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False):
+    """The library's former `invariants.s_b`, on `phi_split_parts_space`,
+    with the witness form G times the walked element."""
+    m = L.dim
+    plus = cartan_connection(L, "plus")
+    space = phi_split_parts_space(plus, g, "sym")
+    rw = max_rank(space, "positive_definite" if positive else "none")
+    gap = m - rw.max_rank
+    if rw.positive_definite if positive else gap == 0:
+        witness = BilinearForm(m, linalg.mat_mul(g.matrix, rw.element),
+                               SYMMETRIC)
+        if not dense_is_parallel(plus, witness.matrix):
+            raise ValidationError("witness form is not ad-invariant")
+        if not (witness.is_positive_definite() if positive
+                else witness.is_nondegenerate):
+            raise ValidationError("witness form failed revalidation")
+        return gap, ExistenceVerdict("yes", invariant_value=gap,
+                                     witness=witness)
+    notes = "no positive definite sample found" if positive else ""
+    return gap, _no_or_unknown(space, m, rw, notes=notes)
+
+
+def phi_split_s_star_b(conn: InvariantConnection, g: BilinearForm):
+    """The library's former `invariants.s_star_b` (torsion not checked), on
+    `phi_split_parts_space`, with the witness form G times the walked
+    element."""
+    m = conn.dim
+    space = phi_split_parts_space(conn, g, "skew")
+    rw = max_rank(space)
+    gap = m - rw.max_rank
+    if gap == 0:
+        omega = linalg.mat_mul(g.matrix, rw.element)
+        witness = BilinearForm(m, omega, SKEW)
+        if not dense_is_parallel(conn, omega):
+            raise ValidationError("symplectic witness is not parallel")
+        if not witness.is_nondegenerate:
+            raise ValidationError("symplectic witness is degenerate")
+        return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
+    return gap, _no_or_unknown(space, m, rw)
 
 
 # ---------------------------------------------------------------- condition rows

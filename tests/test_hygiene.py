@@ -148,6 +148,65 @@ def test_sympy_is_imported_only_by_the_listed_functions():
     assert top == []
 
 
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes, as "module.name", that no
+    module of `sources` (module name -> source) reads.
+
+    A name counts as read when it appears as a variable, or as an attribute
+    of any object (`linalg.rank`, but also `form.rank`), in any of the
+    modules, its own included. An import alone, such as the package's
+    re-exports, is not a read.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{m}.{name}" for m, name in defined if name not in read)
+
+
+def test_the_scan_sees_unread_names():
+    sources = {"a": ("def f(): pass\n"
+                     "def g(): return h\n"
+                     "def _p(): pass\n"
+                     "class C: pass\n"
+                     "def h(): return b.k\n"),
+               "b": ("from a import f\n"
+                     "def k(): pass\n"
+                     "class D: pass\n"
+                     "x = C()\n")}
+    assert unread_public_names(sources) == ["a.f", "a.g", "b.D"]
+
+
+# Public functions and classes of the package that no module of src/ reads:
+# the benchmark tracer's targets, names the tests read, and the public API.
+# A new one is added here on purpose, or given a reader, or deleted.
+UNREAD_PUBLIC_NAMES = [
+    "algebra.conjugate_lie", "algebra.direct_sum_products", "cli.run",
+    "cohomology.ce_coboundary_matrix", "cohomology.hochschild_coboundary",
+    "cohomology.hochschild_coboundary_matrix", "cohomology.kv_coboundary",
+    "cohomology.kv_coboundary_matrix", "cohomology.maurer_cartan_defect",
+    "connections.curvature_operators", "forms.skew_form",
+    "forms.symmetric_form", "gauge.kernel_image_split", "gauge.phi_split",
+    "gauge.solve_fe_double_star", "invariants.generic_rank",
+    "linalg.commutator", "linalg.is_zero_matrix", "spencer.full_hom",
+    "spencer.zero_symbol", "statmodel.fisher_via_hessian",
+    "statmodel.levi_civita_symbols",
+]
+
+
+def test_public_names_with_no_reader_in_src_are_listed():
+    sources = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert unread_public_names(sources) == UNREAD_PUBLIC_NAMES
+
+
 def test_the_scan_sees_numpy_imports():
     source = ("import numpy as np\n"
               "from numpy.linalg import inv\n"

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import cli, invariants, linalg
+from koszul import cli, invariants, linalg, spaces
 from koszul.algebra import abelian, commutator_bracket, conjugate_lie
 from koszul.catalog import (
     aff1,
+    aff1_symplectic_connection,
     heisenberg,
     heisenberg_kv,
     resolve,
@@ -27,6 +28,7 @@ from koszul.errors import (
     ValidationError,
 )
 from koszul.forms import BilinearForm, identity_form
+from koszul.gauge import parallel_forms, parallel_rows
 from koszul.invariants import (
     GENERIC_RANK_POINTS,
     PRIME_POINTS,
@@ -44,10 +46,12 @@ from koszul.invariants import (
 )
 from koszul.spaces import LinearSolutionSpace
 
-from conftest import (direct_sum_lie, rand_invertible, random_metric,
-                      random_torsion_free)
-from oracles import (dense_curvature, dense_torsion, eager_flat_existence,
-                     full_pool_max_rank, symbolic_generic_rank)
+from conftest import (direct_sum_lie, lie_pool, rand_invertible,
+                      random_metric, random_torsion_free)
+from oracles import (dense_curvature, dense_is_parallel, dense_torsion,
+                     eager_flat_existence, full_pool_max_rank,
+                     phi_split_parts_space, phi_split_s_b, phi_split_s_star_b,
+                     symbolic_generic_rank)
 
 
 def kv_connection(p):
@@ -283,10 +287,147 @@ def test_left_symplectic_oracle_verdicts():
 
 def test_symplectic_routes_agree_on_catalog(rng):
     # gap route via the aff(1) torsion-free connection vs the cocycle oracle
-    from koszul.catalog import aff1_symplectic_connection
     val, verdict = s_star_b(aff1_symplectic_connection(), identity_form(2))
     direct = left_symplectic_oracle(aff1())
     assert val == 0 and verdict.exists == "yes" == direct.exists
+
+
+def _answer(result):
+    """An s_b or s_star_b answer as plain data, its witness as a matrix."""
+    value, v = result
+    witness = None if v.witness is None else v.witness.matrix
+    return value, v.exists, v.invariant_value, witness, v.certificate, v.notes
+
+
+def _gram_metrics(m, count, seed):
+    """count positive definite metrics P^T P, the entries of P in [-2, 2]
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rand_invertible(m, rng)
+        yield BilinearForm(m, linalg.mat_mul(linalg.transpose(p), p),
+                           "symmetric")
+
+
+SO3_R = direct_sum_lie(so3(), abelian(1))
+
+
+@pytest.mark.parametrize("L", [so3(), sl2(), heisenberg(), aff1(), abelian(3),
+                               SO3_R],
+                         ids=["so3", "sl2", "heisenberg", "aff1", "abelian:3",
+                              "so3+R"])
+@pytest.mark.parametrize("positive", [False, True], ids=["sb", "sb+"])
+def test_s_b_does_not_depend_on_the_auxiliary_metric(L, positive):
+    # the walked forms are the ad-invariant symmetric forms whatever g is,
+    # so value, verdict and witness are those of the identity metric
+    want = _answer(s_b(L, identity_form(L.dim), positive))
+    rng = random.Random(L.dim)
+    for g in [random_metric(L.dim, rng) for _ in range(3)] + list(
+            _gram_metrics(L.dim, 2, L.dim)):
+        assert _answer(s_b(L, g, positive)) == want
+
+
+def test_so3_plus_r_has_a_positive_definite_witness_for_every_metric():
+    want = _answer(s_b(SO3_R, identity_form(4), positive=True))
+    assert want[1] == "yes"
+    for g in _gram_metrics(4, 40, 1):
+        assert _answer(s_b(SO3_R, g, positive=True)) == want
+
+
+@pytest.mark.parametrize("conn", [
+    cartan_connection(abelian(4), "zero"), aff1_symplectic_connection(),
+    kv_connection(heisenberg_kv())],
+    ids=["abelian:4/zero", "aff1-symplectic", "heisenberg-kv"])
+def test_s_star_b_does_not_depend_on_the_auxiliary_metric(conn):
+    m = conn.dim
+    want = _answer(s_star_b(conn, identity_form(m)))
+    rng = random.Random(m)
+    for g in [random_metric(m, rng) for _ in range(3)] + list(
+            _gram_metrics(m, 2, m)):
+        assert _answer(s_star_b(conn, g)) == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, len(lie_pool()) - 1),
+       change=st.none() | st.integers(0, 2 ** 16),
+       kind=st.sampled_from(("plus", "torsion-free")),
+       part=st.sampled_from(("sym", "skew")),
+       metric=st.none() | st.integers(0, 2 ** 16))
+@example(base=8, change=None, kind="plus", part="sym", metric=3)  # so3+R
+@example(base=3, change=None, kind="torsion-free", part="skew", metric=None)
+def test_parts_span_is_the_metric_times_the_phi_split_span(
+        base, change, kind, part, metric):
+    L = lie_pool()[base]
+    m = L.dim
+    if change is not None:
+        L = conjugate_lie(L, rand_invertible(m, random.Random(change)))
+    rng = random.Random(metric)
+    conn = cartan_connection(L, "plus") if kind == "plus" \
+        else random_torsion_free(L, rng)
+    g = identity_form(m) if metric is None else random_metric(m, rng)
+    new = invariants._phi_parts_space(conn, g, part)
+    old = phi_split_parts_space(conn, g, part)
+    moved = [linalg.flatten(linalg.mat_mul(g.matrix, b))
+             for b in old.matrices()]
+    assert new.basis == (linalg.row_space_basis(moved) if moved else ())
+    assert max_rank(new).max_rank == max_rank(old).max_rank
+    if part == "sym" and kind == "plus":
+        got, former = s_b(L, g), phi_split_s_b(L, g)
+    elif part == "skew":
+        got = s_star_b(conn, g, require_torsion_free=False)
+        former = phi_split_s_star_b(conn, g)
+    else:
+        return
+    if metric is None:
+        # under the identity metric the former answer is kept whole
+        assert _answer(got) == _answer(former)
+    else:
+        assert (got[0], got[1].exists) == (former[0], former[1].exists)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, len(lie_pool()) - 1),
+       kind=st.sampled_from(("plus", "zero", "torsion-free")),
+       seed=st.integers(0, 2 ** 16))
+def test_the_parallel_rows_recheck_matches_the_dense_matrices(base, kind, seed):
+    L = lie_pool()[base]
+    m = L.dim
+    rng = random.Random(seed)
+    conn = random_torsion_free(L, rng) if kind == "torsion-free" \
+        else cartan_connection(L, kind)
+    parallel = [b for sym in ("symmetric", "skew")
+                for b in parallel_forms(conn, sym).matrices()]
+    noise = linalg.mat([[rng.randint(-1, 1) for _ in range(m)]
+                        for _ in range(m)])
+    rows = parallel_rows(conn)
+    for b in parallel + [noise] + [linalg.mat_add(b, noise) for b in parallel]:
+        assert spaces.satisfies(rows, linalg.flatten(b)) == \
+            dense_is_parallel(conn, b)
+    assert all(spaces.satisfies(rows, linalg.flatten(b)) for b in parallel)
+
+
+def _every_matrix(conn, dual):
+    """A stand-in solver that returns all m x m matrices, most of which
+    solve nothing."""
+    m = conn.dim
+    return LinearSolutionSpace(m * m, tuple(linalg.identity(m * m)),
+                               shape=(m, m))
+
+
+def test_a_witness_off_the_parallel_rows_is_refused():
+    # the walk then meets nondegenerate forms that are not parallel, and
+    # the recheck on parallel_rows refuses them
+    conn = cartan_connection(direct_sum_lie(aff1(), aff1()), "zero")
+    with mock.patch.object(invariants, "solve_gauge_equation",
+                           _every_matrix):
+        with pytest.raises(ValidationError,
+                           match="witness form is not parallel"):
+            s_star_b(conn, identity_form(4))
+        with pytest.raises(ValidationError,
+                           match="witness form is not parallel"):
+            s_b(aff1(), identity_form(2))
 
 
 def test_determinism_fixed_seed():
