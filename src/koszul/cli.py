@@ -344,8 +344,7 @@ def _cmd_flat_models(args, inputs):
     if dim != p.dim:
         raise ValidationError(
             f"ideal dim {dim} does not match product dim {p.dim}")
-    rows = doc.get("basis", [])
-    basis = [[kio.parse_fraction(x) for x in row] for row in rows]
+    basis = kio.basis_rows(doc, dim, args.ideal)
     inputs.add_dump("ideal", lambda rows: {
         "dim": dim, "basis": kio.jsonable(rows)}, basis)
     rep = flatmodels.simple_right_ideal_check(p, basis)
@@ -522,10 +521,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", required=True, help="symbol JSON file")
     p.add_argument("--op", required=True,
                    choices=("prolong", "cartan", "cohomology", "involutive"))
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--trials", type=int, default=spencer.DEFAULT_TRIALS,
                    help="candidate bases of the quasi-regular basis search, "
                         "read by --op involutive; must be >= 1 "
-                        "(default: 200)")
+                        "(default: %(default)s)")
     p.set_defaults(handler=_cmd_spencer)
 
     p = sub.add_parser("flat-models", parents=[common],

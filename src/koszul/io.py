@@ -182,21 +182,27 @@ def dump_form(form: BilinearForm) -> dict:
     return {"dim": form.dim, "sym": form.sym, "entries": entries}
 
 
-def load_symbol(path) -> SymbolSpace:
-    doc = read_document(path)
-    v = _int_field(doc, "v", path)
-    w = _int_field(doc, "w", path)
+def basis_rows(doc: dict, ncols: int, path,
+               layout: str = "") -> list[list[Fraction]]:
+    """The document's 'basis': a list of rows of `ncols` rationals each."""
     raw = doc.get("basis", [])
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: 'basis' must be a list")
     rows = []
     for row in raw:
-        if not isinstance(row, list) or len(row) != v * w:
+        if not isinstance(row, list) or len(row) != ncols:
             raise ValidationError(
-                f"{path}: each basis row must list {v * w} rationals "
-                "(row-major w x v)")
+                f"{path}: each basis row must list {ncols} rationals{layout}")
         rows.append([parse_fraction(x) for x in row])
-    return symbol_space(v, w, rows)
+    return rows
+
+
+def load_symbol(path) -> SymbolSpace:
+    doc = read_document(path)
+    v = _int_field(doc, "v", path)
+    w = _int_field(doc, "w", path)
+    return symbol_space(
+        v, w, basis_rows(doc, v * w, path, " (row-major w x v)"))
 
 
 def dump_symbol(a: SymbolSpace) -> dict:

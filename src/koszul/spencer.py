@@ -22,7 +22,7 @@ condition system, so no dense vector of a cochain space is built.
 Each `SymbolSpace` computes its first prolongation once
 (`SymbolSpace.prolongation`): the Spencer window builds its chain of
 prolongations from it, and Cartan's test reads it in every trial of the
-basis search, so a trial pays only for its flag, one integer rank per step.
+basis search, so a trial pays only for its flag, one integer elimination.
 """
 
 from __future__ import annotations
@@ -36,12 +36,17 @@ import os
 import random
 
 from koszul import linalg
+from koszul._kernel import echelon
 from koszul.algebra import envelope
 from koszul.errors import ConformanceMismatch, ValidationError
 from koszul.linalg import Vec
 from koszul.spaces import condition_rows
 
 DEFAULT_SEED = 7
+# candidate bases of the quasi-regular basis search, the standard one first
+DEFAULT_TRIALS = 200
+# the Spencer window: H^{p,q} for p <= P_MAX, q <= Q_MAX
+P_MAX, Q_MAX = 3, 2
 # The Spencer window is refused when its cochain spaces, each taken at its
 # largest (the prolongations of the full symbol), hold more coordinates in
 # all than this. On a 2-vCPU host full_hom(5, 5) has 16,250 and takes about
@@ -54,7 +59,11 @@ def resolve_seed(seed=None) -> int:
     """The basis search's seed: `seed`, else KOSZUL_SEED, else DEFAULT_SEED."""
     if seed is not None:
         return int(seed)
-    return int(os.environ.get("KOSZUL_SEED", DEFAULT_SEED))
+    try:
+        return int(os.environ.get("KOSZUL_SEED", DEFAULT_SEED))
+    except ValueError:
+        raise ValidationError("KOSZUL_SEED must be an integer, got "
+                              f"{os.environ['KOSZUL_SEED']!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -136,27 +145,6 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
     return SymbolSpace(m, w, basis, s + 1)
 
 
-def _aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
-    """dim of {A in a : A b_t = 0 for t <= j}, for j = 0..m.
-
-    The rows (A_s b_t)_k are built in integers: each A_s and each b_t is
-    scaled by the LCM of its denominators, which scales a column or a block
-    of rows by a nonzero integer and so keeps every rank.
-    """
-    m, w = a.v_dim, a.w_dim
-    mats = a._integer_basis
-    bs, _ = linalg.integer_rows(basis_vectors)
-    d = a.dim
-    dims = [d]
-    rows = []
-    for bt in bs:
-        for k in range(w):
-            rows.append([sum(A[k * m + i] * bt[i] for i in range(m))
-                         for A in mats])
-        dims.append(d - linalg.rank(rows))
-    return dims
-
-
 def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
     """(dim of the prolongation, sum of the flag dims, equality flag).
 
@@ -178,16 +166,26 @@ def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
 
 def _flag_test(a: SymbolSpace, basis) -> tuple[int, int, bool]:
     """`cartan_test` on a basis of `Fraction` vectors already known to
-    span V."""
+    span V.
+
+    Row s holds (A_s b_t)_k at column t * w + k, with A_s and b_t scaled
+    to integers. A pivot column is independent of the columns before it,
+    so dim a_j = d - #(pivots below j * w), summed over j = 0..m.
+    """
+    m, w = a.v_dim, a.w_dim
+    bs, _ = linalg.integer_rows(basis)
+    _, pivots, _ = echelon([
+        [sum(A[k * m + i] * bt[i] for i in range(m))
+         for bt in bs for k in range(w)] for A in a._integer_basis])
     p1 = a.prolongation.dim
-    total = sum(_aj_dims(a, basis))
+    total = (m + 1) * a.dim - sum(m - c // w for c in pivots)
     if p1 > total:
         raise ConformanceMismatch(
             "prolongation exceeded the Cartan bound; computation is wrong")
     return p1, total, p1 == total
 
 
-def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
+def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
                              seed=None) -> tuple | None:
     """A basis attaining Cartan's bound, or None after the trial budget.
 
@@ -195,9 +193,9 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     entries in [-5, 5]. A quasi-regular basis is generic when one exists, so
     small budgets suffice in practice; None is not a certificate of absence.
     The prolongation is computed once per symbol space, so each trial costs
-    one integer rank per flag step. The standard basis goes through the
-    public `cartan_test`, which checks the order of `a`; each candidate is
-    ranked here, so its flag is taken without a second check.
+    one integer elimination for its whole flag. The standard basis goes
+    through the public `cartan_test`, which checks the order of `a`; each
+    candidate is ranked here, so its flag is taken without a second check.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -262,8 +260,7 @@ class SpencerReport:
         return self.h_dims[p][q]
 
 
-def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
-                       q_max: int = 2) -> SpencerReport:
+def spencer_cohomology(a: SymbolSpace) -> SpencerReport:
     """Cohomology of Lambda^p V* (x) a^{(q)} in a finite window.
 
     H^{p,q} is taken at C^{p,q} inside
@@ -272,7 +269,7 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     each d is computed once, serving both degrees it bounds. The images of
     the basis cochains of C^{p,q} are the sparse integer rows
     `condition_rows(_d(...))`, ranked by `linalg.sparse_rank`. For
-    1 <= q <= q_max the rows go through `_d` once more: any nonzero row
+    1 <= q <= Q_MAX the rows go through `_d` once more: any nonzero row
     there means d² != 0, which is reported in `d_squared_zero`, not raised.
 
     Before any prolongation the window is estimated from v and w alone,
@@ -283,10 +280,10 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
     m, w = a.v_dim, a.w_dim
     envelope("Spencer window cochain coordinates",
              sum(comb(m, p) * symbol_coord_dim(m, w, q + 1)
-                 for p in range(p_max + 1) for q in range(q_max + 2)),
+                 for p in range(P_MAX + 1) for q in range(Q_MAX + 2)),
              WINDOW_COORD_BOUND)
     spaces = {0: a}
-    for q in range(1, q_max + 2):
+    for q in range(1, Q_MAX + 2):
         spaces[q] = spaces[q - 1].prolongation
 
     d2_ok = True
@@ -294,7 +291,7 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
 
     def rank_d(p, q):
         """Rank of d: C^{p,q} -> C^{p+1,q-1}, computed once per (p, q); d² = 0
-        is checked on the way for 1 <= q <= q_max."""
+        is checked on the way for 1 <= q <= Q_MAX."""
         nonlocal d2_ok
         if (p, q) not in ranks:
             n = spaces[q].dim
@@ -303,7 +300,7 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
                      for i, b in enumerate(spaces[q].basis)
                      for j, x in enumerate(b) if x)
             rows = condition_rows(_d(m, w, p, q + 1, basis))
-            if 1 <= q <= q_max and condition_rows(_d(
+            if 1 <= q <= Q_MAX and condition_rows(_d(
                     m, w, p + 1, q, ((r, j, x) for r, row in enumerate(rows)
                                      for j, x in row.items()))):
                 d2_ok = False
@@ -311,11 +308,11 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
                 rows, comb(m, p + 1) * symbol_coord_dim(m, w, q))
         return ranks[p, q]
 
-    c_dims = [[comb(m, p) * spaces[q].dim for q in range(q_max + 1)]
-              for p in range(p_max + 1)]
-    h_dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
+    c_dims = [[comb(m, p) * spaces[q].dim for q in range(Q_MAX + 1)]
+              for p in range(P_MAX + 1)]
+    h_dims = [[0] * (Q_MAX + 1) for _ in range(P_MAX + 1)]
+    for p in range(P_MAX + 1):
+        for q in range(Q_MAX + 1):
             if not c_dims[p][q]:
                 continue
             rank_in = rank_d(p - 1, q + 1) if p >= 1 else 0
@@ -323,8 +320,8 @@ def spencer_cohomology(a: SymbolSpace, p_max: int = 3,
             if h_dims[p][q] < 0:
                 raise ConformanceMismatch("negative cohomology dimension")
     return SpencerReport(
-        v_dim=m, w_dim=w, p_max=p_max, q_max=q_max,
-        prolong_dims=tuple(spaces[q].dim for q in range(q_max + 2)),
+        v_dim=m, w_dim=w, p_max=P_MAX, q_max=Q_MAX,
+        prolong_dims=tuple(spaces[q].dim for q in range(Q_MAX + 2)),
         c_dims=tuple(tuple(r) for r in c_dims),
         h_dims=tuple(tuple(r) for r in h_dims),
         d_squared_zero=d2_ok)
@@ -338,7 +335,7 @@ class InvolutivityVerdict:
     report: SpencerReport
 
 
-def is_involutive(a: SymbolSpace, trials: int = 200,
+def is_involutive(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
                   seed=None) -> InvolutivityVerdict:
     """Two-route involutivity check: quasi-regular basis vs Spencer window.
 

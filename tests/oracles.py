@@ -35,8 +35,10 @@ the `phi_split` parts with the witness form G times the walked element
 dense recheck of a parallel form (`dense_is_parallel`), its former
 Cartan test, with a prolongation per call and nullspace flag dimensions
 over `Fraction` rows (`nullspace_cartan_test`,
-`nullspace_quasi_regular_basis`), its former Spencer window over dense
-`Fraction` cochain vectors (`dense_spencer_cohomology`), its former
+`nullspace_quasi_regular_basis`), its former flag dimensions, one integer
+rank of the growing stack of flag rows per step (`stacked_rank_aj_dims`),
+its former Spencer window over dense `Fraction` cochain vectors
+(`dense_spencer_cohomology`), its former
 Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
@@ -632,6 +634,29 @@ def full_symbol_cartan_total(m, w):
     """Sum over a quasi-regular flag for a = Hom(V,W): dim a_j = w(m-j),
     so the total is w * m(m+1)/2."""
     return w * m * (m + 1) // 2
+
+
+def stacked_rank_aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
+    """The library's former `spencer._aj_dims`: dim of
+    {A in a : A b_t = 0 for t <= j}, for j = 0..m, each by an integer rank
+    of the whole stack of flag rows so far.
+
+    The rows (A_s b_t)_k are built in integers: each A_s and each b_t is
+    scaled by the LCM of its denominators, which scales a column or a block
+    of rows by a nonzero integer and so keeps every rank.
+    """
+    m, w = a.v_dim, a.w_dim
+    mats = a._integer_basis
+    bs, _ = linalg.integer_rows(basis_vectors)
+    d = a.dim
+    dims = [d]
+    rows = []
+    for bt in bs:
+        for k in range(w):
+            rows.append([sum(A[k * m + i] * bt[i] for i in range(m))
+                         for A in mats])
+        dims.append(d - linalg.rank(rows))
+    return dims
 
 
 def _nullspace_aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:

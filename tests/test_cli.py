@@ -292,6 +292,28 @@ def test_trials_below_one_exit_2_before_the_spencer_window(capsys, tmp_path):
                   "message": "trials must be >= 1"}}
 
 
+def test_a_non_integer_seed_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("KOSZUL_SEED", "abc")
+    argv = ["check-lie", "--catalog", "so3"]
+    code, out = run_main(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "command": argv, "schema": cli.SCHEMA,
+        "error": {"type": "ValidationError",
+                  "message": "KOSZUL_SEED must be an integer, got 'abc'"}}
+
+
+@pytest.mark.parametrize("basis", [[1, 2], 5, [None]],
+                         ids=["scalar-rows", "scalar", "null-row"])
+def test_a_malformed_ideal_basis_exits_2(capsys, tmp_path, basis):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"dim": 2, "basis": basis}))
+    code, out = run_main(capsys, ["flat-models", "ideal", "--catalog",
+                                  "zero:2", "--ideal", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_flat_existence_is_the_same_for_every_seed():
     argv = ["invariants", "--which", "flat", "--catalog", "aff1", "--seed"]
     results = [cli.run(argv + [seed])["result"] for seed in ("2", "7", "12")]

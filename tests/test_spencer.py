@@ -27,7 +27,7 @@ from koszul.spencer import (
 
 from oracles import (dense_prolong, dense_spencer_cohomology,
                      full_symbol_cartan_total, nullspace_cartan_test,
-                     nullspace_quasi_regular_basis)
+                     nullspace_quasi_regular_basis, stacked_rank_aj_dims)
 
 
 SO3_ROWS = [
@@ -221,11 +221,16 @@ def cartan_cases(draw):
 @example((symbol_space(2, 1, [[2, -1]]), [["1/2", 1], [0, 1]], 9, 4))
 @example((symbol_space(3, 2, [[0, 1, 0, 0, 0, 2], [0, 0, 1, 0, 1, 0]]),
           [[1, 0, 0], [1, 1, 0], [1, 1, 1]], 9, 4))
+@example((full_hom(0, 2), [], 3, 2))
+@example((full_hom(2, 0), [[1, 1], ["1/2", 0]], 3, 2))
 def test_cartan_test_and_basis_search_match_the_nullspace_oracle(case):
     a, basis, seed, trials = case
     assert cartan_test(a) == nullspace_cartan_test(a)
     if linalg.rank(basis) == a.v_dim:
         assert cartan_test(a, basis) == nullspace_cartan_test(a, basis)
+        basis = tuple(tuple(map(linalg.frac, v)) for v in basis)
+        assert spencer._flag_test(a, basis)[1] == \
+            sum(stacked_rank_aj_dims(a, basis))
     else:
         for test in (cartan_test, nullspace_cartan_test):
             with pytest.raises(ValidationError):
@@ -265,6 +270,21 @@ def test_a_coboundary_without_signs_is_reported_as_d_squared_nonzero(
     monkeypatch.setattr(spencer, "_d", lambda *args: (
         (key, col, abs(x)) for key, col, x in signed(*args)))
     assert spencer_cohomology(full_hom(2, 1)).d_squared_zero is False
+
+
+def test_a_flag_is_one_elimination():
+    # the flag dims of a basis are read off the pivots of one echelon form,
+    # not off a rank of the growing stack of flag rows per step
+    a = so3_symbol()
+    basis = tuple(tuple(map(Fraction, v))
+                  for v in ([1, 2, 0], ["1/2", 1, 3], [1, 0, "-1/3"]))
+    a.prolongation
+    with mock.patch.object(spencer, "echelon",
+                           wraps=spencer.echelon) as ech, \
+            mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
+        result = spencer._flag_test(a, basis)
+    assert ech.call_count == 1 and rank.call_count == 0
+    assert result == nullspace_cartan_test(a, basis)
 
 
 def test_the_basis_search_validates_the_space_once(monkeypatch):
