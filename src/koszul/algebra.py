@@ -8,8 +8,10 @@ Both store only the table's nonzeros (`SparseTable`), and every builder
 writes those nonzeros directly. Defect tensors (Jacobi, associator,
 left-symmetry anomaly) and the Killing form are contractions over pairs of
 nonzeros, so their cost follows the number of nonzero coefficients rather
-than a power of the dimension. They are exact; a defect tensor stores only
-its nonzero entries, and "zero" means it has none.
+than a power of the dimension. They are exact. A contraction sums integer
+products on one integer key per entry and builds index tuples only for the
+nonzero sums; a defect tensor keeps those sums as integers over one
+denominator, as `SparseTable` does, and "zero" means it has none.
 
 Two of these tensors are alternating, and only their independent half is
 accumulated. The Jacobiator of a skew bracket is alternating in its three
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 from koszul import linalg
 from koszul.errors import JacobiViolation, ValidationError
@@ -141,7 +143,7 @@ class SparseTable:
 
 
 def _check_entry(m: int, i, j, k) -> None:
-    if not all(0 <= t < m for t in (i, j, k)):
+    if not (0 <= i < m and 0 <= j < m and 0 <= k < m):
         raise ValidationError(f"index out of range in entry ({i},{j},{k})")
 
 
@@ -158,54 +160,100 @@ def _index_range(*tables: SparseTable) -> int:
                    default=-1)
 
 
-def rationals(acc: dict, den: int) -> dict:
-    """Integer accumulators over `den` as nonzero rationals."""
-    return {idx: Fraction(n, den) for idx, n in acc.items() if n}
-
-
-@dataclass(frozen=True)
 class DefectTensor:
     """Rational tensor (rank 3 or 4) measuring a failure, kept by its nonzeros.
 
-    `nonzeros` maps multi-indices to values; construction drops zero values
-    and orders the keys lexicographically, so the queries below cost
-    O(nonzeros) and see entries in index order.
+    Stored as a `SparseTable` stores its table: `numerators` maps the
+    multi-index of each nonzero entry, in lexicographic order, to an
+    integer over `den`, the least common denominator of the entries. So two
+    tensors are equal exactly when their shapes, denominators and
+    numerators are, however they were built. `DefectTensor(shape, {idx:
+    value})` takes rational values; `over` takes the integer sums of a
+    contraction and their denominator, and is how the contractions below
+    build theirs. The queries read the integers in O(nonzeros); `nonzeros`
+    (multi-index -> `Fraction`, in index order) and the dense `entries`
+    are views built on first use.
     """
 
-    shape: tuple[int, ...]
-    nonzeros: dict
+    def __init__(self, shape: tuple[int, ...], nonzeros: dict):
+        d = lcm(*(v.denominator for v in nonzeros.values() if v))
+        self._store(shape, {idx: v.numerator * (d // v.denominator)
+                            for idx, v in nonzeros.items() if v}, d)
 
-    def __post_init__(self):
-        object.__setattr__(self, "nonzeros", {
-            idx: v for idx, v in sorted(self.nonzeros.items()) if v})
+    @classmethod
+    def over(cls, shape: tuple[int, ...], sums: dict,
+             den: int) -> DefectTensor:
+        """The tensor whose entry at idx is sums[idx] / den (den > 0);
+        zero sums are dropped."""
+        t = cls.__new__(cls)
+        t._store(shape, {idx: n for idx, n in sums.items() if n}, den)
+        return t
+
+    def _store(self, shape, sums: dict, den: int) -> None:
+        """Keep sums (all nonzero) over den, reduced to the least common
+        denominator, in index order."""
+        g = gcd(den, *sums.values())
+        self.shape = tuple(shape)
+        self.den = den // g
+        self.numerators = {idx: n // g for idx, n in sorted(sums.items())}
+
+    def __eq__(self, other):
+        if not isinstance(other, DefectTensor):
+            return NotImplemented
+        return (self.shape, self.den, self.numerators) == \
+            (other.shape, other.den, other.numerators)
+
+    def __repr__(self):
+        return f"DefectTensor({self.shape!r}, {self.nonzeros!r})"
+
+    @cached_property
+    def nonzeros(self) -> dict:
+        """Multi-index -> nonzero `Fraction` value, in index order."""
+        d = self.den
+        return {idx: Fraction(n, d) for idx, n in self.numerators.items()}
 
     def items(self):
         """Every (multi_index, value), zeros included, in index order."""
-        zero = Fraction(0)
+        zero, nonzeros = Fraction(0), self.nonzeros
         for idx in iproduct(*map(range, self.shape)):
-            yield idx, self.nonzeros.get(idx, zero)
+            yield idx, nonzeros.get(idx, zero)
 
     @cached_property
     def entries(self) -> tuple:
         """Dense nested-tuple view, built on first use."""
-        zero, rank = Fraction(0), len(self.shape)
+        zero, rank, nonzeros = Fraction(0), len(self.shape), self.nonzeros
 
         def block(prefix):
             if len(prefix) == rank:
-                return self.nonzeros.get(prefix, zero)
+                return nonzeros.get(prefix, zero)
             return tuple(block(prefix + (i,))
                          for i in range(self.shape[len(prefix)]))
         return block(())
 
     def max_abs(self) -> Fraction:
-        return max(map(abs, self.nonzeros.values()), default=Fraction(0))
+        return Fraction(max(map(abs, self.numerators.values()), default=0),
+                        self.den)
 
     def is_zero(self) -> bool:
-        return not self.nonzeros
+        return not self.numerators
 
     def first_nonzero(self):
         """(multi_index, value) of the first nonzero entry, or None."""
-        return next(iter(self.nonzeros.items()), None)
+        for idx, n in self.numerators.items():
+            return idx, Fraction(n, self.den)
+        return None
+
+
+def _unflatten(sums: dict, n: int) -> dict:
+    """The nonzero sums of an accumulator keyed by ((i·n + j)·n + k)·n + l,
+    keyed by (i, j, k, l)."""
+    out = {}
+    for key, x in sums.items():
+        if x:
+            key, l = divmod(key, n)
+            key, k = divmod(key, n)
+            out[(*divmod(key, n), k, l)] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,8 +360,9 @@ def _check_skew(c: SparseTable) -> None:
 
 
 def operator_defect(g: SparseTable, q: SparseTable,
-                    bracket: bool = False) -> dict:
-    """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a.
+                    bracket: bool = False) -> tuple[dict, int]:
+    """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a, as
+    (integer sums, their denominator).
 
     L_i sends e_k to sum_l g[i][k][l] e_l: left multiplication by e_i when
     g is a product's table, though the operators may act on a space of any
@@ -328,6 +377,12 @@ def operator_defect(g: SparseTable, q: SparseTable,
     i < j, subtracts at (j, i, k, l) when i > j and is skipped when i = j,
     and only the nonzeros of q with i < j are read. `skew_pairs` restores
     the whole tensor.
+
+    The sums accumulate on the integer key ((i·r + j)·r + k)·r + l, with r
+    one more than the largest index, and only the nonzero ones are turned
+    into index tuples, at the end. The condition rows built from them read
+    the sums alone: dividing a row by the positive denominator does not
+    change its primitive integer form.
     """
     by_second, r = g.by_second, _index_range(g, q)
     envelope("operator defect accumulator entries",
@@ -337,24 +392,25 @@ def operator_defect(g: SparseTable, q: SparseTable,
                  r ** 4), ENTRY_BOUND)
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
+    r2, r3 = r * r, r * r * r
     # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
     acc: dict = defaultdict(int)
     for j, k, a, v in g.nonzeros:
         v *= fp
+        jk, kr = j * r2 + k * r, k * r
         for i, l, w in by_second.get(a, ()):
-            if not bracket:
-                acc[i, j, k, l] += v * w
-            elif i < j:
-                acc[i, j, k, l] += v * w
+            if not bracket or i < j:
+                acc[i * r3 + jk + l] += v * w
             elif i > j:
-                acc[j, i, k, l] -= v * w
+                acc[j * r3 + i * r2 + kr + l] -= v * w
     for i, j, a, v in q.nonzeros:
         if bracket and i >= j:
             continue
         v *= fq
+        ij = i * r3 + j * r2
         for k, l, w in g.by_first.get(a, ()):
-            acc[i, j, k, l] -= v * w
-    return rationals(acc, g.den * d)
+            acc[ij + k * r + l] -= v * w
+    return _unflatten(acc, r), g.den * d
 
 
 def skew_pairs(half: dict) -> dict:
@@ -379,35 +435,40 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     contributes to entries that vanish. Each nonzero sorted entry is then
     expanded into its six signed permutations. The smallest key of an
     alternating tensor is a sorted one, so `first_nonzero` names the
-    first failing sorted triple.
+    first failing sorted triple. The sums accumulate on integer keys, as in
+    `operator_defect`.
     """
     _check_skew(c)
     envelope("Jacobi defect accumulator entries",
              min(_pairs_visited((a for p, q, a, _ in c.nonzeros if p < q),
                                 c.by_first), m ** 4), ENTRY_BOUND)
+    n = _index_range(c)
+    n2, n3 = n * n, n * n * n
     acc: dict = defaultdict(int)
     for p, q, a, v in c.nonzeros:
         if p >= q:
             continue
+        # the keys of (p,q,r,l), (r,p,q,l) and (p,r,q,l) less r and l
+        pqr, rpq, prq = p * n3 + q * n2, p * n2 + q * n, p * n3 + q * n
         for r, l, w in c.by_first.get(a, ()):
             if r > q:
-                acc[p, q, r, l] += v * w
+                acc[pqr + r * n + l] += v * w
             elif r < p:
-                acc[r, p, q, l] += v * w
+                acc[r * n3 + rpq + l] += v * w
             elif p < r < q:
-                acc[p, r, q, l] -= v * w
+                acc[prq + r * n2 + l] -= v * w
     full: dict = {}
-    for (p, q, r, l), x in acc.items():
-        if x:
-            full.update({(p, q, r, l): x, (q, r, p, l): x, (r, p, q, l): x,
-                         (q, p, r, l): -x, (p, r, q, l): -x, (r, q, p, l): -x})
-    return DefectTensor((m,) * 4, rationals(full, c.den * c.den))
+    for (p, q, r, l), x in _unflatten(acc, n).items():
+        full.update({(p, q, r, l): x, (q, r, p, l): x, (r, p, q, l): x,
+                     (q, p, r, l): -x, (p, r, q, l): -x, (r, q, p, l): -x})
+    return DefectTensor.over((m,) * 4, full, c.den * c.den)
 
 
 def associator_defect(p: BilinearProduct) -> DefectTensor:
     """(e_i·e_j)·e_k − e_i·(e_j·e_k) over all basis triples; zero iff associative."""
-    d = operator_defect(p.sparse, p.sparse)
-    return DefectTensor((p.dim,) * 4, {idx: -v for idx, v in d.items()})
+    d, den = operator_defect(p.sparse, p.sparse)
+    return DefectTensor.over((p.dim,) * 4, {idx: -n for idx, n in d.items()},
+                             den)
 
 
 def _commutator(s: SparseTable) -> SparseTable:
@@ -427,9 +488,10 @@ def kv_anomaly(p: BilinearProduct) -> DefectTensor:
     it is computed that way: as minus the curvature of p over its own
     commutator bracket.
     """
-    d = operator_defect(p.sparse, _commutator(p.sparse), bracket=True)
-    return DefectTensor((p.dim,) * 4,
-                        skew_pairs({idx: -v for idx, v in d.items()}))
+    d, den = operator_defect(p.sparse, _commutator(p.sparse), bracket=True)
+    return DefectTensor.over((p.dim,) * 4,
+                             skew_pairs({idx: -n for idx, n in d.items()}),
+                             den)
 
 
 def commutator_bracket(p: BilinearProduct) -> LieAlgebra:

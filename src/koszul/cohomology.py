@@ -119,7 +119,7 @@ def zero_cochain(degree: int, m: int, module: str) -> Cochain:
 
 def kv_degree_zero_space(p: BilinearProduct):
     """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains."""
-    d = operator_defect(p.sparse, p.sparse)
+    d, _ = operator_defect(p.sparse, p.sparse)
     return linalg.sparse_nullspace(condition_rows(
         ((i, j, l), k, v) for (i, j, k, l), v in d.items()), p.dim)
 
@@ -622,5 +622,6 @@ def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:
                 if v:
                     total[i, j, k] += v
     s = SparseTable((*idx, v) for idx, v in total.items())
-    return DefectTensor((m,) * 4, {idx: -v for idx, v in
-                                   jacobi_defect(m, s).nonzeros.items()})
+    jac = jacobi_defect(m, s)
+    return DefectTensor.over((m,) * 4, {idx: -n for idx, n in
+                                        jac.numerators.items()}, jac.den)

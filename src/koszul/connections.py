@@ -14,8 +14,7 @@ from functools import cached_property
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, operator_defect, rationals,
-                            skew_pairs)
+                            SparseTable, operator_defect, skew_pairs)
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import SYMMETRIC, BilinearForm
 from koszul.linalg import Mat, frac
@@ -63,7 +62,7 @@ def torsion(conn: InvariantConnection) -> DefectTensor:
         acc[j, i, k] -= n * c.den
     for i, j, k, n in c.nonzeros:
         acc[i, j, k] -= n * g.den
-    return DefectTensor((conn.dim,) * 3, rationals(acc, g.den * c.den))
+    return DefectTensor.over((conn.dim,) * 3, acc, g.den * c.den)
 
 
 def is_torsion_free(conn: InvariantConnection) -> bool:
@@ -76,8 +75,9 @@ def curvature(conn: InvariantConnection) -> DefectTensor:
     R is antisymmetric in (i, j): its entries with i < j are accumulated
     and mirrored.
     """
-    return DefectTensor((conn.dim,) * 4, skew_pairs(
-        operator_defect(conn.gamma.sparse, conn.base.sparse, bracket=True)))
+    d, den = operator_defect(conn.gamma.sparse, conn.base.sparse,
+                             bracket=True)
+    return DefectTensor.over((conn.dim,) * 4, skew_pairs(d), den)
 
 
 def curvature_operators(conn: InvariantConnection) -> tuple[tuple[Mat, ...], ...]:

@@ -165,7 +165,7 @@ def _fe_star_compatibility(conn: InvariantConnection,
     c = conn.base.sparse
     neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
                         for i, j, k, v in c.nonzeros)
-    d = operator_defect(ops, neg_c, bracket=True)
+    d, _ = operator_defect(ops, neg_c, bracket=True)
     return condition_rows(((i, j, l), a, v) for (i, j, a, l), v in d.items())
 
 
@@ -239,7 +239,7 @@ def g_nabla_subalgebra(conn: InvariantConnection
     not hold (no closure claim is made then).
     """
     m = conn.dim
-    d = operator_defect(conn.gamma.sparse, conn.gamma.sparse)
+    d, _ = operator_defect(conn.gamma.sparse, conn.gamma.sparse)
     rows = condition_rows(((i, j, l), k, v) for (i, j, k, l), v in d.items())
     space = spaces.from_conditions(rows, m)
     if not conn.gamma.is_kv:

@@ -52,14 +52,21 @@ information-geometry routes (`scalar_fisher_information`, ...,
 its families that they read (`scalar_bernoulli`, ...,
 `scalar_constant_family`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`), its former parse of
-every CLI call by a parser built anew (`fresh_parse`), its former dense
+every CLI call by a parser built anew (`fresh_parse`), its former tensor
+path over `Fraction` objects: values parsed by Fraction(str)
+(`fraction_parse`), contraction sums read as Fractions
+(`fractions_over`), defect tensors with one Fraction per entry
+(`FractionDefectTensor`, `fraction_defect_doc`) and reports written by
+`json.dumps` (`json_report`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
 dense builders and readers that used them (`dense_*_algebra`,
 `dense_conjugate_product`, `dense_mult`, ...), and closed forms from
 textbooks. Slower is fine; agreeing by construction is the point.
 """
 
+import json
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,7 +80,7 @@ from koszul import cli, linalg
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
-                            rationals, zero_product)
+                            zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                DegreeDims, _flat_index, _sort_alternating,
                                ce_coboundary_matrix,
@@ -985,6 +992,12 @@ def dense_curvature(conn):
 # T(p,q,r) = [[e_p,e_q],e_r] and its three cyclic copies, and the operator
 # defect adding each product at both (i, j) and (j, i).
 
+def fractions_over(acc: dict, den: int) -> dict:
+    """Integer accumulators over `den` as nonzero rationals (the library's
+    former reading of a contraction's sums)."""
+    return {idx: Fraction(n, den) for idx, n in acc.items() if n}
+
+
 def nested_jacobi_defect(m: int, c: SparseTable) -> dict:
     """Nonzero entries of sum_cyclic [[e_i,e_j],e_k] over every index."""
     nested: dict = defaultdict(int)
@@ -996,7 +1009,7 @@ def nested_jacobi_defect(m: int, c: SparseTable) -> dict:
         acc[p, q, r, l] += x
         acc[q, r, p, l] += x
         acc[r, p, q, l] += x
-    return rationals(acc, c.den * c.den)
+    return fractions_over(acc, c.den * c.den)
 
 
 def two_sided_operator_defect(g: SparseTable, q: SparseTable,
@@ -1017,7 +1030,7 @@ def two_sided_operator_defect(g: SparseTable, q: SparseTable,
         v *= fq
         for k, l, w in g.by_first.get(a, ()):
             acc[i, j, k, l] -= v * w
-    return rationals(acc, g.den * d)
+    return fractions_over(acc, g.den * d)
 
 
 # ---------------------------------------------------------------- coboundaries
@@ -2014,7 +2027,7 @@ def dense_associator_rows(table: SparseTable, m: int):
     """Rows of (x·y)·xi = x·(y·xi), the conditions of
     `gauge.g_nabla_subalgebra` (table: the connection's) and of
     `cohomology.kv_degree_zero_space` (table: the product's)."""
-    d = operator_defect(table, table)
+    d = fractions_over(*operator_defect(table, table))
     return [row for i in range(m) for j in range(m)
             for row in operator_matrix(d, i, j, m)]
 
@@ -2331,3 +2344,81 @@ def scalar_exponential_defect_probe(model: PerOutcomeModel, grid,
 def fresh_parse(argv):
     """argv parsed by a CLI parser built for this call alone."""
     return cli._build_parser.__wrapped__().parse_args(argv)
+
+
+# The tensor path before it kept rationals as integers: the file parser
+# built each value by Fraction(str), a defect tensor held one Fraction per
+# nonzero entry, its report printed those, and every report was written by
+# json.dumps.
+
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def fraction_parse(value) -> Fraction:
+    """`io.parse_fraction` by Fraction(str)."""
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a rational, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _RATIONAL_RE.fullmatch(value):
+            raise ValidationError(
+                f"bad rational literal {value!r}; use \"p\" or \"p/q\"")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {value!r}") from exc
+    if isinstance(value, float):
+        raise ValidationError(
+            f"floats are not accepted as rationals: {value!r}; "
+            "use a string like \"1/3\"")
+    raise ValidationError(f"expected a rational, got {value!r}")
+
+
+@dataclass(frozen=True)
+class FractionDefectTensor:
+    """`algebra.DefectTensor` keeping one Fraction per nonzero entry."""
+
+    shape: tuple[int, ...]
+    nonzeros: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "nonzeros", {
+            idx: v for idx, v in sorted(self.nonzeros.items()) if v})
+
+    def items(self):
+        zero = Fraction(0)
+        for idx in iproduct(*map(range, self.shape)):
+            yield idx, self.nonzeros.get(idx, zero)
+
+    @property
+    def entries(self) -> tuple:
+        zero, rank = Fraction(0), len(self.shape)
+
+        def block(prefix):
+            if len(prefix) == rank:
+                return self.nonzeros.get(prefix, zero)
+            return tuple(block(prefix + (i,))
+                         for i in range(self.shape[len(prefix)]))
+        return block(())
+
+    def max_abs(self) -> Fraction:
+        return max(map(abs, self.nonzeros.values()), default=Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.nonzeros
+
+    def first_nonzero(self):
+        return next(iter(self.nonzeros.items()), None)
+
+
+def fraction_defect_doc(t: FractionDefectTensor) -> dict:
+    """`cli._defect_doc` printing each entry's Fraction."""
+    entries = [[*idx, str(v)] for idx, v in t.nonzeros.items()]
+    return {"zero": t.is_zero(), "max_abs": str(t.max_abs()),
+            "entries": entries}
+
+
+def json_report(doc) -> str:
+    """A report as the CLI wrote it by json.dumps."""
+    return json.dumps(doc, sort_keys=True, indent=2)

@@ -2,13 +2,16 @@ import argparse
 import json
 import re
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszul import cli, spencer
 from koszul.errors import ConformanceMismatch
-from oracles import fresh_parse
+from oracles import fresh_parse, json_report
 
 SO3_ROWS = [
     [0, 1, 0, -1, 0, 0, 0, 0, 0],
@@ -621,3 +624,93 @@ def test_finite_alpha_and_tol_still_answer(capsys, argv):
     code, out = run_main(capsys, ["statmodel"] + argv)
     assert code == 0
     assert "result" in json.loads(out, parse_constant=_strict_constant)
+
+
+# The report writer against json.dumps(sort_keys=True, indent=2), on trees
+# like those the handlers and `jsonable` build: str keys, strings with
+# non-ASCII and control characters, big ints, NaN and infinities, tuples,
+# empty containers.
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-10 ** 40, 10 ** 40), st.floats(),
+                    st.text(max_size=6), st.sampled_from(
+                        ["", "1/2", "\u00e9\u4e2d\ud83d\ude00", "\ud800",
+                         "\x00\n\t\"\\", "\u2028"]))
+KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["schema", "result"]))
+TREES = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(KEYS, kids, max_size=4)), max_leaves=24)
+
+
+def _written(write, doc):
+    try:
+        return write(doc)
+    except TypeError as exc:
+        return "TypeError", str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(TREES)
+@example({"schema": cli.SCHEMA, "command": ["check-lie", "--algebra", "x"],
+          "error": {"type": "JacobiViolation",
+                    "message": "Jacobi identity fails on basis triple "
+                               "(0, 1, 2)"}})
+@example([{}, [], (), {"a": []}, [[], {}]])
+@example({"x": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300,
+                5e-324, 2 ** 64, -(10 ** 30), True, False, None]})
+@example({"a": 1, 2: "mixed key types do not sort"})
+@example({"a": [1, Fraction(1, 2)]})
+def test_the_report_writer_matches_json_dumps(doc):
+    assert _written(cli._dumps, doc) == _written(json_report, doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "--op", "associator", "--catalog", "matrix:2", "--dump"],
+    ["connection", "--op", "curvature", "--catalog", "so3", "--cartan",
+     "zero", "--timing"],
+    ["invariants", "--which", "symplectic", "--catalog", "aff1"],
+    ["kv-cohomology", "--catalog", "heisenberg-kv"],
+    ["spencer", "--op", "involutive", "--symbol", "@symbol"],
+    ["flat-models", "completeness", "--catalog", "affine:1"],
+    ["statmodel", "--family", "categorical:3", "--op", "defect"],
+    ["statmodel", "--family", "bernoulli", "--op", "curvature"],
+])
+def test_every_report_is_written_as_json_dumps_writes_it(
+        capsys, tmp_path, argv):
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps({"v": 3, "w": 3, "basis": SO3_ROWS}))
+    argv = [str(path) if a == "@symbol" else a for a in argv]
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    assert out == json_report(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("catalog, dim", [("zero:1", True), ("zero:2", 2.0)])
+def test_an_ideal_dim_that_is_not_an_integer_exits_2(
+        capsys, tmp_path, catalog, dim):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"dim": dim, "basis": [["1"] * 2]}))
+    code, out = run_main(capsys, ["flat-models", "ideal", "--catalog",
+                                  catalog, "--ideal", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError",
+        "message": f"{path}: 'dim' must be a non-negative integer, "
+                   f"got {dim!r}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "--op", "associator", "--product", "@p", "--dump"],
+    ["connection", "--op", "torsion", "--catalog", "abelian:1",
+     "--connection", "@p"],
+])
+def test_contradictory_product_entries_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 1, "gamma": [[0, 0, 0, "1"],
+                                                    [0, 0, 0, "2"]]}))
+    argv = [str(path) if a == "@p" else a for a in argv]
+    code, out = run_main(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError",
+        "message": f"{path}: conflicting entries for (0,0,0)"}

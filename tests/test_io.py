@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszul import io
 from koszul.algebra import lie_from_sparse
@@ -13,6 +15,7 @@ from koszul.errors import ValidationError
 from koszul.spencer import symbol_space
 
 from conftest import rand_fraction
+from oracles import fraction_parse
 
 
 def test_parse_fraction_accepts_exact_values_only():
@@ -22,6 +25,50 @@ def test_parse_fraction_accepts_exact_values_only():
     for bad in (0.5, True, False, None, "3.5", "a/b", [1]):
         with pytest.raises(ValidationError):
             io.parse_fraction(bad)
+
+
+def _parsed(parse, value):
+    try:
+        return parse(value)
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+
+
+# ASCII, Arabic-Indic and fullwidth digits: int() and the regex's \d read all
+DIGITS = "0123456789" + "\u0660\u0663\u0669" + "\uff10\uff17"
+LITERALS = st.builds(
+    lambda sign, num, den: sign + num + den,
+    st.sampled_from(["", "+", "-", "--", " "]),
+    st.text(DIGITS, max_size=6),
+    st.one_of(st.just(""), st.text(DIGITS, max_size=6).map("/".__add__)))
+VALUES = st.one_of(LITERALS, st.text(max_size=5), st.integers(), st.floats(),
+                   st.booleans(), st.none(), st.lists(st.integers(),
+                                                      max_size=1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(VALUES)
+@example("7/0")
+@example("-0/0")
+@example("-0")
+@example("+007/0010")
+@example("1" * 4301)
+@example("-2/" + "3" * 4301)
+@example("9" * 4300)
+@example(10 ** 5000)
+@example(1.5)
+@example(float("nan"))
+def test_parse_fraction_matches_fraction_of_str(value):
+    # the same Fraction or the same ValidationError text, digit-limit
+    # errors of int() included
+    assert _parsed(io.parse_fraction, value) == _parsed(fraction_parse, value)
+
+
+def test_a_part_past_the_digit_limit_is_a_bad_literal():
+    value = "1/" + "1" * 4301
+    with pytest.raises(ValidationError) as info:
+        io.parse_fraction(value)
+    assert str(info.value) == f"bad rational literal {value!r}"
 
 
 def test_fraction_str_roundtrip(rng):
@@ -91,6 +138,30 @@ def test_malformed_documents_are_rejected(tmp_path):
     p.write_text("not json at all {")
     with pytest.raises(ValidationError):
         io.load_algebra(p)
+
+
+def _product_file(tmp_path, gamma):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 2, "gamma": gamma}))
+    return path
+
+
+def test_a_product_file_may_repeat_an_entry_exactly(tmp_path):
+    p = io.load_product(_product_file(
+        tmp_path, [[0, 1, 1, "1/2"], [1, 0, 0, "3"], [0, 1, 1, "2/4"]]))
+    assert list(p.sparse.items()) == [(0, 1, 1, Fraction(1, 2)),
+                                      (1, 0, 0, Fraction(3))]
+
+
+def test_a_product_file_with_contradictory_entries_is_refused(tmp_path):
+    path = _product_file(tmp_path, [[1, 0, 1, "1"], [0, 0, 0, "1"],
+                                    [1, 0, 1, "2"]])
+    with pytest.raises(ValidationError) as info:
+        io.load_product(path)
+    assert str(info.value) == f"{path}: conflicting entries for (1,0,1)"
+    with pytest.raises(ValidationError, match=r"conflicting entries for "
+                                              r"\(1,0,1\)$"):
+        io.load_connection(path, lie_from_sparse(2, [(0, 1, 1, 1)]))
 
 
 def test_jsonable_converts_everything():

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import invariants, linalg, spaces
+from koszul import cli, invariants, linalg, spaces
 from koszul.algebra import (
     DefectTensor,
     SparseTable,
@@ -64,6 +64,7 @@ from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
 
 from conftest import assert_rows_match, assoc_pool, direct_sum_lie, kv_pool
 from oracles import (
+    FractionDefectTensor,
     check_rows,
     dense_ad_invariance_rows,
     dense_affine_algebra,
@@ -100,6 +101,8 @@ from oracles import (
     dense_right_matrix,
     dense_skew_cocycle_rows,
     dense_torsion,
+    fraction_defect_doc,
+    fractions_over,
     nested_jacobi_defect,
     sparse_of,
     two_sided_operator_defect,
@@ -442,6 +445,51 @@ def skew_tables(draw):
     return m, sparse_of(c)
 
 
+def assert_integer_tensor(t, dense):
+    """A DefectTensor, kept as integers, against the Fraction-per-entry
+    tensor of the dense oracle's entries: equal, with equal views and an
+    equal report, and so is the DefectTensor built from those Fractions."""
+    old = FractionDefectTensor(t.shape, dict(walk(dense)))
+    new = DefectTensor(t.shape, old.nonzeros)
+    assert t == new and new == t
+    for u in (t, new):
+        assert list(u.nonzeros.items()) == list(old.nonzeros.items())
+        assert u.entries == old.entries
+        assert list(u.items()) == list(old.items())
+        assert u.is_zero() == old.is_zero()
+        assert u.first_nonzero() == old.first_nonzero()
+        assert u.max_abs() == old.max_abs()
+        assert cli._defect_doc(u) == fraction_defect_doc(old)
+
+
+@CHECKS
+@given(connections(), products(), skew_tables())
+def test_integer_defect_tensors_match_the_fraction_ones(conn, p, ms):
+    m, c = ms
+    assert_integer_tensor(jacobi_defect(m, c), dense_jacobi_defect(c.dense(m)))
+    assert_integer_tensor(associator_defect(p), dense_associator_defect(p))
+    assert_integer_tensor(kv_anomaly(p), dense_kv_anomaly(p))
+    assert_integer_tensor(torsion(conn), dense_torsion(conn))
+    assert_integer_tensor(curvature(conn), dense_curvature(conn))
+
+
+def test_a_defect_tensor_reduces_its_integers_to_the_least_denominator():
+    # 2/4 and -6/4 are 1/2 and -3/2: stored as 1 and -3 over 2
+    t = DefectTensor.over((2,) * 3, {(1, 0, 0): -6, (0, 1, 1): 2,
+                                     (1, 1, 1): 0}, 4)
+    assert (t.den, t.numerators) == (2, {(0, 1, 1): 1, (1, 0, 0): -3})
+    assert t == DefectTensor((2,) * 3, {(0, 1, 1): Fraction(1, 2),
+                                        (1, 0, 0): Fraction(-3, 2)})
+    assert t != DefectTensor((2,) * 3, {(0, 1, 1): Fraction(1, 2)})
+    assert cli._defect_doc(t) == {"zero": False, "max_abs": "3/2",
+                                  "entries": [[0, 1, 1, "1/2"],
+                                              [1, 0, 0, "-3/2"]]}
+    zero = DefectTensor.over((2,) * 3, {}, 6)
+    assert zero == DefectTensor((2,) * 3, {}) and zero.den == 1
+    assert cli._defect_doc(zero) == {"zero": True, "max_abs": "0",
+                                     "entries": []}
+
+
 @CHECKS
 @given(skew_tables())
 def test_jacobi_defect_matches_the_nested_sums(ms):
@@ -457,7 +505,7 @@ def test_bracket_operator_defect_is_half_the_two_sided_sums(ms, data):
     _, g = data.draw(tables(dim=m))
     g = sparse_of(g)
     full = two_sided_operator_defect(g, q, bracket=True)
-    half = operator_defect(g, q, bracket=True)
+    half = fractions_over(*operator_defect(g, q, bracket=True))
     assert half == {idx: v for idx, v in full.items() if idx[0] < idx[1]}
     assert skew_pairs(half) == full
 
