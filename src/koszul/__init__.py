@@ -37,7 +37,7 @@ from koszul.connections import (
     torsion,
 )
 from koszul.errors import KoszulError
-from koszul.forms import BilinearForm, identity_form, skew_form, symmetric_form
+from koszul.forms import BilinearForm, form_space, identity_form
 from koszul.gauge import (
     FeStarSolutions,
     GaugePair,

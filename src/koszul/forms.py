@@ -1,14 +1,14 @@
-"""Rational bilinear forms: metrics, cocycle candidates, symplectic candidates."""
+"""Rational bilinear forms, and the spaces of symmetric or skew forms."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from koszul import linalg
-from koszul.errors import ValidationError
-from koszul.linalg import Mat, frac
-from koszul.spaces import condition_rows
+from koszul import linalg, spaces
+from koszul.errors import KoszulError, ValidationError
+from koszul.linalg import Mat, Vec, frac
+from koszul.spaces import LinearSolutionSpace, condition_rows
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -64,16 +64,6 @@ class BilinearForm:
         return self.entries
 
 
-def symmetric_form(entries) -> BilinearForm:
-    rows = linalg.mat(entries)
-    return BilinearForm(len(rows), rows, SYMMETRIC)
-
-
-def skew_form(entries) -> BilinearForm:
-    rows = linalg.mat(entries)
-    return BilinearForm(len(rows), rows, SKEW)
-
-
 def identity_form(m: int) -> BilinearForm:
     return BilinearForm(m, linalg.identity(m), SYMMETRIC)
 
@@ -101,13 +91,32 @@ def form_from_sparse(m: int, sym: str, entries) -> BilinearForm:
     return BilinearForm(m, linalg.mat(rows), sym)
 
 
-def parity_rows(m: int, sym: str) -> list[dict[int, int]]:
-    """Conditions on a flat (row-major) m x m matrix for one parity.
+def form_space(rows, m: int, sym: str) -> LinearSolutionSpace:
+    """Forms of one parity solving sparse integer rows over the flat m x m
+    entries, solved over one unknown per lower entry x_ji (j >= i, or j > i
+    for skew forms) in flat order j*m + i, each kernel vector expanded and
+    re-verified on the full rows. The basis is the canonical kernel of the
+    rows plus the parity conditions: no upper entry is free there."""
+    if sym not in (SYMMETRIC, SKEW):
+        raise ValidationError("parity must be symmetric or skew")
+    sign = 1 if sym == SYMMETRIC else -1
+    pairs = [(j * m + i, i * m + j)
+             for j in range(m) for i in range(j + (sym == SYMMETRIC))]
+    slot = {up: (t, sign) for t, (_, up) in enumerate(pairs)}
+    slot.update((lo, (t, 1)) for t, (lo, _) in enumerate(pairs))
+    folded = condition_rows(
+        (r, slot[c][0], slot[c][1] * a)
+        for r, row in enumerate(rows) for c, a in row.items() if c in slot)
+    basis = tuple(_expand(v, pairs, m, sign) for v in
+                  spaces.from_conditions(folded, len(pairs)).basis)
+    if not all(spaces.satisfies(rows, v) for v in basis):
+        raise KoszulError("form space vector violates its full conditions")
+    return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))
 
-    e_ab - e_ba for symmetric forms and e_ab + e_ba (2 e_aa on the diagonal)
-    for skew ones, over a <= b; zero rows are left out.
-    """
-    sign = -1 if sym == SYMMETRIC else 1
-    return condition_rows(
-        entry for a in range(m) for b in range(a, m)
-        for entry in (((a, b), a * m + b, 1), ((a, b), b * m + a, sign)))
+
+def _expand(vec: Vec, pairs, m: int, sign: int) -> Vec:
+    """x at each lower entry of the flat m x m form, sign * x at its mirror."""
+    full = [frac(0)] * (m * m)
+    for (lo, up), x in zip(pairs, vec):
+        full[up], full[lo] = sign * x, x
+    return tuple(full)

@@ -29,7 +29,7 @@ from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
                            UnsupportedOperation, ValidationError)
-from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
+from koszul.forms import SYMMETRIC, BilinearForm, form_space
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace, condition_rows
 
@@ -102,16 +102,9 @@ def parallel_rows(conn: InvariantConnection) -> list[dict[int, int]]:
 
 
 def parallel_forms(conn: InvariantConnection, sym: str) -> LinearSolutionSpace:
-    """Forms with b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0, of one parity.
-
-    Returned in full matrix coordinates (the parity is imposed as extra rows),
-    so basis elements reshape to m x m matrices directly.
-    """
-    if sym not in (SYMMETRIC, SKEW):
-        raise ValidationError("parity must be symmetric or skew")
-    m = conn.dim
-    rows = parallel_rows(conn) + parity_rows(m, sym)
-    return spaces.from_conditions(rows, m * m, shape=(m, m))
+    """Forms with b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0, of one parity,
+    as flat m x m matrices: `forms.form_space` over `parallel_rows`."""
+    return form_space(parallel_rows(conn), conn.dim, sym)
 
 
 @dataclass(frozen=True)

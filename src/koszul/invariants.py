@@ -31,8 +31,9 @@ from koszul.connections import (InvariantConnection, amari_dual,
                                 is_locally_flat, is_torsion_free, torsion)
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
-from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
-from koszul.gauge import parallel_rows, solve_fe_star, solve_gauge_equation
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
+from koszul.gauge import (parallel_forms, parallel_rows, solve_fe_star,
+                          solve_gauge_equation)
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace, condition_rows
 
@@ -242,9 +243,7 @@ def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
     flat, why = is_locally_flat(conn)
     if not flat:
         raise NotFlat(why)
-    m = conn.dim
-    rows = _hessian_rows(conn) + parity_rows(m, SYMMETRIC)
-    return spaces.from_conditions(rows, m * m, shape=(m, m))
+    return form_space(_hessian_rows(conn), conn.dim, SYMMETRIC)
 
 
 def _hessian_rows(conn: InvariantConnection) -> list[dict[int, int]]:
@@ -446,8 +445,7 @@ def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     """
     m = L.dim
     plus = cartan_connection(L, "plus")
-    rows = parallel_rows(plus) + parity_rows(m, SYMMETRIC)
-    space = spaces.from_conditions(rows, m * m, shape=(m, m))
+    space = parallel_forms(plus, SYMMETRIC)
     rw = max_rank(space, constraint="positive_definite")
     gap = m - rw.max_rank
     if rw.max_rank == m:
@@ -498,8 +496,8 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
 def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
     """Independent route: nondegenerate skew 2-cocycles of the bracket."""
     m = L.dim
-    rows = _skew_cocycle_rows(L) + parity_rows(m, SKEW)
-    space = spaces.from_conditions(rows, m * m, shape=(m, m))
+    rows = _skew_cocycle_rows(L)
+    space = form_space(rows, m, SKEW)
     if m % 2 == 1:
         return ExistenceVerdict(
             "no", invariant_value=m - max_rank(space).max_rank,

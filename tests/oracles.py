@@ -43,7 +43,9 @@ Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
-`dense_parallel_rows`, ...) and its former dense `Fraction` condition rows
+`dense_parallel_rows`, ...), its former solve of a form space over all
+m x m entries, the parity imposed as extra rows (`parity_rows`,
+`parity_row_form_space`), and its former dense `Fraction` condition rows
 with the dense witness check they fed (`operator_matrix`,
 `dense_gauge_equation_rows`, ..., `dense_prolong`, `check_rows`), its
 former per-outcome
@@ -76,7 +78,7 @@ from math import comb, gcd, lcm
 import numpy as np
 import sympy
 
-from koszul import cli, linalg
+from koszul import cli, linalg, spaces
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
@@ -99,7 +101,7 @@ from koszul.invariants import (ExistenceVerdict, RankWitness,
                                _no_or_unknown, _space_from_matrices,
                                max_rank, r_b_defect)
 from koszul.linalg import Mat, Vec, frac
-from koszul.spaces import LinearSolutionSpace
+from koszul.spaces import LinearSolutionSpace, condition_rows
 from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
                             prolong, resolve_seed, symbol_coord_dim)
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, NORM_TOL, PROBE_TOL,
@@ -2043,6 +2045,25 @@ def dense_parity_rows(m: int, sym: str):
             if any(row):
                 rows.append(row)
     return rows
+
+
+def parity_rows(m: int, sym: str) -> list[dict[int, int]]:
+    """Conditions on a flat (row-major) m x m matrix for one parity.
+
+    e_ab - e_ba for symmetric forms and e_ab + e_ba (2 e_aa on the diagonal)
+    for skew ones, over a <= b; zero rows are left out.
+    """
+    sign = -1 if sym == SYMMETRIC else 1
+    return condition_rows(
+        entry for a in range(m) for b in range(a, m)
+        for entry in (((a, b), a * m + b, 1), ((a, b), b * m + a, sign)))
+
+
+def parity_row_form_space(rows, m: int, sym: str) -> LinearSolutionSpace:
+    """`forms.form_space` as the rows plus `parity_rows`, solved over all
+    m x m entries."""
+    return spaces.from_conditions(rows + parity_rows(m, sym), m * m,
+                                  shape=(m, m))
 
 
 def dense_prolong(a: SymbolSpace) -> SymbolSpace:

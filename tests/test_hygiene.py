@@ -192,9 +192,8 @@ UNREAD_PUBLIC_NAMES = [
     "cohomology.ce_coboundary_matrix", "cohomology.hochschild_coboundary",
     "cohomology.hochschild_coboundary_matrix", "cohomology.kv_coboundary",
     "cohomology.kv_coboundary_matrix", "cohomology.maurer_cartan_defect",
-    "connections.curvature_operators", "forms.skew_form",
-    "forms.symmetric_form", "gauge.kernel_image_split", "gauge.phi_split",
-    "gauge.solve_fe_double_star", "invariants.generic_rank",
+    "connections.curvature_operators", "gauge.kernel_image_split",
+    "gauge.phi_split", "gauge.solve_fe_double_star", "invariants.generic_rank",
     "linalg.commutator", "linalg.is_zero_matrix", "spencer.full_hom",
     "spencer.zero_symbol", "statmodel.fisher_via_hessian",
     "statmodel.levi_civita_symbols",

@@ -285,6 +285,21 @@ def test_left_symplectic_oracle_verdicts():
     assert left_symplectic_oracle(heisenberg()).exists == "no"
 
 
+def test_left_symplectic_oracle_rechecks_its_witness_on_the_full_rows(
+        monkeypatch):
+    # the witness is substituted into the cocycle rows over all m x m
+    # entries, not into the rows folded onto the triangle of unknowns
+    L = direct_sum_lie(aff1(), aff1())
+    calls, real = [], spaces.satisfies
+    monkeypatch.setattr(spaces, "satisfies",
+                        lambda rows, vec: calls.append((rows, vec))
+                        or real(rows, vec))
+    v = left_symplectic_oracle(L)
+    assert v.exists == "yes"
+    assert calls[-1] == (invariants._skew_cocycle_rows(L),
+                         linalg.flatten(v.witness.matrix))
+
+
 def test_symplectic_routes_agree_on_catalog(rng):
     # gap route via the aff(1) torsion-free connection vs the cocycle oracle
     val, verdict = s_star_b(aff1_symplectic_connection(), identity_form(2))

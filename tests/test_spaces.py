@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from koszul import linalg, spaces
-from koszul.errors import KoszulError
+from koszul import forms, linalg, spaces
+from koszul.catalog import sl2
+from koszul.connections import cartan_connection
+from koszul.errors import KoszulError, ValidationError
+from koszul.forms import GENERAL, SYMMETRIC, form_space
+from koszul.gauge import parallel_rows
 from koszul.spaces import LinearSolutionSpace, from_conditions
 
 F = Fraction
@@ -27,6 +31,39 @@ def test_from_conditions_rejects_a_vector_violating_its_conditions(
     rows = [{0: 1, 2: -1}, {1: 2}]
     with pytest.raises(KoszulError, match="violating its conditions"):
         spaces.from_conditions(rows, 3)
+
+
+def test_form_space_rejects_a_fault_in_the_fold_or_the_expansion(
+        monkeypatch):
+    # the ad-invariant symmetric forms of sl2 (h, e, f): the Killing form,
+    # with an off-diagonal entry. A solver that answers with a wrong vector,
+    # a fold that loses rows or an expansion with the wrong sign must not
+    # get past the substitution into the full rows.
+    rows = parallel_rows(cartan_connection(sl2(), "plus"))
+    assert form_space(rows, 3, SYMMETRIC).matrices() == (
+        ((F(2), F(0), F(0)), (F(0), F(0), F(1)), (F(0), F(1), F(0))),)
+    with pytest.raises(ValidationError, match="symmetric or skew"):
+        form_space(rows, 3, GENERAL)
+    expand = forms._expand
+    faults = [
+        (spaces, "from_conditions", lambda rows, n: LinearSolutionSpace(
+            n, tuple(linalg.identity(n)))),
+        (forms, "condition_rows", lambda entries: []),
+        (forms, "_expand", lambda vec, pairs, m, sign:
+         expand(vec, pairs, m, -sign)),
+    ]
+    for module, name, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            with pytest.raises(KoszulError, match="its full conditions"):
+                form_space(rows, 3, SYMMETRIC)
+
+    def wrong(rows, ncols):
+        return (tuple(F(int(c == 0)) for c in range(ncols)),)
+
+    monkeypatch.setattr(linalg, "sparse_nullspace", wrong)
+    with pytest.raises(KoszulError, match="violating its conditions"):
+        form_space(rows, 3, SYMMETRIC)
 
 
 def test_dependent_basis_is_rejected():

@@ -19,6 +19,7 @@ on their dense conjugates.
 
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -53,13 +54,14 @@ from koszul.connections import (
     cartan_connection,
     curvature,
     curvature_operators,
+    is_locally_flat,
     torsion,
 )
 from koszul.errors import KoszulError, ValidationError
 from koszul.flatmodels import affine_algebra, matrix_algebra
-from koszul.forms import SKEW, SYMMETRIC, BilinearForm, parity_rows
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
 from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
-                          g_nabla_subalgebra, parallel_rows,
+                          g_nabla_subalgebra, parallel_forms, parallel_rows,
                           solve_gauge_equation)
 
 from conftest import assert_rows_match, assoc_pool, direct_sum_lie, kv_pool
@@ -104,6 +106,8 @@ from oracles import (
     fraction_defect_doc,
     fractions_over,
     nested_jacobi_defect,
+    parity_row_form_space,
+    parity_rows,
     sparse_of,
     two_sided_operator_defect,
     walk,
@@ -403,6 +407,48 @@ def test_condition_rows_match_dense(conn, data):
         # the witness check over the nonzeros is the dense one
         for w in [vec, *linalg.nullspace(dense, ncols=n)[:1]]:
             assert spaces.satisfies(rows, w) == check_rows(dense, w)
+
+
+def _space_walked(builder, L):
+    """The space that a verdict builder hands to `max_rank`."""
+    seen, real = [], invariants.max_rank
+
+    def spy(space, **kwargs):
+        seen.append(space)
+        return real(space, **kwargs)
+    with mock.patch.object(invariants, "max_rank", spy):
+        builder(L)
+    return seen[0]
+
+
+@CHECKS
+@given(connections())
+# dims 0 and 1: the skew triangle has no unknowns
+@example(cartan_connection(abelian(0), "plus"))
+@example(InvariantConnection(abelian(1), dense_product(1, (((Fraction(2),),),))))
+# a flat torsion-free connection: the left multiplications of an LSA
+@example(InvariantConnection(commutator_bracket(affine_algebra(1).product),
+                             affine_algebra(1).product))
+def test_form_spaces_match_the_parity_row_solve(conn):
+    # each form space over its triangle equals the former solve over all
+    # m x m entries plus the parity rows
+    L, m = conn.base, conn.dim
+    plus = cartan_connection(L, "plus")
+    cases = [(parallel_forms(c, sym), parallel_rows(c), sym)
+             for c in (conn, plus) for sym in (SYMMETRIC, SKEW)]
+    cases += [(invariants.hessian_cocycle_space(c), invariants._hessian_rows(c),
+               SYMMETRIC) for c in (conn, cartan_connection(L, "zero"))
+              if is_locally_flat(c)[0]]
+    rows = invariants._hessian_rows(conn)
+    cases += [(form_space(rows, m, SYMMETRIC), rows, SYMMETRIC),
+              (_space_walked(invariants.bi_invariant_metric, L),
+               parallel_rows(plus), SYMMETRIC),
+              (_space_walked(invariants.left_symplectic_oracle, L),
+               invariants._skew_cocycle_rows(L), SKEW)]
+    for space, full, sym in cases:
+        old = parity_row_form_space(full, m, sym)
+        assert (space.basis, space.ambient_dim, space.shape) == (
+            old.basis, old.ambient_dim, old.shape)
 
 
 @CHECKS
