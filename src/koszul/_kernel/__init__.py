@@ -140,9 +140,10 @@ def independent_rows_mod_p(rows, bound: int) -> list[int]:
     column it holds, and what is left, if anything, is the next pivot row.
     `holders` maps each column to the kept rows holding it, so the new
     pivot column is cleared from those alone. Entries are reduced mod P
-    where they are read rather than after every update; they stay a few
-    words long. Stops as soon as `bound` rows are kept, so their count is
-    min(bound, rank mod P), a lower bound for the rank over the rationals.
+    where they are read rather than after every update, and each sum the
+    new row accumulates once; they stay a few words long. Stops as soon as
+    `bound` rows are kept, so their count is min(bound, rank mod P), a
+    lower bound for the rank over the rationals.
     """
     kept: list[int] = []
     if bound <= 0:
@@ -159,7 +160,7 @@ def independent_rows_mod_p(rows, bound: int) -> list[int]:
                 x %= P
                 for j, v in b.items():
                     acc[j] = acc.get(j, 0) - x * v
-        r = {j: x % P for j, x in acc.items() if x % P}
+        r = {j: y for j, x in acc.items() if (y := x % P)}
         if not r:
             continue
         c, x = r.popitem()

@@ -82,23 +82,39 @@ class SparseTable:
     are dropped. `nonzeros` lists (i, j, k, n) in index order, meaning
     t[i][j][k] = n / den with den the least common denominator of the
     values, so two tables compare and hash equal exactly when their values
-    agree. `by_first` groups the nonzeros as i -> [(j, k, n)]. `by_second`
-    (j -> [(i, k, n)]) and `by_pair` ((i, j) -> [(k, n)]) group them too,
-    built on first use, since most tables never need them. A contraction
-    multiplies and adds these integers and divides by the product of the
-    denominators once at the end, which gives the same rationals as
-    `Fraction` arithmetic.
+    agree. `SparseTable.over` builds the same from integer sums over one
+    denominator. `by_first` groups the nonzeros as i -> [(j, k, n)].
+    `by_second` (j -> [(i, k, n)]) and `by_pair` ((i, j) -> [(k, n)]) group
+    them too, built on first use, since most tables never need them. A
+    contraction multiplies and adds these integers and divides by the
+    product of the denominators once at the end, which gives the same
+    rationals as `Fraction` arithmetic.
     """
 
     __slots__ = ("den", "nonzeros", "by_first", "_by_second", "_by_pair")
 
     def __init__(self, entries=()):
         entries = sorted((i, j, k, frac(v)) for i, j, k, v in entries if v)
-        self.den = d = lcm(*(v.denominator for *_, v in entries))
-        self.nonzeros = tuple((i, j, k, v.numerator * (d // v.denominator))
-                              for i, j, k, v in entries)
+        d = lcm(*(v.denominator for *_, v in entries))
+        self._store(d, tuple((i, j, k, v.numerator * (d // v.denominator))
+                             for i, j, k, v in entries))
+
+    @classmethod
+    def over(cls, sums: dict, den: int) -> SparseTable:
+        """The table whose entry at (i, j, k) is sums[i, j, k] / den (den >
+        0), reduced to the least common denominator without a `Fraction`
+        per entry; zero sums are dropped."""
+        nz = sorted((idx, n) for idx, n in sums.items() if n)
+        g = gcd(den, *(n for _, n in nz))
+        t = cls.__new__(cls)
+        t._store(den // g, tuple((i, j, k, n // g) for (i, j, k), n in nz))
+        return t
+
+    def _store(self, den: int, nonzeros: tuple) -> None:
+        self.den = den
+        self.nonzeros = nonzeros
         self.by_first: dict[int, list[tuple[int, int, int]]] = {}
-        for i, j, k, n in self.nonzeros:
+        for i, j, k, n in nonzeros:
             self.by_first.setdefault(i, []).append((j, k, n))
         self._by_second = self._by_pair = None
 
@@ -477,7 +493,7 @@ def _commutator(s: SparseTable) -> SparseTable:
     for i, j, k, n in s.nonzeros:
         acc[i, j, k] += n
         acc[j, i, k] -= n
-    return SparseTable((*idx, Fraction(n, s.den)) for idx, n in acc.items())
+    return SparseTable.over(acc, s.den)
 
 
 def kv_anomaly(p: BilinearProduct) -> DefectTensor:

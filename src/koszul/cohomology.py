@@ -34,11 +34,12 @@ rank is its rank on that complement, which is l_q.
 As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q = 0, r_q <= u_q =
 min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q = u_q, r_q = l_q;
 the square that bound relies on is then checked exactly as a sparse integer
-product (a nonzero one raises ConformanceMismatch). Where l_q < u_q the
-rows independent mod the prime are eliminated exactly and every other row
-is checked to lie in their span (`koszul._kernel.row_space`; all rows are
-eliminated when a check fails), and that rank replaces l_q in its
-neighbours' bounds. Acyclic degrees meet the bound.
+product, each of its rows summed into one list indexed by column (a nonzero
+one raises ConformanceMismatch). Where l_q < u_q the rows independent mod
+the prime are eliminated exactly and every other row is checked to lie in
+their span (`koszul._kernel.row_space`; all rows are eliminated when a
+check fails), and that rank replaces l_q in its neighbours' bounds.
+Acyclic degrees meet the bound.
 
 Before any contribution is generated, their number is counted from the
 table's list lengths, and a complex with more than `ENTRY_BOUND` of them is
@@ -56,10 +57,11 @@ recorded in the report notes, and squares are verified from degree 1 up.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct
 from math import comb, gcd, lcm
 
 from koszul import linalg
@@ -240,19 +242,36 @@ def _certified_ranks(deltas) -> list[int]:
         low[q] = len(row_space(primitive, ncols, kept[q])[1])
         exact[q] = True
     for q in sorted({square(q) for q in range(n)} - {()}):
-        _check_square(deltas[q + 1][0], deltas[q][0], q)
+        _check_square(deltas[q + 1][0], deltas[q][0], deltas[q][1], q)
     return low
 
 
-def _check_square(after: dict, first: dict, q: int) -> None:
+def _check_square(after: dict, first: dict, ncols: int, q: int) -> None:
     """Raise unless delta_{q+1} delta_q = 0, in integers over the rows'
-    nonzeros."""
+    nonzeros.
+
+    Each row of delta_q is listed once as (column, value) pairs and as its
+    columns. A row of delta_{q+1} sums its multiples of those rows into
+    one list indexed by the ncols columns of delta_q; when the row passes,
+    every cell is zero again, so the list serves the next row as it is.
+    The row is read back whole when its sum visits about ncols cells (its
+    length times the mean row length of delta_q), else only on the columns
+    of the rows it summed, so a sparse wide product is not scanned ncols
+    cells per row.
+    """
+    pairs = {k: tuple(row.items()) for k, row in first.items()}
+    cols = {k: tuple(row) for k, row in first.items()}
+    wide = ncols * len(first) / max(1, sum(map(len, cols.values())))
+    acc = [0] * ncols
+    at = acc.__getitem__
     for row in after.values():
-        acc: dict[int, int] = {}
+        touched = []
         for k, x in row.items():
-            for col, y in first.get(k, {}).items():
-                acc[col] = acc.get(col, 0) + x * y
-        if any(acc.values()):
+            for col, y in pairs.get(k, ()):
+                acc[col] += x * y
+            touched.append(cols.get(k, ()))
+        if (any(acc) if len(row) >= wide else
+                any(map(at, chain.from_iterable(touched)))):
             raise ConformanceMismatch(
                 f"coboundary squares to nonzero from degree {q}")
 
@@ -429,26 +448,14 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
     return _dims_from_deltas("kv", coefficients, algebra.dim, deltas, notes)
 
 
-def _sort_alternating(idx):
-    """Sorted index tuple and permutation sign; (None, 0) on a repeat."""
-    order = sorted(range(len(idx)), key=lambda t: idx[t])
-    sidx = tuple(idx[t] for t in order)
-    for a, b in zip(sidx, sidx[1:]):
-        if a == b:
-            return None, 0
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sidx, sign
-
-
 def _ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
     """Contributions to delta_p of the Chevalley-Eilenberg complex.
 
     Row cod-position * width + k, column dom-position * width + a, over
     increasing index tuples; width is m for the adjoint module, else 1.
+    The bracket's e_l part lands on l wedged with the increasing tuple
+    rest: l moves to its place among rest past `pos` smaller indices, sign
+    (-1)^pos, and the entry vanishes when l is already in rest.
     """
     by_pair = sp.by_pair
     width = m if adjoint else 1
@@ -465,11 +472,13 @@ def _ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
                 rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
                 s2 = -1 if (i + j) % 2 else 1
                 for l, n in by_pair.get((x, tup[j]), ()):
-                    sidx, psign = _sort_alternating((l,) + rest)
-                    if sidx is not None:
-                        col0 = dom_pos[sidx] * width
-                        for w in range(width):
-                            yield row0 + w, col0 + w, s2 * psign * n
+                    pos = bisect_left(rest, l)
+                    if pos < len(rest) and rest[pos] == l:
+                        continue
+                    col0 = dom_pos[rest[:pos] + (l,) + rest[pos:]] * width
+                    v = -s2 * n if pos % 2 else s2 * n
+                    for w in range(width):
+                        yield row0 + w, col0 + w, v
 
 
 def ce_coboundary_matrix(L: LieAlgebra, coefficients: str, p: int):

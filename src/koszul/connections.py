@@ -2,7 +2,10 @@
 
 A connection is a bilinear product gamma[i][j][k] (the e_k coefficient of
 nabla_{e_i} e_j) paired with the algebra whose bracket enters torsion and
-curvature. Everything is exact.
+curvature. Everything is exact, and the contractions stay in integers over
+the tables' denominators: the dual of a connection under a form
+(`form_dual`) sums −G^{-1} A_i^T G over the operators' nonzeros with G^{-1}
+taken once over one denominator, and builds its table once from the sums.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
@@ -112,20 +116,47 @@ def amari_dual(conn: InvariantConnection, g: BilinearForm) -> InvariantConnectio
         raise ValidationError("metric dimension mismatch")
     if not g.is_nondegenerate:
         raise SingularMetric(f"metric has rank {g.rank} < {g.dim}")
-    return form_dual(conn.base, conn.matrices, g.matrix)
+    return form_dual(conn.base, conn.gamma.sparse, g.matrix)
 
 
-def form_dual(base: LieAlgebra, mats, gm: Mat) -> InvariantConnection:
+def form_dual(base: LieAlgebra, ops: SparseTable,
+              gm: Mat) -> InvariantConnection:
     """The connection with b(nabla_{e_i} y, z) = −b(y, A_i z) for the
-    nondegenerate form b of matrix gm and operators mats = (A_i):
-    Gamma_i = −G^{-1} A_i^T G."""
+    nondegenerate form b of matrix gm and the operators A_i e_j = sum_k
+    ops[i][j][k] e_k: Gamma_i = −G^{-1} A_i^T G.
+
+    In integers: gm = Gn / s with Gn integer, Gn^{-1} = H / d over one
+    denominator, and the scale s cancels. So the e_k part of nabla_{e_i}
+    e_j is −sum_p H[k][p] W_ip[j] over d · ops.den, where W_ip = sum_q n
+    Gn[q] runs over the nonzeros (i, p, q, n) of ops. A degenerate form
+    raises SingularMetric before any of this is summed.
+    """
     m = base.dim
-    ginv = linalg.inverse(gm)
-    duals = [linalg.mat_scale(-1, linalg.mat_mul(
-        ginv, linalg.mat_mul(linalg.transpose(a), gm))) for a in mats]
-    table = SparseTable((i, j, k, duals[i][k][j]) for i in range(m)
-                        for j in range(m) for k in range(m))
-    return InvariantConnection(base, BilinearProduct(m, table))
+    ints, scales = linalg.integer_rows(gm)
+    s = lcm(*scales)
+    gn = [[x * (s // t) for x in row] for row, t in zip(ints, scales)]
+    inv = linalg.integer_inverse(gn)
+    if inv is None:
+        raise SingularMetric(f"form of dimension {m} is degenerate")
+    h, d = inv
+    w: dict = {}   # (i, p) -> row p of A_i^T Gn, scaled by ops.den
+    for i, p, q, n in ops.nonzeros:
+        row = w.get((i, p))
+        if row is None:
+            row = w[i, p] = [0] * m
+        for j, y in enumerate(gn[q]):
+            if y:
+                row[j] += n * y
+    sums: dict = defaultdict(int)
+    for (i, p), row in w.items():
+        for k in range(m):
+            x = h[k][p]
+            if x:
+                for j, y in enumerate(row):
+                    if y:
+                        sums[i, j, k] -= x * y
+    return InvariantConnection(base, BilinearProduct(
+        m, SparseTable.over(sums, d * ops.den)))
 
 
 def alpha_connection(conn: InvariantConnection, dual: InvariantConnection,

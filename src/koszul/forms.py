@@ -94,9 +94,11 @@ def form_from_sparse(m: int, sym: str, entries) -> BilinearForm:
 def form_space(rows, m: int, sym: str) -> LinearSolutionSpace:
     """Forms of one parity solving sparse integer rows over the flat m x m
     entries, solved over one unknown per lower entry x_ji (j >= i, or j > i
-    for skew forms) in flat order j*m + i, each kernel vector expanded and
-    re-verified on the full rows. The basis is the canonical kernel of the
-    rows plus the parity conditions: no upper entry is free there."""
+    for skew forms) in flat order j*m + i. Each kernel vector of the folded
+    rows is expanded and substituted once into the full rows, which also
+    re-verifies it against the folded ones. The basis is the canonical
+    kernel of the rows plus the parity conditions: no upper entry is free
+    there."""
     if sym not in (SYMMETRIC, SKEW):
         raise ValidationError("parity must be symmetric or skew")
     sign = 1 if sym == SYMMETRIC else -1
@@ -107,8 +109,8 @@ def form_space(rows, m: int, sym: str) -> LinearSolutionSpace:
     folded = condition_rows(
         (r, slot[c][0], slot[c][1] * a)
         for r, row in enumerate(rows) for c, a in row.items() if c in slot)
-    basis = tuple(_expand(v, pairs, m, sign) for v in
-                  spaces.from_conditions(folded, len(pairs)).basis)
+    basis = tuple(_expand(v, pairs, m, sign)
+                  for v in linalg.sparse_nullspace(folded, len(pairs)))
     if not all(spaces.satisfies(rows, v) for v in basis):
         raise KoszulError("form space vector violates its full conditions")
     return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))

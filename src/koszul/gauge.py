@@ -13,7 +13,10 @@ first-order system e_i s = M_i s with constant M_i has solution space equal to
 the largest subspace W that is M-invariant and killed by the compatibility
 operators F_ij = [M_i, M_j] + sum_k c^k_{ij} M_k (Frobenius integrability plus
 uniqueness of Cauchy data). The vector-field equation nabla^2 X = 0 becomes
-such a system for s = (values of X, frame derivatives of X).
+such a system for s = (values of X, frame derivatives of X). The
+stabilization reads the operators as integers over one denominator and each
+annihilator of the current subspace as a primitive integer vector, so its
+rows are built without `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -144,8 +147,7 @@ def _fe_star_operators(conn: InvariantConnection) -> SparseTable:
         for a in range(m):
             acc[i, m + a * m + c, m + a * m + b] += v
             acc[i, m + b * m + a, m + c * m + a] -= v
-    return SparseTable((i, a, l, Fraction(v, g.den))
-                       for (i, a, l), v in acc.items())
+    return SparseTable.over(acc, g.den)
 
 
 def _fe_star_compatibility(conn: InvariantConnection,
@@ -156,10 +158,29 @@ def _fe_star_compatibility(conn: InvariantConnection,
     in bracket mode it returns exactly the keys with i < j.
     """
     c = conn.base.sparse
-    neg_c = SparseTable((i, j, k, Fraction(-v, c.den))
-                        for i, j, k, v in c.nonzeros)
+    neg_c = SparseTable.over({(i, j, k): -v for i, j, k, v in c.nonzeros},
+                             c.den)
     d, _ = operator_defect(ops, neg_c, bracket=True)
     return condition_rows(((i, j, l), a, v) for (i, j, a, l), v in d.items())
+
+
+def _invariance_rows(basis, into: dict, n: int) -> list[dict[int, int]]:
+    """Rows cutting out the w in span(basis) with every M_k w in it too.
+
+    Each annihilator a of the span is scaled to its primitive integer
+    vector (a canonical kernel vector has a 1 at its free column, so its
+    least common denominator leaves no common factor, and the scale is
+    positive). a^T (M_k w) = (M_k^T a)^T w, so invariance is linear in w:
+    rows (-1, t) are the annihilators a_t, rows (k, t) are M_k^T a_t over
+    the table's denominator, all in integers. `condition_rows` makes each
+    row primitive, so the rows are those of the rational annihilators.
+    """
+    ann, _ = linalg.integer_rows(linalg.nullspace(basis, ncols=n))
+    nz = [[(l, x) for l, x in enumerate(a) if x] for a in ann]
+    return condition_rows(chain(
+        (((-1, t), l, x) for t, a in enumerate(nz) for l, x in a),
+        (((k, t), c, v * x) for t, a in enumerate(nz) for l, x in a
+         for (k, c), v in into.get(l, {}).items())))
 
 
 def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
@@ -172,7 +193,7 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
 
     def images(vec) -> list:
         """ops.den M_k vec for k = 0..m-1, over the table's nonzeros."""
-        out = [[Fraction(0)] * n for _ in range(m)]
+        out = [[0] * n for _ in range(m)]
         for k, a, l, v in ops.nonzeros:
             if vec[a]:
                 out[k][l] += v * vec[a]
@@ -182,14 +203,8 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     basis = linalg.sparse_nullspace(rows, n)
     steps = 0
     while basis:
-        ann = tuple(enumerate(linalg.nullspace(basis, ncols=n)))
-        # a^T (M_k w) = (M_k^T a)^T w: invariance of W is linear in w; the
-        # rows of M_k^T a are scaled by the table's denominator
-        new_rows = condition_rows(chain(
-            (((-1, t), l, x) for t, a in ann for l, x in enumerate(a) if x),
-            (((k, t), c, v * x) for t, a in ann for l, x in enumerate(a) if x
-             for (k, c), v in into.get(l, {}).items())))
-        new_basis = linalg.sparse_nullspace(new_rows, n)
+        new_basis = linalg.sparse_nullspace(_invariance_rows(basis, into, n),
+                                            n)
         steps += 1
         if len(new_basis) == len(basis):
             basis = new_basis
@@ -201,7 +216,9 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     space = LinearSolutionSpace(ambient_dim=n, basis=tuple(basis))
     if not all(spaces.satisfies(rows, w) for w in space.basis):
         raise KoszulError("stabilized vector violates compatibility")
-    moved = [x for w in space.basis for x in images(w)]
+    # the basis scaled to integer vectors spans the same lines: same rank
+    moved = [x for w in linalg.integer_rows(space.basis)[0]
+             for x in images(w)]
     if linalg.rank(list(space.basis) + moved) != space.dim:
         raise KoszulError("stabilized space is not invariant")
 

@@ -321,7 +321,7 @@ def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
     if m % 2 == 0:
         symplectic = left_symplectic_oracle(L)
         if symplectic.exists == "yes":
-            conn = form_dual(L, L.ad_matrices, symplectic.witness.matrix)
+            conn = form_dual(L, L.sparse, symplectic.witness.matrix)
             flat, why = is_locally_flat(conn)
             if not flat:
                 raise ValidationError(

@@ -159,7 +159,7 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def _check_square(a) -> int:
+def _square_size(a) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"matrix is not square: shape "
@@ -169,7 +169,7 @@ def _check_square(a) -> int:
 
 def det(a) -> Fraction:
     """Determinant of a square matrix."""
-    n = _check_square(a)
+    n = _square_size(a)
     if n == 0:
         return Fraction(1)
     int_rows, scales = integer_rows(a)
@@ -285,14 +285,27 @@ def solve(a, b) -> Vec | None:
     return tuple(x)
 
 
+def integer_inverse(a) -> tuple[list[list[int]], int] | None:
+    """(H, d) with a^{-1} = H / d, H integer and d > 0 one denominator, or
+    None when a is singular: the integer reduced echelon form of [a | I],
+    row i over its pivot, brought to the pivots' least common multiple."""
+    n = _square_size(a)
+    ints, _ = integer_rows([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(a)])
+    red, pivots, _ = reduced_echelon(ints)
+    if pivots != list(range(n)):
+        return None
+    d = lcm(*(row[i] for i, row in enumerate(red)))
+    return [[x * (d // row[i]) for x in row[n:]]
+            for i, row in enumerate(red)], d
+
+
 def inverse(a) -> Mat:
-    n = _check_square(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if list(pivots[:n]) != list(range(n)):
+    inv = integer_inverse(a)
+    if inv is None:
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    h, d = inv
+    return tuple(tuple(Fraction(x, d) for x in row) for row in h)
 
 
 def symmetric_signature(g) -> tuple[int, int, int]:

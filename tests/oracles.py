@@ -59,7 +59,13 @@ path over `Fraction` objects: values parsed by Fraction(str)
 (`fraction_parse`), contraction sums read as Fractions
 (`fractions_over`), defect tensors with one Fraction per entry
 (`FractionDefectTensor`, `fraction_defect_doc`) and reports written by
-`json.dumps` (`json_report`), its former dense
+`json.dumps` (`json_report`), its former solve-ladder hot paths over
+`Fraction` and `dict`: the dual connection by two dense `Fraction`
+products per basis vector (`dense_form_dual`), the Chevalley-Eilenberg
+contributions placed by sorting (`sort_alternating`,
+`sorting_ce_entries`), the delta² check summed into a dict
+(`dict_check_square`) and the FE* invariance rows from `Fraction`
+annihilators (`fraction_invariance_rows`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
 dense builders and readers that used them (`dense_*_algebra`,
 `dense_conjugate_product`, `dense_mult`, ...), and closed forms from
@@ -72,7 +78,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -84,7 +90,7 @@ from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
                             zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
-                               DegreeDims, _flat_index, _sort_alternating,
+                               DegreeDims, _flat_index,
                                ce_coboundary_matrix,
                                hochschild_coboundary_matrix,
                                kv_coboundary_matrix, kv_degree_zero_space,
@@ -552,6 +558,19 @@ def dense_amari_dual(conn, g):
     return tuple(
         tuple(tuple(duals[i][k][j] for k in range(m)) for j in range(m))
         for i in range(m))
+
+
+def dense_form_dual(base, mats, gm):
+    """The library's former `form_dual`: Gamma_i = −G^{-1} A_i^T G for the
+    dense operators mats = (A_i), by two dense `Fraction` products per
+    basis vector."""
+    m = base.dim
+    ginv = linalg.inverse(gm)
+    duals = [linalg.mat_scale(-1, linalg.mat_mul(
+        ginv, linalg.mat_mul(linalg.transpose(a), gm))) for a in mats]
+    table = SparseTable((i, j, k, duals[i][k][j]) for i in range(m)
+                        for j in range(m) for k in range(m))
+    return InvariantConnection(base, BilinearProduct(m, table))
 
 
 def dense_alpha_connection(conn, dual, alpha):
@@ -1256,6 +1275,47 @@ def hochschild_delta_by_cochains(algebra, q):
         lambda b: dense_hochschild_coboundary(b, algebra))
 
 
+def sort_alternating(idx):
+    """Sorted index tuple and permutation sign; (None, 0) on a repeat."""
+    order = sorted(range(len(idx)), key=lambda t: idx[t])
+    sidx = tuple(idx[t] for t in order)
+    for a, b in zip(sidx, sidx[1:]):
+        if a == b:
+            return None, 0
+    sign = 1
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    return sidx, sign
+
+
+def sorting_ce_entries(sp, m, p, adjoint, dom_pos, cod):
+    """The library's former contributions to the Chevalley-Eilenberg
+    delta_p, each bracket's e_l part placed into rest by sorting (l,) +
+    rest and counting inversions (`sort_alternating`)."""
+    by_pair = sp.by_pair
+    width = m if adjoint else 1
+    for out, tup in enumerate(cod):
+        row0 = out * width
+        for i in range(p + 1):
+            x = tup[i]
+            sign = -1 if i % 2 else 1
+            if adjoint:
+                col0 = dom_pos[tup[:i] + tup[i + 1:]] * width
+                for a, k, n in sp.by_first.get(x, ()):
+                    yield row0 + k, col0 + a, sign * n
+            for j in range(i + 1, p + 1):
+                rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+                s2 = -1 if (i + j) % 2 else 1
+                for l, n in by_pair.get((x, tup[j]), ()):
+                    sidx, psign = sort_alternating((l,) + rest)
+                    if sidx is not None:
+                        col0 = dom_pos[sidx] * width
+                        for w in range(width):
+                            yield row0 + w, col0 + w, s2 * psign * n
+
+
 def dense_ce_coboundary_matrix(L, coefficients, p):
     """The library's former Chevalley-Eilenberg assembly over every cell of
     the bracket table; returns (rows, ncols, nrows)."""
@@ -1296,7 +1356,7 @@ def dense_ce_coboundary_matrix(L, coefficients, p):
                     cval = L.c[x][y][l]
                     if cval == 0:
                         continue
-                    sidx, psign = _sort_alternating((l,) + rr)
+                    sidx, psign = sort_alternating((l,) + rr)
                     if sidx is None:
                         continue
                     for w in range(width):
@@ -1385,6 +1445,18 @@ def dense_solve_fe_star(conn):
     proj = [w[:m] for w in space.basis]
     r_b = linalg.rank(proj) if proj else 0
     return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)
+
+
+def fraction_invariance_rows(basis, into, n):
+    """The library's former invariance rows of one FE* stabilization step:
+    the annihilators of span(basis) kept as `Fraction` vectors, the rows
+    M_k^T a built from `Fraction` products and made primitive by
+    `condition_rows`."""
+    ann = tuple(enumerate(linalg.nullspace(basis, ncols=n)))
+    return condition_rows(chain(
+        (((-1, t), l, x) for t, a in ann for l, x in enumerate(a) if x),
+        (((k, t), c, v * x) for t, a in ann for l, x in enumerate(a) if x
+         for (k, c), v in into.get(l, {}).items())))
 
 
 # ---------------------------------------------------------------- right ideals
@@ -1606,6 +1678,20 @@ def dense_dims_from_deltas(name, coefficients, m, c_dims, deltas,
         b = ranks[q - 1] if q >= 1 else 0
         out.append(DegreeDims(q, c_dims[q], z, b, z - b))
     return CohomologyReport(name, coefficients, m, tuple(out), notes)
+
+
+def dict_check_square(after, first, q):
+    """The library's former check of delta_{q+1} delta_q = 0: the product
+    summed cell by cell into a dict, each row of delta_q read by
+    `dict.get`."""
+    for row in after.values():
+        acc = {}
+        for k, x in row.items():
+            for col, y in first.get(k, {}).items():
+                acc[col] = acc.get(col, 0) + x * y
+        if any(acc.values()):
+            raise ConformanceMismatch(
+                f"coboundary squares to nonzero from degree {q}")
 
 
 def dense_kv_cohomology_dims(algebra, coefficients, max_degree=3):

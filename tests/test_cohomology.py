@@ -1,5 +1,6 @@
 import random
 from contextlib import contextmanager
+from itertools import combinations
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -43,8 +44,9 @@ from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_hochschild_coboundary,
                      dense_hochschild_dims, dense_kv_coboundary,
                      dense_kv_cohomology_dims, dense_maurer_cartan_defect,
-                     full_width_lower_bounds, hochschild_delta_by_cochains,
-                     kv_delta_by_cochains)
+                     dict_check_square, full_width_lower_bounds,
+                     hochschild_delta_by_cochains, kv_delta_by_cochains,
+                     sorting_ce_entries)
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
                   max_examples=100,
@@ -249,6 +251,79 @@ def test_ce_matrices_match_dense_oracle(rng):
             for p in range(4):
                 assert ce_coboundary_matrix(L, coeffs, p) == \
                     dense_ce_coboundary_matrix(L, coeffs, p)
+
+
+@CHECKS
+@given(base=st.sampled_from(range(len(LIE_POOL))), dense=st.booleans(),
+       coeffs=st.sampled_from((TRIVIAL, ADJOINT)),
+       p=st.sampled_from(range(4)), seed=st.integers(0, 2 ** 16))
+def test_ce_entries_match_the_sorting_oracle(base, dense, coeffs, p, seed):
+    # the bracket's e_l part placed by bisection against the former sort
+    # and inversion count: the same contributions in the same order
+    L = _pooled(LIE_POOL, conjugate_lie, base, dense, random.Random(seed))
+    entries, _, _ = cohomology._ce_delta(L, coeffs, p)
+    dom = list(combinations(range(L.dim), p))
+    cod = list(combinations(range(L.dim), p + 1))
+    assert list(entries) == list(sorting_ce_entries(
+        L.sparse, L.dim, p, coeffs == ADJOINT,
+        {t: i for i, t in enumerate(dom)}, cod))
+
+
+def _square_raises(check, *args) -> bool:
+    try:
+        check(*args)
+    except ConformanceMismatch:
+        return True
+    return False
+
+
+@CHECKS
+@given(a=conftest.int_matrices(max_rows=6, max_cols=6),
+       mix=st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+                    max_size=6),
+       cell=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                  st.integers(-2, 2)))
+def test_check_square_raises_exactly_where_the_dict_oracle_does(a, mix, cell):
+    # B A = 0 for B's rows combinations of A's left kernel; one cell of B
+    # changed may or may not break that
+    if not a or not a[0]:
+        return
+    left = [[int(x * lcm(*(y.denominator for y in v))) for x in v]
+            for v in linalg.nullspace(linalg.transpose(a), ncols=len(a))]
+    b = [[sum(k * v[j] for k, v in zip(ks, left)) for j in range(len(a))]
+         for ks in mix]
+    if cell is not None and b:
+        i, j, x = cell
+        b[i % len(b)][j % len(a)] += x
+    after = _sparse(b, (len(a), len(b)))[0]
+    first = _sparse(a, (len(a[0]), len(a)))[0]
+    raised = _square_raises(cohomology._check_square, after, first,
+                            len(a[0]), 0)
+    assert raised == _square_raises(dict_check_square, after, first, 0)
+    product = [[sum(x * a[k][j] for k, x in enumerate(row))
+                for j in range(len(a[0]))] for row in b]
+    assert raised == any(map(any, product))
+
+
+def test_check_square_passes_every_pooled_complex(rng):
+    # the pools' coboundaries square to zero, a changed cell of delta_1
+    # mostly not: the check raises exactly where the oracle does
+    for L in _with_dense_copies(LIE_POOL, conjugate_lie, rng):
+        for coeffs in (TRIVIAL, ADJOINT):
+            for p in range(3):
+                first, ncols, _ = cohomology._ce_delta(L, coeffs, p)
+                after, width, _ = cohomology._ce_delta(L, coeffs, p + 1)
+                first = cohomology.accumulate(first)
+                after = cohomology.accumulate(after)
+                cohomology._check_square(after, first, ncols, p)
+                if not after:
+                    continue
+                row = after[rng.choice(sorted(after))]
+                k = rng.randrange(width)
+                row[k] = row.get(k, 0) + 1
+                assert _square_raises(cohomology._check_square, after,
+                                      first, ncols, p) == \
+                    _square_raises(dict_check_square, after, first, p)
 
 
 # The coboundaries of single cochains against the dense loops they replaced.

@@ -1,9 +1,12 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from koszul import linalg
-from koszul.algebra import abelian, zero_product
+from koszul.algebra import abelian, conjugate_lie, zero_product
 from koszul.catalog import aff1_symplectic_connection, so3
 from koszul.connections import (
     InvariantConnection,
@@ -12,6 +15,7 @@ from koszul.connections import (
     cartan_connection,
     curvature,
     curvature_operators,
+    form_dual,
     is_locally_flat,
     is_torsion_free,
     torsion,
@@ -19,8 +23,10 @@ from koszul.connections import (
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import BilinearForm
 
-from conftest import rand_fraction, random_lie, random_metric, random_torsion_free
-from oracles import curvature_entry, dense_product, torsion_entry
+from conftest import (lie_pool, rand_fraction, rand_invertible, random_lie,
+                      random_metric, random_torsion_free)
+from oracles import (curvature_entry, dense_form_dual, dense_product,
+                     torsion_entry)
 
 
 def test_torsion_matches_oracle(rng):
@@ -122,6 +128,39 @@ def test_amari_dual_rejects_bad_metrics():
     with pytest.raises(SingularMetric):
         amari_dual(conn, BilinearForm(
             3, linalg.mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), "skew"))
+
+
+@st.composite
+def dual_inputs(draw):
+    """A pool algebra or its dense conjugate, operators that are its
+    brackets (ad) or a torsion-free connection on it, and a random
+    nondegenerate form of no particular symmetry."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    L = draw(st.sampled_from(lie_pool(4)))
+    if draw(st.booleans()):
+        L = conjugate_lie(L, rand_invertible(L.dim, rng))
+    ad = draw(st.booleans())
+    ops = L if ad else random_torsion_free(L, rng).gamma
+    return L, ops, rand_invertible(L.dim, rng)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dual_inputs())
+def test_form_dual_matches_the_dense_products(inputs):
+    L, ops, gm = inputs
+    # equal tables: equal denominators and numerators
+    assert form_dual(L, ops.sparse, gm) == dense_form_dual(
+        L, L.ad_matrices if ops is L else ops.left_matrices, gm)
+
+
+def test_form_dual_refuses_a_degenerate_form():
+    L = so3()
+    for gm in (linalg.zeros(3, 3),
+               linalg.mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+               linalg.mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])):
+        with pytest.raises(SingularMetric, match="degenerate"):
+            form_dual(L, L.sparse, gm)
 
 
 def test_alpha_family_interpolates(rng):

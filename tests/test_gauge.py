@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from koszul import linalg, spaces
+from koszul import gauge, linalg, spaces
 from koszul.algebra import (
     abelian,
     commutator_bracket,
@@ -29,6 +29,7 @@ from koszul.forms import BilinearForm, identity_form
 from koszul.gauge import (
     _fe_star_compatibility,
     _fe_star_operators,
+    _invariance_rows,
     g_nabla_subalgebra,
     kernel_image_split,
     parallel_forms,
@@ -53,6 +54,7 @@ from oracles import (
     dense_fe_star_operators,
     dense_product,
     dense_solve_fe_star,
+    fraction_invariance_rows,
 )
 
 
@@ -188,6 +190,29 @@ def test_fe_star_matches_dense_solver(conn):
     fs, ref = solve_fe_star(conn), dense_solve_fe_star(conn)
     assert (fs.space.basis, fs.r_b, fs.shrink_steps) == \
         (ref.space.basis, ref.r_b, ref.shrink_steps)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fe_connections())
+def test_fe_star_steps_match_the_fraction_annihilators(conn):
+    # every stabilization step builds the rows the former Fraction
+    # annihilators gave, and the whole solve is the former one
+    n = conn.dim + conn.dim ** 2
+    ops = _fe_star_operators(conn)
+    into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
+    basis = linalg.sparse_nullspace(_fe_star_compatibility(conn, ops), n)
+    while basis:
+        rows = _invariance_rows(basis, into, n)
+        assert rows == fraction_invariance_rows(basis, into, n)
+        new_basis = linalg.sparse_nullspace(rows, n)
+        if len(new_basis) == len(basis):
+            break
+        basis = new_basis
+    fs = solve_fe_star(conn)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauge, "_invariance_rows", fraction_invariance_rows)
+        assert fs == solve_fe_star(conn)
 
 
 def _nullspace_answering(monkeypatch, answer):

@@ -184,7 +184,7 @@ def test_flat_existence_from_a_symplectic_form(name, seed):
     # the product of omega(x·y, z) = -omega(y, [x, z]) itself, whichever
     # route answered above
     omega = left_symplectic_oracle(L).witness.matrix
-    assert _is_flat_torsion_free(form_dual(L, L.ad_matrices, omega))
+    assert _is_flat_torsion_free(form_dual(L, L.sparse, omega))
 
 
 def test_flat_existence_unknown_matches_the_eager_search(rng):
