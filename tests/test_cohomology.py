@@ -326,6 +326,18 @@ def test_check_square_passes_every_pooled_complex(rng):
                     _square_raises(dict_check_square, after, first, p)
 
 
+def test_check_square_reads_every_summed_row_of_a_sparse_product():
+    # rows of 1-2 entries against 100 columns are read back only on the
+    # columns of the rows they summed; here the one nonzero of the broken
+    # product (column 5) lies only in the first of them
+    first = {0: {5: 1, 7: 1}, 1: {7: -1}, 2: {5: 1}}
+    for after, broken in (({0: {0: 1, 1: 1}}, True),
+                          ({0: {0: 1, 1: 1, 2: -1}}, False)):
+        assert _square_raises(cohomology._check_square, after, first,
+                              100, 0) == broken
+        assert _square_raises(dict_check_square, after, first, 0) == broken
+
+
 # The coboundaries of single cochains against the dense loops they replaced.
 # A dense basis change gives tables with denominators, and the cochains are
 # arbitrary: in degree 0 with algebra coefficients xi need not be a legal
