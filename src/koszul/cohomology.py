@@ -53,6 +53,12 @@ coefficients the trivial action would force "delta f = -f", which is not a
 1-cochain; the implemented degree-0 scalar map is identically zero, which
 matches the dimension counts this complex is used for. Both conventions are
 recorded in the report notes, and squares are verified from degree 1 up.
+
+Other modules' cocycle systems come from the same generators, so only
+this module knows the Chevalley-Eilenberg cochain order:
+`scalar_coboundary_rows` (the symplectic, Hessian and perfectness systems
+of `invariants`) and `second_order_rows` (the KV 0-cochains and
+`gauge.g_nabla_subalgebra`).
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
@@ -119,11 +125,17 @@ def zero_cochain(degree: int, m: int, module: str) -> Cochain:
     return Cochain(degree, m, module, tuple(z for _ in range(m ** degree)))
 
 
+def second_order_rows(table: SparseTable) -> list[dict[int, int]]:
+    """Rows (i, j, l) of (e_i·e_j)·xi = e_i·(e_j·xi), e_l part, over the m
+    coordinates of xi: the second-order parallel vectors of a connection's
+    table (`gauge.g_nabla_subalgebra`) and the legal KV 0-cochains."""
+    d, _ = operator_defect(table, table)
+    return condition_rows(((i, j, l), k, v) for (i, j, k, l), v in d.items())
+
+
 def kv_degree_zero_space(p: BilinearProduct):
     """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains."""
-    d, _ = operator_defect(p.sparse, p.sparse)
-    return linalg.sparse_nullspace(condition_rows(
-        ((i, j, l), k, v) for (i, j, k, l), v in d.items()), p.dim)
+    return linalg.sparse_nullspace(second_order_rows(p.sparse), p.dim)
 
 
 def kv_coboundary(c: Cochain, algebra: BilinearProduct,
@@ -421,14 +433,6 @@ def _kv_contributions(n: int, m: int, q: int, adjoint: bool) -> int:
     return 2 * m * n if adjoint else 0
 
 
-def _primitive(v) -> tuple[int, ...]:
-    """The primitive integer vector on the line of a rational vector."""
-    scale = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (scale // x.denominator) for x in v]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
-
-
 def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
                        max_degree: int = 3) -> CohomologyReport:
     """Exact dims of the left-symmetric complex up to max_degree <= 3."""
@@ -437,9 +441,9 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
              sum(_kv_contributions(len(algebra.sparse.nonzeros), algebra.dim,
                                    q, coefficients == ADJOINT)
                  for q in range(max_degree + 1)), ENTRY_BOUND)
-    # integer degree-0 columns; rescaling a column keeps every rank and
-    # delta_1 delta_0 = 0
-    zero_basis = ([_primitive(v) for v in kv_degree_zero_space(algebra)]
+    # primitive integer degree-0 columns (a canonical kernel vector has a 1);
+    # rescaling a column keeps every rank and delta_1 delta_0 = 0
+    zero_basis = (linalg.integer_rows(kv_degree_zero_space(algebra))[0]
                   if coefficients == ADJOINT else ())
     deltas = [_kv_delta(algebra, coefficients, q, zero_basis)
               for q in range(max_degree + 1)]
@@ -525,6 +529,19 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
     deltas = [_ce_delta(L, coefficients, p) for p in range(max_degree + 1)]
     return _dims_from_deltas("chevalley-eilenberg", coefficients, L.dim,
                              deltas)
+
+
+def scalar_coboundary_rows(algebra, q: int) -> list[dict[int, int]]:
+    """Condition rows of delta_q, q >= 1, with scalar coefficients over the
+    flat table positions of a q-cochain (f(e_a, e_b) at a * m + b): of the
+    Chevalley-Eilenberg complex for a LieAlgebra, whose cochains on
+    increasing tuples keep the positions a < b, else of the KV complex."""
+    m, sp = algebra.dim, algebra.sparse
+    if not isinstance(algebra, LieAlgebra):
+        return condition_rows(_kv_entries(sp, m, q, False))
+    flat = {t: _flat_index(t, m) for t in combinations(range(m), q)}
+    return condition_rows(_ce_entries(sp, m, q, False, flat,
+                                      combinations(range(m), q + 1)))
 
 
 def hochschild_coboundary(c: Cochain, algebra: BilinearProduct) -> Cochain:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from koszul import linalg, spaces
+from koszul.algebra import DENSE_CELL_BOUND, envelope
 from koszul.errors import KoszulError, ValidationError
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
@@ -65,11 +66,13 @@ class BilinearForm:
 
 
 def identity_form(m: int) -> BilinearForm:
+    envelope("dense form cells", m * m, DENSE_CELL_BOUND)
     return BilinearForm(m, linalg.identity(m), SYMMETRIC)
 
 
 def form_from_sparse(m: int, sym: str, entries) -> BilinearForm:
     """entries: iterable of (i, j, value); completed by the declared symmetry."""
+    envelope("dense form cells", m * m, DENSE_CELL_BOUND)
     rows = [[frac(0)] * m for _ in range(m)]
     seen = {}
     for i, j, v in entries:

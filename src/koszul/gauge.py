@@ -28,6 +28,7 @@ from itertools import chain
 
 from koszul import linalg, spaces
 from koszul.algebra import SparseTable, operator_defect
+from koszul.cohomology import second_order_rows
 from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
@@ -248,10 +249,8 @@ def g_nabla_subalgebra(conn: InvariantConnection
     space was verified closed under the product; None when left-symmetry does
     not hold (no closure claim is made then).
     """
-    m = conn.dim
-    d, _ = operator_defect(conn.gamma.sparse, conn.gamma.sparse)
-    rows = condition_rows(((i, j, l), k, v) for (i, j, k, l), v in d.items())
-    space = spaces.from_conditions(rows, m)
+    space = spaces.from_conditions(second_order_rows(conn.gamma.sparse),
+                                   conn.dim)
     if not conn.gamma.is_kv:
         return space, None
     products = [conn.gamma.mult(a, b) for a in space.basis for b in space.basis]

@@ -16,16 +16,21 @@ is emitted, it is backed by an exact certificate: either a common kernel
 vector of the whole space or that generic rank. The walk visits at most
 `GENERIC_RANK_POINTS` points; above that a rank below full is not certified,
 and the verdict is `unknown`.
+
+The cocycle systems are `cohomology`'s (`scalar_coboundary_rows`): skew
+2-cocycles of the trivial Chevalley-Eilenberg complex and symmetric ones of
+the scalar KV complex of a flat connection's product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, islice, product as iproduct
+from itertools import count, islice, product as iproduct
 from math import isqrt
 
 from koszul import linalg, spaces
 from koszul.algebra import LieAlgebra
+from koszul.cohomology import scalar_coboundary_rows
 from koszul.connections import (InvariantConnection, amari_dual,
                                 cartan_connection, form_dual,
                                 is_locally_flat, is_torsion_free, torsion)
@@ -35,7 +40,7 @@ from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
 from koszul.gauge import (parallel_forms, parallel_rows, solve_fe_star,
                           solve_gauge_equation)
 from koszul.linalg import Mat
-from koszul.spaces import LinearSolutionSpace, condition_rows
+from koszul.spaces import LinearSolutionSpace
 
 # Bound on the points `max_rank` walks of its (min(shape) + 1)^(dim - 1)
 # point grid. A walk stops at its first full-rank point, so only a
@@ -234,29 +239,17 @@ def _space_from_matrices(mats, m: int) -> LinearSolutionSpace:
 
 
 def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
-    """Symmetric forms with g(nabla_{e_i} e_k, e_j) antisymmetrized in (i,j).
-
-    Conditions, over i<j and all k:
-    −g([e_i,e_j],e_k) − g(e_j, nabla_{e_i}e_k) + g(e_i, nabla_{e_j}e_k) = 0.
+    """Symmetric forms g that are 2-cocycles of the scalar KV complex of the
+    connection's product (`cohomology.scalar_coboundary_rows`):
+    g([e_i,e_j],e_k) + g(e_j, nabla_{e_i}e_k) − g(e_i, nabla_{e_j}e_k) = 0,
+    the bracket being e_i·e_j − e_j·e_i as the connection is torsion-free.
     Requires a flat connection.
     """
     flat, why = is_locally_flat(conn)
     if not flat:
         raise NotFlat(why)
-    return form_space(_hessian_rows(conn), conn.dim, SYMMETRIC)
-
-
-def _hessian_rows(conn: InvariantConnection) -> list[dict[int, int]]:
-    # row (i, j, k), i < j; both tables over c.den * gam.den
-    m = conn.dim
-    c, gam = conn.base.sparse, conn.gamma.sparse
-    return condition_rows(chain(
-        (((i, j, k), l * m + k, -n * gam.den)
-         for i, j, l, n in c.nonzeros if i < j for k in range(m)),
-        (((i, j, k), j * m + l, -n * c.den)
-         for i, k, l, n in gam.nonzeros for j in range(i + 1, m)),
-        (((i, j, k), i * m + l, n * c.den)
-         for j, k, l, n in gam.nonzeros for i in range(j))))
+    return form_space(scalar_coboundary_rows(conn.gamma, 2), conn.dim,
+                      SYMMETRIC)
 
 
 def hessian_defect(conn: InvariantConnection) -> tuple[int, ExistenceVerdict]:
@@ -302,9 +295,8 @@ def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
             return ExistenceVerdict("yes", invariant_value=0, witness=conn)
         tried.append(conn)
 
-    brackets = [[dict(row).get(k, 0) for k in range(m)]
-                for (i, j), row in L.sparse.by_pair.items() if i < j]
-    if m and linalg.rank(brackets) == m:
+    # delta_1 f(x, y) = -f([x, y]) has rank dim [g, g]
+    if m and linalg.sparse_rank(scalar_coboundary_rows(L, 1), m) == m:
         return ExistenceVerdict(
             "no", certificate="the algebra is perfect ([g, g] = g), and no "
             "perfect Lie algebra carries a flat torsion-free connection")
@@ -420,16 +412,6 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
     return gap, _no_or_unknown(space, m, rw, notes=notes)
 
 
-def _skew_cocycle_rows(L: LieAlgebra) -> list[dict[int, int]]:
-    # omega([e_a, e_b], e_k) enters row (i, j, k), i < j < k, when (a, b, k)
-    # is a cyclic shift of (i, j, k)
-    m = L.dim
-    return condition_rows(
-        (tuple(sorted((a, b, k))), l * m + k, n)
-        for a, b, l, n in L.sparse.nonzeros for k in range(m)
-        if a < b < k or b < k < a or k < a < b)
-
-
 def _validate_parallel(conn: InvariantConnection, b: BilinearForm):
     """Re-check a witness form on the defining rows of nabla-parallel forms
     (for the plus connection, the ad-invariant ones)."""
@@ -494,9 +476,10 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
 
 
 def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
-    """Independent route: nondegenerate skew 2-cocycles of the bracket."""
+    """Independent route: nondegenerate skew 2-cocycles of the bracket, the
+    trivial Chevalley-Eilenberg delta_2 solved over the skew forms."""
     m = L.dim
-    rows = _skew_cocycle_rows(L)
+    rows = scalar_coboundary_rows(L, 2)
     space = form_space(rows, m, SKEW)
     if m % 2 == 1:
         return ExistenceVerdict(

@@ -96,30 +96,35 @@ def _int_field(doc: dict, key: str, path) -> int:
     return v
 
 
-def _sparse_triples(doc: dict, key: str, dim: int, path):
+def _sparse_entries(doc: dict, key: str, arity: int, dim: int, path,
+                    what: str = ""):
+    """The document's `key` list of [index..., value] entries, `arity`
+    indices each below dim, as (index..., Fraction) tuples; the shape
+    message names an entry by `what`, else by the key."""
     raw = doc.get(key, [])
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: {key!r} must be a list")
+    shape = ", ".join(("i", "j", "k")[:arity])
     out = []
     for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 4:
+        if not isinstance(entry, list) or len(entry) != arity + 1:
             raise ValidationError(
-                f"{path}: each {key} entry must be [i, j, k, value], "
-                f"got {entry!r}")
-        i, j, k, val = entry
-        for idx in (i, j, k):
-            if not isinstance(idx, int) or isinstance(idx, bool) or \
-                    not 0 <= idx < dim:
+                f"{path}: each {what or key} entry must be "
+                f"[{shape}, value], got {entry!r}")
+        *idx, val = entry
+        for i in idx:
+            if not isinstance(i, int) or isinstance(i, bool) or \
+                    not 0 <= i < dim:
                 raise ValidationError(
-                    f"{path}: index {idx!r} out of range for dim {dim}")
-        out.append((i, j, k, parse_fraction(val)))
+                    f"{path}: index {i!r} out of range for dim {dim}")
+        out.append((*idx, parse_fraction(val)))
     return out
 
 
 def load_algebra(path) -> LieAlgebra:
     doc = read_document(path)
     dim = _int_field(doc, "dim", path)
-    return lie_from_sparse(dim, _sparse_triples(doc, "bracket", dim, path))
+    return lie_from_sparse(dim, _sparse_entries(doc, "bracket", 3, dim, path))
 
 
 def dump_algebra(algebra: LieAlgebra) -> dict:
@@ -132,7 +137,7 @@ def load_product(path) -> BilinearProduct:
     """The product of a file; two entries for one index must agree."""
     doc = read_document(path)
     dim = _int_field(doc, "dim", path)
-    entries = _sparse_triples(doc, "gamma", dim, path)
+    entries = _sparse_entries(doc, "gamma", 3, dim, path)
     seen = {}
     for i, j, k, v in entries:
         if seen.setdefault((i, j, k), v) != v:
@@ -165,23 +170,8 @@ def load_form(path) -> BilinearForm:
     sym = doc.get("sym", "general")
     if sym not in ("symmetric", "skew", "general"):
         raise ValidationError(f"{path}: bad symmetry tag {sym!r}")
-    raw = doc.get("entries", [])
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: 'entries' must be a list")
-    entries = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValidationError(
-                f"{path}: each form entry must be [i, j, value], "
-                f"got {entry!r}")
-        i, j, val = entry
-        for idx in (i, j):
-            if not isinstance(idx, int) or isinstance(idx, bool) or \
-                    not 0 <= idx < dim:
-                raise ValidationError(
-                    f"{path}: index {idx!r} out of range for dim {dim}")
-        entries.append((i, j, parse_fraction(val)))
-    return form_from_sparse(dim, sym, entries)
+    return form_from_sparse(
+        dim, sym, _sparse_entries(doc, "entries", 2, dim, path, "form"))
 
 
 def dump_form(form: BilinearForm) -> dict:

@@ -43,7 +43,11 @@ Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
-`dense_parallel_rows`, ...), its former solve of a form space over all
+`dense_parallel_rows`, ...), its former sparse Hessian and cyclic-sum
+symplectic rows, written beside the coboundaries of `cohomology`
+(`hessian_rows`, `skew_cocycle_rows`), the symplectic verdict over them
+(`cyclic_sum_symplectic_oracle`) and its former perfectness test, one rank
+of the basis brackets (`bracket_rank_perfect`), its former solve of a form space over all
 m x m entries, the parity imposed as extra rows (`parity_rows`,
 `parity_row_form_space`), and its former dense `Fraction` condition rows
 with the dense witness check they fed (`operator_matrix`,
@@ -101,7 +105,7 @@ from koszul.errors import (ConformanceMismatch, JacobiViolation,
                            KoszulError, NonNormalized, NotKV, SingularFisher,
                            TorsionMismatch, ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
-from koszul.forms import SKEW, SYMMETRIC, BilinearForm
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
 from koszul.gauge import FeStarSolutions, phi_split, solve_gauge_equation
 from koszul.invariants import (ExistenceVerdict, RankWitness,
                                _no_or_unknown, _space_from_matrices,
@@ -2069,6 +2073,68 @@ def dense_skew_cocycle_rows(L):
                 if any(row):
                     rows.append(row)
     return rows
+
+
+# The library's former sparse rows of the Hessian and symplectic systems,
+# written beside `cohomology`'s coboundaries, the symplectic verdict read
+# from them and the former perfectness test. Once torsion vanishes, the
+# scalar KV delta_2 rows are the Hessian rows up to sign and repetition;
+# the trivial Chevalley-Eilenberg delta_2 rows are the cyclic sums up to
+# sign on skew forms.
+
+def hessian_rows(conn) -> list[dict[int, int]]:
+    """Rows (i, j, k), i < j, of -g([e_i,e_j],e_k) - g(e_j, nabla_{e_i}e_k)
+    + g(e_i, nabla_{e_j}e_k) = 0 over the flat m x m entries of g."""
+    # both tables over c.den * gam.den
+    m = conn.dim
+    c, gam = conn.base.sparse, conn.gamma.sparse
+    return condition_rows(chain(
+        (((i, j, k), l * m + k, -n * gam.den)
+         for i, j, l, n in c.nonzeros if i < j for k in range(m)),
+        (((i, j, k), j * m + l, -n * c.den)
+         for i, k, l, n in gam.nonzeros for j in range(i + 1, m)),
+        (((i, j, k), i * m + l, n * c.den)
+         for j, k, l, n in gam.nonzeros for i in range(j))))
+
+
+def skew_cocycle_rows(L) -> list[dict[int, int]]:
+    """Rows (i, j, k), i < j < k, of the cyclic sum of omega([e_i,e_j],e_k)
+    over the flat m x m entries of omega."""
+    # omega([e_a, e_b], e_k) enters row (i, j, k) when (a, b, k) is a
+    # cyclic shift of (i, j, k)
+    m = L.dim
+    return condition_rows(
+        (tuple(sorted((a, b, k))), l * m + k, n)
+        for a, b, l, n in L.sparse.nonzeros for k in range(m)
+        if a < b < k or b < k < a or k < a < b)
+
+
+def cyclic_sum_symplectic_oracle(L) -> ExistenceVerdict:
+    """The library's former `invariants.left_symplectic_oracle`, over
+    `skew_cocycle_rows`."""
+    m = L.dim
+    rows = skew_cocycle_rows(L)
+    space = form_space(rows, m, SKEW)
+    if m % 2 == 1:
+        return ExistenceVerdict(
+            "no", invariant_value=m - max_rank(space).max_rank,
+            certificate="skew forms in odd dimension are singular")
+    rw = max_rank(space)
+    if rw.max_rank == m:
+        witness = BilinearForm(m, rw.element, SKEW)
+        if not spaces.satisfies(rows, linalg.flatten(rw.element)):
+            raise ValidationError("symplectic cocycle witness failed recheck")
+        return ExistenceVerdict("yes", invariant_value=0, witness=witness)
+    return _no_or_unknown(space, m, rw)
+
+
+def bracket_rank_perfect(L) -> bool:
+    """The library's former perfectness test of `invariants.flat_existence`:
+    the brackets of the basis pairs span the algebra."""
+    m = L.dim
+    brackets = [[dict(row).get(k, 0) for k in range(m)]
+                for (i, j), row in L.sparse.by_pair.items() if i < j]
+    return bool(m) and linalg.rank(brackets) == m
 
 
 # The library's former dense condition rows of `gauge`, `cohomology`,

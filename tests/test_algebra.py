@@ -29,6 +29,7 @@ from koszul.algebra import (
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.connections import cartan_connection, curvature
 from koszul.errors import JacobiViolation, ValidationError
+from koszul.forms import form_from_sparse, identity_form
 
 import conftest
 from conftest import rand_fraction, rand_invertible
@@ -272,6 +273,37 @@ def test_contraction_over_the_pair_bound_is_refused_with_exit_2():
     assert error == {"type": "ValidationError", "message": (
         "refused: Jacobi defect accumulator entries estimated at 1099359, "
         "above the bound of 1000000")}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"dim": 10 ** 5, "sym": "symmetric", "entries": []},
+     ["--catalog", "so3", "--cartan", "zero", "--metric"]),
+    # the metric defaults to the identity form of the algebra's dim
+    ({"dim": 10 ** 5, "bracket": []}, ["--cartan", "zero", "--algebra"]),
+])
+def test_dense_form_over_the_cell_bound_is_refused_with_exit_2(
+        tmp_path, doc, argv):
+    # a few bytes of file would ask for 10^10 dense form cells
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    result = run_capped("""
+        import sys
+        from koszul import cli
+        sys.exit(cli.main(["connection", "--op", "dual", *sys.argv[1:]]))
+    """, *argv, path)
+    assert result.returncode == 2, result.stderr
+    error = json.loads(result.stdout)["error"]
+    assert error == {"type": "ValidationError", "message": (
+        "refused: dense form cells estimated at 10000000000, above the "
+        "bound of 1000000")}
+
+
+def test_dense_form_at_the_cell_bound_is_not_refused():
+    # dim 1000 is 10^6 cells, the bound itself
+    assert form_from_sparse(1000, "skew", [(0, 999, 1)]).entries[999][0] == -1
+    for build in (identity_form, lambda m: form_from_sparse(m, "skew", [])):
+        with pytest.raises(ValidationError, match="estimated at 1002001"):
+            build(1001)
 
 
 def test_dense_lie_algebra_of_dim_17_is_not_refused():

@@ -2,7 +2,7 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -517,13 +517,25 @@ def test_kept_rows_that_fail_the_span_check_are_eliminated_in_full():
             lie_from_sparse(4, AFF1 + [(2, 3, 3, 1)]), coeffs)
 
 
+def test_degree_zero_columns_scaled_to_integers_are_primitive(rng):
+    # a canonical kernel vector has a 1 at its free column, so scaling it
+    # by the LCM of its denominators leaves content 1: the columns
+    # `kv_cohomology_dims` ranks are the primitive ones
+    pool = conftest.kv_pool() + [affine_algebra(2).product, matrix_algebra(2)]
+    seen = 0
+    for p in _with_dense_copies(pool, conjugate_product, rng):
+        for v in linalg.integer_rows(kv_degree_zero_space(p))[0]:
+            assert gcd(*v) == 1
+            seen += 1
+    assert seen
+
+
 def test_contribution_counts_match_the_generators(rng):
     # exact for KV from degree 1 and for Hochschild; bounds for the KV
     # degree 0 and for CE, which counts brackets that repeat an index
     for p in _with_dense_copies(conftest.kv_pool(), conjugate_product, rng):
         for module in (ADJOINT, SCALAR):
-            zero_basis = ([cohomology._primitive(v)
-                           for v in kv_degree_zero_space(p)]
+            zero_basis = (linalg.integer_rows(kv_degree_zero_space(p))[0]
                           if module == ADJOINT else ())
             for q in range(4):
                 entries = cohomology._kv_delta(p, module, q, zero_basis)[0]
@@ -553,8 +565,7 @@ def test_cohomology_too_large_for_memory_is_refused_before_generation():
     # affine:4 (dim 20) yields 9,860,960 (9,864,000) and is refused before
     # its 0-cochains are solved for
     small = affine_algebra(3).product
-    zero_basis = [cohomology._primitive(v)
-                  for v in kv_degree_zero_space(small)]
+    zero_basis = linalg.integer_rows(kv_degree_zero_space(small))[0]
     assert sum(sum(1 for _ in cohomology._kv_delta(small, ADJOINT, q,
                                                    zero_basis)[0])
                for q in range(4)) == 975960

@@ -18,6 +18,7 @@ from koszul.catalog import (
     so3,
     so3_killing,
 )
+from koszul.cohomology import scalar_coboundary_rows
 from koszul.connections import (cartan_connection, connection_from_product,
                                 form_dual)
 from koszul.errors import (
@@ -296,7 +297,7 @@ def test_left_symplectic_oracle_rechecks_its_witness_on_the_full_rows(
                         or real(rows, vec))
     v = left_symplectic_oracle(L)
     assert v.exists == "yes"
-    assert calls[-1] == (invariants._skew_cocycle_rows(L),
+    assert calls[-1] == (scalar_coboundary_rows(L, 2),
                          linalg.flatten(v.witness.matrix))
 
 

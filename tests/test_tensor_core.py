@@ -45,7 +45,7 @@ from koszul.algebra import (
     zero_product,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
-from koszul.cohomology import kv_degree_zero_space
+from koszul.cohomology import kv_degree_zero_space, scalar_coboundary_rows
 from koszul.connections import (
     CARTAN_KINDS,
     InvariantConnection,
@@ -67,7 +67,9 @@ from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
 from conftest import assert_rows_match, assoc_pool, direct_sum_lie, kv_pool
 from oracles import (
     FractionDefectTensor,
+    bracket_rank_perfect,
     check_rows,
+    cyclic_sum_symplectic_oracle,
     dense_ad_invariance_rows,
     dense_affine_algebra,
     dense_alpha_connection,
@@ -105,9 +107,11 @@ from oracles import (
     dense_torsion,
     fraction_defect_doc,
     fractions_over,
+    hessian_rows,
     nested_jacobi_defect,
     parity_row_form_space,
     parity_rows,
+    skew_cocycle_rows,
     sparse_of,
     two_sided_operator_defect,
     walk,
@@ -388,16 +392,27 @@ def test_product_readers_match_dense(p, data):
     assert p.right_matrix(u) == dense_right_matrix(g, u)
 
 
+@st.composite
+def torsion_free_connections(draw):
+    """Half the bracket of a drawn algebra plus a drawn table made symmetric
+    in its first two slots: the torsion cancels."""
+    L = draw(lie_algebras())
+    m = L.dim
+    _, t = draw(tables(dim=m))
+    return InvariantConnection(L, dense_product(m, tuple(
+        tuple(tuple((L.c[i][j][k] + t[i][j][k] + t[j][i][k]) / 2
+                    for k in range(m)) for j in range(m))
+        for i in range(m))))
+
+
 @CHECKS
-@given(connections(), st.data())
-def test_condition_rows_match_dense(conn, data):
+@given(connections(), torsion_free_connections(), st.data())
+def test_condition_rows_match_dense(conn, free, data):
     L, m = conn.base, conn.dim
     n = m * m
-    pairs = [(invariants._hessian_rows(conn), dense_hessian_rows(conn)),
-             (parallel_rows(conn), dense_parallel_rows(conn)),
+    pairs = [(parallel_rows(conn), dense_parallel_rows(conn)),
              (parallel_rows(cartan_connection(L, "plus")),
-              dense_ad_invariance_rows(L)),
-             (invariants._skew_cocycle_rows(L), dense_skew_cocycle_rows(L))]
+              dense_ad_invariance_rows(L))]
     pairs += [(parity_rows(m, sym), dense_parity_rows(m, sym))
               for sym in (SYMMETRIC, SKEW)]
     vec = data.draw(st.lists(st.sampled_from((0, 1, Fraction(-1, 2))),
@@ -406,6 +421,26 @@ def test_condition_rows_match_dense(conn, data):
         assert_rows_match(rows, dense, n)
         # the witness check over the nonzeros is the dense one
         for w in [vec, *linalg.nullspace(dense, ncols=n)[:1]]:
+            assert spaces.satisfies(rows, w) == check_rows(dense, w)
+    # the Hessian and symplectic systems, read from the coboundaries of
+    # `cohomology`, against the former dense rows: the same canonical kernel
+    # on the forms of their parity, and the same witness check there. The
+    # Hessian rows are drawn on torsion-free connections only, the only ones
+    # whose scalar KV rows they are (`hessian_cocycle_space` takes flat ones)
+    cocycles = [(scalar_coboundary_rows(free.gamma, 2),
+                 dense_hessian_rows(free), SYMMETRIC, free.dim),
+                (scalar_coboundary_rows(L, 2),
+                 dense_skew_cocycle_rows(L), SKEW, m)]
+    for rows, dense, sym, k in cocycles:
+        sign = 1 if sym == SYMMETRIC else -1
+        kernel = linalg.nullspace(dense + dense_parity_rows(k, sym),
+                                  ncols=k * k)
+        assert form_space(rows, k, sym).basis == kernel
+        flat = data.draw(st.lists(st.sampled_from((0, 1, Fraction(-1, 2))),
+                                  min_size=k * k, max_size=k * k))
+        form = [flat[a * k + b] + sign * flat[b * k + a]
+                for a in range(k) for b in range(k)]
+        for w in [form, *kernel[:1]]:
             assert spaces.satisfies(rows, w) == check_rows(dense, w)
 
 
@@ -436,19 +471,80 @@ def test_form_spaces_match_the_parity_row_solve(conn):
     plus = cartan_connection(L, "plus")
     cases = [(parallel_forms(c, sym), parallel_rows(c), sym)
              for c in (conn, plus) for sym in (SYMMETRIC, SKEW)]
-    cases += [(invariants.hessian_cocycle_space(c), invariants._hessian_rows(c),
+    cases += [(invariants.hessian_cocycle_space(c), hessian_rows(c),
                SYMMETRIC) for c in (conn, cartan_connection(L, "zero"))
               if is_locally_flat(c)[0]]
-    rows = invariants._hessian_rows(conn)
+    rows = hessian_rows(conn)
     cases += [(form_space(rows, m, SYMMETRIC), rows, SYMMETRIC),
               (_space_walked(invariants.bi_invariant_metric, L),
                parallel_rows(plus), SYMMETRIC),
               (_space_walked(invariants.left_symplectic_oracle, L),
-               invariants._skew_cocycle_rows(L), SKEW)]
+               skew_cocycle_rows(L), SKEW)]
     for space, full, sym in cases:
         old = parity_row_form_space(full, m, sym)
         assert (space.basis, space.ambient_dim, space.shape) == (
             old.basis, old.ambient_dim, old.shape)
+
+
+# The four systems read from `cohomology` (the trivial Chevalley-Eilenberg
+# delta_1 and delta_2, the scalar KV delta_2 and the second-order rows)
+# against the library's former routes, on the pools and their conjugates.
+
+@CHECKS
+@given(lie_algebras())
+def test_symplectic_space_and_verdict_match_the_cyclic_sums(L):
+    old = parity_row_form_space(skew_cocycle_rows(L), L.dim, SKEW)
+    assert _space_walked(invariants.left_symplectic_oracle, L).basis == \
+        old.basis
+    assert invariants.left_symplectic_oracle(L) == \
+        cyclic_sum_symplectic_oracle(L)
+
+
+class _PastPerfectness(Exception):
+    pass
+
+
+@CHECKS
+@given(lie_algebras())
+def test_perfect_verdict_matches_the_bracket_rank(L):
+    # flat existence reaches the zero Cartan connection only when the
+    # perfectness test does not answer
+    with mock.patch.object(invariants, "cartan_connection",
+                           side_effect=_PastPerfectness):
+        try:
+            verdict = invariants.flat_existence(L, ())
+        except _PastPerfectness:
+            verdict = None
+    assert (verdict is not None) == bracket_rank_perfect(L)
+    if verdict is not None:
+        assert verdict.exists == "no" and "perfect" in verdict.certificate
+
+
+FLAT_POOL = kv_pool() + [affine_algebra(2).product]
+
+
+@st.composite
+def flat_connections(draw):
+    """The left multiplications of a pool KV product or an affine model,
+    as is or under a basis change: flat and torsion-free over the
+    commutator bracket."""
+    p = draw(st.sampled_from(FLAT_POOL))
+    if draw(st.booleans()):
+        p = conjugate_product(p, draw(basis_changes(p.dim)))
+    return InvariantConnection(commutator_bracket(p), p)
+
+
+@CHECKS
+@given(flat_connections())
+@example(InvariantConnection(commutator_bracket(affine_algebra(2).product),
+                             affine_algebra(2).product))
+def test_hessian_and_g_nabla_spaces_match_the_former_rows(conn):
+    m = conn.dim
+    old = parity_row_form_space(hessian_rows(conn), m, SYMMETRIC)
+    assert invariants.hessian_cocycle_space(conn).basis == old.basis
+    space, closed = g_nabla_subalgebra(conn)
+    assert closed and space.basis == linalg.nullspace(
+        dense_associator_rows(conn.gamma.sparse, m), ncols=m)
 
 
 @CHECKS
