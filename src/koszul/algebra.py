@@ -5,13 +5,18 @@ e_i·e_j. A Lie algebra has its bracket table c[i][j][k] and validates
 antisymmetry and Jacobi at construction.
 
 Both store only the table's nonzeros (`SparseTable`), and every builder
-writes those nonzeros directly. Defect tensors (Jacobi, associator,
+writes those nonzeros directly. A table given entry by entry, from a file
+(`koszul.io`) or by `lie_from_sparse` and `product_from_sparse`, is built
+by `SparseTable.from_parts` from each value's integer numerator and
+denominator, with the skew completion and the checks of repeated entries
+done by cross-multiplication. Defect tensors (Jacobi, associator,
 left-symmetry anomaly) and the Killing form are contractions over pairs of
 nonzeros, so their cost follows the number of nonzero coefficients rather
 than a power of the dimension. They are exact. A contraction sums integer
-products on one integer key per entry and builds index tuples only for the
-nonzero sums; a defect tensor keeps those sums as integers over one
-denominator, as `SparseTable` does, and "zero" means it has none.
+products on one flat integer key per entry; a defect tensor keeps the
+nonzero sums as integers over one denominator, as `SparseTable` does, and
+"zero" means it has none. `DefectTensor.over_flat` sorts the integer keys
+once and turns each into its index tuple once.
 
 Two of these tensors are alternating, and only their independent half is
 accumulated. The Jacobiator of a skew bracket is alternating in its three
@@ -21,8 +26,8 @@ and expands its nonzero entries into their six signed permutations at the
 end. Skewness is that formula's precondition, so `jacobi_defect` checks it
 and refuses a table that is not skew. The curvature of a connection over a
 skew bracket (and so the left-symmetry anomaly) is antisymmetric in its
-first two indices: `operator_defect` in bracket mode accumulates only the
-keys with i < j, and `skew_pairs` mirrors them. The nested tuples
+first two indices: `curvature_tensor` accumulates only the keys with
+i < j and mirrors them on their flat keys. The nested tuples
 `gamma` and `c` are dense views, built on first use for callers that index
 the whole table.
 
@@ -100,6 +105,46 @@ class SparseTable:
                              for i, j, k, v in entries))
 
     @classmethod
+    def from_parts(cls, entries, skew: bool = False,
+                   where: str = "") -> SparseTable:
+        """The table of (i, j, k, n, d) entries meaning n / d (d > 0), with
+        no `Fraction` per entry; indices are the caller's to check.
+
+        Two entries for one index must be equal rationals, which is checked
+        by cross-multiplication. With skew=True each entry also sets its
+        mirror (j, i, k) to -n / d: an entry and a mirror entry must then be
+        opposite, and a diagonal entry (i = j) must be zero. A refusal is a
+        `ValidationError` whose message starts with `where`. The values
+        go over D, the lcm of the d, to `over`: a value a/b in lowest terms
+        has numerator a·D/b, and gcd(D, a·D/b) = D/b, so `over` divides by
+        D/L and keeps L, the least common denominator of the values, as a
+        table built from `Fraction`s does.
+        """
+        seen: dict = {}
+        for i, j, k, n, d in entries:
+            if skew and i == j:
+                if n:
+                    raise ValidationError(
+                        f"{where}nonzero diagonal bracket ({i},{i},{k})")
+                continue
+            old = seen.get((i, j, k))
+            if old is not None and old[0] * d != n * old[1]:
+                raise ValidationError(
+                    f"{where}conflicting entries for ({i},{j},{k})")
+            if skew:
+                old = seen.get((j, i, k))
+                if old is not None and old[0] * d != -n * old[1]:
+                    raise ValidationError(
+                        f"{where}entries ({i},{j},{k}) and ({j},{i},{k}) "
+                        f"are not opposite")
+            seen[i, j, k] = n, d
+        den = lcm(*(d for _, d in seen.values()))
+        sums = {idx: n * (den // d) for idx, (n, d) in seen.items()}
+        if skew:
+            sums.update(((j, i, k), -n) for (i, j, k), n in list(sums.items()))
+        return cls.over(sums, den)
+
+    @classmethod
     def over(cls, sums: dict, den: int) -> SparseTable:
         """The table whose entry at (i, j, k) is sums[i, j, k] / den (den >
         0), reduced to the least common denominator without a `Fraction`
@@ -171,9 +216,14 @@ def _check_table(m: int, s: SparseTable) -> None:
 
 
 def _index_range(*tables: SparseTable) -> int:
-    """One more than the largest index in the tables' nonzeros."""
-    return 1 + max((max(idx) for t in tables for *idx, _ in t.nonzeros),
-                   default=-1)
+    """One more than the largest index in the tables' nonzeros. They are
+    sorted, so the largest first index is the last nonzero's."""
+    top = -1
+    for t in tables:
+        if t.nonzeros:
+            _, j, k, _ = zip(*t.nonzeros)
+            top = max(top, t.nonzeros[-1][0], max(j), max(k))
+    return top + 1
 
 
 class DefectTensor:
@@ -193,8 +243,9 @@ class DefectTensor:
 
     def __init__(self, shape: tuple[int, ...], nonzeros: dict):
         d = lcm(*(v.denominator for v in nonzeros.values() if v))
-        self._store(shape, {idx: v.numerator * (d // v.denominator)
-                            for idx, v in nonzeros.items() if v}, d)
+        self._store(shape, sorted(
+            (idx, v.numerator * (d // v.denominator))
+            for idx, v in nonzeros.items() if v), d)
 
     @classmethod
     def over(cls, shape: tuple[int, ...], sums: dict,
@@ -202,16 +253,33 @@ class DefectTensor:
         """The tensor whose entry at idx is sums[idx] / den (den > 0);
         zero sums are dropped."""
         t = cls.__new__(cls)
-        t._store(shape, {idx: n for idx, n in sums.items() if n}, den)
+        t._store(shape, sorted((idx, n) for idx, n in sums.items() if n),
+                 den)
         return t
 
-    def _store(self, shape, sums: dict, den: int) -> None:
-        """Keep sums (all nonzero) over den, reduced to the least common
-        denominator, in index order."""
-        g = gcd(den, *sums.values())
+    @classmethod
+    def over_flat(cls, shape: tuple[int, ...], sums: dict, r: int,
+                  den: int) -> DefectTensor:
+        """`over` for sums keyed by flat integers: ((i·r + j)·r + k)·r + l
+        for rank 4, (i·r + j)·r + k for rank 3, every index below r. The
+        integer keys sort in index order, and each nonzero one is turned
+        into its index tuple once."""
+        keys = sorted(key for key, n in sums.items() if n)
+        t = cls.__new__(cls)
+        t._store(shape, zip(_unflatten(keys, r, len(shape)),
+                            [sums[key] for key in keys]), den)
+        return t
+
+    def _store(self, shape, nonzeros, den: int) -> None:
+        """Keep the (idx, n) pairs (n nonzero, in index order) over den,
+        reduced to the least common denominator."""
         self.shape = tuple(shape)
+        self.numerators = dict(nonzeros)
+        g = gcd(den, *self.numerators.values())
         self.den = den // g
-        self.numerators = {idx: n // g for idx, n in sorted(sums.items())}
+        if g > 1:
+            self.numerators = {idx: n // g
+                               for idx, n in self.numerators.items()}
 
     def __eq__(self, other):
         if not isinstance(other, DefectTensor):
@@ -260,16 +328,15 @@ class DefectTensor:
         return None
 
 
-def _unflatten(sums: dict, n: int) -> dict:
-    """The nonzero sums of an accumulator keyed by ((i·n + j)·n + k)·n + l,
-    keyed by (i, j, k, l)."""
-    out = {}
-    for key, x in sums.items():
-        if x:
-            key, l = divmod(key, n)
-            key, k = divmod(key, n)
-            out[(*divmod(key, n), k, l)] = x
-    return out
+def _unflatten(keys, r: int, rank: int) -> list:
+    """The index tuples of flat keys over r (see `DefectTensor.over_flat`),
+    in the keys' order."""
+    r2 = r * r
+    if rank == 3:
+        return [(key // r2, key // r % r, key % r) for key in keys]
+    r3 = r2 * r
+    return [(key // r3, key // r2 % r, key // r % r, key % r)
+            for key in keys]
 
 
 @dataclass(frozen=True)
@@ -378,27 +445,34 @@ def _check_skew(c: SparseTable) -> None:
 def operator_defect(g: SparseTable, q: SparseTable,
                     bracket: bool = False) -> tuple[dict, int]:
     """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a, as
-    (integer sums, their denominator).
+    (integer sums keyed by (i, j, k, l), their denominator): the index
+    tuples of `_operator_sums`, for the condition rows built from them.
+    Those rows read the sums alone: dividing a row by the positive
+    denominator does not change its primitive integer form."""
+    acc, r, den = _operator_sums(g, q, bracket)
+    keys = [key for key, x in acc.items() if x]
+    return dict(zip(_unflatten(keys, r, 4), [acc[key] for key in keys])), den
+
+
+def _operator_sums(g: SparseTable, q: SparseTable,
+                   bracket: bool = False) -> tuple[dict, int, int]:
+    """L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a as (integer sums on flat
+    keys over r, r, their denominator); zero sums may remain.
 
     L_i sends e_k to sum_l g[i][k][l] e_l: left multiplication by e_i when
     g is a product's table, though the operators may act on a space of any
-    dimension. Key (i, j, k, l) holds the e_l coefficient of the operator
-    for (i, j) applied to e_k. With g = q a product's table this is minus
-    the associator.
+    dimension. Key ((i·r + j)·r + k)·r + l, with r one more than the
+    largest index, holds the e_l coefficient of the operator for (i, j)
+    applied to e_k. With g = q a product's table this is minus the
+    associator.
 
     With bracket=True, q must be skew (a Lie bracket, say), and the result
     is then the curvature of the connection g: a tensor antisymmetric in
     (i, j). Only its independent half, the keys with i < j, is accumulated
     and returned: a product g[j][k][a] g[i][a][l] adds at (i, j, k, l) when
     i < j, subtracts at (j, i, k, l) when i > j and is skipped when i = j,
-    and only the nonzeros of q with i < j are read. `skew_pairs` restores
+    and only the nonzeros of q with i < j are read. `_mirrored` restores
     the whole tensor.
-
-    The sums accumulate on the integer key ((i·r + j)·r + k)·r + l, with r
-    one more than the largest index, and only the nonzero ones are turned
-    into index tuples, at the end. The condition rows built from them read
-    the sums alone: dividing a row by the positive denominator does not
-    change its primitive integer form.
     """
     by_second, r = g.by_second, _index_range(g, q)
     envelope("operator defect accumulator entries",
@@ -426,15 +500,30 @@ def operator_defect(g: SparseTable, q: SparseTable,
         ij = i * r3 + j * r2
         for k, l, w in g.by_first.get(a, ()):
             acc[ij + k * r + l] -= v * w
-    return _unflatten(acc, r), g.den * d
+    return acc, r, g.den * d
 
 
-def skew_pairs(half: dict) -> dict:
-    """The tensor antisymmetric in its first two indices whose entries with
-    i < j are `half` (as `operator_defect` returns in bracket mode)."""
-    full = dict(half)
-    full.update(((j, i, *rest), -v) for (i, j, *rest), v in half.items())
+def _mirrored(half: dict, r: int, sign: int = 1) -> dict:
+    """The flat sums of the tensor antisymmetric in its first two indices
+    whose entries with i < j are sign · `half` (as `_operator_sums` returns
+    in bracket mode): the mirror of (i, j, k, l) is its key plus
+    (j − i)(r³ − r²)."""
+    r2 = r * r
+    step = r2 * r - r2
+    full = {key: sign * x for key, x in half.items()}
+    for key, x in half.items():
+        i, j = divmod(key // r2, r)
+        full[key + (j - i) * step] = -sign * x
     return full
+
+
+def curvature_tensor(g: SparseTable, q: SparseTable, m: int,
+                     sign: int = 1) -> DefectTensor:
+    """sign · (L_i L_j − L_j L_i − sum_a q[i][j][a] L_a) for a skew q, as
+    a tensor of shape (m,)*4: the curvature of the connection g over the
+    bracket q. Its half with i < j is summed and mirrored on flat keys."""
+    acc, r, den = _operator_sums(g, q, bracket=True)
+    return DefectTensor.over_flat((m,) * 4, _mirrored(acc, r, sign), r, den)
 
 
 def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
@@ -449,10 +538,10 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     visited once and adds to one sorted key: + at (p,q,r,l) when r > q,
     + at (r,p,q,l) when r < p, − at (p,r,q,l) when p < r < q; r in {p, q}
     contributes to entries that vanish. Each nonzero sorted entry is then
-    expanded into its six signed permutations. The smallest key of an
-    alternating tensor is a sorted one, so `first_nonzero` names the
-    first failing sorted triple. The sums accumulate on integer keys, as in
-    `operator_defect`.
+    expanded into its six signed permutations, on flat keys. The smallest
+    key of an alternating tensor is a sorted one, so `first_nonzero` names
+    the first failing sorted triple. The sums accumulate on integer keys,
+    as in `_operator_sums`.
     """
     _check_skew(c)
     envelope("Jacobi defect accumulator entries",
@@ -474,17 +563,24 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
             elif p < r < q:
                 acc[prq + r * n2 + l] -= v * w
     full: dict = {}
-    for (p, q, r, l), x in _unflatten(acc, n).items():
-        full.update({(p, q, r, l): x, (q, r, p, l): x, (r, p, q, l): x,
-                     (q, p, r, l): -x, (p, r, q, l): -x, (r, q, p, l): -x})
-    return DefectTensor.over((m,) * 4, full, c.den * c.den)
+    for key, x in acc.items():
+        if x:
+            rest, l = divmod(key, n)
+            rest, r = divmod(rest, n)
+            p, q = divmod(rest, n)
+            p3, q3, r3 = p * n3, q * n3, r * n3
+            p2, q2, r2 = p * n2, q * n2, r * n2
+            p, q, r = p * n + l, q * n + l, r * n + l
+            full[key] = full[q3 + r2 + p] = full[r3 + p2 + q] = x
+            full[q3 + p2 + r] = full[p3 + r2 + q] = full[r3 + q2 + p] = -x
+    return DefectTensor.over_flat((m,) * 4, full, n, c.den * c.den)
 
 
 def associator_defect(p: BilinearProduct) -> DefectTensor:
     """(e_i·e_j)·e_k − e_i·(e_j·e_k) over all basis triples; zero iff associative."""
-    d, den = operator_defect(p.sparse, p.sparse)
-    return DefectTensor.over((p.dim,) * 4, {idx: -n for idx, n in d.items()},
-                             den)
+    acc, r, den = _operator_sums(p.sparse, p.sparse)
+    return DefectTensor.over_flat((p.dim,) * 4,
+                                  {key: -x for key, x in acc.items()}, r, den)
 
 
 def _commutator(s: SparseTable) -> SparseTable:
@@ -504,10 +600,7 @@ def kv_anomaly(p: BilinearProduct) -> DefectTensor:
     it is computed that way: as minus the curvature of p over its own
     commutator bracket.
     """
-    d, den = operator_defect(p.sparse, _commutator(p.sparse), bracket=True)
-    return DefectTensor.over((p.dim,) * 4,
-                             skew_pairs({idx: -n for idx, n in d.items()}),
-                             den)
+    return curvature_tensor(p.sparse, _commutator(p.sparse), p.dim, -1)
 
 
 def commutator_bracket(p: BilinearProduct) -> LieAlgebra:
@@ -547,15 +640,20 @@ def zero_product(m: int) -> BilinearProduct:
     return BilinearProduct(m, SparseTable())
 
 
+def _exact_parts(m: int, entries):
+    """(i, j, k, n, d) for each (i, j, k, value) entry, its indices checked
+    against m and its value converted once, as the entries are read."""
+    for i, j, k, v in entries:
+        _check_entry(m, i, j, k)
+        v = frac(v)
+        yield i, j, k, v.numerator, v.denominator
+
+
 def product_from_sparse(m: int, entries) -> BilinearProduct:
     """entries: iterable of (i, j, k, value); a later entry for the same
     index replaces an earlier one."""
-    table = {}
-    for i, j, k, v in entries:
-        _check_entry(m, i, j, k)
-        table[i, j, k] = frac(v)
-    return BilinearProduct(
-        m, SparseTable((*idx, v) for idx, v in table.items()))
+    last = {part[:3]: part for part in _exact_parts(m, entries)}
+    return BilinearProduct(m, SparseTable.from_parts(last.values()))
 
 
 def lie_from_sparse(m: int, entries) -> LieAlgebra:
@@ -564,24 +662,8 @@ def lie_from_sparse(m: int, entries) -> LieAlgebra:
     Supplying both (i,j,k,v) and (j,i,k,w) with w != -v is an error, as is a
     nonzero diagonal entry.
     """
-    c = {}
-    seen = {}
-    for i, j, k, v in entries:
-        _check_entry(m, i, j, k)
-        v = frac(v)
-        if i == j:
-            if v != 0:
-                raise ValidationError(f"nonzero diagonal bracket ({i},{i},{k})")
-            continue
-        if (i, j, k) in seen and seen[(i, j, k)] != v:
-            raise ValidationError(f"conflicting entries for ({i},{j},{k})")
-        if (j, i, k) in seen and seen[(j, i, k)] != -v:
-            raise ValidationError(
-                f"entries ({i},{j},{k}) and ({j},{i},{k}) are not opposite")
-        seen[(i, j, k)] = v
-        c[i, j, k] = v
-        c[j, i, k] = -v
-    return LieAlgebra(m, SparseTable((*idx, v) for idx, v in c.items()))
+    return LieAlgebra(m, SparseTable.from_parts(_exact_parts(m, entries),
+                                                skew=True))
 
 
 def conjugate_product(p: BilinearProduct, pmat: Mat) -> BilinearProduct:

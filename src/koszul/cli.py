@@ -4,7 +4,9 @@ Reports are JSON objects with a versioned schema; given identical argv and
 seed the bytes are identical (timing is only attached on request). Every
 report and error document is written by `_dumps`, which gives the bytes
 json.dumps writes with sorted keys and an indent of 2 at about half the
-cost, and a defect tensor's entries are printed from its integers. Exit
+cost. A handler leaves a defect tensor in its result as the tensor: `main`
+writes its document straight from the integers in one pass
+(`_defect_text`), and `run` returns the document itself. Exit
 codes: 0 success, 2 validation or precondition failure, 3 conformance
 mismatch (two routes to the same value disagreed, i.e. a library bug
 surfaced by a built-in cross-check).
@@ -20,7 +22,6 @@ import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from koszul import (
     algebra as algebra_mod,
@@ -47,11 +48,11 @@ class _Inputs:
         self.material = {}
         self.dump = {} if dump else None
 
-    def add_file(self, role: str, path):
-        try:
-            self.material[role] = Path(path).read_text()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    def add_file(self, role: str, path) -> str:
+        """Read the file once; its text is hashed and returned for the
+        loader to parse."""
+        text = self.material[role] = kio.read_text(path)
+        return text
 
     def add_value(self, role: str, value):
         self.material[role] = repr(value)
@@ -66,17 +67,21 @@ class _Inputs:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _defect_doc(t) -> dict:
-    """A defect tensor's report. Each entry is printed from its integer
-    over the tensor's denominator with one gcd, as `str(Fraction)` prints
-    the reduced value."""
+def _defect_values(t):
+    """(multi-index, text) of each nonzero entry of a defect tensor, the
+    text printed from its integer over the tensor's denominator with one
+    gcd, as `str(Fraction)` prints the reduced value."""
     d = t.den
-
-    def text(n):
+    for idx, n in t.numerators.items():
         g = math.gcd(n, d)
-        return str(n // g) if g == d else f"{n // g}/{d // g}"
+        yield idx, str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _defect_doc(t) -> dict:
+    """A defect tensor's report, as `run` returns it; `main` writes the
+    same document straight from the tensor (`_defect_text`)."""
     return {"zero": t.is_zero(), "max_abs": kio.fraction_str(t.max_abs()),
-            "entries": [[*idx, text(n)] for idx, n in t.numerators.items()]}
+            "entries": [[*idx, v] for idx, v in _defect_values(t)]}
 
 
 def _witness_doc(w):
@@ -99,8 +104,8 @@ def _verdict_doc(v: invariants.ExistenceVerdict) -> dict:
 
 def _load_lie(args, inputs: _Inputs):
     if getattr(args, "algebra", None):
-        inputs.add_file("algebra", args.algebra)
-        lie = kio.load_algebra(args.algebra)
+        lie = kio.load_algebra(args.algebra,
+                               inputs.add_file("algebra", args.algebra))
     elif getattr(args, "catalog", None):
         inputs.add_value("catalog", args.catalog)
         lie = catalog.resolve("lie", args.catalog)
@@ -112,8 +117,8 @@ def _load_lie(args, inputs: _Inputs):
 
 def _load_product(args, inputs: _Inputs):
     if getattr(args, "product", None):
-        inputs.add_file("product", args.product)
-        p = kio.load_product(args.product)
+        p = kio.load_product(args.product,
+                             inputs.add_file("product", args.product))
     elif getattr(args, "catalog", None):
         inputs.add_value("catalog", args.catalog)
         p = catalog.resolve("product", args.catalog)
@@ -125,8 +130,9 @@ def _load_product(args, inputs: _Inputs):
 
 def _load_connection(args, base, inputs: _Inputs, required=True):
     if getattr(args, "connection", None):
-        inputs.add_file("connection", args.connection)
-        conn = kio.load_connection(args.connection, base)
+        conn = kio.load_connection(
+            args.connection, base,
+            inputs.add_file("connection", args.connection))
     elif getattr(args, "cartan", None):
         inputs.add_value("cartan", args.cartan)
         conn = connections.cartan_connection(base, args.cartan)
@@ -144,8 +150,7 @@ def _load_metric(args, dim: int, inputs: _Inputs):
     if not path:
         return identity_form(dim)
     role = "metric" if getattr(args, "metric", None) else "form"
-    inputs.add_file(role, path)
-    form = kio.load_form(path)
+    form = kio.load_form(path, inputs.add_file(role, path))
     inputs.add_dump(role, kio.dump_form, form)
     return form
 
@@ -167,17 +172,17 @@ def _cmd_algebra(args, inputs):
         lie = algebra_mod.commutator_bracket(p)
         return {"algebra": kio.dump_algebra(lie)}
     if args.op == "anomaly":
-        return {"kv_anomaly": _defect_doc(algebra_mod.kv_anomaly(p))}
-    return {"associator": _defect_doc(algebra_mod.associator_defect(p))}
+        return {"kv_anomaly": algebra_mod.kv_anomaly(p)}
+    return {"associator": algebra_mod.associator_defect(p)}
 
 
 def _cmd_connection(args, inputs):
     lie = _load_lie(args, inputs)
     conn = _load_connection(args, lie, inputs)
     if args.op == "torsion":
-        return {"torsion": _defect_doc(connections.torsion(conn))}
+        return {"torsion": connections.torsion(conn)}
     if args.op == "curvature":
-        return {"curvature": _defect_doc(connections.curvature(conn))}
+        return {"curvature": connections.curvature(conn)}
     if args.op == "flat":
         flat, witness = connections.is_locally_flat(conn)
         return {"flat": flat, "witness": witness}
@@ -196,8 +201,8 @@ def _cmd_gauge(args, inputs):
     conn = _load_connection(args, lie, inputs)
     if args.op == "fe":
         if args.dual:
-            inputs.add_file("dual", args.dual)
-            dual = kio.load_connection(args.dual, lie)
+            dual = kio.load_connection(args.dual, lie,
+                                       inputs.add_file("dual", args.dual))
             inputs.add_dump("dual", kio.dump_connection, dual)
         else:
             dual = connections.amari_dual(
@@ -292,8 +297,8 @@ def _cmd_kv_cohomology(args, inputs):
     else:
         p = _load_product(args, inputs)
         if getattr(args, "algebra", None):
-            inputs.add_file("algebra", args.algebra)
-            declared = kio.load_algebra(args.algebra)
+            declared = kio.load_algebra(
+                args.algebra, inputs.add_file("algebra", args.algebra))
             derived = algebra_mod.commutator_bracket(p)
             if declared != derived:
                 raise ValidationError(
@@ -311,8 +316,7 @@ def _cmd_kv_cohomology(args, inputs):
 
 
 def _cmd_spencer(args, inputs):
-    inputs.add_file("symbol", args.symbol)
-    a = kio.load_symbol(args.symbol)
+    a = kio.load_symbol(args.symbol, inputs.add_file("symbol", args.symbol))
     inputs.add_dump("symbol", kio.dump_symbol, a)
     if args.op == "prolong":
         up = spencer.prolong(a)
@@ -349,8 +353,7 @@ def _cmd_flat_models(args, inputs):
         return {"verdict": rep.verdict,
                 "witness": kio.jsonable(rep.witness),
                 "method": rep.method, "note": rep.note}
-    inputs.add_file("ideal", args.ideal)
-    doc = kio.read_document(args.ideal)
+    doc = kio.read_document(args.ideal, inputs.add_file("ideal", args.ideal))
     dim = kio._int_field(doc, "dim", args.ideal)
     if dim != p.dim:
         raise ValidationError(
@@ -617,10 +620,22 @@ def run(argv) -> dict:
     prints the usage and the error to stderr and raises SystemExit(2). A
     library error propagates as its `KoszulError`.
     """
-    return _report(argv, _build_parser().parse_args(argv))
+    return _documents(_report(argv, _build_parser().parse_args(argv)))
+
+
+def _documents(report: dict) -> dict:
+    """The report with each defect tensor of its result as its document
+    (`_defect_doc`); `main` writes the tensors without that step."""
+    result, tensor = report["result"], algebra_mod.DefectTensor
+    if isinstance(result, dict):
+        report["result"] = {key: _defect_doc(v) if isinstance(v, tensor)
+                            else v for key, v in result.items()}
+    return report
 
 
 def _report(argv, args) -> dict:
+    """The report object; a defect tensor of the result is left as the
+    tensor."""
     inputs = _Inputs(args.dump)
     start = time.monotonic()
     payload = args.handler(args, inputs)
@@ -651,7 +666,7 @@ def main(argv=None) -> int:
         _emit_error(argv, exc)
         return 2
     if args.format == "text":
-        print("\n".join(_render_text(report["result"])))
+        print("\n".join(_render_text(_documents(report)["result"])))
     else:
         print(_dumps(report))
     return 0
@@ -701,7 +716,28 @@ def _json_text(obj, newline: str) -> str:
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k) + ": " + _json_text(v, inner)
             for k, v in sorted(obj.items())]) + newline + "}"
+    if isinstance(obj, algebra_mod.DefectTensor):
+        return _defect_text(obj, newline)
     return _json_scalar(obj)
+
+
+def _defect_text(t, newline: str) -> str:
+    """_json_text(_defect_doc(t), newline), written from the tensor's
+    integers in one pass: one format call per entry, no list per entry.
+    An entry's text holds only digits, "-" and "/", which json writes
+    between quotes as they are."""
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    entries = "[]"
+    if t.numerators:
+        entry = ("[" + i3 + ("{}," + i3) * len(t.shape) + '"{}"' + i2
+                 + "]").format
+        entries = "[" + i2 + ("," + i2).join([
+            entry(*idx, v) for idx, v in _defect_values(t)]) + i1 + "]"
+    return ("{" + i1 + '"entries": ' + entries + "," + i1 + '"max_abs": "'
+            + kio.fraction_str(t.max_abs()) + '",' + i1 + '"zero": '
+            + ("true" if t.is_zero() else "false") + newline + "}")
 
 
 def _json_scalar(obj) -> str:

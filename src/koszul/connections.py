@@ -18,7 +18,7 @@ from math import lcm
 
 from koszul import linalg
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, operator_defect, skew_pairs)
+                            SparseTable, curvature_tensor)
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import SYMMETRIC, BilinearForm
 from koszul.linalg import Mat, frac
@@ -59,14 +59,15 @@ def cartan_connection(L: LieAlgebra, kind: str) -> InvariantConnection:
 
 def torsion(conn: InvariantConnection) -> DefectTensor:
     """T(e_i,e_j) = nabla_i e_j − nabla_j e_i − [e_i,e_j], rank-3 tensor."""
-    g, c = conn.gamma.sparse, conn.base.sparse
-    acc: dict = defaultdict(int)
+    m, g, c = conn.dim, conn.gamma.sparse, conn.base.sparse
+    acc: dict = defaultdict(int)  # on the flat key (i·m + j)·m + k
     for i, j, k, n in g.nonzeros:
-        acc[i, j, k] += n * c.den
-        acc[j, i, k] -= n * c.den
+        n *= c.den
+        acc[(i * m + j) * m + k] += n
+        acc[(j * m + i) * m + k] -= n
     for i, j, k, n in c.nonzeros:
-        acc[i, j, k] -= n * g.den
-    return DefectTensor.over((conn.dim,) * 3, acc, g.den * c.den)
+        acc[(i * m + j) * m + k] -= n * g.den
+    return DefectTensor.over_flat((m,) * 3, acc, m, g.den * c.den)
 
 
 def is_torsion_free(conn: InvariantConnection) -> bool:
@@ -79,9 +80,7 @@ def curvature(conn: InvariantConnection) -> DefectTensor:
     R is antisymmetric in (i, j): its entries with i < j are accumulated
     and mirrored.
     """
-    d, den = operator_defect(conn.gamma.sparse, conn.base.sparse,
-                             bracket=True)
-    return DefectTensor.over((conn.dim,) * 4, skew_pairs(d), den)
+    return curvature_tensor(conn.gamma.sparse, conn.base.sparse, conn.dim)
 
 
 def curvature_operators(conn: InvariantConnection) -> tuple[tuple[Mat, ...], ...]:

@@ -1,11 +1,19 @@
 """JSON interchange for algebras, products, connections, forms, symbols.
 
 Rationals travel as strings ("3", "-1/2") because JSON numbers are lossy.
-`parse_fraction` checks a string against one pattern and builds the value
-from the int() of its parts, which gives what Fraction(str) gives (digit
-limit included) at about half the cost. Sparse tables list only nonzero
-entries; loaders complete the declared symmetry and reject contradictory
-duplicates (two entries for one index must be equal rationals). Every
+Each input file is read once, as UTF-8 text (`read_text`): the command
+line hashes that text for the report's digest and hands the same text to
+the loader, and a file that cannot be read, is not UTF-8, is not JSON or
+is nested too deeply for the parser is refused with a `ValidationError`
+naming it. One reader takes the [index..., value] entries of brackets,
+products and forms (`_sparse_entries`): it checks each entry's shape and
+indices once and each value against one pattern, and gives the value as
+the int() of its parts, numerator and denominator, with no `Fraction`
+(`parse_fraction` builds the `Fraction` from the same parts, which gives
+what Fraction(str) gives, digit limit included). Tables are built from
+those integers by `SparseTable.from_parts`, which completes a bracket's
+skew half and refuses contradictory entries (two entries for one index
+must be equal rationals). Sparse tables list only nonzero entries. Every
 dumper/loader pair round-trips to exact equality.
 
 Documents:
@@ -15,6 +23,9 @@ Documents:
     form        {"dim": m, "sym": "symmetric"|"skew"|"general",
                  "entries": [[i, j, "p/q"], ...]}
     symbol      {"v": m, "w": w, "basis": [[row-major rationals], ...]}
+
+A loader reads the file at its path, or parses `text` when it is given (the
+text the command line has already read and hashed).
 """
 
 from __future__ import annotations
@@ -24,12 +35,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from koszul.algebra import (
-    BilinearProduct,
-    LieAlgebra,
-    lie_from_sparse,
-    product_from_sparse,
-)
+from koszul.algebra import BilinearProduct, LieAlgebra, SparseTable
 from koszul.connections import InvariantConnection
 from koszul.errors import ValidationError
 from koszul.forms import BilinearForm, form_from_sparse
@@ -38,11 +44,9 @@ from koszul.spencer import SymbolSpace, symbol_space
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def parse_fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+def _rational(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational: an int, or a
+    string matching "p" or "p/q"; not necessarily in lowest terms."""
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value):
             raise ValidationError(
@@ -52,11 +56,16 @@ def parse_fraction(value) -> Fraction:
             # int() of the matched parts, which Fraction(str) also calls
             # after a regex of its own; a part past int's digit limit
             # raises ValueError here as there
-            if den:
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
+            n, d = int(num), int(den) if den else 1
+        except ValueError as exc:
             raise ValidationError(f"bad rational literal {value!r}") from exc
+        if not d:
+            raise ValidationError(f"bad rational literal {value!r}")
+        return n, d
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a rational, got {value!r}")
+    if isinstance(value, int):
+        return value, 1
     if isinstance(value, float):
         raise ValidationError(
             f"floats are not accepted as rationals: {value!r}; "
@@ -64,19 +73,35 @@ def parse_fraction(value) -> Fraction:
     raise ValidationError(f"expected a rational, got {value!r}")
 
 
+def parse_fraction(value) -> Fraction:
+    return Fraction(*_rational(value))
+
+
 def fraction_str(f: Fraction) -> str:
     return str(f)
 
 
-def read_document(path) -> dict:
+def read_text(path) -> str:
+    """The text of an input file, decoded as UTF-8, JSON's encoding."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"cannot read {path}: not UTF-8 text ({exc})") from exc
+
+
+def read_document(path, text: str | None = None) -> dict:
+    if text is None:
+        text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(
+            f"{path} is nested too deeply to be read as JSON") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top-level JSON must be an object")
     return doc
@@ -97,10 +122,10 @@ def _int_field(doc: dict, key: str, path) -> int:
 
 
 def _sparse_entries(doc: dict, key: str, arity: int, dim: int, path,
-                    what: str = ""):
+                    what: str = "") -> list[tuple]:
     """The document's `key` list of [index..., value] entries, `arity`
-    indices each below dim, as (index..., Fraction) tuples; the shape
-    message names an entry by `what`, else by the key."""
+    indices each below dim, as (index..., numerator, denominator) tuples;
+    the shape message names an entry by `what`, else by the key."""
     raw = doc.get(key, [])
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: {key!r} must be a list")
@@ -111,20 +136,20 @@ def _sparse_entries(doc: dict, key: str, arity: int, dim: int, path,
             raise ValidationError(
                 f"{path}: each {what or key} entry must be "
                 f"[{shape}, value], got {entry!r}")
-        *idx, val = entry
+        idx = entry[:arity]
         for i in idx:
-            if not isinstance(i, int) or isinstance(i, bool) or \
-                    not 0 <= i < dim:
+            if type(i) is not int or not 0 <= i < dim:
                 raise ValidationError(
                     f"{path}: index {i!r} out of range for dim {dim}")
-        out.append((*idx, parse_fraction(val)))
+        out.append((*idx, *_rational(entry[arity])))
     return out
 
 
-def load_algebra(path) -> LieAlgebra:
-    doc = read_document(path)
+def load_algebra(path, text: str | None = None) -> LieAlgebra:
+    doc = read_document(path, text)
     dim = _int_field(doc, "dim", path)
-    return lie_from_sparse(dim, _sparse_entries(doc, "bracket", 3, dim, path))
+    return LieAlgebra(dim, SparseTable.from_parts(
+        _sparse_entries(doc, "bracket", 3, dim, path), skew=True))
 
 
 def dump_algebra(algebra: LieAlgebra) -> dict:
@@ -133,17 +158,12 @@ def dump_algebra(algebra: LieAlgebra) -> dict:
     return {"dim": algebra.dim, "bracket": entries}
 
 
-def load_product(path) -> BilinearProduct:
+def load_product(path, text: str | None = None) -> BilinearProduct:
     """The product of a file; two entries for one index must agree."""
-    doc = read_document(path)
+    doc = read_document(path, text)
     dim = _int_field(doc, "dim", path)
-    entries = _sparse_entries(doc, "gamma", 3, dim, path)
-    seen = {}
-    for i, j, k, v in entries:
-        if seen.setdefault((i, j, k), v) != v:
-            raise ValidationError(
-                f"{path}: conflicting entries for ({i},{j},{k})")
-    return product_from_sparse(dim, entries)
+    return BilinearProduct(dim, SparseTable.from_parts(
+        _sparse_entries(doc, "gamma", 3, dim, path), where=f"{path}: "))
 
 
 def dump_product(p: BilinearProduct) -> dict:
@@ -151,8 +171,9 @@ def dump_product(p: BilinearProduct) -> dict:
     return {"dim": p.dim, "gamma": entries}
 
 
-def load_connection(path, base: LieAlgebra) -> InvariantConnection:
-    p = load_product(path)
+def load_connection(path, base: LieAlgebra,
+                    text: str | None = None) -> InvariantConnection:
+    p = load_product(path, text)
     if p.dim != base.dim:
         raise ValidationError(
             f"{path}: connection dim {p.dim} does not match the base "
@@ -164,14 +185,16 @@ def dump_connection(conn: InvariantConnection) -> dict:
     return dump_product(conn.gamma)
 
 
-def load_form(path) -> BilinearForm:
-    doc = read_document(path)
+def load_form(path, text: str | None = None) -> BilinearForm:
+    doc = read_document(path, text)
     dim = _int_field(doc, "dim", path)
     sym = doc.get("sym", "general")
     if sym not in ("symmetric", "skew", "general"):
         raise ValidationError(f"{path}: bad symmetry tag {sym!r}")
-    return form_from_sparse(
-        dim, sym, _sparse_entries(doc, "entries", 2, dim, path, "form"))
+    return form_from_sparse(dim, sym, (
+        (i, j, Fraction(n, d))
+        for i, j, n, d in _sparse_entries(doc, "entries", 2, dim, path,
+                                          "form")))
 
 
 def dump_form(form: BilinearForm) -> dict:
@@ -203,8 +226,8 @@ def basis_rows(doc: dict, ncols: int, path,
     return rows
 
 
-def load_symbol(path) -> SymbolSpace:
-    doc = read_document(path)
+def load_symbol(path, text: str | None = None) -> SymbolSpace:
+    doc = read_document(path, text)
     v = _int_field(doc, "v", path)
     w = _int_field(doc, "w", path)
     return symbol_space(

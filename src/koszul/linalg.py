@@ -188,9 +188,16 @@ def det(a) -> Fraction:
 def _reduce(rows: list[dict[int, int]], ncols: int):
     """Integer reduced echelon (rows, pivots, supports) of sparse integer
     rows, from the rows independent mod P when there are more rows than
-    columns, else from every row."""
-    return row_space(rows, ncols, range(len(rows)) if len(rows) <= ncols
-                     else independent_rows_mod_p(rows, ncols))
+    columns, else from every row. When ncols rows are independent mod P
+    they are independent over Q, so the rank is ncols and the reduced form
+    is the identity, with no exact elimination."""
+    if len(rows) <= ncols:
+        return row_space(rows, ncols, range(len(rows)))
+    kept = independent_rows_mod_p(rows, ncols)
+    if len(kept) == ncols:
+        return ([[int(j == c) for j in range(ncols)] for c in range(ncols)],
+                list(range(ncols)), [[c] for c in range(ncols)])
+    return row_space(rows, ncols, kept)
 
 
 def _reduce_dense(rows, ncols: int):

@@ -128,8 +128,13 @@ def zero_symbol(m: int, w: int) -> SymbolSpace:
 
 
 def prolong(a: SymbolSpace) -> SymbolSpace:
-    """Symbols one order up whose slices in every direction lie in `a`."""
+    """Symbols one order up whose slices in every direction lie in `a`.
+
+    The zero space prolongs to zero without a solve: an order-(s+1) symbol
+    whose every slice vanishes is zero."""
     m, w, s = a.v_dim, a.w_dim, a.order
+    if not a.basis:
+        return SymbolSpace(m, w, (), s + 1)
     ann = linalg.nullspace(a.basis, ncols=symbol_coord_dim(m, w, s))
     nup = len(monomials(m, s + 1))
     pos_up = _mono_pos(m, s + 1)

@@ -63,7 +63,11 @@ path over `Fraction` objects: values parsed by Fraction(str)
 (`fraction_parse`), contraction sums read as Fractions
 (`fractions_over`), defect tensors with one Fraction per entry
 (`FractionDefectTensor`, `fraction_defect_doc`) and reports written by
-`json.dumps` (`json_report`), its former solve-ladder hot paths over
+`json.dumps` (`json_report`), its former file path of a table over one
+`Fraction` per entry (`fraction_entries`, `fraction_lie_table`,
+`fraction_table`, `fraction_load_table`) and its former build of defect
+tensors by index tuple, mirrored by `skew_pairs` and sorted as tuples
+(`tuple_jacobi_defect`, ..., `tuple_curvature`), its former solve-ladder hot paths over
 `Fraction` and `dict`: the dual connection by two dense `Fraction`
 products per basis vector (`dense_form_dual`), the Chevalley-Eilenberg
 contributions placed by sorting (`sort_alternating`,
@@ -2595,3 +2599,182 @@ def fraction_defect_doc(t: FractionDefectTensor) -> dict:
 def json_report(doc) -> str:
     """A report as the CLI wrote it by json.dumps."""
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------- tables and
+# tensors by index tuple
+#
+# The file path of a table and the defect tensors' build before they stayed
+# in integers end to end: the reader turned each value into a Fraction
+# (`fraction_entries`), the builders keyed each Fraction by its index tuple
+# and compared repeats as Fractions (`fraction_lie_table`,
+# `fraction_product_from_sparse`, and the conflict check of `fraction_table`,
+# read by `fraction_load_table`), and each contraction turned its flat sums into
+# index tuples (`unflatten_sums`) before mirroring (`skew_pairs`) and sorting
+# them (`tuple_jacobi_defect`, `tuple_associator_defect`, ...).
+
+def fraction_entries(doc: dict, key: str, arity: int, dim: int, path,
+                     what: str = ""):
+    """`io._sparse_entries` giving (index..., Fraction) tuples."""
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path}: {key!r} must be a list")
+    shape = ", ".join(("i", "j", "k")[:arity])
+    out = []
+    for entry in raw:
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise ValidationError(
+                f"{path}: each {what or key} entry must be "
+                f"[{shape}, value], got {entry!r}")
+        *idx, val = entry
+        for i in idx:
+            if not isinstance(i, int) or isinstance(i, bool) or \
+                    not 0 <= i < dim:
+                raise ValidationError(
+                    f"{path}: index {i!r} out of range for dim {dim}")
+        out.append((*idx, fraction_parse(val)))
+    return out
+
+
+def _fraction_check_entry(m: int, i, j, k) -> None:
+    if not (0 <= i < m and 0 <= j < m and 0 <= k < m):
+        raise ValidationError(f"index out of range in entry ({i},{j},{k})")
+
+
+def fraction_product_from_sparse(m: int, entries) -> BilinearProduct:
+    """`algebra.product_from_sparse` keying one Fraction per index; a later
+    entry for an index replaces an earlier one."""
+    table = {}
+    for i, j, k, v in entries:
+        _fraction_check_entry(m, i, j, k)
+        table[i, j, k] = frac(v)
+    return BilinearProduct(
+        m, SparseTable((*idx, v) for idx, v in table.items()))
+
+
+def fraction_lie_table(m: int, entries) -> SparseTable:
+    """The table of `algebra.lie_from_sparse`, comparing repeats as
+    Fractions."""
+    c = {}
+    seen = {}
+    for i, j, k, v in entries:
+        _fraction_check_entry(m, i, j, k)
+        v = frac(v)
+        if i == j:
+            if v != 0:
+                raise ValidationError(f"nonzero diagonal bracket ({i},{i},{k})")
+            continue
+        if (i, j, k) in seen and seen[(i, j, k)] != v:
+            raise ValidationError(f"conflicting entries for ({i},{j},{k})")
+        if (j, i, k) in seen and seen[(j, i, k)] != -v:
+            raise ValidationError(
+                f"entries ({i},{j},{k}) and ({j},{i},{k}) are not opposite")
+        seen[(i, j, k)] = v
+        c[i, j, k] = v
+        c[j, i, k] = -v
+    return SparseTable((*idx, v) for idx, v in c.items())
+
+
+def fraction_table(m: int, entries, skew: bool,
+                   where: str = "") -> SparseTable:
+    """`SparseTable.from_parts` over (i, j, k, Fraction) entries: a
+    bracket's table (skew) as `fraction_lie_table` builds it, else the
+    former conflict check of `io.load_product` and a product's table."""
+    if skew:
+        return fraction_lie_table(m, entries)
+    seen = {}
+    for i, j, k, v in entries:
+        if seen.setdefault((i, j, k), v) != v:
+            raise ValidationError(
+                f"{where}conflicting entries for ({i},{j},{k})")
+    return fraction_product_from_sparse(m, entries).sparse
+
+
+def fraction_load_table(doc: dict, path, skew: bool):
+    """`io.load_algebra` (skew) or `io.load_product` of a parsed document,
+    one Fraction per entry."""
+    from koszul.io import _int_field
+    dim = _int_field(doc, "dim", path)
+    if skew:
+        return LieAlgebra(dim, fraction_table(
+            dim, fraction_entries(doc, "bracket", 3, dim, path), True))
+    return BilinearProduct(dim, fraction_table(
+        dim, fraction_entries(doc, "gamma", 3, dim, path), False,
+        f"{path}: "))
+
+
+def unflatten_sums(sums: dict, n: int) -> dict:
+    """The nonzero sums of an accumulator keyed by ((i·n + j)·n + k)·n + l,
+    keyed by (i, j, k, l)."""
+    out = {}
+    for key, x in sums.items():
+        if x:
+            key, l = divmod(key, n)
+            key, k = divmod(key, n)
+            out[(*divmod(key, n), k, l)] = x
+    return out
+
+
+def skew_pairs(half: dict) -> dict:
+    """The tensor antisymmetric in its first two indices whose entries with
+    i < j are `half` (as `operator_defect` returns in bracket mode)."""
+    full = dict(half)
+    full.update(((j, i, *rest), -v) for (i, j, *rest), v in half.items())
+    return full
+
+
+def tuple_jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
+    """`algebra.jacobi_defect` expanding each sorted entry into six index
+    tuples (without its envelope)."""
+    from koszul.algebra import _check_skew, _index_range
+    _check_skew(c)
+    n = _index_range(c)
+    n2, n3 = n * n, n * n * n
+    acc: dict = defaultdict(int)
+    for p, q, a, v in c.nonzeros:
+        if p >= q:
+            continue
+        pqr, rpq, prq = p * n3 + q * n2, p * n2 + q * n, p * n3 + q * n
+        for r, l, w in c.by_first.get(a, ()):
+            if r > q:
+                acc[pqr + r * n + l] += v * w
+            elif r < p:
+                acc[r * n3 + rpq + l] += v * w
+            elif p < r < q:
+                acc[prq + r * n2 + l] -= v * w
+    full: dict = {}
+    for (p, q, r, l), x in unflatten_sums(acc, n).items():
+        full.update({(p, q, r, l): x, (q, r, p, l): x, (r, p, q, l): x,
+                     (q, p, r, l): -x, (p, r, q, l): -x, (r, q, p, l): -x})
+    return DefectTensor.over((m,) * 4, full, c.den * c.den)
+
+
+def tuple_associator_defect(p: BilinearProduct) -> DefectTensor:
+    d, den = operator_defect(p.sparse, p.sparse)
+    return DefectTensor.over((p.dim,) * 4, {idx: -n for idx, n in d.items()},
+                             den)
+
+
+def tuple_kv_anomaly(p: BilinearProduct) -> DefectTensor:
+    from koszul.algebra import _commutator
+    d, den = operator_defect(p.sparse, _commutator(p.sparse), bracket=True)
+    return DefectTensor.over((p.dim,) * 4,
+                             skew_pairs({idx: -n for idx, n in d.items()}),
+                             den)
+
+
+def tuple_torsion(conn: InvariantConnection) -> DefectTensor:
+    g, c = conn.gamma.sparse, conn.base.sparse
+    acc: dict = defaultdict(int)
+    for i, j, k, n in g.nonzeros:
+        acc[i, j, k] += n * c.den
+        acc[j, i, k] -= n * c.den
+    for i, j, k, n in c.nonzeros:
+        acc[i, j, k] -= n * g.den
+    return DefectTensor.over((conn.dim,) * 3, acc, g.den * c.den)
+
+
+def tuple_curvature(conn: InvariantConnection) -> DefectTensor:
+    d, den = operator_defect(conn.gamma.sparse, conn.base.sparse,
+                             bracket=True)
+    return DefectTensor.over((conn.dim,) * 4, skew_pairs(d), den)

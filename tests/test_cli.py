@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -714,3 +718,31 @@ def test_contradictory_product_entries_exit_2(capsys, tmp_path, argv):
     assert json.loads(out)["error"] == {
         "type": "ValidationError",
         "message": f"{path}: conflicting entries for (0,0,0)"}
+
+
+# An input file is read once, as UTF-8 text, and parsed as JSON; bytes that
+# are not UTF-8 and a nesting too deep for the parser are refused with exit
+# 2 and a ValidationError naming the file, not a traceback.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"dim": 1}', "cannot read {}: not UTF-8 text ('utf-8' codec"),
+    (b"[" * 200_000 + b"]" * 200_000,
+     "{} is nested too deeply to be read as JSON"),
+    (b'{"dim": 1, "bracket": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+     "{} is nested too deeply to be read as JSON"),
+], ids=["not-utf-8", "nested", "nested-entry"])
+def test_an_undecodable_or_too_deeply_nested_file_exits_2(
+        tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    done = subprocess.run(
+        [sys.executable, "-m", "koszul.cli", "check-lie", "--algebra",
+         str(path)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (2, "")
+    error = json.loads(done.stdout)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(message.format(path))

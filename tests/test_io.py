@@ -7,15 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koszul import io
-from koszul.algebra import lie_from_sparse
+from koszul import cli, io
+from koszul.algebra import SparseTable, lie_from_sparse
 from koszul.catalog import aff1_omega, heisenberg, heisenberg_kv, so3, so3_killing
 from koszul.connections import cartan_connection
-from koszul.errors import ValidationError
+from koszul.errors import KoszulError, ValidationError
 from koszul.spencer import symbol_space
 
 from conftest import rand_fraction
-from oracles import fraction_parse
+from oracles import fraction_load_table, fraction_parse, fraction_table
 
 
 def test_parse_fraction_accepts_exact_values_only():
@@ -162,6 +162,122 @@ def test_a_product_file_with_contradictory_entries_is_refused(tmp_path):
     with pytest.raises(ValidationError, match=r"conflicting entries for "
                                               r"\(1,0,1\)$"):
         io.load_connection(path, lie_from_sparse(2, [(0, 1, 1, 1)]))
+
+
+# A table file is read into integers, (index..., numerator, denominator),
+# and built by `SparseTable.from_parts`; against the former path of one
+# Fraction per entry (tests/oracles.py) it must give an equal table, with
+# the same denominator and nonzeros, or the same error.
+
+DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6])
+
+
+def _spelled(value: Fraction, draw) -> object:
+    """value as a file may write it: an int, "p", or "p/q" not always in
+    lowest terms."""
+    k = draw(st.integers(1, 3))
+    if value.denominator == 1 and k == 1:
+        n = value.numerator
+        return draw(st.sampled_from([n, str(n), f"+{n}" if n >= 0 else n]))
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+# entries no reader or builder accepts, each with the message of its own
+MALFORMED = [[0, 1], [0, 1, 0, "1", "2"], "0 1 0 1", None,
+             [True, 0, 0, "1"], [0, 1.0, 0, "1"], [0, 0, 9, "1"],
+             [-1, 0, 0, "1"], [0, 1, 0, "1.5"], [0, 1, 0, "a/b"],
+             [0, 1, 0, "1/-2"], [0, 1, 0, "3/0"], [0, 1, 0, "1" * 4301],
+             [0, 1, 0, "1/" + "7" * 4301], [0, 1, 0, 0.5], [0, 1, 0, True],
+             [0, 1, 0, None], [0, 1, 0, [1]]]
+
+
+@st.composite
+def table_documents(draw):
+    """(document, skew): a bracket or product file with shared or unshared
+    denominators, zero entries, exact repeats, mirror entries, and at times
+    a conflicting, not opposite, diagonal or malformed entry."""
+    skew = draw(st.booleans())
+    dim = draw(st.sampled_from([0, 1, 2, 3, 4, 4, 5, 5]))
+    shared = draw(st.one_of(st.none(), DENOMINATORS))
+    idx = st.integers(0, max(dim - 1, 0))
+    values = []
+    for _ in range(draw(st.integers(0, 8)) if dim else 0):
+        i, j, k = draw(idx), draw(idx), draw(idx)
+        if skew and i == j and draw(st.integers(0, 3)) < 3:
+            j = (i + 1) % dim
+        n = draw(st.integers(-6, 6))
+        values.append((i, j, k, Fraction(n, shared or draw(DENOMINATORS))))
+    entries = [[i, j, k, _spelled(v, draw)] for i, j, k, v in values]
+    for i, j, k, v in values[:draw(st.integers(0, len(values)))]:
+        kind = draw(st.sampled_from(["repeat", "mirror", "mirror", "other"]))
+        if kind == "mirror":
+            i, j, v = j, i, -v if skew else v
+        elif kind == "other":
+            v += draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        entries.insert(draw(st.integers(0, len(entries))),
+                       [i, j, k, _spelled(v, draw)])
+    if draw(st.integers(0, 3)) == 0:
+        entries.insert(draw(st.integers(0, len(entries))),
+                       draw(st.sampled_from(MALFORMED)))
+    return {"dim": dim, "bracket" if skew else "gamma": entries}, skew
+
+
+def _table_outcome(load, *args):
+    try:
+        t = load(*args).sparse
+    except KoszulError as exc:
+        return type(exc).__name__, str(exc)
+    return t.den, t.nonzeros
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(table_documents())
+@example(({"dim": 2, "gamma": [[0, 1, 1, "1/2"], [0, 1, 1, "2/4"],
+                               [1, 0, 0, "0/5"], [1, 1, 1, "-3/6"]]}, False))
+@example(({"dim": 3, "bracket": [[0, 1, 2, "1/3"], [1, 0, 2, "-2/6"],
+                                 [2, 2, 0, "0"], [1, 2, 0, 4]]}, True))
+@example(({"dim": 2, "bracket": [[0, 1, 0, "1"], [1, 0, 0, "1"]]}, True))
+@example(({"dim": 2, "bracket": [[1, 1, 0, "1/2"]]}, True))
+@example(({"dim": 2, "gamma": [[0, 0, 0, "1"], [0, 0, 0, "2"],
+                               [0, 1, 0, "1/0"]]}, False))
+def test_a_table_file_loads_as_the_fraction_path_loads_it(case):
+    doc, skew = case
+    load = io.load_algebra if skew else io.load_product
+    assert _table_outcome(load, "t.json", json.dumps(doc)) == \
+        _table_outcome(fraction_load_table, doc, "t.json", skew)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.booleans(), st.lists(st.tuples(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+    st.integers(-10 ** 20, 10 ** 20), st.integers(1, 12)), max_size=10))
+def test_integer_tables_match_the_fraction_built_ones(skew, parts):
+    # any dimension: no Jacobi check stands between the builder and the
+    # comparison
+    def outcome(build, entries):
+        try:
+            t = build(entries)
+        except KoszulError as exc:
+            return type(exc).__name__, str(exc)
+        return t.den, t.nonzeros
+    new = outcome(lambda e: SparseTable.from_parts(e, skew, "w: "), parts)
+    old = outcome(lambda e: fraction_table(5, e, skew, "w: "),
+                  [(i, j, k, Fraction(n, d)) for i, j, k, n, d in parts])
+    if skew and isinstance(old[1], str):
+        old = old[0], "w: " + old[1]
+    assert new == old
+
+
+def test_an_input_file_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(io.dump_algebra(so3())))
+    reads = []
+    real = io.read_text
+    monkeypatch.setattr(io, "read_text",
+                        lambda p: reads.append(p) or real(p))
+    assert cli.run(["check-lie", "--algebra", str(path)])["result"] == {
+        "valid": True, "dim": 3}
+    assert reads == [str(path)]
 
 
 def test_jsonable_converts_everything():

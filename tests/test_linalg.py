@@ -282,12 +282,13 @@ def test_tall_rref_and_nullspace_match_full_elimination(a):
         red, pivots = linalg.rref(a)
     assert (red, pivots) == full_rref(a)
     # The rows kept mod P span the row space unless the rank mod P of the
-    # integer rows falls below the rank; then every row is eliminated.
+    # integer rows falls below the rank; then every row is eliminated. When
+    # nc rows are kept, the rank is nc and nothing is eliminated.
     ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
             for row in a]
     kept = min(nc, dense_rank_mod(ints, P))
     full = kept < len(pivots)
-    assert seen == ([kept, nr] if full else [kept])
+    assert seen == ([] if kept == nc else [kept, nr] if full else [kept])
     rows = [{j: x for j, x in enumerate(row) if x} for row in ints]
     assert linalg.sparse_rank(rows, nc) == len(pivots)
     ns = linalg.nullspace(a, ncols=nc)
@@ -332,3 +333,47 @@ def test_integer_rows_refuse_inexact_entries():
                 ["1/2", 0.0]):
         with pytest.raises(TypeError, match="not an exact rational"):
             linalg.integer_rows([row])
+
+
+# A tall sparse system whose mod-P pass keeps ncols rows has rank ncols
+# (rows independent mod P are independent over Q), so `_reduce` returns
+# the identity without an exact elimination. Against `reduced_echelon` of
+# every row, each row read over its pivot, on tall systems of every rank,
+# and on one in which P zeroes a pivot and the pass keeps fewer rows.
+
+def _normalized(reduced):
+    red, pivots, _ = reduced
+    return list(pivots), [[Fraction(x, row[c]) for x in row]
+                          for row, c in zip(red, pivots)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(int_matrices(max_rows=12, max_cols=6))
+@example([[P, 0], [0, 1], [0, 2]])
+@example([[P, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
+@example([[1, 0], [0, 1], [1, 1]])
+def test_reduce_matches_reduced_echelon_on_tall_systems(a):
+    ncols = len(a[0]) if a else 0
+    assume(ncols and len(a) > ncols)
+    rows = [{j: x for j, x in enumerate(r) if x} for r in a]
+    from koszul._kernel import reduced_echelon
+    assert _normalized(linalg._reduce(rows, ncols)) == \
+        _normalized(reduced_echelon([list(r) for r in a]))
+
+
+def test_a_tall_system_of_full_rank_mod_p_skips_the_exact_pass(
+        monkeypatch):
+    rows = [{0: 3, 1: 1}, {1: 5}, {0: 1}, {0: 2, 1: 2}]
+    monkeypatch.setattr(linalg, "row_space", pytest.fail)
+    assert linalg.sparse_rank(rows, 2) == 2
+    assert linalg._reduce(rows, 2) == ([[1, 0], [0, 1]], [0, 1], [[0], [1]])
+
+
+def test_a_pivot_that_p_zeroes_still_goes_exact():
+    from koszul._kernel import independent_rows_mod_p
+    rows = [{0: P}, {1: 1}, {1: 2}]
+    assert independent_rows_mod_p(rows, 2) == [1]
+    assert linalg.sparse_rank(rows, 2) == 2
+    assert linalg.sparse_nullspace(rows, 2) == ()

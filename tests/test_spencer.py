@@ -340,3 +340,33 @@ def test_spencer_window_just_below_the_coordinate_bound_runs(capsys,
                                 {"v": 3, "w": 73, "basis": []})
     assert code == 0
     assert doc["result"]["prolong_dims"] == [0, 0, 0, 0]
+
+
+# The zero space prolongs to zero without a solve; the solved result (the
+# former dense solve) is the same space, and the reports of a symbol whose
+# prolongation chain reaches zero (so3: a^(1) = 0) and of the zero symbol
+# are those the solve gave.
+
+@pytest.mark.parametrize("m, w, s", [(1, 1, 1), (2, 1, 1), (2, 2, 1),
+                                     (3, 2, 1), (2, 3, 2), (3, 3, 2),
+                                     (1, 2, 3), (4, 1, 2)])
+def test_the_zero_space_prolongs_to_zero_without_a_solve(m, w, s):
+    zero = SymbolSpace(m, w, (), s)
+    with mock.patch.object(spencer.linalg, "sparse_nullspace",
+                           side_effect=AssertionError("solved")):
+        up = prolong(zero)
+    assert up == dense_prolong(zero) == SymbolSpace(m, w, (), s + 1)
+
+
+@pytest.mark.parametrize("basis", [SO3_ROWS, []])
+@pytest.mark.parametrize("op", ["prolong", "cartan", "cohomology",
+                                "involutive"])
+def test_reports_through_a_zero_prolongation_are_unchanged(
+        tmp_path, basis, op):
+    path = tmp_path / "symbol.json"
+    v = 3 if basis else 2
+    path.write_text(json.dumps({"v": v, "w": v, "basis": basis}))
+    argv = ["spencer", "--symbol", str(path), "--op", op]
+    with mock.patch.object(spencer, "prolong", dense_prolong):
+        solved = cli.run(argv)
+    assert cli.run(argv) == solved

@@ -41,7 +41,6 @@ from koszul.algebra import (
     lie_from_sparse,
     operator_defect,
     product_from_sparse,
-    skew_pairs,
     zero_product,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
@@ -107,12 +106,19 @@ from oracles import (
     dense_torsion,
     fraction_defect_doc,
     fractions_over,
+    json_report,
     hessian_rows,
     nested_jacobi_defect,
     parity_row_form_space,
     parity_rows,
     skew_cocycle_rows,
+    skew_pairs,
     sparse_of,
+    tuple_associator_defect,
+    tuple_curvature,
+    tuple_jacobi_defect,
+    tuple_kv_anomaly,
+    tuple_torsion,
     two_sided_operator_defect,
     walk,
     zero_table3,
@@ -613,6 +619,29 @@ def test_integer_defect_tensors_match_the_fraction_ones(conn, p, ms):
     assert_integer_tensor(kv_anomaly(p), dense_kv_anomaly(p))
     assert_integer_tensor(torsion(conn), dense_torsion(conn))
     assert_integer_tensor(curvature(conn), dense_curvature(conn))
+
+
+# Each contraction's tensor is built from its flat sums (the skew half
+# mirrored on flat keys, the integer keys sorted once and unflattened once);
+# it must equal the tensor the index-tuple build gave, with its entries in
+# the same order, and be written with the bytes json.dumps gave for the
+# former report of one Fraction per entry.
+
+@CHECKS
+@given(connections(), products(), skew_tables())
+def test_flat_built_tensors_match_the_tuple_built_ones(conn, p, ms):
+    m, c = ms
+    for new, old in ((jacobi_defect(m, c), tuple_jacobi_defect(m, c)),
+                     (associator_defect(p), tuple_associator_defect(p)),
+                     (kv_anomaly(p), tuple_kv_anomaly(p)),
+                     (torsion(conn), tuple_torsion(conn)),
+                     (curvature(conn), tuple_curvature(conn))):
+        assert new == old and new.den == old.den
+        assert list(new.numerators.items()) == list(old.numerators.items())
+        doc = fraction_defect_doc(FractionDefectTensor(old.shape,
+                                                       old.nonzeros))
+        assert cli._dumps({"result": {"t": new}, "list": [new]}) == \
+            json_report({"result": {"t": doc}, "list": [doc]})
 
 
 def test_a_defect_tensor_reduces_its_integers_to_the_least_denominator():
