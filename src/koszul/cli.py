@@ -4,9 +4,7 @@ Reports are JSON objects with a versioned schema; given identical argv and
 seed the bytes are identical (timing is only attached on request). Every
 report and error document is written by `_dumps`, which gives the bytes
 json.dumps writes with sorted keys and an indent of 2 at about half the
-cost. A handler leaves a defect tensor in its result as the tensor: `main`
-writes its document straight from the integers in one pass
-(`_defect_text`), and `run` returns the document itself. Exit
+cost, and a defect tensor's entries are printed from its integers. Exit
 codes: 0 success, 2 validation or precondition failure, 3 conformance
 mismatch (two routes to the same value disagreed, i.e. a library bug
 surfaced by a built-in cross-check).
@@ -67,21 +65,17 @@ class _Inputs:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _defect_values(t):
-    """(multi-index, text) of each nonzero entry of a defect tensor, the
-    text printed from its integer over the tensor's denominator with one
-    gcd, as `str(Fraction)` prints the reduced value."""
-    d = t.den
-    for idx, n in t.numerators.items():
-        g = math.gcd(n, d)
-        yield idx, str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
 def _defect_doc(t) -> dict:
-    """A defect tensor's report, as `run` returns it; `main` writes the
-    same document straight from the tensor (`_defect_text`)."""
+    """A defect tensor's report. Each entry is printed from its integer
+    over the tensor's denominator with one gcd, as `str(Fraction)` prints
+    the reduced value."""
+    d = t.den
+
+    def text(n):
+        g = math.gcd(n, d)
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
     return {"zero": t.is_zero(), "max_abs": kio.fraction_str(t.max_abs()),
-            "entries": [[*idx, v] for idx, v in _defect_values(t)]}
+            "entries": [[*idx, text(n)] for idx, n in t.numerators.items()]}
 
 
 def _witness_doc(w):
@@ -172,17 +166,17 @@ def _cmd_algebra(args, inputs):
         lie = algebra_mod.commutator_bracket(p)
         return {"algebra": kio.dump_algebra(lie)}
     if args.op == "anomaly":
-        return {"kv_anomaly": algebra_mod.kv_anomaly(p)}
-    return {"associator": algebra_mod.associator_defect(p)}
+        return {"kv_anomaly": _defect_doc(algebra_mod.kv_anomaly(p))}
+    return {"associator": _defect_doc(algebra_mod.associator_defect(p))}
 
 
 def _cmd_connection(args, inputs):
     lie = _load_lie(args, inputs)
     conn = _load_connection(args, lie, inputs)
     if args.op == "torsion":
-        return {"torsion": connections.torsion(conn)}
+        return {"torsion": _defect_doc(connections.torsion(conn))}
     if args.op == "curvature":
-        return {"curvature": connections.curvature(conn)}
+        return {"curvature": _defect_doc(connections.curvature(conn))}
     if args.op == "flat":
         flat, witness = connections.is_locally_flat(conn)
         return {"flat": flat, "witness": witness}
@@ -620,22 +614,10 @@ def run(argv) -> dict:
     prints the usage and the error to stderr and raises SystemExit(2). A
     library error propagates as its `KoszulError`.
     """
-    return _documents(_report(argv, _build_parser().parse_args(argv)))
-
-
-def _documents(report: dict) -> dict:
-    """The report with each defect tensor of its result as its document
-    (`_defect_doc`); `main` writes the tensors without that step."""
-    result, tensor = report["result"], algebra_mod.DefectTensor
-    if isinstance(result, dict):
-        report["result"] = {key: _defect_doc(v) if isinstance(v, tensor)
-                            else v for key, v in result.items()}
-    return report
+    return _report(argv, _build_parser().parse_args(argv))
 
 
 def _report(argv, args) -> dict:
-    """The report object; a defect tensor of the result is left as the
-    tensor."""
     inputs = _Inputs(args.dump)
     start = time.monotonic()
     payload = args.handler(args, inputs)
@@ -666,7 +648,7 @@ def main(argv=None) -> int:
         _emit_error(argv, exc)
         return 2
     if args.format == "text":
-        print("\n".join(_render_text(_documents(report)["result"])))
+        print("\n".join(_render_text(report["result"])))
     else:
         print(_dumps(report))
     return 0
@@ -716,28 +698,7 @@ def _json_text(obj, newline: str) -> str:
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k) + ": " + _json_text(v, inner)
             for k, v in sorted(obj.items())]) + newline + "}"
-    if isinstance(obj, algebra_mod.DefectTensor):
-        return _defect_text(obj, newline)
     return _json_scalar(obj)
-
-
-def _defect_text(t, newline: str) -> str:
-    """_json_text(_defect_doc(t), newline), written from the tensor's
-    integers in one pass: one format call per entry, no list per entry.
-    An entry's text holds only digits, "-" and "/", which json writes
-    between quotes as they are."""
-    i1 = newline + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    entries = "[]"
-    if t.numerators:
-        entry = ("[" + i3 + ("{}," + i3) * len(t.shape) + '"{}"' + i2
-                 + "]").format
-        entries = "[" + i2 + ("," + i2).join([
-            entry(*idx, v) for idx, v in _defect_values(t)]) + i1 + "]"
-    return ("{" + i1 + '"entries": ' + entries + "," + i1 + '"max_abs": "'
-            + kio.fraction_str(t.max_abs()) + '",' + i1 + '"zero": '
-            + ("true" if t.is_zero() else "false") + newline + "}")
 
 
 def _json_scalar(obj) -> str:

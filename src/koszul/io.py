@@ -3,9 +3,9 @@
 Rationals travel as strings ("3", "-1/2") because JSON numbers are lossy.
 Each input file is read once, as UTF-8 text (`read_text`): the command
 line hashes that text for the report's digest and hands the same text to
-the loader, and a file that cannot be read, is not UTF-8, is not JSON or
-is nested too deeply for the parser is refused with a `ValidationError`
-naming it. One reader takes the [index..., value] entries of brackets,
+the loader, and a file that cannot be read, is not UTF-8, is not JSON,
+holds a number past int()'s digit limit or is nested too deeply for the
+parser is refused with a `ValidationError` naming it. One reader takes the [index..., value] entries of brackets,
 products and forms (`_sparse_entries`): it checks each entry's shape and
 indices once and each value against one pattern, and gives the value as
 the int() of its parts, numerator and denominator, with no `Fraction`
@@ -99,6 +99,9 @@ def read_document(path, text: str | None = None) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past int()'s digit limit
+        raise ValidationError(
+            f"{path} cannot be read as JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError(
             f"{path} is nested too deeply to be read as JSON") from exc

@@ -721,8 +721,9 @@ def test_contradictory_product_entries_exit_2(capsys, tmp_path, argv):
 
 
 # An input file is read once, as UTF-8 text, and parsed as JSON; bytes that
-# are not UTF-8 and a nesting too deep for the parser are refused with exit
-# 2 and a ValidationError naming the file, not a traceback.
+# are not UTF-8, a number past int()'s digit limit and a nesting too deep
+# for the parser are refused with exit 2 and a ValidationError naming the
+# file, not a traceback.
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -733,7 +734,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
      "{} is nested too deeply to be read as JSON"),
     (b'{"dim": 1, "bracket": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
      "{} is nested too deeply to be read as JSON"),
-], ids=["not-utf-8", "nested", "nested-entry"])
+    (b"9" * 5000, "{} cannot be read as JSON: Exceeds the limit"),
+], ids=["not-utf-8", "nested", "nested-entry", "long-number"])
 def test_an_undecodable_or_too_deeply_nested_file_exits_2(
         tmp_path, content, message):
     path = tmp_path / "bad.json"
