@@ -30,7 +30,6 @@ from koszul.connections import (
     alpha_connection,
     amari_dual,
     cartan_connection,
-    connection_from_product,
     curvature,
     is_locally_flat,
     is_torsion_free,
@@ -66,7 +65,6 @@ from koszul.spencer import (
     SymbolSpace,
     cartan_test,
     find_quasi_regular_basis,
-    full_hom,
     is_involutive,
     prolong,
     spencer_cohomology,

@@ -43,7 +43,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from math import gcd, lcm
 
 from koszul import linalg
@@ -665,29 +665,3 @@ def lie_from_sparse(m: int, entries) -> LieAlgebra:
     return LieAlgebra(m, SparseTable.from_parts(_exact_parts(m, entries),
                                                 skew=True))
 
-
-def conjugate_product(p: BilinearProduct, pmat: Mat) -> BilinearProduct:
-    """Transport the product along the basis change e_i' = P e_i."""
-    m = p.dim
-    pinv = linalg.inverse(pmat)
-    cols = linalg.transpose(pmat)
-    entries = []
-    for i in range(m):
-        for j in range(m):
-            w = p.mult(cols[i], cols[j])
-            if any(w):
-                entries += [(i, j, k, v) for k, v in
-                            enumerate(linalg.mat_vec(pinv, w)) if v]
-    return BilinearProduct(m, SparseTable(entries))
-
-
-def conjugate_lie(L: LieAlgebra, pmat: Mat) -> LieAlgebra:
-    q = conjugate_product(L.as_product(), pmat)
-    return LieAlgebra(L.dim, q.sparse)
-
-
-def direct_sum_products(a: BilinearProduct, b: BilinearProduct) -> BilinearProduct:
-    m = a.dim
-    shifted = ((m + i, m + j, m + k, v) for i, j, k, v in b.sparse.items())
-    return BilinearProduct(m + b.dim,
-                           SparseTable(chain(a.sparse.items(), shifted)))

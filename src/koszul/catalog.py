@@ -23,7 +23,6 @@ from koszul.algebra import (
 from koszul.connections import (
     InvariantConnection,
     cartan_connection,
-    connection_from_product,
     is_torsion_free,
 )
 from koszul.errors import ValidationError
@@ -93,7 +92,7 @@ _PRODUCT = {
 
 _CONNECTION = {
     "aff1-symplectic": (False, lambda a: aff1_symplectic_connection()),
-    "heisenberg-kv": (False, lambda a: connection_from_product(
+    "heisenberg-kv": (False, lambda a: InvariantConnection(
         heisenberg(), heisenberg_kv())),
     "abelian-zero": (True, lambda a: cartan_connection(
         abelian(int(a)), "minus")),

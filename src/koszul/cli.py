@@ -140,12 +140,10 @@ def _load_connection(args, base, inputs: _Inputs, required=True):
 
 
 def _load_metric(args, dim: int, inputs: _Inputs):
-    path = getattr(args, "metric", None) or getattr(args, "form", None)
-    if not path:
+    if not args.metric:
         return identity_form(dim)
-    role = "metric" if getattr(args, "metric", None) else "form"
-    form = kio.load_form(path, inputs.add_file(role, path))
-    inputs.add_dump(role, kio.dump_form, form)
+    form = kio.load_form(args.metric, inputs.add_file("metric", args.metric))
+    inputs.add_dump("metric", kio.dump_form, form)
     return form
 
 
@@ -396,7 +394,7 @@ def _cmd_statmodel(args, inputs):
         _check_overflow(args.alpha, mx)
         return {"family": model.name, "alpha": args.alpha,
                 "max_abs": mx, "tensor": kio.jsonable(tensor)}
-    grid = _probe_grid(model, theta)
+    grid = model.probe_grid(theta)
     tol = statmodel.PROBE_TOL if args.tol is None else args.tol
     rep = statmodel.exponential_defect_probe(model, grid, tol=tol)
     return kio.jsonable(rep)
@@ -407,17 +405,6 @@ def _check_overflow(alpha, max_abs):
     if not math.isfinite(max_abs):
         raise ValidationError(
             f"--alpha {alpha} is too large: the result overflows")
-
-
-def _probe_grid(model, center):
-    import itertools
-
-    s = model.probe_offset(center)
-    offsets = (-s, 0.0, s)
-    pts = []
-    for combo in itertools.product(offsets, repeat=model.n_params):
-        pts.append([c + o for c, o in zip(center, combo)])
-    return pts
 
 
 # ------------------------------------------------------------- dispatcher
@@ -471,7 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conn_flags.add_argument("--cartan", choices=("minus", "zero", "plus"),
                             help="use a canonical connection of the algebra")
     conn_flags.add_argument("--metric", help="metric form JSON file")
-    conn_flags.add_argument("--form", help="bilinear form JSON file")
 
     parser = argparse.ArgumentParser(
         prog="koszul",

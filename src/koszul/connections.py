@@ -171,7 +171,3 @@ def alpha_connection(conn: InvariantConnection, dual: InvariantConnection,
             acc[i, j, k] += scale * v
     return InvariantConnection(conn.base, BilinearProduct(
         conn.dim, SparseTable((*idx, v) for idx, v in acc.items())))
-
-
-def connection_from_product(L: LieAlgebra, p: BilinearProduct) -> InvariantConnection:
-    return InvariantConnection(L, p)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from koszul import linalg
-from koszul.algebra import BilinearProduct, SparseTable, associator_defect
+from koszul.algebra import (BilinearProduct, SparseTable, associator_defect,
+                            envelope)
 from koszul.errors import (
     NotAssociative,
     NotRightIdeal,
@@ -34,6 +35,11 @@ from koszul.linalg import Vec
 from koszul.spaces import LinearSolutionSpace
 
 TOWER_LEVEL_CAP = 64
+# affine:N has N^3 + N^2 table entries and matrix:N has N^3. Every query
+# past check-lie's Jacobi envelope or the operator-defect envelope is
+# refused above about 27,000 of them (affine:30, matrix:30); this bound
+# sits above that and stops the cubic growth before the table is built.
+TABLE_ENTRY_BOUND = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,8 @@ class AffineAlgebra:
 def affine_algebra(m: int) -> AffineAlgebra:
     if m < 0:
         raise ValidationError("model dimension must be >= 0")
+    envelope("affine algebra table entries", m ** 3 + m ** 2,
+             TABLE_ENTRY_BOUND)
     n = m * m + m
     # (E_pq, 0)*(E_rs, 0) = (E_rs E_pq, 0) = [s == p] (E_rq, 0)
     units = [(p * m + q, r * m + p, r * m + q, 1)
@@ -73,6 +81,7 @@ def matrix_algebra(k: int) -> BilinearProduct:
     """Full k x k matrix algebra on units E_pq, row-major indexing."""
     if k < 0:
         raise ValidationError("matrix size must be >= 0")
+    envelope("matrix algebra table entries", k ** 3, TABLE_ENTRY_BOUND)
     return BilinearProduct(k * k, SparseTable(
         (p * k + q, q * k + s, p * k + s, 1)
         for p in range(k) for q in range(k) for s in range(k)))

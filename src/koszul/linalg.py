@@ -108,10 +108,6 @@ def mat_vec(a, v) -> Vec:
     return tuple(out)
 
 
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def commutator(a, b) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 

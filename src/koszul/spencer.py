@@ -49,9 +49,9 @@ DEFAULT_TRIALS = 200
 P_MAX, Q_MAX = 3, 2
 # The Spencer window is refused when its cochain spaces, each taken at its
 # largest (the prolongations of the full symbol), hold more coordinates in
-# all than this. On a 2-vCPU host full_hom(5, 5) has 16,250 and takes about
-# 3 s; full_hom(6, 3) has 26,334 (7 s, 156 MB) and full_hom(6, 6) 52,668
-# (26 s, 566 MB).
+# all than this. On a 2-vCPU host the full symbol space Hom(V, W) with
+# (v, w) = (5, 5) has 16,250 and takes about 3 s; (6, 3) has 26,334 (7 s,
+# 156 MB) and (6, 6) 52,668 (26 s, 566 MB).
 WINDOW_COORD_BOUND = 20_000
 
 
@@ -114,17 +114,6 @@ class SymbolSpace:
 def symbol_space(v: int, w: int, rows) -> SymbolSpace:
     basis = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
     return SymbolSpace(v, w, linalg.row_space_basis(basis), 1)
-
-
-def full_hom(m: int, w: int) -> SymbolSpace:
-    n = m * w
-    basis = tuple(
-        tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n))
-    return SymbolSpace(m, w, basis, 1)
-
-
-def zero_symbol(m: int, w: int) -> SymbolSpace:
-    return SymbolSpace(m, w, (), 1)
 
 
 def prolong(a: SymbolSpace) -> SymbolSpace:

@@ -24,10 +24,12 @@ torsion check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from koszul.algebra import envelope
 from koszul.errors import (
     DomainViolation,
     NonNormalized,
@@ -53,6 +55,14 @@ PROBE_TOL = CURV_STEP
 PROBE_OFFSET = 0.3
 # The two steps of the Richardson-refined differences.
 _STEPS = (GRAD_STEP / 2, GRAD_STEP)
+# Jets are refused before their stencils are built when log_probs would
+# return more values (points times outcomes) than this, and a categorical
+# family before it is built when even its Fisher matrix would (above 500
+# outcomes). The largest input of the tests and the benchmark is the probe
+# on categorical:4 and categorical-natural:4 (27,972 values);
+# categorical-natural:5 probes with 236,925 and categorical-natural:6 would
+# need 1,619,838.
+EVALUATION_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,17 @@ class FiniteStatModel:
                 f"boundary; no probe grid fits around it")
         return float(min(PROBE_OFFSET, tight))
 
+    def probe_grid(self, center) -> list[list[float]]:
+        """The grid center + {-s, 0, s}^n, s = `probe_offset(center)`, for
+        `exponential_defect_probe`; refused before it is built when the
+        probe's jets on it would exceed EVALUATION_BOUND."""
+        s = self.probe_offset(center)
+        d = self.n_params
+        _check_evaluations(self.n_outcomes, d, 3 ** d * (2 * d + 1),
+                           hessians=True)
+        return [[c + o for c, o in zip(center, combo)]
+                for combo in product((-s, 0.0, s), repeat=d)]
+
 
 def _richardson(f, h):
     return (4.0 * f(h / 2) - f(h)) / 3.0
@@ -130,6 +151,16 @@ class _Jets(NamedTuple):
     ginv: np.ndarray | None
 
 
+def _check_evaluations(n: int, d: int, centers: int, hessians: bool) -> None:
+    """Refuse jets at `centers` points of a model with n outcomes and d
+    parameters when log_probs would return more than EVALUATION_BOUND
+    values: each `_stencil` holds 1 + 4d points, and 1 + 4d^2 with
+    Hessians."""
+    width = 1 + 4 * d * d if hessians else 1 + 4 * d
+    envelope("log-probability values", centers * width * n,
+             EVALUATION_BOUND)
+
+
 def _stencil(theta: np.ndarray, hessians: bool) -> dict:
     """The points the differences at each row of `theta` (k, d) read, as
     blocks of shape (k, m, d): the row itself ("mid"), then for each step
@@ -137,8 +168,9 @@ def _stencil(theta: np.ndarray, hessians: bool) -> dict:
     - s (e_i - e_j) and - s (e_i + e_j) over the pairs i < j."""
     at = theta[:, None, :]
     eye = np.eye(theta.shape[1])
-    i, j = np.triu_indices(len(eye), 1)
-    both, skew = eye[i] + eye[j], eye[i] - eye[j]
+    if hessians:  # d(d-1)/2 rows of d entries, read only by the Hessians
+        i, j = np.triu_indices(len(eye), 1)
+        both, skew = eye[i] + eye[j], eye[i] - eye[j]
     blocks = {"mid": at}
     for s in _STEPS:
         blocks[s, "+"] = at + s * eye
@@ -154,7 +186,8 @@ def _stencil(theta: np.ndarray, hessians: bool) -> dict:
 def _jets(model: FiniteStatModel, centers, hessians: bool = True,
           raised: bool = False) -> _Jets:
     """Jets at each of `centers` (a nonempty iterable of points), from one
-    call of `model.log_probs` on every center and its `_stencil`.
+    call of `model.log_probs` on every center and its `_stencil`, refused
+    above EVALUATION_BOUND once the centers are counted.
 
     The checks fail as if each jet were taken alone, in the order of the
     centers: a center's domain, then its normalization and, with `raised`,
@@ -172,6 +205,8 @@ def _jets(model: FiniteStatModel, centers, hessians: bool = True,
             break
     if not checked:
         raise fault
+    _check_evaluations(model.n_outcomes, model.n_params, len(checked),
+                       hessians)
     n, d = model.n_outcomes, model.n_params
     blocks = _stencil(np.array(checked), hessians)
     widths = [b.shape[1] for b in blocks.values()]
@@ -217,15 +252,6 @@ def fisher_information(model: FiniteStatModel, theta) -> np.ndarray:
     return _jets(model, [theta], hessians=False).g[0]
 
 
-def fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
-    """Independent route -sum_x p hess(log p); agrees within tolerance."""
-    jets = _jets(model, [theta])
-    g = np.zeros((model.n_params, model.n_params))
-    for px, hess in zip(jets.p[0], jets.hess[0]):
-        g -= px * hess
-    return 0.5 * (g + g.T)
-
-
 def alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
                        raised: bool = False) -> np.ndarray:
     """Lowered symbols sum_x p [hess_ij + (1+a)/2 s_i s_j] s_k.
@@ -258,23 +284,6 @@ def _raise(low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     matrix."""
     return np.array([np.einsum("ijl,lk->ijk", sym, gi)
                      for sym, gi in zip(low, ginv)])
-
-
-def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
-    """Lowered Levi-Civita symbols of the Fisher metric, by metric
-    differences: an oracle for the alpha = 0 member."""
-    theta = model.check_domain(theta)
-    d = model.n_params
-    h = CURV_STEP
-    steps = (h / 2, h)
-    centers = [c for e in np.eye(d) for step in steps
-               for c in (theta + step * e, theta - step * e)]
-    g = _jets(model, centers, hessians=False).g.reshape(d, 2, 2, d, d)
-    # step -> the metrics at theta + step e_i and theta - step e_i
-    at = dict(zip(steps, g.swapaxes(0, 1)))
-    dg = _richardson(
-        lambda step: (at[step][:, 0] - at[step][:, 1]) / (2 * step), h)
-    return 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
 
 def _curvature_stencil(theta, d: int):
@@ -379,8 +388,7 @@ def bernoulli() -> FiniteStatModel:
 
 def categorical_mean(n: int) -> FiniteStatModel:
     """n outcomes, mean coordinates theta_i = p_i for i < n-1."""
-    if n < 2:
-        raise ValidationError("categorical model needs >= 2 outcomes")
+    _check_outcomes(n)
 
     def log_probs(points):
         last = 1.0 - points.sum(axis=1, keepdims=True)
@@ -393,8 +401,7 @@ def categorical_mean(n: int) -> FiniteStatModel:
 
 def categorical_natural(n: int) -> FiniteStatModel:
     """n outcomes, natural (logit) coordinates: p = softmax(theta, 0)."""
-    if n < 2:
-        raise ValidationError("categorical model needs >= 2 outcomes")
+    _check_outcomes(n)
 
     def log_probs(points):
         return _log_softmax(np.concatenate(
@@ -403,6 +410,15 @@ def categorical_natural(n: int) -> FiniteStatModel:
     box = tuple(((-4.0, 4.0),) * (n - 1))
     return FiniteStatModel(f"categorical-natural:{n}", n, n - 1, log_probs,
                            box)
+
+
+def _check_outcomes(n: int) -> None:
+    """Refuse a categorical family no route could evaluate, before it is
+    built: the cheapest route, the Fisher matrix at one point, takes the
+    jet of 1 + 4(n - 1) points without Hessians."""
+    if n < 2:
+        raise ValidationError("categorical model needs >= 2 outcomes")
+    _check_evaluations(n, n - 1, 1, hessians=False)
 
 
 def curved4() -> FiniteStatModel:
@@ -451,7 +467,11 @@ def get_family(spec: str) -> FiniteStatModel:
     if name in ("categorical", "categorical-natural") and not arg:
         raise ValidationError(f"family {name} needs an outcome count, "
                               f"e.g. {name}:3")
-    return _FAMILY_BUILDERS[name](arg)
+    try:
+        return _FAMILY_BUILDERS[name](arg)
+    except ValueError:  # from int() of the outcome count
+        raise ValidationError(f"family {spec!r}: the outcome count must be "
+                              f"an integer, e.g. {name}:3") from None
 
 
 def default_theta(model: FiniteStatModel) -> np.ndarray:

@@ -11,8 +11,6 @@ from koszul.algebra import (
     BilinearProduct,
     LieAlgebra,
     abelian,
-    conjugate_lie,
-    conjugate_product,
     product_from_sparse,
     zero_product,
 )
@@ -20,7 +18,9 @@ from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.connections import InvariantConnection
 from koszul.flatmodels import affine_algebra
 from koszul.forms import BilinearForm
-from oracles import dense_lie, dense_product
+from koszul.spencer import SymbolSpace
+from oracles import (dense_conjugate_product, dense_direct_sum_products,
+                     dense_lie, dense_product)
 
 
 def rand_fraction(rng, lo=-2, hi=2):
@@ -32,6 +32,32 @@ def rand_invertible(m, rng):
         p = [[rand_fraction(rng) for _ in range(m)] for _ in range(m)]
         if linalg.rank(p) == m:
             return linalg.mat(p)
+
+
+def conjugate_product(p: BilinearProduct, pmat) -> BilinearProduct:
+    """The product transported along the basis change e_i' = P e_i."""
+    return dense_product(p.dim, dense_conjugate_product(p, pmat))
+
+
+def conjugate_lie(L: LieAlgebra, pmat) -> LieAlgebra:
+    return dense_lie(L.dim, dense_conjugate_product(L.as_product(), pmat))
+
+
+def direct_sum_products(a: BilinearProduct,
+                        b: BilinearProduct) -> BilinearProduct:
+    return dense_product(a.dim + b.dim, dense_direct_sum_products(a, b))
+
+
+def full_hom(m: int, w: int) -> SymbolSpace:
+    """The order-1 symbol space of all of Hom(V, W), dim V = m, dim W = w."""
+    n = m * w
+    basis = tuple(
+        tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n))
+    return SymbolSpace(m, w, basis, 1)
+
+
+def zero_symbol(m: int, w: int) -> SymbolSpace:
+    return SymbolSpace(m, w, (), 1)
 
 
 def direct_sum_lie(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

@@ -57,7 +57,11 @@ information-geometry routes (`scalar_fisher_information`, ...,
 `scalar_exponential_defect_probe`) and the per-outcome log densities of
 its families that they read (`scalar_bernoulli`, ...,
 `scalar_constant_family`), public helpers the library
-no longer needs (`cochain_value`, `left_matrix`), its former parse of
+no longer needs (`cochain_value`, `left_matrix`, `is_zero_matrix`), its
+former KV and Hochschild coboundary matrices, assembled from its
+generators (`kv_coboundary_matrix`, `hochschild_coboundary_matrix`), its
+former Levi-Civita symbols by differences of its batched metrics
+(`levi_civita_symbols`), its former parse of
 every CLI call by a parser built anew (`fresh_parse`), its former tensor
 path over `Fraction` objects: values parsed by Fraction(str)
 (`fraction_parse`), contraction sums read as Fractions
@@ -98,11 +102,10 @@ from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
                             zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
-                               DegreeDims, _flat_index,
-                               ce_coboundary_matrix,
-                               hochschild_coboundary_matrix,
-                               kv_coboundary_matrix, kv_degree_zero_space,
-                               zero_cochain)
+                               DegreeDims, _assemble, _check_associative,
+                               _check_kv, _flat_index, _hochschild_delta,
+                               _kv_delta, ce_coboundary_matrix,
+                               kv_degree_zero_space, zero_cochain)
 from koszul.connections import (InvariantConnection, amari_dual,
                                 cartan_connection, is_locally_flat, torsion)
 from koszul.errors import (ConformanceMismatch, JacobiViolation,
@@ -119,7 +122,8 @@ from koszul.spaces import LinearSolutionSpace, condition_rows
 from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
                             prolong, resolve_seed, symbol_coord_dim)
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, NORM_TOL, PROBE_TOL,
-                              FiniteStatModel, ProbeReport, _richardson)
+                              FiniteStatModel, ProbeReport, _jets,
+                              _richardson)
 
 
 def F(x):
@@ -880,6 +884,10 @@ def dense_mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+def is_zero_matrix(a) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
 def dense_commutator(a, b):
     return linalg.mat_sub(dense_mat_mul(a, b), dense_mat_mul(b, a))
 
@@ -1281,6 +1289,30 @@ def hochschild_delta_by_cochains(algebra, q):
     return delta_matrix_columns(
         unit_cochains(q, algebra.dim, ADJOINT),
         lambda b: dense_hochschild_coboundary(b, algebra))
+
+
+def kv_coboundary_matrix(algebra: BilinearProduct, coefficients: str, q: int):
+    """Matrix rows of delta: C^q -> C^{q+1} for the KV complex, assembled
+    from the library's generator as `ce_coboundary_matrix` is.
+
+    Column j is the image of the j-th basis cochain: for q >= 1 the unit
+    cochain at flat position j of the cochain table, for q = 0 with algebra
+    coefficients the j-th vector of `kv_degree_zero_space`, and for scalars
+    the constant 1. Returns (rows, ncols, nrows).
+    """
+    _check_kv(algebra, coefficients)
+    zero_basis = (kv_degree_zero_space(algebra)
+                  if q == 0 and coefficients == ADJOINT else ())
+    return _assemble(algebra.sparse.den,
+                     *_kv_delta(algebra, coefficients, q, zero_basis))
+
+
+def hochschild_coboundary_matrix(algebra: BilinearProduct, q: int):
+    """Matrix rows of delta: C^q -> C^{q+1} for the Hochschild complex,
+    column j the image of the unit cochain at flat position j. Returns
+    (rows, ncols, nrows)."""
+    _check_associative(algebra)
+    return _assemble(algebra.sparse.den, *_hochschild_delta(algebra, q))
 
 
 def sort_alternating(idx):
@@ -1962,7 +1994,7 @@ def phi_split_parts_space(conn: InvariantConnection, g: BilinearForm,
 def dense_is_parallel(conn: InvariantConnection, b: Mat) -> bool:
     """The library's former recheck of a symplectic witness:
     Gamma_i^T b + b Gamma_i = 0 for every connection matrix Gamma_i."""
-    return all(linalg.is_zero_matrix(linalg.mat_add(
+    return all(is_zero_matrix(linalg.mat_add(
         linalg.mat_mul(linalg.transpose(gi), b), linalg.mat_mul(b, gi)))
         for gi in conn.matrices)
 
@@ -2407,6 +2439,23 @@ def scalar_fisher_information(model: PerOutcomeModel, theta) -> np.ndarray:
         s = scalar_grad_log(model, theta, x)
         g += p[x] * np.outer(s, s)
     return 0.5 * (g + g.T)
+
+
+def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
+    """Lowered Levi-Civita symbols of the Fisher metric, by differences of
+    the library's batched metrics: an oracle for the alpha = 0 member."""
+    theta = model.check_domain(theta)
+    d = model.n_params
+    h = CURV_STEP
+    steps = (h / 2, h)
+    centers = [c for e in np.eye(d) for step in steps
+               for c in (theta + step * e, theta - step * e)]
+    g = _jets(model, centers, hessians=False).g.reshape(d, 2, 2, d, d)
+    # step -> the metrics at theta + step e_i and theta - step e_i
+    at = dict(zip(steps, g.swapaxes(0, 1)))
+    dg = _richardson(
+        lambda step: (at[step][:, 0] - at[step][:, 1]) / (2 * step), h)
+    return 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
 
 def scalar_fisher_via_hessian(model: PerOutcomeModel, theta) -> np.ndarray:

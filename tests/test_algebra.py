@@ -16,9 +16,6 @@ from koszul.algebra import (
     abelian,
     associator_defect,
     commutator_bracket,
-    conjugate_lie,
-    conjugate_product,
-    direct_sum_products,
     jacobi_defect,
     killing_form,
     kv_anomaly,
@@ -32,7 +29,8 @@ from koszul.errors import JacobiViolation, ValidationError
 from koszul.forms import form_from_sparse, identity_form
 
 import conftest
-from conftest import rand_fraction, rand_invertible
+from conftest import (conjugate_lie, conjugate_product, direct_sum_products,
+                      rand_fraction, rand_invertible)
 from oracles import (
     associator_entry,
     dense_lie,

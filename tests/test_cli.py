@@ -234,6 +234,68 @@ def test_categorical_defect_probe_shrinks_its_grid(theta):
     assert res["best_alpha"] == 1.0
 
 
+# Work that grows as a power of an argument is refused before it is built,
+# and a malformed outcome count before any model is. Each input lies just
+# above its bound; matrix:46 lies just below the table bound, so its table
+# is built (about 0.3 s and 63 MB as a subprocess) and the associator's own
+# envelope refuses it. Inputs just below the other bounds are answered in
+# test_cohomology.py and test_statmodel.py.
+REFUSALS = [
+    (["check-lie", "--catalog", "affine:47"],
+     "refused: affine algebra table entries estimated at 106032, above the "
+     "bound of 100000"),
+    (["algebra", "--op", "associator", "--catalog", "matrix:47"],
+     "refused: matrix algebra table entries estimated at 103823, above the "
+     "bound of 100000"),
+    (["algebra", "--op", "associator", "--catalog", "matrix:46"],
+     "refused: operator defect accumulator entries estimated at 8954912, "
+     "above the bound of 1000000"),
+    (["kv-cohomology", "--complex", "ce", "--coeffs", "trivial",
+      "--catalog", "abelian:70"],
+     "refused: cochain index tuples estimated at 1031346, above the bound "
+     "of 1000000"),
+    (["kv-cohomology", "--complex", "kv", "--coeffs", "scalar",
+      "--catalog", "zero:32"],
+     "refused: cochain index tuples estimated at 1082400, above the bound "
+     "of 1000000"),
+    (["kv-cohomology", "--complex", "hochschild", "--catalog", "zero:100"],
+     "refused: cochain index tuples estimated at 1010100, above the bound "
+     "of 1000000"),
+    (["statmodel", "--family", "categorical-natural:6", "--op", "defect"],
+     "refused: log-probability values estimated at 1619838, above the "
+     "bound of 1000000"),
+    (["statmodel", "--family", "categorical-natural:20", "--op",
+      "curvature"],
+     "refused: log-probability values estimated at 1127100, above the "
+     "bound of 1000000"),
+    (["statmodel", "--family", "categorical:x", "--op", "fisher"],
+     "family 'categorical:x': the outcome count must be an integer, e.g. "
+     "categorical:3"),
+    (["statmodel", "--family", "categorical-natural:2.5", "--op", "fisher"],
+     "family 'categorical-natural:2.5': the outcome count must be an "
+     "integer, e.g. categorical-natural:3"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_oversized_or_malformed_inputs_exit_2(capsys, argv, message):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"] == {"message": message,
+                                        "type": "ValidationError"}
+
+
+def test_the_form_flag_is_gone(capsys):
+    # --metric is the one name of the metric file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["connection", "--catalog", "so3", "--cartan", "zero",
+                  "--op", "dual", "--form", "g.json"])
+    assert exc.value.code == 2
+    assert "--format: invalid choice: 'g.json'" in capsys.readouterr().err
+
+
 def test_text_format(capsys):
     code, out = run_main(capsys, ["flat-models", "tower", "--m", "1",
                                   "--steps", "3", "--format", "text"])

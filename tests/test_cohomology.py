@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from koszul import cohomology, linalg
 from koszul._kernel import P
-from koszul.algebra import (abelian, conjugate_lie, conjugate_product,
-                            lie_from_sparse, product_from_sparse,
+from koszul.algebra import (abelian, lie_from_sparse, product_from_sparse,
                             zero_product)
 from koszul.catalog import heisenberg, heisenberg_kv, sl2, so3
 from koszul.cohomology import (
@@ -23,10 +22,8 @@ from koszul.cohomology import (
     ce_coboundary_matrix,
     ce_cohomology_dims,
     hochschild_coboundary,
-    hochschild_coboundary_matrix,
     hochschild_dims,
     kv_coboundary,
-    kv_coboundary_matrix,
     kv_cohomology_dims,
     kv_degree_zero_space,
     maurer_cartan_defect,
@@ -37,15 +34,18 @@ from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
 from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
-from conftest import (direct_sum_lie, eliminations, rand_fraction,
-                      rand_invertible, random_lie, truncated_poly)
+from conftest import (conjugate_lie, conjugate_product, direct_sum_lie,
+                      eliminations, rand_fraction, rand_invertible,
+                      random_lie, truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_ce_cohomology_dims, dense_dims_from_deltas,
                      dense_hochschild_coboundary,
                      dense_hochschild_dims, dense_kv_coboundary,
                      dense_kv_cohomology_dims, dense_maurer_cartan_defect,
                      dict_check_square, full_width_lower_bounds,
-                     hochschild_delta_by_cochains, kv_delta_by_cochains,
+                     hochschild_coboundary_matrix,
+                     hochschild_delta_by_cochains, is_zero_matrix,
+                     kv_coboundary_matrix, kv_delta_by_cochains,
                      sorting_ce_entries)
 
 CHECKS = settings(derandomize=True, database=None, deadline=None,
@@ -128,7 +128,7 @@ def test_ce_coboundary_squares_to_zero(rng):
                 d1, _, _ = ce_coboundary_matrix(L, coeffs, p)
                 d2, _, _ = ce_coboundary_matrix(L, coeffs, p + 1)
                 if d1 and d2:
-                    assert linalg.is_zero_matrix(linalg.mat_mul(d2, d1))
+                    assert is_zero_matrix(linalg.mat_mul(d2, d1))
 
 
 def test_ce_reference_betti_numbers():
@@ -576,6 +576,29 @@ def test_cohomology_too_large_for_memory_is_refused_before_generation():
             pytest.raises(ValidationError, match="estimated at 9864000"):
         kv_cohomology_dims(affine_algebra(4).product, ADJOINT, 3)
     zero.assert_not_called()
+
+
+@pytest.mark.parametrize("run, delta, below", [
+    (lambda m: kv_cohomology_dims(zero_product(m), SCALAR), "_kv_delta", 31),
+    (lambda m: kv_cohomology_dims(zero_product(m), ADJOINT), "_kv_delta",
+     31),
+    (lambda m: ce_cohomology_dims(abelian(m), TRIVIAL), "_ce_delta", 69),
+    (lambda m: ce_cohomology_dims(abelian(m), ADJOINT), "_ce_delta", 69),
+    (lambda m: hochschild_dims(zero_product(m)), "_hochschild_delta", 99),
+])
+def test_cochain_spaces_too_large_to_walk_are_refused_before_any_tuple(
+        run, delta, below):
+    # a table with no nonzeros has no contributions, but each delta_q would
+    # still visit every index tuple of C^{q+1}: zero:31 walks 954,304 of
+    # them in about 1.6 s, and zero:32 is refused
+    with mock.patch.object(cohomology, delta) as deltas, \
+            mock.patch.object(cohomology, "_dims_from_deltas",
+                              lambda *args: "ranked"):
+        assert run(below) == "ranked"
+        deltas.reset_mock()
+        with pytest.raises(ValidationError, match="cochain index tuples"):
+            run(below + 1)
+        deltas.assert_not_called()
 
 
 def test_a_coboundary_that_does_not_square_to_zero_is_refused(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from koszul import linalg
-from koszul.algebra import abelian, conjugate_lie, zero_product
+from koszul.algebra import abelian, zero_product
 from koszul.catalog import aff1_symplectic_connection, so3
 from koszul.connections import (
     InvariantConnection,
@@ -23,8 +23,9 @@ from koszul.connections import (
 from koszul.errors import SingularMetric, ValidationError
 from koszul.forms import BilinearForm
 
-from conftest import (lie_pool, rand_fraction, rand_invertible, random_lie,
-                      random_metric, random_torsion_free)
+from conftest import (conjugate_lie, lie_pool, rand_fraction,
+                      rand_invertible, random_lie, random_metric,
+                      random_torsion_free)
 from oracles import (curvature_entry, dense_form_dual, dense_product,
                      torsion_entry)
 

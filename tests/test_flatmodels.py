@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import linalg
-from koszul.algebra import (conjugate_product, direct_sum_products,
-                            product_from_sparse, zero_product)
+from koszul import flatmodels, linalg
+from koszul.algebra import product_from_sparse, zero_product
 from koszul.catalog import heisenberg_kv
 from koszul.errors import NotAssociative, NotRightIdeal, ValidationError
 from koszul.flatmodels import (
+    TABLE_ENTRY_BOUND,
     TOWER_LEVEL_CAP,
     affine_algebra,
     geometric_completeness,
@@ -20,7 +21,8 @@ from koszul.flatmodels import (
 )
 
 import conftest
-from conftest import rand_fraction, rand_invertible
+from conftest import (conjugate_product, direct_sum_products, rand_fraction,
+                      rand_invertible)
 from oracles import (dense_right_ideal_core, dense_right_matrix, gauss_rank,
                      jointly_nilpotent, root_analysis_completeness,
                      sampling_completeness)
@@ -100,6 +102,23 @@ def test_tower_dimensions():
         tower_dims(1, 4)
     with pytest.raises(ValidationError):
         tower_dims(-1, 1)
+
+
+@pytest.mark.parametrize("build, entries", [
+    (affine_algebra, lambda n: n ** 3 + n ** 2),
+    (matrix_algebra, lambda n: n ** 3)])
+def test_a_table_above_the_entry_bound_is_refused_before_it_is_built(
+        build, entries):
+    below = 46
+    assert entries(below) <= TABLE_ENTRY_BOUND < entries(below + 1)
+    with mock.patch.object(flatmodels, "SparseTable") as table, \
+            mock.patch.object(flatmodels, "BilinearProduct"):
+        with pytest.raises(ValidationError,
+                           match=f"estimated at {entries(below + 1)},"):
+            build(below + 1)
+        table.assert_not_called()
+        build(below)
+        table.assert_called_once()
 
 
 def test_completeness_of_nilpotent_products():

@@ -5,18 +5,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from koszul import gauge, linalg, spaces
-from koszul.algebra import (
-    abelian,
-    commutator_bracket,
-    conjugate_lie,
-    conjugate_product,
-)
+from koszul.algebra import abelian, commutator_bracket
 from koszul.catalog import aff1_symplectic_connection, heisenberg_kv, so3
 from koszul.connections import (
     InvariantConnection,
     amari_dual,
     cartan_connection,
-    connection_from_product,
 )
 from koszul.errors import (
     ConformanceMismatch,
@@ -42,6 +36,8 @@ from koszul.spaces import LinearSolutionSpace
 
 from conftest import (
     assert_rows_match,
+    conjugate_lie,
+    conjugate_product,
     lie_pool,
     rand_fraction,
     rand_invertible,
@@ -55,12 +51,13 @@ from oracles import (
     dense_product,
     dense_solve_fe_star,
     fraction_invariance_rows,
+    is_zero_matrix,
 )
 
 
 def heisenberg_kv_connection():
     p = heisenberg_kv()
-    return connection_from_product(commutator_bracket(p), p)
+    return InvariantConnection(commutator_bracket(p), p)
 
 
 def test_gauge_solutions_satisfy_the_equation(rng):
@@ -98,7 +95,7 @@ def test_phi_split_reconstructs_and_projects(rng):
         # splitting a part again changes nothing
         again = phi_split(pair.phi_sym, g)
         assert again.phi_sym == pair.phi_sym
-        assert linalg.is_zero_matrix(again.phi_skew)
+        assert is_zero_matrix(again.phi_skew)
 
 
 def test_parallel_forms_satisfy_invariance_and_parity(rng):
@@ -113,7 +110,7 @@ def test_parallel_forms_satisfy_invariance_and_parity(rng):
                     lhs = linalg.mat_add(
                         linalg.mat_mul(linalg.transpose(gi), b),
                         linalg.mat_mul(b, gi))
-                    assert linalg.is_zero_matrix(lhs)
+                    assert is_zero_matrix(lhs)
     with pytest.raises(ValidationError):
         parallel_forms(cartan_connection(so3(), "zero"), "hermitian")
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import cli, invariants, linalg, spaces
-from koszul.algebra import abelian, commutator_bracket, conjugate_lie
+from koszul.algebra import abelian, commutator_bracket
 from koszul.catalog import (
     aff1,
     aff1_symplectic_connection,
@@ -19,7 +19,7 @@ from koszul.catalog import (
     so3_killing,
 )
 from koszul.cohomology import scalar_coboundary_rows
-from koszul.connections import (cartan_connection, connection_from_product,
+from koszul.connections import (InvariantConnection, cartan_connection,
                                 form_dual)
 from koszul.errors import (
     NotFlat,
@@ -47,8 +47,8 @@ from koszul.invariants import (
 )
 from koszul.spaces import LinearSolutionSpace
 
-from conftest import (direct_sum_lie, lie_pool, rand_invertible,
-                      random_metric, random_torsion_free)
+from conftest import (conjugate_lie, direct_sum_lie, lie_pool,
+                      rand_invertible, random_metric, random_torsion_free)
 from oracles import (dense_curvature, dense_is_parallel, dense_torsion,
                      eager_flat_existence, full_pool_max_rank,
                      phi_split_parts_space, phi_split_s_b, phi_split_s_star_b,
@@ -56,7 +56,7 @@ from oracles import (dense_curvature, dense_is_parallel, dense_torsion,
 
 
 def kv_connection(p):
-    return connection_from_product(commutator_bracket(p), p)
+    return InvariantConnection(commutator_bracket(p), p)
 
 
 def test_max_rank_on_simple_pencils():

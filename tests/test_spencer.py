@@ -14,7 +14,6 @@ from koszul.spencer import (
     SymbolSpace,
     cartan_test,
     find_quasi_regular_basis,
-    full_hom,
     is_involutive,
     monomials,
     prolong,
@@ -22,9 +21,9 @@ from koszul.spencer import (
     spencer_cohomology,
     symbol_coord_dim,
     symbol_space,
-    zero_symbol,
 )
 
+from conftest import full_hom, zero_symbol
 from oracles import (dense_prolong, dense_spencer_cohomology,
                      full_symbol_cartan_total, nullspace_cartan_test,
                      nullspace_quasi_regular_basis, stacked_rank_aj_dims)

@@ -19,6 +19,7 @@ from koszul.errors import (
 )
 from koszul.statmodel import (
     CURV_STEP,
+    EVALUATION_BOUND,
     PROBE_OFFSET,
     FiniteStatModel,
     alpha_christoffels,
@@ -31,17 +32,15 @@ from koszul.statmodel import (
     default_theta,
     exponential_defect_probe,
     fisher_information,
-    fisher_via_hessian,
     get_family,
-    levi_civita_symbols,
 )
 
 from oracles import (fisher_bernoulli, fisher_categorical_mean,
-                     per_outcome_model, scalar_alpha_christoffels,
-                     scalar_alpha_curvature, scalar_bernoulli,
-                     scalar_categorical_mean, scalar_categorical_natural,
-                     scalar_constant_family, scalar_curved4,
-                     scalar_exponential_defect_probe,
+                     levi_civita_symbols, per_outcome_model,
+                     scalar_alpha_christoffels, scalar_alpha_curvature,
+                     scalar_bernoulli, scalar_categorical_mean,
+                     scalar_categorical_natural, scalar_constant_family,
+                     scalar_curved4, scalar_exponential_defect_probe,
                      scalar_fisher_information, scalar_fisher_via_hessian)
 
 
@@ -70,13 +69,15 @@ def test_categorical_fisher_closed_form():
 
 
 def test_fisher_routes_agree():
-    cases = [(bernoulli(), [0.4]),
-             (categorical_mean(3), [0.2, 0.3]),
-             (categorical_natural(3), [0.3, -0.2]),
-             (curved4(), [0.5, -0.4])]
-    for model, theta in cases:
+    # the score product against -sum_x p hess(log p) on the per-outcome twin
+    cases = [(bernoulli(), scalar_bernoulli(), [0.4]),
+             (categorical_mean(3), scalar_categorical_mean(3), [0.2, 0.3]),
+             (categorical_natural(3), scalar_categorical_natural(3),
+              [0.3, -0.2]),
+             (curved4(), scalar_curved4(), [0.5, -0.4])]
+    for model, oracle_model, theta in cases:
         a = fisher_information(model, theta)
-        b = fisher_via_hessian(model, theta)
+        b = scalar_fisher_via_hessian(oracle_model, theta)
         assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -282,7 +283,6 @@ def _bitwise_equal(a, b):
 
 ROUTES = [
     (fisher_information, scalar_fisher_information, ()),
-    (fisher_via_hessian, scalar_fisher_via_hessian, ()),
     (alpha_christoffels, scalar_alpha_christoffels, (False,)),
     (alpha_christoffels, scalar_alpha_christoffels, (True,)),
     (alpha_curvature, scalar_alpha_curvature, ()),
@@ -293,8 +293,7 @@ def _route_outcomes(model, oracle_model, theta, alpha):
     """(route, oracle) outcome pairs of every pointwise route at theta,
     the route on `model` and the oracle on its per-outcome `oracle_model`."""
     for route, oracle, extra in ROUTES:
-        args = (theta,) if route in (fisher_information,
-                                     fisher_via_hessian) \
+        args = (theta,) if route is fisher_information \
             else (theta, alpha, *extra)
         yield (route.__name__, _outcome(route, model, *args),
                _outcome(oracle, oracle_model, *args))
@@ -317,7 +316,7 @@ def test_probe_matches_the_per_outcome_oracle(data, name):
     model, oracle_model, points = DIFFERENTIAL_FAMILIES[name]
     center = data.draw(st.just(default_theta(model)) | points)
     try:
-        grid = cli._probe_grid(model, center)
+        grid = model.probe_grid(center)
     except DomainViolation:
         grid = [center]
     assert _bitwise_equal(
@@ -414,7 +413,7 @@ def _per_outcome_counted(model):
 
 def test_each_point_and_outcome_is_evaluated_once():
     model, calls = _counted(curved4())
-    grid = cli._probe_grid(model, default_theta(model))
+    grid = model.probe_grid(default_theta(model))
     exponential_defect_probe(model, grid)
     # one batched call: 9 grid points x 5 curvature stencil points x 17
     # difference points, each once, against 15,768 (point, outcome)
@@ -432,6 +431,52 @@ def test_each_point_and_outcome_is_evaluated_once():
     # 3 stencil points x 5 difference points in one call (96 before)
     assert len(calls) == 1 and calls[0].shape == (3 * 5, 1)
     assert len({row.tobytes() for row in calls[0]}) == 3 * 5
+
+
+# Each route just below and just above EVALUATION_BOUND on
+# categorical-natural:n, with its count of log-probability values.
+EVALUATION_EDGES = [
+    ("fisher", 500, 998500, 1002501),
+    ("curvature", 19, 911791, 1127100),
+    ("probe", 5, 236925, 1619838),
+]
+
+
+def _evaluate(route, model):
+    theta = default_theta(model)
+    if route == "fisher":
+        return fisher_information(model, theta)
+    if route == "curvature":
+        return alpha_curvature(model, theta, 0.0)
+    return exponential_defect_probe(model, model.probe_grid(theta))
+
+
+@pytest.mark.parametrize("route, n, below, above", EVALUATION_EDGES,
+                         ids=[edge[0] for edge in EVALUATION_EDGES])
+def test_jets_above_the_evaluation_bound_are_refused_before_any_point(
+        route, n, below, above):
+    model, calls = _counted(categorical_natural(n))
+    _evaluate(route, model)
+    assert sum(c.shape[0] for c in calls) * n == below <= EVALUATION_BOUND
+    # a family too large for its Fisher matrix is refused as it is built
+    calls = []
+    with pytest.raises(ValidationError, match=f"estimated at {above},"):
+        model, calls = _counted(categorical_natural(n + 1))
+        _evaluate(route, model)
+    assert calls == []
+    if route == "probe":
+        # an explicit grid is counted by the jets themselves
+        grid = [list(p) for p in product((-0.3, 0.0, 0.3), repeat=n)]
+        with pytest.raises(ValidationError, match=f"estimated at {above},"):
+            exponential_defect_probe(model, grid)
+        assert calls == []
+
+
+def test_a_malformed_outcome_count_names_the_spec():
+    for spec in ("categorical:x", "categorical-natural:2.5",
+                 "categorical:3.0"):
+        with pytest.raises(ValidationError, match=f"family '{spec}'"):
+            get_family(spec)
 
 
 # The CLI byte test's corpus: every operation on every family at its
