@@ -460,31 +460,33 @@ def _build_parser() -> argparse.ArgumentParser:
     conn_flags.add_argument("--metric", help="metric form JSON file")
 
     parser = argparse.ArgumentParser(
-        prog="koszul",
+        prog="koszul", allow_abbrev=False,
         description="gauge-theoretic invariants of invariant Koszul "
                     "connections on finite-dimensional algebras")
     sub = parser.add_subparsers(dest="command", required=True)
+    # an option is named in full: argparse would take any unique prefix
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("check-lie", parents=[common, src],
-                       help="validate a Lie algebra file")
+    p = command("check-lie", parents=[common, src],
+                help="validate a Lie algebra file")
     p.set_defaults(handler=_cmd_check_lie)
 
-    p = sub.add_parser("algebra", parents=[common, src],
-                       help="killing form, commutator bracket, defects")
+    p = command("algebra", parents=[common, src],
+                help="killing form, commutator bracket, defects")
     p.add_argument("--product", help="product JSON file")
     p.add_argument("--op", required=True,
                    choices=("killing", "commutator", "anomaly", "associator"))
     p.set_defaults(handler=_cmd_algebra)
 
-    p = sub.add_parser("connection", parents=[common, src, conn_flags],
-                       help="torsion, curvature, flatness, duals")
+    p = command("connection", parents=[common, src, conn_flags],
+                help="torsion, curvature, flatness, duals")
     p.add_argument("--op", required=True,
                    choices=("torsion", "curvature", "flat", "dual", "alpha"))
     p.add_argument("--alpha", default="0", help="rational alpha, e.g. 1/2")
     p.set_defaults(handler=_cmd_connection)
 
-    p = sub.add_parser("gauge", parents=[common, src, conn_flags],
-                       help="solution spaces of the fundamental equations")
+    p = command("gauge", parents=[common, src, conn_flags],
+                help="solution spaces of the fundamental equations")
     p.add_argument("--op", required=True,
                    choices=("fe", "festar", "parallel", "subalgebra"))
     p.add_argument("--dual", help="explicit dual connection JSON file")
@@ -492,15 +494,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="symmetric", help="parity for parallel forms")
     p.set_defaults(handler=_cmd_gauge)
 
-    p = sub.add_parser("invariants", parents=[common, src, conn_flags],
-                       help="numerical invariants and existence verdicts")
+    p = command("invariants", parents=[common, src, conn_flags],
+                help="numerical invariants and existence verdicts")
     p.add_argument("--which", required=True,
                    choices=("rb", "sb", "sb+", "s*b", "hessian", "flat",
                             "bimetric", "symplectic"))
     p.set_defaults(handler=_cmd_invariants)
 
-    p = sub.add_parser("kv-cohomology", parents=[common, src],
-                       help="cohomology dimensions")
+    p = command("kv-cohomology", parents=[common, src],
+                help="cohomology dimensions")
     p.add_argument("--product", help="product JSON file")
     p.add_argument("--coeffs", default="adjoint",
                    choices=("adjoint", "scalar", "trivial"))
@@ -510,8 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("kv", "ce", "hochschild"))
     p.set_defaults(handler=_cmd_kv_cohomology)
 
-    p = sub.add_parser("spencer", parents=[common],
-                       help="symbol prolongation and involutivity")
+    p = command("spencer", parents=[common],
+                help="symbol prolongation and involutivity")
     p.add_argument("--symbol", required=True, help="symbol JSON file")
     p.add_argument("--op", required=True,
                    choices=("prolong", "cartan", "cohomology", "involutive"))
@@ -521,16 +523,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: %(default)s)")
     p.set_defaults(handler=_cmd_spencer)
 
-    p = sub.add_parser("flat-models", parents=[common],
-                       help="affine tower, completeness, right ideals")
+    p = command("flat-models", parents=[common],
+                help="affine tower, completeness, right ideals")
     fm = p.add_subparsers(dest="fm_op", required=True)
-    t = fm.add_parser("tower", parents=[nested])
+    operation = functools.partial(fm.add_parser, allow_abbrev=False)
+    t = operation("tower", parents=[nested])
     t.add_argument("--m", type=int, required=True)
     t.add_argument("--steps", type=int, required=True)
-    c = fm.add_parser("completeness", parents=[nested])
+    c = operation("completeness", parents=[nested])
     c.add_argument("--product", help="product JSON file")
     c.add_argument("--catalog", help="named catalog product")
-    i = fm.add_parser("ideal", parents=[nested])
+    i = operation("ideal", parents=[nested])
     i.add_argument("--product", help="product JSON file")
     i.add_argument("--catalog", help="named catalog product")
     i.add_argument("--ideal", required=True,
@@ -540,8 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_flat_models)
     i.set_defaults(handler=_cmd_flat_models)
 
-    p = sub.add_parser("statmodel", parents=[common],
-                       help="information geometry of finite models")
+    p = command("statmodel", parents=[common],
+                help="information geometry of finite models")
     p.add_argument("--family", required=True,
                    help="bernoulli, categorical:N, categorical-natural:N, "
                         "curved4, constant")

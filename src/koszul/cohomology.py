@@ -47,9 +47,10 @@ refused with ValidationError rather than accumulated past the memory. A
 table with few nonzeros can still have cochain spaces too large to walk:
 delta_q visits every index tuple of C^{q+1}, whether it receives a
 contribution or not, and the Chevalley-Eilenberg delta_p lists those of
-C^p and C^{p+1}. So their number is counted from powers of the dimension
-(binomials for the alternating cochains) and refused above
-`COCHAIN_TUPLE_BOUND`.
+C^p. So their number is counted from powers of the dimension (binomials
+for the alternating cochains) and refused above `COCHAIN_TUPLE_BOUND`. A
+table with no nonzeros gives every delta no contributions, and its tuples
+are neither listed nor walked: the dimensions come from the counts alone.
 
 Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
@@ -90,10 +91,12 @@ ADJOINT = "adjoint"
 SCALAR = "scalar"
 TRIVIAL = "trivial"
 # The largest complex of the tests and the benchmark is KV with adjoint
-# coefficients to degree 3 on affine:3 (dim 12), 22,620 index tuples. On a
-# 2-vCPU host, just below the bound, the Chevalley-Eilenberg complex of
-# abelian:69 (974,120 tuples) takes about 2.3 s and 107 MB, and the KV
-# complex of zero:31 (954,304) about 1.6 s, both 3.1 s adjoint.
+# coefficients to degree 3 on affine:3 (dim 12), 22,620 index tuples. A
+# table with no nonzeros walks none. On a 2-vCPU host, just below the
+# bound, the Chevalley-Eilenberg complex of a dim-69 bracket with one
+# nonzero pair (974,120 tuples) takes about 2.2 s, and 3.3 s and 140 MB
+# adjoint; the scalar KV complex of a dim-31 product with one nonzero
+# (954,304) takes about 7 s and 880 MB.
 COCHAIN_TUPLE_BOUND = 10 ** 6
 
 
@@ -408,13 +411,16 @@ def _kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
     adjoint = coefficients == ADJOINT
     width = m if adjoint else 1
     nrows = m ** (q + 1) * width
-    if q > 0:
-        return _kv_entries(sp, m, q, adjoint), m ** q * width, nrows
-    if adjoint:
-        return (_kv_degree_zero_entries(sp, m, zero_basis), len(zero_basis),
-                nrows)
-    # the degree-0 scalar coboundary is taken as zero
-    return (), 1, nrows
+    if q == 0 and not adjoint:
+        # the degree-0 scalar coboundary is taken as zero
+        return (), 1, nrows
+    ncols = m ** q * width if q else len(zero_basis)
+    if not sp.nonzeros:
+        # every delta of the zero product is zero; no tuple is walked
+        return (), ncols, nrows
+    if q:
+        return _kv_entries(sp, m, q, adjoint), ncols, nrows
+    return _kv_degree_zero_entries(sp, m, zero_basis), ncols, nrows
 
 
 def _kv_contributions(n: int, m: int, q: int, adjoint: bool) -> int:
@@ -493,15 +499,17 @@ def ce_coboundary_matrix(L: LieAlgebra, coefficients: str, p: int):
 
 
 def _ce_delta(L: LieAlgebra, coefficients: str, p: int):
-    """(entries, ncols, nrows) of the Chevalley-Eilenberg delta_p."""
+    """(entries, ncols, nrows) of the Chevalley-Eilenberg delta_p; an
+    abelian bracket has no entries, and its index tuples are not listed."""
     m = L.dim
     width = m if coefficients == ADJOINT else 1
-    dom = list(combinations(range(m), p))
-    cod = list(combinations(range(m), p + 1))
-    dom_pos = {t: i for i, t in enumerate(dom)}
+    ncols, nrows = comb(m, p) * width, comb(m, p + 1) * width
+    if not L.sparse.nonzeros:
+        return (), ncols, nrows
+    dom_pos = {t: i for i, t in enumerate(combinations(range(m), p))}
     entries = _ce_entries(L.sparse, m, p, coefficients == ADJOINT, dom_pos,
-                          cod)
-    return entries, len(dom) * width, len(cod) * width
+                          combinations(range(m), p + 1))
+    return entries, ncols, nrows
 
 
 def _ce_contributions(sp, m: int, p: int, adjoint: bool) -> int:
@@ -592,10 +600,12 @@ def _check_associative(algebra: BilinearProduct) -> None:
 
 
 def _hochschild_delta(algebra: BilinearProduct, q: int):
-    """(entries, ncols, nrows) of the Hochschild delta_q."""
+    """(entries, ncols, nrows) of the Hochschild delta_q; the zero product
+    has no entries, and its index tuples are not walked."""
     m = algebra.dim
-    return (_hochschild_entries(algebra.sparse, m, q), m ** (q + 1),
-            m ** (q + 2))
+    sp = algebra.sparse
+    return (_hochschild_entries(sp, m, q) if sp.nonzeros else (),
+            m ** (q + 1), m ** (q + 2))
 
 
 def _hochschild_contributions(n: int, m: int, q: int) -> int:

@@ -13,32 +13,36 @@ docstring). Its first full-rank point is the witness; if no point has full
 rank, the largest rank seen is the generic rank, the rank over the rational
 function field, which bounds every real specialization. Where a `no` verdict
 is emitted, it is backed by an exact certificate: either a common kernel
-vector of the whole space or that generic rank. The walk visits at most
-`GENERIC_RANK_POINTS` points; above that a rank below full is not certified,
-and the verdict is `unknown`.
+vector of the whole space or that generic rank, or, for the bi-invariant
+metric, a nonzero trace tr ad(e_i), read before any space is built. The
+walk visits at most `GENERIC_RANK_POINTS` points; above that a rank below
+full is not certified, and the verdict is `unknown`.
 
-The cocycle systems are `cohomology`'s (`scalar_coboundary_rows`): skew
-2-cocycles of the trivial Chevalley-Eilenberg complex and symmetric ones of
-the scalar KV complex of a flat connection's product.
+Each route solves only the system that decides it. The gauge parts of s^b
+and s^{*b} are the parallel forms of one parity (`gauge.parallel_forms`),
+so FE(nabla, nabla*) itself is not solved. The cocycle systems are
+`cohomology`'s (`scalar_coboundary_rows`): skew 2-cocycles of the trivial
+Chevalley-Eilenberg complex and symmetric ones of the scalar KV complex of
+a flat connection's product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count, islice, product as iproduct
 from math import isqrt
 
 from koszul import linalg, spaces
 from koszul.algebra import LieAlgebra
 from koszul.cohomology import scalar_coboundary_rows
-from koszul.connections import (InvariantConnection, amari_dual,
-                                cartan_connection, form_dual,
-                                is_locally_flat, is_torsion_free, torsion)
+from koszul.connections import (InvariantConnection, cartan_connection,
+                                form_dual, is_locally_flat, is_torsion_free,
+                                torsion)
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
-from koszul.gauge import (parallel_forms, parallel_rows, solve_fe_star,
-                          solve_gauge_equation)
+from koszul.gauge import parallel_forms, parallel_rows, solve_fe_star
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace
 
@@ -232,10 +236,16 @@ def _no_or_unknown(space, m, rw: RankWitness, notes=""):
     return ExistenceVerdict("unknown", invariant_value=value, notes=notes)
 
 
-def _space_from_matrices(mats, m: int) -> LinearSolutionSpace:
-    flat = [linalg.flatten(b) for b in mats]
-    basis = linalg.row_space_basis(flat)
-    return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))
+def _rebased_parallel_forms(conn: InvariantConnection,
+                            sym: str) -> LinearSolutionSpace:
+    """`gauge.parallel_forms` of one parity on the reduced row-echelon basis
+    of its span. The basis fixes which point of the `max_rank` walk, and so
+    which witness form, s_b and s_star_b report; this one makes it a
+    function of the span alone."""
+    space = parallel_forms(conn, sym)
+    return LinearSolutionSpace(ambient_dim=space.ambient_dim,
+                               basis=linalg.row_space_basis(space.basis),
+                               shape=space.shape)
 
 
 def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
@@ -364,31 +374,18 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
     return None
 
 
-def _phi_parts_space(conn: InvariantConnection, g: BilinearForm,
-                     part: str) -> LinearSolutionSpace:
-    """The forms b = g(Phi·,·) (part "sym") or g(Phi*·,·) (part "skew") of
-    the FE(nabla, nabla*) solutions phi, read through the bridge: G Phi is
-    the symmetric half of G phi and G Phi* its skew half."""
-    dual = amari_dual(conn, g)
-    sols = solve_gauge_equation(conn, dual)
-    m, sign = conn.dim, 1 if part == "sym" else -1
-    forms = []
-    for phi in sols.matrices():
-        b = linalg.mat_mul(g.matrix, phi)
-        forms.append([[(b[i][j] + sign * b[j][i]) / 2 for j in range(m)]
-                      for i in range(m)])
-    return _space_from_matrices(forms, m)
-
-
 def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
         ) -> tuple[int, ExistenceVerdict]:
     """Metric gap: dim minus the best rank of symmetric gauge parts.
 
-    Built from the pair (plus-connection, its metric dual). The forms
-    g(Phi·,·) are taken through the bridge, as symmetric halves of g(phi·,·),
-    and they are exactly the ad-invariant symmetric forms: the space walked,
-    and so the value, the verdict and the witness form, do not depend on the
-    auxiliary metric g.
+    Built from the pair (plus-connection, its metric dual). A solution phi
+    of FE(nabla, nabla*) is one whose form g(phi·,·) is nabla-parallel, and
+    g(Phi·,·) is its symmetric half, so the forms g(Phi·,·) are exactly the
+    ad-invariant symmetric forms. The space walked is therefore
+    `gauge.parallel_forms` of the plus connection, rebased on its reduced
+    row-echelon basis (`_rebased_parallel_forms`), and FE(nabla, nabla*) is
+    not solved: the value, the verdict and the witness form do not depend
+    on the auxiliary metric g, which is only checked to be a metric.
     """
     if g.sym != SYMMETRIC:
         raise SingularMetric("auxiliary metric must be symmetric")
@@ -396,7 +393,7 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
         raise SingularMetric(f"auxiliary metric has rank {g.rank} < {g.dim}")
     m = L.dim
     plus = cartan_connection(L, "plus")
-    space = _phi_parts_space(plus, g, "sym")
+    space = _rebased_parallel_forms(plus, SYMMETRIC)
     constraint = "positive_definite" if positive else "none"
     rw = max_rank(space, constraint=constraint)
     gap = m - rw.max_rank
@@ -422,10 +419,27 @@ def _validate_parallel(conn: InvariantConnection, b: BilinearForm):
 def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     """Direct route: nondegenerate ad-invariant symmetric forms.
 
-    Independent of the gauge-equation route used by s_b; the two are
-    cross-checked in tests and in the acceptance suite.
+    A nondegenerate ad-invariant form B makes every ad_x B-skew, so
+    tr ad_x = 0 (Milnor 1976 for the Riemannian case). The traces
+    tr ad(e_i) = sum_k c[i][k][k] are summed over the table's nonzeros
+    first, and the first nonzero one answers "no" before any system is
+    built, with a certificate that names it and no invariant value. A
+    unimodular algebra walks the ad-invariant symmetric forms with
+    `max_rank`. The tests cross-check the trace certificate against that
+    walk, and this route against s_b.
     """
     m = L.dim
+    sp = L.sparse
+    traces = [0] * m
+    for i, j, k, n in sp.nonzeros:
+        if j == k:
+            traces[i] += n
+    hit = next((i for i, t in enumerate(traces) if t), None)
+    if hit is not None:
+        return ExistenceVerdict("no", certificate=(
+            f"tr ad(e_{hit}) = {Fraction(traces[hit], sp.den)} is not 0, so "
+            f"the algebra is not unimodular; a nondegenerate ad-invariant "
+            f"form makes every ad_x skew, of trace 0"))
     plus = cartan_connection(L, "plus")
     space = parallel_forms(plus, SYMMETRIC)
     rw = max_rank(space, constraint="positive_definite")
@@ -446,10 +460,13 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
              ) -> tuple[int, ExistenceVerdict]:
     """Symplectic gap: dim minus the best rank of skew gauge parts.
 
-    The forms g(Phi*·,·) are taken through the bridge b = g(phi·,·), as
-    skew halves of b, and they sweep exactly the nabla-parallel skew forms:
-    the space walked, and so the value, the verdict and the witness form, do
-    not depend on the auxiliary metric g. The torsion-free precondition can
+    The forms g(Phi*·,·) are the skew halves of the nabla-parallel forms
+    g(phi·,·) of the FE(nabla, nabla*) solutions phi, so they sweep exactly
+    the nabla-parallel skew forms. The space walked is therefore
+    `gauge.parallel_forms` of the connection, rebased on its reduced
+    row-echelon basis (`_rebased_parallel_forms`), and FE(nabla, nabla*) is
+    not solved: the value, the verdict and the witness form do not depend
+    on the auxiliary metric g. The torsion-free precondition can
     be waived (require_torsion_free=False) to probe connections with
     torsion, e.g. the bracket connection on a semisimple algebra; the
     geometric symplectic interpretation is only backed by the torsion-free
@@ -463,7 +480,7 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
         hit = torsion(conn).first_nonzero()
         raise NotTorsionFree(f"torsion does not vanish (witness {hit[0][:3]})")
     m = conn.dim
-    space = _phi_parts_space(conn, g, "skew")
+    space = _rebased_parallel_forms(conn, SKEW)
     rw = max_rank(space)
     gap = m - rw.max_rank
     if gap == 0:

@@ -244,7 +244,13 @@ def sparse_nullspace(rows: list[dict[int, int]],
 
 def sparse_rank(rows: list[dict[int, int]], ncols: int) -> int:
     """Rank of sparse integer rows {column: integer} over columns below
-    ncols: the pivot count of their reduced echelon form."""
+    ncols: the pivot count of their echelon form. With no more rows than
+    columns that is `echelon`'s forward pass alone, the pivots of the
+    reduced form without its back-substitution; a longer system is
+    reduced from its rows independent mod P (`_reduce`)."""
+    if len(rows) <= ncols:
+        return len(echelon([[row.get(j, 0) for j in range(ncols)]
+                            for row in rows])[1])
     return len(_reduce(rows, ncols)[1])
 
 

@@ -14,10 +14,11 @@ one symmetric slot into the alternating part.
 
 The coboundary is written once, as contributions (row key, column, value)
 of sparse rows (`_d`, read by `spaces.condition_rows`): the image of each
-basis cochain of C^{p,q} is one integer row over the columns of
-C^{p+1,q-1}, and feeding those rows back through `_d` checks d² = 0. Each
-rank is taken by `linalg.sparse_rank`, the elimination path of every other
-condition system, so no dense vector of a cochain space is built.
+basis cochain of C^{p,q}, read from the integer basis of a^{(q)}, is one
+integer row over the columns of C^{p+1,q-1}, and feeding those rows back
+through `_d` checks d² = 0. Each rank is taken by `linalg.sparse_rank`, the
+elimination path of every other condition system, so no dense vector of a
+cochain space is built.
 
 Each `SymbolSpace` computes its first prolongation once
 (`SymbolSpace.prolongation`): the Spencer window builds its chain of
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, lcm
 import os
 import random
 
@@ -150,24 +151,24 @@ def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
         raise ValidationError("cartan test applies to order-1 symbols")
     m = a.v_dim
     if basis is None:
-        basis = linalg.identity(m)
-    else:
-        basis = tuple(tuple(linalg.frac(x) for x in v) for v in basis)
-        if linalg.rank(basis) != m:
-            raise ValidationError("test basis does not span V")
-    return _flag_test(a, basis)
+        return _flag_test(a, [[int(i == j) for j in range(m)]
+                              for i in range(m)])
+    basis = tuple(tuple(linalg.frac(x) for x in v) for v in basis)
+    if linalg.rank(basis) != m:
+        raise ValidationError("test basis does not span V")
+    return _flag_test(a, linalg.integer_rows(basis)[0])
 
 
-def _flag_test(a: SymbolSpace, basis) -> tuple[int, int, bool]:
-    """`cartan_test` on a basis of `Fraction` vectors already known to
-    span V.
+def _flag_test(a: SymbolSpace, bs) -> tuple[int, int, bool]:
+    """`cartan_test` on a basis of V given as integer rows, each a basis
+    vector times a positive scale, already known to span V. The scales
+    keep every flag span, so the result is that of the rational basis.
 
-    Row s holds (A_s b_t)_k at column t * w + k, with A_s and b_t scaled
-    to integers. A pivot column is independent of the columns before it,
-    so dim a_j = d - #(pivots below j * w), summed over j = 0..m.
+    Row s holds (A_s b_t)_k at column t * w + k, with A_s scaled to
+    integers. A pivot column is independent of the columns before it, so
+    dim a_j = d - #(pivots below j * w), summed over j = 0..m.
     """
     m, w = a.v_dim, a.w_dim
-    bs, _ = linalg.integer_rows(basis)
     _, pivots, _ = echelon([
         [sum(A[k * m + i] * bt[i] for i in range(m))
          for bt in bs for k in range(w)] for A in a._integer_basis])
@@ -184,12 +185,16 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
     """A basis attaining Cartan's bound, or None after the trial budget.
 
     Tries the standard basis first, then seeded random rational bases with
-    entries in [-5, 5]. A quasi-regular basis is generic when one exists, so
-    small budgets suffice in practice; None is not a certificate of absence.
-    The prolongation is computed once per symbol space, so each trial costs
-    one integer elimination for its whole flag. The standard basis goes
-    through the public `cartan_test`, which checks the order of `a`; each
-    candidate is ranked here, so its flag is taken without a second check.
+    entries n/d, n in [-5, 5] and d in {1, 2}. A quasi-regular basis is
+    generic when one exists, so small budgets suffice in practice; None is
+    not a certificate of absence. The prolongation is computed once per
+    symbol space, so each trial costs one integer elimination for its whole
+    flag. The standard basis goes through the public `cartan_test`, which
+    checks the order of `a`; each candidate is ranked here, so its flag is
+    taken without a second check. A candidate is drawn as (n, d) pairs and
+    ranked and flag-tested as integer rows, each vector times the lcm of
+    its denominators, which keeps its rank and every flag span; only the
+    basis returned is built as `Fraction`s.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -199,14 +204,17 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
         return linalg.identity(m)
     rng = random.Random(resolve_seed(seed))
     for _ in range(trials - 1):
-        cand = tuple(
-            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2))
-                  for _ in range(m)) for _ in range(m))
-        if linalg.rank(cand) != m:
+        cand = [[(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m)]
+                for _ in range(m)]
+        ints = []
+        for v in cand:
+            scale = lcm(*(d for _, d in v))
+            ints.append([n * (scale // d) for n, d in v])
+        if len(echelon(ints)[1]) != m:
             continue
-        _, _, ok = _flag_test(a, cand)
+        _, _, ok = _flag_test(a, ints)
         if ok:
-            return cand
+            return tuple(tuple(Fraction(n, d) for n, d in v) for v in cand)
     return None
 
 
@@ -262,9 +270,13 @@ def spencer_cohomology(a: SymbolSpace) -> SpencerReport:
     symbol coordinates so no membership solves are needed, and the rank of
     each d is computed once, serving both degrees it bounds. The images of
     the basis cochains of C^{p,q} are the sparse integer rows
-    `condition_rows(_d(...))`, ranked by `linalg.sparse_rank`. For
-    1 <= q <= Q_MAX the rows go through `_d` once more: any nonzero row
-    there means d² != 0, which is reported in `d_squared_zero`, not raised.
+    `condition_rows(_d(...))`, ranked by `linalg.sparse_rank`. The cochains
+    are read from the integer basis of a^{(q)} (`SymbolSpace._integer_basis`):
+    scaling a basis cochain by a positive integer scales its image row,
+    which `condition_rows` makes primitive again, so the rows are those of
+    the rational basis. For 1 <= q <= Q_MAX the rows go through `_d` once
+    more: any nonzero row there means d² != 0, which is reported in
+    `d_squared_zero`, not raised.
 
     Before any prolongation the window is estimated from v and w alone,
     each a^{(q)} at its largest, and refused above `WINDOW_COORD_BOUND`.
@@ -291,7 +303,7 @@ def spencer_cohomology(a: SymbolSpace) -> SpencerReport:
             n = spaces[q].dim
             basis = ((t * n + i, t * len(b) + j, x)
                      for t in range(comb(m, p))
-                     for i, b in enumerate(spaces[q].basis)
+                     for i, b in enumerate(spaces[q]._integer_basis)
                      for j, x in enumerate(b) if x)
             rows = condition_rows(_d(m, w, p, q + 1, basis))
             if 1 <= q <= Q_MAX and condition_rows(_d(

@@ -32,7 +32,11 @@ its former flat-existence search, with random torsion-free probes
 `sympy_flat_existence_small`), its former s^b and s^{*b} on the span of
 the `phi_split` parts with the witness form G times the walked element
 (`phi_split_parts_space`, `phi_split_s_b`, `phi_split_s_star_b`) and their
-dense recheck of a parallel form (`dense_is_parallel`), its former
+dense recheck of a parallel form (`dense_is_parallel`), its later s^b and
+s^{*b} space, the halves of G phi for the FE(nabla, nabla*) solutions phi
+(`phi_parts_space`, on `space_from_matrices`), its former bi-invariant
+metric route, a rank walk on every algebra
+(`rank_walk_bi_invariant_metric`), its former
 Cartan test, with a prolongation per call and nullspace flag dimensions
 over `Fraction` rows (`nullspace_cartan_test`,
 `nullspace_quasi_regular_basis`), its former flag dimensions, one integer
@@ -113,10 +117,10 @@ from koszul.errors import (ConformanceMismatch, JacobiViolation,
                            TorsionMismatch, ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
-from koszul.gauge import FeStarSolutions, phi_split, solve_gauge_equation
+from koszul.gauge import (FeStarSolutions, parallel_forms, phi_split,
+                          solve_gauge_equation)
 from koszul.invariants import (ExistenceVerdict, RankWitness,
-                               _no_or_unknown, _space_from_matrices,
-                               max_rank, r_b_defect)
+                               _no_or_unknown, max_rank, r_b_defect)
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
 from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
@@ -1973,10 +1977,37 @@ def sympy_flat_existence_small(L: LieAlgebra) -> ExistenceVerdict | None:
 
 # ---------------------------------------------------------------- gauge parts
 #
-# The library's former s^b and s^{*b}: every FE(nabla, nabla*) solution
-# split by `gauge.phi_split`, the endomorphisms Phi or Phi* walked by
-# `max_rank`, and the witness form taken as G times the walked element, the
-# skew one re-checked on the dense connection matrices.
+# The library's former s^b and s^{*b}. The earlier one split every
+# FE(nabla, nabla*) solution by `gauge.phi_split`, walked the endomorphisms
+# Phi or Phi* with `max_rank`, and took the witness form as G times the
+# walked element, the skew one re-checked on the dense connection matrices.
+# The later one walked the forms G Phi or G Phi*, read through the bridge as
+# the symmetric or skew halves of G phi (`phi_parts_space`); the library now
+# walks the parallel forms of one parity, which that space equals.
+
+def space_from_matrices(mats, m: int) -> LinearSolutionSpace:
+    """The span of m x m matrices on the reduced row-echelon basis."""
+    flat = [linalg.flatten(b) for b in mats]
+    basis = linalg.row_space_basis(flat)
+    return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))
+
+
+def phi_parts_space(conn: InvariantConnection, g: BilinearForm,
+                    part: str) -> LinearSolutionSpace:
+    """The library's former `invariants._phi_parts_space`: the forms
+    b = g(Phi·,·) (part "sym") or g(Phi*·,·) (part "skew") of the
+    FE(nabla, nabla*) solutions phi, read through the bridge: G Phi is the
+    symmetric half of G phi and G Phi* its skew half."""
+    dual = amari_dual(conn, g)
+    sols = solve_gauge_equation(conn, dual)
+    m, sign = conn.dim, 1 if part == "sym" else -1
+    forms = []
+    for phi in sols.matrices():
+        b = linalg.mat_mul(g.matrix, phi)
+        forms.append([[(b[i][j] + sign * b[j][i]) / 2 for j in range(m)]
+                      for i in range(m)])
+    return space_from_matrices(forms, m)
+
 
 def phi_split_parts_space(conn: InvariantConnection, g: BilinearForm,
                           part: str) -> LinearSolutionSpace:
@@ -1988,7 +2019,7 @@ def phi_split_parts_space(conn: InvariantConnection, g: BilinearForm,
     for phi in sols.matrices():
         pair = phi_split(phi, g)
         parts.append(pair.phi_sym if part == "sym" else pair.phi_skew)
-    return _space_from_matrices(parts, conn.dim)
+    return space_from_matrices(parts, conn.dim)
 
 
 def dense_is_parallel(conn: InvariantConnection, b: Mat) -> bool:
@@ -2161,6 +2192,27 @@ def cyclic_sum_symplectic_oracle(L) -> ExistenceVerdict:
         if not spaces.satisfies(rows, linalg.flatten(rw.element)):
             raise ValidationError("symplectic cocycle witness failed recheck")
         return ExistenceVerdict("yes", invariant_value=0, witness=witness)
+    return _no_or_unknown(space, m, rw)
+
+
+def rank_walk_bi_invariant_metric(L) -> ExistenceVerdict:
+    """The library's former `invariants.bi_invariant_metric`: the
+    ad-invariant symmetric forms walked by `max_rank` on every algebra, with
+    no trace read first, the witness re-checked on the dense connection
+    matrices."""
+    m = L.dim
+    plus = cartan_connection(L, "plus")
+    space = parallel_forms(plus, SYMMETRIC)
+    rw = max_rank(space, constraint="positive_definite")
+    if rw.max_rank == m:
+        if not dense_is_parallel(plus, rw.element):
+            raise ValidationError("witness form is not parallel")
+        notes = ("witness is positive definite"
+                 if rw.positive_definite else
+                 "witness is nondegenerate; definiteness not certified")
+        return ExistenceVerdict(
+            "yes", invariant_value=0,
+            witness=BilinearForm(m, rw.element, SYMMETRIC), notes=notes)
     return _no_or_unknown(space, m, rw)
 
 

@@ -131,10 +131,18 @@ def test_dump_roundtrip_is_a_fixpoint(tmp_path):
 
 
 def test_bimetric_failure_carries_certificate():
-    res = cli.run(["invariants", "--catalog", "aff1",
+    # a unimodular "no" comes from the rank walk, a non-unimodular one from
+    # the trace of an ad(e_i)
+    res = cli.run(["invariants", "--catalog", "heisenberg",
                    "--which", "bimetric"])["result"]
     assert res["exists"] == "no" and res["witness"] is None
     assert "annihilates" in res["certificate"]
+    res = cli.run(["invariants", "--catalog", "aff1",
+                   "--which", "bimetric"])["result"]
+    assert res["exists"] == "no" and res["witness"] is None
+    assert res["certificate"] == (
+        "tr ad(e_0) = 1 is not 0, so the algebra is not unimodular; a "
+        "nondegenerate ad-invariant form makes every ad_x skew, of trace 0")
 
 
 def test_tower_command():
@@ -288,12 +296,32 @@ def test_oversized_or_malformed_inputs_exit_2(capsys, argv, message):
 
 
 def test_the_form_flag_is_gone(capsys):
-    # --metric is the one name of the metric file
+    # --metric is the one name of the metric file, and --form is no
+    # abbreviation of --format either
     with pytest.raises(SystemExit) as exc:
         cli.main(["connection", "--catalog", "so3", "--cartan", "zero",
                   "--op", "dual", "--form", "g.json"])
     assert exc.value.code == 2
-    assert "--format: invalid choice: 'g.json'" in capsys.readouterr().err
+    assert "unrecognized arguments: --form g.json" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check-lie", "--catalog", "so3", "--form", "text"], "--form text"),
+    (["kv-cohomology", "--catalog", "heisenberg-kv", "--complex", "kv",
+      "--coeffs", "scalar", "--max-deg", "1"], "--max-deg 1"),
+    (["flat-models", "tower", "--m", "1", "--steps", "3", "--form",
+      "text"], "--form text"),
+])
+def test_an_abbreviated_option_is_refused(argv, option):
+    # argparse would take a unique prefix of an option for the option
+    done = subprocess.run(
+        [sys.executable, "-m", "koszul.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert f"unrecognized arguments: {option}" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_text_format(capsys):

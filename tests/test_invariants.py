@@ -28,7 +28,8 @@ from koszul.errors import (
     TorsionMismatch,
     ValidationError,
 )
-from koszul.forms import BilinearForm, identity_form
+from koszul.forms import (SKEW, SYMMETRIC, BilinearForm, form_space,
+                          identity_form)
 from koszul.gauge import parallel_forms, parallel_rows
 from koszul.invariants import (
     GENERIC_RANK_POINTS,
@@ -47,11 +48,12 @@ from koszul.invariants import (
 )
 from koszul.spaces import LinearSolutionSpace
 
-from conftest import (conjugate_lie, direct_sum_lie, lie_pool,
+from conftest import (conjugate_lie, direct_sum_lie, lie_pool, rand_fraction,
                       rand_invertible, random_metric, random_torsion_free)
-from oracles import (dense_curvature, dense_is_parallel, dense_torsion,
-                     eager_flat_existence, full_pool_max_rank,
-                     phi_split_parts_space, phi_split_s_b, phi_split_s_star_b,
+from oracles import (dense_curvature, dense_is_parallel, dense_product,
+                     dense_torsion, eager_flat_existence, full_pool_max_rank,
+                     phi_parts_space, phi_split_parts_space, phi_split_s_b,
+                     phi_split_s_star_b, rank_walk_bi_invariant_metric,
                      symbolic_generic_rank)
 
 
@@ -363,31 +365,57 @@ def test_s_star_b_does_not_depend_on_the_auxiliary_metric(conn):
         assert _answer(s_star_b(conn, g)) == want
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+def _pool_algebra(base, change):
+    """The pool's algebra `base`, under the basis change seeded by `change`
+    unless it is None."""
+    L = lie_pool()[base]
+    if change is None:
+        return L
+    return conjugate_lie(L, rand_invertible(L.dim, random.Random(change)))
+
+
+def _connection(L, kind, rng):
+    """A Cartan connection of L, a random torsion-free one, or ("torsion")
+    a random table, whose torsion rarely vanishes."""
+    m = L.dim
+    if kind == "torsion-free":
+        return random_torsion_free(L, rng)
+    if kind == "torsion":
+        table = [[[rand_fraction(rng) if rng.random() < 0.3 else Fraction(0)
+                   for _ in range(m)] for _ in range(m)] for _ in range(m)]
+        return InvariantConnection(L, dense_product(m, table))
+    return cartan_connection(L, kind)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.too_slow])
 @given(base=st.integers(0, len(lie_pool()) - 1),
        change=st.none() | st.integers(0, 2 ** 16),
-       kind=st.sampled_from(("plus", "torsion-free")),
+       kind=st.sampled_from(("plus", "zero", "minus", "torsion-free",
+                             "torsion")),
        part=st.sampled_from(("sym", "skew")),
        metric=st.none() | st.integers(0, 2 ** 16))
 @example(base=8, change=None, kind="plus", part="sym", metric=3)  # so3+R
 @example(base=3, change=None, kind="torsion-free", part="skew", metric=None)
+@example(base=8, change=5, kind="torsion", part="skew", metric=1)
+@example(base=9, change=None, kind="zero", part="skew", metric=0)  # aff1+aff1
 def test_parts_span_is_the_metric_times_the_phi_split_span(
         base, change, kind, part, metric):
-    L = lie_pool()[base]
+    L = _pool_algebra(base, change)
     m = L.dim
-    if change is not None:
-        L = conjugate_lie(L, rand_invertible(m, random.Random(change)))
     rng = random.Random(metric)
-    conn = cartan_connection(L, "plus") if kind == "plus" \
-        else random_torsion_free(L, rng)
+    conn = _connection(L, kind, rng)
     g = identity_form(m) if metric is None else random_metric(m, rng)
-    new = invariants._phi_parts_space(conn, g, part)
+    new = phi_parts_space(conn, g, part)
     old = phi_split_parts_space(conn, g, part)
     moved = [linalg.flatten(linalg.mat_mul(g.matrix, b))
              for b in old.matrices()]
     assert new.basis == (linalg.row_space_basis(moved) if moved else ())
     assert max_rank(new).max_rank == max_rank(old).max_rank
+    # s_b and s_star_b walk the parallel forms of the part's parity, which
+    # the bridge space equals for every connection and metric, torsion or not
+    sym = SYMMETRIC if part == "sym" else SKEW
+    assert invariants._rebased_parallel_forms(conn, sym).basis == new.basis
     if part == "sym" and kind == "plus":
         got, former = s_b(L, g), phi_split_s_b(L, g)
     elif part == "skew":
@@ -400,6 +428,34 @@ def test_parts_span_is_the_metric_times_the_phi_split_span(
         assert _answer(got) == _answer(former)
     else:
         assert (got[0], got[1].exists) == (former[0], former[1].exists)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, len(lie_pool()) - 1),
+       change=st.none() | st.integers(0, 2 ** 16))
+@example(base=7, change=None)  # aff1
+@example(base=9, change=3)  # aff1+aff1
+@example(base=10, change=3)  # heisenberg+R: unimodular, and "no"
+def test_the_trace_answers_no_exactly_on_non_unimodular_algebras(base,
+                                                                 change):
+    # a nonzero tr ad(e_i) answers "no" before any system is built, and the
+    # former rank walk answers "no" there too; a unimodular algebra takes
+    # the walk, with the former answer
+    L = _pool_algebra(base, change)
+    m = L.dim
+    traces = [sum(L.c[i][k][k] for k in range(m)) for i in range(m)]
+    got, walked = bi_invariant_metric(L), rank_walk_bi_invariant_metric(L)
+    if any(traces):
+        i = next(i for i, t in enumerate(traces) if t)
+        assert (got.exists, got.invariant_value, got.witness) == \
+            ("no", None, None)
+        assert got.certificate.startswith(
+            f"tr ad(e_{i}) = {traces[i]} is not 0, so the algebra is not "
+            f"unimodular")
+        assert walked.exists == "no"
+    else:
+        assert got == walked
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40,
@@ -424,20 +480,17 @@ def test_the_parallel_rows_recheck_matches_the_dense_matrices(base, kind, seed):
     assert all(spaces.satisfies(rows, linalg.flatten(b)) for b in parallel)
 
 
-def _every_matrix(conn, dual):
-    """A stand-in solver that returns all m x m matrices, most of which
-    solve nothing."""
-    m = conn.dim
-    return LinearSolutionSpace(m * m, tuple(linalg.identity(m * m)),
-                               shape=(m, m))
+def _every_form(conn, sym):
+    """A stand-in for `parallel_forms` that returns every form of the
+    parity, most of which are not parallel."""
+    return form_space([], conn.dim, sym)
 
 
 def test_a_witness_off_the_parallel_rows_is_refused():
     # the walk then meets nondegenerate forms that are not parallel, and
     # the recheck on parallel_rows refuses them
     conn = cartan_connection(direct_sum_lie(aff1(), aff1()), "zero")
-    with mock.patch.object(invariants, "solve_gauge_equation",
-                           _every_matrix):
+    with mock.patch.object(invariants, "parallel_forms", _every_form):
         with pytest.raises(ValidationError,
                            match="witness form is not parallel"):
             s_star_b(conn, identity_form(4))

@@ -296,6 +296,23 @@ def test_tall_rref_and_nullspace_match_full_elimination(a):
     assert ns == tuple(gauss_nullspace(a, nc))
 
 
+@settings(CHECKS, max_examples=200)
+@given(int_matrices(), st.integers(0, 3))
+@example([[1, 2, 3], [2, 4, 6]], 0)  # rank-deficient
+@example([[0, 0], [0, 0]], 0)
+@example([], 2)
+def test_a_short_sparse_rank_is_the_forward_pass_pivot_count(a, extra):
+    # with no more rows than columns the rank is read off `echelon`'s
+    # forward pass, with no reduced form built; the reduced form over every
+    # row has as many pivots
+    nc = (len(a[0]) if a else 0) + extra
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a[:nc]]
+    with eliminations() as seen:
+        got = linalg.sparse_rank(rows, nc)
+    assert seen == []
+    assert got == len(linalg._reduce(rows, nc)[1])
+
+
 def test_rows_dependent_only_mod_p_take_the_full_elimination():
     # (0, P) vanishes mod P and (1, 1 + P) is (1, 1) mod P: one row is kept
     # of rank 2, and the column space, solve and nullspace see both ranks

@@ -228,7 +228,7 @@ def test_cartan_test_and_basis_search_match_the_nullspace_oracle(case):
     if linalg.rank(basis) == a.v_dim:
         assert cartan_test(a, basis) == nullspace_cartan_test(a, basis)
         basis = tuple(tuple(map(linalg.frac, v)) for v in basis)
-        assert spencer._flag_test(a, basis)[1] == \
+        assert spencer._flag_test(a, linalg.integer_rows(basis)[0])[1] == \
             sum(stacked_rank_aj_dims(a, basis))
     else:
         for test in (cartan_test, nullspace_cartan_test):
@@ -236,6 +236,28 @@ def test_cartan_test_and_basis_search_match_the_nullspace_oracle(case):
                 test(a, basis)
     assert find_quasi_regular_basis(a, trials, seed) == \
         nullspace_quasi_regular_basis(a, trials, seed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases(), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                max_size=3),
+       st.sampled_from((1, 2, 8, 40)))
+@example((symbol_space(3, 3, SO3_ROWS), [], 0, 1), [0, 5, 7], 40)
+# the standard basis fails, and a drawn candidate passes
+@example((symbol_space(2, 1, [[0, 1]]), [], 0, 1), [1, 2, 3], 8)
+@example((symbol_space(3, 2, [[0, 1, 0, 0, 0, 2], [0, 0, 1, 0, 1, 0]]), [],
+          0, 1), [3, 4], 40)
+def test_integer_trials_return_the_fraction_trials_basis(case, seeds,
+                                                         trials):
+    # each candidate is drawn as the same (numerator, denominator) pairs in
+    # the same order, ranked and flag-tested as integer rows, and built as
+    # Fractions only when it is returned; the oracle draws Fraction
+    # candidates and ranks them over the rationals
+    a = case[0]
+    for seed in seeds:
+        assert find_quasi_regular_basis(a, trials, seed) == \
+            nullspace_quasi_regular_basis(a, trials, seed)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30,
@@ -277,11 +299,12 @@ def test_a_flag_is_one_elimination():
     a = so3_symbol()
     basis = tuple(tuple(map(Fraction, v))
                   for v in ([1, 2, 0], ["1/2", 1, 3], [1, 0, "-1/3"]))
+    ints = linalg.integer_rows(basis)[0]
     a.prolongation
     with mock.patch.object(spencer, "echelon",
                            wraps=spencer.echelon) as ech, \
             mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
-        result = spencer._flag_test(a, basis)
+        result = spencer._flag_test(a, ints)
     assert ech.call_count == 1 and rank.call_count == 0
     assert result == nullspace_cartan_test(a, basis)
 
