@@ -611,25 +611,61 @@ def commutator_bracket(p: BilinearProduct) -> LieAlgebra:
 def killing_form(L: LieAlgebra):
     """K(x,y) = trace(ad_x ad_y); symmetric, ad-invariant.
 
-    K(e_i,e_j) = sum_{a,b} c[i][a][b] c[j][b][a], summed over pairs of
-    nonzeros that share the (a, b) / (b, a) slots into a dense m x m
-    accumulator, which is what the envelope bounds.
+    The integer sums of `_killing_rows` written into a dense m x m form,
+    which is what the envelope bounds.
     """
     from koszul.forms import BilinearForm
     m = L.dim
     s = L.sparse
     envelope("Killing form cells", m * m, DENSE_CELL_BOUND)
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, a, b, n in s.nonzeros:
-        by_pair.setdefault((a, b), []).append((i, n))
-    acc = [[0] * m for _ in range(m)]
-    for (a, b), left in by_pair.items():
-        for j, w in by_pair.get((b, a), ()):
-            for i, v in left:
-                acc[i][j] += v * w
+    rows = _killing_rows(s)
     den = s.den * s.den
-    entries = tuple(tuple(Fraction(x, den) for x in row) for row in acc)
+    entries = tuple(tuple(Fraction(row.get(j, 0), den) for j in range(m))
+                    for row in (rows.get(i, {}) for i in range(m)))
     return BilinearForm(m, entries, "symmetric")
+
+
+def _killing_rows(s: SparseTable) -> dict[int, dict[int, int]]:
+    """den² · K(e_i, e_j) = sum_{a,b} c[i][a][b] c[j][b][a] as sparse
+    integer rows i -> {j: sum}, summed over the pairs of nonzeros that
+    share the (a, b) / (b, a) slots; a row or cell no pair reaches is
+    absent."""
+    by_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, a, b, n in s.nonzeros:
+        by_slots.setdefault((a, b), []).append((i, n))
+    rows: dict[int, dict[int, int]] = {}
+    for (a, b), left in by_slots.items():
+        right = by_slots.get((b, a))
+        if right:
+            for i, v in left:
+                row = rows.setdefault(i, {})
+                for j, w in right:
+                    row[j] = row.get(j, 0) + v * w
+    return rows
+
+
+def _trace_form_rows(s: SparseTable, m: int) -> dict[int, dict[int, int]]:
+    """den² · t(e_i, e_j) for the trace form t(x, y) = tr L_{xy} of a
+    product, as sparse integer rows i -> {j: sum}: t(e_i, e_j) = sum_a
+    t[i][j][a] tr L_{e_a}, one term per nonzero."""
+    traces = _left_traces(s, m)
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, a, n in s.nonzeros:
+        if traces[a]:
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, 0) + n * traces[a]
+    return rows
+
+
+def _left_traces(s: SparseTable, m: int) -> list[int]:
+    """den · tr L_{e_i} = sum_j t[i][j][j] for each i, summed over the
+    nonzeros: the trace of left multiplication by e_i, tr ad(e_i) when the
+    table is a bracket."""
+    traces = [0] * m
+    for i, j, k, n in s.nonzeros:
+        if j == k:
+            traces[i] += n
+    return traces
 
 
 def abelian(m: int) -> LieAlgebra:

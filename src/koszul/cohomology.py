@@ -39,7 +39,26 @@ one raises ConformanceMismatch). Where l_q < u_q the rows independent mod
 the prime are eliminated exactly and every other row is checked to lie in
 their span (`koszul._kernel.row_space`; all rows are eliminated when a
 check fails), and that rank replaces l_q in its neighbours' bounds.
-Acyclic degrees meet the bound.
+Acyclic degrees meet the bound. An exact elimination writes its kept
+rows out densely over every column of its coboundary, so their cell count
+is refused above `ROW_SPACE_CELL_BOUND` before any row is written.
+
+Semisimple algebras need no coboundary past delta_0. With adjoint
+coefficients `ce_cohomology_dims` first sums the Killing form tr(ad_x
+ad_y), and `hochschild_dims` the trace form t(e_i, e_j) = tr L_{e_i e_j} =
+sum_a c_ij^a tr L_{e_a}, over the table's nonzeros, as sparse integer
+rows; rank m modulo the prime certifies rank m over the rationals. A
+nondegenerate Killing form makes the Lie algebra semisimple (Cartan's
+criterion), so H^q(g, g) = 0 in every degree (Whitehead 1937, through the
+Casimir) and the centre is zero: r_0 = m. A nondegenerate trace form
+makes the associative algebra semisimple, since every nilpotent ideal lies
+in the form's radical, so separable, and HH^q(A, A) = 0 for q >= 1
+(Hochschild, Ann. Math. 1945): r_0 is the exact rank of delta_0, m minus
+the dimension of the centre. Either way r_q = c_q - r_{q-1} for q >= 1.
+Every other input, and one whose form has rank below m modulo the prime,
+is ranked as above; both routes write the report through `_report`. The
+trivial Chevalley-Eilenberg complex and the KV complex always are: no
+such theorem fixes their ranks (so3 has trivial H^3 of dimension 1).
 
 Before any contribution is generated, their number is counted from the
 table's list lengths, and a complex with more than `ENTRY_BOUND` of them is
@@ -80,7 +99,8 @@ from math import comb, gcd
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
 from koszul.algebra import (ENTRY_BOUND, BilinearProduct, DefectTensor,
-                            LieAlgebra, SparseTable, envelope, jacobi_defect,
+                            LieAlgebra, SparseTable, _killing_rows,
+                            _trace_form_rows, envelope, jacobi_defect,
                             kv_anomaly, operator_defect)
 from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
                            ValidationError)
@@ -98,6 +118,18 @@ TRIVIAL = "trivial"
 # adjoint; the scalar KV complex of a dim-31 product with one nonzero
 # (954,304) takes about 7 s and 880 MB.
 COCHAIN_TUPLE_BOUND = 10 ** 6
+# Where the bounds of a rank mod P are not met, `row_space` writes the rows
+# kept mod P out densely over every column of their coboundary, about 16
+# bytes a cell, so a complex that passes both bounds above can still be too
+# wide for memory: KV adjoint to degree 3 on a dim-16 product with one
+# nonzero would write 11,056 rows over 65,536 columns (7.2e8 cells, over
+# 10 GB). It is refused before any row is written out. The widest
+# eliminations below the bound are the scalar KV complex of a dim-31
+# product with one nonzero (5.5e7 cells, about 7 s and 880 MB, the widest
+# the tuple bound lets through) and the adjoint one of dim 11 (800 MB);
+# dim 16 scalar is 2.0e6 cells (0.3 s), and the widest of the tests 72 x
+# 90.
+ROW_SPACE_CELL_BOUND = 6 * 10 ** 7
 
 
 def _flat_index(idx, m: int) -> int:
@@ -217,12 +249,36 @@ def _dims_from_deltas(name, coefficients, m, deltas,
     integer contributions over one denominator; ncols = dim C^q."""
     ranks = _certified_ranks([(accumulate(entries), ncols, nrows)
                               for entries, ncols, nrows in deltas])
+    return _report(name, coefficients, m, [c for _, c, _ in deltas], ranks,
+                   notes)
+
+
+def _report(name, coefficients, m, cochains, ranks,
+            notes="") -> CohomologyReport:
+    """The report of a complex with cochain dimensions cochains[q] and
+    coboundary ranks ranks[q], however the ranks were found."""
     out = []
-    for q, (_, c, _) in enumerate(deltas):
+    for q, c in enumerate(cochains):
         z = c - ranks[q]
         b = ranks[q - 1] if q >= 1 else 0
         out.append(DegreeDims(q, c, z, b, z - b))
     return CohomologyReport(name, coefficients, m, tuple(out), notes)
+
+
+def _nondegenerate(rows: dict, m: int) -> bool:
+    """True when the m x m integer form with sparse rows i -> {j: n} has
+    rank m modulo P, which certifies rank m over the rationals; False
+    otherwise, also when P merely divides its determinant."""
+    return len(independent_rows_mod_p(rows.values(), m)) == m
+
+
+def _acyclic_ranks(cochains, r0: int) -> list[int]:
+    """Ranks of a complex exact from degree 1 on, whose delta_0 has rank
+    r0: H^q = 0 makes r_q = c_q - r_{q-1}."""
+    ranks = [r0]
+    for c in cochains[1:]:
+        ranks.append(c - ranks[-1])
+    return ranks
 
 
 def _certified_ranks(deltas) -> list[int]:
@@ -262,6 +318,8 @@ def _certified_ranks(deltas) -> list[int]:
         if q is None:
             break
         rows, ncols, _ = deltas[q]
+        envelope("exact elimination cells", len(kept[q]) * ncols,
+                 ROW_SPACE_CELL_BOUND)
         primitive = []
         for row in rows.values():
             g = gcd(*row.values()) or 1
@@ -537,9 +595,15 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
     envelope("cochain index tuples",
              sum(comb(L.dim, p) + comb(L.dim, p + 1)
                  for p in range(max_degree + 1)), COCHAIN_TUPLE_BOUND)
+    m = L.dim
+    if coefficients == ADJOINT and _nondegenerate(_killing_rows(L.sparse), m):
+        # semisimple (Cartan), so H^q(g, g) = 0 (Whitehead) and the centre
+        # is zero: delta_0 is injective
+        cochains = [comb(m, p) * m for p in range(max_degree + 1)]
+        return _report("chevalley-eilenberg", ADJOINT, m, cochains,
+                       _acyclic_ranks(cochains, m))
     deltas = [_ce_delta(L, coefficients, p) for p in range(max_degree + 1)]
-    return _dims_from_deltas("chevalley-eilenberg", coefficients, L.dim,
-                             deltas)
+    return _dims_from_deltas("chevalley-eilenberg", coefficients, m, deltas)
 
 
 def scalar_coboundary_rows(algebra, q: int) -> list[dict[int, int]]:
@@ -628,8 +692,17 @@ def hochschild_dims(algebra: BilinearProduct,
     envelope("cochain index tuples",
              sum(algebra.dim ** (q + 1) for q in range(max_degree + 1)),
              COCHAIN_TUPLE_BOUND)
+    m, sp = algebra.dim, algebra.sparse
+    if _nondegenerate(_trace_form_rows(sp, m), m):
+        # semisimple, so separable: HH^q(A, A) = 0 for q >= 1, and H^0 is
+        # the centre, the kernel of delta_0
+        entries, ncols, _ = _hochschild_delta(algebra, 0)
+        cochains = [m ** (q + 1) for q in range(max_degree + 1)]
+        r0 = linalg.sparse_rank(list(accumulate(entries).values()), ncols)
+        return _report("hochschild", ADJOINT, m, cochains,
+                       _acyclic_ranks(cochains, r0))
     deltas = [_hochschild_delta(algebra, q) for q in range(max_degree + 1)]
-    return _dims_from_deltas("hochschild", ADJOINT, algebra.dim, deltas)
+    return _dims_from_deltas("hochschild", ADJOINT, m, deltas)
 
 
 def maurer_cartan_defect(mu: LieAlgebra, b_table) -> DefectTensor:

@@ -34,7 +34,7 @@ from itertools import count, islice, product as iproduct
 from math import isqrt
 
 from koszul import linalg, spaces
-from koszul.algebra import LieAlgebra
+from koszul.algebra import LieAlgebra, _left_traces
 from koszul.cohomology import scalar_coboundary_rows
 from koszul.connections import (InvariantConnection, cartan_connection,
                                 form_dual, is_locally_flat, is_torsion_free,
@@ -430,10 +430,7 @@ def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     """
     m = L.dim
     sp = L.sparse
-    traces = [0] * m
-    for i, j, k, n in sp.nonzeros:
-        if j == k:
-            traces[i] += n
+    traces = _left_traces(sp, m)
     hit = next((i for i, t in enumerate(traces) if t), None)
     if hit is not None:
         return ExistenceVerdict("no", certificate=(

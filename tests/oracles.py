@@ -985,6 +985,18 @@ def dense_killing_form(L):
     return tuple(entries)
 
 
+def dense_trace_form(p):
+    """t(x, y) = tr L_{xy}, the trace form of a product, as a matrix: the
+    trace of left multiplication by each product e_i·e_j."""
+    m = p.dim
+    lefts = p.left_matrices
+    basis = [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)]
+    return tuple(tuple(sum(x * lefts[a][b][b]
+                           for a, x in enumerate(p.mult(basis[i], basis[j]))
+                           for b in range(m))
+                       for j in range(m)) for i in range(m))
+
+
 def dense_torsion(conn):
     """T(e_i,e_j) = nabla_i e_j − nabla_j e_i − [e_i,e_j], rank-3 tensor."""
     m = conn.dim

@@ -1,19 +1,24 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from itertools import combinations
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import cohomology, linalg
+from koszul import algebra, cohomology, linalg
 from koszul._kernel import P
 from koszul.algebra import (abelian, lie_from_sparse, product_from_sparse,
                             zero_product)
-from koszul.catalog import heisenberg, heisenberg_kv, sl2, so3
+from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.cohomology import (
     ADJOINT,
     SCALAR,
@@ -35,19 +40,21 @@ from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
 from conftest import (conjugate_lie, conjugate_product, direct_sum_lie,
-                      eliminations, rand_fraction, rand_invertible,
-                      random_lie, truncated_poly)
+                      direct_sum_products, eliminations, rand_fraction,
+                      rand_invertible, random_lie, truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_ce_cohomology_dims, dense_dims_from_deltas,
                      dense_hochschild_coboundary,
-                     dense_hochschild_dims, dense_kv_coboundary,
-                     dense_kv_cohomology_dims, dense_maurer_cartan_defect,
+                     dense_hochschild_dims, dense_killing_form,
+                     dense_kv_coboundary, dense_kv_cohomology_dims,
+                     dense_maurer_cartan_defect, dense_trace_form,
                      dict_check_square, full_width_lower_bounds,
                      hochschild_coboundary_matrix,
                      hochschild_delta_by_cochains, is_zero_matrix,
                      kv_coboundary_matrix, kv_delta_by_cochains,
                      sorting_ce_entries)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CHECKS = settings(derandomize=True, database=None, deadline=None,
                   max_examples=100,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -634,7 +641,125 @@ def test_a_coboundary_that_does_not_square_to_zero_is_refused(monkeypatch):
 
     monkeypatch.setattr(cohomology, "_ce_entries", broken)
     with pytest.raises(ConformanceMismatch, match="squares to nonzero"):
-        ce_cohomology_dims(so3(), ADJOINT)
+        _eliminated(ce_cohomology_dims, so3(), ADJOINT)
+
+
+# Semisimple algebras: adjoint Chevalley-Eilenberg and Hochschild ranks from
+# one trace-form rank, with no coboundary generated past delta_0; every
+# other input is eliminated as before.
+
+def semisimple_lie():
+    return [so3(), sl2(), direct_sum_lie(so3(), sl2()),
+            direct_sum_lie(sl2(), sl2())]
+
+
+def semisimple_products():
+    return [matrix_algebra(2),
+            direct_sum_products(matrix_algebra(2), matrix_algebra(1))]
+
+
+def test_semisimple_reports_match_the_dense_oracles(rng):
+    for L in _with_dense_copies(semisimple_lie(), conjugate_lie, rng):
+        for max_degree in range(4):
+            assert ce_cohomology_dims(L, ADJOINT, max_degree) == \
+                dense_ce_cohomology_dims(L, ADJOINT, max_degree)
+    for p in _with_dense_copies(semisimple_products(), conjugate_product,
+                                rng):
+        for max_degree in range(3):
+            assert hochschild_dims(p, max_degree) == \
+                dense_hochschild_dims(p, max_degree)
+
+
+def test_a_semisimple_input_walks_no_coboundary_past_degree_zero(
+        monkeypatch, rng):
+    lies = _with_dense_copies(semisimple_lie(), conjugate_lie, rng)
+    products = _with_dense_copies(semisimple_products(), conjugate_product,
+                                  rng)
+    # the reports the oracles confirm above, taken before the patches
+    want = ([ce_cohomology_dims(L, ADJOINT) for L in lies],
+            [hochschild_dims(p) for p in products])
+
+    def walked(*args):
+        raise AssertionError("a coboundary past delta_0 was generated")
+    hochschild = cohomology._hochschild_entries
+
+    def degree_zero(sp, m, q):
+        return walked() if q else hochschild(sp, m, q)
+    for name in ("_ce_entries", "_kv_entries", "_certified_ranks",
+                 "_check_square", "row_space"):
+        monkeypatch.setattr(cohomology, name, walked)
+    monkeypatch.setattr(cohomology, "_hochschild_entries", degree_zero)
+    assert ([ce_cohomology_dims(L, ADJOINT) for L in lies],
+            [hochschild_dims(p) for p in products]) == want
+    assert {r.betti() for r in want[0]} == {(0, 0, 0, 0)}
+    assert [r.betti() for r in want[1]] == [(1, 0, 0)] * 2 + [(2, 0, 0)] * 2
+
+
+def test_inputs_that_are_not_semisimple_are_eliminated(rng):
+    # so3 + R is reductive: its Killing form is degenerate and H^0 is its
+    # centre; trivial coefficients and the KV complex take no trace form
+    cases = (
+        [(ce_cohomology_dims, L, ADJOINT) for L in _with_dense_copies(
+            [direct_sum_lie(so3(), abelian(1)), aff1(), heisenberg(),
+             direct_sum_lie(sl2(), aff1())], conjugate_lie, rng)]
+        + [(ce_cohomology_dims, L, TRIVIAL) for L in semisimple_lie()]
+        + [(hochschild_dims, p, 2) for p in _with_dense_copies(
+            [product_from_sparse(2, DUAL), truncated_poly(3)],
+            conjugate_product, rng)])
+    oracles = {ce_cohomology_dims: dense_ce_cohomology_dims,
+               hochschild_dims: dense_hochschild_dims}
+    for dims, a, option in cases:
+        with rank_passes() as seen:
+            report = dims(a, option)
+        assert len(seen) == 1
+        assert report == oracles[dims](a, option)
+    with rank_passes() as seen:
+        report = kv_cohomology_dims(matrix_algebra(2), ADJOINT, 2)
+    assert len(seen) == 1
+    assert report == dense_kv_cohomology_dims(matrix_algebra(2), ADJOINT, 2)
+
+
+def test_the_trace_forms_match_their_dense_formulas(rng):
+    for L in _with_dense_copies(conftest.lie_pool() + semisimple_lie(),
+                                conjugate_lie, rng):
+        sp = L.sparse
+        rows = algebra._killing_rows(sp)
+        assert tuple(tuple(Fraction(rows.get(i, {}).get(j, 0), sp.den ** 2)
+                           for j in range(L.dim)) for i in range(L.dim)) \
+            == dense_killing_form(L)
+    for p in _with_dense_copies(conftest.assoc_pool() + semisimple_products(),
+                                conjugate_product, rng):
+        sp = p.sparse
+        rows = algebra._trace_form_rows(sp, p.dim)
+        assert tuple(tuple(Fraction(rows.get(i, {}).get(j, 0), sp.den ** 2)
+                           for j in range(p.dim)) for i in range(p.dim)) \
+            == dense_trace_form(p)
+
+
+def test_an_elimination_too_wide_for_memory_is_refused(tmp_path):
+    # KV adjoint to degree 3 on a dim-16 product with one nonzero passes
+    # the contribution and tuple bounds, but its exact elimination would
+    # write 11,056 rows over 65,536 columns; the scalar one is answered.
+    # The address space is capped, so an unrefused run ends in MemoryError
+    # rather than exhausting the machine.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dim": 16, "gamma": [[0, 0, 0, "1"]]}))
+    prelude = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from koszul.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", prelude, "kv-cohomology", "--complex", "kv",
+         "--coeffs", "adjoint", "--product", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "")
+    assert json.loads(done.stdout)["error"] == {
+        "message": "refused: exact elimination cells estimated at "
+                   "724566016, above the bound of 60000000",
+        "type": "ValidationError"}
+    one = product_from_sparse(16, [(0, 0, 0, 1)])
+    assert kv_cohomology_dims(one, SCALAR).betti() == (1, 15, 240, 3600)
 
 
 def _sparse(a, nrows_cols):
@@ -665,19 +790,37 @@ def rank_passes():
     independent = cohomology.independent_rows_mod_p
 
     def spy_ranks(deltas):
-        seen.append((deltas, [], []))
-        return certified(deltas)
+        kept, columns = [], []
+        seen.append((deltas, kept, columns))
 
-    def spy_pass(rows, bound):
-        rows = list(rows)
-        _, kept, columns = seen[-1]
-        kept.append(independent(rows, bound))
-        columns.append({j for row in rows for j in row})
-        return kept[-1]
+        def spy_pass(rows, bound):
+            rows = list(rows)
+            kept.append(independent(rows, bound))
+            columns.append({j for row in rows for j in row})
+            return kept[-1]
 
-    with mock.patch.object(cohomology, "_certified_ranks", spy_ranks), \
-            mock.patch.object(cohomology, "independent_rows_mod_p", spy_pass):
+        # only the passes of this call: a trace form is also ranked mod P
+        with mock.patch.object(cohomology, "independent_rows_mod_p",
+                               spy_pass):
+            return certified(deltas)
+
+    with mock.patch.object(cohomology, "_certified_ranks", spy_ranks):
         yield seen
+
+
+def _eliminated(dims, a, option):
+    """dims(a, option) through the elimination path: the deltas that dims
+    builds, handed to `_dims_from_deltas`, also where a semisimple input
+    would take the trace-form route instead."""
+    if dims is ce_cohomology_dims:
+        return cohomology._dims_from_deltas(
+            "chevalley-eilenberg", option, a.dim,
+            [cohomology._ce_delta(a, option, p) for p in range(4)])
+    if dims is hochschild_dims:
+        return cohomology._dims_from_deltas(
+            "hochschild", ADJOINT, a.dim,
+            [cohomology._hochschild_delta(a, q) for q in range(option + 1)])
+    return dims(a, option)
 
 
 def _certified_with_full_width_counts(deltas):
@@ -722,7 +865,8 @@ def test_counts_mod_p_match_the_full_width_oracle(rng):
            for coeffs in (TRIVIAL, ADJOINT)])
     for dims, a, option in cases:
         with rank_passes() as seen:
-            dims(a, option)
+            report = _eliminated(dims, a, option)
+        assert report == dims(a, option)
         (deltas, _, _), = seen
         assert _certified_with_full_width_counts(deltas) == \
             _exact_ranks([_dense(d) for d in deltas])
@@ -730,7 +874,7 @@ def test_counts_mod_p_match_the_full_width_oracle(rng):
 
 def test_each_coboundary_is_read_on_a_complement_of_the_previous_image():
     with rank_passes() as seen:
-        ce_cohomology_dims(direct_sum_lie(so3(), sl2()), ADJOINT)
+        _eliminated(ce_cohomology_dims, direct_sum_lie(so3(), sl2()), ADJOINT)
     (deltas, kept, columns), = seen
     for q in range(1, len(deltas)):
         keys = list(deltas[q - 1][0])
