@@ -630,9 +630,7 @@ def _killing_rows(s: SparseTable) -> dict[int, dict[int, int]]:
     integer rows i -> {j: sum}, summed over the pairs of nonzeros that
     share the (a, b) / (b, a) slots; a row or cell no pair reaches is
     absent."""
-    by_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, a, b, n in s.nonzeros:
-        by_slots.setdefault((a, b), []).append((i, n))
+    by_slots = _by_slots(s)
     rows: dict[int, dict[int, int]] = {}
     for (a, b), left in by_slots.items():
         right = by_slots.get((b, a))
@@ -642,6 +640,22 @@ def _killing_rows(s: SparseTable) -> dict[int, dict[int, int]]:
                 for j, w in right:
                     row[j] = row.get(j, 0) + v * w
     return rows
+
+
+def _killing_products(s: SparseTable) -> int:
+    """How many products `_killing_rows` sums, counted from the lengths of
+    its slot lists without forming any; it writes no more cells."""
+    by_slots = _by_slots(s)
+    return sum(len(left) * len(by_slots.get((b, a), ()))
+               for (a, b), left in by_slots.items())
+
+
+def _by_slots(s: SparseTable) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """(a, b) -> [(i, n)] over the nonzeros (i, a, b, n)."""
+    by_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, a, b, n in s.nonzeros:
+        by_slots.setdefault((a, b), []).append((i, n))
+    return by_slots
 
 
 def _trace_form_rows(s: SparseTable, m: int) -> dict[int, dict[int, int]]:

@@ -53,12 +53,19 @@ criterion), so H^q(g, g) = 0 in every degree (Whitehead 1937, through the
 Casimir) and the centre is zero: r_0 = m. A nondegenerate trace form
 makes the associative algebra semisimple, since every nilpotent ideal lies
 in the form's radical, so separable, and HH^q(A, A) = 0 for q >= 1
-(Hochschild, Ann. Math. 1945): r_0 is the exact rank of delta_0, m minus
-the dimension of the centre. Either way r_q = c_q - r_{q-1} for q >= 1.
-Every other input, and one whose form has rank below m modulo the prime,
-is ranked as above; both routes write the report through `_report`. The
-trivial Chevalley-Eilenberg complex and the KV complex always are: no
-such theorem fixes their ranks (so3 has trivial H^3 of dimension 1).
+(Hochschild, Ann. Math. 1945): r_0 is the rank of delta_0, certified as
+above, m minus the dimension of the centre. Either way r_q = c_q - r_{q-1}
+for q >= 1. The trace form costs one term per nonzero, but the Killing
+form one product per pair of nonzeros in the (a, b) / (b, a) slots, which
+can be far more than the contributions of a low-degree complex ([e_i, e_0]
+= e_0 has (m - 1)² of them and 2(m - 1) contributions at degree 0). So the
+products are counted from the slot lists first, and the Killing form is
+summed only when they are no more than the contributions the elimination
+would generate. Every other input, and one whose form has rank below m
+modulo the prime, is ranked as above; both routes write the report
+through `_report`. The trivial Chevalley-Eilenberg complex and the KV
+complex always are: no such theorem fixes their ranks (so3 has trivial
+H^3 of dimension 1).
 
 Before any contribution is generated, their number is counted from the
 table's list lengths, and a complex with more than `ENTRY_BOUND` of them is
@@ -99,9 +106,9 @@ from math import comb, gcd
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
 from koszul.algebra import (ENTRY_BOUND, BilinearProduct, DefectTensor,
-                            LieAlgebra, SparseTable, _killing_rows,
-                            _trace_form_rows, envelope, jacobi_defect,
-                            kv_anomaly, operator_defect)
+                            LieAlgebra, SparseTable, _killing_products,
+                            _killing_rows, _trace_form_rows, envelope,
+                            jacobi_defect, kv_anomaly, operator_defect)
 from koszul.errors import (ConformanceMismatch, NotAssociative, NotKV,
                            ValidationError)
 from koszul.linalg import Vec, frac
@@ -589,14 +596,17 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
     if coefficients not in (TRIVIAL, ADJOINT):
         raise ValidationError("coefficients must be trivial or adjoint")
     _check_max_degree(max_degree, 3)
-    envelope("coboundary contributions",
-             sum(_ce_contributions(L.sparse, L.dim, p, coefficients == ADJOINT)
-                 for p in range(max_degree + 1)), ENTRY_BOUND)
+    contributions = sum(_ce_contributions(L.sparse, L.dim, p,
+                                          coefficients == ADJOINT)
+                        for p in range(max_degree + 1))
+    envelope("coboundary contributions", contributions, ENTRY_BOUND)
     envelope("cochain index tuples",
              sum(comb(L.dim, p) + comb(L.dim, p + 1)
                  for p in range(max_degree + 1)), COCHAIN_TUPLE_BOUND)
     m = L.dim
-    if coefficients == ADJOINT and _nondegenerate(_killing_rows(L.sparse), m):
+    if (coefficients == ADJOINT
+            and _killing_products(L.sparse) <= contributions
+            and _nondegenerate(_killing_rows(L.sparse), m)):
         # semisimple (Cartan), so H^q(g, g) = 0 (Whitehead) and the centre
         # is zero: delta_0 is injective
         cochains = [comb(m, p) * m for p in range(max_degree + 1)]
@@ -696,9 +706,9 @@ def hochschild_dims(algebra: BilinearProduct,
     if _nondegenerate(_trace_form_rows(sp, m), m):
         # semisimple, so separable: HH^q(A, A) = 0 for q >= 1, and H^0 is
         # the centre, the kernel of delta_0
-        entries, ncols, _ = _hochschild_delta(algebra, 0)
+        entries, ncols, nrows = _hochschild_delta(algebra, 0)
         cochains = [m ** (q + 1) for q in range(max_degree + 1)]
-        r0 = linalg.sparse_rank(list(accumulate(entries).values()), ncols)
+        r0 = _certified_ranks([(accumulate(entries), ncols, nrows)])[0]
         return _report("hochschild", ADJOINT, m, cochains,
                        _acyclic_ranks(cochains, r0))
     deltas = [_hochschild_delta(algebra, q) for q in range(max_degree + 1)]

@@ -682,17 +682,48 @@ def test_a_semisimple_input_walks_no_coboundary_past_degree_zero(
     def walked(*args):
         raise AssertionError("a coboundary past delta_0 was generated")
     hochschild = cohomology._hochschild_entries
+    certified = cohomology._certified_ranks
 
     def degree_zero(sp, m, q):
         return walked() if q else hochschild(sp, m, q)
-    for name in ("_ce_entries", "_kv_entries", "_certified_ranks",
-                 "_check_square", "row_space"):
+
+    def delta_0_alone(deltas):
+        # the Hochschild route certifies the rank of delta_0 by itself
+        return walked() if len(deltas) > 1 else certified(deltas)
+    for name in ("_ce_entries", "_kv_entries", "_check_square"):
         monkeypatch.setattr(cohomology, name, walked)
     monkeypatch.setattr(cohomology, "_hochschild_entries", degree_zero)
+    monkeypatch.setattr(cohomology, "_certified_ranks", delta_0_alone)
     assert ([ce_cohomology_dims(L, ADJOINT) for L in lies],
             [hochschild_dims(p) for p in products]) == want
     assert {r.betti() for r in want[0]} == {(0, 0, 0, 0)}
     assert [r.betti() for r in want[1]] == [(1, 0, 0)] * 2 + [(2, 0, 0)] * 2
+
+
+def test_a_killing_form_costlier_than_the_complex_is_not_summed():
+    # [e_i, e_0] = e_0 (i >= 1) at the widest dimension its Jacobi check
+    # admits: (m - 1)² Killing products against 2(m - 1) contributions to
+    # degree 0, so delta_0 is eliminated and no Killing row is built
+    m = 1000
+    L = lie_from_sparse(m, [(i, 0, 0, 1) for i in range(1, m)])
+    assert algebra._killing_products(L.sparse) == (m - 1) ** 2
+
+    def summed(*args):
+        raise AssertionError("the Killing form was summed")
+    with mock.patch.object(cohomology, "_killing_rows", summed), \
+            rank_passes() as seen:
+        report = ce_cohomology_dims(L, ADJOINT, 0)
+    assert len(seen) == 1
+    # the centre is sum_{i >= 1} x_i e_i with sum x_i = 0
+    assert report == cohomology._dims_from_deltas(
+        "chevalley-eilenberg", ADJOINT, m,
+        [cohomology._ce_delta(L, ADJOINT, 0)])
+    assert report.betti() == (m - 2,)
+    # so3 still takes the route at degree 0, where its products are no
+    # more than the contributions of a sparse table
+    with rank_passes() as seen:
+        assert ce_cohomology_dims(so3(), ADJOINT, 0).betti() == (0,)
+    assert seen == []
 
 
 def test_inputs_that_are_not_semisimple_are_eliminated(rng):
