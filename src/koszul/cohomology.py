@@ -35,13 +35,21 @@ As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q = 0, r_q <= u_q =
 min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q = u_q, r_q = l_q;
 the square that bound relies on is then checked exactly as a sparse integer
 product, each of its rows summed into one list indexed by column (a nonzero
-one raises ConformanceMismatch). Where l_q < u_q the rows independent mod
-the prime are eliminated exactly and every other row is checked to lie in
-their span (`koszul._kernel.row_space`; all rows are eliminated when a
-check fails), and that rank replaces l_q in its neighbours' bounds.
-Acyclic degrees meet the bound. An exact elimination writes its kept
-rows out densely over every column of its coboundary, so their cell count
-is refused above `ROW_SPACE_CELL_BOUND` before any row is written.
+one raises ConformanceMismatch). Where l_q < u_q the rank is made exact
+from the same pass (`koszul._kernel.row_space`): the reduced form it built
+mod P of delta_q's columns outside T is lifted to fractions, and every row
+of delta_q on those columns is checked in integers to lie in the lifted
+rows' span; when a lift or the check fails, the rows kept mod the prime,
+then if need be every row, are eliminated by Bareiss instead. Either way
+this is the rank of delta_q on the columns outside T, and it is the rank
+of delta_q: delta_{q-1}[T, :] has full row rank, so delta_q delta_{q-1} = 0
+gives delta_q[:, T] = -delta_q[:, rest] delta_{q-1}[rest, :]
+delta_{q-1}[T, :]^+, whose columns lie in the span of delta_q[:, rest].
+So that square is checked exactly too, and the rank replaces l_q in its
+neighbours' bounds. Acyclic degrees meet the bound. Both routes write
+their rows out densely over every column of the coboundary, so the cell
+count of the kept rows is refused above `ROW_SPACE_CELL_BOUND` before any
+row is written.
 
 Semisimple algebras need no coboundary past delta_0. With adjoint
 coefficients `ce_cohomology_dims` first sums the Killing form tr(ad_x
@@ -101,7 +109,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb, gcd
+from math import comb
 
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p, row_space
@@ -126,16 +134,17 @@ TRIVIAL = "trivial"
 # (954,304) takes about 7 s and 880 MB.
 COCHAIN_TUPLE_BOUND = 10 ** 6
 # Where the bounds of a rank mod P are not met, `row_space` writes the rows
-# kept mod P out densely over every column of their coboundary, about 16
-# bytes a cell, so a complex that passes both bounds above can still be too
-# wide for memory: KV adjoint to degree 3 on a dim-16 product with one
-# nonzero would write 11,056 rows over 65,536 columns (7.2e8 cells, over
-# 10 GB). It is refused before any row is written out. The widest
-# eliminations below the bound are the scalar KV complex of a dim-31
-# product with one nonzero (5.5e7 cells, about 7 s and 880 MB, the widest
-# the tuple bound lets through) and the adjoint one of dim 11 (800 MB);
-# dim 16 scalar is 2.0e6 cells (0.3 s), and the widest of the tests 72 x
-# 90.
+# it lifts from the pass mod P, or on its fallback the rows kept mod P, out
+# densely over every column of their coboundary, about 16 bytes a cell, so
+# a complex that passes both bounds above can still be too wide for
+# memory: KV adjoint to degree 3 on a dim-16 product with one nonzero would
+# write 11,056 rows over 65,536 columns (7.2e8 cells, over 10 GB). It is
+# refused before any row is written out. The widest ranks made exact
+# below the bound are the scalar KV complex of a dim-31 product with one
+# nonzero (5.5e7 cells, the widest the tuple bound lets through; about 2 s
+# and 450 MB, 7 s and 880 MB by Bareiss alone) and the adjoint one of dim
+# 11 (0.6 s and 410 MB, 5.8 s and 800 MB); dim 16 scalar is 2.0e6 cells
+# (0.1 s), and the widest of the tests 72 x 90.
 ROW_SPACE_CELL_BOUND = 6 * 10 ** 7
 
 
@@ -276,7 +285,7 @@ def _nondegenerate(rows: dict, m: int) -> bool:
     """True when the m x m integer form with sparse rows i -> {j: n} has
     rank m modulo P, which certifies rank m over the rationals; False
     otherwise, also when P merely divides its determinant."""
-    return len(independent_rows_mod_p(rows.values(), m)) == m
+    return len(independent_rows_mod_p(rows.values(), m)[0]) == m
 
 
 def _acyclic_ranks(cochains, r0: int) -> list[int]:
@@ -296,13 +305,15 @@ def _certified_ranks(deltas) -> list[int]:
     no contributions rank 0 without elimination.
     """
     n = len(deltas)
-    kept: list[list[int]] = []
+    kept, bases, images = [], [], []
     image: set[int] = set()   # C^q coordinates of delta_{q-1}'s kept rows
     for rows, ncols, _ in deltas:
         bound = min(len(rows), ncols - len(image))
-        kept.append(independent_rows_mod_p(
-            ({j: x for j, x in row.items() if j not in image}
-             for row in rows.values()), bound))
+        positions, basis = independent_rows_mod_p(_outside(rows, image),
+                                                  bound)
+        kept.append(positions)
+        bases.append(basis)
+        images.append(image)
         keys = list(rows)
         image = {keys[i] for i in kept[-1]}
     low = [len(k) for k in kept]
@@ -327,15 +338,24 @@ def _certified_ranks(deltas) -> list[int]:
         rows, ncols, _ = deltas[q]
         envelope("exact elimination cells", len(kept[q]) * ncols,
                  ROW_SPACE_CELL_BOUND)
-        primitive = []
-        for row in rows.values():
-            g = gcd(*row.values()) or 1
-            primitive.append({j: x // g for j, x in row.items()})
-        low[q] = len(row_space(primitive, ncols, kept[q])[1])
+        low[q] = len(row_space(list(_outside(rows, images[q])), ncols,
+                               kept[q], bases[q])[1])
         exact[q] = True
-    for q in sorted({square(q) for q in range(n)} - {()}):
+    # an exact rank read outside delta_{q-1}'s kept coordinates is the rank
+    # of delta_q only where delta_q delta_{q-1} = 0
+    squares = {square(q) for q in range(n)} - {()}
+    squares.update(q - 1 for q in range(n) if exact[q] and images[q])
+    for q in sorted(squares):
         _check_square(deltas[q + 1][0], deltas[q][0], deltas[q][1], q)
     return low
+
+
+def _outside(rows: dict, cut: set):
+    """The rows' values, each without the columns in `cut`."""
+    if not cut:
+        return rows.values()
+    return ({j: x for j, x in row.items() if j not in cut}
+            for row in rows.values())
 
 
 def _check_square(after: dict, first: dict, ncols: int, q: int) -> None:

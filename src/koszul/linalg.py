@@ -11,15 +11,16 @@ pivot per row, so the only rational step is one division by the pivot per
 output entry. All of these work on the nonzero entries only: a zero cell
 costs nothing to scale, eliminate or back-substitute.
 
-A system with more rows than columns (m^3 gauge conditions on m^2
-unknowns, say) is reduced from a certificate rather than from every row:
-the rows independent modulo a prime are independent over the rationals,
-so they alone are eliminated, and every other row is checked in integers
-to lie in the span of the result (`koszul._kernel.row_space`). The
-reduced row-echelon form is a function of the row space, so it is the same
-as eliminating every row; when a check fails, every row is eliminated.
-`rank`, `det` and systems with no more rows than columns eliminate every
-row directly.
+A sparse system is reduced from one pass modulo a prime, whatever its
+shape (`koszul._kernel.row_space`): the pass keeps the rows independent
+mod P, which are independent over the rationals, and builds their reduced
+form mod P; each entry of that form is lifted to a small fraction, and the
+lifted rows are checked in integers to span every row. The reduced
+row-echelon form is a function of the row space, so passing the check
+makes them the reduced form of the whole system; when a lift or the check
+fails, the kept rows, then if need be every row, are eliminated by
+Bareiss. `rank`, `det`, `integer_inverse` and dense systems with no more
+rows than columns eliminate every row directly.
 """
 
 from __future__ import annotations
@@ -183,17 +184,14 @@ def det(a) -> Fraction:
 
 def _reduce(rows: list[dict[int, int]], ncols: int):
     """Integer reduced echelon (rows, pivots, supports) of sparse integer
-    rows, from the rows independent mod P when there are more rows than
-    columns, else from every row. When ncols rows are independent mod P
-    they are independent over Q, so the rank is ncols and the reduced form
-    is the identity, with no exact elimination."""
-    if len(rows) <= ncols:
-        return row_space(rows, ncols, range(len(rows)))
-    kept = independent_rows_mod_p(rows, ncols)
+    rows, from their pass mod P (`koszul._kernel.row_space`). When ncols
+    rows are independent mod P they are independent over Q, so the rank is
+    ncols and the reduced form is the identity, with no check."""
+    kept, basis = independent_rows_mod_p(rows, ncols)
     if len(kept) == ncols:
         return ([[int(j == c) for j in range(ncols)] for c in range(ncols)],
                 list(range(ncols)), [[c] for c in range(ncols)])
-    return row_space(rows, ncols, kept)
+    return row_space(rows, ncols, kept, basis)
 
 
 def _reduce_dense(rows, ncols: int):

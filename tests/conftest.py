@@ -20,7 +20,7 @@ from koszul.flatmodels import affine_algebra
 from koszul.forms import BilinearForm
 from koszul.spencer import SymbolSpace
 from oracles import (dense_conjugate_product, dense_direct_sum_products,
-                     dense_lie, dense_product)
+                     dense_lie, dense_product, dense_rref_mod)
 
 
 def rand_fraction(rng, lo=-2, hi=2):
@@ -225,10 +225,11 @@ def assert_rows_match(sparse, dense, ncols: int) -> None:
 
 @contextmanager
 def eliminations():
-    """Yields a list that collects the row count of every exact reduction
-    (`_kernel.reduced_echelon`) made inside the block: one per system when
-    the rows kept mod P pass the span check, two when every row is then
-    eliminated."""
+    """Yields a list that collects the row count of every Bareiss reduction
+    (`_kernel.reduced_echelon`) made inside the block. A system whose
+    reduced form mod P lifts to one that spans every row makes none; one
+    that falls back makes one for the rows kept mod P when they pass the
+    span check, two when every row is then eliminated."""
     seen = []
     real = _kernel.reduced_echelon
 
@@ -239,6 +240,27 @@ def eliminations():
     with mock.patch.object(_kernel, "reduced_echelon", spy), \
             mock.patch.object(linalg, "reduced_echelon", spy):
         yield seen
+
+
+def expected_eliminations(ints, kept: int) -> list[int]:
+    """What `eliminations` collects from `_kernel.row_space` on the integer
+    rows `ints`, of which the pass mod P kept `kept` reading every row:
+    nothing when their reduced form mod P is the residue of the exact one
+    and every exact entry is within the reconstruction bound (the lift is
+    then the exact form); else the kept rows, then every row when they
+    fall short of the rank."""
+    red, pivots, _ = _kernel.reduced_echelon(ints)
+    exact = [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)]
+    # within the bound every denominator is a unit mod P
+    lifts = all(abs(x.numerator) <= _kernel._HALF
+                and x.denominator <= _kernel._HALF
+                for row in exact for x in row) and dense_rref_mod(
+        ints, _kernel.P) == ([[x.numerator * pow(x.denominator, -1, _kernel.P)
+                               % _kernel.P for x in row] for row in exact],
+                             pivots)
+    if lifts:
+        return []
+    return [kept] if kept == len(pivots) else [kept, len(ints)]
 
 
 @pytest.fixture

@@ -17,9 +17,10 @@ completeness rungs, the flag-chain nilpotency test and the seeded
 determinant sampling (`jointly_nilpotent`, `sampling_completeness`), its former
 sympy root analysis for dimension <= 2 (`root_analysis_completeness`), its former
 dense FE* solver, its former cohomology dimensions (exact rank of every
-dense coboundary matrix, `dense_dims_from_deltas`), plain Gaussian
-elimination modulo a prime (`dense_rank_mod`), its former pass over rows
-modulo P, which cleared each new pivot from every kept row
+dense coboundary matrix, `dense_dims_from_deltas`), plain Gauss-Jordan
+elimination modulo a prime (`dense_rref_mod`, `dense_rank_mod`), its
+former pass over rows modulo P, which cleared each new pivot from every
+kept row
 (`full_scan_independent_rows_mod_p`), its former lower bounds for the
 coboundary ranks, each read over all of its columns
 (`full_width_lower_bounds`), its former reduced
@@ -230,11 +231,13 @@ def dense_bareiss(rows):
     return a, pivots, sign
 
 
-def dense_rank_mod(rows, p):
-    """Rank of an integer matrix over the integers mod a prime p, by plain
-    Gaussian elimination over every cell."""
+def dense_rref_mod(rows, p) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form of an integer matrix over the integers mod
+    a prime p, (nonzero rows, pivot columns), by plain Gauss-Jordan
+    elimination over every cell."""
     a = [[x % p for x in row] for row in rows]
     rank = 0
+    pivots = []
     for c in range(len(a[0]) if a else 0):
         pr = next((i for i in range(rank, len(a)) if a[i][c]), None)
         if pr is None:
@@ -246,8 +249,14 @@ def dense_rank_mod(rows, p):
             if i != rank and a[i][c]:
                 f = a[i][c]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        pivots.append(c)
         rank += 1
-    return rank
+    return a[:rank], pivots
+
+
+def dense_rank_mod(rows, p):
+    """Rank of an integer matrix over the integers mod a prime p."""
+    return len(dense_rref_mod(rows, p)[1])
 
 
 def full_scan_independent_rows_mod_p(rows, bound: int) -> list[int]:

@@ -40,8 +40,9 @@ from koszul.flatmodels import affine_algebra, matrix_algebra
 
 import conftest
 from conftest import (conjugate_lie, conjugate_product, direct_sum_lie,
-                      direct_sum_products, eliminations, rand_fraction,
-                      rand_invertible, random_lie, truncated_poly)
+                      direct_sum_products, eliminations,
+                      expected_eliminations, rand_fraction, rand_invertible,
+                      random_lie, truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_ce_cohomology_dims, dense_dims_from_deltas,
                      dense_hochschild_coboundary,
@@ -814,8 +815,8 @@ def _exact_ranks(mats):
 def rank_passes():
     """Yields a list with one (deltas, kept, columns) per `_certified_ranks`
     call made inside the block: the coboundaries it took and, for each
-    delta_q, the positions the mod-P pass kept and the columns it was
-    handed."""
+    delta_q, the positions the mod-P pass kept (its basis is passed on
+    unrecorded) and the columns it was handed."""
     seen = []
     certified = cohomology._certified_ranks
     independent = cohomology.independent_rows_mod_p
@@ -826,9 +827,10 @@ def rank_passes():
 
         def spy_pass(rows, bound):
             rows = list(rows)
-            kept.append(independent(rows, bound))
+            found = independent(rows, bound)
+            kept.append(found[0])
             columns.append({j for row in rows for j in row})
-            return kept[-1]
+            return found
 
         # only the passes of this call: a trace form is also ranked mod P
         with mock.patch.object(cohomology, "independent_rows_mod_p",
@@ -837,6 +839,32 @@ def rank_passes():
 
     with mock.patch.object(cohomology, "_certified_ranks", spy_ranks):
         yield seen
+
+
+@contextmanager
+def exact_routes():
+    """Yields (calls, seen): for each `row_space` call made inside the
+    block, its rows as dense integer rows and the number the pass mod P
+    kept; and the row counts of the Bareiss reductions made."""
+    calls = []
+    real = cohomology.row_space
+
+    def spy(rows, ncols, kept, basis):
+        calls.append(([[row.get(j, 0) for j in range(ncols)] for row in rows],
+                      len(kept)))
+        return real(rows, ncols, kept, basis)
+
+    with mock.patch.object(cohomology, "row_space", spy), \
+            eliminations() as seen:
+        yield calls, seen
+
+
+def assert_expected_routes(calls, seen):
+    """Each exact rank was lifted, with no Bareiss reduction, exactly
+    where the reduced form mod P is the residue of the exact one within
+    the reconstruction bound, and fell back to Bareiss elsewhere."""
+    assert seen == [n for ints, kept in calls
+                    for n in expected_eliminations(ints, kept)]
 
 
 def _eliminated(dims, a, option):
@@ -871,9 +899,11 @@ def _dense(delta):
 
 
 def test_counts_mod_p_match_the_full_width_oracle(rng):
-    # the catalog complexes, dense copies of them, and tables whose
-    # integers vanish mod P in whole or in one summand
-    cases = (
+    # the catalog complexes and dense copies of them, whose exact ranks the
+    # lift certifies with no Bareiss reduction, and tables whose integers
+    # vanish mod P in whole or in one summand, where the lift misses rows
+    # and Bareiss eliminates the rows kept mod P, then every row
+    lifted = (
         [(kv_cohomology_dims, p, module) for p in _with_dense_copies(
             conftest.kv_pool(), conjugate_product, rng)
          for module in (ADJOINT, SCALAR)]
@@ -881,31 +911,43 @@ def test_counts_mod_p_match_the_full_width_oracle(rng):
             conftest.lie_pool(max_dim=4), conjugate_lie, rng)
            for coeffs in (TRIVIAL, ADJOINT)]
         + [(hochschild_dims, p, 2) for p in _with_dense_copies(
-            conftest.assoc_pool(), conjugate_product, rng)]
-        + [(dims, build(2, _scaled(entries, scale)), option)
-           for scale in (P, 2 * P, Fraction(1, P))
-           for entries, build, dims, options in (
-               (AFF1, lie_from_sparse, ce_cohomology_dims,
-                (TRIVIAL, ADJOINT)),
-               (KV2, product_from_sparse, kv_cohomology_dims,
-                (ADJOINT, SCALAR)),
-               (DUAL, product_from_sparse, hochschild_dims, (2,)))
-           for option in options]
-        + [(ce_cohomology_dims, lie_from_sparse(4, AFF1 + [(2, 3, 3, s)]),
-            coeffs) for s in (P, Fraction(1, P))
-           for coeffs in (TRIVIAL, ADJOINT)])
-    for dims, a, option in cases:
-        with rank_passes() as seen:
+            conftest.assoc_pool(), conjugate_product, rng)])
+    scaled = [(dims, build(2, _scaled(entries, scale)), option)
+              for scale in (P, 2 * P, Fraction(1, P))
+              for entries, build, dims, options in (
+                  (AFF1, lie_from_sparse, ce_cohomology_dims,
+                   (TRIVIAL, ADJOINT)),
+                  (KV2, product_from_sparse, kv_cohomology_dims,
+                   (ADJOINT, SCALAR)),
+                  (DUAL, product_from_sparse, hochschild_dims, (2,)))
+              for option in options]
+    summand = [(ce_cohomology_dims, lie_from_sparse(4, AFF1 + [(2, 3, 3, s)]),
+                coeffs) for s in (P, Fraction(1, P))
+               for coeffs in (TRIVIAL, ADJOINT)]
+    oracles = {kv_cohomology_dims: dense_kv_cohomology_dims,
+               ce_cohomology_dims: dense_ce_cohomology_dims,
+               hochschild_dims: dense_hochschild_dims}
+    fell_back = 0
+    for case in lifted + scaled + summand:
+        dims, a, option = case
+        with rank_passes() as seen, exact_routes() as (calls, bareiss):
             report = _eliminated(dims, a, option)
-        assert report == dims(a, option)
+        assert report == dims(a, option) == oracles[dims](a, option)
+        assert_expected_routes(calls, bareiss)
+        if case in lifted:
+            assert bareiss == []
+        fell_back += bool(bareiss)
         (deltas, _, _), = seen
         assert _certified_with_full_width_counts(deltas) == \
             _exact_ranks([_dense(d) for d in deltas])
+    # P and 2P vanish mod P in every table, and P and 1/P in a summand
+    assert fell_back == 2 * 5 + 4
 
 
 def test_each_coboundary_is_read_on_a_complement_of_the_previous_image():
-    with rank_passes() as seen:
+    with rank_passes() as seen, eliminations() as bareiss:
         _eliminated(ce_cohomology_dims, direct_sum_lie(so3(), sl2()), ADJOINT)
+    assert bareiss == []
     (deltas, kept, columns), = seen
     for q in range(1, len(deltas)):
         keys = list(deltas[q - 1][0])
@@ -915,15 +957,34 @@ def test_each_coboundary_is_read_on_a_complement_of_the_previous_image():
 
 
 # C^0 -> C^1 -> C^2 with one rank that vanishes mod P: where the rank
-# drops, the bound from the other map is one more than l_q
-@pytest.mark.parametrize("mats, dims", [
-    ([[[1], [0]], [[0, P]]], (1, 2, 1)),
-    ([[[P], [0]], [[0, 1]]], (1, 2, 1)),
-    ([[[1, 0], [0, P], [0, 0]], [[0, 0, 1]]], (2, 3, 1)),
+# drops, the bound from the other map is one more than l_q, and the lift
+# misses a row, so Bareiss eliminates the rows kept mod P, then every row
+@pytest.mark.parametrize("mats, dims, bareiss", [
+    ([[[1], [0]], [[0, P]]], (1, 2, 1), [0, 1]),
+    ([[[P], [0]], [[0, 1]]], (1, 2, 1), [0, 2]),
+    ([[[1, 0], [0, P], [0, 0]], [[0, 0, 1]]], (2, 3, 1), [1, 3]),
 ])
-def test_certified_ranks_of_complexes_that_drop_mod_p(mats, dims):
+def test_certified_ranks_of_complexes_that_drop_mod_p(mats, dims, bareiss):
     deltas = [_sparse(a, dims[q:q + 2]) for q, a in enumerate(mats)]
-    assert _certified_with_full_width_counts(deltas) == _exact_ranks(mats)
+    with exact_routes() as (calls, seen):
+        ranks = _certified_with_full_width_counts(deltas)
+    assert ranks == _exact_ranks(mats)
+    assert seen == bareiss
+    assert_expected_routes(calls, seen)
+
+
+def test_a_lifted_rank_whose_square_is_nonzero_is_refused():
+    # delta_0 = (1, 0, 0)^T keeps C^1 coordinate 0, so delta_1 is read on
+    # columns 1 and 2, where it has rank 1 < 2 = dim C^1 - rank delta_0: the
+    # lift of that reading spans it, with no Bareiss reduction. Its rank 2
+    # on every column differs, which the reading hides only because
+    # delta_1 delta_0 = (1, 0)^T is not zero; the square check refuses it.
+    deltas = [_sparse([[1], [0], [0]], (1, 3)),
+              _sparse([[1, 0, 0], [0, 1, 0]], (3, 2))]
+    with eliminations() as seen, \
+            pytest.raises(ConformanceMismatch, match="from degree 0"):
+        cohomology._certified_ranks(deltas)
+    assert seen == []
 
 
 @CHECKS
@@ -948,4 +1009,7 @@ def test_certified_ranks_match_exact_ranks(a, mix, lift_rows, lift_cols):
          for i, row in enumerate(b)]
     dims = (len(a[0]), len(a), len(b))
     deltas = [_sparse(a, dims[0:2]), _sparse(b, dims[1:3])]
-    assert _certified_with_full_width_counts(deltas) == _exact_ranks([a, b])
+    with exact_routes() as (calls, seen):
+        ranks = _certified_with_full_width_counts(deltas)
+    assert ranks == _exact_ranks([a, b])
+    assert_expected_routes(calls, seen)

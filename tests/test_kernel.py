@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from koszul._kernel import P, echelon, independent_rows_mod_p
 
 from conftest import int_matrices
-from oracles import (dense_bareiss, dense_rank_mod,
+from oracles import (dense_bareiss, dense_rank_mod, dense_rref_mod,
                      full_scan_independent_rows_mod_p, gauss_rank, sympy_det,
                      sympy_rank)
 
@@ -67,8 +67,8 @@ def test_rank_mod_p_matches_dense_elimination(a, lift, bound):
           for j, x in enumerate(row)] for row in a]
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
     full = dense_rank_mod(a, P)
-    assert len(independent_rows_mod_p(rows, bound)) == min(bound, full)
-    kept = independent_rows_mod_p(iter(rows), 13)
+    assert len(independent_rows_mod_p(rows, bound)[0]) == min(bound, full)
+    kept, _ = independent_rows_mod_p(iter(rows), 13)
     assert len(kept) == full <= len(echelon(a)[1])
     # rows independent mod P are independent over the integers
     assert kept == sorted(set(kept))
@@ -101,11 +101,18 @@ def lifted_sparse_rows(draw):
 def test_kept_positions_match_the_full_scan(a_rows):
     # a row is kept when it is independent of the rows kept before it, so
     # clearing a new pivot only from the rows that hold it keeps the same
-    # positions as scanning every kept row, at every bound
-    _, rows = a_rows
+    # positions as scanning every kept row, at every bound; the basis is
+    # the reduced row-echelon form mod P of the kept rows
+    a, rows = a_rows
+    ncols = len(a[0]) if a else 0
     for bound in range(len(rows) + 2):
-        assert independent_rows_mod_p(rows, bound) == \
-            full_scan_independent_rows_mod_p(rows, bound)
+        kept, basis = independent_rows_mod_p(rows, bound)
+        assert kept == full_scan_independent_rows_mod_p(rows, bound)
+        red, pivots = dense_rref_mod(
+            [[rows[i].get(j, 0) for j in range(ncols)] for i in kept], P)
+        assert sorted(basis) == pivots
+        assert [[1 if j == c else basis[c].get(j, 0) % P
+                 for j in range(ncols)] for c in pivots] == red
 
 
 @CHECKS
@@ -114,7 +121,7 @@ def test_every_row_lies_in_the_span_of_the_kept_rows_mod_p(a_rows):
     a, rows = a_rows
     if not a or not a[0]:
         return
-    kept = independent_rows_mod_p(rows, len(rows))
+    kept, _ = independent_rows_mod_p(rows, len(rows))
     dense = [[row.get(j, 0) for j in range(len(a[0]))] for row in rows]
     basis = [dense[i] for i in kept]
     assert dense_rank_mod(basis, P) == len(kept) == dense_rank_mod(dense, P)

@@ -7,10 +7,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import linalg
-from koszul._kernel import P
+from koszul._kernel import (P, independent_rows_mod_p, reduced_echelon,
+                            row_space)
 
-from conftest import (eliminations, int_matrices, rand_fraction,
-                      rand_invertible, rational_matrices)
+from conftest import (eliminations, expected_eliminations, int_matrices,
+                      rand_fraction, rand_invertible, rational_matrices)
 from oracles import (_to_int_rows, charpoly_signature, dense_rank_mod,
                      full_rref, gauss_eliminate, gauss_nullspace, gauss_rank,
                      sylvester_positive_definite, sympy_det, sympy_rank)
@@ -270,6 +271,14 @@ def _kernel_from_rref(red, pivots, ncols):
     return tuple(basis)
 
 
+def reduce_eliminations(ints, ncols: int) -> list[int]:
+    """What `eliminations` collects from `linalg._reduce` on integer rows:
+    nothing when ncols rows are independent mod P, else what `row_space`
+    makes after a pass over every row."""
+    kept = min(ncols, dense_rank_mod(ints, P))
+    return [] if kept == ncols else expected_eliminations(ints, kept)
+
+
 @settings(CHECKS, max_examples=300)
 @given(tall_rational_matrices())
 # the first dropped row lies in the span of the kept one, the second not
@@ -278,17 +287,18 @@ def _kernel_from_rref(red, pivots, ncols):
 @example([[F(P), F(0)], [F(0), F(P)], [F(P), F(P)]])
 def test_tall_rref_and_nullspace_match_full_elimination(a):
     nr, nc = len(a), len(a[0])
+    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+            for row in a]
+    want = reduce_eliminations(ints, nc)
     with eliminations() as seen:
         red, pivots = linalg.rref(a)
     assert (red, pivots) == full_rref(a)
-    # The rows kept mod P span the row space unless the rank mod P of the
-    # integer rows falls below the rank; then every row is eliminated. When
-    # nc rows are kept, the rank is nc and nothing is eliminated.
-    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
-            for row in a]
-    kept = min(nc, dense_rank_mod(ints, P))
-    full = kept < len(pivots)
-    assert seen == ([] if kept == nc else [kept, nr] if full else [kept])
+    # The reduced form mod P of the rows lifts to the exact one unless the
+    # rank mod P falls below the rank, a pivot vanishes mod P or an entry
+    # is past the reconstruction bound; then the rows kept mod P are
+    # eliminated, and every row when they fall short of the rank. When nc
+    # rows are kept, the rank is nc and nothing is lifted or eliminated.
+    assert seen == want
     rows = [{j: x for j, x in enumerate(row) if x} for row in ints]
     assert linalg.sparse_rank(rows, nc) == len(pivots)
     ns = linalg.nullspace(a, ncols=nc)
@@ -326,11 +336,11 @@ def test_rows_dependent_only_mod_p_take_the_full_elimination():
         assert len(linalg.column_space_basis(a)) == 2
         assert linalg.solve(a, [F(1), F(0), F(2), F(1)]) == (1, 0)
     assert seen == [1, 4] * 3
-    # where the kept rows do span, the other rows are never eliminated
+    # where the lifted rows span, nothing is eliminated
     b = [[F(1), F(1)], [F(2), F(2)], [F(3), F(3)]]
     with eliminations() as seen:
         assert linalg.nullspace(b) == ((-1, 1),)
-    assert seen == [1]
+    assert seen == []
 
 
 @CHECKS
@@ -352,11 +362,13 @@ def test_integer_rows_refuse_inexact_entries():
             linalg.integer_rows([row])
 
 
-# A tall sparse system whose mod-P pass keeps ncols rows has rank ncols
-# (rows independent mod P are independent over Q), so `_reduce` returns
-# the identity without an exact elimination. Against `reduced_echelon` of
-# every row, each row read over its pivot, on tall systems of every rank,
-# and on one in which P zeroes a pivot and the pass keeps fewer rows.
+# `_reduce` and `row_space` against `reduced_echelon` of every row, each
+# row read over its pivot, on short and tall systems of every rank, with an
+# example of each route: the lift spans every row; a tall system of full
+# rank mod P is the identity, with no lift; an entry past the
+# reconstruction bound, a residue that reconstructs to a wrong small
+# fraction, a pivot that P zeroes and rows dependent only mod P fall back
+# to Bareiss; zero columns are never pivots.
 
 def _normalized(reduced):
     red, pivots, _ = reduced
@@ -364,20 +376,31 @@ def _normalized(reduced):
                           for row, c in zip(red, pivots)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(int_matrices(max_rows=12, max_cols=6))
+@example([[1, 0], [0, 1], [1, 1]])
+@example([[1, 2, 3], [2, 4, 6], [1, 0, -1]])
+@example([[1, 3 ** 25]])
+@example([[1, 2 ** 40], [2, 2 ** 41], [3, 3 * 2 ** 40]])
 @example([[P, 0], [0, 1], [0, 2]])
 @example([[P, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
-@example([[1, 0], [0, 1], [1, 1]])
-def test_reduce_matches_reduced_echelon_on_tall_systems(a):
+@example([[1, 1], [0, P], [2, 2], [1, 1 + P]])
+@example([[0, 1, 0], [0, 2, 0], [0, 0, 0]])
+@example([[0, 0], [0, 0], [0, 0]])
+def test_reduce_matches_reduced_echelon_on_short_and_tall_systems(a):
     ncols = len(a[0]) if a else 0
-    assume(ncols and len(a) > ncols)
+    assume(ncols)
     rows = [{j: x for j, x in enumerate(r) if x} for r in a]
-    from koszul._kernel import reduced_echelon
-    assert _normalized(linalg._reduce(rows, ncols)) == \
-        _normalized(reduced_echelon([list(r) for r in a]))
+    want = _normalized(reduced_echelon([list(r) for r in a]))
+    route = reduce_eliminations([list(r) for r in a], ncols)
+    with eliminations() as seen:
+        assert _normalized(linalg._reduce(rows, ncols)) == want
+    assert seen == route
+    # from a pass over every row, with no early stop
+    found = independent_rows_mod_p(rows, len(rows))
+    assert _normalized(row_space(rows, ncols, *found)) == want
 
 
 def test_a_tall_system_of_full_rank_mod_p_skips_the_exact_pass(
@@ -389,8 +412,7 @@ def test_a_tall_system_of_full_rank_mod_p_skips_the_exact_pass(
 
 
 def test_a_pivot_that_p_zeroes_still_goes_exact():
-    from koszul._kernel import independent_rows_mod_p
     rows = [{0: P}, {1: 1}, {1: 2}]
-    assert independent_rows_mod_p(rows, 2) == [1]
+    assert independent_rows_mod_p(rows, 2) == ([1], {1: {}})
     assert linalg.sparse_rank(rows, 2) == 2
     assert linalg.sparse_nullspace(rows, 2) == ()
