@@ -261,8 +261,9 @@ def dense_rank_mod(rows, p):
 
 def full_scan_independent_rows_mod_p(rows, bound: int) -> list[int]:
     """The former `_kernel.independent_rows_mod_p`: the same reading order
-    and reduced pivot rows, but each new pivot column is cleared by scanning
-    every kept row."""
+    and kept positions, but each new row is pivoted on the entry
+    `dict.popitem` takes from it rather than on its leftmost column, and
+    each new pivot column is cleared by scanning every kept row."""
     kept: list[int] = []
     if bound <= 0:
         return kept
