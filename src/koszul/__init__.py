@@ -7,8 +7,10 @@ verdicts, KV/Chevalley-Eilenberg/Hochschild cohomology, symbol
 prolongation and involutivity, closed-form flat models, and a small
 floating-point information-geometry bench.
 
-Pure Python: row reduction runs on a fraction-free integer kernel that
-works on nonzero entries only (koszul._kernel.echelon).
+Pure Python: row reduction works on nonzero entries only, in integers: a
+pass modulo a prime whose reduced form is lifted and certified
+(koszul._kernel.row_space), and a fraction-free Bareiss kernel
+(koszul._kernel.echelon) for the rest.
 """
 
 from koszul.algebra import (
