@@ -1,13 +1,13 @@
 """Command-line surface: one binary, one subcommand per module family.
 
-Reports are JSON objects with a versioned schema; given identical argv and
-seed the bytes are identical (timing is only attached on request). Every
-report and error document is written by `_dumps`, which gives the bytes
-json.dumps writes with sorted keys and an indent of 2 at about half the
-cost, and a defect tensor's entries are printed from its integers. Exit
-codes: 0 success, 2 validation or precondition failure, 3 conformance
-mismatch (two routes to the same value disagreed, i.e. a library bug
-surfaced by a built-in cross-check).
+Reports are JSON objects with a versioned schema; given identical argv the
+bytes are identical (the one seed is `--seed`, and timing is only attached
+on request). Every report and error document is written by `_dumps`, which
+gives the bytes json.dumps writes with sorted keys and an indent of 2 at
+about half the cost, and a defect tensor's entries are printed from its
+integers. Exit codes: 0 success, 2 validation or precondition failure, 3
+conformance mismatch (two routes to the same value disagreed, i.e. a
+library bug surfaced by a built-in cross-check).
 """
 
 from __future__ import annotations
@@ -422,10 +422,11 @@ def _common_flags(nested: bool) -> argparse.ArgumentParser:
         return argparse.SUPPRESS if nested else value
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default(None),
+    common.add_argument("--seed", type=int,
+                        default=default(spencer.DEFAULT_SEED),
                         help="RNG seed, read by spencer --op involutive "
                              "only; every report prints it (default: "
-                             "KOSZUL_SEED env or 7)")
+                             f"{spencer.DEFAULT_SEED})")
     common.add_argument("--format", choices=("json", "text"),
                         default=default("json"))
     common.add_argument("--dump", action="store_true", default=default(False),
@@ -443,9 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process.
 
     Sharing it is safe: `parse_args` returns a fresh Namespace and leaves
-    the parser unchanged, no default is mutable, the seed is resolved when
-    the report is made, and handlers reach the library through module
-    attributes, so a patched library function is still the one called.
+    the parser unchanged, no default is mutable, and handlers reach the
+    library through module attributes, so a patched library function is
+    still the one called.
     """
     common, nested = _common_flags(False), _common_flags(True)
 
@@ -614,7 +615,7 @@ def _report(argv, args) -> dict:
     report = {
         "schema": SCHEMA,
         "command": list(argv),
-        "seed": spencer.resolve_seed(args.seed),
+        "seed": args.seed,
         "inputs": {"sha256": inputs.digest()},
         "result": payload,
     }

@@ -31,25 +31,27 @@ delta_{q-1} onto the T coordinates is injective, and the unit vectors
 outside T span a complement of that image. delta_q kills the image, so its
 rank is its rank on that complement, which is l_q.
 
-As delta_q delta_{q-1} = 0 and delta_{q+1} delta_q = 0, r_q <= u_q =
-min(rows_q, c_q - l_{q-1}, c_{q+1} - l_{q+1}). Where l_q = u_q, r_q = l_q;
-the square that bound relies on is then checked exactly as a sparse integer
-product, each of its rows summed into one list indexed by column (a nonzero
-one raises ConformanceMismatch). Where l_q < u_q the rank is made exact
-from the same pass (`koszul._kernel.row_space`): the reduced form it built
-mod P of delta_q's columns outside T is lifted to fractions, and every row
-of delta_q on those columns is checked in integers to lie in the lifted
-rows' span; when a lift or the check fails, the rows kept mod the prime,
-then if need be every row, are eliminated by Bareiss instead. Either way
-this is the rank of delta_q on the columns outside T, and it is the rank
-of delta_q: delta_{q-1}[T, :] has full row rank, so delta_q delta_{q-1} = 0
+One forward pass then decides each degree. For q = 0, 1, ..., with r_{q-1}
+the rank decided before it (r_{-1} = 0), delta_q delta_{q-1} = 0 and
+delta_{q+1} delta_q = 0 give r_q <= u_q = min(rows_q, c_q - r_{q-1},
+c_{q+1} - l_{q+1}), rows_q being the number of rows delta_q lists. Where
+l_q = u_q, r_q = l_q. Where l_q < u_q the rank is made exact from the same
+pass (`koszul._kernel.row_space`): the reduced form it built mod P of
+delta_q's columns outside T is lifted to fractions, and every row of
+delta_q on those columns is checked in integers to lie in the lifted rows'
+span; when a lift or the check fails, the rows kept mod the prime, then if
+need be every row, are eliminated by Bareiss instead. Either way this is
+the rank of delta_q on the columns outside T, and it is the rank of
+delta_q: delta_{q-1}[T, :] has full row rank, so delta_q delta_{q-1} = 0
 gives delta_q[:, T] = -delta_q[:, rest] delta_{q-1}[rest, :]
 delta_{q-1}[T, :]^+, whose columns lie in the span of delta_q[:, rest].
-So that square is checked exactly too, and the rank replaces l_q in its
-neighbours' bounds. Acyclic degrees meet the bound. Both routes write
-their rows out densely over every column of the coboundary, so the cell
-count of the kept rows is refused above `ROW_SPACE_CELL_BOUND` before any
-row is written.
+Acyclic degrees meet the bound. Both routes write their rows out densely
+over every column of the coboundary, so the cell count of the kept rows is
+refused above `ROW_SPACE_CELL_BOUND` before any row is written. The bounds
+and the reading outside T rest on delta² = 0, so last every square
+delta_q delta_{q-1}, q >= 1, is checked exactly as a sparse integer
+product, each of its rows summed into one list indexed by column (a
+nonzero one raises ConformanceMismatch).
 
 Semisimple algebras need no coboundary past delta_0. With adjoint
 coefficients `ce_cohomology_dims` first sums the Killing form tr(ad_x
@@ -304,7 +306,6 @@ def _certified_ranks(deltas) -> list[int]:
     A rank is at most the number of rows listed, which makes a matrix with
     no contributions rank 0 without elimination.
     """
-    n = len(deltas)
     kept, bases, images = [], [], []
     image: set[int] = set()   # C^q coordinates of delta_{q-1}'s kept rows
     for rows, ncols, _ in deltas:
@@ -316,38 +317,21 @@ def _certified_ranks(deltas) -> list[int]:
         images.append(image)
         keys = list(rows)
         image = {keys[i] for i in kept[-1]}
-    low = [len(k) for k in kept]
-    exact = [False] * n
-
-    def square(q):
-        """q' when low[q] is proved by delta_{q'+1} delta_{q'} = 0, () when
-        it needs no square, None when it is not proved."""
-        rows, ncols, nrows = deltas[q]
-        if exact[q] or low[q] == min(len(rows), ncols):
-            return ()
-        if q and low[q] == ncols - low[q - 1]:
-            return q - 1
-        if q + 1 < n and low[q] == nrows - low[q + 1]:
-            return q
-        return None
-
-    while True:
-        q = next((q for q in range(n) if square(q) is None), None)
-        if q is None:
-            break
-        rows, ncols, _ = deltas[q]
-        envelope("exact elimination cells", len(kept[q]) * ncols,
-                 ROW_SPACE_CELL_BOUND)
-        low[q] = len(row_space(list(_outside(rows, images[q])), ncols,
-                               kept[q], bases[q])[1])
-        exact[q] = True
-    # an exact rank read outside delta_{q-1}'s kept coordinates is the rank
-    # of delta_q only where delta_q delta_{q-1} = 0
-    squares = {square(q) for q in range(n)} - {()}
-    squares.update(q - 1 for q in range(n) if exact[q] and images[q])
-    for q in sorted(squares):
-        _check_square(deltas[q + 1][0], deltas[q][0], deltas[q][1], q)
-    return low
+    low = [len(k) for k in kept] + [0]
+    ranks: list[int] = []
+    for q, (rows, ncols, nrows) in enumerate(deltas):
+        rank = low[q]
+        if rank < min(len(rows), ncols - (ranks[-1] if q else 0),
+                      nrows - low[q + 1]):
+            envelope("exact elimination cells", len(kept[q]) * ncols,
+                     ROW_SPACE_CELL_BOUND)
+            rank = len(row_space(list(_outside(rows, images[q])), ncols,
+                                 kept[q], bases[q])[1])
+        ranks.append(rank)
+    for q in range(1, len(deltas)):
+        first, ncols, _ = deltas[q - 1]
+        _check_square(deltas[q][0], first, ncols, q - 1)
+    return ranks
 
 
 def _outside(rows: dict, cut: set):

@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
-import os
 import random
 
 from koszul import linalg
@@ -54,17 +53,6 @@ P_MAX, Q_MAX = 3, 2
 # (v, w) = (5, 5) has 16,250 and takes about 3 s; (6, 3) has 26,334 (7 s,
 # 156 MB) and (6, 6) 52,668 (26 s, 566 MB).
 WINDOW_COORD_BOUND = 20_000
-
-
-def resolve_seed(seed=None) -> int:
-    """The basis search's seed: `seed`, else KOSZUL_SEED, else DEFAULT_SEED."""
-    if seed is not None:
-        return int(seed)
-    try:
-        return int(os.environ.get("KOSZUL_SEED", DEFAULT_SEED))
-    except ValueError:
-        raise ValidationError("KOSZUL_SEED must be an integer, got "
-                              f"{os.environ['KOSZUL_SEED']!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +169,7 @@ def _flag_test(a: SymbolSpace, bs) -> tuple[int, int, bool]:
 
 
 def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
-                             seed=None) -> tuple | None:
+                             seed: int = DEFAULT_SEED) -> tuple | None:
     """A basis attaining Cartan's bound, or None after the trial budget.
 
     Tries the standard basis first, then seeded random rational bases with
@@ -202,7 +190,7 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
     _, _, ok = cartan_test(a)
     if ok:
         return linalg.identity(m)
-    rng = random.Random(resolve_seed(seed))
+    rng = random.Random(seed)
     for _ in range(trials - 1):
         cand = [[(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m)]
                 for _ in range(m)]
@@ -342,7 +330,7 @@ class InvolutivityVerdict:
 
 
 def is_involutive(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
-                  seed=None) -> InvolutivityVerdict:
+                  seed: int = DEFAULT_SEED) -> InvolutivityVerdict:
     """Two-route involutivity check: quasi-regular basis vs Spencer window.
 
     A basis certifies yes; a nonzero H^{p,q} with p > 0 certifies no; both at

@@ -23,7 +23,9 @@ former pass over rows modulo P, which cleared each new pivot from every
 kept row
 (`full_scan_independent_rows_mod_p`), its former lower bounds for the
 coboundary ranks, each read over all of its columns
-(`full_width_lower_bounds`), its former reduced
+(`full_width_lower_bounds`), its former certification of those ranks, a
+fixpoint loop over a classifier of the squares each bound needs
+(`fixpoint_certified_ranks`), its former reduced
 row-echelon form over every row (`full_rref`), its former seeded rank
 search, walking its whole pool (`full_pool_max_rank`), its former generic
 rank over the rational function field by sympy (`symbolic_generic_rank`),
@@ -101,7 +103,7 @@ from math import comb, gcd, lcm
 import numpy as np
 import sympy
 
-from koszul import cli, linalg, spaces
+from koszul import cli, cohomology, linalg, spaces
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, kv_anomaly, operator_defect,
@@ -124,8 +126,8 @@ from koszul.invariants import (ExistenceVerdict, RankWitness,
                                _no_or_unknown, max_rank, r_b_defect)
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
-from koszul.spencer import (SpencerReport, SymbolSpace, _mono_pos, monomials,
-                            prolong, resolve_seed, symbol_coord_dim)
+from koszul.spencer import (DEFAULT_SEED, SpencerReport, SymbolSpace,
+                            _mono_pos, monomials, prolong, symbol_coord_dim)
 from koszul.statmodel import (CURV_STEP, GRAD_STEP, NORM_TOL, PROBE_TOL,
                               FiniteStatModel, ProbeReport, _jets,
                               _richardson)
@@ -306,6 +308,57 @@ def full_width_lower_bounds(deltas) -> list[list[int]]:
         kept.append(full_scan_independent_rows_mod_p(rows.values(), bound))
     return kept
 
+
+def fixpoint_certified_ranks(deltas) -> list[int]:
+    """The former `cohomology._certified_ranks`: the same pass mod P, then a
+    classifier of each lower bound (proved by no square, by one named
+    square, or not proved) re-run after every rank made exact, and only
+    the squares the proofs named checked. Its helpers are read from
+    `cohomology` at call time, so spies on them see this function too."""
+    n = len(deltas)
+    kept, bases, images = [], [], []
+    image: set[int] = set()
+    for rows, ncols, _ in deltas:
+        bound = min(len(rows), ncols - len(image))
+        positions, basis = cohomology.independent_rows_mod_p(
+            cohomology._outside(rows, image), bound)
+        kept.append(positions)
+        bases.append(basis)
+        images.append(image)
+        keys = list(rows)
+        image = {keys[i] for i in kept[-1]}
+    low = [len(k) for k in kept]
+    exact = [False] * n
+
+    def square(q):
+        """q' when low[q] is proved by delta_{q'+1} delta_{q'} = 0, () when
+        it needs no square, None when it is not proved."""
+        rows, ncols, nrows = deltas[q]
+        if exact[q] or low[q] == min(len(rows), ncols):
+            return ()
+        if q and low[q] == ncols - low[q - 1]:
+            return q - 1
+        if q + 1 < n and low[q] == nrows - low[q + 1]:
+            return q
+        return None
+
+    while True:
+        q = next((q for q in range(n) if square(q) is None), None)
+        if q is None:
+            break
+        rows, ncols, _ = deltas[q]
+        cohomology.envelope("exact elimination cells", len(kept[q]) * ncols,
+                            cohomology.ROW_SPACE_CELL_BOUND)
+        low[q] = len(cohomology.row_space(
+            list(cohomology._outside(rows, images[q])), ncols, kept[q],
+            bases[q])[1])
+        exact[q] = True
+    squares = {square(q) for q in range(n)} - {()}
+    squares.update(q - 1 for q in range(n) if exact[q] and images[q])
+    for q in sorted(squares):
+        cohomology._check_square(deltas[q + 1][0], deltas[q][0],
+                                 deltas[q][1], q)
+    return low
 
 def _to_int_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the LCM of its denominators; returns (rows, scales)."""
@@ -750,7 +803,7 @@ def nullspace_cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
 
 
 def nullspace_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
-                                  seed=None) -> tuple | None:
+                                  seed=DEFAULT_SEED) -> tuple | None:
     """The library's `spencer.find_quasi_regular_basis` over
     `nullspace_cartan_test`: the same candidates in the same order."""
     if trials < 1:
@@ -760,7 +813,7 @@ def nullspace_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
     _, _, ok = nullspace_cartan_test(a, std)
     if ok:
         return std
-    rng = random.Random(resolve_seed(seed))
+    rng = random.Random(seed)
     for _ in range(trials - 1):
         cand = tuple(
             tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2))
@@ -1577,7 +1630,7 @@ def jointly_nilpotent(ops: tuple[Mat, ...], n: int) -> bool:
 
 
 def sampling_completeness(p: BilinearProduct, budget: int = 256,
-                          seed=None) -> CompletenessReport:
+                          seed=DEFAULT_SEED) -> CompletenessReport:
     """The former last rung of `geometric_completeness`: the unit vectors,
     the sums of two, their negatives, then seeded random probes, up to
     `budget` in all; "incomplete" at the first zero of det(R + I), else
@@ -1595,7 +1648,7 @@ def sampling_completeness(p: BilinearProduct, budget: int = 256,
             e[i] = e[j] = Fraction(1)
             probes.append(tuple(e))
             probes.append(tuple(-x for x in e))
-    rng = random.Random(resolve_seed(seed))
+    rng = random.Random(seed)
     for _ in range(max(0, budget - len(probes))):
         probes.append(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
                             for _ in range(n)))
@@ -1811,7 +1864,7 @@ def _random_coeff(rng: random.Random) -> Fraction:
 
 
 def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
-                       seed=None) -> RankWitness:
+                       seed=DEFAULT_SEED) -> RankWitness:
     """The library's former `invariants.max_rank`, walking its whole pool:
     {-2, ..., 2}^dim up to dim GRID_LIMIT, otherwise SAMPLE_COUNT seeded
     rational samples. A full rank is the only rank it certifies."""
@@ -1828,7 +1881,7 @@ def full_pool_max_rank(space: LinearSolutionSpace, constraint: str = "none",
         pool = [tuple(Fraction(x) for x in pt)
                 for pt in iproduct((-2, -1, 0, 1, 2), repeat=d)]
     else:
-        rng = random.Random(resolve_seed(seed))
+        rng = random.Random(seed)
         pool = [tuple(_random_coeff(rng) for _ in range(d))
                 for _ in range(SAMPLE_COUNT)]
 
@@ -1888,7 +1941,7 @@ def _random_torsion_free_table(L: LieAlgebra, rng: random.Random):
 
 
 def eager_flat_existence(L: LieAlgebra, candidates, budget: int = 64,
-                         seed=None) -> ExistenceVerdict:
+                         seed=DEFAULT_SEED) -> ExistenceVerdict:
     m = L.dim
     best = None
     for cand in candidates:
@@ -1903,7 +1956,7 @@ def eager_flat_existence(L: LieAlgebra, candidates, budget: int = 64,
         d = r_b_defect(conn)
         best = d if best is None else min(best, d)
 
-    rng = random.Random(resolve_seed(seed))
+    rng = random.Random(seed)
     half = cartan_connection(L, "zero")
     probes = [half.gamma] + [_random_torsion_free_table(L, rng)
                              for _ in range(max(0, budget))]

@@ -29,8 +29,7 @@ def run_main(capsys, argv):
     return code, capsys.readouterr().out
 
 
-def test_report_envelope(monkeypatch):
-    monkeypatch.delenv("KOSZUL_SEED", raising=False)
+def test_report_envelope():
     rep = cli.run(["check-lie", "--catalog", "so3"])
     assert sorted(rep) == ["command", "inputs", "result", "schema", "seed"]
     assert rep["schema"] == "koszul-report/1"
@@ -40,10 +39,7 @@ def test_report_envelope(monkeypatch):
     assert rep["result"] == {"valid": True, "dim": 3}
 
 
-def test_seed_resolution(monkeypatch):
-    monkeypatch.setenv("KOSZUL_SEED", "123")
-    rep = cli.run(["check-lie", "--catalog", "so3"])
-    assert rep["seed"] == 123
+def test_seed_resolution():
     rep = cli.run(["check-lie", "--catalog", "so3", "--seed", "5"])
     assert rep["seed"] == 5
 
@@ -387,17 +383,6 @@ def test_trials_below_one_exit_2_before_the_spencer_window(capsys, tmp_path):
         "command": argv, "schema": cli.SCHEMA,
         "error": {"type": "ValidationError",
                   "message": "trials must be >= 1"}}
-
-
-def test_a_non_integer_seed_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("KOSZUL_SEED", "abc")
-    argv = ["check-lie", "--catalog", "so3"]
-    code, out = run_main(capsys, argv)
-    assert code == 2
-    assert json.loads(out) == {
-        "command": argv, "schema": cli.SCHEMA,
-        "error": {"type": "ValidationError",
-                  "message": "KOSZUL_SEED must be an integer, got 'abc'"}}
 
 
 @pytest.mark.parametrize("basis", [[1, 2], 5, [None]],

@@ -49,7 +49,8 @@ from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_hochschild_dims, dense_killing_form,
                      dense_kv_coboundary, dense_kv_cohomology_dims,
                      dense_maurer_cartan_defect, dense_trace_form,
-                     dict_check_square, full_width_lower_bounds,
+                     dict_check_square, fixpoint_certified_ranks,
+                     full_width_lower_bounds,
                      hochschild_coboundary_matrix,
                      hochschild_delta_by_cochains, is_zero_matrix,
                      kv_coboundary_matrix, kv_delta_by_cochains,
@@ -986,6 +987,50 @@ def test_a_lifted_rank_whose_square_is_nonzero_is_refused():
         cohomology._certified_ranks(deltas)
     assert seen == []
 
+
+def test_the_forward_pass_matches_the_fixpoint_oracle(rng):
+    # the pooled complexes and their dense conjugates, and complexes whose
+    # ranks drop mod P: the same ranks, and the same rows handed to
+    # `row_space` in the same order, as the former fixpoint loop. In the
+    # last, delta_1 is bounded by dim C^1 minus the exact rank of delta_0,
+    # not by its lower bound 0.
+    cases = (
+        [(kv_cohomology_dims, p, module) for p in _with_dense_copies(
+            KV_POOL, conjugate_product, rng) for module in (ADJOINT, SCALAR)]
+        + [(ce_cohomology_dims, L, coeffs) for L in _with_dense_copies(
+            LIE_POOL, conjugate_lie, rng) for coeffs in (TRIVIAL, ADJOINT)]
+        + [(hochschild_dims, p, 2) for p in _with_dense_copies(
+            ASSOC_POOL, conjugate_product, rng)])
+    complexes = []
+    for dims, a, option in cases:
+        with rank_passes() as seen:
+            _eliminated(dims, a, option)
+        complexes += [deltas for deltas, _, _ in seen]
+    complexes += [[_sparse(a, dims[q:q + 2]) for q, a in enumerate(mats)]
+                  for mats, dims in (([[[1], [0]], [[0, P]]], (1, 2, 1)),
+                                     ([[[P], [0]], [[0, 1]]], (1, 2, 1)),
+                                     ([[[P], [0]], [[0, 1], [0, 2]]],
+                                      (1, 2, 2)))]
+    lifted = 0
+    for deltas in complexes:
+        runs = []
+        for certify in (cohomology._certified_ranks, fixpoint_certified_ranks):
+            with exact_routes() as (calls, _):
+                runs.append((certify(deltas), calls))
+        assert runs[0] == runs[1]
+        lifted += len(runs[0][1])
+    assert len(complexes) == len(cases) + 3 and lifted > 3
+
+
+def test_a_square_no_bound_needs_is_still_checked():
+    # delta_0 = (1, 0)^T keeps C^1 coordinate 0, and delta_1 = (1, 1) has
+    # full row rank on column 1: both lower bounds meet their row counts,
+    # so the fixpoint loop checked no square and returned [1, 1], though
+    # delta_1 delta_0 = (1) is not zero
+    deltas = [({0: {0: 1}}, 1, 2), ({0: {0: 1, 1: 1}}, 2, 1)]
+    assert fixpoint_certified_ranks(deltas) == [1, 1]
+    with pytest.raises(ConformanceMismatch, match="from degree 0"):
+        cohomology._certified_ranks(deltas)
 
 @CHECKS
 @given(a=conftest.int_matrices(max_rows=6, max_cols=6),

@@ -252,3 +252,39 @@ def test_random_is_imported_only_by_the_seeded_searches():
         if functions or imports:
             found.append(str(path.relative_to(ROOT / "src")))
     assert found == ["koszul/spencer.py"]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Lines that read the process environment: an attribute `environ`,
+    `environb`, `getenv` or `getenvb` of any object, or one of those names
+    imported from `os`."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ENVIRONMENT_NAMES for alias in node.names):
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_the_scan_sees_environment_reads():
+    source = ("import os\n"
+              "from os import getenv as g, sep\n"
+              "def f():\n"
+              "    return os.environ.get('X', os.path.join('a', sep))\n"
+              "def h():\n"
+              "    return os.getenv('Y')\n"
+              "environ = {}\n")
+    assert environment_reads(source) == ["line 2", "line 4", "line 6"]
+
+
+def test_no_module_of_src_reads_the_environment():
+    # a report depends on its argv alone: every option is a flag
+    found = [f"{path.relative_to(ROOT)} {line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in environment_reads(path.read_text())]
+    assert found == []

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from koszul import cli, linalg, spencer
 from koszul.errors import ValidationError
 from koszul.spencer import (
-    DEFAULT_SEED,
     SymbolSpace,
     cartan_test,
     find_quasi_regular_basis,
     is_involutive,
     monomials,
     prolong,
-    resolve_seed,
     spencer_cohomology,
     symbol_coord_dim,
     symbol_space,
@@ -38,15 +36,6 @@ SO3_ROWS = [
 
 def so3_symbol():
     return symbol_space(3, 3, SO3_ROWS)
-
-
-def test_resolve_seed_priority(monkeypatch):
-    monkeypatch.delenv("KOSZUL_SEED", raising=False)
-    assert resolve_seed(None) == DEFAULT_SEED
-    assert resolve_seed(99) == 99
-    monkeypatch.setenv("KOSZUL_SEED", "123")
-    assert resolve_seed(None) == 123
-    assert resolve_seed(5) == 5
 
 
 def test_monomial_bookkeeping():
