@@ -199,7 +199,8 @@ def second_order_rows(table: SparseTable) -> list[dict[int, int]]:
 
 
 def kv_degree_zero_space(p: BilinearProduct):
-    """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains."""
+    """Basis of {xi : (x·y)·xi = x·(y·xi) for all x,y}, the legal 0-cochains,
+    as integer rows over their scales (`linalg.sparse_nullspace`)."""
     return linalg.sparse_nullspace(second_order_rows(p.sparse), p.dim)
 
 
@@ -232,7 +233,8 @@ def kv_coboundary(c: Cochain, algebra: BilinearProduct,
         return zero_cochain(1, m, SCALAR)
     else:
         # delta_0 on the one-vector basis (xi,) of c's span
-        entries, x = _kv_degree_zero_entries(sp, m, c.table), (1,)
+        xi = dict(enumerate(c.table[0]))
+        entries, x = _kv_degree_zero_entries(sp, m, [xi]), (1,)
     return _apply(c, sp.den, entries, x)
 
 
@@ -444,10 +446,11 @@ def _kv_entries(sp, m: int, q: int, adjoint: bool):
 
 
 def _kv_degree_zero_entries(sp, m: int, zero_basis):
-    """Contributions to delta_0 with algebra coefficients: xi·X - X·xi."""
+    """Contributions to delta_0 with algebra coefficients: xi·X - X·xi,
+    for each row {column: value} xi of zero_basis."""
     by_first, by_second = sp.by_first, sp.by_second
     for col, xi in enumerate(zero_basis):
-        for a, v in enumerate(xi):
+        for a, v in xi.items():
             if v:
                 for x, k, n in by_first.get(a, ()):
                     yield x * m + k, col, v * n
@@ -518,7 +521,7 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
              COCHAIN_TUPLE_BOUND)
     # primitive integer degree-0 columns (a canonical kernel vector has a 1);
     # rescaling a column keeps every rank and delta_1 delta_0 = 0
-    zero_basis = (linalg.integer_rows(kv_degree_zero_space(algebra))[0]
+    zero_basis = (kv_degree_zero_space(algebra)[0]
                   if coefficients == ADJOINT else ())
     deltas = [_kv_delta(algebra, coefficients, q, zero_basis)
               for q in range(max_degree + 1)]

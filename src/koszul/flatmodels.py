@@ -267,13 +267,12 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
     """
     _require_associative(p)
     n = p.dim
-    basis = tuple(tuple(linalg.frac(x) for x in row) for row in ideal_rows)
-    for v in basis:
-        if len(v) != n:
-            raise ValidationError("ideal vector has wrong length")
-    basis = linalg.row_space_basis(basis)
+    if any(len(row) != n for row in ideal_rows):
+        raise ValidationError("ideal vector has wrong length")
+    span = LinearSolutionSpace(n, *linalg.sparse_row_space(
+        [linalg.integer_row(row)[0] for row in ideal_rows], n))
+    basis = span.basis
     units = linalg.identity(n)
-    span = LinearSolutionSpace(ambient_dim=n, basis=basis)
     for s, x in enumerate(basis):
         for j, e in enumerate(units):
             if not span.contains(p.mult(x, e)):

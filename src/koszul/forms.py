@@ -8,7 +8,7 @@ from functools import cached_property
 from koszul import linalg, spaces
 from koszul.algebra import DENSE_CELL_BOUND, envelope
 from koszul.errors import KoszulError, ValidationError
-from koszul.linalg import Mat, Vec, frac
+from koszul.linalg import Mat, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
 
 SYMMETRIC = "symmetric"
@@ -112,16 +112,18 @@ def form_space(rows, m: int, sym: str) -> LinearSolutionSpace:
     folded = condition_rows(
         (r, slot[c][0], slot[c][1] * a)
         for r, row in enumerate(rows) for c, a in row.items() if c in slot)
-    basis = tuple(_expand(v, pairs, m, sign)
-                  for v in linalg.sparse_nullspace(folded, len(pairs)))
-    if not all(spaces.satisfies(rows, v) for v in basis):
+    kernel, scales = linalg.sparse_nullspace(folded, len(pairs))
+    basis = tuple(_expand(w, pairs, sign) for w in kernel)
+    if not all(spaces.satisfies(rows, w) for w in basis):
         raise KoszulError("form space vector violates its full conditions")
-    return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))
+    return LinearSolutionSpace(m * m, basis, scales, shape=(m, m))
 
 
-def _expand(vec: Vec, pairs, m: int, sign: int) -> Vec:
-    """x at each lower entry of the flat m x m form, sign * x at its mirror."""
-    full = [frac(0)] * (m * m)
-    for (lo, up), x in zip(pairs, vec):
+def _expand(row: dict[int, int], pairs, sign: int) -> dict[int, int]:
+    """x at each lower entry of the flat m x m form, sign * x at its mirror,
+    over the same scale."""
+    full = {}
+    for t, x in row.items():
+        lo, up = pairs[t]
         full[up], full[lo] = sign * x, x
-    return tuple(full)
+    return full

@@ -14,9 +14,8 @@ the largest subspace W that is M-invariant and killed by the compatibility
 operators F_ij = [M_i, M_j] + sum_k c^k_{ij} M_k (Frobenius integrability plus
 uniqueness of Cauchy data). The vector-field equation nabla^2 X = 0 becomes
 such a system for s = (values of X, frame derivatives of X). The
-stabilization reads the operators as integers over one denominator and each
-annihilator of the current subspace as a primitive integer vector, so its
-rows are built without `Fraction` arithmetic.
+stabilization runs on integer rows throughout: the operators over one
+denominator, each basis and its annihilators as kernel rows over scales.
 """
 
 from __future__ import annotations
@@ -166,21 +165,18 @@ def _fe_star_compatibility(conn: InvariantConnection,
 
 
 def _invariance_rows(basis, into: dict, n: int) -> list[dict[int, int]]:
-    """Rows cutting out the w in span(basis) with every M_k w in it too.
+    """Rows cutting out the w in the span of the integer rows `basis` with
+    every M_k w in it too.
 
-    Each annihilator a of the span is scaled to its primitive integer
-    vector (a canonical kernel vector has a 1 at its free column, so its
-    least common denominator leaves no common factor, and the scale is
-    positive). a^T (M_k w) = (M_k^T a)^T w, so invariance is linear in w:
-    rows (-1, t) are the annihilators a_t, rows (k, t) are M_k^T a_t over
-    the table's denominator, all in integers. `condition_rows` makes each
-    row primitive, so the rows are those of the rational annihilators.
+    The annihilators a_t of the span are its primitive kernel rows.
+    a^T (M_k w) = (M_k^T a)^T w, so invariance is linear in w: rows (-1, t)
+    are the a_t, rows (k, t) are M_k^T a_t over the table's denominator,
+    made primitive by `condition_rows`.
     """
-    ann, _ = linalg.integer_rows(linalg.nullspace(basis, ncols=n))
-    nz = [[(l, x) for l, x in enumerate(a) if x] for a in ann]
+    ann = linalg.sparse_nullspace(basis, n)[0]
     return condition_rows(chain(
-        (((-1, t), l, x) for t, a in enumerate(nz) for l, x in a),
-        (((k, t), c, v * x) for t, a in enumerate(nz) for l, x in a
+        (((-1, t), l, x) for t, a in enumerate(ann) for l, x in a.items()),
+        (((k, t), c, v * x) for t, a in enumerate(ann) for l, x in a.items()
          for (k, c), v in into.get(l, {}).items())))
 
 
@@ -192,38 +188,31 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     # l -> {(k, a): n}: M_k e_a holds n e_l
     into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
 
-    def images(vec) -> list:
-        """ops.den M_k vec for k = 0..m-1, over the table's nonzeros."""
-        out = [[0] * n for _ in range(m)]
-        for k, a, l, v in ops.nonzeros:
-            if vec[a]:
-                out[k][l] += v * vec[a]
-        return out
-
     rows = _fe_star_compatibility(conn, ops)
-    basis = linalg.sparse_nullspace(rows, n)
+    basis, scales = linalg.sparse_nullspace(rows, n)
     steps = 0
     while basis:
-        new_basis = linalg.sparse_nullspace(_invariance_rows(basis, into, n),
-                                            n)
+        new = linalg.sparse_nullspace(_invariance_rows(basis, into, n), n)
         steps += 1
-        if len(new_basis) == len(basis):
-            basis = new_basis
+        stable = len(new[0]) == len(basis)
+        basis, scales = new
+        if stable:
             break
-        basis = new_basis
         if steps > n:
             raise KoszulError("stabilization failed to terminate")
 
-    space = LinearSolutionSpace(ambient_dim=n, basis=tuple(basis))
-    if not all(spaces.satisfies(rows, w) for w in space.basis):
+    space = LinearSolutionSpace(n, basis, scales)
+    if not all(spaces.satisfies(rows, w) for w in basis):
         raise KoszulError("stabilized vector violates compatibility")
-    # the basis scaled to integer vectors spans the same lines: same rank
-    moved = [x for w in linalg.integer_rows(space.basis)[0]
-             for x in images(w)]
-    if linalg.rank(list(space.basis) + moved) != space.dim:
+    # row (s, k): ops.den M_k w_s, over the table's nonzeros
+    moved = list(spaces.accumulate(
+        ((s, k), l, v * w[a]) for s, w in enumerate(basis)
+        for k, a, l, v in ops.nonzeros if a in w).values())
+    if linalg.sparse_rank(list(basis) + moved, n) != space.dim:
         raise KoszulError("stabilized space is not invariant")
 
-    r_b = linalg.rank([w[:m] for w in space.basis])
+    r_b = linalg.sparse_rank([{j: x for j, x in w.items() if j < m}
+                              for w in basis], m)
     return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)
 
 
@@ -253,8 +242,13 @@ def g_nabla_subalgebra(conn: InvariantConnection
                                    conn.dim)
     if not conn.gamma.is_kv:
         return space, None
-    products = [conn.gamma.mult(a, b) for a in space.basis for b in space.basis]
-    if linalg.rank(list(space.basis) + products) != space.dim:
+    # products of the integer rows, over the table's denominator
+    by_first = conn.gamma.sparse.by_first
+    products = list(spaces.accumulate(
+        ((s, t), k, x * b[j] * v) for s, a in enumerate(space.rows)
+        for t, b in enumerate(space.rows) for i, x in a.items()
+        for j, k, v in by_first.get(i, ()) if j in b).values())
+    if linalg.sparse_rank(list(space.rows) + products, conn.dim) != space.dim:
         raise ConformanceMismatch(
             "solution space not closed under a left-symmetric product")
     return space, True

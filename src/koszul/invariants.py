@@ -7,16 +7,11 @@ connections or metrics is read only on the ones at hand (the caller's and
 the canonical ones) and can only return an upper bound with an `unknown`
 verdict. Nothing here draws a random number.
 
-Rank maximization is one walk, with no seed: `max_rank` takes exact
-rational ranks on an integer grid sized by the matrix shape (see its
-docstring). Its first full-rank point is the witness; if no point has full
-rank, the largest rank seen is the generic rank, the rank over the rational
-function field, which bounds every real specialization. Where a `no` verdict
-is emitted, it is backed by an exact certificate: either a common kernel
-vector of the whole space or that generic rank, or, for the bi-invariant
-metric, a nonzero trace tr ad(e_i), read before any space is built. The
-walk visits at most `GENERIC_RANK_POINTS` points; above that a rank below
-full is not certified, and the verdict is `unknown`.
+Rank maximization is one seed-free walk of an integer grid (`max_rank`),
+which certifies the generic rank up to `GENERIC_RANK_POINTS` points. A
+`no` verdict is backed by an exact certificate: a common kernel vector of
+the whole space, that generic rank, or, for the bi-invariant metric, a
+nonzero trace tr ad(e_i), read before any space is built.
 
 Each route solves only the system that decides it. The gauge parts of s^b
 and s^{*b} are the parallel forms of one parity (`gauge.parallel_forms`),
@@ -51,10 +46,9 @@ from koszul.spaces import LinearSolutionSpace
 # rank-deficient span, or a definite search that finds nothing, walks its
 # whole grid. The longest walks in use, besides the test of this bound,
 # have 3,125 points in the tests (a rank-deficient span of dim 6 on 4 x 4)
-# and 25 in the benchmark (dim 3 on 4 x 4). One grid point of a 3 x 3 to
-# 6 x 6 pencil (an integer combination and one exact rank) takes about
-# 25-100 us on a shared 2-vCPU host, so a walk at the bound finishes in
-# under half a second (a 7 x 7 pencil in 0.5-0.9 s).
+# and 25 in the benchmark (dim 3 on 4 x 4). One grid point of a pencil up
+# to 7 x 7 (an integer combination and one integer echelon) takes about
+# 10-30 us on a shared 2-vCPU host, so a walk at the bound takes 0.1 s.
 GENERIC_RANK_POINTS = 4096
 # Dense points tried after a walk that ends uncertified (`_prime_points`).
 PRIME_POINTS = 3
@@ -94,8 +88,10 @@ def max_rank(space: LinearSolutionSpace,
     most r*+1 <= d in each u_s and vanishes on a grid with d+1 points per
     axis, so it is the zero polynomial (Alon, Combinatorial Nullstellensatz,
     1999, Lemma 2.1); hence r* is the generic rank. A point of rank d proves
-    rank d on any grid. The basis is scaled to integers first: scaling B_s by
-    c != 0 is the substitution t_s -> c t_s, which keeps the rank.
+    rank d on any grid. The walk reads the basis as its integer rows: B_s
+    times its scale c > 0 is the substitution t_s -> c t_s, which keeps the
+    rank. Each point is ranked by one integer `echelon`; a matrix is built
+    only for a signature test and for the witness.
 
     The walk (`_grid`) stops at the first point of rank d, or at the first
     definite one when that is sought, and visits at most GENERIC_RANK_POINTS
@@ -119,10 +115,9 @@ def max_rank(space: LinearSolutionSpace,
 
     d = min(nr, nc)
     seek = constraint == "positive_definite" and nr == nc
-    int_basis, scales = linalg.integer_rows(space.basis)
-    # cell -> {s: x}, over the cells nonzero in some basis element
-    cells = spaces.accumulate((j, s, x) for s, row in enumerate(int_basis)
-                              for j, x in enumerate(row) if x)
+    # cell -> {s: x}, over the cells nonzero in some basis row
+    cells = spaces.accumulate((j, s, x) for s, row in enumerate(space.rows)
+                              for j, x in row.items())
     walked_all = _grid_points(space) <= GENERIC_RANK_POINTS
 
     def points():
@@ -135,19 +130,21 @@ def max_rank(space: LinearSolutionSpace,
         flat = [0] * (nr * nc)
         for j, terms in cells.items():
             flat[j] = sum(coeffs[s] * x for s, x in terms.items())
-        el = linalg.unflatten(flat, nr, nc)
-        r = linalg.rank(el)
+        r = len(linalg.echelon([flat[i * nc:(i + 1) * nc]
+                                for i in range(nr)])[1])
         if r > best:
             best, best_coeffs = r, coeffs
-        if seek and r == d and el == linalg.transpose(el):
-            pos, neg, _ = linalg.symmetric_signature(el)
-            sign = 1 if pos == d else -1 if neg == d else None
-            if sign is not None:
-                best_coeffs = tuple(sign * c for c in coeffs)
-                break
+        if seek and r == d:
+            el = linalg.unflatten(flat, nr, nc)
+            if el == linalg.transpose(el):
+                pos, neg, _ = linalg.symmetric_signature(el)
+                sign = 1 if pos == d else -1 if neg == d else None
+                if sign is not None:
+                    best_coeffs = tuple(sign * c for c in coeffs)
+                    break
         if best == d and not seek:
             break
-    coefficients = tuple(c * q for c, q in zip(best_coeffs, scales))
+    coefficients = tuple(c * q for c, q in zip(best_coeffs, space.scales))
     element = linalg.unflatten(space.element(coefficients), nr, nc)
     return RankWitness(
         best, coefficients, element, best == d or walked_all,
@@ -189,8 +186,10 @@ def _grid_points(space: LinearSolutionSpace) -> int:
 
 def common_kernel(space: LinearSolutionSpace) -> tuple:
     """Basis of vectors annihilated by every element of the span."""
-    rows = [row for b in space.matrices() for row in b]
-    return linalg.nullspace(rows, ncols=space.shape[1])
+    nr, nc = space.shape
+    rows = [{j - i * nc: x for j, x in b.items() if j // nc == i}
+            for b in space.rows for i in range(nr)]
+    return linalg.vectors(*linalg.sparse_nullspace(rows, nc), nc)
 
 
 @dataclass(frozen=True)
@@ -243,9 +242,8 @@ def _rebased_parallel_forms(conn: InvariantConnection,
     which witness form, s_b and s_star_b report; this one makes it a
     function of the span alone."""
     space = parallel_forms(conn, sym)
-    return LinearSolutionSpace(ambient_dim=space.ambient_dim,
-                               basis=linalg.row_space_basis(space.basis),
-                               shape=space.shape)
+    return LinearSolutionSpace(space.ambient_dim, *linalg.sparse_row_space(
+        space.rows, space.ambient_dim), shape=space.shape)
 
 
 def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
@@ -412,7 +410,8 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
 def _validate_parallel(conn: InvariantConnection, b: BilinearForm):
     """Re-check a witness form on the defining rows of nabla-parallel forms
     (for the plus connection, the ad-invariant ones)."""
-    if not spaces.satisfies(parallel_rows(conn), linalg.flatten(b.matrix)):
+    w = linalg.integer_row(linalg.flatten(b.matrix))[0]
+    if not spaces.satisfies(parallel_rows(conn), w):
         raise ValidationError("witness form is not parallel")
 
 
@@ -502,7 +501,8 @@ def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
     rw = max_rank(space)
     if rw.max_rank == m:
         witness = BilinearForm(m, rw.element, SKEW)
-        if not spaces.satisfies(rows, linalg.flatten(rw.element)):
+        if not spaces.satisfies(
+                rows, linalg.integer_row(linalg.flatten(rw.element))[0]):
             raise ValidationError("symplectic cocycle witness failed recheck")
         return ExistenceVerdict("yes", invariant_value=0, witness=witness)
     return _no_or_unknown(space, m, rw)

@@ -1,32 +1,28 @@
 """Exact rational linear algebra.
 
-Matrices are sequences of rows of `fractions.Fraction`. Rank, determinant,
-echelon and nullspace computations scale each row to integers (which keeps
+Dense matrices are sequences of rows of `fractions.Fraction`; rank,
+determinant, echelon and nullspace scale each row to integers (which keeps
 its row space and kernel) and run the fraction-free integer kernel
-(`koszul._kernel`). A linear condition is a sparse integer row {column:
-integer} (`koszul.spaces`), solved by `sparse_nullspace` and ranked by
-`sparse_rank`; `nullspace` gives the same canonical basis for dense rows.
-`rref` continues fraction-free upward to a reduced form with one integer
-pivot per row, so the only rational step is one division by the pivot per
-output entry. All of these work on the nonzero entries only: a zero cell
-costs nothing to scale, eliminate or back-substitute.
+(`koszul._kernel`) on the nonzero entries only. A linear condition is a
+sparse integer row {column: integer} (`koszul.spaces`), and so is a basis
+vector: `integer_row` writes a rational vector as such a row over one
+positive scale, the lcm of its denominators. `sparse_nullspace` solves
+condition rows into their canonical kernel in that form, `sparse_row_space`
+gives a reduced row-echelon basis in it and `sparse_rank` ranks rows;
+`vectors` is the `Fraction` view of a basis, so `nullspace` and `rref` are
+views over the same reduced forms.
 
 A sparse system is reduced from one pass modulo a prime, whatever its
-shape (`koszul._kernel.row_space`): the pass keeps the rows independent
-mod P, which are independent over the rationals, and builds their reduced
-form mod P; each entry of that form is lifted to a small fraction, and the
-lifted rows are checked in integers to span every row. The reduced
-row-echelon form is a function of the row space, so passing the check
-makes them the reduced form of the whole system; when a lift or the check
-fails, the kept rows, then if need be every row, are eliminated by
-Bareiss. `rank`, `det`, `integer_inverse` and dense systems with no more
-rows than columns eliminate every row directly.
+shape (`koszul._kernel.row_space`): its reduced form mod P is lifted to
+small fractions and checked in integers to span every row, with Bareiss
+elimination as the fallback. `rank`, `det`, `integer_inverse` and dense
+systems with no more rows than columns eliminate every row directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from koszul._kernel import (echelon, independent_rows_mod_p, reduced_echelon,
                             row_space)
@@ -122,27 +118,31 @@ def _ratio(x) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-# Entry types whose falsy values are zeros; `integer_rows` refuses a falsy
+# Entry types whose falsy values are zeros; `integer_row` refuses a falsy
 # entry of any other type, such as None or "".
 _ZERO_TYPES = frozenset((int, bool, Fraction))
 
 
+def integer_row(vec) -> tuple[dict[int, int], int]:
+    """(row, L): the rational vector vec as the sparse integer row {column:
+    integer} of vec * L, L the least common multiple of its denominators."""
+    # one type scan in C per row keeps zeros off the Python-level path
+    if not _ZERO_TYPES.issuperset(map(type, vec)):
+        for x in vec:
+            if not x and type(x) not in _ZERO_TYPES:
+                raise TypeError(f"not an exact rational: {x!r}")
+    nz = [(j, _ratio(x)) for j, x in enumerate(vec) if x]
+    m = lcm(*(q for _, (_, q) in nz))
+    return {j: a * (m // q) for j, (a, q) in nz}, m
+
+
 def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the LCM of its denominators; returns (rows, scales)."""
-    out: list[list[int]] = []
-    scales: list[int] = []
+    """Each row scaled as `integer_row` scales it, dense; returns (rows,
+    scales)."""
+    out, scales = [], []
     for row in rows:
-        # one type scan in C per row keeps zeros off the Python-level path
-        if not _ZERO_TYPES.issuperset(map(type, row)):
-            for x in row:
-                if not x and type(x) not in _ZERO_TYPES:
-                    raise TypeError(f"not an exact rational: {x!r}")
-        nz = [(j, _ratio(x)) for j, x in enumerate(row) if x]
-        m = lcm(*(q for _, (_, q) in nz)) if nz else 1
-        ints = [0] * len(row)
-        for j, (a, q) in nz:
-            ints[j] = a * (m // q)
-        out.append(ints)
+        sparse, m = integer_row(row)
+        out.append([sparse.get(j, 0) for j in range(len(row))])
         scales.append(m)
     return out, scales
 
@@ -202,42 +202,35 @@ def _reduce_dense(rows, ncols: int):
 
 
 def rref(rows) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row-echelon form with unit pivots; returns (rref, pivot_cols).
-
-    Each entry of the result is one quotient of the integer reduced form
-    (`koszul._kernel.reduced_echelon`) by its row's pivot.
-    """
+    """Reduced row-echelon form with unit pivots; returns (rref, pivot_cols):
+    the `Fraction` view of the integer reduced form's rows over their
+    pivots (`_unit_rows`)."""
     rows = [r for r in rows]
     if not rows or not rows[0]:
         return (), ()
     ncols = len(rows[0])
-    red, pivots, support = _reduce_dense(rows, ncols)
-    zero = Fraction(0)
-    out = []
-    for row, c, cols in zip(red, pivots, support):
-        piv = row[c]
-        vals = [zero] * ncols
-        for j in cols:
-            vals[j] = Fraction(row[j], piv)
-        out.append(tuple(vals))
-    return tuple(out), tuple(pivots)
+    reduced = _reduce_dense(rows, ncols)
+    return vectors(*_unit_rows(reduced), ncols), tuple(reduced[1])
 
 
 def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:
-    """Basis of {x : rows @ x = 0}; canonical (one free variable set to 1)."""
+    """Basis of {x : rows @ x = 0}; canonical (one free variable set to 1),
+    the `Fraction` view of the kernel rows `sparse_nullspace` gives."""
     rows = [r for r in rows]
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
-    return _kernel_basis(_reduce_dense(rows, ncols), ncols) if ncols else ()
+    return vectors(*_kernel_rows(_reduce_dense(rows, ncols), ncols),
+                   ncols) if ncols else ()
 
 
-def sparse_nullspace(rows: list[dict[int, int]],
-                     ncols: int) -> tuple[Vec, ...]:
-    """The canonical `nullspace` of sparse integer rows {column: integer}
-    over columns below ncols: the solver of every linear condition."""
-    return _kernel_basis(_reduce(rows, ncols), ncols) if ncols else ()
+def sparse_nullspace(rows: list[dict[int, int]], ncols: int
+                     ) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
+    """The canonical kernel of sparse integer rows {column: integer} over
+    columns below ncols, as (rows, scales): the solver of every linear
+    condition."""
+    return _kernel_rows(_reduce(rows, ncols), ncols) if ncols else ((), ())
 
 
 def sparse_rank(rows: list[dict[int, int]], ncols: int) -> int:
@@ -252,19 +245,54 @@ def sparse_rank(rows: list[dict[int, int]], ncols: int) -> int:
     return len(_reduce(rows, ncols)[1])
 
 
-def _kernel_basis(reduced, ncols: int) -> tuple[Vec, ...]:
-    """The canonical kernel basis of an integer reduced echelon form: one
-    free variable set to 1 in each vector, a function of the row space."""
+def _kernel_rows(reduced, ncols: int):
+    """The canonical kernel basis of an integer reduced echelon form, one
+    free variable set to 1 in each vector, a function of the row space, as
+    (rows, scales): each row is primitive, its scale the lcm of the
+    vector's denominators."""
     red, pivots, _ = reduced
-    zero, basis = Fraction(0), []
+    rows, scales = [], []
     for fc in sorted(set(range(ncols)).difference(pivots)):
+        # the entry at pivot column pc is n / d
+        hits = [(pc, -row[fc], row[pc]) for row, pc in zip(red, pivots)
+                if row[fc]]
+        scale = lcm(*(abs(d) // gcd(n, d) for _, n, d in hits))
+        row = {pc: n * scale // d for pc, n, d in hits}
+        row[fc] = scale
+        rows.append(row)
+        scales.append(scale)
+    return tuple(rows), tuple(scales)
+
+
+def vectors(rows, scales, ncols: int) -> tuple[Vec, ...]:
+    """The dense `Fraction` vectors row / scale of integer rows over their
+    scales: the rational view of a basis."""
+    zero, out = Fraction(0), []
+    for row, scale in zip(rows, scales):
         v = [zero] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(tuple(v))
-    return tuple(basis)
+        for j, x in row.items():
+            v[j] = Fraction(x, scale)
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def _unit_rows(reduced):
+    """The rows of an integer reduced echelon form over their pivots, as
+    (rows, scales): each row divided by its content, signed as its pivot,
+    so each scale is the lcm of the unit-pivot vector's denominators."""
+    out, scales = [], []
+    for row, c, cols in zip(*reduced):
+        g = gcd(*(row[j] for j in cols)) * (1 if row[c] > 0 else -1)
+        out.append({j: row[j] // g for j in cols})
+        scales.append(row[c] // g)
+    return tuple(out), tuple(scales)
+
+
+def sparse_row_space(rows: list[dict[int, int]], ncols: int
+                     ) -> tuple[tuple[dict[int, int], ...], tuple[int, ...]]:
+    """The reduced row-echelon basis of sparse integer rows, as (rows,
+    scales)."""
+    return _unit_rows(_reduce(rows, ncols))
 
 
 def row_space_basis(rows) -> tuple[Vec, ...]:

@@ -12,18 +12,13 @@ from order 1 yields the classical higher prolongations. Spencer cochains are
 alternating p-forms on V with symbol values, and the coboundary contracts
 one symmetric slot into the alternating part.
 
-The coboundary is written once, as contributions (row key, column, value)
-of sparse rows (`_d`, read by `spaces.condition_rows`): the image of each
-basis cochain of C^{p,q}, read from the integer basis of a^{(q)}, is one
-integer row over the columns of C^{p+1,q-1}, and feeding those rows back
-through `_d` checks d² = 0. Each rank is taken by `linalg.sparse_rank`, the
-elimination path of every other condition system, so no dense vector of a
-cochain space is built.
-
-Each `SymbolSpace` computes its first prolongation once
-(`SymbolSpace.prolongation`): the Spencer window builds its chain of
-prolongations from it, and Cartan's test reads it in every trial of the
-basis search, so a trial pays only for its flag, one integer elimination.
+A symbol space holds its basis as integer rows over scales, as a solution
+space does (`koszul.spaces`); prolongation, the Cartan flags and the
+Spencer cochains read those rows, and `Fraction` vectors are built only for
+the `basis` view and the report. Each space computes its first
+prolongation once (`SymbolSpace.prolongation`). The coboundary is written
+once, as condition-row contributions (`_d`), so no dense vector of a
+cochain space is built (`spencer_cohomology`).
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, lcm
+from math import comb
 import random
 
 from koszul import linalg
@@ -40,7 +35,7 @@ from koszul._kernel import echelon
 from koszul.algebra import envelope
 from koszul.errors import ConformanceMismatch, ValidationError
 from koszul.linalg import Vec
-from koszul.spaces import condition_rows
+from koszul.spaces import condition_rows, independent
 
 DEFAULT_SEED = 7
 # candidate bases of the quasi-regular basis search, the standard one first
@@ -71,38 +66,45 @@ def symbol_coord_dim(m: int, w: int, order: int) -> int:
 
 @dataclass(frozen=True)
 class SymbolSpace:
-    """Subspace of the order-s symmetric W-valued symbols on V."""
+    """Subspace of the order-s symmetric W-valued symbols on V, spanned by
+    the vectors rows[t] / scales[t]."""
 
     v_dim: int
     w_dim: int
-    basis: tuple[Vec, ...]
+    rows: tuple[dict[int, int], ...]
+    scales: tuple[int, ...]
     order: int = 1
 
     def __post_init__(self):
         n = symbol_coord_dim(self.v_dim, self.w_dim, self.order)
-        for b in self.basis:
-            if len(b) != n:
-                raise ValidationError("symbol vector has wrong length")
-        if self.basis and linalg.rank(self.basis) != len(self.basis):
+        if len(self.scales) != len(self.rows) or any(
+                not 0 <= j < n for row in self.rows for j in row):
+            raise ValidationError("symbol vector has wrong length")
+        if not independent(self.rows, n):
             raise ValidationError("symbol basis is linearly dependent")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        return linalg.vectors(self.rows, self.scales, symbol_coord_dim(
+            self.v_dim, self.w_dim, self.order))
 
     @cached_property
     def prolongation(self) -> SymbolSpace:
         """The first prolongation, computed once per space by `prolong`."""
         return prolong(self)
 
-    @cached_property
-    def _integer_basis(self) -> list[list[int]]:
-        return linalg.integer_rows(self.basis)[0]
-
 
 def symbol_space(v: int, w: int, rows) -> SymbolSpace:
-    basis = tuple(tuple(linalg.frac(x) for x in row) for row in rows)
-    return SymbolSpace(v, w, linalg.row_space_basis(basis), 1)
+    """The order-1 symbol space spanned by rational rows of length v * w,
+    on the reduced row-echelon basis of their span."""
+    if any(len(row) != v * w for row in rows):
+        raise ValidationError("symbol vector has wrong length")
+    return SymbolSpace(v, w, *linalg.sparse_row_space(
+        [linalg.integer_row(row)[0] for row in rows], v * w), 1)
 
 
 def prolong(a: SymbolSpace) -> SymbolSpace:
@@ -111,9 +113,9 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
     The zero space prolongs to zero without a solve: an order-(s+1) symbol
     whose every slice vanishes is zero."""
     m, w, s = a.v_dim, a.w_dim, a.order
-    if not a.basis:
-        return SymbolSpace(m, w, (), s + 1)
-    ann = linalg.nullspace(a.basis, ncols=symbol_coord_dim(m, w, s))
+    if not a.rows:
+        return SymbolSpace(m, w, (), (), s + 1)
+    ann = linalg.sparse_nullspace(a.rows, symbol_coord_dim(m, w, s))[0]
     nup = len(monomials(m, s + 1))
     pos_up = _mono_pos(m, s + 1)
     lower = monomials(m, s)
@@ -122,44 +124,37 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
     rows = condition_rows(
         ((j, t), i // nl * nup + pos_up[tuple(sorted(lower[i % nl] + (j,)))],
          coeff)
-        for t, lam in enumerate(ann) for i, coeff in enumerate(lam) if coeff
+        for t, lam in enumerate(ann) for i, coeff in lam.items()
         for j in range(m))
-    basis = linalg.sparse_nullspace(rows, w * nup)
-    return SymbolSpace(m, w, basis, s + 1)
+    return SymbolSpace(m, w, *linalg.sparse_nullspace(rows, w * nup), s + 1)
 
 
 def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
-    """(dim of the prolongation, sum of the flag dims, equality flag).
-
-    The prolongation is computed once per symbol space
-    (`SymbolSpace.prolongation`), so repeated tests of one space, as in
-    the basis search, pay only for the flag of each basis.
-    """
+    """(dim of the prolongation, sum of the flag dims, equality flag); the
+    prolongation is computed once per space, so a test pays for its flag."""
     if a.order != 1:
         raise ValidationError("cartan test applies to order-1 symbols")
     m = a.v_dim
     if basis is None:
-        return _flag_test(a, [[int(i == j) for j in range(m)]
-                              for i in range(m)])
-    basis = tuple(tuple(linalg.frac(x) for x in v) for v in basis)
-    if linalg.rank(basis) != m:
+        return _flag_test(a, [{i: 1} for i in range(m)])
+    bs = [linalg.integer_row(v)[0] for v in basis]
+    if linalg.sparse_rank(bs, m) != m:
         raise ValidationError("test basis does not span V")
-    return _flag_test(a, linalg.integer_rows(basis)[0])
+    return _flag_test(a, bs)
 
 
 def _flag_test(a: SymbolSpace, bs) -> tuple[int, int, bool]:
-    """`cartan_test` on a basis of V given as integer rows, each a basis
-    vector times a positive scale, already known to span V. The scales
-    keep every flag span, so the result is that of the rational basis.
+    """`cartan_test` on a basis of V already known to span it, as sparse
+    integer rows: positive scales keep every flag span.
 
-    Row s holds (A_s b_t)_k at column t * w + k, with A_s scaled to
-    integers. A pivot column is independent of the columns before it, so
-    dim a_j = d - #(pivots below j * w), summed over j = 0..m.
+    Row s holds (A_s b_t)_k at column t * w + k, A_s the integer row of
+    the s-th basis symbol. A pivot column is independent of the columns
+    before it, so dim a_j = d - #(pivots below j * w), summed over j = 0..m.
     """
     m, w = a.v_dim, a.w_dim
     _, pivots, _ = echelon([
-        [sum(A[k * m + i] * bt[i] for i in range(m))
-         for bt in bs for k in range(w)] for A in a._integer_basis])
+        [sum(A.get(k * m + i, 0) * y for i, y in bt.items())
+         for bt in bs for k in range(w)] for A in a.rows])
     p1 = a.prolongation.dim
     total = (m + 1) * a.dim - sum(m - c // w for c in pivots)
     if p1 > total:
@@ -175,13 +170,10 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
     Tries the standard basis first, then seeded random rational bases with
     entries n/d, n in [-5, 5] and d in {1, 2}. A quasi-regular basis is
     generic when one exists, so small budgets suffice in practice; None is
-    not a certificate of absence. The prolongation is computed once per
-    symbol space, so each trial costs one integer elimination for its whole
-    flag. The standard basis goes through the public `cartan_test`, which
-    checks the order of `a`; each candidate is ranked here, so its flag is
-    taken without a second check. A candidate is drawn as (n, d) pairs and
-    ranked and flag-tested as integer rows, each vector times the lcm of
-    its denominators, which keeps its rank and every flag span; only the
+    not a certificate of absence. The standard basis goes through the
+    public `cartan_test`, which checks the order of `a`; each candidate is
+    drawn as (n, d) pairs, ranked here and flag-tested as integer rows (each
+    vector times 2, which keeps its rank and every flag span), and only the
     basis returned is built as `Fraction`s.
     """
     if trials < 1:
@@ -194,14 +186,9 @@ def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
     for _ in range(trials - 1):
         cand = [[(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m)]
                 for _ in range(m)]
-        ints = []
-        for v in cand:
-            scale = lcm(*(d for _, d in v))
-            ints.append([n * (scale // d) for n, d in v])
-        if len(echelon(ints)[1]) != m:
-            continue
-        _, _, ok = _flag_test(a, ints)
-        if ok:
+        ints = [{i: n * (2 // d) for i, (n, d) in enumerate(v) if n}
+                for v in cand]
+        if linalg.sparse_rank(ints, m) == m and _flag_test(a, ints)[2]:
             return tuple(tuple(Fraction(n, d) for n, d in v) for v in cand)
     return None
 
@@ -259,7 +246,7 @@ def spencer_cohomology(a: SymbolSpace) -> SpencerReport:
     each d is computed once, serving both degrees it bounds. The images of
     the basis cochains of C^{p,q} are the sparse integer rows
     `condition_rows(_d(...))`, ranked by `linalg.sparse_rank`. The cochains
-    are read from the integer basis of a^{(q)} (`SymbolSpace._integer_basis`):
+    are read from the integer rows of a^{(q)} (`SymbolSpace.rows`):
     scaling a basis cochain by a positive integer scales its image row,
     which `condition_rows` makes primitive again, so the rows are those of
     the rational basis. For 1 <= q <= Q_MAX the rows go through `_d` once
@@ -288,11 +275,11 @@ def spencer_cohomology(a: SymbolSpace) -> SpencerReport:
         is checked on the way for 1 <= q <= Q_MAX."""
         nonlocal d2_ok
         if (p, q) not in ranks:
-            n = spaces[q].dim
-            basis = ((t * n + i, t * len(b) + j, x)
+            n, size = spaces[q].dim, symbol_coord_dim(m, w, q + 1)
+            basis = ((t * n + i, t * size + j, x)
                      for t in range(comb(m, p))
-                     for i, b in enumerate(spaces[q]._integer_basis)
-                     for j, x in enumerate(b) if x)
+                     for i, b in enumerate(spaces[q].rows)
+                     for j, x in b.items())
             rows = condition_rows(_d(m, w, p, q + 1, basis))
             if 1 <= q <= Q_MAX and condition_rows(_d(
                     m, w, p + 1, q, ((r, j, x) for r, row in enumerate(rows)

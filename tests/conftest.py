@@ -18,9 +18,10 @@ from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
 from koszul.connections import InvariantConnection
 from koszul.flatmodels import affine_algebra
 from koszul.forms import BilinearForm
+from koszul.spaces import LinearSolutionSpace
 from koszul.spencer import SymbolSpace
 from oracles import (dense_conjugate_product, dense_direct_sum_products,
-                     dense_lie, dense_product, dense_rref_mod)
+                     dense_lie, dense_product, dense_rref_mod, scaled)
 
 
 def rand_fraction(rng, lo=-2, hi=2):
@@ -48,16 +49,24 @@ def direct_sum_products(a: BilinearProduct,
     return dense_product(a.dim + b.dim, dense_direct_sum_products(a, b))
 
 
+def span(n: int, vectors, shape=None) -> LinearSolutionSpace:
+    """The solution space with the rational vectors as its basis."""
+    return LinearSolutionSpace(n, *scaled(vectors), shape)
+
+
+def symbols(m: int, w: int, vectors, order: int = 1) -> SymbolSpace:
+    """The symbol space with the rational vectors as its basis."""
+    return SymbolSpace(m, w, *scaled(vectors), order)
+
+
 def full_hom(m: int, w: int) -> SymbolSpace:
     """The order-1 symbol space of all of Hom(V, W), dim V = m, dim W = w."""
     n = m * w
-    basis = tuple(
-        tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n))
-    return SymbolSpace(m, w, basis, 1)
+    return symbols(m, w, linalg.identity(n))
 
 
 def zero_symbol(m: int, w: int) -> SymbolSpace:
-    return SymbolSpace(m, w, (), 1)
+    return symbols(m, w, ())
 
 
 def direct_sum_lie(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

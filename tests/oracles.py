@@ -2,6 +2,8 @@
 
 Everything here is written naively and separately from the library's
 tensor and elimination code: plain Gaussian elimination over Fraction,
+the library's former dense `Fraction` kernel basis of an integer reduced
+form (`dense_kernel_basis`),
 direct index-chasing tensor formulas, the library's former dense tensor
 routines (built on its former vector helpers `vec_add`, `vec_sub` and
 `vec_scale` and on `BilinearProduct.mult` only), its
@@ -151,6 +153,30 @@ def vec_scale(c, v) -> Vec:
 
 
 # ---------------------------------------------------------------- linear algebra
+
+def dense_kernel_basis(reduced, ncols: int) -> tuple[Vec, ...]:
+    """The library's former `linalg._kernel_basis`: the canonical kernel
+    basis of an integer reduced echelon form as dense `Fraction` vectors,
+    one free variable set to 1 in each."""
+    red, pivots, _ = reduced
+    zero, basis = Fraction(0), []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        v = [zero] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def scaled(vectors) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    """(rows, scales) of rational vectors, each the integer row over the
+    lcm of its denominators (`linalg.integer_row`): the basis of a solution
+    or symbol space built from `Fraction` vectors."""
+    pairs = [linalg.integer_row(v) for v in vectors]
+    return tuple(r for r, _ in pairs), tuple(t for _, t in pairs)
+
 
 def gauss_eliminate(rows):
     """Forward elimination with partial pivoting over Fraction; returns
@@ -753,7 +779,7 @@ def stacked_rank_aj_dims(a: SymbolSpace, basis_vectors) -> list[int]:
     of rows by a nonzero integer and so keeps every rank.
     """
     m, w = a.v_dim, a.w_dim
-    mats = a._integer_basis
+    mats = [[A.get(j, 0) for j in range(m * w)] for A in a.rows]
     bs, _ = linalg.integer_rows(basis_vectors)
     d = a.dim
     dims = [d]
@@ -1353,7 +1379,7 @@ def kv_delta_by_cochains(algebra, coefficients, q):
     basis cochain (the legal 0-cochains, or the scalar 1, in degree 0)."""
     m = algebra.dim
     if q == 0:
-        zero_basis = kv_degree_zero_space(algebra) \
+        zero_basis = linalg.vectors(*kv_degree_zero_space(algebra), m) \
             if coefficients == ADJOINT else ((Fraction(1),),)
         inputs = [Cochain(0, m, coefficients, (tuple(v),))
                   for v in zero_basis]
@@ -1380,7 +1406,7 @@ def kv_coboundary_matrix(algebra: BilinearProduct, coefficients: str, q: int):
     the constant 1. Returns (rows, ncols, nrows).
     """
     _check_kv(algebra, coefficients)
-    zero_basis = (kv_degree_zero_space(algebra)
+    zero_basis = (kv_degree_zero_space(algebra)[0]
                   if q == 0 and coefficients == ADJOINT else ())
     return _assemble(algebra.sparse.den,
                      *_kv_delta(algebra, coefficients, q, zero_basis))
@@ -1552,7 +1578,7 @@ def dense_solve_fe_star(conn):
         if steps > n:
             raise KoszulError("stabilization failed to terminate")
 
-    space = LinearSolutionSpace(ambient_dim=n, basis=tuple(basis))
+    space = LinearSolutionSpace(n, *scaled(basis))
     for w in space.basis:
         for f in compat:
             if any(x != 0 for x in linalg.mat_vec(f, w)):
@@ -1568,10 +1594,11 @@ def dense_solve_fe_star(conn):
 
 def fraction_invariance_rows(basis, into, n):
     """The library's former invariance rows of one FE* stabilization step:
-    the annihilators of span(basis) kept as `Fraction` vectors, the rows
-    M_k^T a built from `Fraction` products and made primitive by
-    `condition_rows`."""
-    ann = tuple(enumerate(linalg.nullspace(basis, ncols=n)))
+    the annihilators of the span of the integer rows `basis` kept as
+    `Fraction` vectors, the rows M_k^T a built from `Fraction` products and
+    made primitive by `condition_rows`."""
+    dense = linalg.vectors(basis, (1,) * len(basis), n)
+    ann = tuple(enumerate(linalg.nullspace(dense, ncols=n)))
     return condition_rows(chain(
         (((-1, t), l, x) for t, a in ann for l, x in enumerate(a) if x),
         (((k, t), c, v * x) for t, a in ann for l, x in enumerate(a) if x
@@ -2064,7 +2091,7 @@ def space_from_matrices(mats, m: int) -> LinearSolutionSpace:
     """The span of m x m matrices on the reduced row-echelon basis."""
     flat = [linalg.flatten(b) for b in mats]
     basis = linalg.row_space_basis(flat)
-    return LinearSolutionSpace(ambient_dim=m * m, basis=basis, shape=(m, m))
+    return LinearSolutionSpace(m * m, *scaled(basis), shape=(m, m))
 
 
 def phi_parts_space(conn: InvariantConnection, g: BilinearForm,
@@ -2264,7 +2291,8 @@ def cyclic_sum_symplectic_oracle(L) -> ExistenceVerdict:
     rw = max_rank(space)
     if rw.max_rank == m:
         witness = BilinearForm(m, rw.element, SKEW)
-        if not spaces.satisfies(rows, linalg.flatten(rw.element)):
+        if not spaces.satisfies(
+                rows, linalg.integer_row(linalg.flatten(rw.element))[0]):
             raise ValidationError("symplectic cocycle witness failed recheck")
         return ExistenceVerdict("yes", invariant_value=0, witness=witness)
     return _no_or_unknown(space, m, rw)
@@ -2404,7 +2432,7 @@ def dense_prolong(a: SymbolSpace) -> SymbolSpace:
             if any(row):
                 rows.append(row)
     basis = linalg.nullspace(rows, ncols=w * nup)
-    return SymbolSpace(m, w, basis, s + 1)
+    return SymbolSpace(m, w, *scaled(basis), s + 1)
 
 
 def check_rows(rows, flatvec) -> bool:

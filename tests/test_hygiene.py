@@ -148,6 +148,56 @@ def test_sympy_is_imported_only_by_the_listed_functions():
     assert top == []
 
 
+def callers(source: str, name: str) -> list[str]:
+    """Functions, by dotted path inside the module, whose body calls `name`,
+    as a bare name or as an attribute such as `linalg.integer_rows`."""
+    found: set[str] = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, path + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if name in (getattr(f, "id", None), getattr(f, "attr", None)):
+                    found.add(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_the_scan_sees_integer_rows_calls():
+    source = ("def f(rows):\n"
+              "    return linalg.integer_rows(rows)[0]\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        return [integer_rows(r) for r in self.rows]\n"
+              "def h(rows):\n"
+              "    return linalg.integer_row(rows), linalg.integer_rows\n")
+    assert callers(source, "integer_rows") == ["C.g", "f"]
+
+
+# The functions of src/ that scale dense rational rows with
+# `linalg.integer_rows`. Each reads a dense rational input; a solution or
+# symbol basis is held as integer rows over scales from the solver on, so
+# no round trip through `Fraction` vectors comes back unseen.
+INTEGER_ROWS_CALLERS = [
+    "connections.form_dual", "linalg._reduce_dense", "linalg.det",
+    "linalg.integer_inverse", "linalg.rank",
+]
+
+
+def test_integer_rows_is_called_only_by_the_listed_functions():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found += [f"{path.stem}.{f}"
+                  for f in callers(path.read_text(), "integer_rows")]
+    assert sorted(found) == INTEGER_ROWS_CALLERS
+
+
 def unread_public_names(sources: dict[str, str]) -> list[str]:
     """Public top-level functions and classes, as "module.name", that no
     module of `sources` (module name -> source) reads.
@@ -194,7 +244,7 @@ UNREAD_PUBLIC_NAMES = [
     "cohomology.maurer_cartan_defect", "connections.curvature_operators",
     "gauge.kernel_image_split", "gauge.phi_split",
     "gauge.solve_fe_double_star", "invariants.generic_rank",
-    "linalg.commutator", "linalg.mat_vec",
+    "linalg.commutator", "linalg.mat_vec", "linalg.row_space_basis",
 ]
 
 

@@ -46,10 +46,10 @@ from koszul.invariants import (
     s_b,
     s_star_b,
 )
-from koszul.spaces import LinearSolutionSpace
 
 from conftest import (conjugate_lie, direct_sum_lie, lie_pool, rand_fraction,
-                      rand_invertible, random_metric, random_torsion_free)
+                      rand_invertible, random_metric, random_torsion_free,
+                      span)
 from oracles import (dense_curvature, dense_is_parallel, dense_product,
                      dense_torsion, eager_flat_existence, full_pool_max_rank,
                      phi_parts_space, phi_split_parts_space, phi_split_s_b,
@@ -64,15 +64,15 @@ def kv_connection(p):
 def test_max_rank_on_simple_pencils():
     e00 = linalg.flatten([[1, 0], [0, 0]])
     e11 = linalg.flatten([[0, 0], [0, 1]])
-    space = LinearSolutionSpace(4, (e00, e11), shape=(2, 2))
+    space = span(4, (e00, e11), shape=(2, 2))
     rw = max_rank(space)
     assert rw.max_rank == 2 and linalg.rank(rw.element) == 2
     assert generic_rank(space) == 2
     # single nilpotent direction: rank is capped at 1
     e01 = linalg.flatten([[0, 1], [0, 0]])
-    space = LinearSolutionSpace(4, (e01,), shape=(2, 2))
+    space = span(4, (e01,), shape=(2, 2))
     assert max_rank(space).max_rank == 1
-    empty = LinearSolutionSpace(4, (), shape=(2, 2))
+    empty = span(4, (), shape=(2, 2))
     assert max_rank(empty).max_rank == 0
 
 
@@ -80,7 +80,7 @@ def test_common_kernel_detects_shared_annihilation():
     # both basis matrices kill (0, 1)
     a = linalg.flatten([[1, 0], [0, 0]])
     b = linalg.flatten([[2, 0], [1, 0]])
-    space = LinearSolutionSpace(4, (a, b), shape=(2, 2))
+    space = span(4, (a, b), shape=(2, 2))
     ck = common_kernel(space)
     assert ck and tuple(ck[0]) == (Fraction(0), Fraction(1))
 
@@ -299,8 +299,8 @@ def test_left_symplectic_oracle_rechecks_its_witness_on_the_full_rows(
                         or real(rows, vec))
     v = left_symplectic_oracle(L)
     assert v.exists == "yes"
-    assert calls[-1] == (scalar_coboundary_rows(L, 2),
-                         linalg.flatten(v.witness.matrix))
+    assert calls[-1] == (scalar_coboundary_rows(L, 2), linalg.integer_row(
+        linalg.flatten(v.witness.matrix))[0])
 
 
 def test_symplectic_routes_agree_on_catalog(rng):
@@ -475,9 +475,10 @@ def test_the_parallel_rows_recheck_matches_the_dense_matrices(base, kind, seed):
                         for _ in range(m)])
     rows = parallel_rows(conn)
     for b in parallel + [noise] + [linalg.mat_add(b, noise) for b in parallel]:
-        assert spaces.satisfies(rows, linalg.flatten(b)) == \
-            dense_is_parallel(conn, b)
-    assert all(spaces.satisfies(rows, linalg.flatten(b)) for b in parallel)
+        w = linalg.integer_row(linalg.flatten(b))[0]
+        assert spaces.satisfies(rows, w) == dense_is_parallel(conn, b)
+    assert all(spaces.satisfies(rows, linalg.integer_row(linalg.flatten(b))[0])
+               for b in parallel)
 
 
 def _every_form(conn, sym):
@@ -523,30 +524,30 @@ def matrix_spaces(draw):
             mats.append(linalg.identity(nr))
     flat = [linalg.flatten(a) for a in mats]
     basis = tuple(linalg.row_space_basis(flat)) if flat else ()
-    return LinearSolutionSpace(nr * nc, basis, shape=(nr, nc))
+    return span(nr * nc, basis, shape=(nr, nc))
 
 
 def test_max_rank_stops_once_the_result_is_final():
     # grid points B1, B1 + E00, B1 + 2 E00 with B1 = +-I: full rank and
-    # definite at the first, -I on the t_1 = -1 side; rank calls are that
-    # one point and the witness's own re-check
+    # definite at the first, -I on the t_1 = -1 side; integer eliminations
+    # are that one point and the witness's own re-check (`linalg.rank`)
     e00 = linalg.flatten([[1, 0], [0, 0]])
     for sign in (1, -1):
         b1 = linalg.mat_scale(sign, linalg.identity(2))
-        space = LinearSolutionSpace(4, (linalg.flatten(b1), e00),
+        space = span(4, (linalg.flatten(b1), e00),
                                     shape=(2, 2))
         for constraint, coeffs, element in (
                 ("none", (1, 0), b1),
                 ("positive_definite", (sign, 0), linalg.identity(2))):
-            with mock.patch.object(linalg, "rank",
-                                   wraps=linalg.rank) as rank:
+            with mock.patch.object(linalg, "echelon",
+                                   wraps=linalg.echelon) as rank:
                 rw = max_rank(space, constraint)
             assert rank.call_count == 2 and rw.certified
             assert (rw.coefficients, rw.element) == (coeffs, element)
 
 
 def test_max_rank_rejects_an_unknown_constraint():
-    space = LinearSolutionSpace(4, (linalg.flatten(linalg.identity(2)),),
+    space = span(4, (linalg.flatten(linalg.identity(2)),),
                                 shape=(2, 2))
     with pytest.raises(ValidationError, match="unknown max_rank constraint"):
         max_rank(space, "symmetric")
@@ -556,7 +557,7 @@ def _extremal_pencil(d):
     """diag(0, -1, ..., -(d-1)) + u I: singular at u = 0, ..., d-1 and
     nonsingular at u = d, so a grid one point short misses its rank."""
     b1 = [[Fraction(-i if i == j else 0) for j in range(d)] for i in range(d)]
-    return LinearSolutionSpace(
+    return span(
         d * d, (linalg.flatten(b1), linalg.flatten(linalg.identity(d))),
         shape=(d, d))
 
@@ -580,11 +581,11 @@ def pencils(draw):
         mats.append(linalg.mat_sub(a, linalg.transpose(a))
                     if kind == "skew" else a)
     basis = linalg.row_space_basis([linalg.flatten(a) for a in mats])
-    return LinearSolutionSpace(nr * nc, basis, shape=(nr, nc))
+    return span(nr * nc, basis, shape=(nr, nc))
 
 
 # zero block rows 1-2 x columns 1-2: generic rank 2, no common kernel
-ZERO_BLOCK = LinearSolutionSpace(9, (
+ZERO_BLOCK = span(9, (
     linalg.flatten(linalg.mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])),
     linalg.flatten(linalg.mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))),
     shape=(3, 3))
@@ -637,7 +638,7 @@ def _unit_span(n, cells):
         e = [[0] * n for _ in range(n)]
         e[i][j] = c
         basis.append(linalg.flatten(linalg.mat(e)))
-    return LinearSolutionSpace(n * n, tuple(basis), shape=(n, n))
+    return span(n * n, tuple(basis), shape=(n, n))
 
 
 def test_max_rank_reaches_full_rank_past_the_walk():
@@ -681,14 +682,14 @@ def test_generic_rank_above_the_bound_answers_unknown():
             e = [[0] * 4 for _ in range(4)]
             e[i][j] = 1
             basis.append(linalg.flatten(linalg.mat(e)))
-    space = LinearSolutionSpace(16, tuple(basis), shape=(4, 4))
-    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
+    space = span(16, tuple(basis), shape=(4, 4))
+    with mock.patch.object(linalg, "echelon", wraps=linalg.echelon) as rank:
         rw = max_rank(space)
     # each point walked, the dense points after it, and the witness's own
-    # re-check
+    # re-check, one integer elimination each
     assert rank.call_count == GENERIC_RANK_POINTS + PRIME_POINTS + 1
     assert rw.max_rank == 2 and not rw.certified
-    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as rank:
+    with mock.patch.object(linalg, "echelon", wraps=linalg.echelon) as rank:
         verdict = invariants._no_or_unknown(space, 4, rw)
     assert rank.call_count == 0
     assert verdict.exists == "unknown" and verdict.invariant_value == 2

@@ -415,4 +415,4 @@ def test_a_pivot_that_p_zeroes_still_goes_exact():
     rows = [{0: P}, {1: 1}, {1: 2}]
     assert independent_rows_mod_p(rows, 2) == ([1], {1: {}})
     assert linalg.sparse_rank(rows, 2) == 2
-    assert linalg.sparse_nullspace(rows, 2) == ()
+    assert linalg.sparse_nullspace(rows, 2) == ((), ())

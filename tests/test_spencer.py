@@ -21,7 +21,7 @@ from koszul.spencer import (
     symbol_space,
 )
 
-from conftest import full_hom, zero_symbol
+from conftest import full_hom, symbols, zero_symbol
 from oracles import (dense_prolong, dense_spencer_cohomology,
                      full_symbol_cartan_total, nullspace_cartan_test,
                      nullspace_quasi_regular_basis, stacked_rank_aj_dims)
@@ -50,8 +50,8 @@ def test_symbol_space_canonicalizes_input():
     a = symbol_space(2, 1, [[1, 0], [0, 1], [1, 1]])
     assert len(a.basis) == 2
     with pytest.raises(ValidationError):
-        SymbolSpace(2, 1, ((Fraction(1), Fraction(0)),
-                           (Fraction(2), Fraction(0))))
+        symbols(2, 1, ((Fraction(1), Fraction(0)),
+                       (Fraction(2), Fraction(0))))
 
 
 def test_full_symbol_prolongation_dimension():
@@ -217,7 +217,8 @@ def test_cartan_test_and_basis_search_match_the_nullspace_oracle(case):
     if linalg.rank(basis) == a.v_dim:
         assert cartan_test(a, basis) == nullspace_cartan_test(a, basis)
         basis = tuple(tuple(map(linalg.frac, v)) for v in basis)
-        assert spencer._flag_test(a, linalg.integer_rows(basis)[0])[1] == \
+        ints = [linalg.integer_row(v)[0] for v in basis]
+        assert spencer._flag_test(a, ints)[1] == \
             sum(stacked_rank_aj_dims(a, basis))
     else:
         for test in (cartan_test, nullspace_cartan_test):
@@ -288,7 +289,7 @@ def test_a_flag_is_one_elimination():
     a = so3_symbol()
     basis = tuple(tuple(map(Fraction, v))
                   for v in ([1, 2, 0], ["1/2", 1, 3], [1, 0, "-1/3"]))
-    ints = linalg.integer_rows(basis)[0]
+    ints = [linalg.integer_row(v)[0] for v in basis]
     a.prolongation
     with mock.patch.object(spencer, "echelon",
                            wraps=spencer.echelon) as ech, \
@@ -362,11 +363,11 @@ def test_spencer_window_just_below_the_coordinate_bound_runs(capsys,
                                      (3, 2, 1), (2, 3, 2), (3, 3, 2),
                                      (1, 2, 3), (4, 1, 2)])
 def test_the_zero_space_prolongs_to_zero_without_a_solve(m, w, s):
-    zero = SymbolSpace(m, w, (), s)
+    zero = SymbolSpace(m, w, (), (), s)
     with mock.patch.object(spencer.linalg, "sparse_nullspace",
                            side_effect=AssertionError("solved")):
         up = prolong(zero)
-    assert up == dense_prolong(zero) == SymbolSpace(m, w, (), s + 1)
+    assert up == dense_prolong(zero) == SymbolSpace(m, w, (), (), s + 1)
 
 
 @pytest.mark.parametrize("basis", [SO3_ROWS, []])

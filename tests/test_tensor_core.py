@@ -41,7 +41,8 @@ from koszul.algebra import (
     zero_product,
 )
 from koszul.catalog import aff1, heisenberg, heisenberg_kv, sl2, so3
-from koszul.cohomology import kv_degree_zero_space, scalar_coboundary_rows
+from koszul.cohomology import (kv_degree_zero_space, scalar_coboundary_rows,
+                               second_order_rows)
 from koszul.connections import (
     CARTAN_KINDS,
     InvariantConnection,
@@ -59,6 +60,7 @@ from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
 from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
                           g_nabla_subalgebra, parallel_forms, parallel_rows,
                           solve_gauge_equation)
+from koszul.spaces import LinearSolutionSpace, from_conditions
 
 from conftest import (assert_rows_match, assoc_pool, conjugate_lie,
                       conjugate_product, direct_sum_lie, kv_pool)
@@ -82,6 +84,7 @@ from oracles import (
     dense_fe_star_operators,
     dense_gauge_equation_rows,
     dense_hessian_rows,
+    dense_kernel_basis,
     dense_parallel_rows,
     dense_jacobi_defect,
     dense_killing_form,
@@ -107,6 +110,7 @@ from oracles import (
     nested_jacobi_defect,
     parity_row_form_space,
     parity_rows,
+    scaled,
     skew_cocycle_rows,
     skew_pairs,
     sparse_of,
@@ -410,7 +414,8 @@ def test_condition_rows_match_dense(conn, free, data):
         assert_rows_match(rows, dense, n)
         # the witness check over the nonzeros is the dense one
         for w in [vec, *linalg.nullspace(dense, ncols=n)[:1]]:
-            assert spaces.satisfies(rows, w) == check_rows(dense, w)
+            assert spaces.satisfies(rows, linalg.integer_row(w)[0]) == \
+                check_rows(dense, w)
     # the Hessian and symplectic systems, read from the coboundaries of
     # `cohomology`, against the former dense rows: the same canonical kernel
     # on the forms of their parity, and the same witness check there. The
@@ -430,7 +435,8 @@ def test_condition_rows_match_dense(conn, free, data):
         form = [flat[a * k + b] + sign * flat[b * k + a]
                 for a in range(k) for b in range(k)]
         for w in [form, *kernel[:1]]:
-            assert spaces.satisfies(rows, w) == check_rows(dense, w)
+            assert spaces.satisfies(rows, linalg.integer_row(w)[0]) == \
+                check_rows(dense, w)
 
 
 def _space_walked(builder, L):
@@ -565,8 +571,52 @@ def test_solver_rows_span_the_dense_rows(conn, data):
 @CHECKS
 @given(products())
 def test_kv_degree_zero_rows_span_the_dense_rows(p):
-    assert kv_degree_zero_space(p) == linalg.nullspace(
+    zero = kv_degree_zero_space(p)
+    assert linalg.vectors(*zero, p.dim) == linalg.nullspace(
         dense_associator_rows(p.sparse, p.dim), ncols=p.dim)
+
+
+# A solution space holds each basis vector as an integer row over one
+# scale. Row over scale must be the canonical kernel vector the former
+# dense formula (`dense_kernel_basis`) built from the same reduced form,
+# and the scale the lcm of its denominators; the space's ambient dim,
+# shape and dim must be the former ones.
+
+def _former_space(reduced, n, shape=None):
+    """(ambient_dim, basis, shape, dim) of the former `Fraction` space."""
+    basis = dense_kernel_basis(reduced, n) if n else ()
+    return n, basis, shape, len(basis)
+
+
+def _as_former(space):
+    n = space.ambient_dim
+    basis = tuple(tuple(Fraction(row.get(j, 0), scale) for j in range(n))
+                  for row, scale in zip(space.rows, space.scales))
+    assert (space.rows, space.scales) == scaled(basis)
+    return n, basis, space.shape, space.dim
+
+
+@CHECKS
+@given(connections(), st.data())
+def test_solution_rows_over_scales_are_the_former_dense_bases(conn, data):
+    m = conn.dim
+    sparse = conn.gamma.sparse
+    rows = parallel_rows(conn)
+    assert _as_former(from_conditions(rows, m * m, (m, m))) == \
+        _former_space(linalg._reduce(rows, m * m), m * m, (m, m))
+    for sym in (SYMMETRIC, SKEW):
+        assert _as_former(parallel_forms(conn, sym)) == _former_space(
+            linalg._reduce(rows + parity_rows(m, sym), m * m), m * m, (m, m))
+    zero = second_order_rows(sparse)
+    assert _as_former(g_nabla_subalgebra(conn)[0]) == \
+        _former_space(linalg._reduce(zero, m), m)
+    assert _as_former(LinearSolutionSpace(m, *kv_degree_zero_space(
+        conn.gamma))) == _former_space(linalg._reduce(zero, m), m)
+    _, gam = data.draw(tables(dim=m))
+    dual = InvariantConnection(conn.base, dense_product(m, gam))
+    assert _as_former(solve_gauge_equation(conn, dual)) == _former_space(
+        linalg._reduce_dense(dense_gauge_equation_rows(conn, dual), m * m),
+        m * m, (m, m))
 
 
 # The alternating contractions accumulate half a tensor; each must equal
