@@ -13,10 +13,13 @@ done by cross-multiplication. Defect tensors (Jacobi, associator,
 left-symmetry anomaly) and the Killing form are contractions over pairs of
 nonzeros, so their cost follows the number of nonzero coefficients rather
 than a power of the dimension. They are exact. A contraction sums integer
-products on one flat integer key per entry; a defect tensor keeps the
-nonzero sums as integers over one denominator, as `SparseTable` does, and
-"zero" means it has none. `DefectTensor.over_flat` sorts the integer keys
-once and turns each into its index tuple once.
+products on one flat integer key per entry. On a table whose rows are
+dense enough it sums whole rows instead, each packed into one integer
+(Kronecker substitution: the row (i, j) as sum_k t[i][j][k]·2^(W·k)), and
+reads the signed W-bit digits back into the same keys at the end. A
+defect tensor keeps the nonzero sums as integers over one denominator, as
+`SparseTable` does, and "zero" means it has none. `DefectTensor.over_flat`
+sorts the integer keys once and turns each into its index tuple once.
 
 Two of these tensors are alternating, and only their independent half is
 accumulated. The Jacobiator of a skew bracket is alternating in its three
@@ -45,6 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, lcm
+from operator import itemgetter
 
 from koszul import linalg
 from koszul.errors import JacobiViolation, ValidationError
@@ -59,10 +63,37 @@ Table3 = tuple[tuple[Vec, ...], ...]
 # and its estimate is the smaller count: any table of dim up to 31 passes.
 # Each estimate counts only the pairs its contraction visits: the Jacobi
 # check those with p < q, the bracket-mode q-term those with i < j. So
-# check-lie passes on affine:25 (810k pairs, about 1.2 s and 97 MB) and is
-# refused on affine:27 (1.1M pairs).
+# check-lie passes on affine:25 (810k pairs; 0.39 s and 86 MB as a
+# subprocess, Python 3.11 on a 2-vCPU host) and is refused on affine:27
+# (1.1M pairs). On packed rows (`_route_width`) the accumulator holds one
+# integer per 3-index key a pair of a nonzero and a row reaches, so no more
+# integers than the loop, each r digits of W bits, and the rule keeps r·W
+# within _PACK_MAX_WIDTH bits per nonzero of a row. A dense conjugate of
+# affine:5 (dim 30, estimate 810k) checks in 0.05 s at 30 MB packed and
+# 0.50 s at 35 MB on the loop, its curvature over itself in 0.15 s at
+# 33 MB and 1.6 s at 95 MB. A random dense skew table of dim 30, all
+# 730,788 Jacobi entries nonzero, peaks at 254 MB on either route (0.53 s
+# packed, 1.8 s on the loop): the output sets the peak.
 DENSE_CELL_BOUND = 10 ** 6
 ENTRY_BOUND = 10 ** 6
+
+# The route rule of `jacobi_defect` and `_operator_sums` (`_route_width`),
+# from timing both routes on random tables over r indices, Python 3.11 on
+# a 2-vCPU host; each figure is loop time over packed time, for the
+# curvature (bracket-mode `_operator_sums`) and for the Jacobiator.
+# - Full rows (r nonzeros each) with digits W of about 14-260 bits gain
+#   1.4-7.3x and 1.1-3.0x, 1.0-1.1x at about 1,030 bits, and lose (0.7x)
+#   at about 2,010 bits. A dense dim-3 table, 3 nonzeros a row, runs its
+#   Jacobiator at 0.79-0.95x; rows of 4 gain 1.4-1.8x and 1.1-1.2x.
+# - A row whose nonzeros fill a share f of its r digits pays for every
+#   digit, so it loses sooner, about where W / f passes 1,000 bits: f =
+#   1/2 gains 1.1-1.9x at W about 260 and loses (0.55-0.72x) at 1,030
+#   bits. Rows of 4 nonzeros over 100 digits of 900 bits took 34x the
+#   loop's time and 7x its memory. The rule bounds r·W per nonzero, W / f,
+#   by _PACK_MAX_WIDTH; the worst case measured inside it is 0.87x (f =
+#   1/8, W about 70).
+_PACK_MIN_ROW = 4
+_PACK_MAX_WIDTH = 1024
 
 
 def envelope(work: str, estimate: int, bound: int) -> None:
@@ -93,7 +124,13 @@ class SparseTable:
     them too, built on first use, since most tables never need them. A
     contraction multiplies and adds these integers and divides by the
     product of the denominators once at the end, which gives the same
-    rationals as `Fraction` arithmetic.
+    rationals as `Fraction` arithmetic. The rows of `by_pair` are also what
+    a contraction packs (`_packed`): the row (i, j) as the one integer
+    sum_k n·2^(W·k), whose digits of W bits, read as signed, are the row's
+    entries as long as every sum of them stays within ±(2^(W−1) − 1). The
+    route rule (`_route_width`) packs a table whose rows average at least
+    _PACK_MIN_ROW nonzeros, when a packed row spends at most
+    _PACK_MAX_WIDTH bits per nonzero.
     """
 
     __slots__ = ("den", "nonzeros", "by_first", "_by_second", "_by_pair")
@@ -193,6 +230,14 @@ class SparseTable:
             for i, j, k, n in self.nonzeros:
                 self._by_second.setdefault(j, []).append((i, k, n))
         return self._by_second
+
+    def _row_count(self) -> int:
+        """How many rows (i, j) hold a nonzero, len(by_pair), counted from
+        `by_first` when `by_pair` is not built, so as not to keep it."""
+        if self._by_pair is not None:
+            return len(self._by_pair)
+        return sum(len(set(map(itemgetter(0), row)))
+                   for row in self.by_first.values())
 
     @property
     def by_pair(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -442,15 +487,81 @@ def _check_skew(c: SparseTable) -> None:
             "bracket not antisymmetric at ({},{},{})".format(*min(bad)))
 
 
+def _largest(t: SparseTable) -> int:
+    """The largest absolute numerator of t, 0 when t is empty."""
+    return max(map(abs, map(itemgetter(3), t.nonzeros)), default=0)
+
+
+def _longest_row(t: SparseTable) -> int:
+    """The most nonzeros of t in one row (i, j) -> [(k, n)]."""
+    return max(map(len, t.by_pair.values()), default=0)
+
+
+def _route_width(t: SparseTable, r: int, bound) -> int:
+    """The route rule of a contraction over t's rows, their last index
+    below r: the digit width W of its packed rows (`_packed`), or 0 for
+    the loop over t's nonzeros one by one. The rows are packed when they
+    average at least _PACK_MIN_ROW nonzeros and a packed row, r digits of
+    W bits, spends at most _PACK_MAX_WIDTH bits per nonzero it holds (for
+    full rows, W <= _PACK_MAX_WIDTH). `bound()` is the largest absolute
+    digit sum, taken only when the rows qualify; W is the least width
+    whose signed digits, −2^(W−1) to 2^(W−1) − 1, hold it."""
+    nonzeros, rows = len(t.nonzeros), t._row_count()
+    if not rows or nonzeros < _PACK_MIN_ROW * rows:
+        return 0
+    width = bound().bit_length() + 1
+    return width if r * width * rows <= _PACK_MAX_WIDTH * nonzeros else 0
+
+
+def _packed(t: SparseTable, width: int) -> tuple[dict, dict]:
+    """t's rows packed into one integer each (Kronecker substitution): the
+    row (i, j) -> [(k, n)] becomes sum_k n·2^(width·k). Grouped as
+    `by_first` and `by_second` group the nonzeros, as i -> [(j, 0, packed)]
+    and j -> [(i, 0, packed)]. A contraction that reads these in place of
+    the nonzeros adds a whole row's products with one multiply-add, at its
+    key for k = 0; when every digit sum fits in a signed width-bit digit,
+    `_unpacked` reads them back."""
+    by_first: dict = {}
+    by_second: dict = {}
+    for (i, j), row in t.by_pair.items():
+        packed = sum(n << width * k for k, n in row)
+        by_first.setdefault(i, []).append((j, 0, packed))
+        by_second.setdefault(j, []).append((i, 0, packed))
+    return by_first, by_second
+
+
+def _unpacked(acc: dict, width: int) -> dict:
+    """The flat sums of a contraction over packed rows: the packed sum x at
+    key is sum_l d_l·2^(width·l), read as signed width-bit digits; each
+    nonzero d_l is the sum at key + l. The digits below x's lowest set bit
+    are zero, so each step goes straight to the next nonzero digit."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = {}
+    for key, x in acc.items():
+        while x:
+            skip = ((x & -x).bit_length() - 1) // width
+            key += skip
+            x >>= skip * width
+            d = x & mask
+            x >>= width
+            if d >= half:
+                d -= mask + 1
+                x += 1
+            out[key] = d
+            key += 1
+    return out
+
+
 def operator_defect(g: SparseTable, q: SparseTable,
                     bracket: bool = False) -> tuple[dict, int]:
     """Nonzero entries of L_i L_j (− L_j L_i) − sum_a q[i][j][a] L_a, as
-    (integer sums keyed by (i, j, k, l), their denominator): the index
-    tuples of `_operator_sums`, for the condition rows built from them.
+    (integer sums keyed by (i, j, k, l) in index order, their
+    denominator): the index tuples of `_operator_sums`, for the condition
+    rows built from them, in the same order on either of its routes.
     Those rows read the sums alone: dividing a row by the positive
     denominator does not change its primitive integer form."""
     acc, r, den = _operator_sums(g, q, bracket)
-    keys = [key for key, x in acc.items() if x]
+    keys = sorted(key for key, x in acc.items() if x)
     return dict(zip(_unflatten(keys, r, 4), [acc[key] for key in keys])), den
 
 
@@ -473,15 +584,36 @@ def _operator_sums(g: SparseTable, q: SparseTable,
     i < j, subtracts at (j, i, k, l) when i > j and is skipped when i = j,
     and only the nonzeros of q with i < j are read. `_mirrored` restores
     the whole tensor.
+
+    Both loops read g's rows over its last index: by_second[a] and
+    by_first[a] list the nonzeros of the rows (i, a) and (a, k). When g's
+    rows qualify (`_route_width`: they average at least _PACK_MIN_ROW
+    nonzeros), each row is one packed integer sum_l g[x][y][l]·2^(W·l)
+    (`_packed`), so a pair of nonzero and row is one multiply-add at the
+    key with l = 0 instead of one per nonzero of the row, done inside
+    CPython's big-integer arithmetic. W bounds every sum: it adds at most
+    one row of g·g products (two in bracket mode, one for each sign) and
+    one row of q·g products, so |sum| <= |g|max·((1 + bracket)·R_g·
+    |g|max·fp + R_q·|q|max·fq), with R the most nonzeros in one row, and W
+    is the least width whose signed digits hold that. `_unpacked` reads
+    the digits back as the same flat sums. A table whose rows are shorter,
+    or whose packed rows would spend more than _PACK_MAX_WIDTH bits per
+    nonzero (r·W over the nonzeros per row), takes the loop over its
+    nonzeros.
     """
-    by_second, r = g.by_second, _index_range(g, q)
+    r = _index_range(g, q)
     envelope("operator defect accumulator entries",
-             min(_pairs_visited((a for *_, a, _ in g.nonzeros), by_second)
+             min(_pairs_visited((a for *_, a, _ in g.nonzeros), g.by_second)
                  + _pairs_visited((a for i, j, a, _ in q.nonzeros
                                    if not bracket or i < j), g.by_first),
                  r ** 4), ENTRY_BOUND)
     d = lcm(g.den, q.den)
     fp, fq = d // g.den, d // q.den
+    width = _route_width(g, r, lambda: _largest(g) * (
+        (1 + bracket) * _longest_row(g) * _largest(g) * fp
+        + _longest_row(q) * _largest(q) * fq))
+    by_first, by_second = _packed(g, width) if width else (g.by_first,
+                                                           g.by_second)
     r2, r3 = r * r, r * r * r
     # (L_i L_j)[l][k] = sum_a gamma[i][a][l] gamma[j][k][a]
     acc: dict = defaultdict(int)
@@ -498,9 +630,9 @@ def _operator_sums(g: SparseTable, q: SparseTable,
             continue
         v *= fq
         ij = i * r3 + j * r2
-        for k, l, w in g.by_first.get(a, ()):
+        for k, l, w in by_first.get(a, ()):
             acc[ij + k * r + l] -= v * w
-    return acc, r, g.den * d
+    return (_unpacked(acc, width) if width else acc), r, g.den * d
 
 
 def _mirrored(half: dict, r: int, sign: int = 1) -> dict:
@@ -541,7 +673,12 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
     expanded into its six signed permutations, on flat keys. The smallest
     key of an alternating tensor is a sorted one, so `first_nonzero` names
     the first failing sorted triple. The sums accumulate on integer keys,
-    as in `_operator_sums`.
+    as in `_operator_sums`, and on the same route rule: when c's rows
+    average at least _PACK_MIN_ROW nonzeros, each row c[a][r][.] is one
+    packed integer, added once per nonzero c[p][q][a] at its sorted key
+    with l = 0. A sorted key sums one row of products for each of its
+    three pairs, so every digit sum is at most 3·R·|c|max² in absolute
+    value, R the most nonzeros in one row, and the width W holds that.
     """
     _check_skew(c)
     envelope("Jacobi defect accumulator entries",
@@ -549,19 +686,23 @@ def jacobi_defect(m: int, c: SparseTable) -> DefectTensor:
                                 c.by_first), m ** 4), ENTRY_BOUND)
     n = _index_range(c)
     n2, n3 = n * n, n * n * n
+    width = _route_width(c, n, lambda: 3 * _longest_row(c) * _largest(c) ** 2)
+    by_first = _packed(c, width)[0] if width else c.by_first
     acc: dict = defaultdict(int)
     for p, q, a, v in c.nonzeros:
         if p >= q:
             continue
         # the keys of (p,q,r,l), (r,p,q,l) and (p,r,q,l) less r and l
         pqr, rpq, prq = p * n3 + q * n2, p * n2 + q * n, p * n3 + q * n
-        for r, l, w in c.by_first.get(a, ()):
+        for r, l, w in by_first.get(a, ()):
             if r > q:
                 acc[pqr + r * n + l] += v * w
             elif r < p:
                 acc[r * n3 + rpq + l] += v * w
             elif p < r < q:
                 acc[prq + r * n2 + l] -= v * w
+    if width:
+        acc = _unpacked(acc, width)
     full: dict = {}
     for key, x in acc.items():
         if x:

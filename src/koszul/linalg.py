@@ -186,11 +186,14 @@ def _reduce(rows: list[dict[int, int]], ncols: int):
     """Integer reduced echelon (rows, pivots, supports) of sparse integer
     rows, from their pass mod P (`koszul._kernel.row_space`). When ncols
     rows are independent mod P they are independent over Q, so the rank is
-    ncols and the reduced form is the identity, with no check."""
+    ncols and the reduced form is the identity, with no check. Its readers
+    (`_kernel_rows`, `_unit_rows`, `sparse_rank`) read a row only at its
+    support and at the free columns, and the identity has no free column,
+    so its rows are kept as {c: 1}, not as ncols² cells."""
     kept, basis = independent_rows_mod_p(rows, ncols)
     if len(kept) == ncols:
-        return ([[int(j == c) for j in range(ncols)] for c in range(ncols)],
-                list(range(ncols)), [[c] for c in range(ncols)])
+        return ([{c: 1} for c in range(ncols)], list(range(ncols)),
+                [[c] for c in range(ncols)])
     return row_space(rows, ncols, kept, basis)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -370,8 +371,11 @@ def test_integer_rows_refuse_inexact_entries():
 # fraction, a pivot that P zeroes and rows dependent only mod P fall back
 # to Bareiss; zero columns are never pivots.
 
-def _normalized(reduced):
+def _normalized(reduced, ncols):
+    # the identity's rows are {c: 1}: read a dict row as a sparse row
     red, pivots, _ = reduced
+    red = [[row.get(j, 0) for j in range(ncols)] if isinstance(row, dict)
+           else row for row in red]
     return list(pivots), [[Fraction(x, row[c]) for x in row]
                           for row, c in zip(red, pivots)]
 
@@ -393,14 +397,14 @@ def test_reduce_matches_reduced_echelon_on_short_and_tall_systems(a):
     ncols = len(a[0]) if a else 0
     assume(ncols)
     rows = [{j: x for j, x in enumerate(r) if x} for r in a]
-    want = _normalized(reduced_echelon([list(r) for r in a]))
+    want = _normalized(reduced_echelon([list(r) for r in a]), ncols)
     route = reduce_eliminations([list(r) for r in a], ncols)
     with eliminations() as seen:
-        assert _normalized(linalg._reduce(rows, ncols)) == want
+        assert _normalized(linalg._reduce(rows, ncols), ncols) == want
     assert seen == route
     # from a pass over every row, with no early stop
     found = independent_rows_mod_p(rows, len(rows))
-    assert _normalized(row_space(rows, ncols, *found)) == want
+    assert _normalized(row_space(rows, ncols, *found), ncols) == want
 
 
 def test_a_tall_system_of_full_rank_mod_p_skips_the_exact_pass(
@@ -408,7 +412,23 @@ def test_a_tall_system_of_full_rank_mod_p_skips_the_exact_pass(
     rows = [{0: 3, 1: 1}, {1: 5}, {0: 1}, {0: 2, 1: 2}]
     monkeypatch.setattr(linalg, "row_space", pytest.fail)
     assert linalg.sparse_rank(rows, 2) == 2
-    assert linalg._reduce(rows, 2) == ([[1, 0], [0, 1]], [0, 1], [[0], [1]])
+    assert linalg._reduce(rows, 2) == ([{0: 1}, {1: 1}], [0, 1], [[0], [1]])
+
+
+def test_the_identity_reduced_form_writes_no_dense_cells():
+    # 3,000 independent unit rows: a dense identity would be a list of
+    # 9·10⁶ slots, 72 MB of pointers alone
+    n = 3000
+    rows = [{c: 1} for c in range(n)]
+    tracemalloc.start()
+    try:
+        assert linalg.sparse_nullspace(rows, n) == ((), ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+    assert linalg.sparse_row_space(rows, n) == (tuple(rows), (1,) * n)
+    assert linalg.sparse_rank(rows + rows[:1], n) == n
 
 
 def test_a_pivot_that_p_zeroes_still_goes_exact():

@@ -14,7 +14,11 @@ constructor's error must be the dense one verbatim. The two alternating
 contractions, which accumulate half a tensor (the Jacobiator at sorted
 triples, the bracket-mode operator defect at i < j), are also compared with
 the two-sided sums they replaced, on skew tables that may fail Jacobi and
-on their dense conjugates.
+on their dense conjugates. The Jacobiator and the operator sums (so the
+associator, the KV anomaly and the curvature) have two routes, a loop over
+the nonzeros and one over packed rows; each is forced in turn, whatever
+the route rule would pick, on entries of up to 1,100 bits, and both must
+give the oracles' tensors and errors.
 """
 
 from fractions import Fraction
@@ -25,9 +29,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from koszul import cli, invariants, linalg, spaces
+from koszul import algebra, catalog, cli, invariants, linalg, spaces
 from koszul.algebra import (
+    BilinearProduct,
     DefectTensor,
+    LieAlgebra,
     SparseTable,
     abelian,
     associator_defect,
@@ -143,20 +149,21 @@ def _zeros(m):
 
 
 @st.composite
-def tables(draw, skew=False, dim=None):
-    """A rank-3 table: sparse (a few nonzeros) or dense (all cells drawn)."""
-    m = draw(st.integers(0, MAX_DIM)) if dim is None else dim
+def tables(draw, skew=False, dim=None, values=rationals, max_dim=MAX_DIM):
+    """A rank-3 table: sparse (a few nonzeros) or dense (all cells drawn),
+    its entries drawn from `values`."""
+    m = draw(st.integers(0, max_dim)) if dim is None else dim
     t = _zeros(m)
     if draw(st.booleans()):
         cells = [(i, j, k) for i, j, k in product(range(m), repeat=3)
                  if not skew or i < j]
-        values = draw(st.lists(rationals, min_size=len(cells),
-                               max_size=len(cells)))
-        filled = zip(cells, values)
+        drawn = draw(st.lists(values, min_size=len(cells),
+                              max_size=len(cells)))
+        filled = zip(cells, drawn)
     else:
         idx = st.integers(0, max(m - 1, 0))
         filled = [((i, j, k), v) for i, j, k, v in draw(st.lists(
-            st.tuples(idx, idx, idx, nonzero_rationals),
+            st.tuples(idx, idx, idx, values.filter(bool)),
             max_size=2 * m + 2)) if m and (not skew or i != j)]
     for (i, j, k), v in filled:
         t[i][j][k] = v
@@ -768,3 +775,212 @@ def test_jacobi_defect_refuses_a_table_that_is_not_skew():
     with pytest.raises(ValidationError,
                        match=r"^bracket not antisymmetric at \(0,1,2\)$"):
         jacobi_defect(3, c)
+
+
+# ---------------------------------------------------------------- packed rows
+#
+# Both routes of `jacobi_defect` and `_operator_sums`, forced whatever the
+# route rule (`algebra._route_width`) would pick: a width cap of 0 keeps
+# every contraction on the loop over nonzeros, and no row minimum and no
+# cap pack every table's rows, at the width the library derives.
+
+PACKED_CHECKS = settings(CHECKS, max_examples=100)
+ROUTES = {"loop": {"_PACK_MAX_WIDTH": 0},
+          "packed": {"_PACK_MIN_ROW": 0, "_PACK_MAX_WIDTH": 10 ** 9}}
+
+
+def on_route(route, fn, *args):
+    """(fn(*args), or the (name, message) of the KoszulError it raises;
+    the (sums, width) of every unpacking on the way)."""
+    real, unpacked = algebra._unpacked, []
+
+    def spy(acc, width):
+        unpacked.append((real(acc, width), width))
+        return unpacked[-1][0]
+    with mock.patch.multiple(algebra, _unpacked=spy, **ROUTES[route]):
+        try:
+            got = fn(*args)
+        except KoszulError as exc:
+            got = type(exc).__name__, str(exc)
+    return got, unpacked
+
+
+def on_both_routes(fn, *args):
+    """fn(*args) on the loop and on the packed route, which must agree;
+    returns it with the packed route's unpackings."""
+    (loop, none), (packed, seen) = (on_route(route, fn, *args)
+                                    for route in ("loop", "packed"))
+    assert loop == packed and not none
+    if isinstance(loop, DefectTensor):
+        assert list(loop.numerators.items()) == \
+            list(packed.numerators.items())
+    for sums, width in seen:
+        # every digit sum fits in its signed width-bit digit
+        assert all(abs(x) < 2 ** (width - 1) for x in sums.values())
+    return loop, seen
+
+
+def wide_values(bits):
+    """Nonzero rationals whose numerators have `bits` bits, either sign,
+    over 1, 2 or 3."""
+    return st.builds(lambda n, sign, d: Fraction(sign * n, d),
+                     st.integers(2 ** (bits - 1), 2 ** bits - 1),
+                     st.sampled_from((1, -1)), st.sampled_from((1, 2, 3)))
+
+
+# numerators of 1 to 1,100 bits, the narrow ones as likely as the wide
+bit_sizes = st.one_of(st.integers(1, 64), st.integers(65, 1100))
+
+
+def wide_tables(skew=False, dim=None):
+    """Tables as `tables` draws them, up to dim 4, with entries of n bits,
+    n from `bit_sizes`."""
+    return bit_sizes.flatmap(lambda n: tables(skew, dim, wide_values(n),
+                                              max_dim=4))
+
+
+@st.composite
+def wide_lie_algebras(draw):
+    """A pool algebra, or its conjugate, with its bracket scaled by a wide
+    rational: still a Lie bracket."""
+    L = draw(lie_algebras())
+    s = draw(bit_sizes.flatmap(wide_values))
+    return L.dim, _nested([[[s * v for v in row] for row in plane]
+                           for plane in L.c])
+
+
+def _one(x):
+    return 1, _nested([[[Fraction(x)]]])
+
+
+def _skew(upper, m, scale):
+    """The skew table of scale times the entries (i, j, k) -> n, i < j."""
+    t = _zeros(m)
+    for (i, j, k), n in upper.items():
+        t[i][j][k], t[j][i][k] = Fraction(scale * n), Fraction(-scale * n)
+    return _nested(t)
+
+
+def _table(entries, m, scale):
+    t = _zeros(m)
+    for (i, j, k), n in entries.items():
+        t[i][j][k] = Fraction(scale * n)
+    return _nested(t)
+
+
+@PACKED_CHECKS
+@given(st.one_of(wide_tables(skew=True), wide_tables(), wide_lie_algebras()))
+@example((0, ()))
+@example((1, _nested([[[Fraction(0)]]])))
+@example((2, _nested([[[0, 0], [0, 0]], [[Fraction(1), 0], [0, 0]]])))
+# J(e0, e1, e2) along e0 is c011 c120 - c121 c010 - c122 c020 + c022 c120,
+# here 4N² with N = 2^64: past the 3N² a width derived from one row per
+# pair of the sorted triple, not three, would hold
+@example((3, _skew({(0, 1, 0): 1, (0, 1, 1): 1, (0, 2, 0): 1, (0, 2, 2): 1,
+                    (1, 2, 0): 1, (1, 2, 1): -1, (1, 2, 2): -1}, 3, 2 ** 64)))
+def test_both_routes_give_the_jacobi_defect_and_its_errors(mt):
+    m, c = mt
+    got, _ = on_both_routes(jacobi_defect, m, sparse_of(c))
+    if isinstance(got, DefectTensor):
+        assert_tensor(got, dense_jacobi_defect(c))
+        assert got == DefectTensor((m,) * 4,
+                                   nested_jacobi_defect(m, sparse_of(c)))
+    else:
+        assert got[0] == "ValidationError"
+    # the constructor's refusal, a ValidationError or the JacobiViolation
+    # naming the first failing triple, is the dense check's on both routes
+    err, _ = on_both_routes(_error, dense_lie, m, c)
+    assert err == _error(dense_lie_check, m, c)
+
+
+@PACKED_CHECKS
+@given(st.integers(0, 4).flatmap(lambda m: st.tuples(
+    wide_tables(dim=m), wide_tables(dim=m), wide_tables(skew=True, dim=m))),
+    st.booleans())
+# r = 1, g = (1) and q = (2 - 2^64): the one sum is 1 + 2^64 - 2, the bound
+# the width is derived from, and the largest digit of width 65
+@example((_one(1), _one(2 - 2 ** 64), _one(0)), False)
+# g = (N) and q = (-1/2), N = 2^64: over the common denominator 2 the g·g
+# term counts twice, and the sum 2N² + N is the bound again
+@example((_one(2 ** 64), _one(Fraction(-1, 2)), _one(0)), False)
+# bracket mode, q = 0 and N = 2^64: the sum at (0, 1, 0, 1) is g100 g001 +
+# g101 g011 - g000 g101 - g001 g111 = 4N², the bound of two rows of g·g
+# products, each N² at most
+@example(((2, _table({(0, 0, 0): -1, (0, 0, 1): 1, (0, 1, 1): 1,
+                      (1, 0, 0): 1, (1, 0, 1): 1, (1, 1, 1): -1}, 2, 2 ** 64)),
+          (2, _nested(_zeros(2))), (2, _nested(_zeros(2)))), True)
+@example(((0, ()), (0, ()), (0, ())), True)
+@example(((3, _nested(_zeros(3))),) * 3, False)
+def test_both_routes_give_the_operator_sums(gqs, bracket):
+    (m, g), (_, q), (_, s) = gqs
+    g, q = sparse_of(g), sparse_of(s if bracket else q)
+    (sums, den), seen = on_both_routes(operator_defect, g, q, bracket)
+    full = two_sided_operator_defect(g, q, bracket)
+    assert fractions_over(sums, den) == {
+        idx: v for idx, v in full.items() if not bracket or idx[0] < idx[1]}
+    assert list(sums) == sorted(sums)
+    if sums == {(0, 0, 0, 0): 2 ** 64 - 1}:
+        assert [width for _, width in seen] == [65]
+    if bracket and sums.get((0, 1, 0, 1)) == 2 ** 130:
+        assert [width for _, width in seen] == [132]
+
+
+@PACKED_CHECKS
+@given(wide_tables(), st.data())
+def test_both_routes_give_the_associator_anomaly_and_curvature(mg, data):
+    m, g = mg
+    p = dense_product(m, g)
+    assert_tensor(on_both_routes(associator_defect, p)[0],
+                  dense_associator_defect(p))
+    assert_tensor(on_both_routes(kv_anomaly, p)[0], dense_kv_anomaly(p))
+    L = data.draw(lie_algebras())
+    _, gam = data.draw(wide_tables(dim=L.dim))
+    conn = InvariantConnection(L, dense_product(L.dim, gam))
+    assert_tensor(on_both_routes(curvature, conn)[0], dense_curvature(conn))
+
+
+def routes_taken(fn, *args) -> list[int]:
+    """What `algebra._route_width` returned to each contraction of
+    fn(*args): 0 for the loop over nonzeros, else the packed digit width."""
+    real, widths = algebra._route_width, []
+
+    def spy(t, r, bound):
+        widths.append(real(t, r, bound))
+        return widths[-1]
+    with mock.patch.object(algebra, "_route_width", spy):
+        fn(*args)
+    return widths
+
+
+def _validated(m, c):
+    """The contractions that check a bracket: the Jacobi check of the Lie
+    constructor, and the curvature of the bracket over itself."""
+    LieAlgebra(m, c)
+    algebra.curvature_tensor(c, c, m)
+
+
+def _checked(p):
+    associator_defect(p)
+    kv_anomaly(p)
+
+
+def test_the_route_rule_loops_on_sparse_tables_and_packs_dense_ones():
+    so3_sl2 = direct_sum_lie(so3(), sl2())
+    for L in (catalog.resolve("lie", "affine:4"), so3_sl2):
+        assert set(routes_taken(_validated, L.dim, L.sparse)) == {0}
+    assert set(routes_taken(_checked, heisenberg_kv())) == {0}
+    # unitriangular all-ones factors: a change with no zero entry
+    for L in (so3_sl2, catalog.resolve("lie", "affine:2")):
+        m = L.dim
+        change = dense_mat_mul(
+            [[Fraction(int(r >= c)) for c in range(m)] for r in range(m)],
+            [[Fraction(int(r <= c)) for c in range(m)] for r in range(m)])
+        c = conjugate_lie(L, change).sparse
+        widths = routes_taken(_validated, m, c)
+        assert len(widths) == 2 and \
+            all(0 < w <= algebra._PACK_MAX_WIDTH for w in widths)
+        assert all(routes_taken(_checked, BilinearProduct(m, c)))
+        # the same bracket times 2^600: its digits are past the width cap
+        wide = SparseTable.over({(i, j, k): n << 600
+                                 for i, j, k, n in c.nonzeros}, c.den)
+        assert set(routes_taken(_validated, m, wide)) == {0}
