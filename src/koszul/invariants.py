@@ -14,11 +14,15 @@ the whole space, that generic rank, or, for the bi-invariant metric, a
 nonzero trace tr ad(e_i), read before any space is built.
 
 Each route solves only the system that decides it. The gauge parts of s^b
-and s^{*b} are the parallel forms of one parity (`gauge.parallel_forms`),
+and s^{*b} are the parallel forms of one parity (`gauge.parallel_rows`),
 so FE(nabla, nabla*) itself is not solved. The cocycle systems are
 `cohomology`'s (`scalar_coboundary_rows`): skew 2-cocycles of the trivial
 Chevalley-Eilenberg complex and symmetric ones of the scalar KV complex of
 a flat connection's product.
+
+The Hessian, s^b, s^{*b}, bi-invariant metric and symplectic verdicts
+share one walk, one re-check of a full-rank witness on the rows that
+define its space, and one ending otherwise (`_form_verdict`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from koszul.connections import (InvariantConnection, cartan_connection,
 from koszul.errors import (NotFlat, NotTorsionFree, SingularMetric,
                            TorsionMismatch, ValidationError)
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
-from koszul.gauge import parallel_forms, parallel_rows, solve_fe_star
+from koszul.gauge import parallel_rows, solve_fe_star
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace
 
@@ -100,7 +104,10 @@ def max_rank(space: LinearSolutionSpace,
     whole grid was walked. Each symmetric point of rank d gets one exact
     signature: all positive makes el definite, all negative makes -el (the
     t_1 = -1 side) definite; positive_definite is True when either holds,
-    None when no point passed (absence is not certified).
+    None when no point passed (absence is not certified). The zero space
+    is not walked: its one element, the zero form, is positive definite
+    only in dimension 0 (the empty form), so positive_definite is True
+    there and False, a certified absence, in positive dimension.
     """
     if constraint not in ("none", "positive_definite"):
         raise ValidationError(f"unknown max_rank constraint {constraint!r}")
@@ -110,7 +117,7 @@ def max_rank(space: LinearSolutionSpace,
     nr, nc = space.shape
     if k == 0:
         z = linalg.zeros(nr, nc)
-        pd = False if constraint == "positive_definite" else None
+        pd = nr == nc == 0 if constraint == "positive_definite" else None
         return RankWitness(0, (), z, True, positive_definite=pd)
 
     d = min(nr, nc)
@@ -235,15 +242,59 @@ def _no_or_unknown(space, m, rw: RankWitness, notes=""):
     return ExistenceVerdict("unknown", invariant_value=value, notes=notes)
 
 
-def _rebased_parallel_forms(conn: InvariantConnection,
-                            sym: str) -> LinearSolutionSpace:
-    """`gauge.parallel_forms` of one parity on the reduced row-echelon basis
-    of its span. The basis fixes which point of the `max_rank` walk, and so
-    which witness form, s_b and s_star_b report; this one makes it a
-    function of the span alone."""
-    space = parallel_forms(conn, sym)
-    return LinearSolutionSpace(space.ambient_dim, *linalg.sparse_row_space(
-        space.rows, space.ambient_dim), shape=space.shape)
+def _form_verdict(space: LinearSolutionSpace, rows, sym: str,
+                  definite: str | None = None) -> ExistenceVerdict:
+    """The verdict of every route that asks for a form of parity sym of
+    full rank in `space`, the forms solving the integer condition `rows`.
+
+    One `max_rank` walk; at full rank the witness `BilinearForm` is
+    re-checked once for each property the report claims: membership by
+    substituting its integer row into `rows`, rank by `RankWitness`, and
+    positive definiteness by one signature, only where the walk claims it.
+    definite "required" answers "yes" only on a positive definite witness;
+    "noted" answers "yes" at full rank and notes whether the witness is
+    positive definite. Everything else ends in `_no_or_unknown`.
+    """
+    m = space.shape[0]
+    rw = max_rank(space, constraint="positive_definite" if definite
+                  else "none")
+    required = definite == "required"
+    if not (rw.positive_definite if required else rw.max_rank == m):
+        notes = "no positive definite sample found" if required else ""
+        return _no_or_unknown(space, m, rw, notes=notes)
+    witness = BilinearForm(m, rw.element, sym)
+    member = linalg.integer_row(linalg.flatten(rw.element))[0]
+    if not spaces.satisfies(rows, member) or (
+            rw.positive_definite and not witness.is_positive_definite()):
+        raise ValidationError("witness form failed its re-check")
+    notes = "" if definite != "noted" else (
+        "witness is positive definite" if rw.positive_definite
+        else "witness is nondegenerate; definiteness not certified")
+    return ExistenceVerdict("yes", invariant_value=0, witness=witness,
+                            notes=notes)
+
+
+def _parallel_verdict(conn: InvariantConnection, sym: str,
+                      definite: str | None = None) -> ExistenceVerdict:
+    """`_form_verdict` on the nabla-parallel forms of one parity
+    (`gauge.parallel_rows`), on the reduced row-echelon basis of their span.
+    The basis fixes which point of the `max_rank` walk, and so which
+    witness form, s_b and s_star_b report; this one makes it a function of
+    the span alone."""
+    m = conn.dim
+    rows = parallel_rows(conn)
+    basis = linalg.sparse_row_space(form_space(rows, m, sym).rows, m * m)
+    return _form_verdict(LinearSolutionSpace(m * m, *basis, shape=(m, m)),
+                         rows, sym, definite)
+
+
+def _hessian_rows(conn: InvariantConnection) -> list[dict[int, int]]:
+    """The scalar KV delta_2 rows of the connection's product, which must
+    be flat."""
+    flat, why = is_locally_flat(conn)
+    if not flat:
+        raise NotFlat(why)
+    return scalar_coboundary_rows(conn.gamma, 2)
 
 
 def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
@@ -253,27 +304,15 @@ def hessian_cocycle_space(conn: InvariantConnection) -> LinearSolutionSpace:
     the bracket being e_i·e_j − e_j·e_i as the connection is torsion-free.
     Requires a flat connection.
     """
-    flat, why = is_locally_flat(conn)
-    if not flat:
-        raise NotFlat(why)
-    return form_space(scalar_coboundary_rows(conn.gamma, 2), conn.dim,
-                      SYMMETRIC)
+    return form_space(_hessian_rows(conn), conn.dim, SYMMETRIC)
 
 
 def hessian_defect(conn: InvariantConnection) -> tuple[int, ExistenceVerdict]:
     """dim minus the maximal rank over the cocycle space of a flat connection."""
-    space = hessian_cocycle_space(conn)
-    m = conn.dim
-    rw = max_rank(space)
-    defect = m - rw.max_rank
-    if defect == 0:
-        # re-validate: the witness is symmetric, nondegenerate, and lies in
-        # the space (membership re-checked via containment)
-        if not space.contains(linalg.flatten(rw.element)):
-            raise ValidationError("hessian witness escaped its space")
-        witness = BilinearForm(m, rw.element, SYMMETRIC)
-        return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return defect, _no_or_unknown(space, m, rw)
+    rows = _hessian_rows(conn)
+    verdict = _form_verdict(form_space(rows, conn.dim, SYMMETRIC), rows,
+                            SYMMETRIC)
+    return verdict.invariant_value, verdict
 
 
 def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
@@ -372,6 +411,13 @@ def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
     return None
 
 
+def _require_metric(g: BilinearForm):
+    if g.sym != SYMMETRIC:
+        raise SingularMetric("auxiliary metric must be symmetric")
+    if not g.is_nondegenerate:
+        raise SingularMetric(f"auxiliary metric has rank {g.rank} < {g.dim}")
+
+
 def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
         ) -> tuple[int, ExistenceVerdict]:
     """Metric gap: dim minus the best rank of symmetric gauge parts.
@@ -379,40 +425,16 @@ def s_b(L: LieAlgebra, g: BilinearForm, positive: bool = False
     Built from the pair (plus-connection, its metric dual). A solution phi
     of FE(nabla, nabla*) is one whose form g(phi·,·) is nabla-parallel, and
     g(Phi·,·) is its symmetric half, so the forms g(Phi·,·) are exactly the
-    ad-invariant symmetric forms. The space walked is therefore
-    `gauge.parallel_forms` of the plus connection, rebased on its reduced
-    row-echelon basis (`_rebased_parallel_forms`), and FE(nabla, nabla*) is
-    not solved: the value, the verdict and the witness form do not depend
-    on the auxiliary metric g, which is only checked to be a metric.
+    ad-invariant symmetric forms. The space walked is therefore the
+    symmetric nabla-parallel forms of the plus connection, rebased on their
+    reduced row-echelon basis (`_parallel_verdict`), and FE(nabla, nabla*)
+    is not solved: the value, the verdict and the witness form do not
+    depend on the auxiliary metric g, which is only checked to be a metric.
     """
-    if g.sym != SYMMETRIC:
-        raise SingularMetric("auxiliary metric must be symmetric")
-    if not g.is_nondegenerate:
-        raise SingularMetric(f"auxiliary metric has rank {g.rank} < {g.dim}")
-    m = L.dim
-    plus = cartan_connection(L, "plus")
-    space = _rebased_parallel_forms(plus, SYMMETRIC)
-    constraint = "positive_definite" if positive else "none"
-    rw = max_rank(space, constraint=constraint)
-    gap = m - rw.max_rank
-    if rw.positive_definite if positive else gap == 0:
-        witness = BilinearForm(m, rw.element, SYMMETRIC)
-        _validate_parallel(plus, witness)
-        if not (witness.is_positive_definite() if positive
-                else witness.is_nondegenerate):
-            raise ValidationError("witness form failed revalidation")
-        return gap, ExistenceVerdict("yes", invariant_value=gap,
-                                     witness=witness)
-    notes = "no positive definite sample found" if positive else ""
-    return gap, _no_or_unknown(space, m, rw, notes=notes)
-
-
-def _validate_parallel(conn: InvariantConnection, b: BilinearForm):
-    """Re-check a witness form on the defining rows of nabla-parallel forms
-    (for the plus connection, the ad-invariant ones)."""
-    w = linalg.integer_row(linalg.flatten(b.matrix))[0]
-    if not spaces.satisfies(parallel_rows(conn), w):
-        raise ValidationError("witness form is not parallel")
+    _require_metric(g)
+    verdict = _parallel_verdict(cartan_connection(L, "plus"), SYMMETRIC,
+                                "required" if positive else None)
+    return verdict.invariant_value, verdict
 
 
 def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
@@ -427,28 +449,17 @@ def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
     `max_rank`. The tests cross-check the trace certificate against that
     walk, and this route against s_b.
     """
-    m = L.dim
     sp = L.sparse
-    traces = _left_traces(sp, m)
+    traces = _left_traces(sp, L.dim)
     hit = next((i for i, t in enumerate(traces) if t), None)
     if hit is not None:
         return ExistenceVerdict("no", certificate=(
             f"tr ad(e_{hit}) = {Fraction(traces[hit], sp.den)} is not 0, so "
             f"the algebra is not unimodular; a nondegenerate ad-invariant "
             f"form makes every ad_x skew, of trace 0"))
-    plus = cartan_connection(L, "plus")
-    space = parallel_forms(plus, SYMMETRIC)
-    rw = max_rank(space, constraint="positive_definite")
-    gap = m - rw.max_rank
-    if rw.max_rank == m:
-        witness = BilinearForm(m, rw.element, SYMMETRIC)
-        _validate_parallel(plus, witness)
-        notes = ("witness is positive definite"
-                 if rw.positive_definite else
-                 "witness is nondegenerate; definiteness not certified")
-        return ExistenceVerdict("yes", invariant_value=0, witness=witness,
-                                notes=notes)
-    return _no_or_unknown(space, m, rw)
+    rows = parallel_rows(cartan_connection(L, "plus"))
+    return _form_verdict(form_space(rows, L.dim, SYMMETRIC), rows, SYMMETRIC,
+                         "noted")
 
 
 def s_star_b(conn: InvariantConnection, g: BilinearForm,
@@ -458,34 +469,21 @@ def s_star_b(conn: InvariantConnection, g: BilinearForm,
 
     The forms g(Phi*·,·) are the skew halves of the nabla-parallel forms
     g(phi·,·) of the FE(nabla, nabla*) solutions phi, so they sweep exactly
-    the nabla-parallel skew forms. The space walked is therefore
-    `gauge.parallel_forms` of the connection, rebased on its reduced
-    row-echelon basis (`_rebased_parallel_forms`), and FE(nabla, nabla*) is
-    not solved: the value, the verdict and the witness form do not depend
-    on the auxiliary metric g. The torsion-free precondition can
-    be waived (require_torsion_free=False) to probe connections with
-    torsion, e.g. the bracket connection on a semisimple algebra; the
-    geometric symplectic interpretation is only backed by the torsion-free
-    case.
+    the nabla-parallel skew forms. The space walked is therefore those
+    forms, rebased on their reduced row-echelon basis (`_parallel_verdict`),
+    and FE(nabla, nabla*) is not solved: the value, the verdict and the
+    witness form do not depend on the auxiliary metric g. The torsion-free
+    precondition can be waived (require_torsion_free=False) to probe
+    connections with torsion, e.g. the bracket connection on a semisimple
+    algebra; the geometric symplectic interpretation is only backed by the
+    torsion-free case.
     """
-    if g.sym != SYMMETRIC:
-        raise SingularMetric("auxiliary metric must be symmetric")
-    if not g.is_nondegenerate:
-        raise SingularMetric(f"auxiliary metric has rank {g.rank} < {g.dim}")
+    _require_metric(g)
     if require_torsion_free and not is_torsion_free(conn):
         hit = torsion(conn).first_nonzero()
         raise NotTorsionFree(f"torsion does not vanish (witness {hit[0][:3]})")
-    m = conn.dim
-    space = _rebased_parallel_forms(conn, SKEW)
-    rw = max_rank(space)
-    gap = m - rw.max_rank
-    if gap == 0:
-        witness = BilinearForm(m, rw.element, SKEW)
-        _validate_parallel(conn, witness)
-        if not witness.is_nondegenerate:
-            raise ValidationError("symplectic witness is degenerate")
-        return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return gap, _no_or_unknown(space, m, rw)
+    verdict = _parallel_verdict(conn, SKEW)
+    return verdict.invariant_value, verdict
 
 
 def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
@@ -498,11 +496,4 @@ def left_symplectic_oracle(L: LieAlgebra) -> ExistenceVerdict:
         return ExistenceVerdict(
             "no", invariant_value=m - max_rank(space).max_rank,
             certificate="skew forms in odd dimension are singular")
-    rw = max_rank(space)
-    if rw.max_rank == m:
-        witness = BilinearForm(m, rw.element, SKEW)
-        if not spaces.satisfies(
-                rows, linalg.integer_row(linalg.flatten(rw.element))[0]):
-            raise ValidationError("symplectic cocycle witness failed recheck")
-        return ExistenceVerdict("yes", invariant_value=0, witness=witness)
-    return _no_or_unknown(space, m, rw)
+    return _form_verdict(space, rows, SKEW)

@@ -89,8 +89,11 @@ contributions placed by sorting (`sort_alternating`,
 annihilators (`fraction_invariance_rows`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
 dense builders and readers that used them (`dense_*_algebra`,
-`dense_conjugate_product`, `dense_mult`, ...), and closed forms from
-textbooks. Slower is fine; agreeing by construction is the point.
+`dense_conjugate_product`, `dense_mult`, ...), its former form verdicts,
+each route with its own walk, witness, re-check and ending
+(`per_route_hessian_defect`, `per_route_s_b`, `per_route_s_star_b`,
+`per_route_bi_invariant_metric`, `per_route_left_symplectic_oracle`), and
+closed forms from textbooks. Slower is fine; agreeing by construction is the point.
 """
 
 import json
@@ -108,24 +111,27 @@ import sympy
 from koszul import cli, cohomology, linalg, spaces
 from koszul._kernel import P, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
-                            SparseTable, kv_anomaly, operator_defect,
-                            zero_product)
+                            SparseTable, _left_traces, kv_anomaly,
+                            operator_defect, zero_product)
 from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
                                DegreeDims, _assemble, _check_associative,
                                _check_kv, _flat_index, _hochschild_delta,
                                _kv_delta, ce_coboundary_matrix,
                                kv_degree_zero_space, zero_cochain)
 from koszul.connections import (InvariantConnection, amari_dual,
-                                cartan_connection, is_locally_flat, torsion)
+                                cartan_connection, is_locally_flat,
+                                is_torsion_free, torsion)
 from koszul.errors import (ConformanceMismatch, JacobiViolation,
-                           KoszulError, NonNormalized, NotKV, SingularFisher,
-                           TorsionMismatch, ValidationError)
+                           KoszulError, NonNormalized, NotKV, NotTorsionFree,
+                           SingularFisher, SingularMetric, TorsionMismatch,
+                           ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
-from koszul.gauge import (FeStarSolutions, parallel_forms, phi_split,
-                          solve_gauge_equation)
+from koszul.gauge import (FeStarSolutions, parallel_forms, parallel_rows,
+                          phi_split, solve_gauge_equation)
 from koszul.invariants import (ExistenceVerdict, RankWitness,
-                               _no_or_unknown, max_rank, r_b_defect)
+                               _no_or_unknown, hessian_cocycle_space,
+                               max_rank, r_b_defect)
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
 from koszul.spencer import (DEFAULT_SEED, SpencerReport, SymbolSpace,
@@ -2316,6 +2322,130 @@ def rank_walk_bi_invariant_metric(L) -> ExistenceVerdict:
         return ExistenceVerdict(
             "yes", invariant_value=0,
             witness=BilinearForm(m, rw.element, SYMMETRIC), notes=notes)
+    return _no_or_unknown(space, m, rw)
+
+
+def _per_route_validate_parallel(conn, b: BilinearForm):
+    w = linalg.integer_row(linalg.flatten(b.matrix))[0]
+    if not spaces.satisfies(parallel_rows(conn), w):
+        raise ValidationError("witness form is not parallel")
+
+
+def _per_route_rebased(conn, sym: str) -> LinearSolutionSpace:
+    space = parallel_forms(conn, sym)
+    return LinearSolutionSpace(space.ambient_dim, *linalg.sparse_row_space(
+        space.rows, space.ambient_dim), shape=space.shape)
+
+
+def per_route_hessian_defect(conn):
+    """The library's former `invariants.hessian_defect`, with its own walk,
+    witness and re-check (the witness's membership of the walked space)."""
+    space = hessian_cocycle_space(conn)
+    m = conn.dim
+    rw = max_rank(space)
+    defect = m - rw.max_rank
+    if defect == 0:
+        if not space.contains(linalg.flatten(rw.element)):
+            raise ValidationError("hessian witness escaped its space")
+        witness = BilinearForm(m, rw.element, SYMMETRIC)
+        return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
+    return defect, _no_or_unknown(space, m, rw)
+
+
+def per_route_s_b(L, g: BilinearForm, positive: bool = False):
+    """The library's former `invariants.s_b`, with its own walk, witness,
+    re-check on `parallel_rows` and second rank of the witness."""
+    if g.sym != SYMMETRIC:
+        raise SingularMetric("auxiliary metric must be symmetric")
+    if not g.is_nondegenerate:
+        raise SingularMetric(f"auxiliary metric has rank {g.rank} < {g.dim}")
+    m = L.dim
+    plus = cartan_connection(L, "plus")
+    space = _per_route_rebased(plus, SYMMETRIC)
+    constraint = "positive_definite" if positive else "none"
+    rw = max_rank(space, constraint=constraint)
+    gap = m - rw.max_rank
+    if rw.positive_definite if positive else gap == 0:
+        witness = BilinearForm(m, rw.element, SYMMETRIC)
+        _per_route_validate_parallel(plus, witness)
+        if not (witness.is_positive_definite() if positive
+                else witness.is_nondegenerate):
+            raise ValidationError("witness form failed revalidation")
+        return gap, ExistenceVerdict("yes", invariant_value=gap,
+                                     witness=witness)
+    notes = "no positive definite sample found" if positive else ""
+    return gap, _no_or_unknown(space, m, rw, notes=notes)
+
+
+def per_route_bi_invariant_metric(L) -> ExistenceVerdict:
+    """The library's former `invariants.bi_invariant_metric`: the trace
+    read first, then its own walk, witness and re-check on
+    `parallel_rows`."""
+    m = L.dim
+    sp = L.sparse
+    traces = _left_traces(sp, m)
+    hit = next((i for i, t in enumerate(traces) if t), None)
+    if hit is not None:
+        return ExistenceVerdict("no", certificate=(
+            f"tr ad(e_{hit}) = {Fraction(traces[hit], sp.den)} is not 0, so "
+            f"the algebra is not unimodular; a nondegenerate ad-invariant "
+            f"form makes every ad_x skew, of trace 0"))
+    plus = cartan_connection(L, "plus")
+    space = parallel_forms(plus, SYMMETRIC)
+    rw = max_rank(space, constraint="positive_definite")
+    if rw.max_rank == m:
+        witness = BilinearForm(m, rw.element, SYMMETRIC)
+        _per_route_validate_parallel(plus, witness)
+        notes = ("witness is positive definite"
+                 if rw.positive_definite else
+                 "witness is nondegenerate; definiteness not certified")
+        return ExistenceVerdict("yes", invariant_value=0, witness=witness,
+                                notes=notes)
+    return _no_or_unknown(space, m, rw)
+
+
+def per_route_s_star_b(conn, g: BilinearForm,
+                       require_torsion_free: bool = True):
+    """The library's former `invariants.s_star_b`, with its own walk,
+    witness, re-check on `parallel_rows` and second rank of the witness."""
+    if g.sym != SYMMETRIC:
+        raise SingularMetric("auxiliary metric must be symmetric")
+    if not g.is_nondegenerate:
+        raise SingularMetric(f"auxiliary metric has rank {g.rank} < {g.dim}")
+    if require_torsion_free and not is_torsion_free(conn):
+        hit = torsion(conn).first_nonzero()
+        raise NotTorsionFree(f"torsion does not vanish (witness {hit[0][:3]})")
+    m = conn.dim
+    space = _per_route_rebased(conn, SKEW)
+    rw = max_rank(space)
+    gap = m - rw.max_rank
+    if gap == 0:
+        witness = BilinearForm(m, rw.element, SKEW)
+        _per_route_validate_parallel(conn, witness)
+        if not witness.is_nondegenerate:
+            raise ValidationError("symplectic witness is degenerate")
+        return 0, ExistenceVerdict("yes", invariant_value=0, witness=witness)
+    return gap, _no_or_unknown(space, m, rw)
+
+
+def per_route_left_symplectic_oracle(L) -> ExistenceVerdict:
+    """The library's former `invariants.left_symplectic_oracle`, with its
+    own walk, witness and re-check on the Chevalley-Eilenberg delta_2
+    rows."""
+    m = L.dim
+    rows = cohomology.scalar_coboundary_rows(L, 2)
+    space = form_space(rows, m, SKEW)
+    if m % 2 == 1:
+        return ExistenceVerdict(
+            "no", invariant_value=m - max_rank(space).max_rank,
+            certificate="skew forms in odd dimension are singular")
+    rw = max_rank(space)
+    if rw.max_rank == m:
+        witness = BilinearForm(m, rw.element, SKEW)
+        if not spaces.satisfies(
+                rows, linalg.integer_row(linalg.flatten(rw.element))[0]):
+            raise ValidationError("symplectic cocycle witness failed recheck")
+        return ExistenceVerdict("yes", invariant_value=0, witness=witness)
     return _no_or_unknown(space, m, rw)
 
 

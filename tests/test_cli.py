@@ -141,6 +141,17 @@ def test_bimetric_failure_carries_certificate():
         "nondegenerate ad-invariant form makes every ad_x skew, of trace 0")
 
 
+def test_the_empty_form_answers_both_definite_queries_yes():
+    # on the algebra of dimension 0 the one form, the empty one, is a
+    # positive definite invariant metric
+    argv = ["invariants", "--catalog", "abelian:0", "--which"]
+    sb = cli.run(argv + ["sb+"])["result"]
+    bimetric = cli.run(argv + ["bimetric"])["result"]
+    assert sb["exists"] == bimetric["exists"] == "yes"
+    assert sb["s_b"] == 0 and sb["notes"] == ""
+    assert bimetric["notes"] == "witness is positive definite"
+
+
 def test_tower_command():
     res = cli.run(["flat-models", "tower", "--m", "1",
                    "--steps", "3"])["result"]

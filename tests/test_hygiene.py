@@ -81,6 +81,71 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def dead_stores(source: str) -> list[str]:
+    """Function locals assigned and never read, as "function: name (line n)".
+
+    A local is a name stored in the function's own scope (comprehensions
+    included; nested functions, lambdas and classes have their own). It
+    counts as read when the function, or a scope nested in it, loads it.
+    Names that begin with "_" and names declared nonlocal or global are
+    skipped.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        declared = {name for node in own
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        stored: dict[str, int] = {}
+        for node in own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno,
+                                      stored.get(node.id, node.lineno))
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        found += [f"{fn.name}: {name} (line {line})"
+                  for name, line in sorted(stored.items())
+                  if name not in read and name not in declared
+                  and not name.startswith("_")]
+    return found
+
+
+def test_the_scan_sees_dead_and_live_stores():
+    source = ("def f(a):\n"
+              "    b, c = a\n"
+              "    d = 1\n"
+              "    d += 1\n"
+              "    _ = [e for e in a]\n"
+              "    def g():\n"
+              "        nonlocal h\n"
+              "        h = c\n"
+              "        k = 2\n"
+              "        return lambda: c\n"
+              "    h = 0\n"
+              "    return g\n"
+              "def m():\n"
+              "    global n\n"
+              "    n = 1\n")
+    assert dead_stores(source) == ["f: b (line 2)", "f: d (line 3)",
+                                   "f: h (line 11)", "g: k (line 9)"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_stores_in_src(path):
+    assert dead_stores(path.read_text()) == []
+
+
 def importers(source: str, package: str) -> tuple[list[str], list[str]]:
     """(functions whose body imports `package`, its top-level imports).
 
@@ -244,7 +309,8 @@ UNREAD_PUBLIC_NAMES = [
     "cohomology.maurer_cartan_defect", "connections.curvature_operators",
     "gauge.kernel_image_split", "gauge.phi_split",
     "gauge.solve_fe_double_star", "invariants.generic_rank",
-    "linalg.commutator", "linalg.mat_vec", "linalg.row_space_basis",
+    "invariants.hessian_cocycle_space", "linalg.commutator",
+    "linalg.mat_vec", "linalg.row_space_basis",
 ]
 
 

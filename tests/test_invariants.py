@@ -22,6 +22,7 @@ from koszul.cohomology import scalar_coboundary_rows
 from koszul.connections import (InvariantConnection, cartan_connection,
                                 form_dual)
 from koszul.errors import (
+    KoszulError,
     NotFlat,
     NotTorsionFree,
     SingularMetric,
@@ -47,12 +48,15 @@ from koszul.invariants import (
     s_star_b,
 )
 
-from conftest import (conjugate_lie, direct_sum_lie, lie_pool, rand_fraction,
-                      rand_invertible, random_metric, random_torsion_free,
-                      span)
+from conftest import (conjugate_lie, conjugate_product, direct_sum_lie,
+                      kv_pool, lie_pool, rand_fraction, rand_invertible,
+                      random_metric, random_torsion_free, span)
 from oracles import (dense_curvature, dense_is_parallel, dense_product,
                      dense_torsion, eager_flat_existence, full_pool_max_rank,
-                     phi_parts_space, phi_split_parts_space, phi_split_s_b,
+                     per_route_bi_invariant_metric, per_route_hessian_defect,
+                     per_route_left_symplectic_oracle, per_route_s_b,
+                     per_route_s_star_b, phi_parts_space,
+                     phi_split_parts_space, phi_split_s_b,
                      phi_split_s_star_b, rank_walk_bi_invariant_metric,
                      symbolic_generic_rank)
 
@@ -74,6 +78,11 @@ def test_max_rank_on_simple_pencils():
     assert max_rank(space).max_rank == 1
     empty = span(4, (), shape=(2, 2))
     assert max_rank(empty).max_rank == 0
+    # the zero form is definite only as the empty form of dimension 0
+    definite = "positive_definite"
+    assert max_rank(empty, constraint=definite).positive_definite is False
+    assert max_rank(span(0, (), shape=(0, 0)),
+                    constraint=definite).positive_definite is True
 
 
 def test_common_kernel_detects_shared_annihilation():
@@ -415,7 +424,10 @@ def test_parts_span_is_the_metric_times_the_phi_split_span(
     # s_b and s_star_b walk the parallel forms of the part's parity, which
     # the bridge space equals for every connection and metric, torsion or not
     sym = SYMMETRIC if part == "sym" else SKEW
-    assert invariants._rebased_parallel_forms(conn, sym).basis == new.basis
+    with mock.patch.object(invariants, "_form_verdict",
+                           lambda space, *args: space):
+        walked = invariants._parallel_verdict(conn, sym)
+    assert walked.basis == new.basis
     if part == "sym" and kind == "plus":
         got, former = s_b(L, g), phi_split_s_b(L, g)
     elif part == "skew":
@@ -481,23 +493,81 @@ def test_the_parallel_rows_recheck_matches_the_dense_matrices(base, kind, seed):
                for b in parallel)
 
 
-def _every_form(conn, sym):
-    """A stand-in for `parallel_forms` that returns every form of the
-    parity, most of which are not parallel."""
-    return form_space([], conn.dim, sym)
+def _outcome(route, *args):
+    """A verdict route's `_answer` (value None for a bare verdict), or its
+    error, by type and message."""
+    try:
+        result = route(*args)
+    except KoszulError as exc:
+        return type(exc).__name__, str(exc)
+    return _answer(result if isinstance(result, tuple) else (None, result))
 
 
-def test_a_witness_off_the_parallel_rows_is_refused():
-    # the walk then meets nondegenerate forms that are not parallel, and
-    # the recheck on parallel_rows refuses them
-    conn = cartan_connection(direct_sum_lie(aff1(), aff1()), "zero")
-    with mock.patch.object(invariants, "parallel_forms", _every_form):
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.none() | st.integers(0, len(lie_pool()) - 1),
+       change=st.none() | st.integers(0, 2 ** 16),
+       kind=st.sampled_from(("plus", "zero", "minus", "torsion-free")),
+       metric=st.none() | st.integers(0, 2 ** 16),
+       product=st.integers(0, len(kv_pool()) - 1))
+@example(base=None, change=None, kind="plus", metric=None, product=0)
+@example(base=5, change=None, kind="zero", metric=None, product=0)  # so3
+@example(base=8, change=None, kind="zero", metric=1, product=2)  # so3+R
+@example(base=9, change=7, kind="zero", metric=None, product=4)  # aff1+aff1
+def test_the_form_verdicts_match_the_per_route_oracle(base, change, kind,
+                                                      metric, product):
+    # every route of the shared form-verdict path answers as its former
+    # body did, with its own walk, witness and re-check; base None is the
+    # algebra of dimension 0
+    L = abelian(0) if base is None else _pool_algebra(base, change)
+    m = L.dim
+    rng = random.Random(metric)
+    conn = _connection(L, kind, rng)
+    g = identity_form(m) if metric is None else random_metric(m, rng)
+    p = kv_pool()[product]
+    if change is not None:
+        p = conjugate_product(p, rand_invertible(p.dim, random.Random(change)))
+    pairs = [(s_b, per_route_s_b, (L, g)),
+             (s_b, per_route_s_b, (L, g, True)),
+             (s_star_b, per_route_s_star_b, (conn, g)),
+             (s_star_b, per_route_s_star_b, (conn, g, False)),
+             (bi_invariant_metric, per_route_bi_invariant_metric, (L,)),
+             (left_symplectic_oracle, per_route_left_symplectic_oracle, (L,))]
+    pairs += [(hessian_defect, per_route_hessian_defect, (c,))
+              for c in (conn, cartan_connection(L, "zero"), kv_connection(p))]
+    for route, oracle, args in pairs:
+        assert _outcome(route, *args) == _outcome(oracle, *args)
+
+
+def _every_form(rows, m, sym):
+    """A stand-in for `forms.form_space` that returns every form of the
+    parity, most of which do not solve the rows."""
+    return form_space([], m, sym)
+
+
+# One input per route whose own space holds no form of full rank, so that
+# the first full-rank form of its parity that the walk meets is off the
+# rows that define that space.
+OFF_THE_ROWS = {
+    "hessian": lambda: hessian_defect(kv_connection(heisenberg_kv())),
+    "sb": lambda: s_b(aff1(), identity_form(2)),
+    "s*b": lambda: s_star_b(cartan_connection(
+        direct_sum_lie(aff1(), aff1()), "zero"), identity_form(4)),
+    "bimetric": lambda: bi_invariant_metric(heisenberg()),
+    "symplectic": lambda: left_symplectic_oracle(
+        direct_sum_lie(so3(), abelian(1))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(OFF_THE_ROWS))
+def test_a_witness_off_the_parallel_rows_is_refused(route):
+    # with its space swapped for every form of its parity, each route's walk
+    # meets a nondegenerate form off its defining rows, and the one re-check
+    # of a witness refuses it
+    with mock.patch.object(invariants, "form_space", _every_form):
         with pytest.raises(ValidationError,
-                           match="witness form is not parallel"):
-            s_star_b(conn, identity_form(4))
-        with pytest.raises(ValidationError,
-                           match="witness form is not parallel"):
-            s_b(aff1(), identity_form(2))
+                           match="witness form failed its re-check"):
+            OFF_THE_ROWS[route]()
 
 
 def test_determinism_fixed_seed():
