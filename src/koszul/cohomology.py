@@ -215,27 +215,34 @@ def kv_coboundary(c: Cochain, algebra: BilinearProduct,
     the action on a tensor spreading over every slot. Degree 0 with algebra
     coefficients: (delta xi)(X) = -X·xi + xi·X; with scalars: zero.
     """
-    if coefficients is not None and coefficients != c.module:
-        raise ValidationError("cochain module does not match coefficients")
-    if c.dim != algebra.dim:
-        raise ValidationError("cochain dimension does not match the algebra")
+    _check_cochain(c, algebra, coefficients)
     if c.degree > 4:
         raise ValidationError("coboundary implemented for degree <= 4")
     if not algebra.is_kv:
         hit = kv_anomaly(algebra).first_nonzero()
         raise NotKV(f"product is not left-symmetric (witness {hit[0][:3]})")
-    m = algebra.dim
-    sp = algebra.sparse
-    if c.degree > 0:
-        entries = _kv_entries(sp, m, c.degree, c.module == ADJOINT)
-        x = [v for value in c.table for v in value]
-    elif c.module == SCALAR:
-        return zero_cochain(1, m, SCALAR)
+    if c.degree:
+        zero_basis, x = (), [v for value in c.table for v in value]
     else:
         # delta_0 on the one-vector basis (xi,) of c's span
-        xi = dict(enumerate(c.table[0]))
-        entries, x = _kv_degree_zero_entries(sp, m, [xi]), (1,)
-    return _apply(c, sp.den, entries, x)
+        zero_basis, x = [dict(enumerate(c.table[0]))], (1,)
+    entries = _kv_delta(algebra, c.module, c.degree, zero_basis)[0]
+    return _apply(c, algebra.sparse.den, entries, x)
+
+
+def _check_cochain(c: Cochain, algebra: BilinearProduct,
+                   module: str | None) -> None:
+    if module is not None and module != c.module:
+        raise ValidationError("cochain module does not match coefficients")
+    if c.dim != algebra.dim:
+        raise ValidationError("cochain dimension does not match the algebra")
+
+
+def _check_size(contributions: int, tuples: int) -> None:
+    """Refuse a complex with more contributions or cochain index tuples
+    than their bounds, before any is generated or walked."""
+    envelope("coboundary contributions", contributions, ENTRY_BOUND)
+    envelope("cochain index tuples", tuples, COCHAIN_TUPLE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -512,13 +519,10 @@ def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
                        max_degree: int = 3) -> CohomologyReport:
     """Exact dims of the left-symmetric complex up to max_degree <= 3."""
     _check_kv(algebra, coefficients, max_degree)
-    envelope("coboundary contributions",
-             sum(_kv_contributions(len(algebra.sparse.nonzeros), algebra.dim,
-                                   q, coefficients == ADJOINT)
-                 for q in range(max_degree + 1)), ENTRY_BOUND)
-    envelope("cochain index tuples",
-             sum(algebra.dim ** (q + 1) for q in range(max_degree + 1)),
-             COCHAIN_TUPLE_BOUND)
+    _check_size(sum(_kv_contributions(len(algebra.sparse.nonzeros),
+                                      algebra.dim, q, coefficients == ADJOINT)
+                    for q in range(max_degree + 1)),
+                sum(algebra.dim ** (q + 1) for q in range(max_degree + 1)))
     # primitive integer degree-0 columns (a canonical kernel vector has a 1);
     # rescaling a column keeps every rank and delta_1 delta_0 = 0
     zero_basis = (kv_degree_zero_space(algebra)[0]
@@ -606,10 +610,8 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
     contributions = sum(_ce_contributions(L.sparse, L.dim, p,
                                           coefficients == ADJOINT)
                         for p in range(max_degree + 1))
-    envelope("coboundary contributions", contributions, ENTRY_BOUND)
-    envelope("cochain index tuples",
-             sum(comb(L.dim, p) + comb(L.dim, p + 1)
-                 for p in range(max_degree + 1)), COCHAIN_TUPLE_BOUND)
+    _check_size(contributions, sum(comb(L.dim, p) + comb(L.dim, p + 1)
+                                   for p in range(max_degree + 1)))
     m = L.dim
     if (coefficients == ADJOINT
             and _killing_products(L.sparse) <= contributions
@@ -642,12 +644,9 @@ def hochschild_coboundary(c: Cochain, algebra: BilinearProduct) -> Cochain:
 
     Coefficients are in the algebra: a cochain of another module or
     dimension raises ValidationError."""
-    if c.module != ADJOINT:
-        raise ValidationError("cochain module does not match coefficients")
-    if c.dim != algebra.dim:
-        raise ValidationError("cochain dimension does not match the algebra")
-    sp = algebra.sparse
-    return _apply(c, sp.den, _hochschild_entries(sp, algebra.dim, c.degree),
+    _check_cochain(c, algebra, ADJOINT)
+    return _apply(c, algebra.sparse.den,
+                  _hochschild_delta(algebra, c.degree)[0],
                   [v for value in c.table for v in value])
 
 
@@ -702,13 +701,10 @@ def hochschild_dims(algebra: BilinearProduct,
     """Hochschild dims with coefficients in the algebra, degree <= 2."""
     _check_max_degree(max_degree, 2)
     _check_associative(algebra)
-    envelope("coboundary contributions",
-             sum(_hochschild_contributions(len(algebra.sparse.nonzeros),
-                                           algebra.dim, q)
-                 for q in range(max_degree + 1)), ENTRY_BOUND)
-    envelope("cochain index tuples",
-             sum(algebra.dim ** (q + 1) for q in range(max_degree + 1)),
-             COCHAIN_TUPLE_BOUND)
+    _check_size(sum(_hochschild_contributions(len(algebra.sparse.nonzeros),
+                                              algebra.dim, q)
+                    for q in range(max_degree + 1)),
+                sum(algebra.dim ** (q + 1) for q in range(max_degree + 1)))
     m, sp = algebra.dim, algebra.sparse
     if _nondegenerate(_trace_form_rows(sp, m), m):
         # semisimple, so separable: HH^q(A, A) = 0 for q >= 1, and H^0 is

@@ -16,6 +16,10 @@ trace zero. An incomplete algebra gets a rational witness a_star with
 det(R_{a_star} + I) = 0: in ambient dimension <= 2 the first rational zero
 on a coordinate axis, where one lies there; else a_star = -e for a nonzero
 idempotent e. No verdict is unknown.
+
+A right ideal is simple when the largest two-sided ideal inside it, the
+largest subspace of it that the left multiplications keep, is zero; it is
+found on integer rows by `spaces.largest_invariant`, as FE* is.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from koszul import linalg
+from koszul import linalg, spaces
 from koszul.algebra import (BilinearProduct, SparseTable, associator_defect,
                             envelope)
 from koszul.errors import (
@@ -32,7 +36,6 @@ from koszul.errors import (
     ValidationError,
 )
 from koszul.linalg import Vec
-from koszul.spaces import LinearSolutionSpace
 
 TOWER_LEVEL_CAP = 64
 # affine:N has N^3 + N^2 table entries and matrix:N has N^3. Every query
@@ -257,49 +260,36 @@ class RightIdealReport:
 def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport:
     """Verify a right ideal and test it for simplicity.
 
-    The largest two-sided ideal of the algebra contained in I is the
-    greatest fixed point of J -> {x in J : A*x and x*A lie in J}; I is
-    simple exactly when that core is zero. Each iterate J is a right ideal
-    (J*A in J) when I is one and the product is associative: for x in the
-    next iterate, x*a lies in J, and so do e*(x*a) = (e*x)*a, as e*x lies
-    in J, and (x*a)*e = x*(a*e). So x*A in J always holds, and only the A*x
-    condition is imposed.
+    I is a right ideal when its annihilator rows kill each x·e_j, x in its
+    reduced row-echelon basis (`spaces.satisfies`); the first (s, j) that
+    fails is named. The largest two-sided ideal of the algebra contained in
+    I is the greatest fixed point of J -> {x in J : A*x and x*A lie in J};
+    I is simple exactly when that core is zero. Each iterate J is a right
+    ideal (J*A in J) when I is one and the product is associative: for x
+    in the next iterate, x*a lies in J, and so do e*(x*a) = (e*x)*a, as e*x
+    lies in J, and (x*a)*e = x*(a*e). So x*A in J always holds, and only
+    the A*x condition is imposed: the core is `spaces.largest_invariant`
+    under the left multiplications, whose table is the product's own. It
+    is reported by its reduced row-echelon basis.
     """
     _require_associative(p)
     n = p.dim
     if any(len(row) != n for row in ideal_rows):
         raise ValidationError("ideal vector has wrong length")
-    span = LinearSolutionSpace(n, *linalg.sparse_row_space(
-        [linalg.integer_row(row)[0] for row in ideal_rows], n))
-    basis = span.basis
-    units = linalg.identity(n)
-    for s, x in enumerate(basis):
-        for j, e in enumerate(units):
-            if not span.contains(p.mult(x, e)):
+    rows, scales = linalg.sparse_row_space(
+        [linalg.integer_row(row)[0] for row in ideal_rows], n)
+    ann = linalg.sparse_nullspace(rows, n)[0]
+    by_first = p.sparse.by_first
+    for s, x in enumerate(rows):
+        # j -> x·e_j, over the table's denominator
+        right = spaces.accumulate((j, k, xi * c) for i, xi in x.items()
+                                  for j, k, c in by_first.get(i, ()))
+        for j in range(n):
+            if not spaces.satisfies(ann, right.get(j, {})):
                 raise NotRightIdeal(
                     f"basis element {s} times e_{j} leaves the span")
-
-    core = basis
-    while core:
-        ann = linalg.nullspace(core, ncols=n)
-        if not ann:
-            break
-        d = len(core)
-        # e·b for each unit e, computed once for every lam; the rows for
-        # b·e would be zero, as core·A lies in core (see above)
-        sides = [[p.mult(e, bvec) for bvec in core] for e in units]
-        rows = [[sum(lam[t] * y[t] for t in range(n)) for y in side]
-                for lam in ann for side in sides]
-        coords = linalg.nullspace(rows, ncols=d)
-        nxt = tuple(
-            tuple(sum(t[s] * core[s][u] for s in range(d)) for u in range(n))
-            for t in coords)
-        if len(nxt) == len(core):
-            break
-        core = nxt
-    return RightIdealReport(
-        ambient_dim=n,
-        ideal_dim=len(basis),
-        core_dim=len(core),
-        simple=len(core) == 0,
-        core_basis=core)
+    core = spaces.largest_invariant(rows, scales, p.sparse, n)[0]
+    basis = linalg.vectors(*linalg.sparse_row_space(core, n), n)
+    return RightIdealReport(ambient_dim=n, ideal_dim=len(rows),
+                            core_dim=len(core), simple=not core,
+                            core_basis=basis)

@@ -14,7 +14,8 @@ the largest subspace W that is M-invariant and killed by the compatibility
 operators F_ij = [M_i, M_j] + sum_k c^k_{ij} M_k (Frobenius integrability plus
 uniqueness of Cauchy data). The vector-field equation nabla^2 X = 0 becomes
 such a system for s = (values of X, frame derivatives of X). The
-stabilization runs on integer rows throughout: the operators over one
+stabilization is `spaces.largest_invariant`, the one solver of a largest
+invariant subspace, on integer rows throughout: the operators over one
 denominator, each basis and its annihilators as kernel rows over scales.
 """
 
@@ -164,53 +165,17 @@ def _fe_star_compatibility(conn: InvariantConnection,
     return condition_rows(((i, j, l), a, v) for (i, j, a, l), v in d.items())
 
 
-def _invariance_rows(basis, into: dict, n: int) -> list[dict[int, int]]:
-    """Rows cutting out the w in the span of the integer rows `basis` with
-    every M_k w in it too.
-
-    The annihilators a_t of the span are its primitive kernel rows.
-    a^T (M_k w) = (M_k^T a)^T w, so invariance is linear in w: rows (-1, t)
-    are the a_t, rows (k, t) are M_k^T a_t over the table's denominator,
-    made primitive by `condition_rows`.
-    """
-    ann = linalg.sparse_nullspace(basis, n)[0]
-    return condition_rows(chain(
-        (((-1, t), l, x) for t, a in enumerate(ann) for l, x in a.items()),
-        (((k, t), c, v * x) for t, a in enumerate(ann) for l, x in a.items()
-         for (k, c), v in into.get(l, {}).items())))
-
-
 def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     """Largest invariant subspace of compatible Cauchy data for nabla^2 X = 0."""
     m = conn.dim
     n = m + m * m
     ops = _fe_star_operators(conn)
-    # l -> {(k, a): n}: M_k e_a holds n e_l
-    into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
-
     rows = _fe_star_compatibility(conn, ops)
-    basis, scales = linalg.sparse_nullspace(rows, n)
-    steps = 0
-    while basis:
-        new = linalg.sparse_nullspace(_invariance_rows(basis, into, n), n)
-        steps += 1
-        stable = len(new[0]) == len(basis)
-        basis, scales = new
-        if stable:
-            break
-        if steps > n:
-            raise KoszulError("stabilization failed to terminate")
-
+    basis, scales, steps = spaces.largest_invariant(
+        *linalg.sparse_nullspace(rows, n), ops, n)
     space = LinearSolutionSpace(n, basis, scales)
     if not all(spaces.satisfies(rows, w) for w in basis):
         raise KoszulError("stabilized vector violates compatibility")
-    # row (s, k): ops.den M_k w_s, over the table's nonzeros
-    moved = list(spaces.accumulate(
-        ((s, k), l, v * w[a]) for s, w in enumerate(basis)
-        for k, a, l, v in ops.nonzeros if a in w).values())
-    if linalg.sparse_rank(list(basis) + moved, n) != space.dim:
-        raise KoszulError("stabilized space is not invariant")
-
     r_b = linalg.sparse_rank([{j: x for j, x in w.items() if j < m}
                               for w in basis], m)
     return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)

@@ -14,6 +14,9 @@ primitive. Solvers read and pass on these rows; `Fraction` vectors are
 built only by the views (`basis`, `element`, `matrices`, `contains`) and
 the report writers. `independent` is the one independence check of a
 basis, for solution and symbol spaces alike.
+
+`largest_invariant` is the one solver of a largest invariant subspace, for
+FE* and for the largest two-sided ideal inside a right ideal.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 from koszul import linalg
@@ -133,3 +137,42 @@ def from_conditions(rows, ambient_dim: int,
     if not all(satisfies(rows, w) for w in kernel):
         raise KoszulError("solver produced a vector violating its conditions")
     return LinearSolutionSpace(ambient_dim, kernel, scales, shape)
+
+
+def _invariance_rows(basis, into: dict, n: int) -> list[dict[int, int]]:
+    """Rows cutting out the w in the span of the integer rows `basis` with
+    every M_k w in it too.
+
+    The annihilators a_t of the span are its primitive kernel rows.
+    a^T (M_k w) = (M_k^T a)^T w, so invariance is linear in w: rows (-1, t)
+    are the a_t, rows (k, t) are M_k^T a_t over the table's denominator,
+    made primitive by `condition_rows`.
+    """
+    ann = linalg.sparse_nullspace(basis, n)[0]
+    return condition_rows(chain(
+        (((-1, t), l, x) for t, a in enumerate(ann) for l, x in a.items()),
+        (((k, t), c, v * x) for t, a in enumerate(ann) for l, x in a.items()
+         for (k, c), v in into.get(l, {}).items())))
+
+
+def largest_invariant(rows, scales, ops, n: int):
+    """The largest subspace of the span of the integer rows over their
+    scales that each M_i keeps, as (rows, scales, steps); `ops` has the
+    nonzeros (i, a, l, v) when M_i e_a has v e_l. Each step solves the
+    invariance rows of the last basis, whose kernel lies inside it, so a
+    step that keeps the dimension ends the walk. The result is re-checked.
+    """
+    # l -> {(k, a): v}: M_k e_a holds v e_l
+    into = accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
+    steps, last = 0, None
+    while rows and len(rows) != last:
+        last, steps = len(rows), steps + 1
+        rows, scales = linalg.sparse_nullspace(
+            _invariance_rows(rows, into, n), n)
+    # row (s, k): M_k w_s over the table's denominator
+    moved = list(accumulate(
+        ((s, k), l, v * w[a]) for s, w in enumerate(rows)
+        for k, a, l, v in ops.nonzeros if a in w).values())
+    if linalg.sparse_rank(list(rows) + moved, n) != len(rows):
+        raise KoszulError("stabilized space is not invariant")
+    return rows, scales, steps

@@ -1641,6 +1641,24 @@ def dense_right_ideal_core(p, basis):
     return core
 
 
+def word_largest_invariant(basis, ops, n):
+    """The largest subspace of the span of the `Fraction` vectors `basis`
+    that each n x n matrix of `ops` keeps, with no fixed-point loop: the w
+    whose images under every word in the matrices of length at most n stay
+    in the span, i.e. a^T M_word w = 0 for each annihilator a of the span.
+    The subspaces cut out by the words up to length k shrink with k until
+    two agree, after which they stay, so length n suffices. Each level of
+    rows a^T M_word is kept as a row-reduced basis."""
+    level = linalg.nullspace(basis, ncols=n) if basis else linalg.identity(n)
+    rows = list(level)
+    for _ in range(n):
+        level = linalg.row_space_basis(
+            [tuple(sum(r[l] * op[l][c] for l in range(n)) for c in range(n))
+             for r in level for op in ops])
+        rows += level
+    return linalg.nullspace(rows, ncols=n) if rows else linalg.identity(n)
+
+
 # ---------------------------------------------------------------- completeness
 
 def jointly_nilpotent(ops: tuple[Mat, ...], n: int) -> bool:

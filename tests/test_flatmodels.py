@@ -305,8 +305,13 @@ def test_simple_right_ideal_in_matrix_algebra():
     assert rep.ideal_dim == 4 and not rep.simple and rep.core_dim == 4
 
 
+# T_2 + k: E00, E01, E11 of the upper-triangular 2 x 2 matrices, then an
+# idempotent f; the right ideal span(E11, f) has the core span(f), as
+# E01·E11 = E01 leaves it
+T2_PLUS_K = product_from_sparse(4, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 2, 1, 1),
+                                    (2, 2, 2, 1), (3, 3, 3, 1)])
 IDEAL_POOL = [matrix_algebra(2), affine_algebra(1).product] + \
-    conftest.assoc_pool()
+    conftest.assoc_pool() + [T2_PLUS_K]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -320,6 +325,9 @@ IDEAL_POOL = [matrix_algebra(2), affine_algebra(1).product] + \
 @example(base=0, change=5, gens=[[1, 0, 0, 1]])
 @example(base=1, change=None, gens=[[0, 1]])
 @example(base=1, change=1, gens=[[0, 1]])
+# a core that shrinks to a proper nonzero subspace
+@example(base=9, change=None, gens=[[0, 0, 1, 0], [0, 0, 0, 1]])
+@example(base=9, change=0, gens=[[0, 0, 1, 0], [0, 0, 0, 1]])
 def test_right_ideal_core_matches_dense_oracle(base, change, gens):
     p = IDEAL_POOL[base]
     n = p.dim
@@ -333,13 +341,25 @@ def test_right_ideal_core_matches_dense_oracle(base, change, gens):
     rep = simple_right_ideal_check(p, rows)
     core = dense_right_ideal_core(p, linalg.row_space_basis(rows))
     assert (rep.core_basis, rep.core_dim, rep.simple) == \
-        (core, len(core), not core)
+        (linalg.row_space_basis(core), len(core), not core)
 
 
 def test_non_ideal_is_rejected():
     p = matrix_algebra(2)
-    with pytest.raises(NotRightIdeal):
-        simple_right_ideal_check(p, [[1, 0, 0, 0]])  # E00 alone: E00·E01 = E01
+    e00 = (1, 0, 0, 0)
+    with pytest.raises(NotRightIdeal,
+                       match="basis element 0 times e_1 leaves the span"):
+        simple_right_ideal_check(p, [e00])  # E00 alone: E00·E01 = E01
+    with pytest.raises(NotRightIdeal,
+                       match="basis element 2 times e_1 leaves the span"):
+        # span(E00, E01, E10): E10·E01 = E11
+        simple_right_ideal_check(p, [e00, (0, 1, 0, 0), (0, 0, 1, 0)])
+    # E00 alone under a dense basis change, where e_2 fails first
+    pm = rand_invertible(4, random.Random(12))
+    with pytest.raises(NotRightIdeal,
+                       match="basis element 0 times e_2 leaves the span"):
+        simple_right_ideal_check(conjugate_product(p, pm), [
+            linalg.mat_vec(linalg.inverse(pm), e00)])
     with pytest.raises(ValidationError):
         simple_right_ideal_check(p, [[1, 0, 0]])
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from koszul import gauge, linalg, spaces
+from koszul import linalg, spaces
 from koszul.algebra import abelian, commutator_bracket
 from koszul.catalog import aff1_symplectic_connection, heisenberg_kv, so3
 from koszul.connections import (
@@ -23,7 +23,6 @@ from koszul.forms import BilinearForm, identity_form
 from koszul.gauge import (
     _fe_star_compatibility,
     _fe_star_operators,
-    _invariance_rows,
     g_nabla_subalgebra,
     kernel_image_split,
     parallel_forms,
@@ -200,7 +199,7 @@ def test_fe_star_steps_match_the_fraction_annihilators(conn):
     into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
     basis = linalg.sparse_nullspace(_fe_star_compatibility(conn, ops), n)[0]
     while basis:
-        rows = _invariance_rows(basis, into, n)
+        rows = spaces._invariance_rows(basis, into, n)
         assert rows == fraction_invariance_rows(basis, into, n)
         new_basis = linalg.sparse_nullspace(rows, n)[0]
         if len(new_basis) == len(basis):
@@ -208,7 +207,7 @@ def test_fe_star_steps_match_the_fraction_annihilators(conn):
         basis = new_basis
     fs = solve_fe_star(conn)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gauge, "_invariance_rows", fraction_invariance_rows)
+        patch.setattr(spaces, "_invariance_rows", fraction_invariance_rows)
         assert fs == solve_fe_star(conn)
 
 

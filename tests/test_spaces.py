@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul import forms, linalg, spaces
 from koszul._kernel import P, independent_rows_mod_p
+from koszul.algebra import SparseTable
 from koszul.catalog import sl2
 from koszul.connections import cartan_connection
 from koszul.errors import KoszulError, ValidationError
@@ -12,7 +16,8 @@ from koszul.gauge import parallel_rows
 from koszul.spaces import LinearSolutionSpace, from_conditions
 from koszul.spencer import SymbolSpace
 
-from conftest import span
+from conftest import rand_invertible, span
+from oracles import word_largest_invariant
 
 F = Fraction
 
@@ -98,3 +103,68 @@ def test_rows_dependent_mod_p_are_ranked_exactly(build, message):
 def test_rows_independent_mod_p_skip_the_exact_rank(monkeypatch, build):
     monkeypatch.setattr(linalg, "sparse_rank", pytest.fail)
     assert build(({0: 3, 1: 1}, {1: 2})).dim == 2
+
+
+@st.composite
+def invariant_problems(draw):
+    """One to three n x n operators M_i (entry [l][a]: the e_l part of
+    M_i e_a), n <= 5, and a start spanned by unit vectors and at most one
+    other vector, all under an optional dense basis change. The operators
+    are lower triangular, or strictly so, or not at all: a triangular
+    operator keeps each span(e_k, ..., e_{n-1}), so a start can shrink
+    through several of them."""
+    n = draw(st.integers(2, 5))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2)))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        cut = draw(st.sampled_from((0, 1, 1, n)))
+        ops.append([[x if l >= a + cut or cut == n else 0
+                     for a, x in enumerate(row)]
+                    for l, row in enumerate(draw(st.lists(
+                        vectors, min_size=n, max_size=n)))])
+    gens = [[int(j == u) for j in range(n)]
+            for u in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=n))]
+    gens += draw(st.lists(vectors, max_size=1))
+    change = draw(st.none() | st.integers(0, 2 ** 16))
+    if change is not None:
+        pm = rand_invertible(n, random.Random(change))
+        inv = linalg.inverse(pm)
+        ops = [linalg.mat_mul(inv, linalg.mat_mul(op, pm)) for op in ops]
+        gens = [linalg.mat_vec(inv, g) for g in gens]
+    return n, ops, gens
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(invariant_problems())
+def test_largest_invariant_matches_the_word_oracle(problem):
+    n, ops, gens = problem
+    table = SparseTable((i, a, l, op[l][a]) for i, op in enumerate(ops)
+                        for l in range(n) for a in range(n))
+    start = linalg.sparse_row_space(
+        [linalg.integer_row(g)[0] for g in gens], n)
+    rows, scales, steps = spaces.largest_invariant(*start, table, n)
+    got = linalg.vectors(rows, scales, n)
+    want = word_largest_invariant(linalg.vectors(*start, n), ops, n)
+    d = len(start[0])
+    assert len(got) == len(want) and steps <= d + 1
+    assert linalg.rank(linalg.vectors(*start, n) + got) == d
+    for op in ops:
+        assert all(linalg.rank(got + (linalg.mat_vec(op, w),)) == len(got)
+                   for w in got)
+    assert linalg.row_space_basis(got) == linalg.row_space_basis(want)
+
+
+def test_largest_invariant_of_a_shift():
+    # M e_0 = e_1, M e_1 = e_2, M e_2 = 0: inside span(e_0, e_2) only e_2
+    # stays, after a step that shrinks and one that does not; span(e_1,
+    # e_2) is kept at once, and span(e_0) shrinks to zero in one step
+    table = SparseTable([(0, 0, 1, 1), (0, 1, 2, 1)])
+    assert spaces.largest_invariant(({0: 1}, {2: 1}), (1, 1), table, 3) == \
+        (({2: 1},), (1,), 2)
+    assert spaces.largest_invariant(({1: 1}, {2: 1}), (1, 1), table, 3)[
+        2] == 1
+    assert spaces.largest_invariant(({0: 1},), (1,), table, 3) == \
+        ((), (), 1)
+    assert spaces.largest_invariant((), (), table, 3) == ((), (), 0)
