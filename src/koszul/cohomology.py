@@ -12,7 +12,12 @@ contributions over the nonzeros of the structure-constant table. One helper
 assembles a generator into the coboundary matrix; another applies the same
 generator to a single cochain, so `kv_coboundary` and
 `hochschild_coboundary` are the matrices' formulas, not second copies. The
-Maurer-Cartan defect is minus the Jacobi defect of the perturbed bracket.
+coefficient module is data, not a branch: `_module` is the one place a
+coefficient name becomes a width and an action table, the algebra's own
+table for the adjoint module and the empty table for scalar and trivial
+coefficients, and the KV and Chevalley-Eilenberg generators read their
+action terms from that table alone. The Maurer-Cartan defect is minus the
+Jacobi defect of the perturbed bracket.
 
 The dimensions need only the ranks r_q of the coboundaries delta_q: C^q ->
 C^{q+1}, and `_dims_from_deltas` certifies them without exact elimination
@@ -92,10 +97,13 @@ Degree-0 conventions in the KV complex are the subtle point. With
 coefficients in the algebra, 0-cochains are restricted to the elements xi
 with (x·y)·xi = x·(y·xi) for all x, y: on that subspace (and only there)
 the square of the coboundary vanishes from degree 0. With scalar
-coefficients the trivial action would force "delta f = -f", which is not a
-1-cochain; the implemented degree-0 scalar map is identically zero, which
-matches the dimension counts this complex is used for. Both conventions are
-recorded in the report notes, and squares are verified from degree 1 up.
+coefficients the source's rule would force "delta f = -f", which is not a
+1-cochain; the degree-0 scalar map here is identically zero, which matches
+the dimension counts this complex is used for. It is no special case: it
+is what the trivial module gives, whose 0-cochains are the constants and
+on which nothing acts, so delta_0 xi = xi·X - X·xi has no contribution.
+Both conventions are recorded in the report notes, and squares are
+verified from degree 1 up.
 
 Other modules' cocycle systems come from the same generators, so only
 this module knows the Chevalley-Eilenberg cochain order:
@@ -175,8 +183,7 @@ class Cochain:
             raise ValidationError(f"unknown module {self.module!r}")
         if len(self.table) != self.dim ** self.degree:
             raise ValidationError("cochain table has wrong length")
-        want = self.dim if self.module == ADJOINT else 1
-        if any(len(v) != want for v in self.table):
+        if any(len(v) != self.module_dim for v in self.table):
             raise ValidationError("cochain values have wrong length")
 
     @property
@@ -185,8 +192,7 @@ class Cochain:
 
 
 def zero_cochain(degree: int, m: int, module: str) -> Cochain:
-    width = m if module == ADJOINT else 1
-    z = (Fraction(0),) * width
+    z = (Fraction(0),) * (m if module == ADJOINT else 1)
     return Cochain(degree, m, module, tuple(z for _ in range(m ** degree)))
 
 
@@ -419,50 +425,61 @@ def _apply(c: Cochain, den: int, entries, x) -> Cochain:
                          for i in range(0, len(out), width)))
 
 
-def _kv_entries(sp, m: int, q: int, adjoint: bool):
+def _module(algebra, coefficients: str):
+    """(width, action table) of the coefficient module: nonzeros (i, a, l,
+    v) when e_i takes e_a to v e_l, as `spaces.largest_invariant` reads
+    them. The adjoint module is the algebra's own table, its `by_first` and
+    `by_second` the left and right actions; scalar and trivial coefficients
+    are one dimension with the empty table."""
+    if coefficients == ADJOINT:
+        return algebra.dim, algebra.sparse
+    return 1, SparseTable()
+
+
+def _kv_entries(sp, m: int, q: int, width: int, act):
     """Contributions to delta_q (q >= 1) of the KV complex; see kv_coboundary.
 
     Row flat(X_1..X_{q+1}) * width + k, column flat(f's arguments) * width +
-    a, where width is m for algebra coefficients and 1 for scalars.
+    a, over the module of `_module`. A flat index is a base-m number:
+    flat(∂_i xi) is the row's own index with digit i dropped, and an
+    argument a in slot t of it moves it by (a - held) * m^(q-1-t).
     """
-    by_first, by_second, by_pair = sp.by_first, sp.by_second, sp.by_pair
-    width = m if adjoint else 1
+    by_pair, left, right = sp.by_pair, act.by_first, act.by_second
+    steps = [m ** (q - 1 - t) for t in range(q)]
     for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
         row0 = out * width
         last = idx[q]
         for i in range(1, q + 1):
             x = idx[i - 1]
             rest = idx[:i - 1] + idx[i:]
+            w = steps[i - 1] * m   # the weight of X_i's digit in out
+            flat = out // (w * m) * w + out % w
             sign = -1 if i % 2 else 1
-            if adjoint:
-                # X_i·f(∂_i xi)
-                col0 = _flat_index(rest, m) * m
-                for a, k, n in by_first.get(x, ()):
-                    yield row0 + k, col0 + a, sign * n
-                # f(∂²_{i,q+1} xi ⊗ X_i)·X_{q+1}
-                col0 = _flat_index(idx[:i - 1] + idx[i:q] + (x,), m) * m
-                for a, k, n in by_second.get(last, ()):
-                    yield row0 + k, col0 + a, sign * n
+            # X_i·f(∂_i xi)
+            for a, k, n in left.get(x, ()):
+                yield row0 + k, flat * width + a, sign * n
+            # f(∂²_{i,q+1} xi ⊗ X_i)·X_{q+1}
+            for a, k, n in right.get(last, ()):
+                yield row0 + k, (flat - last + x) * width + a, sign * n
             # -f(X_i·∂_i xi): X_i acts on each slot of rest
             for t, held in enumerate(rest):
                 for a, n in by_pair.get((x, held), ()):
-                    col0 = _flat_index(rest[:t] + (a,) + rest[t + 1:],
-                                       m) * width
+                    col0 = (flat + (a - held) * steps[t]) * width
                     for k in range(width):
                         yield row0 + k, col0 + k, -sign * n
 
 
-def _kv_degree_zero_entries(sp, m: int, zero_basis):
-    """Contributions to delta_0 with algebra coefficients: xi·X - X·xi,
-    for each row {column: value} xi of zero_basis."""
-    by_first, by_second = sp.by_first, sp.by_second
+def _kv_degree_zero_entries(act, width: int, zero_basis):
+    """Contributions to delta_0: xi·X - X·xi, for each row {column: value}
+    xi of zero_basis, read from the module's action table by the index a
+    of xi's coordinate (e_a·e_x in `by_first`, e_x·e_a in `by_second`)."""
     for col, xi in enumerate(zero_basis):
         for a, v in xi.items():
             if v:
-                for x, k, n in by_first.get(a, ()):
-                    yield x * m + k, col, v * n
-                for x, k, n in by_second.get(a, ()):
-                    yield x * m + k, col, -v * n
+                for x, k, n in act.by_first.get(a, ()):
+                    yield x * width + k, col, v * n
+                for x, k, n in act.by_second.get(a, ()):
+                    yield x * width + k, col, -v * n
 
 
 def _check_kv(algebra: BilinearProduct, coefficients: str,
@@ -484,78 +501,73 @@ def _check_max_degree(max_degree: int, cap: int) -> None:
 def _kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
               zero_basis):
     """(entries, ncols, nrows) of the KV delta_q; zero_basis spans the
-    degree-0 cochains with algebra coefficients."""
-    m = algebra.dim
-    sp = algebra.sparse
-    adjoint = coefficients == ADJOINT
-    width = m if adjoint else 1
-    nrows = m ** (q + 1) * width
-    if q == 0 and not adjoint:
-        # the degree-0 scalar coboundary is taken as zero
-        return (), 1, nrows
+    degree-0 cochains."""
+    m, sp = algebra.dim, algebra.sparse
+    width, act = _module(algebra, coefficients)
     ncols = m ** q * width if q else len(zero_basis)
+    nrows = m ** (q + 1) * width
     if not sp.nonzeros:
         # every delta of the zero product is zero; no tuple is walked
         return (), ncols, nrows
     if q:
-        return _kv_entries(sp, m, q, adjoint), ncols, nrows
-    return _kv_degree_zero_entries(sp, m, zero_basis), ncols, nrows
+        return _kv_entries(sp, m, q, width, act), ncols, nrows
+    return _kv_degree_zero_entries(act, width, zero_basis), ncols, nrows
 
 
-def _kv_contributions(n: int, m: int, q: int, adjoint: bool) -> int:
-    """How many contributions `_kv_delta` yields for a table of n nonzeros,
-    counted without generating any: each nonzero lies in one list of
-    `by_first`, of `by_second` and of `by_pair`, and each of those lists is
-    read once per choice of the other indices. In degree 0 this is a bound:
-    each of at most m vectors spanning the 0-cochains reads `by_first` and
-    `by_second` at most once per nonzero."""
+def _kv_contributions(sp, m: int, q: int, width: int, act) -> int:
+    """How many contributions `_kv_delta` yields, counted without
+    generating any: each nonzero of the action lies in one list of
+    `by_first` and of `by_second`, each of the table in one of `by_pair`,
+    and each list is read once per choice of the other indices. In degree
+    0 this is a bound: each of at most `width` vectors spanning the
+    0-cochains reads both action lists at most once per nonzero."""
+    n, acts = len(sp.nonzeros), len(act.nonzeros)
     if q:
-        return (q * m ** q * n * (2 + q) if adjoint
-                else q * q * m ** (q - 1) * n)
-    return 2 * m * n if adjoint else 0
+        return q * m ** q * 2 * acts + q * q * m ** (q - 1) * n * width
+    return width * 2 * acts
 
 
 def kv_cohomology_dims(algebra: BilinearProduct, coefficients: str,
                        max_degree: int = 3) -> CohomologyReport:
     """Exact dims of the left-symmetric complex up to max_degree <= 3."""
     _check_kv(algebra, coefficients, max_degree)
-    _check_size(sum(_kv_contributions(len(algebra.sparse.nonzeros),
-                                      algebra.dim, q, coefficients == ADJOINT)
+    m = algebra.dim
+    module = _module(algebra, coefficients)
+    _check_size(sum(_kv_contributions(algebra.sparse, m, q, *module)
                     for q in range(max_degree + 1)),
-                sum(algebra.dim ** (q + 1) for q in range(max_degree + 1)))
+                sum(m ** (q + 1) for q in range(max_degree + 1)))
     # primitive integer degree-0 columns (a canonical kernel vector has a 1);
-    # rescaling a column keeps every rank and delta_1 delta_0 = 0
+    # rescaling a column keeps every rank and delta_1 delta_0 = 0. Scalar
+    # 0-cochains are the constants.
     zero_basis = (kv_degree_zero_space(algebra)[0]
-                  if coefficients == ADJOINT else ())
+                  if coefficients == ADJOINT else ({0: 1},))
     deltas = [_kv_delta(algebra, coefficients, q, zero_basis)
               for q in range(max_degree + 1)]
     notes = ("degree-0 cochains restricted to the second-order-parallel "
              "elements" if coefficients == ADJOINT else
              "degree-0 scalar coboundary taken as zero; the source's "
              "degree-0 rule is not a map into 1-cochains")
-    return _dims_from_deltas("kv", coefficients, algebra.dim, deltas, notes)
+    return _dims_from_deltas("kv", coefficients, m, deltas, notes)
 
 
-def _ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
+def _ce_entries(sp, p: int, width: int, act, dom_pos, cod):
     """Contributions to delta_p of the Chevalley-Eilenberg complex.
 
     Row cod-position * width + k, column dom-position * width + a, over
-    increasing index tuples; width is m for the adjoint module, else 1.
-    The bracket's e_l part lands on l wedged with the increasing tuple
-    rest: l moves to its place among rest past `pos` smaller indices, sign
-    (-1)^pos, and the entry vanishes when l is already in rest.
+    increasing index tuples and the module of `_module`. The bracket's e_l
+    part lands on l wedged with the increasing tuple rest: l moves to its
+    place among rest past `pos` smaller indices, sign (-1)^pos, and the
+    entry vanishes when l is already in rest.
     """
-    by_pair = sp.by_pair
-    width = m if adjoint else 1
+    by_pair, left = sp.by_pair, act.by_first
     for out, tup in enumerate(cod):
         row0 = out * width
         for i in range(p + 1):
             x = tup[i]
             sign = -1 if i % 2 else 1
-            if adjoint:
-                col0 = dom_pos[tup[:i] + tup[i + 1:]] * width
-                for a, k, n in sp.by_first.get(x, ()):
-                    yield row0 + k, col0 + a, sign * n
+            col0 = dom_pos[tup[:i] + tup[i + 1:]] * width
+            for a, k, n in left.get(x, ()):
+                yield row0 + k, col0 + a, sign * n
             for j in range(i + 1, p + 1):
                 rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
                 s2 = -1 if (i + j) % 2 else 1
@@ -578,17 +590,17 @@ def _ce_delta(L: LieAlgebra, coefficients: str, p: int):
     """(entries, ncols, nrows) of the Chevalley-Eilenberg delta_p; an
     abelian bracket has no entries, and its index tuples are not listed."""
     m = L.dim
-    width = m if coefficients == ADJOINT else 1
+    width, act = _module(L, coefficients)
     ncols, nrows = comb(m, p) * width, comb(m, p + 1) * width
     if not L.sparse.nonzeros:
         return (), ncols, nrows
     dom_pos = {t: i for i, t in enumerate(combinations(range(m), p))}
-    entries = _ce_entries(L.sparse, m, p, coefficients == ADJOINT, dom_pos,
+    entries = _ce_entries(L.sparse, p, width, act, dom_pos,
                           combinations(range(m), p + 1))
     return entries, ncols, nrows
 
 
-def _ce_contributions(sp, m: int, p: int, adjoint: bool) -> int:
+def _ce_contributions(sp, m: int, p: int, width: int, act) -> int:
     """At least as many as the contributions `_ce_delta` yields, counted
     without generating any: each index lies in comb(m - 1, p) of the
     (p+1)-tuples, each pair of indices in comb(m - 2, p - 1), and a bracket
@@ -596,9 +608,8 @@ def _ce_contributions(sp, m: int, p: int, adjoint: bool) -> int:
     if not sp.nonzeros:
         return 0
     pairs = sum(len(v) for (x, y), v in sp.by_pair.items() if x < y)
-    return ((comb(m - 1, p) * len(sp.nonzeros) if adjoint else 0)
-            + (comb(m - 2, p - 1) * pairs * (m if adjoint else 1)
-               if p else 0))
+    return (comb(m - 1, p) * len(act.nonzeros)
+            + (comb(m - 2, p - 1) * pairs * width if p else 0))
 
 
 def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
@@ -607,12 +618,12 @@ def ce_cohomology_dims(L: LieAlgebra, coefficients: str = TRIVIAL,
     if coefficients not in (TRIVIAL, ADJOINT):
         raise ValidationError("coefficients must be trivial or adjoint")
     _check_max_degree(max_degree, 3)
-    contributions = sum(_ce_contributions(L.sparse, L.dim, p,
-                                          coefficients == ADJOINT)
-                        for p in range(max_degree + 1))
-    _check_size(contributions, sum(comb(L.dim, p) + comb(L.dim, p + 1)
-                                   for p in range(max_degree + 1)))
     m = L.dim
+    module = _module(L, coefficients)
+    contributions = sum(_ce_contributions(L.sparse, m, p, *module)
+                        for p in range(max_degree + 1))
+    _check_size(contributions, sum(comb(m, p) + comb(m, p + 1)
+                                   for p in range(max_degree + 1)))
     if (coefficients == ADJOINT
             and _killing_products(L.sparse) <= contributions
             and _nondegenerate(_killing_rows(L.sparse), m)):
@@ -632,9 +643,9 @@ def scalar_coboundary_rows(algebra, q: int) -> list[dict[int, int]]:
     increasing tuples keep the positions a < b, else of the KV complex."""
     m, sp = algebra.dim, algebra.sparse
     if not isinstance(algebra, LieAlgebra):
-        return condition_rows(_kv_entries(sp, m, q, False))
+        return condition_rows(_kv_entries(sp, m, q, *_module(algebra, SCALAR)))
     flat = {t: _flat_index(t, m) for t in combinations(range(m), q)}
-    return condition_rows(_ce_entries(sp, m, q, False, flat,
+    return condition_rows(_ce_entries(sp, q, *_module(algebra, SCALAR), flat,
                                       combinations(range(m), q + 1)))
 
 
@@ -653,21 +664,24 @@ def hochschild_coboundary(c: Cochain, algebra: BilinearProduct) -> Cochain:
 def _hochschild_entries(sp, m: int, q: int):
     """Contributions to delta_q of the Hochschild complex; see
     hochschild_coboundary. Row flat(x_0..x_q) * m + k, column flat(f's
-    arguments) * m + a."""
+    arguments) * m + a, f's arguments read off the row's index as in
+    `_kv_entries`: x_{i-1} and x_i, of weight m·s and s, merge into a."""
     by_first, by_second, by_pair = sp.by_first, sp.by_second, sp.by_pair
     last_sign = -1 if q % 2 == 0 else 1
+    top, steps = m ** q, [m ** (q - i) for i in range(1, q + 1)]
     for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
         row0 = out * m
-        col0 = _flat_index(idx[1:], m) * m
+        col0 = out % top * m
         for a, k, n in by_first.get(idx[0], ()):
             yield row0 + k, col0 + a, n
-        for i in range(1, q + 1):
+        for i, s in enumerate(steps, 1):
             sign = -1 if i % 2 else 1
+            kept = out // (s * m * m) * s * m + out % s
             for a, n in by_pair.get((idx[i - 1], idx[i]), ()):
-                col0 = _flat_index(idx[:i - 1] + (a,) + idx[i + 1:], m) * m
+                col0 = (kept + a * s) * m
                 for k in range(m):
                     yield row0 + k, col0 + k, sign * n
-        col0 = _flat_index(idx[:q], m) * m
+        col0 = out // m * m
         for a, k, n in by_second.get(idx[q], ()):
             yield row0 + k, col0 + a, last_sign * n
 

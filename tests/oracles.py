@@ -92,12 +92,19 @@ dense builders and readers that used them (`dense_*_algebra`,
 `dense_conjugate_product`, `dense_mult`, ...), its former form verdicts,
 each route with its own walk, witness, re-check and ending
 (`per_route_hessian_defect`, `per_route_s_b`, `per_route_s_star_b`,
-`per_route_bi_invariant_metric`, `per_route_left_symplectic_oracle`), and
+`per_route_bi_invariant_metric`, `per_route_left_symplectic_oracle`), its
+former KV and Chevalley-Eilenberg generators, one formula per module behind
+an `adjoint` flag (`flag_kv_entries`, `flag_kv_degree_zero_entries`,
+`flag_kv_delta`, `flag_ce_entries`), and its former Hochschild generator,
+each column the flat index of a spliced tuple
+(`splicing_hochschild_entries`), the Lie algebra cohomology H^1(g_A,
+Hom(A, M)) that KV H^2 equals, on dense matrices (`lie_h1_of_hom`), and
 closed forms from textbooks. Slower is fine; agreeing by construction is the point.
 """
 
 import json
 import random
+from bisect import bisect_left
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -1413,9 +1420,198 @@ def kv_coboundary_matrix(algebra: BilinearProduct, coefficients: str, q: int):
     """
     _check_kv(algebra, coefficients)
     zero_basis = (kv_degree_zero_space(algebra)[0]
-                  if q == 0 and coefficients == ADJOINT else ())
+                  if coefficients == ADJOINT else ({0: 1},))
     return _assemble(algebra.sparse.den,
                      *_kv_delta(algebra, coefficients, q, zero_basis))
+
+
+def flag_kv_entries(sp, m: int, q: int, adjoint: bool):
+    """The library's former contributions to the KV delta_q (q >= 1), one
+    formula per module chosen by the `adjoint` flag, each column found by
+    `_flat_index` of a spliced index tuple."""
+    by_first, by_second, by_pair = sp.by_first, sp.by_second, sp.by_pair
+    width = m if adjoint else 1
+    for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
+        row0 = out * width
+        last = idx[q]
+        for i in range(1, q + 1):
+            x = idx[i - 1]
+            rest = idx[:i - 1] + idx[i:]
+            sign = -1 if i % 2 else 1
+            if adjoint:
+                # X_i·f(∂_i xi)
+                col0 = _flat_index(rest, m) * m
+                for a, k, n in by_first.get(x, ()):
+                    yield row0 + k, col0 + a, sign * n
+                # f(∂²_{i,q+1} xi ⊗ X_i)·X_{q+1}
+                col0 = _flat_index(idx[:i - 1] + idx[i:q] + (x,), m) * m
+                for a, k, n in by_second.get(last, ()):
+                    yield row0 + k, col0 + a, sign * n
+            # -f(X_i·∂_i xi): X_i acts on each slot of rest
+            for t, held in enumerate(rest):
+                for a, n in by_pair.get((x, held), ()):
+                    col0 = _flat_index(rest[:t] + (a,) + rest[t + 1:],
+                                       m) * width
+                    for k in range(width):
+                        yield row0 + k, col0 + k, -sign * n
+
+
+def flag_kv_degree_zero_entries(sp, m: int, zero_basis):
+    """The library's former contributions to delta_0 with algebra
+    coefficients: xi·X - X·xi, for each row {column: value} xi of
+    zero_basis."""
+    by_first, by_second = sp.by_first, sp.by_second
+    for col, xi in enumerate(zero_basis):
+        for a, v in xi.items():
+            if v:
+                for x, k, n in by_first.get(a, ()):
+                    yield x * m + k, col, v * n
+                for x, k, n in by_second.get(a, ()):
+                    yield x * m + k, col, -v * n
+
+
+def flag_kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
+                  zero_basis):
+    """The library's former (entries, ncols, nrows) of the KV delta_q over
+    the flag generators, the scalar degree 0 taken as zero on one column
+    whatever zero_basis holds."""
+    m = algebra.dim
+    sp = algebra.sparse
+    adjoint = coefficients == ADJOINT
+    width = m if adjoint else 1
+    nrows = m ** (q + 1) * width
+    if q == 0 and not adjoint:
+        return (), 1, nrows
+    ncols = m ** q * width if q else len(zero_basis)
+    if not sp.nonzeros:
+        return (), ncols, nrows
+    if q:
+        return flag_kv_entries(sp, m, q, adjoint), ncols, nrows
+    return flag_kv_degree_zero_entries(sp, m, zero_basis), ncols, nrows
+
+
+def flag_ce_entries(sp, m: int, p: int, adjoint: bool, dom_pos, cod):
+    """The library's former contributions to the Chevalley-Eilenberg
+    delta_p, the adjoint action's terms behind the `adjoint` flag."""
+    by_pair = sp.by_pair
+    width = m if adjoint else 1
+    for out, tup in enumerate(cod):
+        row0 = out * width
+        for i in range(p + 1):
+            x = tup[i]
+            sign = -1 if i % 2 else 1
+            if adjoint:
+                col0 = dom_pos[tup[:i] + tup[i + 1:]] * width
+                for a, k, n in sp.by_first.get(x, ()):
+                    yield row0 + k, col0 + a, sign * n
+            for j in range(i + 1, p + 1):
+                rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+                s2 = -1 if (i + j) % 2 else 1
+                for l, n in by_pair.get((x, tup[j]), ()):
+                    pos = bisect_left(rest, l)
+                    if pos < len(rest) and rest[pos] == l:
+                        continue
+                    col0 = dom_pos[rest[:pos] + (l,) + rest[pos:]] * width
+                    v = -s2 * n if pos % 2 else s2 * n
+                    for w in range(width):
+                        yield row0 + w, col0 + w, v
+
+
+def splicing_hochschild_entries(sp, m: int, q: int):
+    """The library's former contributions to the Hochschild delta_q, each
+    column found by `_flat_index` of a spliced index tuple."""
+    by_first, by_second, by_pair = sp.by_first, sp.by_second, sp.by_pair
+    last_sign = -1 if q % 2 == 0 else 1
+    for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
+        row0 = out * m
+        col0 = _flat_index(idx[1:], m) * m
+        for a, k, n in by_first.get(idx[0], ()):
+            yield row0 + k, col0 + a, n
+        for i in range(1, q + 1):
+            sign = -1 if i % 2 else 1
+            for a, n in by_pair.get((idx[i - 1], idx[i]), ()):
+                col0 = _flat_index(idx[:i - 1] + (a,) + idx[i + 1:], m) * m
+                for k in range(m):
+                    yield row0 + k, col0 + k, sign * n
+        col0 = _flat_index(idx[:q], m) * m
+        for a, k, n in by_second.get(idx[q], ()):
+            yield row0 + k, col0 + a, last_sign * n
+
+
+def hom_action(algebra: BilinearProduct, coefficients: str):
+    """Dense matrices rho(e_x) of the Lie algebra g_A (A under x·y - y·x)
+    on V = Hom(A, M): (x·phi)(a) = x·phi(a) - phi(x·a) + phi(x)·a for
+    M = A, and -phi(x·a) for scalars. Coordinate a * w + u of V is the e_u
+    part of phi(e_a), w = dim M."""
+    m, g = algebra.dim, algebra.gamma
+    w = m if coefficients == ADJOINT else 1
+    n = m * w
+    out = []
+    for x in range(m):
+        rho = [[Fraction(0)] * n for _ in range(n)]
+        for b in range(m):
+            for v in range(w):
+                # phi = E_{b,v}: phi(e_b) = e_v, zero on the other e_a
+                col = b * w + v
+                for a in range(m):
+                    rho[a * w + v][col] -= g[x][a][b]
+                if coefficients != ADJOINT:
+                    continue
+                for u in range(m):
+                    rho[b * w + u][col] += g[x][v][u]
+                    for a in range(m):
+                        if x == b:
+                            rho[a * w + u][col] += g[v][a][u]
+        out.append(rho)
+    return out
+
+
+def lie_h1_of_hom(algebra: BilinearProduct, coefficients: str) -> int:
+    """dim H^1(g_A, Hom(A, M)) by dense integer Bareiss, which is dim KV
+    H^2 with coefficients M (Nijenhuis, Enseignement Math. 1968; Nguiffo
+    Boyom, Pacific J. Math. 2006). Z^1 is the c: g_A -> V with c([x, y]) =
+    x·c(y) - y·c(x), B^1 the x -> x·v, so dim H^1 = dim Z^1 - (dim V -
+    dim V^g). Raises AssertionError unless the action is a representation.
+    """
+    m, g = algebra.dim, algebra.gamma
+    rho = hom_action(algebra, coefficients)
+    n = len(rho[0])
+    bracket = [[[g[x][y][k] - g[y][x][k] for k in range(m)]
+                for y in range(m)] for x in range(m)]
+    for x, y in combinations(range(m), 2):
+        # rho([x, y]) - rho(x) rho(y) + rho(y) rho(x), summed over nonzeros
+        acc = [[Fraction(0)] * n for _ in range(n)]
+        for k, c in enumerate(bracket[x][y]):
+            for s in range(n):
+                for t in range(n) if c else ():
+                    acc[s][t] += c * rho[k][s][t]
+        for a, b, sign in ((x, y, -1), (y, x, 1)):
+            for s in range(n):
+                for r, v in enumerate(rho[a][s]):
+                    if v:
+                        for t, u in enumerate(rho[b][r]):
+                            if u:
+                                acc[s][t] += sign * v * u
+        assert not any(map(any, acc)), "the action is not a representation"
+    # unknowns c(e_k) at k * n + t; one row per pair x < y and coordinate s
+    rows = []
+    for x, y in combinations(range(m), 2):
+        for s in range(n):
+            row = [Fraction(0)] * (m * n)
+            for k in range(m):
+                row[k * n + s] += bracket[x][y][k]
+            for t in range(n):
+                row[y * n + t] -= rho[x][s][t]
+                row[x * n + t] += rho[y][s][t]
+            if any(row):
+                rows.append(row)
+    cocycles = m * n - _bareiss_rank(rows)
+    acting = _bareiss_rank([r for mat in rho for r in mat if any(r)])
+    return cocycles - acting
+
+
+def _bareiss_rank(rows) -> int:
+    return len(dense_bareiss(_to_int_rows(rows)[0])[1]) if rows else 0
 
 
 def hochschild_coboundary_matrix(algebra: BilinearProduct, q: int):

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import algebra, cohomology, linalg
@@ -50,11 +50,13 @@ from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_kv_coboundary, dense_kv_cohomology_dims,
                      dense_maurer_cartan_defect, dense_trace_form,
                      dict_check_square, fixpoint_certified_ranks,
+                     flag_ce_entries, flag_kv_delta,
                      full_width_lower_bounds,
                      hochschild_coboundary_matrix,
                      hochschild_delta_by_cochains, is_zero_matrix,
                      kv_coboundary_matrix, kv_delta_by_cochains,
-                     sorting_ce_entries)
+                     lie_h1_of_hom, sorting_ce_entries,
+                     splicing_hochschild_entries)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHECKS = settings(derandomize=True, database=None, deadline=None,
@@ -276,6 +278,58 @@ def test_ce_entries_match_the_sorting_oracle(base, dense, coeffs, p, seed):
     assert list(entries) == list(sorting_ce_entries(
         L.sparse, L.dim, p, coeffs == ADJOINT,
         {t: i for i, t in enumerate(dom)}, cod))
+
+
+def test_generators_match_the_former_flag_generators(rng):
+    # each module read from its action table (`_module`) and each column
+    # from the row's flat index against the former `adjoint` branches and
+    # spliced index tuples: the same contributions in the same order
+    for p in _with_dense_copies(KV_POOL, conjugate_product, rng):
+        for module in (ADJOINT, SCALAR):
+            zero_basis = (kv_degree_zero_space(p)[0]
+                          if module == ADJOINT else ({0: 1},))
+            for q in range(4):
+                entries, *shape = cohomology._kv_delta(p, module, q,
+                                                       zero_basis)
+                former, *former_shape = flag_kv_delta(p, module, q,
+                                                      zero_basis)
+                assert shape == former_shape
+                assert list(entries) == list(former)
+    for L in _with_dense_copies(LIE_POOL, conjugate_lie, rng):
+        for coeffs in (TRIVIAL, ADJOINT):
+            for p in range(4):
+                dom_pos = {t: i for i, t in
+                           enumerate(combinations(range(L.dim), p))}
+                cod = list(combinations(range(L.dim), p + 1))
+                assert list(cohomology._ce_entries(
+                    L.sparse, p, *cohomology._module(L, coeffs), dom_pos,
+                    cod)) == list(flag_ce_entries(
+                        L.sparse, L.dim, p, coeffs == ADJOINT, dom_pos, cod))
+    for p in _with_dense_copies(ASSOC_POOL, conjugate_product, rng):
+        for q in range(3):
+            assert list(cohomology._hochschild_entries(p.sparse, p.dim, q)) \
+                == list(splicing_hochschild_entries(p.sparse, p.dim, q))
+
+
+H1_POOL = KV_POOL + [affine_algebra(2).product, matrix_algebra(2)]
+
+
+@settings(CHECKS, max_examples=60)
+@given(base=st.sampled_from(range(len(H1_POOL))), dense=st.booleans(),
+       module=st.sampled_from((ADJOINT, SCALAR)),
+       seed=st.integers(0, 2 ** 16))
+@example(base=len(KV_POOL), dense=False, module=ADJOINT, seed=0)
+@example(base=len(KV_POOL) + 1, dense=True, module=ADJOINT, seed=0)
+def test_kv_h2_is_the_lie_h1_of_hom(base, dense, module, seed):
+    # KV H^2 with coefficients M is H^1(g_A, Hom(A, M)), an oracle that
+    # shares no formula with the KV generators; past degree 2 the two
+    # complexes differ (the KV complex does not alternate its first slots).
+    # affine:2 under a dense basis change with algebra coefficients is left
+    # out for time alone: about 15 s for the library and 28 s for the oracle
+    assume(not (dense and module == ADJOINT and H1_POOL[base].dim == 6))
+    p = _pooled(H1_POOL, conjugate_product, base, dense, random.Random(seed))
+    assert kv_cohomology_dims(p, module, 2).betti()[2] == \
+        lie_h1_of_hom(p, module)
 
 
 def _square_raises(check, *args) -> bool:
@@ -545,11 +599,11 @@ def test_contribution_counts_match_the_generators(rng):
     for p in _with_dense_copies(conftest.kv_pool(), conjugate_product, rng):
         for module in (ADJOINT, SCALAR):
             zero_basis = (kv_degree_zero_space(p)[0]
-                          if module == ADJOINT else ())
+                          if module == ADJOINT else ({0: 1},))
             for q in range(4):
                 entries = cohomology._kv_delta(p, module, q, zero_basis)[0]
                 count = cohomology._kv_contributions(
-                    len(p.sparse.nonzeros), p.dim, q, module == ADJOINT)
+                    p.sparse, p.dim, q, *cohomology._module(p, module))
                 generated = sum(1 for _ in entries)
                 assert generated == count if q else generated <= count
     for p in _with_dense_copies(conftest.assoc_pool(), conjugate_product,
@@ -565,7 +619,7 @@ def test_contribution_counts_match_the_generators(rng):
             for q in range(4):
                 entries = cohomology._ce_delta(L, coeffs, q)[0]
                 assert sum(1 for _ in entries) <= cohomology._ce_contributions(
-                    L.sparse, L.dim, q, coeffs == ADJOINT)
+                    L.sparse, L.dim, q, *cohomology._module(L, coeffs))
 
 
 def test_cohomology_too_large_for_memory_is_refused_before_generation():
@@ -635,10 +689,9 @@ def test_a_coboundary_that_does_not_square_to_zero_is_refused(monkeypatch):
     # dim C^1 - rank delta_0, which holds only if delta_1 delta_0 = 0
     entries = cohomology._ce_entries
 
-    def broken(sp, m, p, adjoint, dom_pos, cod):
+    def broken(sp, p, width, act, dom_pos, cod):
         if p != 1:
-            return entries(sp, m, p, adjoint, dom_pos, cod)
-        width = m if adjoint else 1
+            return entries(sp, p, width, act, dom_pos, cod)
         return ((i, i, 1) for i in range(len(dom_pos) * width))
 
     monkeypatch.setattr(cohomology, "_ce_entries", broken)

@@ -327,6 +327,55 @@ def test_every_unread_public_name_is_documented_in_the_readme():
             if f"koszul.{name}" not in readme] == []
 
 
+def taking(source: str, name: str) -> list[str]:
+    """Functions, by dotted path inside the module, that take a parameter
+    called `name`: positional, keyword-only or variadic."""
+    found: list[str] = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, ast.ClassDef):
+                inner = path + (child.name,)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+                inner = path + (getattr(child, "name", "<lambda>"),)
+                a = child.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x]
+                if name in names:
+                    found.append(".".join(inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_the_scan_sees_adjoint_parameters():
+    source = ("def f(sp, m, adjoint):\n"
+              "    return adjoint\n"
+              "class C:\n"
+              "    def g(self, *, adjoint=False):\n"
+              "        h = lambda adjoint: adjoint\n"
+              "        return h\n"
+              "def k(x, **adjoint):\n"
+              "    adjoint = x == 'adjoint'\n"
+              "    return adjoint\n"
+              "def n(width, act):\n"
+              "    adjoint = width > 1\n"
+              "    return adjoint(act)\n")
+    assert taking(source, "adjoint") == ["C.g", "C.g.<lambda>", "f", "k"]
+
+
+def test_no_function_of_src_takes_an_adjoint_flag():
+    # a coefficient module is a width and an action table, read from
+    # `cohomology._module`; no generator chooses its formula by a flag
+    found = [f"{path.stem}.{f}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for f in taking(path.read_text(), "adjoint")]
+    assert found == []
+
+
 def test_no_module_of_src_imports_the_tests():
     found = [f"{path.stem} imports {package}"
              for path in sorted((ROOT / "src").rglob("*.py"))
