@@ -379,30 +379,30 @@ def _cmd_statmodel(args, inputs):
             theta = [float(x) for x in args.theta.split(",")]
         except ValueError as exc:
             raise ValidationError(f"bad --theta value: {exc}") from exc
-    inputs.add_value("theta", list(map(float, theta)))
+    inputs.add_value("theta", theta)
     if args.op == "fisher":
         g = statmodel.fisher_information(model, theta)
-        return {"family": model.name, "theta": kio.jsonable(theta),
-                "fisher": kio.jsonable(g)}
+        return {"family": model.name, "theta": theta, "fisher": g}
     if args.op == "alpha":
         low = statmodel.alpha_christoffels(model, theta, args.alpha)
-        _check_overflow(args.alpha, abs(low).max())
+        _check_overflow(args.alpha, [x for plane in low for row in plane
+                                     for x in row])
         return {"family": model.name, "alpha": args.alpha,
-                "lowered": kio.jsonable(low)}
+                "lowered": low}
     if args.op == "curvature":
         tensor, mx = statmodel.alpha_curvature(model, theta, args.alpha)
-        _check_overflow(args.alpha, mx)
+        _check_overflow(args.alpha, [mx])
         return {"family": model.name, "alpha": args.alpha,
-                "max_abs": mx, "tensor": kio.jsonable(tensor)}
+                "max_abs": mx, "tensor": tensor}
     grid = model.probe_grid(theta)
     tol = statmodel.PROBE_TOL if args.tol is None else args.tol
     rep = statmodel.exponential_defect_probe(model, grid, tol=tol)
     return kio.jsonable(rep)
 
 
-def _check_overflow(alpha, max_abs):
+def _check_overflow(alpha, values):
     """Refuse a finite alpha so large that the floats it scales overflow."""
-    if not math.isfinite(max_abs):
+    if not all(map(math.isfinite, values)):
         raise ValidationError(
             f"--alpha {alpha} is too large: the result overflows")
 

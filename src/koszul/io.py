@@ -273,12 +273,4 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
-    try:
-        import numpy as np
-        if isinstance(obj, np.ndarray):
-            return [jsonable(x) for x in obj.tolist()]
-        if isinstance(obj, (np.floating, np.integer)):
-            return float(obj)
-    except ImportError:
-        pass
     return str(obj)

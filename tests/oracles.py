@@ -61,15 +61,14 @@ m x m entries, the parity imposed as extra rows (`parity_rows`,
 `parity_row_form_space`), and its former dense `Fraction` condition rows
 with the dense witness check they fed (`operator_matrix`,
 `dense_gauge_equation_rows`, ..., `dense_prolong`, `check_rows`), its
-former per-outcome
-information-geometry routes (`scalar_fisher_information`, ...,
-`scalar_exponential_defect_probe`) and the per-outcome log densities of
-its families that they read (`scalar_bernoulli`, ...,
-`scalar_constant_family`), public helpers the library
+former information-geometry routes by finite differences
+(`fd_fisher_information`, ..., `fd_exponential_defect_probe`, over
+`finite_difference_jets`), which read the library's families at each
+stencil point as jets of order 0 (`point_log_probs`), public helpers the library
 no longer needs (`cochain_value`, `left_matrix`, `is_zero_matrix`), its
 former KV and Hochschild coboundary matrices, assembled from its
-generators (`kv_coboundary_matrix`, `hochschild_coboundary_matrix`), its
-former Levi-Civita symbols by differences of its batched metrics
+generators (`kv_coboundary_matrix`, `hochschild_coboundary_matrix`), the
+Levi-Civita symbols by differences of its Fisher metrics
 (`levi_civita_symbols`), its former parse of
 every CLI call by a parser built anew (`fresh_parse`), its former tensor
 path over `Fraction` objects: values parsed by Fraction(str)
@@ -110,7 +109,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product as iproduct
-from math import comb, gcd, lcm
+from math import comb, exp, gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 import sympy
@@ -128,8 +128,8 @@ from koszul.cohomology import (ADJOINT, SCALAR, CohomologyReport, Cochain,
 from koszul.connections import (InvariantConnection, amari_dual,
                                 cartan_connection, is_locally_flat,
                                 is_torsion_free, torsion)
-from koszul.errors import (ConformanceMismatch, JacobiViolation,
-                           KoszulError, NonNormalized, NotKV, NotTorsionFree,
+from koszul.errors import (ConformanceMismatch, DomainViolation,
+                           JacobiViolation, KoszulError, NonNormalized, NotKV, NotTorsionFree,
                            SingularFisher, SingularMetric, TorsionMismatch,
                            ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
@@ -143,9 +143,9 @@ from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
 from koszul.spencer import (DEFAULT_SEED, SpencerReport, SymbolSpace,
                             _mono_pos, monomials, prolong, symbol_coord_dim)
-from koszul.statmodel import (CURV_STEP, GRAD_STEP, NORM_TOL, PROBE_TOL,
-                              FiniteStatModel, ProbeReport, _jets,
-                              _richardson)
+from koszul.statmodel import NORM_TOL, PROBE_TOL, FiniteStatModel, ProbeReport
+from koszul.statmodel import _coordinates as statmodel_coordinates
+from koszul.statmodel import fisher_information
 
 
 def F(x):
@@ -765,6 +765,16 @@ def abelian_betti(m, p):
 
 def fisher_bernoulli(theta):
     return 1.0 / (theta * (1.0 - theta))
+
+
+def fisher_categorical_natural(theta):
+    """Categorical on n outcomes in logit coordinates, p = softmax(theta, 0):
+    G = diag(p) - p p^T over the first n-1 probabilities."""
+    z = [exp(t) for t in theta]
+    total = 1.0 + sum(z)
+    p = [x / total for x in z]
+    return [[(p[i] if i == j else 0.0) - p[i] * p[j]
+             for j in range(len(p))] for i in range(len(p))]
 
 
 def fisher_categorical_mean(theta):
@@ -2785,271 +2795,236 @@ def check_rows(rows, flatvec) -> bool:
 
 # ---------------------------------------------------------------- statmodel
 #
-# The library's former per-outcome routes of `statmodel`: every gradient and
-# Hessian of a log density is taken outcome by outcome, and every call
-# evaluates its own log densities again. They read the families' former
-# per-outcome log densities, `log_density(theta, x)`, one float per call.
+# The library's former routes of `statmodel`: scores and Hessians of the log
+# densities by central differences with one Richardson refinement (step
+# GRAD_STEP), the curvature by central differences of the raised symbols
+# (step CURV_STEP), every route evaluating the log densities at all of its
+# points in one batched call. They read a model's log probabilities at each
+# point as jets of order 0 (`point_log_probs`), so they differentiate the
+# library's own families. A route checks the domain at the points it is
+# asked about, as the library does, and not at their difference stencils.
+# Results are nested lists of floats, as the library's are.
 
-@dataclass(frozen=True)
-class PerOutcomeModel(FiniteStatModel):
-    """A model given by its log density at one point and one outcome,
-    `log_density(theta, x)`. The library's routes read it through
-    `log_probs`, which calls `log_density` once per point and outcome."""
-
-    log_density: object = None
-
-
-def per_outcome_model(name, n_outcomes, n_params, log_density, domain,
-                      simplex=False) -> PerOutcomeModel:
-    def log_probs(points):
-        return np.array([[log_density(t, x) for x in range(n_outcomes)]
-                         for t in points])
-
-    return PerOutcomeModel(name, n_outcomes, n_params, log_probs, domain,
-                           simplex, log_density)
+GRAD_STEP = 1e-4
+CURV_STEP = 1e-3
 
 
-def _scalar_logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
+def point_log_probs(model: FiniteStatModel, points) -> np.ndarray:
+    """The log probabilities at each row of points (k, d), shape (k, n)."""
+    return np.array([[x.value for x in model.log_probs(
+        statmodel_coordinates([float(t) for t in row], 0))]
+        for row in points])
 
 
-def scalar_bernoulli() -> PerOutcomeModel:
-    """Two outcomes, mean parameter theta = P(X = 1)."""
-
-    def logp(theta, x):
-        t = float(theta[0])
-        return float(np.log(t if x == 1 else 1.0 - t))
-
-    return per_outcome_model("bernoulli", 2, 1, logp, ((0.0, 1.0),))
+def _richardson(f, h):
+    return (4.0 * f(h / 2) - f(h)) / 3.0
 
 
-def scalar_categorical_mean(n: int) -> PerOutcomeModel:
-    """n outcomes, mean coordinates theta_i = p_i for i < n-1."""
-    if n < 2:
-        raise ValidationError("categorical model needs >= 2 outcomes")
+class FiniteDifferenceJets(NamedTuple):
+    """Jets at k points, stacked: probabilities (k, n), scores (k, n, d),
+    Hessians of the log densities (k, n, d, d) or None, Fisher matrices
+    (k, d, d), and their inverses (k, d, d) or None."""
 
-    def logp(theta, x):
-        if x < n - 1:
-            return float(np.log(theta[x]))
-        return float(np.log(1.0 - float(np.sum(theta))))
-
-    box = tuple(((0.0, 1.0),) * (n - 1))
-    return per_outcome_model(f"categorical:{n}", n, n - 1, logp, box,
-                             simplex=True)
+    p: np.ndarray
+    scores: np.ndarray
+    hess: np.ndarray | None
+    g: np.ndarray
+    ginv: np.ndarray | None
 
 
-def scalar_categorical_natural(n: int) -> PerOutcomeModel:
-    """n outcomes, natural (logit) coordinates: p = softmax(theta, 0)."""
-    if n < 2:
-        raise ValidationError("categorical model needs >= 2 outcomes")
-
-    def logp(theta, x):
-        logits = np.append(np.asarray(theta, dtype=float), 0.0)
-        return float(logits[x] - _scalar_logsumexp(logits))
-
-    box = tuple(((-4.0, 4.0),) * (n - 1))
-    return per_outcome_model(f"categorical-natural:{n}", n, n - 1, logp, box)
-
-
-def scalar_curved4() -> PerOutcomeModel:
-    """Curved 2-parameter subfamily of the 4-outcome family: logits
-    (t1, t2, t1*t2, 0)."""
-
-    def logp(theta, x):
-        t1, t2 = float(theta[0]), float(theta[1])
-        logits = np.array([t1, t2, t1 * t2, 0.0])
-        return float(logits[x] - _scalar_logsumexp(logits))
-
-    return per_outcome_model("curved4", 4, 2, logp,
-                             ((-3.0, 3.0), (-3.0, 3.0)))
+def _stencil(theta: np.ndarray, hessians: bool) -> dict:
+    """The points the differences at each row of `theta` (k, d) read, as
+    blocks of shape (k, m, d): the row itself ("mid"), then for each step
+    s the rows +- s e_i and, for Hessians, + s (e_i + e_j), + s (e_i - e_j),
+    - s (e_i - e_j) and - s (e_i + e_j) over the pairs i < j."""
+    at = theta[:, None, :]
+    eye = np.eye(theta.shape[1])
+    if hessians:
+        i, j = np.triu_indices(len(eye), 1)
+        both, skew = eye[i] + eye[j], eye[i] - eye[j]
+    blocks = {"mid": at}
+    for s in (GRAD_STEP / 2, GRAD_STEP):
+        blocks[s, "+"] = at + s * eye
+        blocks[s, "-"] = at - s * eye
+        if hessians:
+            blocks[s, "++"] = at + s * both
+            blocks[s, "+-"] = at + s * skew
+            blocks[s, "-+"] = at - s * skew
+            blocks[s, "--"] = at - s * both
+    return blocks
 
 
-def scalar_constant_family() -> PerOutcomeModel:
-    """Uniform on two outcomes regardless of theta; zero Fisher metric."""
-
-    def logp(theta, x):
-        return float(np.log(0.5))
-
-    return per_outcome_model("constant", 2, 1, logp, ((-1.0, 1.0),))
-
-
-def scalar_probs(model: PerOutcomeModel, theta) -> np.ndarray:
-    """The probabilities at theta, one outcome at a time; refuses a point
-    where they do not sum to 1 within NORM_TOL."""
-    p = np.array([np.exp(model.log_density(theta, x))
-                  for x in range(model.n_outcomes)])
-    if abs(float(p.sum()) - 1.0) > NORM_TOL:
-        raise NonNormalized(
-            f"probabilities sum to {p.sum()!r} at theta={theta}")
-    return p
-
-
-def scalar_grad_log(model, theta, x, h=GRAD_STEP):
-    d = model.n_params
-    out = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-
-        def diff(step):
-            return (model.log_density(theta + step * e, x)
-                    - model.log_density(theta - step * e, x)) / (2 * step)
-
-        out[i] = _richardson(diff, h)
-    return out
-
-
-def scalar_hess_log(model, theta, x, h=GRAD_STEP):
-    d = model.n_params
-    out = np.zeros((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = 1.0
-
-        def diag(step):
-            return (model.log_density(theta + step * ei, x)
-                    - 2.0 * model.log_density(theta, x)
-                    + model.log_density(theta - step * ei, x)) / step ** 2
-
-        out[i, i] = _richardson(diag, h)
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = 1.0
-
-            def mixed(step):
-                return (model.log_density(theta + step * (ei + ej), x)
-                        - model.log_density(theta + step * (ei - ej), x)
-                        - model.log_density(theta - step * (ei - ej), x)
-                        + model.log_density(theta - step * (ei + ej), x)
-                        ) / (4 * step ** 2)
-
-            out[i, j] = out[j, i] = _richardson(mixed, h)
-    return out
+def finite_difference_jets(model: FiniteStatModel, centers,
+                           hessians: bool = True,
+                           raised: bool = False) -> FiniteDifferenceJets:
+    """Jets at each of `centers`, from one evaluation of the log
+    probabilities at every centre and its `_stencil`; each centre's
+    normalization and, with `raised`, the condition of its Fisher matrix
+    are checked in the centres' order."""
+    n, d = model.n_outcomes, model.n_params
+    centers = np.array(centers, dtype=float).reshape(-1, d)
+    blocks = _stencil(centers, hessians)
+    widths = [b.shape[1] for b in blocks.values()]
+    points = np.concatenate(list(blocks.values()), axis=1)
+    k = len(points)
+    logp = point_log_probs(model, points.reshape(-1, d)).reshape(k, -1, n)
+    logp = dict(zip(blocks, np.split(logp.transpose(0, 2, 1),
+                                     np.cumsum(widths)[:-1], axis=2)))
+    mid = logp["mid"]
+    p = np.exp(mid[:, :, 0])
+    scores = _richardson(
+        lambda s: (logp[s, "+"] - logp[s, "-"]) / (2 * s), GRAD_STEP)
+    hess = None
+    if hessians:
+        hess = np.zeros((k, n, d, d))
+        diag = np.arange(d)
+        hess[..., diag, diag] = _richardson(
+            lambda s: (logp[s, "+"] - 2.0 * mid + logp[s, "-"]) / s ** 2,
+            GRAD_STEP)
+        i, j = np.triu_indices(d, 1)
+        hess[..., i, j] = hess[..., j, i] = _richardson(
+            lambda s: (logp[s, "++"] - logp[s, "+-"] - logp[s, "-+"]
+                       + logp[s, "--"]) / (4 * s ** 2), GRAD_STEP)
+    g = np.zeros((k, d, d))
+    for x in range(n):
+        s = scores[:, x]
+        g += p[:, x, None, None] * (s[:, :, None] * s[:, None, :])
+    g = 0.5 * (g + g.swapaxes(1, 2))
+    cond = np.linalg.cond(g) if raised else None
+    for a, t in enumerate(centers):
+        total = sum(p[a].tolist())
+        if abs(total - 1.0) > NORM_TOL:
+            raise NonNormalized(
+                f"probabilities sum to {total!r} at theta={t.tolist()}")
+        if raised and cond[a] > 1e10:
+            raise SingularFisher("fisher matrix is numerically singular")
+    return FiniteDifferenceJets(p, scores, hess, g,
+                                np.linalg.inv(g) if raised else None)
 
 
-def scalar_fisher_information(model: PerOutcomeModel, theta) -> np.ndarray:
+def _checked(model: FiniteStatModel, points) -> tuple[list, Exception]:
+    """The points before the first one outside the domain, as arrays, and
+    that point's error or None; the first point outside raises at once."""
+    checked, fault = [], None
+    for t in points:
+        try:
+            checked.append(np.array(model.check_domain(t)))
+        except (ValidationError, DomainViolation) as exc:
+            fault = exc
+            break
+    if not checked:
+        raise fault
+    return checked, fault
+
+
+def fd_fisher_information(model: FiniteStatModel, theta) -> list:
     """Fisher matrix sum_x p (grad log p)(grad log p)^T."""
     theta = model.check_domain(theta)
-    p = scalar_probs(model, theta)
-    d = model.n_params
-    g = np.zeros((d, d))
-    for x in range(model.n_outcomes):
-        s = scalar_grad_log(model, theta, x)
-        g += p[x] * np.outer(s, s)
-    return 0.5 * (g + g.T)
+    return finite_difference_jets(model, [theta], hessians=False).g[0] \
+        .tolist()
 
 
-def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
-    """Lowered Levi-Civita symbols of the Fisher metric, by differences of
-    the library's batched metrics: an oracle for the alpha = 0 member."""
-    theta = model.check_domain(theta)
-    d = model.n_params
-    h = CURV_STEP
-    steps = (h / 2, h)
-    centers = [c for e in np.eye(d) for step in steps
-               for c in (theta + step * e, theta - step * e)]
-    g = _jets(model, centers, hessians=False).g.reshape(d, 2, 2, d, d)
-    # step -> the metrics at theta + step e_i and theta - step e_i
-    at = dict(zip(steps, g.swapaxes(0, 1)))
-    dg = _richardson(
-        lambda step: (at[step][:, 0] - at[step][:, 1]) / (2 * step), h)
-    return 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-
-
-def scalar_fisher_via_hessian(model: PerOutcomeModel, theta) -> np.ndarray:
+def fd_fisher_via_hessian(model: FiniteStatModel, theta) -> np.ndarray:
     """Independent route -sum_x p hess(log p); agrees within tolerance."""
     theta = model.check_domain(theta)
-    p = scalar_probs(model, theta)
-    d = model.n_params
-    g = np.zeros((d, d))
-    for x in range(model.n_outcomes):
-        g -= p[x] * scalar_hess_log(model, theta, x)
+    jets = finite_difference_jets(model, [theta])
+    g = -np.einsum("x,xij->ij", jets.p[0], jets.hess[0])
     return 0.5 * (g + g.T)
 
 
-def scalar_alpha_christoffels(model: PerOutcomeModel, theta, alpha: float,
-                              raised: bool = False) -> np.ndarray:
-    """Lowered symbols sum_x p [hess_ij + (1+a)/2 s_i s_j] s_k.
-
-    With raised=True the last index is raised by the inverse Fisher
-    matrix, giving Gamma^k_ij stored as [i][j][k].
-    """
-    theta = model.check_domain(theta)
-    p = scalar_probs(model, theta)
-    d = model.n_params
-    low = np.zeros((d, d, d))
+def _fd_lowered(jets: FiniteDifferenceJets, alpha: float) -> np.ndarray:
+    """Lowered symbols at each jet, of shape (k, d, d, d)."""
+    k, n, d = jets.scores.shape
+    low = np.zeros((k, d, d, d))
     w = (1.0 + alpha) / 2.0
-    for x in range(model.n_outcomes):
-        s = scalar_grad_log(model, theta, x)
-        hess = scalar_hess_log(model, theta, x)
-        core = hess + w * np.outer(s, s)
-        low += p[x] * np.einsum("ij,k->ijk", core, s)
-    if not raised:
-        return low
-    g = scalar_fisher_information(model, theta)
-    return scalar_raise_last(low, g)
+    for x in range(n):
+        s = jets.scores[:, x]
+        core = jets.hess[:, x] + w * (s[:, :, None] * s[:, None, :])
+        low += jets.p[:, x, None, None, None] \
+            * (core[..., None] * s[:, None, None, :])
+    return low
 
 
-def scalar_raise_last(low: np.ndarray, g: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(g) > 1e10:
-        raise SingularFisher("fisher matrix is numerically singular")
-    ginv = np.linalg.inv(g)
-    return np.einsum("ijl,lk->ijk", low, ginv)
+def _fd_raise(low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    return np.array([np.einsum("ijl,lk->ijk", sym, gi)
+                     for sym, gi in zip(low, ginv)])
 
 
-def scalar_alpha_curvature(model: PerOutcomeModel, theta,
-                           alpha: float) -> tuple[np.ndarray, float]:
-    """Curvature of the raised alpha symbols by central differences.
-
-    R[i,j,k,l] = d_i G[j,k,l] - d_j G[i,k,l]
-                 + sum_m (G[i,m,l] G[j,k,m] - G[j,m,l] G[i,k,m])
-    with G[i,j,k] the raised symbols; returns the tensor and its max-abs.
-    """
+def fd_alpha_christoffels(model: FiniteStatModel, theta, alpha: float,
+                          raised: bool = False) -> list:
+    """Lowered symbols sum_x p [hess_ij + (1+a)/2 s_i s_j] s_k, or with
+    raised=True Gamma^k_ij stored as [i][j][k]."""
     theta = model.check_domain(theta)
-    d = model.n_params
-    h = CURV_STEP
+    jets = finite_difference_jets(model, [theta], raised=raised)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = _fd_lowered(jets, alpha)
+        return (_fd_raise(low, jets.ginv) if raised else low)[0].tolist()
 
-    def symbols(t):
-        return scalar_alpha_christoffels(model, t, alpha, raised=True)
 
-    base = symbols(theta)
-    grad = np.zeros((d, d, d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        grad[i] = (symbols(theta + h * e) - symbols(theta - h * e)) / (2 * h)
+def _curvature_stencil(theta, d: int, h: float):
+    """theta, then theta + h e_i and theta - h e_i for each i."""
+    yield theta
+    for e in np.eye(d):
+        yield theta + h * e
+        yield theta - h * e
+
+
+def _fd_curvature(symbols: np.ndarray, h: float) -> np.ndarray:
+    """The curvature from the raised symbols at the points of
+    `_curvature_stencil`, stacked in its order."""
+    base = symbols[0]
+    d = len(base)
+    grad = (symbols[1::2] - symbols[2::2]) / (2 * h)
     r = np.zeros((d, d, d, d))
     for i in range(d):
         for j in range(d):
             r[i, j] = grad[i][j] - grad[j][i] \
                 + np.einsum("ml,km->kl", base[i], base[j]) \
                 - np.einsum("ml,km->kl", base[j], base[i])
-    return r, float(np.max(np.abs(r))) if d else 0.0
+    return r
 
 
-def scalar_exponential_defect_probe(model: PerOutcomeModel, grid,
-                                    tol: float = PROBE_TOL) -> ProbeReport:
-    """Flag a model exponential-like when some end of the alpha family is
-    numerically flat on the grid.
+def fd_alpha_curvature(model: FiniteStatModel, theta, alpha: float,
+                       h: float | None = None) -> tuple[list, float]:
+    """Curvature of the raised alpha symbols by central differences of
+    step h (CURV_STEP by default); the tensor and its max-abs."""
+    h = CURV_STEP if h is None else h
+    theta = np.array(model.check_domain(theta))
+    jets = finite_difference_jets(
+        model, list(_curvature_stencil(theta, model.n_params, h)),
+        raised=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _fd_curvature(_fd_raise(_fd_lowered(jets, alpha), jets.ginv), h)
+    return r.tolist(), float(np.max(np.abs(r)))
 
-    Checks max |R(alpha)| for alpha in {-1, +1} and the symmetry defect of
-    the symbols; a numeric surrogate for the flatness characterization,
-    not a proof.
-    """
-    grid = [np.asarray(t, dtype=float) for t in grid]
+
+def fd_exponential_defect_probe(model: FiniteStatModel, grid,
+                                tol: float = PROBE_TOL,
+                                h: float | None = None) -> ProbeReport:
+    """The probe over the curvature of `fd_alpha_curvature` at each grid
+    point, from one batched evaluation of every stencil."""
+    h = CURV_STEP if h is None else h
+    grid = list(grid)
     if not grid:
         raise ValidationError("probe grid is empty")
+    checked, fault = _checked(model, grid)
+    d = model.n_params
+    jets = finite_difference_jets(
+        model, [u for t in checked for u in _curvature_stencil(t, d, h)],
+        raised=True)
+    if fault is not None:
+        raise fault
     norms = {}
     torsion = 0.0
     for alpha in (-1.0, 1.0):
+        low = _fd_lowered(jets, alpha)
+        symbols = _fd_raise(low, jets.ginv).reshape(len(checked), 2 * d + 1,
+                                                    d, d, d)
         worst = 0.0
-        for t in grid:
-            _, mx = scalar_alpha_curvature(model, t, alpha)
-            worst = max(worst, mx)
-            low = scalar_alpha_christoffels(model, t, alpha)
+        for at_t, low_t in zip(symbols, low[::2 * d + 1]):
+            worst = max(worst, float(np.max(np.abs(_fd_curvature(at_t, h)))))
             torsion = max(torsion, float(
-                np.max(np.abs(low - np.swapaxes(low, 0, 1)))))
+                np.max(np.abs(low_t - np.swapaxes(low_t, 0, 1)))))
         norms[alpha] = worst
     best = min(norms, key=lambda a: norms[a])
     verdict = min(norms.values()) < tol and torsion < tol
@@ -3062,6 +3037,24 @@ def scalar_exponential_defect_probe(model: PerOutcomeModel, grid,
         grid_size=len(grid),
         notes="flat within tolerance at alpha = %+g" % best if verdict
         else "no flat member found at alpha = -1 or +1")
+
+
+def levi_civita_symbols(model: FiniteStatModel, theta) -> np.ndarray:
+    """Lowered Levi-Civita symbols of the Fisher metric, by Richardson
+    refined differences of the library's metrics: an oracle for the
+    alpha = 0 member."""
+    theta = np.array(model.check_domain(theta))
+    d = model.n_params
+    eye = np.eye(d)
+
+    def dg(step):
+        return np.array([np.subtract(
+            fisher_information(model, theta + step * e),
+            fisher_information(model, theta - step * e)) / (2 * step)
+            for e in eye])
+
+    grad = _richardson(dg, CURV_STEP)
+    return 0.5 * (grad + grad.transpose(1, 0, 2) - grad.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------- command line

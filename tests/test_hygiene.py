@@ -397,16 +397,15 @@ def test_the_scan_sees_numpy_imports():
     assert importers(source, "numpy") == (["f"], ["line 1", "line 2"])
 
 
-def test_numpy_is_imported_only_by_statmodel_and_jsonable():
-    # exact Fractions everywhere but the floating-point statmodel;
-    # io.jsonable imports numpy only to convert the arrays statmodel returns
-    found, top = [], []
+def test_no_module_of_src_imports_numpy():
+    # exact Fractions everywhere, and plain floats in statmodel, whose
+    # derivatives are Taylor jets; numpy is a test dependency alone
+    found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         functions, imports = importers(path.read_text(), "numpy")
-        found += [f"{path.stem}.{f}" for f in functions]
-        top += [str(path.relative_to(ROOT / "src")) for _ in imports]
-    assert found == ["io.jsonable"]
-    assert top == ["koszul/statmodel.py"]
+        rel = str(path.relative_to(ROOT / "src"))
+        found += [f"{rel}:{f}" for f in functions + imports]
+    assert found == []
 
 
 def test_random_is_imported_only_by_the_seeded_searches():

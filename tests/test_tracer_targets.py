@@ -57,7 +57,7 @@ WARM_UP = """
     exec(compile(tracer.read_text(), str(tracer), "exec"), namespace)
     print(json.dumps({"codes": codes, "missing": sorted(
         module for module, _ in namespace["TARGETS"].values()
-        if module not in sys.modules)}))
+        if module not in sys.modules), "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -74,3 +74,5 @@ def test_the_warm_up_imports_every_traced_module(tmp_path):
     doc = json.loads(done.stdout)
     assert set(doc["codes"]) == {0}
     assert doc["missing"] == []
+    # no worker loads numpy: the warm-up's statmodel query runs on jets
+    assert doc["numpy"] is False
