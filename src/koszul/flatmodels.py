@@ -19,7 +19,8 @@ idempotent e. No verdict is unknown.
 
 A right ideal is simple when the largest two-sided ideal inside it, the
 largest subspace of it that the left multiplications keep, is zero; it is
-found on integer rows by `spaces.largest_invariant`, as FE* is.
+found by `spaces.largest_invariant` from the annihilator rows that the
+right-ideal check solved for, as FE* is from its compatibility rows.
 """
 
 from __future__ import annotations
@@ -269,15 +270,15 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
     in the next iterate, x*a lies in J, and so do e*(x*a) = (e*x)*a, as e*x
     lies in J, and (x*a)*e = x*(a*e). So x*A in J always holds, and only
     the A*x condition is imposed: the core is `spaces.largest_invariant`
-    under the left multiplications, whose table is the product's own. It
-    is reported by its reduced row-echelon basis.
+    of I's annihilator rows under the left multiplications, whose table is
+    the product's own. It is reported by its reduced row-echelon basis.
     """
     _require_associative(p)
     n = p.dim
     if any(len(row) != n for row in ideal_rows):
         raise ValidationError("ideal vector has wrong length")
-    rows, scales = linalg.sparse_row_space(
-        [linalg.integer_row(row)[0] for row in ideal_rows], n)
+    rows = linalg.sparse_row_space(
+        [linalg.integer_row(row)[0] for row in ideal_rows], n)[0]
     ann = linalg.sparse_nullspace(rows, n)[0]
     by_first = p.sparse.by_first
     for s, x in enumerate(rows):
@@ -288,7 +289,7 @@ def simple_right_ideal_check(p: BilinearProduct, ideal_rows) -> RightIdealReport
             if not spaces.satisfies(ann, right.get(j, {})):
                 raise NotRightIdeal(
                     f"basis element {s} times e_{j} leaves the span")
-    core = spaces.largest_invariant(rows, scales, p.sparse, n)[0]
+    core = spaces.largest_invariant(ann, p.sparse, n)[0]
     basis = linalg.vectors(*linalg.sparse_row_space(core, n), n)
     return RightIdealReport(ambient_dim=n, ideal_dim=len(rows),
                             core_dim=len(core), simple=not core,

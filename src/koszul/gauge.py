@@ -16,7 +16,8 @@ uniqueness of Cauchy data). The vector-field equation nabla^2 X = 0 becomes
 such a system for s = (values of X, frame derivatives of X). The
 stabilization is `spaces.largest_invariant`, the one solver of a largest
 invariant subspace, on integer rows throughout: the operators over one
-denominator, each basis and its annihilators as kernel rows over scales.
+denominator, the compatibility rows closed under them, and the space read
+once, as kernel rows over scales.
 """
 
 from __future__ import annotations
@@ -171,8 +172,7 @@ def solve_fe_star(conn: InvariantConnection) -> FeStarSolutions:
     n = m + m * m
     ops = _fe_star_operators(conn)
     rows = _fe_star_compatibility(conn, ops)
-    basis, scales, steps = spaces.largest_invariant(
-        *linalg.sparse_nullspace(rows, n), ops, n)
+    basis, scales, steps = spaces.largest_invariant(rows, ops, n)
     space = LinearSolutionSpace(n, basis, scales)
     if not all(spaces.satisfies(rows, w) for w in basis):
         raise KoszulError("stabilized vector violates compatibility")

@@ -1,11 +1,11 @@
 """Linear conditions and the solution spaces they cut out.
 
 A linear condition is a sparse integer row over a fixed column count, a
-dict {column: integer} of its nonzeros. Builders list contributions (row
-key, column, value) from the nonzeros of a structure-constant table, and
-`condition_rows` turns them into rows. `from_conditions` solves rows @ x =
-0, re-verifies the kernel over the rows' nonzeros (`satisfies`) and wraps
-it in a `LinearSolutionSpace`.
+dict {column: integer} of its nonzeros. Builders list integer
+contributions (row key, column, value) from the nonzeros of a
+structure-constant table, and `condition_rows` turns them into rows.
+`from_conditions` solves rows @ x = 0, re-verifies the kernel over the
+rows' nonzeros (`satisfies`) and wraps it in a `LinearSolutionSpace`.
 
 A basis is held in the same form: each vector is an integer row over one
 positive scale L, the vector being row / L with L the lcm of its
@@ -16,7 +16,8 @@ the report writers. `independent` is the one independence check of a
 basis, for solution and symbol spaces alike.
 
 `largest_invariant` is the one solver of a largest invariant subspace, for
-FE* and for the largest two-sided ideal inside a right ideal.
+FE* and for the largest two-sided ideal inside a right ideal, walked on
+their condition rows: one elimination per step, one kernel at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from koszul import linalg
 from koszul._kernel import independent_rows_mod_p
@@ -107,17 +108,15 @@ def accumulate(entries) -> dict:
 
 
 def condition_rows(entries) -> list[dict[int, int]]:
-    """Rows from rational contributions (row key, column, value): summed per
-    cell, each scaled to a primitive integer row (which keeps its
+    """Rows from integer contributions (row key, column, value): summed per
+    cell, each divided by its content to a primitive row (which keeps its
     solutions), in row-key order, rows that sum to zero left out."""
     out = []
     for _, row in sorted(accumulate(entries).items()):
         row = {j: x for j, x in row.items() if x}
         if row:
-            m = lcm(*(x.denominator for x in row.values()))
-            g = gcd(*(x.numerator for x in row.values()))
-            out.append({j: x.numerator * (m // x.denominator) // g
-                        for j, x in row.items()})
+            g = gcd(*row.values())
+            out.append({j: x // g for j, x in row.items()})
     return out
 
 
@@ -139,36 +138,35 @@ def from_conditions(rows, ambient_dim: int,
     return LinearSolutionSpace(ambient_dim, kernel, scales, shape)
 
 
-def _invariance_rows(basis, into: dict, n: int) -> list[dict[int, int]]:
-    """Rows cutting out the w in the span of the integer rows `basis` with
-    every M_k w in it too.
-
-    The annihilators a_t of the span are its primitive kernel rows.
-    a^T (M_k w) = (M_k^T a)^T w, so invariance is linear in w: rows (-1, t)
-    are the a_t, rows (k, t) are M_k^T a_t over the table's denominator,
-    made primitive by `condition_rows`.
-    """
-    ann = linalg.sparse_nullspace(basis, n)[0]
+def _closure_rows(ann, into: dict) -> list[dict[int, int]]:
+    """The integer rows `ann` with their images under the operators: rows
+    (-1, t) are the a_t, rows (k, t) are M_k^T a_t over the table's
+    denominator, made primitive by `condition_rows`. The space they cut
+    out is {w : a_t w = 0 and a_t M_k w = 0}, the w of the space `ann` cuts
+    out whose every M_k w lies in it too."""
     return condition_rows(chain(
         (((-1, t), l, x) for t, a in enumerate(ann) for l, x in a.items()),
         (((k, t), c, v * x) for t, a in enumerate(ann) for l, x in a.items()
          for (k, c), v in into.get(l, {}).items())))
 
 
-def largest_invariant(rows, scales, ops, n: int):
-    """The largest subspace of the span of the integer rows over their
-    scales that each M_i keeps, as (rows, scales, steps); `ops` has the
-    nonzeros (i, a, l, v) when M_i e_a has v e_l. Each step solves the
-    invariance rows of the last basis, whose kernel lies inside it, so a
-    step that keeps the dimension ends the walk. The result is re-checked.
+def largest_invariant(rows, ops, n: int):
+    """The largest subspace that each M_i keeps inside the space the
+    integer condition rows cut out, as (rows, scales, steps) of its
+    canonical kernel basis; `ops` has the nonzeros (i, a, l, v) when M_i
+    e_a has v e_l. The walk stays on the annihilator side: each step
+    reduces the rows a and a M_k of the last row space (`_closure_rows`),
+    which holds it, so a step that keeps the rank ends the walk, and the
+    space is solved for once at the end. The result is re-checked.
     """
     # l -> {(k, a): v}: M_k e_a holds v e_l
     into = accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
+    ann = linalg.sparse_row_space(rows, n)[0]
     steps, last = 0, None
-    while rows and len(rows) != last:
-        last, steps = len(rows), steps + 1
-        rows, scales = linalg.sparse_nullspace(
-            _invariance_rows(rows, into, n), n)
+    while len(ann) < n and len(ann) != last:
+        last, steps = len(ann), steps + 1
+        ann = linalg.sparse_row_space(_closure_rows(ann, into), n)[0]
+    rows, scales = linalg.sparse_nullspace(ann, n)
     # row (s, k): M_k w_s over the table's denominator
     moved = list(accumulate(
         ((s, k), l, v * w[a]) for s, w in enumerate(rows)

@@ -762,13 +762,8 @@ def get_family(spec: str) -> FiniteStatModel:
 
 
 def default_theta(model: FiniteStatModel) -> list[float]:
-    """Canonical interior point: barycenter for mean coordinates, origin
-    for natural coordinates, midpoint otherwise."""
-    if model.name.startswith("categorical:"):
+    """Canonical interior point: the barycenter on the simplex (mean
+    coordinates), the midpoint of the domain box otherwise."""
+    if model.simplex:
         return [1.0 / model.n_outcomes] * model.n_params
-    if model.name.startswith("categorical-natural") or \
-            model.name == "curved4":
-        return [0.0] * model.n_params
-    if model.name == "bernoulli":
-        return [0.5]
     return [(lo + hi) / 2.0 for lo, hi in model.domain]

@@ -84,8 +84,11 @@ tensors by index tuple, mirrored by `skew_pairs` and sorted as tuples
 products per basis vector (`dense_form_dual`), the Chevalley-Eilenberg
 contributions placed by sorting (`sort_alternating`,
 `sorting_ce_entries`), the delta² check summed into a dict
-(`dict_check_square`) and the FE* invariance rows from `Fraction`
-annihilators (`fraction_invariance_rows`), its former dense
+(`dict_check_square`), the FE* closure rows from `Fraction`
+annihilators (`fraction_closure_rows`), its former `condition_rows` over
+rational contributions (`fraction_condition_rows`), its former largest
+invariant walk, a basis in and a kernel and its annihilators solved at
+every step (`basis_largest_invariant`), its former dense
 structure-constant tables (`table3`, `zero_table3`, `sparse_of`) with the
 dense builders and readers that used them (`dense_*_algebra`,
 `dense_conjugate_product`, `dense_mult`, ...), its former form verdicts,
@@ -1804,17 +1807,54 @@ def dense_solve_fe_star(conn):
     return FeStarSolutions(m=m, space=space, r_b=r_b, shrink_steps=steps)
 
 
-def fraction_invariance_rows(basis, into, n):
-    """The library's former invariance rows of one FE* stabilization step:
-    the annihilators of the span of the integer rows `basis` kept as
-    `Fraction` vectors, the rows M_k^T a built from `Fraction` products and
-    made primitive by `condition_rows`."""
-    dense = linalg.vectors(basis, (1,) * len(basis), n)
-    ann = tuple(enumerate(linalg.nullspace(dense, ncols=n)))
-    return condition_rows(chain(
-        (((-1, t), l, x) for t, a in ann for l, x in enumerate(a) if x),
-        (((k, t), c, v * x) for t, a in ann for l, x in enumerate(a) if x
+def fraction_condition_rows(entries):
+    """The library's former `spaces.condition_rows`, which also took
+    rational contributions: each row summed per cell, times the lcm of its
+    denominators over the gcd of its numerators."""
+    out = []
+    for _, row in sorted(spaces.accumulate(entries).items()):
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            m = lcm(*(x.denominator for x in row.values()))
+            g = gcd(*(x.numerator for x in row.values()))
+            out.append({j: x.numerator * (m // x.denominator) // g
+                        for j, x in row.items()})
+    return out
+
+
+def fraction_closure_rows(ann, into):
+    """`spaces._closure_rows` on `Fraction` annihilators: each integer row
+    over the size of its first entry, the rows M_k^T a built from
+    `Fraction` products and made primitive by `fraction_condition_rows`."""
+    ann = tuple(enumerate({l: Fraction(x, abs(a[min(a)])) for l, x in
+                           a.items()} for a in ann))
+    return fraction_condition_rows(chain(
+        (((-1, t), l, x) for t, a in ann for l, x in a.items()),
+        (((k, t), c, v * x) for t, a in ann for l, x in a.items()
          for (k, c), v in into.get(l, {}).items())))
+
+
+def basis_largest_invariant(rows, scales, ops, n):
+    """The library's former `spaces.largest_invariant`, which took a basis
+    (integer rows over scales) and walked it: at each step it solved the
+    basis for its annihilators a, then the rows a and M_k^T a for the next
+    basis, until the dimension stayed. The result is re-checked."""
+    into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
+    steps, last = 0, None
+    while rows and len(rows) != last:
+        last, steps = len(rows), steps + 1
+        ann = linalg.sparse_nullspace(rows, n)[0]
+        rows, scales = linalg.sparse_nullspace(condition_rows(chain(
+            (((-1, t), l, x) for t, a in enumerate(ann) for l, x in a.items()),
+            (((k, t), c, v * x) for t, a in enumerate(ann)
+             for l, x in a.items()
+             for (k, c), v in into.get(l, {}).items()))), n)
+    moved = list(spaces.accumulate(
+        ((s, k), l, v * w[a]) for s, w in enumerate(rows)
+        for k, a, l, v in ops.nonzeros if a in w).values())
+    if linalg.sparse_rank(list(rows) + moved, n) != len(rows):
+        raise KoszulError("stabilized space is not invariant")
+    return rows, scales, steps
 
 
 # ---------------------------------------------------------------- right ideals

@@ -45,11 +45,12 @@ from conftest import (
     span,
 )
 from oracles import (
+    basis_largest_invariant,
     dense_fe_star_compat,
     dense_fe_star_operators,
     dense_product,
     dense_solve_fe_star,
-    fraction_invariance_rows,
+    fraction_closure_rows,
     is_zero_matrix,
 )
 
@@ -192,23 +193,39 @@ def test_fe_star_matches_dense_solver(conn):
           suppress_health_check=[HealthCheck.too_slow])
 @given(fe_connections())
 def test_fe_star_steps_match_the_fraction_annihilators(conn):
-    # every stabilization step builds the rows the former Fraction
-    # annihilators gave, and the whole solve is the former one
+    # every stabilization step builds the closure rows that Fraction
+    # annihilators give; the whole solve is the same with them and with the
+    # former walk on the compatible kernel, and it makes one elimination
+    # per step and one for the space, with none before the walk
     n = conn.dim + conn.dim ** 2
     ops = _fe_star_operators(conn)
     into = spaces.accumulate((l, (k, a), v) for k, a, l, v in ops.nonzeros)
-    basis = linalg.sparse_nullspace(_fe_star_compatibility(conn, ops), n)[0]
-    while basis:
-        rows = spaces._invariance_rows(basis, into, n)
-        assert rows == fraction_invariance_rows(basis, into, n)
-        new_basis = linalg.sparse_nullspace(rows, n)[0]
-        if len(new_basis) == len(basis):
+    ann = linalg.sparse_row_space(_fe_star_compatibility(conn, ops), n)[0]
+    while len(ann) < n:
+        rows = spaces._closure_rows(ann, into)
+        assert rows == fraction_closure_rows(ann, into)
+        new_ann = linalg.sparse_row_space(rows, n)[0]
+        if len(new_ann) == len(ann):
             break
-        basis = new_basis
+        ann = new_ann
     fs = solve_fe_star(conn)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spaces, "_invariance_rows", fraction_invariance_rows)
+        patch.setattr(spaces, "_closure_rows", fraction_closure_rows)
         assert fs == solve_fe_star(conn)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "largest_invariant", lambda rows, ops, n:
+                      basis_largest_invariant(
+                          *linalg.sparse_nullspace(rows, n), ops, n))
+        assert fs == solve_fe_star(conn)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("sparse_row_space", "sparse_nullspace"):
+            def counted(rows, ncols, real=getattr(linalg, name)):
+                calls.append(len(rows))
+                return real(rows, ncols)
+            patch.setattr(linalg, name, counted)
+        solve_fe_star(conn)
+    assert len(calls) == fs.shrink_steps + 2
 
 
 def _nullspace_answering(monkeypatch, answer):
@@ -236,11 +253,12 @@ def test_fe_star_rejects_a_space_violating_compatibility(monkeypatch):
 
 
 def test_fe_star_rejects_a_space_that_is_not_invariant(monkeypatch):
-    # stabilization stops at the compatible kernel, which so3's half-bracket
-    # connection does not leave invariant
+    # the walk's one kernel is replaced by the compatible kernel, which
+    # so3's half-bracket connection does not leave invariant
     conn = cartan_connection(so3(), "zero")
-    _nullspace_answering(monkeypatch, lambda k, calls: calls[0]
-                         if k == 3 else calls[-1])
+    compatible = linalg.sparse_nullspace(_fe_star_compatibility(
+        conn, _fe_star_operators(conn)), 12)
+    _nullspace_answering(monkeypatch, lambda k, calls: compatible)
     with pytest.raises(KoszulError, match="not invariant"):
         solve_fe_star(conn)
 

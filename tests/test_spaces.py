@@ -17,7 +17,7 @@ from koszul.spaces import LinearSolutionSpace, from_conditions
 from koszul.spencer import SymbolSpace
 
 from conftest import rand_invertible, span
-from oracles import word_largest_invariant
+from oracles import basis_largest_invariant, word_largest_invariant
 
 F = Fraction
 
@@ -144,7 +144,11 @@ def test_largest_invariant_matches_the_word_oracle(problem):
                         for l in range(n) for a in range(n))
     start = linalg.sparse_row_space(
         [linalg.integer_row(g)[0] for g in gens], n)
-    rows, scales, steps = spaces.largest_invariant(*start, table, n)
+    ann = linalg.sparse_nullspace(list(start[0]), n)[0]
+    rows, scales, steps = spaces.largest_invariant(ann, table, n)
+    # the former walk on the span's reduced basis gives the same basis,
+    # scales and step count
+    assert (rows, scales, steps) == basis_largest_invariant(*start, table, n)
     got = linalg.vectors(rows, scales, n)
     want = word_largest_invariant(linalg.vectors(*start, n), ops, n)
     d = len(start[0])
@@ -159,12 +163,45 @@ def test_largest_invariant_matches_the_word_oracle(problem):
 def test_largest_invariant_of_a_shift():
     # M e_0 = e_1, M e_1 = e_2, M e_2 = 0: inside span(e_0, e_2) only e_2
     # stays, after a step that shrinks and one that does not; span(e_1,
-    # e_2) is kept at once, and span(e_0) shrinks to zero in one step
+    # e_2) is kept at once, and span(e_0) shrinks to zero in one step; each
+    # span is given by the rows that cut it out
     table = SparseTable([(0, 0, 1, 1), (0, 1, 2, 1)])
-    assert spaces.largest_invariant(({0: 1}, {2: 1}), (1, 1), table, 3) == \
+    assert spaces.largest_invariant(({1: 1},), table, 3) == \
         (({2: 1},), (1,), 2)
-    assert spaces.largest_invariant(({1: 1}, {2: 1}), (1, 1), table, 3)[
-        2] == 1
-    assert spaces.largest_invariant(({0: 1},), (1,), table, 3) == \
+    assert spaces.largest_invariant(({0: 1},), table, 3)[2] == 1
+    assert spaces.largest_invariant(({1: 1}, {2: 1}), table, 3) == \
         ((), (), 1)
-    assert spaces.largest_invariant((), (), table, 3) == ((), (), 0)
+    assert spaces.largest_invariant(({0: 1}, {1: 1}, {2: 1}), table, 3) == \
+        ((), (), 0)
+
+
+def test_condition_rows_take_integers_only():
+    # each row summed per cell and divided by its content, its sign kept;
+    # a rational contribution is refused, not scaled
+    assert spaces.condition_rows([(1, 0, 3), (0, 2, -4), (0, 1, 2),
+                                  (1, 0, -3), (2, 1, -6)]) == \
+        [{2: -2, 1: 1}, {1: -1}]
+    with pytest.raises(TypeError):
+        spaces.condition_rows([(0, 1, 2), (0, 2, Fraction(1, 2))])
+
+
+def test_largest_invariant_solves_once_per_step(monkeypatch):
+    # one elimination per step, one for the starting rows and one for the
+    # space: s + 2 for s steps, the closure rows themselves solve nothing
+    table = SparseTable([(0, 0, 1, 1), (0, 1, 2, 1)])
+    calls = []
+    for name in ("sparse_row_space", "sparse_nullspace"):
+        def counted(rows, ncols, real=getattr(linalg, name)):
+            calls.append(len(rows))
+            return real(rows, ncols)
+        monkeypatch.setattr(linalg, name, counted)
+    for rows, steps in ((({1: 1},), 2), (({0: 1},), 1), ((), 1),
+                        (({1: 1}, {2: 1}), 1),
+                        (({0: 1}, {1: 1}, {2: 1}), 0)):
+        calls.clear()
+        assert spaces.largest_invariant(rows, table, 3)[2] == steps
+        assert len(calls) == steps + 2
+    into = spaces.accumulate((l, (k, a), v) for k, a, l, v in table.nonzeros)
+    calls.clear()
+    assert spaces._closure_rows(({1: 1},), into) == [{1: 1}, {0: 1}]
+    assert calls == []

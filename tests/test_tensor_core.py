@@ -109,6 +109,7 @@ from oracles import (
     dense_right_matrix,
     dense_skew_cocycle_rows,
     dense_torsion,
+    fraction_condition_rows,
     fraction_defect_doc,
     fractions_over,
     json_report,
@@ -748,7 +749,7 @@ def test_fe_star_rows_match_the_two_sided_sums(conn):
     neg_c = SparseTable((i, j, k, -v)
                         for i, j, k, v in conn.base.sparse.items())
     d = two_sided_operator_defect(ops, neg_c, bracket=True)
-    assert _fe_star_compatibility(conn, ops) == spaces.condition_rows(
+    assert _fe_star_compatibility(conn, ops) == fraction_condition_rows(
         ((i, j, l), a, v) for (i, j, a, l), v in d.items() if i < j)
 
 
