@@ -321,11 +321,10 @@ def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
     Routes, in order: the caller's candidates, checked exactly (one with
     torsion raises `TorsionMismatch`); "no" when L is perfect, [L, L] = L,
     since no perfect Lie algebra is left-symmetric (Helmstetter 1979); the
-    zero Cartan connection, tested with `is_locally_flat`; for dim <= 2,
-    "no" when the flatness equations generate the unit ideal (Groebner
-    basis); in even dim, "yes" from a symplectic 2-cocycle omega, whose
-    product omega(x·y, z) = −omega(y, [x, z]) is flat and torsion-free
-    (Chu 1974), re-verified. Every algebra of dim <= 2 is decided by then;
+    zero Cartan connection, tested with `is_locally_flat`; in even dim, "yes"
+    from a symplectic 2-cocycle omega, whose product omega(x·y, z) =
+    −omega(y, [x, z]) is flat and torsion-free (Chu 1974), re-verified.
+    Every algebra of dim <= 2 is decided by then;
     otherwise the verdict is "unknown", noting the smallest r_b defect over
     the candidates and the zero Cartan connection. No route draws a random
     number.
@@ -353,10 +352,6 @@ def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
         return ExistenceVerdict("yes", invariant_value=0, witness=zero)
     tried.append(zero)
 
-    if m <= 2:
-        verdict = _flat_existence_exact_small(L)
-        if verdict is not None:
-            return verdict
     if m % 2 == 0:
         symplectic = left_symplectic_oracle(L)
         if symplectic.exists == "yes":
@@ -369,46 +364,6 @@ def flat_existence(L: LieAlgebra, candidates) -> ExistenceVerdict:
     best = min(r_b_defect(conn) for conn in tried)
     return ExistenceVerdict("unknown", invariant_value=best,
                             notes=f"best defect over tried connections: {best}")
-
-
-def _flat_existence_exact_small(L: LieAlgebra) -> ExistenceVerdict | None:
-    """"no" for dim <= 2 when the flatness equations on the symbols of a
-    torsion-free connection generate the unit ideal; None otherwise."""
-    import sympy
-
-    m = L.dim
-    c = {(i, j, k): v for i, j, k, v in L.sparse.items()}
-    syms = {}
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(m):
-                syms[(i, j, k)] = sympy.Symbol(f"s_{i}_{j}_{k}")
-
-    def gamma(i, j, k):
-        half = sympy.Rational(c.get((i, j, k), 0), 1) / 2
-        key = (i, j, k) if i <= j else (j, i, k)
-        return half + syms[key]
-
-    eqs = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    # R(e_i,e_j)e_k, coefficient of e_l
-                    expr = sympy.Integer(0)
-                    for a in range(m):
-                        expr += gamma(j, k, a) * gamma(i, a, l)
-                        expr -= gamma(i, k, a) * gamma(j, a, l)
-                        expr -= (sympy.Rational(c.get((i, j, a), 0), 1)
-                                 * gamma(a, k, l))
-                    eqs.append(sympy.expand(expr))
-    eqs = [e for e in eqs if e != 0]
-    gb = sympy.groebner(eqs, *syms.values(), order="grevlex")
-    if list(gb.exprs) == [sympy.Integer(1)]:
-        return ExistenceVerdict(
-            "no", certificate="flatness equations are unsolvable "
-            "(Groebner basis is the unit ideal)")
-    return None
 
 
 def _require_metric(g: BilinearForm):

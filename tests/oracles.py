@@ -34,10 +34,12 @@ rank over the rational function field by sympy (`symbolic_generic_rank`),
 its former flat-existence search, with random torsion-free probes
 (`_random_torsion_free_table`), an FE* solve per probe and sympy's
 `solve` for dim <= 2 (`eager_flat_existence`,
-`sympy_flat_existence_small`), its former s^b and s^{*b} on the span of
-the `phi_split` parts with the witness form G times the walked element
-(`phi_split_parts_space`, `phi_split_s_b`, `phi_split_s_star_b`) and their
-dense recheck of a parallel form (`dense_is_parallel`), its later s^b and
+`sympy_flat_existence_small`, whose unit-ideal test also holds the
+library's former Groebner route for dim <= 2), its former s^b and s^{*b}
+on the span of the `phi_split` parts with the witness form G times the
+walked element (`phi_split_parts_space`, `phi_split_s_b`,
+`phi_split_s_star_b`) and their dense recheck of a parallel form
+(`dense_is_parallel`), its later s^b and
 s^{*b} space, the halves of G phi for the FE(nabla, nabla*) solutions phi
 (`phi_parts_space`, on `space_from_matrices`), its former bi-invariant
 metric route, a rank walk on every algebra

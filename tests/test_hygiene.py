@@ -197,10 +197,7 @@ def test_the_scan_sees_sympy_imports():
 
 # The verdict routes that still run on sympy; each leaves this list once
 # an exact linear-algebra certificate replaces it.
-SYMPY_FUNCTIONS = [
-    "flatmodels._det_poly", "flatmodels._rational_zero",
-    "invariants._flat_existence_exact_small",
-]
+SYMPY_FUNCTIONS = ["flatmodels._det_poly", "flatmodels._rational_zero"]
 
 
 def test_sympy_is_imported_only_by_the_listed_functions():

@@ -1,8 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +65,9 @@ from oracles import (dense_curvature, dense_is_parallel, dense_product,
                      per_route_s_star_b, phi_parts_space,
                      phi_split_parts_space, phi_split_s_b,
                      phi_split_s_star_b, rank_walk_bi_invariant_metric,
-                     symbolic_generic_rank)
+                     symbolic_generic_rank, sympy_flat_existence_small)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def kv_connection(p):
@@ -175,6 +184,30 @@ def test_flat_existence_on_aff1_matches_the_sympy_search(rng):
         assert _is_flat_torsion_free(new.witness)
 
 
+SMALL = {"abelian:0": abelian(0), "abelian:1": abelian(1),
+         "abelian:2": abelian(2), "aff1": aff1()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(SMALL)), st.sampled_from(("dense", "monomial")),
+       st.integers(0, 2 ** 32))
+def test_flat_existence_in_dim_at_most_2_needs_no_groebner_basis(
+        name, change, seed):
+    L, rng = SMALL[name], random.Random(seed)
+    basis = rand_invertible if change == "dense" else _monomial
+    L = conjugate_lie(L, basis(L.dim, rng))
+    # the oracle answers "no" only from a unit-ideal Groebner basis, the
+    # library's former route; its `solve` of the leftover system, which
+    # takes up to 30 s on a dense aff1, cannot make that answer
+    with mock.patch.object(sympy, "solve", return_value=[]):
+        old = sympy_flat_existence_small(L)
+    assert old is None or old.exists == "yes"
+    v = flat_existence(L, ())
+    assert v.exists == "yes" and v.invariant_value == 0
+    assert _is_flat_torsion_free(v.witness)
+
+
 SYMPLECTIC = {
     "aff1": aff1(),
     "aff1+aff1": direct_sum_lie(aff1(), aff1()),
@@ -212,9 +245,7 @@ def test_flat_existence_unknown_matches_the_eager_search(rng):
     assert (new.notes, new.invariant_value) == (old.notes, old.invariant_value)
 
 
-def test_flat_existence_on_aff1_solves_no_fe_star_and_calls_sympy_once():
-    import sympy
-
+def test_flat_existence_on_aff1_solves_no_fe_star_and_calls_no_groebner():
     with mock.patch.object(invariants, "solve_fe_star") as fe_star, \
             mock.patch.object(sympy, "solve") as solve, \
             mock.patch.object(sympy, "groebner",
@@ -222,7 +253,31 @@ def test_flat_existence_on_aff1_solves_no_fe_star_and_calls_sympy_once():
         rep = cli.run(["invariants", "--which", "flat", "--catalog", "aff1"])
     assert rep["result"]["exists"] == "yes"
     assert (fe_star.call_count, solve.call_count,
-            groebner.call_count) == (0, 0, 1)
+            groebner.call_count) == (0, 0, 0)
+
+
+SYMPY_FREE_FLAT = """
+    import contextlib, io, json, sys
+    from koszul import cli
+
+    exists = []
+    for name in sys.argv[1:]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["invariants", "--which", "flat", "--catalog", name])
+        exists.append(json.loads(out.getvalue())["result"]["exists"])
+    print(json.dumps({"exists": exists, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_flat_existence_never_imports_sympy():
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", textwrap.dedent(SYMPY_FREE_FLAT),
+         "aff1", "abelian:2", "heisenberg", "so3"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == {"exists": ["yes", "yes", "yes", "no"],
+                                       "sympy": False}
 
 
 def test_flat_existence_refuses_a_symplectic_product_that_is_not_flat():
