@@ -436,9 +436,10 @@ def _module(algebra, coefficients: str):
     return 1, SparseTable()
 
 
-def _kv_entries(sp, m: int, q: int, width: int, act):
+def _kv_entries(sp, m: int, q: int, width: int, act, cod):
     """Contributions to delta_q (q >= 1) of the KV complex; see kv_coboundary.
 
+    cod lists the rows to write as (flat(xi), xi) pairs, xi = X_1..X_{q+1}.
     Row flat(X_1..X_{q+1}) * width + k, column flat(f's arguments) * width +
     a, over the module of `_module`. A flat index is a base-m number:
     flat(∂_i xi) is the row's own index with digit i dropped, and an
@@ -446,7 +447,7 @@ def _kv_entries(sp, m: int, q: int, width: int, act):
     """
     by_pair, left, right = sp.by_pair, act.by_first, act.by_second
     steps = [m ** (q - 1 - t) for t in range(q)]
-    for out, idx in enumerate(iproduct(range(m), repeat=q + 1)):
+    for out, idx in cod:
         row0 = out * width
         last = idx[q]
         for i in range(1, q + 1):
@@ -510,7 +511,9 @@ def _kv_delta(algebra: BilinearProduct, coefficients: str, q: int,
         # every delta of the zero product is zero; no tuple is walked
         return (), ncols, nrows
     if q:
-        return _kv_entries(sp, m, q, width, act), ncols, nrows
+        return (_kv_entries(sp, m, q, width, act,
+                            enumerate(iproduct(range(m), repeat=q + 1))),
+                ncols, nrows)
     return _kv_degree_zero_entries(act, width, zero_basis), ncols, nrows
 
 
@@ -640,10 +643,19 @@ def scalar_coboundary_rows(algebra, q: int) -> list[dict[int, int]]:
     """Condition rows of delta_q, q >= 1, with scalar coefficients over the
     flat table positions of a q-cochain (f(e_a, e_b) at a * m + b): of the
     Chevalley-Eilenberg complex for a LieAlgebra, whose cochains on
-    increasing tuples keep the positions a < b, else of the KV complex."""
+    increasing tuples keep the positions a < b, else of the KV complex. The
+    KV delta_2 rows (x, y, z) are listed for x < y only: (delta_2 f)(x, y,
+    z) = -(delta_2 f)(y, x, z) for every cochain f, so the rows with x = y
+    vanish. `kv_cohomology_dims` keeps every row, since its square check
+    delta_3 delta_2 reads them all."""
     m, sp = algebra.dim, algebra.sparse
     if not isinstance(algebra, LieAlgebra):
-        return condition_rows(_kv_entries(sp, m, q, *_module(algebra, SCALAR)))
+        cod = iproduct(range(m), repeat=q + 1)
+        if q == 2:
+            cod = (t for t in cod if t[0] < t[1])
+        return condition_rows(_kv_entries(
+            sp, m, q, *_module(algebra, SCALAR),
+            ((_flat_index(t, m), t) for t in cod)))
     flat = {t: _flat_index(t, m) for t in combinations(range(m), q)}
     return condition_rows(_ce_entries(sp, q, *_module(algebra, SCALAR), flat,
                                       combinations(range(m), q + 1)))

@@ -3,7 +3,8 @@
 All four solvers reduce to exact nullspaces:
 
 * gauge endomorphisms: Gamma*_i phi = phi Gamma_i for all i;
-* parallel forms: Gamma_i^T B + B Gamma_i = 0 within a symmetry class;
+* parallel forms: Gamma_i^T B + B Gamma_i = 0 within a symmetry class,
+  one row per entry (j, k) of the class's triangle (`parallel_rows`);
 * second-order parallel vectors: (Gamma_i Gamma_j − sum_k gamma[i][j][k] Gamma_k) a = 0;
 * the prolonged first-order system for sections (f, A), stabilized to its
   largest invariant subspace.
@@ -34,7 +35,7 @@ from koszul.connections import InvariantConnection, is_torsion_free
 from koszul.errors import (ConformanceMismatch, KoszulError,
                            NotSelfOrSkewAdjoint, SingularMetric,
                            UnsupportedOperation, ValidationError)
-from koszul.forms import SYMMETRIC, BilinearForm, form_space
+from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
 from koszul.linalg import Mat
 from koszul.spaces import LinearSolutionSpace, condition_rows
 
@@ -92,24 +93,34 @@ def phi_split(phi: Mat, g: BilinearForm) -> GaugePair:
     return GaugePair(sym, skew, g)
 
 
-def parallel_rows(conn: InvariantConnection) -> list[dict[int, int]]:
+def parallel_rows(conn: InvariantConnection, sym: str) -> list[dict[int, int]]:
     """Rows of b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0 over the m x m
-    entries of b (row-major), in (i, j, k) order, nonzero rows only.
+    entries of b (row-major), for forms b of one parity, in (i, j, k) order,
+    nonzero rows only.
 
-    For the bracket ("plus") connection these are the ad-invariance rows
-    b([x, y], z) + b(y, [x, z]) = 0.
+    On such a form row (i, k, j) is +- row (i, j, k), and a skew form's
+    rows with j = k vanish, so only j <= k (symmetric) or j < k (skew) is
+    listed: m^2 (m +- 1) / 2 rows, a complete check for forms of that
+    parity and for no other. For the bracket ("plus") connection these are
+    the ad-invariance rows b([x, y], z) + b(y, [x, z]) = 0.
     """
+    if sym not in (SYMMETRIC, SKEW):
+        raise ValidationError("parity must be symmetric or skew")
+    skew = sym == SKEW
     m = conn.dim
     nz = conn.gamma.sparse.nonzeros
     return condition_rows(chain(
-        (((i, j, k), a * m + k, n) for i, j, a, n in nz for k in range(m)),
-        (((i, j, k), j * m + a, n) for i, k, a, n in nz for j in range(m))))
+        (((i, j, k), a * m + k, n)
+         for i, j, a, n in nz for k in range(j + skew, m)),
+        (((i, j, k), j * m + a, n)
+         for i, k, a, n in nz for j in range(k + 1 - skew))))
 
 
 def parallel_forms(conn: InvariantConnection, sym: str) -> LinearSolutionSpace:
     """Forms with b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0, of one parity,
-    as flat m x m matrices: `forms.form_space` over `parallel_rows`."""
-    return form_space(parallel_rows(conn), conn.dim, sym)
+    as flat m x m matrices: `forms.form_space` over the `parallel_rows` of
+    that parity."""
+    return form_space(parallel_rows(conn, sym), conn.dim, sym)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ the whole space, that generic rank, or, for the bi-invariant metric, a
 nonzero trace tr ad(e_i), read before any space is built.
 
 Each route solves only the system that decides it. The gauge parts of s^b
-and s^{*b} are the parallel forms of one parity (`gauge.parallel_rows`),
-so FE(nabla, nabla*) itself is not solved. The cocycle systems are
+and s^{*b} are the parallel forms of one parity, on that parity's rows
+alone (`gauge.parallel_rows`, one per entry of its triangle), so
+FE(nabla, nabla*) itself is not solved. The cocycle systems are
 `cohomology`'s (`scalar_coboundary_rows`): skew 2-cocycles of the trivial
 Chevalley-Eilenberg complex and symmetric ones of the scalar KV complex of
-a flat connection's product.
+a flat connection's product, whose delta_2 rows (x, y, z) are listed for
+x < y only.
 
 The Hessian, s^b, s^{*b}, bi-invariant metric and symplectic verdicts
 share one walk, one re-check of a full-rank witness on the rows that
@@ -282,7 +284,7 @@ def _parallel_verdict(conn: InvariantConnection, sym: str,
     witness form, s_b and s_star_b report; this one makes it a function of
     the span alone."""
     m = conn.dim
-    rows = parallel_rows(conn)
+    rows = parallel_rows(conn, sym)
     basis = linalg.sparse_row_space(form_space(rows, m, sym).rows, m * m)
     return _form_verdict(LinearSolutionSpace(m * m, *basis, shape=(m, m)),
                          rows, sym, definite)
@@ -412,7 +414,7 @@ def bi_invariant_metric(L: LieAlgebra) -> ExistenceVerdict:
             f"tr ad(e_{hit}) = {Fraction(traces[hit], sp.den)} is not 0, so "
             f"the algebra is not unimodular; a nondegenerate ad-invariant "
             f"form makes every ad_x skew, of trace 0"))
-    rows = parallel_rows(cartan_connection(L, "plus"))
+    rows = parallel_rows(cartan_connection(L, "plus"), SYMMETRIC)
     return _form_verdict(form_space(rows, L.dim, SYMMETRIC), rows, SYMMETRIC,
                          "noted")
 

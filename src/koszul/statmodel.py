@@ -628,7 +628,8 @@ class ProbeReport:
 def exponential_defect_probe(model: FiniteStatModel, grid,
                              tol: float = PROBE_TOL) -> ProbeReport:
     """Flag a model exponential-like when some end of the alpha family is
-    numerically flat on the grid.
+    numerically flat on the grid; the notes name every end within tol (a
+    dually flat family reads both), best_alpha the end of smaller norm.
 
     Checks max |R(alpha)| for alpha in {-1, +1} and the symmetry defect of
     the symbols; a numeric surrogate for the flatness characterization,
@@ -649,6 +650,7 @@ def exponential_defect_probe(model: FiniteStatModel, grid,
                 sub, low, map(low.__getitem__, swap)))))
     best = min(norms, key=lambda a: norms[a])
     verdict = min(norms.values()) < tol and torsion < tol
+    flat = " and ".join("%+g" % a for a in norms if norms[a] < tol)
     return ProbeReport(
         exponential_like=verdict,
         best_alpha=best,
@@ -656,7 +658,7 @@ def exponential_defect_probe(model: FiniteStatModel, grid,
         torsion_max=torsion,
         tol=tol,
         grid_size=len(grid),
-        notes="flat within tolerance at alpha = %+g" % best if verdict
+        notes="flat within tolerance at alpha = " + flat if verdict
         else "no flat member found at alpha = -1 or +1")
 
 

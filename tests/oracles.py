@@ -54,7 +54,9 @@ Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
 its former condition rows over the dense tables (`dense_hessian_rows`,
-`dense_parallel_rows`, ...), its former sparse Hessian and cyclic-sum
+`dense_parallel_rows`, ...), its former parallel-form rows with no parity
+and scalar KV delta_2 rows, every (i, j, k) listed (`full_parallel_rows`,
+`full_hessian_rows`), its former sparse Hessian and cyclic-sum
 symplectic rows, written beside the coboundaries of `cohomology`
 (`hessian_rows`, `skew_cocycle_rows`), the symplectic verdict over them
 (`cyclic_sum_symplectic_oracle`) and its former perfectness test, one rank
@@ -139,8 +141,8 @@ from koszul.errors import (ConformanceMismatch, DomainViolation,
                            ValidationError)
 from koszul.flatmodels import CompletenessReport, _det_poly, _psi_det
 from koszul.forms import SKEW, SYMMETRIC, BilinearForm, form_space
-from koszul.gauge import (FeStarSolutions, parallel_forms, parallel_rows,
-                          phi_split, solve_gauge_equation)
+from koszul.gauge import (FeStarSolutions, parallel_forms, phi_split,
+                          solve_gauge_equation)
 from koszul.invariants import (ExistenceVerdict, RankWitness,
                                _no_or_unknown, hessian_cocycle_space,
                                max_rank, r_b_defect)
@@ -2516,6 +2518,25 @@ def dense_skew_cocycle_rows(L):
     return rows
 
 
+def full_parallel_rows(conn) -> list[dict[int, int]]:
+    """The library's former `gauge.parallel_rows`, with no parity: every
+    row (i, j, k) of b(nabla_i e_j, e_k) + b(e_j, nabla_i e_k) = 0 over the
+    m x m entries of b, nonzero rows only, a complete check for any form."""
+    m = conn.dim
+    nz = conn.gamma.sparse.nonzeros
+    return condition_rows(chain(
+        (((i, j, k), a * m + k, n) for i, j, a, n in nz for k in range(m)),
+        (((i, j, k), j * m + a, n) for i, k, a, n in nz for j in range(m))))
+
+
+def full_hessian_rows(conn) -> list[dict[int, int]]:
+    """The library's former Hessian rows, `cohomology.scalar_coboundary_rows`
+    of the connection's product in degree 2 before it listed x < y only:
+    every row (x, y, z) of the scalar KV delta_2, from the generator that
+    `kv_cohomology_dims` reads."""
+    return condition_rows(_kv_delta(conn.gamma, SCALAR, 2, ())[0])
+
+
 # The library's former sparse rows of the Hessian and symplectic systems,
 # written beside `cohomology`'s coboundaries, the symplectic verdict read
 # from them and the former perfectness test. Once torsion vanishes, the
@@ -2593,7 +2614,7 @@ def rank_walk_bi_invariant_metric(L) -> ExistenceVerdict:
 
 def _per_route_validate_parallel(conn, b: BilinearForm):
     w = linalg.integer_row(linalg.flatten(b.matrix))[0]
-    if not spaces.satisfies(parallel_rows(conn), w):
+    if not spaces.satisfies(full_parallel_rows(conn), w):
         raise ValidationError("witness form is not parallel")
 
 
@@ -2620,7 +2641,7 @@ def per_route_hessian_defect(conn):
 
 def per_route_s_b(L, g: BilinearForm, positive: bool = False):
     """The library's former `invariants.s_b`, with its own walk, witness,
-    re-check on `parallel_rows` and second rank of the witness."""
+    re-check on `full_parallel_rows` and second rank of the witness."""
     if g.sym != SYMMETRIC:
         raise SingularMetric("auxiliary metric must be symmetric")
     if not g.is_nondegenerate:
@@ -2646,7 +2667,7 @@ def per_route_s_b(L, g: BilinearForm, positive: bool = False):
 def per_route_bi_invariant_metric(L) -> ExistenceVerdict:
     """The library's former `invariants.bi_invariant_metric`: the trace
     read first, then its own walk, witness and re-check on
-    `parallel_rows`."""
+    `full_parallel_rows`."""
     m = L.dim
     sp = L.sparse
     traces = _left_traces(sp, m)
@@ -2673,7 +2694,8 @@ def per_route_bi_invariant_metric(L) -> ExistenceVerdict:
 def per_route_s_star_b(conn, g: BilinearForm,
                        require_torsion_free: bool = True):
     """The library's former `invariants.s_star_b`, with its own walk,
-    witness, re-check on `parallel_rows` and second rank of the witness."""
+    witness, re-check on `full_parallel_rows` and second rank of the
+    witness."""
     if g.sym != SYMMETRIC:
         raise SingularMetric("auxiliary metric must be symmetric")
     if not g.is_nondegenerate:

@@ -242,13 +242,14 @@ def test_categorical_theta_outside_the_simplex_exits_2(capsys, op, theta):
 def test_categorical_defect_probe_shrinks_its_grid(theta):
     # +-0.3 leaves the simplex at both points; a smaller grid fits, and
     # the family is dually flat: both ends of the alpha family read
-    # rounding alone, so either may be the best
+    # rounding alone, so either may be the best, and the notes name both
     argv = ["statmodel", "--family", "categorical:3", "--op", "defect"]
     res = cli.run(argv + ([] if theta is None else ["--theta=" + theta]))
     res = res["result"]
     assert res["grid_size"] == 9 and res["exponential_like"] is True
     assert max(res["curvature_norms"].values()) < 1e-8
     assert res["best_alpha"] in (-1.0, 1.0)
+    assert res["notes"] == "flat within tolerance at alpha = -1 and +1"
 
 
 # Work that grows as a power of an argument is refused before it is built,

@@ -1,10 +1,12 @@
+import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from koszul import linalg, spaces
+from koszul import gauge, linalg, spaces
 from koszul.algebra import abelian, commutator_bracket
 from koszul.catalog import aff1_symplectic_connection, heisenberg_kv, so3
 from koszul.connections import (
@@ -19,13 +21,16 @@ from koszul.errors import (
     UnsupportedOperation,
     ValidationError,
 )
-from koszul.forms import BilinearForm, identity_form
+from koszul.flatmodels import affine_algebra
+from koszul.forms import (GENERAL, SKEW, SYMMETRIC, BilinearForm,
+                          form_space, identity_form)
 from koszul.gauge import (
     _fe_star_compatibility,
     _fe_star_operators,
     g_nabla_subalgebra,
     kernel_image_split,
     parallel_forms,
+    parallel_rows,
     phi_split,
     solve_fe_double_star,
     solve_fe_star,
@@ -51,6 +56,7 @@ from oracles import (
     dense_product,
     dense_solve_fe_star,
     fraction_closure_rows,
+    full_parallel_rows,
     is_zero_matrix,
 )
 
@@ -113,6 +119,85 @@ def test_parallel_forms_satisfy_invariance_and_parity(rng):
                     assert is_zero_matrix(lhs)
     with pytest.raises(ValidationError):
         parallel_forms(cartan_connection(so3(), "zero"), "hermitian")
+
+
+@st.composite
+def pool_connections(draw):
+    """A connection on a pool algebra, as it is or after a dense change of
+    basis: the plus or zero Cartan connection, or a random torsion-free
+    one."""
+    L = draw(st.sampled_from(lie_pool()))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        L = conjugate_lie(L, rand_invertible(L.dim, rng))
+    kind = draw(st.sampled_from(("plus", "zero", "torsion-free")))
+    return random_torsion_free(L, rng) if kind == "torsion-free" \
+        else cartan_connection(L, kind)
+
+
+def _fold(row, m, sym):
+    """A row over the m x m entries, folded onto the lower entries of a
+    form of parity sym, as `forms.form_space` folds it."""
+    folded = defaultdict(int)
+    for c, a in row.items():
+        x, y = divmod(c, m)
+        if x != y or sym == SYMMETRIC:
+            folded[max(x, y) * m + min(x, y)] += \
+                -a if x < y and sym == SKEW else a
+    return {c: a for c, a in folded.items() if a}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pool_connections(), st.sampled_from((SYMMETRIC, SKEW)))
+def test_parallel_rows_of_a_parity_give_the_full_rows_forms(conn, sym):
+    # the rows of one parity are the former rows (i, j, k) with j <= k
+    # (j < k when skew), and each former row folds onto the form's lower
+    # entries as +- one of them, or vanishes: the same form space
+    m = conn.dim
+    rows, full = parallel_rows(conn, sym), full_parallel_rows(conn)
+    assert all(row in full for row in rows)
+    folded = [_fold(row, m, sym) for row in rows]
+    for row in full:
+        f = _fold(row, m, sym)
+        assert not f or f in folded or {c: -a for c, a in f.items()} in folded
+    space, old = parallel_forms(conn, sym), form_space(full, m, sym)
+    assert (space.rows, space.scales, space.shape) == \
+        (old.rows, old.scales, old.shape)
+
+
+def _dense_affine_model(seed):
+    p = conjugate_product(affine_algebra(2).product,
+                          rand_invertible(6, random.Random(seed)))
+    return InvariantConnection(commutator_bracket(p), p)
+
+
+@pytest.mark.parametrize("conn", [
+    _dense_affine_model(1),
+    cartan_connection(conjugate_lie(so3(), linalg.mat(
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]])), "plus"),
+], ids=["affine-model:2-dense", "so3-dense-plus"])
+def test_parallel_rows_list_each_equation_once(conn):
+    # m^2 (m + 1) / 2 rows at most for symmetric forms, m^2 (m - 1) / 2 for
+    # skew ones; under a dense basis change the rows of every (i, j, k)
+    # are more
+    m = conn.dim
+    for sym, bound in ((SYMMETRIC, m * m * (m + 1) // 2),
+                       (SKEW, m * m * (m - 1) // 2)):
+        assert len(parallel_rows(conn, sym)) <= bound \
+            < len(full_parallel_rows(conn))
+
+
+@pytest.mark.parametrize("sym", ["hermitian", GENERAL, None])
+def test_parallel_rows_refuse_an_unknown_parity_before_any_row(
+        monkeypatch, sym):
+    def built(entries):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(gauge, "condition_rows", built)
+    for route in (parallel_rows, parallel_forms):
+        with pytest.raises(ValidationError,
+                           match="parity must be symmetric or skew"):
+            route(cartan_connection(so3(), "plus"), sym)
 
 
 def test_fe_star_reference_dimensions():

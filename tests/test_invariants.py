@@ -59,13 +59,14 @@ from conftest import (conjugate_lie, conjugate_product, direct_sum_lie,
                       kv_pool, lie_pool, rand_fraction, rand_invertible,
                       random_metric, random_torsion_free, span)
 from oracles import (dense_curvature, dense_is_parallel, dense_product,
-                     dense_torsion, eager_flat_existence, full_pool_max_rank,
-                     per_route_bi_invariant_metric, per_route_hessian_defect,
+                     dense_torsion, eager_flat_existence, full_parallel_rows,
+                     full_pool_max_rank, per_route_bi_invariant_metric,
+                     per_route_hessian_defect,
                      per_route_left_symplectic_oracle, per_route_s_b,
                      per_route_s_star_b, phi_parts_space,
-                     phi_split_parts_space, phi_split_s_b,
-                     phi_split_s_star_b, rank_walk_bi_invariant_metric,
-                     symbolic_generic_rank, sympy_flat_existence_small)
+                     phi_split_parts_space, phi_split_s_b, phi_split_s_star_b,
+                     rank_walk_bi_invariant_metric, symbolic_generic_rank,
+                     sympy_flat_existence_small)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -540,12 +541,23 @@ def test_the_parallel_rows_recheck_matches_the_dense_matrices(base, kind, seed):
                 for b in parallel_forms(conn, sym).matrices()]
     noise = linalg.mat([[rng.randint(-1, 1) for _ in range(m)]
                         for _ in range(m)])
-    rows = parallel_rows(conn)
+    # the noise has no parity: every row of the former generator
+    rows = full_parallel_rows(conn)
     for b in parallel + [noise] + [linalg.mat_add(b, noise) for b in parallel]:
         w = linalg.integer_row(linalg.flatten(b))[0]
         assert spaces.satisfies(rows, w) == dense_is_parallel(conn, b)
     assert all(spaces.satisfies(rows, linalg.integer_row(linalg.flatten(b))[0])
                for b in parallel)
+    # the rows of one parity are a complete check for forms of that parity
+    for sym, sign in (("symmetric", 1), ("skew", -1)):
+        own = parallel_forms(conn, sym).matrices()
+        mixed = linalg.mat_add(noise, linalg.mat_scale(
+            sign, linalg.transpose(noise)))
+        rows = parallel_rows(conn, sym)
+        for b in own + (mixed,) + tuple(linalg.mat_add(b, mixed)
+                                        for b in own):
+            w = linalg.integer_row(linalg.flatten(b))[0]
+            assert spaces.satisfies(rows, w) == dense_is_parallel(conn, b)
 
 
 def _outcome(route, *args):

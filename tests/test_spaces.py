@@ -48,7 +48,7 @@ def test_form_space_rejects_a_fault_in_the_fold_or_the_expansion(
     # with an off-diagonal entry. A solver that answers with a wrong vector,
     # a fold that loses rows or an expansion with the wrong sign must not
     # get past the substitution into the full rows.
-    rows = parallel_rows(cartan_connection(sl2(), "plus"))
+    rows = parallel_rows(cartan_connection(sl2(), "plus"), SYMMETRIC)
     assert form_space(rows, 3, SYMMETRIC).matrices() == (
         ((F(2), F(0), F(0)), (F(0), F(0), F(1)), (F(0), F(1), F(0))),)
     with pytest.raises(ValidationError, match="symmetric or skew"):

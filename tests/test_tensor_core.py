@@ -21,6 +21,7 @@ the route rule would pick, on entries of up to 1,100 bits, and both must
 give the oracles' tensors and errors.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -69,7 +70,8 @@ from koszul.gauge import (_fe_star_compatibility, _fe_star_operators,
 from koszul.spaces import LinearSolutionSpace, from_conditions
 
 from conftest import (assert_rows_match, assoc_pool, conjugate_lie,
-                      conjugate_product, direct_sum_lie, kv_pool)
+                      conjugate_product, direct_sum_lie, kv_pool,
+                      rand_invertible)
 from oracles import (
     FractionDefectTensor,
     bracket_rank_perfect,
@@ -112,6 +114,8 @@ from oracles import (
     fraction_condition_rows,
     fraction_defect_doc,
     fractions_over,
+    full_hessian_rows,
+    full_parallel_rows,
     json_report,
     hessian_rows,
     nested_jacobi_defect,
@@ -411,9 +415,9 @@ def torsion_free_connections(draw):
 def test_condition_rows_match_dense(conn, free, data):
     L, m = conn.base, conn.dim
     n = m * m
-    pairs = [(parallel_rows(conn), dense_parallel_rows(conn)),
-             (parallel_rows(cartan_connection(L, "plus")),
-              dense_ad_invariance_rows(L))]
+    plus = cartan_connection(L, "plus")
+    pairs = [(full_parallel_rows(conn), dense_parallel_rows(conn)),
+             (full_parallel_rows(plus), dense_ad_invariance_rows(L))]
     pairs += [(parity_rows(m, sym), dense_parity_rows(m, sym))
               for sym in (SYMMETRIC, SKEW)]
     vec = data.draw(st.lists(st.sampled_from((0, 1, Fraction(-1, 2))),
@@ -424,6 +428,23 @@ def test_condition_rows_match_dense(conn, free, data):
         for w in [vec, *linalg.nullspace(dense, ncols=n)[:1]]:
             assert spaces.satisfies(rows, linalg.integer_row(w)[0]) == \
                 check_rows(dense, w)
+    # the rows of one parity are the dense rows (i, j, k) with j <= k
+    # (j < k when skew), and on forms of that parity their check is the
+    # check on every dense row
+    for c in (conn, plus):
+        dense = dense_parallel_rows(c)
+        for sym, sign in ((SYMMETRIC, 1), (SKEW, -1)):
+            rows = parallel_rows(c, sym)
+            assert_rows_match(rows, [
+                row for t, row in enumerate(dense)
+                if t // m % m + (sym == SKEW) <= t % m], n)
+            form = [vec[a * m + b] + sign * vec[b * m + a]
+                    for a in range(m) for b in range(m)]
+            kernel = linalg.nullspace(dense + dense_parity_rows(m, sym),
+                                      ncols=n)
+            for w in [form, *kernel[:1]]:
+                assert spaces.satisfies(rows, linalg.integer_row(w)[0]) == \
+                    check_rows(dense, w)
     # the Hessian and symplectic systems, read from the coboundaries of
     # `cohomology`, against the former dense rows: the same canonical kernel
     # on the forms of their parity, and the same witness check there. The
@@ -473,7 +494,7 @@ def test_form_spaces_match_the_parity_row_solve(conn):
     # m x m entries plus the parity rows
     L, m = conn.base, conn.dim
     plus = cartan_connection(L, "plus")
-    cases = [(parallel_forms(c, sym), parallel_rows(c), sym)
+    cases = [(parallel_forms(c, sym), full_parallel_rows(c), sym)
              for c in (conn, plus) for sym in (SYMMETRIC, SKEW)]
     cases += [(invariants.hessian_cocycle_space(c), hessian_rows(c),
                SYMMETRIC) for c in (conn, cartan_connection(L, "zero"))
@@ -489,7 +510,7 @@ def test_form_spaces_match_the_parity_row_solve(conn):
                          for i in range(m))
     assert (bimetric is not None) == unimodular
     if unimodular:
-        cases.append((bimetric, parallel_rows(plus), SYMMETRIC))
+        cases.append((bimetric, full_parallel_rows(plus), SYMMETRIC))
     for space, full, sym in cases:
         old = parity_row_form_space(full, m, sym)
         assert (space.basis, space.ambient_dim, space.shape) == (
@@ -558,6 +579,40 @@ def test_hessian_and_g_nabla_spaces_match_the_former_rows(conn):
 
 
 @CHECKS
+@given(flat_connections())
+@example(InvariantConnection(commutator_bracket(affine_algebra(2).product),
+                             affine_algebra(2).product))
+def test_hessian_rows_are_the_full_delta_2_rows_with_x_below_y(conn):
+    # (delta_2 f)(y, x, z) = -(delta_2 f)(x, y, z) for every cochain f:
+    # each former row is +- a row listed for x < y, and the form space
+    # is the one the former rows cut out
+    m = conn.dim
+    rows, full = scalar_coboundary_rows(conn.gamma, 2), full_hessian_rows(conn)
+    assert all(row in full for row in rows)
+    negated = [{c: -a for c, a in row.items()} for row in rows]
+    assert all(row in rows or row in negated for row in full)
+    space = invariants.hessian_cocycle_space(conn)
+    old = form_space(full, m, SYMMETRIC)
+    assert (space.rows, space.scales, space.shape) == \
+        (old.rows, old.scales, old.shape)
+
+
+@pytest.mark.parametrize("p", [
+    conjugate_product(affine_algebra(2).product,
+                      rand_invertible(6, random.Random(1))),
+    conjugate_product(heisenberg_kv(), linalg.mat(
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))],
+    ids=["affine-model:2-dense", "heisenberg-kv-dense"])
+def test_hessian_rows_list_each_equation_once(p):
+    # m^2 (m - 1) / 2 rows at most, one per x < y; under a dense basis
+    # change the former rows are more
+    m = p.dim
+    conn = InvariantConnection(commutator_bracket(p), p)
+    assert len(scalar_coboundary_rows(p, 2)) <= m * m * (m - 1) // 2 \
+        < len(full_hessian_rows(conn))
+
+
+@CHECKS
 @given(connections(), st.data())
 def test_solver_rows_span_the_dense_rows(conn, data):
     # equal canonical kernels are equal row spaces
@@ -609,7 +664,7 @@ def _as_former(space):
 def test_solution_rows_over_scales_are_the_former_dense_bases(conn, data):
     m = conn.dim
     sparse = conn.gamma.sparse
-    rows = parallel_rows(conn)
+    rows = full_parallel_rows(conn)
     assert _as_former(from_conditions(rows, m * m, (m, m))) == \
         _former_space(linalg._reduce(rows, m * m), m * m, (m, m))
     for sym in (SYMMETRIC, SKEW):
