@@ -22,19 +22,22 @@ Jacobi defect of the perturbed bracket.
 The dimensions need only the ranks r_q of the coboundaries delta_q: C^q ->
 C^{q+1}, and `_dims_from_deltas` certifies them without exact elimination
 where it can. The contributions are integers over the table's denominator,
-so the integer matrix has the rank of delta_q, and its rank mod a prime,
-l_q, is a lower bound.
+so the integer matrix has the rank of delta_q, and the count l_q of its
+rows the pass mod a prime keeps (at most its rank mod the prime, and
+equal to it unless the pass's functional skips a row it would keep,
+`koszul._kernel.independent_rows_mod_p`) is a lower bound.
 
 l_q is read on part of the columns. Let T be the C^q coordinates of the
 rows of delta_{q-1} kept mod the prime; delta_q is read only on the columns
 outside T, at most c_q - l_{q-1} of them. Dropping columns can only lower a
 rank, so l_q is a lower bound whatever delta² is. Where delta² = 0 it is
-still the whole rank mod the prime, by induction on q (delta_0 is read on
-every column): the T rows are independent mod the prime and, l_{q-1} being
-the rank of delta_{q-1} there, as many as that rank. So projecting im
-delta_{q-1} onto the T coordinates is injective, and the unit vectors
-outside T span a complement of that image. delta_q kills the image, so its
-rank is its rank on that complement, which is l_q.
+still the whole rank mod the prime (but for a skipped row), by induction
+on q (delta_0 is read on every column): the T rows are independent mod
+the prime and, l_{q-1} being the rank of delta_{q-1} there, as many as
+that rank. So projecting im delta_{q-1} onto the T coordinates is
+injective, and the unit vectors outside T span a complement of that
+image. delta_q kills the image, so its rank is its rank on that
+complement, which is l_q.
 
 One forward pass then decides each degree. For q = 0, 1, ..., with r_{q-1}
 the rank decided before it (r_{-1} = 0), delta_q delta_{q-1} = 0 and
@@ -55,8 +58,9 @@ over every column of the coboundary, so the cell count of the kept rows is
 refused above `ROW_SPACE_CELL_BOUND` before any row is written. The bounds
 and the reading outside T rest on delta² = 0, so last every square
 delta_q delta_{q-1}, q >= 1, is checked exactly as a sparse integer
-product, each of its rows summed into one list indexed by column (a
-nonzero one raises ConformanceMismatch).
+product, each of its rows summed into one integer with a slot of bits per
+column where delta_{q-1}'s rows are dense, else into one list indexed by
+column (a nonzero one raises ConformanceMismatch).
 
 Semisimple algebras need no coboundary past delta_0. With adjoint
 coefficients `ce_cohomology_dims` first sums the Killing form tr(ad_x
@@ -118,11 +122,12 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct, repeat
 from math import comb
+from operator import mul
 
 from koszul import linalg
-from koszul._kernel import independent_rows_mod_p, row_space
+from koszul._kernel import independent_rows_mod_p, pack_width, row_space
 from koszul.algebra import (ENTRY_BOUND, BilinearProduct, DefectTensor,
                             LieAlgebra, SparseTable, _killing_products,
                             _killing_rows, _trace_form_rows, envelope,
@@ -361,20 +366,37 @@ def _check_square(after: dict, first: dict, ncols: int, q: int) -> None:
     """Raise unless delta_{q+1} delta_q = 0, in integers over the rows'
     nonzeros.
 
-    Each row of delta_q is listed once as (column, value) pairs and as its
-    columns. A row of delta_{q+1} sums its multiples of those rows into one
-    list indexed by the ncols columns of delta_q; when the row passes,
-    every cell is zero again, so the list serves the next row as it is.
-    The row is read back whole when its sum visits about ncols cells (its
-    length times the mean row length of delta_q), as on the dense ladder
-    complexes, where one scan of the list is cheaper than revisiting their
-    many repeated columns; else only on the columns of the rows it summed,
-    so a sparse wide product (KV adjoint on affine:3: about 6 of 1,728
-    columns a row) is not scanned ncols cells per row.
+    A row of delta_{q+1} sums its multiples of the rows of delta_q. Where
+    those are dense enough (`koszul._kernel.pack_width`), each is packed
+    once into an integer with a slot per column, and a row's sum is zero
+    exactly when that integer is: no slot exceeds the largest |entry| of
+    delta_q times the largest sum of |entries| of a row of delta_{q+1}.
+    Otherwise each row of delta_q is listed once as (column, value) pairs
+    and as its columns; a row of delta_{q+1} sums its multiples into one
+    list indexed by the ncols columns and reads back only the columns it
+    summed, so a sparse wide product (KV adjoint on affine:3: about 6 of
+    1,728 columns a row) is not scanned ncols cells per row. When the row
+    passes every cell is zero again, so the list serves the next row.
     """
+    nonzeros = sum(map(len, first.values()))
+    width = pack_width(
+        len(first), nonzeros, sum(map(len, after.values())), lambda: ncols,
+        lambda: max(map(abs, chain.from_iterable(map(dict.values,
+                                                     first.values()))),
+                    default=0),
+        lambda: max((sum(map(abs, row.values())) for row in after.values()),
+                    default=0))
+    broken = ConformanceMismatch(
+        f"coboundary squares to nonzero from degree {q}")
+    if width:
+        packed = {k: sum(y << width * col for col, y in row.items())
+                  for k, row in first.items()}
+        for row in after.values():
+            if sum(map(mul, row.values(), map(packed.get, row, repeat(0)))):
+                raise broken
+        return
     none = ((), ())
     split = {k: (tuple(row.items()), tuple(row)) for k, row in first.items()}
-    wide = ncols * len(first) / max(1, sum(map(len, first.values())))
     acc = [0] * ncols
     at = acc.__getitem__
     for row in after.values():
@@ -384,9 +406,8 @@ def _check_square(after: dict, first: dict, ncols: int, q: int) -> None:
             for col, y in pairs:
                 acc[col] += x * y
             touched += cols
-        if any(acc) if len(row) >= wide else any(map(at, touched)):
-            raise ConformanceMismatch(
-                f"coboundary squares to nonzero from degree {q}")
+        if any(map(at, touched)):
+            raise broken
 
 
 def _assemble(den: int, entries, ncols: int, nrows: int):

@@ -36,8 +36,10 @@ from koszul.linalg import Mat, Vec
 
 def independent(rows, ncols: int) -> bool:
     """True when the sparse integer rows are linearly independent over Q.
-    Rows independent mod P are (a minor nonzero mod P is nonzero), so the
-    exact rank is taken only when the pass mod P falls short."""
+    Rows the pass mod P keeps are (a minor nonzero mod P is nonzero), so
+    the exact rank is taken only when the pass keeps fewer than all of
+    them: where P divides a minor, or where the pass's functional skips a
+    row it would keep (`koszul._kernel.independent_rows_mod_p`)."""
     k = len(rows)
     return k <= ncols and (len(independent_rows_mod_p(rows, k)[0]) == k
                            or linalg.sparse_rank(rows, ncols) == k)

@@ -1,5 +1,5 @@
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -249,6 +249,14 @@ def eliminations():
     with mock.patch.object(_kernel, "reduced_echelon", spy), \
             mock.patch.object(linalg, "reduced_echelon", spy):
         yield seen
+
+
+def sums_packed(packed: bool):
+    """Every sum over sparse rows packed (`koszul._kernel.pack_width`), or
+    its size rules as they stand."""
+    return mock.patch.multiple(_kernel, _PACK_MIN_ROW=0, _PACK_CELLS=0,
+                               _PACK_BITS=10 ** 9) \
+        if packed else nullcontext()
 
 
 def expected_eliminations(ints, kept: int) -> list[int]:

@@ -23,7 +23,12 @@ dense coboundary matrix, `dense_dims_from_deltas`), plain Gauss-Jordan
 elimination modulo a prime (`dense_rref_mod`, `dense_rank_mod`), its
 former pass over rows modulo P, which cleared each new pivot from every
 kept row
-(`full_scan_independent_rows_mod_p`), its former lower bounds for the
+(`full_scan_independent_rows_mod_p`), its later pass, which reduced every
+row with no functional to skip the dependent ones
+(`reducing_independent_rows_mod_p`), its former span check and lift of
+that pass's basis, the sums of multiples of the reduced rows summed into a
+dict by column (`dict_spans`) and every entry reconstructed on its own
+(`per_entry_lift`), its former lower bounds for the
 coboundary ranks, each read over all of its columns
 (`full_width_lower_bounds`), its former certification of those ranks, a
 fixpoint loop over a classifier of the squares each bound needs
@@ -123,7 +128,7 @@ import numpy as np
 import sympy
 
 from koszul import cli, cohomology, linalg, spaces
-from koszul._kernel import P, echelon
+from koszul._kernel import P, _rational, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, _left_traces, kv_anomaly,
                             operator_defect, zero_product)
@@ -342,6 +347,96 @@ def full_scan_independent_rows_mod_p(rows, bound: int) -> list[int]:
         if len(kept) == bound:
             break
     return kept
+
+
+def reducing_independent_rows_mod_p(rows, bound: int
+                                    ) -> tuple[list[int], dict]:
+    """The former `_kernel.independent_rows_mod_p`: the same leftmost pivots
+    and the same index of the kept rows holding each column, but every row
+    reduced, with no functional that skips the dependent ones."""
+    kept: list[int] = []
+    basis: dict[int, dict[int, int]] = {}   # pivot column -> rest of its row
+    if bound <= 0:
+        return kept, basis
+    holders: dict[int, list[dict[int, int]]] = {}   # column -> rests with it
+    for pos, row in enumerate(rows):
+        acc: dict[int, int] = {}
+        for c, x in row.items():
+            b = basis.get(c)
+            if b is None:
+                acc[c] = acc.get(c, 0) + x
+            else:
+                x %= P
+                for j, v in b.items():
+                    acc[j] = acc.get(j, 0) - x * v
+        r = {j: y for j, x in acc.items() if (y := x % P)}
+        if not r:
+            continue
+        c = min(r)
+        inv = pow(r.pop(c), -1, P)
+        new = {j: x * inv % P for j, x in r.items()}
+        for b in holders.pop(c, ()):
+            f = b.pop(c) % P
+            if f:
+                for j, v in new.items():
+                    if j in b:
+                        b[j] -= f * v
+                    else:
+                        b[j] = -f * v
+                        holders.setdefault(j, []).append(b)
+        for j in new:
+            holders.setdefault(j, []).append(new)
+        basis[c] = new
+        kept.append(pos)
+        if len(kept) == bound:
+            break
+    return kept, basis
+
+
+def dict_spans(red, pivots, support, rows) -> bool:
+    """The former `_kernel._spans`: L x[j] against sum_k x[p_k] (L /
+    piv_k) red_k[j], summed into a dict by column for every row."""
+    scale = lcm(*(row[c] for row, c in zip(red, pivots)))
+    at = {c: (scale // row[c], row, [j for j in cols if j != c])
+          for row, c, cols in zip(red, pivots, support)}
+    for row in rows:
+        acc: dict[int, int] = {}
+        for j, x in row.items():
+            hit = at.get(j)
+            if hit is None:
+                acc[j] = acc.get(j, 0) - scale * x
+                continue
+            f, red_k, cols = hit
+            f *= x
+            for t in cols:
+                acc[t] = acc.get(t, 0) + f * red_k[t]
+        if any(acc.values()):
+            return False
+    return True
+
+
+def per_entry_lift(basis, ncols: int):
+    """The former `_kernel._lift`: every nonzero entry of the mod-P basis
+    reconstructed on its own, each row scaled by the lcm of the
+    denominators."""
+    red, pivots, support = [], [], []
+    for c in sorted(basis):
+        rest = []
+        for j, v in basis[c].items():
+            if v % P:
+                nd = _rational(v)
+                if nd is None:
+                    return None
+                rest.append((j, nd))
+        scale = lcm(*(d for _, (_, d) in rest))
+        row = [0] * ncols
+        row[c] = scale
+        for j, (n, d) in rest:
+            row[j] = n * (scale // d)
+        red.append(row)
+        pivots.append(c)
+        support.append([c] + [j for j, _ in rest])
+    return red, pivots, support
 
 
 def full_width_lower_bounds(deltas) -> list[list[int]]:

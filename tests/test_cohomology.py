@@ -42,7 +42,7 @@ import conftest
 from conftest import (conjugate_lie, conjugate_product, direct_sum_lie,
                       direct_sum_products, eliminations,
                       expected_eliminations, rand_fraction, rand_invertible,
-                      random_lie, truncated_poly)
+                      random_lie, sums_packed, truncated_poly)
 from oracles import (abelian_betti, dense_ce_coboundary_matrix,
                      dense_ce_cohomology_dims, dense_dims_from_deltas,
                      dense_hochschild_coboundary,
@@ -360,12 +360,43 @@ def test_check_square_raises_exactly_where_the_dict_oracle_does(a, mix, cell):
         b[i % len(b)][j % len(a)] += x
     after = _sparse(b, (len(a), len(b)))[0]
     first = _sparse(a, (len(a[0]), len(a)))[0]
-    raised = _square_raises(cohomology._check_square, after, first,
-                            len(a[0]), 0)
-    assert raised == _square_raises(dict_check_square, after, first, 0)
     product = [[sum(x * a[k][j] for k, x in enumerate(row))
                 for j in range(len(a[0]))] for row in b]
-    assert raised == any(map(any, product))
+    for packed in (False, True):
+        with sums_packed(packed):
+            raised = _square_raises(cohomology._check_square, after, first,
+                                    len(a[0]), 0)
+        assert raised == _square_raises(dict_check_square, after, first, 0)
+        assert raised == any(map(any, product))
+
+
+def test_packed_check_square_reaches_its_slot_bound():
+    # slot sums at the bound max|delta_q| max sum|row of delta_{q+1}| with
+    # either sign, negative entries cancelling or borrowing from the next
+    # slot, and a single nonzero slot
+    t, r = 2 ** 45 - 1, 2 ** 17 - 1
+    cases = [
+        ({0: {0: t, 1: -t}, 1: {0: t}}, {0: {0: r, 1: -r}}),
+        ({0: {0: t, 1: -t}, 1: {0: t, 1: -t}}, {0: {0: r, 1: -r}}),
+        ({0: {0: -t}, 1: {1: t}}, {0: {0: r}, 1: {1: -r}}),
+        ({0: {0: -1, 1: 1}}, {0: {0: 1}}),
+        ({0: {0: -3, 1: 2}, 1: {0: 3, 1: -2}}, {0: {0: 5, 1: 5}}),
+        ({0: {0: 1, 1: 2 ** 20}, 1: {1: -1}}, {0: {0: 1, 1: 2 ** 20}}),
+        ({0: {5: 3}, 1: {2: 1}}, {0: {0: 2}, 1: {1: 0}}),
+        ({0: {5: 3}, 1: {5: -3}}, {0: {0: 2, 1: 2}}),
+        # (2**45 - 1) + 1 = 2**45 in column 0 would carry into column 1's
+        # -1 in a slot of 45 bits: the width counts the row's sum |x| = 2
+        ({0: {0: t}, 1: {0: 1, 1: -1}}, {0: {0: 1, 1: 1}}),
+    ]
+    raised = []
+    for first, after in cases:
+        with sums_packed(True):
+            raised.append(_square_raises(cohomology._check_square, after,
+                                         first, 8, 0))
+        assert raised[-1] == _square_raises(dict_check_square, after,
+                                            first, 0)
+    assert raised == [True, False, True, True, False, True, True, False,
+                      True]
 
 
 def test_check_square_passes_every_pooled_complex(rng):
