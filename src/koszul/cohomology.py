@@ -324,7 +324,8 @@ def _certified_ranks(deltas) -> list[int]:
     ncols, nrows), certified by delta² = 0 as the module docstring says.
 
     A rank is at most the number of rows listed, which makes a matrix with
-    no contributions rank 0 without elimination.
+    no contributions rank 0 without elimination: its pass, at bound 0,
+    returns at once, and no square with it as a side is summed.
     """
     kept, bases, images = [], [], []
     image: set[int] = set()   # C^q coordinates of delta_{q-1}'s kept rows
@@ -350,7 +351,8 @@ def _certified_ranks(deltas) -> list[int]:
         ranks.append(rank)
     for q in range(1, len(deltas)):
         first, ncols, _ = deltas[q - 1]
-        _check_square(deltas[q][0], first, ncols, q - 1)
+        if first and deltas[q][0]:
+            _check_square(deltas[q][0], first, ncols, q - 1)
     return ranks
 
 

@@ -8,7 +8,8 @@ sparse integer row {column: integer} (`koszul.spaces`), and so is a basis
 vector: `integer_row` writes a rational vector as such a row over one
 positive scale, the lcm of its denominators. `sparse_nullspace` solves
 condition rows into their canonical kernel in that form, `sparse_row_space`
-gives a reduced row-echelon basis in it and `sparse_rank` ranks rows;
+gives a reduced row-echelon basis in it, `sparse_solve` both from one
+elimination, and `sparse_rank` ranks rows;
 `vectors` is the `Fraction` view of a basis, so `nullspace` and `rref` are
 views over the same reduced forms.
 
@@ -189,7 +190,10 @@ def _reduce(rows: list[dict[int, int]], ncols: int):
     ncols and the reduced form is the identity, with no check. Its readers
     (`_kernel_rows`, `_unit_rows`, `sparse_rank`) read a row only at its
     support and at the free columns, and the identity has no free column,
-    so its rows are kept as {c: 1}, not as ncols² cells."""
+    so its rows are kept as {c: 1}, not as ncols² cells. No rows reduce
+    to no rows, with no pass."""
+    if not rows:
+        return [], [], []
     kept, basis = independent_rows_mod_p(rows, ncols)
     if len(kept) == ncols:
         return ([{c: 1} for c in range(ncols)], list(range(ncols)),
@@ -234,6 +238,19 @@ def sparse_nullspace(rows: list[dict[int, int]], ncols: int
     columns below ncols, as (rows, scales): the solver of every linear
     condition."""
     return _kernel_rows(_reduce(rows, ncols), ncols) if ncols else ((), ())
+
+
+def sparse_solve(rows: list[dict[int, int]], ncols: int
+                 ) -> tuple[tuple[dict[int, int], ...], tuple[int, ...],
+                            tuple[dict[int, int], ...]]:
+    """(kernel rows, kernel scales, row-space rows) of sparse integer rows
+    from one elimination: `sparse_nullspace` and the rows of
+    `sparse_row_space`, each primitive, which span the kernel's
+    annihilator."""
+    if not ncols:
+        return (), (), ()
+    reduced = _reduce(rows, ncols)
+    return *_kernel_rows(reduced, ncols), _unit_rows(reduced)[0]
 
 
 def sparse_rank(rows: list[dict[int, int]], ncols: int) -> int:

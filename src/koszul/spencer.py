@@ -16,14 +16,23 @@ A symbol space holds its basis as integer rows over scales, as a solution
 space does (`koszul.spaces`); prolongation, the Cartan flags and the
 Spencer cochains read those rows, and `Fraction` vectors are built only for
 the `basis` view and the report. Each space computes its first
-prolongation once (`SymbolSpace.prolongation`). The coboundary is written
-once, as condition-row contributions (`_d`), so no dense vector of a
-cochain space is built (`spencer_cohomology`).
+prolongation once (`SymbolSpace.prolongation`), and a prolongation keeps
+its annihilator, the reduced row space of the condition rows it solved, so
+the next order reads it rather than solving the basis back. The coboundary
+is written once, as condition-row contributions (`_d`), so no dense vector
+of a cochain space is built (`spencer_cohomology`).
+
+Two column tables, cached per shape as `monomials` is, hold the index
+bookkeeping: `_d_columns(m, w, p, s)` lists, for each column of C^p(order
+s), the (column, sign) pairs of its image one degree up and one order
+down, and `_slice_columns(m, w, s)` the order-(s+1) column of each order-s
+column's slice in each direction e_j, which `prolong` reads: at most
+min(s, m - p) pairs and exactly m columns per column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -74,6 +83,11 @@ class SymbolSpace:
     rows: tuple[dict[int, int], ...]
     scales: tuple[int, ...]
     order: int = 1
+    # primitive integer rows spanning the functionals that vanish on the
+    # space, when known: `prolong` keeps the reduced row space of the
+    # condition rows it solved, and reads it back one order up
+    annihilator: tuple[dict[int, int], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = symbol_coord_dim(self.v_dim, self.w_dim, self.order)
@@ -111,22 +125,38 @@ def prolong(a: SymbolSpace) -> SymbolSpace:
     """Symbols one order up whose slices in every direction lie in `a`.
 
     The zero space prolongs to zero without a solve: an order-(s+1) symbol
-    whose every slice vanishes is zero."""
+    whose every slice vanishes is zero. The condition rows are the
+    annihilator of `a` read through the slice table (`_slice_columns`);
+    the one elimination that solves them also gives their reduced row
+    space, which is the annihilator of the prolongation and is kept on it
+    for the next order."""
     m, w, s = a.v_dim, a.w_dim, a.order
     if not a.rows:
         return SymbolSpace(m, w, (), (), s + 1)
-    ann = linalg.sparse_nullspace(a.rows, symbol_coord_dim(m, w, s))[0]
-    nup = len(monomials(m, s + 1))
-    pos_up = _mono_pos(m, s + 1)
-    lower = monomials(m, s)
-    nl = len(lower)
+    ann = a.annihilator
+    if ann is None:
+        ann = linalg.sparse_nullspace(a.rows, symbol_coord_dim(m, w, s))[0]
+    slices = _slice_columns(m, w, s)
     # row (j, t): the t-th annihilator of `a` on the slice in direction e_j
     rows = condition_rows(
-        ((j, t), i // nl * nup + pos_up[tuple(sorted(lower[i % nl] + (j,)))],
-         coeff)
+        ((j, t), up, coeff)
         for t, lam in enumerate(ann) for i, coeff in lam.items()
-        for j in range(m))
-    return SymbolSpace(m, w, *linalg.sparse_nullspace(rows, w * nup), s + 1)
+        for j, up in enumerate(slices[i]))
+    kernel, scales, up_ann = linalg.sparse_solve(
+        rows, symbol_coord_dim(m, w, s + 1))
+    return SymbolSpace(m, w, kernel, scales, s + 1, up_ann)
+
+
+@lru_cache(maxsize=None)
+def _slice_columns(m: int, w: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """For each column of the order-s symbols, the column of the order-(s+1)
+    symbols whose slice in direction e_j it is, for j = 0..m-1: the same
+    W-coordinate, the monomial times x_j."""
+    nup = len(monomials(m, s + 1))
+    pos_up = _mono_pos(m, s + 1)
+    return tuple(tuple(k * nup + pos_up[tuple(sorted(mono + (j,)))]
+                       for j in range(m))
+                 for k in range(w) for mono in monomials(m, s))
 
 
 def cartan_test(a: SymbolSpace, basis=None) -> tuple[int, int, bool]:
@@ -165,23 +195,29 @@ def _flag_test(a: SymbolSpace, bs) -> tuple[int, int, bool]:
 
 def find_quasi_regular_basis(a: SymbolSpace, trials: int = DEFAULT_TRIALS,
                              seed: int = DEFAULT_SEED) -> tuple | None:
-    """A basis attaining Cartan's bound, or None after the trial budget.
+    """A basis attaining Cartan's bound, or None.
 
     Tries the standard basis first, then seeded random rational bases with
     entries n/d, n in [-5, 5] and d in {1, 2}. A quasi-regular basis is
-    generic when one exists, so small budgets suffice in practice; None is
-    not a certificate of absence. The standard basis goes through the
-    public `cartan_test`, which checks the order of `a`; each candidate is
-    drawn as (n, d) pairs, ranked here and flag-tested as integer rows (each
-    vector times 2, which keeps its rank and every flag span), and only the
-    basis returned is built as `Fraction`s.
+    generic when one exists, so small budgets suffice in practice. None
+    comes before any draw when dim a^(1) < sum_j max(0, d - j w) (d = dim
+    a, j = 0..m): the flag of any basis has dim a_j >= d - j w, since j
+    test vectors impose at most j w conditions, so no basis reaches
+    dim a^(1) and that None certifies that none exists. A None after the
+    trial budget is not a certificate of absence. The standard basis goes
+    through the public `cartan_test`, which checks the order of `a`; each
+    candidate is drawn as (n, d) pairs, ranked here and flag-tested as
+    integer rows (each vector times 2, which keeps its rank and every flag
+    span), and only the basis returned is built as `Fraction`s.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     m = a.v_dim
-    _, _, ok = cartan_test(a)
+    p1, _, ok = cartan_test(a)
     if ok:
         return linalg.identity(m)
+    if p1 < sum(max(0, a.dim - j * a.w_dim) for j in range(m + 1)):
+        return None
     rng = random.Random(seed)
     for _ in range(trials - 1):
         cand = [[(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m)]
@@ -200,26 +236,39 @@ def _d(m: int, w: int, p: int, s: int, cochains):
     `cochains` yields contributions (row key, column, value) of cochains
     of p-forms with order-s symbol values, at column p-tuple position *
     w * n_s + k * n_s + monomial position (n_s the order-s monomial
-    count). Each one's image is contributed under its row key, at the same
-    positions one degree up and one order down: d contracts the symmetric
-    slot with e_u for every u outside the p-tuple, with the sign of u's
-    place in the sorted (p+1)-tuple.
+    count). Each one's image is contributed under its row key, at the
+    columns and signs the coboundary table lists for its column
+    (`_d_columns`).
     """
-    monos = monomials(m, s)
-    ns, nl = len(monos), len(monomials(m, s - 1))
-    ptuples = list(combinations(range(m), p))
+    images = _d_columns(m, w, p, s)
+    for key, col, x in cochains:
+        for c, sign in images[col]:
+            yield key, c, sign * x
+
+
+@lru_cache(maxsize=None)
+def _d_columns(m: int, w: int, p: int, s: int
+               ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column of C^p(order s), the (column, sign) pairs of its
+    image in C^(p+1)(order s-1): d contracts the symmetric slot with e_u
+    for every u of the monomial outside the p-tuple, with the sign of u's
+    place in the sorted (p+1)-tuple."""
+    nl = len(monomials(m, s - 1))
     up = {t: i for i, t in enumerate(combinations(range(m), p + 1))}
     down = _mono_pos(m, s - 1)
-    for key, col, x in cochains:
-        t, rest = divmod(col, w * ns)
-        k, i = divmod(rest, ns)
-        ptuple, mono = ptuples[t], monos[i]
-        for u in sorted(set(mono).difference(ptuple)):
-            newp = tuple(sorted(ptuple + (u,)))
-            lower = list(mono)
-            lower.remove(u)
-            yield (key, (up[newp] * w + k) * nl + down[tuple(lower)],
-                   -x if newp.index(u) % 2 else x)
+    table = []
+    for ptuple in combinations(range(m), p):
+        for k in range(w):
+            for mono in monomials(m, s):
+                pairs = []
+                for u in sorted(set(mono).difference(ptuple)):
+                    newp = tuple(sorted(ptuple + (u,)))
+                    lower = list(mono)
+                    lower.remove(u)
+                    pairs.append(((up[newp] * w + k) * nl + down[tuple(lower)],
+                                  -1 if newp.index(u) % 2 else 1))
+                table.append(tuple(pairs))
+    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,13 @@ metric route, a rank walk on every algebra
 (`rank_walk_bi_invariant_metric`), its former
 Cartan test, with a prolongation per call and nullspace flag dimensions
 over `Fraction` rows (`nullspace_cartan_test`,
-`nullspace_quasi_regular_basis`), its former flag dimensions, one integer
+`nullspace_quasi_regular_basis`), its former basis search, every
+candidate drawn whatever Cartan's lower bound says
+(`unbounded_quasi_regular_basis`), its former flag dimensions, one integer
 rank of the growing stack of flag rows per step (`stacked_rank_aj_dims`),
 its former Spencer window over dense `Fraction` cochain vectors
-(`dense_spencer_cohomology`), its former
+(`dense_spencer_cohomology`), its former Spencer coboundary, each image
+column found by sorting index tuples (`sorting_spencer_d`), its former
 Sylvester definiteness test
 (`sylvester_positive_definite`) and a signature read from the
 characteristic polynomial (`charpoly_signature`),
@@ -127,7 +130,7 @@ from typing import NamedTuple
 import numpy as np
 import sympy
 
-from koszul import cli, cohomology, linalg, spaces
+from koszul import cli, cohomology, linalg, spaces, spencer
 from koszul._kernel import P, _rational, echelon
 from koszul.algebra import (BilinearProduct, DefectTensor, LieAlgebra,
                             SparseTable, _left_traces, kv_anomaly,
@@ -153,8 +156,9 @@ from koszul.invariants import (ExistenceVerdict, RankWitness,
                                max_rank, r_b_defect)
 from koszul.linalg import Mat, Vec, frac
 from koszul.spaces import LinearSolutionSpace, condition_rows
-from koszul.spencer import (DEFAULT_SEED, SpencerReport, SymbolSpace,
-                            _mono_pos, monomials, prolong, symbol_coord_dim)
+from koszul.spencer import (DEFAULT_SEED, DEFAULT_TRIALS, SpencerReport,
+                            SymbolSpace, _mono_pos, monomials, prolong,
+                            symbol_coord_dim)
 from koszul.statmodel import NORM_TOL, PROBE_TOL, FiniteStatModel, ProbeReport
 from koszul.statmodel import _coordinates as statmodel_coordinates
 from koszul.statmodel import fisher_information
@@ -975,6 +979,50 @@ def nullspace_quasi_regular_basis(a: SymbolSpace, trials: int = 64,
         if ok:
             return cand
     return None
+
+
+def unbounded_quasi_regular_basis(a: SymbolSpace,
+                                  trials: int = DEFAULT_TRIALS,
+                                  seed=DEFAULT_SEED) -> tuple | None:
+    """The library's former `spencer.find_quasi_regular_basis`: the
+    standard basis, then every one of the trials - 1 seeded candidates,
+    flag-tested as integer rows, with no lower bound on the flag sum."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    m = a.v_dim
+    _, _, ok = spencer.cartan_test(a)
+    if ok:
+        return linalg.identity(m)
+    rng = random.Random(seed)
+    for _ in range(trials - 1):
+        cand = [[(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m)]
+                for _ in range(m)]
+        ints = [{i: n * (2 // d) for i, (n, d) in enumerate(v) if n}
+                for v in cand]
+        if linalg.sparse_rank(ints, m) == m and \
+                spencer._flag_test(a, ints)[2]:
+            return tuple(tuple(Fraction(n, d) for n, d in v) for v in cand)
+    return None
+
+
+def sorting_spencer_d(m: int, w: int, p: int, s: int, cochains):
+    """The library's former `spencer._d`: each contribution's image columns
+    found by sorting the (p+1)-tuple and removing u from the monomial."""
+    monos = monomials(m, s)
+    ns, nl = len(monos), len(monomials(m, s - 1))
+    ptuples = list(combinations(range(m), p))
+    up = {t: i for i, t in enumerate(combinations(range(m), p + 1))}
+    down = _mono_pos(m, s - 1)
+    for key, col, x in cochains:
+        t, rest = divmod(col, w * ns)
+        k, i = divmod(rest, ns)
+        ptuple, mono = ptuples[t], monos[i]
+        for u in sorted(set(mono).difference(ptuple)):
+            newp = tuple(sorted(ptuple + (u,)))
+            lower = list(mono)
+            lower.remove(u)
+            yield (key, (up[newp] * w + k) * nl + down[tuple(lower)],
+                   -x if newp.index(u) % 2 else x)
 
 
 def _apply_d(m: int, order: int, coeffs: dict) -> dict:

@@ -340,6 +340,25 @@ def _square_raises(check, *args) -> bool:
     return False
 
 
+def test_a_degree_with_no_rows_is_rank_0_with_no_square_check(monkeypatch):
+    # delta_0 and delta_2 have no rows: their passes are asked for no row,
+    # and each square has an empty side, so none is summed
+    deltas = [({}, 2, 3), ({0: {0: 1}, 1: {1: 2, 2: 1}}, 3, 2), ({}, 2, 1)]
+    assert fixpoint_certified_ranks(deltas) == [0, 2, 0]
+    passes = []
+    pass_mod_p = cohomology.independent_rows_mod_p
+
+    def counted(rows, bound):
+        rows = list(rows)
+        passes.append((len(rows), bound))
+        return pass_mod_p(rows, bound)
+
+    monkeypatch.setattr(cohomology, "independent_rows_mod_p", counted)
+    monkeypatch.setattr(cohomology, "_check_square", pytest.fail)
+    assert cohomology._certified_ranks(deltas) == [0, 2, 0]
+    assert passes == [(0, 0), (2, 2), (0, 0)]
+
+
 @CHECKS
 @given(a=conftest.int_matrices(max_rows=6, max_cols=6),
        mix=st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6),

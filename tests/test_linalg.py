@@ -415,6 +415,33 @@ def test_a_tall_system_of_full_rank_mod_p_skips_the_exact_pass(
     assert linalg._reduce(rows, 2) == ([{0: 1}, {1: 1}], [0, 1], [[0], [1]])
 
 
+def test_no_rows_reduce_to_no_rows_with_no_pass(monkeypatch):
+    # the reduced form the pass, lift and span check gave for no rows
+    monkeypatch.setattr(linalg, "independent_rows_mod_p", pytest.fail)
+    monkeypatch.setattr(linalg, "row_space", pytest.fail)
+    for n in (1, 3):
+        units = tuple({j: 1} for j in range(n))
+        assert linalg._reduce([], n) == ([], [], [])
+        assert linalg.sparse_nullspace([], n) == (units, (1,) * n)
+        assert linalg.sparse_row_space([], n) == ((), ())
+        assert linalg.sparse_solve([], n) == (units, (1,) * n, ())
+        assert linalg.sparse_rank([], n) == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(int_matrices(max_rows=8, max_cols=6))
+@example([[1, 0], [0, 1], [1, 1]])
+@example([[0, 0], [0, 0]])
+def test_sparse_solve_is_the_nullspace_and_the_row_space(a):
+    ncols = len(a[0]) if a else 0
+    assume(ncols)
+    rows = [{j: x for j, x in enumerate(r) if x} for r in a]
+    kernel, scales, span = linalg.sparse_solve(rows, ncols)
+    assert (kernel, scales) == linalg.sparse_nullspace(rows, ncols)
+    assert span == linalg.sparse_row_space(rows, ncols)[0]
+
+
 def test_the_identity_reduced_form_writes_no_dense_cells():
     # 3,000 independent unit rows: a dense identity would be a list of
     # 9·10⁶ slots, 72 MB of pointers alone

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import cli, linalg, spencer
+from koszul.spaces import condition_rows
 from koszul.errors import ValidationError
 from koszul.spencer import (
     SymbolSpace,
@@ -24,7 +26,8 @@ from koszul.spencer import (
 from conftest import full_hom, symbols, zero_symbol
 from oracles import (dense_prolong, dense_spencer_cohomology,
                      full_symbol_cartan_total, nullspace_cartan_test,
-                     nullspace_quasi_regular_basis, stacked_rank_aj_dims)
+                     nullspace_quasi_regular_basis, sorting_spencer_d,
+                     stacked_rank_aj_dims, unbounded_quasi_regular_basis)
 
 
 SO3_ROWS = [
@@ -311,6 +314,120 @@ def test_the_basis_search_validates_the_space_once(monkeypatch):
     assert calls == [(a,)]
     with pytest.raises(ValidationError, match="order-1"):
         find_quasi_regular_basis(a.prolongation)
+
+
+def _cartan_floor(a):
+    # j test vectors impose at most j * w conditions on the d symbols
+    return sum(max(0, a.dim - j * a.w_dim) for j in range(a.v_dim + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+@example((symbol_space(3, 3, SO3_ROWS), [[1, 2, 0], [0, 1, 3], [1, 0, 1]],
+          5, 6))
+@example((full_hom(3, 2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 11, 3))
+@example((symbol_space(2, 2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+          [[1, 0], [0, 1]], 0, 1))
+def test_every_flag_sum_reaches_cartans_lower_bound(case):
+    a, basis, _, _ = case
+    bases = [linalg.identity(a.v_dim)]
+    if linalg.rank(basis) == a.v_dim:
+        bases.append(tuple(tuple(map(linalg.frac, v)) for v in basis))
+    for b in bases:
+        ints = [linalg.integer_row(v)[0] for v in b]
+        assert spencer._flag_test(a, ints)[1] >= _cartan_floor(a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+@example((symbol_space(3, 3, SO3_ROWS), [], 5, 6))
+# the standard basis fails above the floor, and a drawn candidate passes
+@example((symbol_space(2, 1, [[0, 1]]), [], 2, 8))
+@example((symbol_space(3, 2, [[0, 1, 0, 0, 0, 2], [0, 0, 1, 0, 1, 0]]), [],
+          3, 6))
+def test_the_draws_are_skipped_only_below_cartans_lower_bound(case):
+    # below the floor no basis attains the bound, so the search ends as the
+    # search through every candidate ends; anywhere else it draws them
+    a, _, seed, trials = case
+    p1, _, ok = cartan_test(a)
+    with mock.patch.object(spencer.random, "Random",
+                           wraps=random.Random) as rng:
+        found = find_quasi_regular_basis(a, trials, seed)
+    assert rng.called == (not ok and p1 >= _cartan_floor(a))
+    assert found == unbounded_quasi_regular_basis(a, trials, seed)
+
+
+def test_on_so3_the_basis_search_stops_at_cartans_lower_bound():
+    # dim a^(1) = 0 against a floor of 3 + 0 + 0 + 0: one flag, the
+    # standard basis's, is tested and no candidate is drawn
+    a = so3_symbol()
+    assert (a.prolongation.dim, _cartan_floor(a)) == (0, 3)
+    with mock.patch.object(spencer, "_flag_test",
+                           wraps=spencer._flag_test) as flags:
+        assert find_quasi_regular_basis(a) is None
+    assert flags.call_count == 1
+    assert unbounded_quasi_regular_basis(a) is None
+
+
+COBOUNDARY_SHAPES = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, 3), st.integers(0, min(3, m)),
+    st.integers(1, 4)))
+
+
+@st.composite
+def coboundary_cases(draw):
+    """A shape (m, w, p, s), m <= 4, w <= 3, p <= 3, s <= 4, and cochain
+    contributions (row key, column of C^p(order s), nonzero value)."""
+    m, w, p, s = draw(COBOUNDARY_SHAPES)
+    ncols = comb(m, p) * symbol_coord_dim(m, w, s)
+    cochains = draw(st.lists(st.tuples(
+        st.integers(0, 3), st.integers(0, ncols - 1),
+        st.integers(-3, 3).filter(bool)), max_size=40))
+    return m, w, p, s, cochains
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(coboundary_cases())
+@example((4, 3, 3, 4, [(0, c, 1) for c in range(4 * 3 * 35)]))
+@example((3, 2, 0, 4, [(k, 7 * k, 1 - 2 * k) for k in range(4)]))
+@example((2, 1, 2, 1, [(0, 0, 2), (0, 1, -1)]))
+def test_the_coboundary_table_matches_the_sorting_formula(case):
+    m, w, p, s, cochains = case
+    table = list(spencer._d(m, w, p, s, iter(cochains)))
+    assert table == list(sorting_spencer_d(m, w, p, s, iter(cochains)))
+    assert condition_rows(table) == condition_rows(
+        sorting_spencer_d(m, w, p, s, iter(cochains)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cartan_cases())
+@example((symbol_space(2, 2, [[1, 0, 0, 1], [0, 1, -1, 0]]), [], 0, 1))
+def test_each_prolongation_keeps_the_annihilator_of_its_basis(case):
+    # the reduced row space of the condition rows that cut out a^(q) is
+    # the reduced row space of the kernel of a^(q)'s basis
+    up = case[0]
+    for _ in range(3):
+        up = up.prolongation
+        n = symbol_coord_dim(up.v_dim, up.w_dim, up.order)
+        if up.rows:
+            ann = linalg.sparse_nullspace(up.rows, n)[0]
+            assert up.annihilator == linalg.sparse_row_space(list(ann), n)[0]
+
+
+def test_only_the_order_one_symbol_is_solved_back_into_annihilators():
+    # three prolongations of co(2): one solve of a basis, of the order-1
+    # symbol, where there were three
+    a = symbol_space(2, 2, [[1, 0, 0, 1], [0, 1, -1, 0]])
+    with mock.patch.object(spencer.linalg, "sparse_nullspace",
+                           wraps=linalg.sparse_nullspace) as solves:
+        dims = [a.prolongation.dim, a.prolongation.prolongation.dim,
+                a.prolongation.prolongation.prolongation.dim]
+    assert dims == [2, 2, 2]
+    assert [call.args[0] for call in solves.call_args_list] == [a.rows]
 
 
 def _window_coords(v, w):
